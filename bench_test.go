@@ -17,11 +17,11 @@ import (
 	"pocolo/internal/assign"
 	"pocolo/internal/budget"
 	"pocolo/internal/budget/tree"
+	"pocolo/internal/cluster"
 	"pocolo/internal/experiments"
 	"pocolo/internal/latency"
 	"pocolo/internal/machine"
 	"pocolo/internal/profiler"
-	"pocolo/internal/cluster"
 	"pocolo/internal/sim"
 	"pocolo/internal/sim/des"
 	"pocolo/internal/stats"

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	pocolo-bench [-bench Fig12|Fig14] [-benchtime 1x] [-count 1]
+//	pocolo-bench [-bench Fig12|Fig14] [-benchtime 1x] [-count 1] [-cpu 1,2]
 //	             [-o BENCH_2026-08-05.json] [-dir .] [-note "before memo"]
 //	             [-baseline BENCH_old.json] [-max-regress 0.25]
 //
@@ -87,6 +87,7 @@ func main() {
 	bench := flag.String("bench", ".", "benchmark regexp passed to go test -bench")
 	benchtime := flag.String("benchtime", "1x", "passed to go test -benchtime (e.g. 1x, 5x, 100ms)")
 	count := flag.Int("count", 1, "passed to go test -count")
+	cpu := flag.String("cpu", "", "passed to go test -cpu (e.g. 1,2); empty keeps go test's default")
 	dir := flag.String("dir", ".", "module directory to benchmark")
 	out := flag.String("o", "", "output path (default BENCH_<date>.json in -dir)")
 	note := flag.String("note", "", "free-form annotation stored in the snapshot")
@@ -102,7 +103,11 @@ func main() {
 	}
 
 	args := []string{"test", "-run", "^$", "-bench", *bench,
-		"-benchmem", "-benchtime", *benchtime, "-count", strconv.Itoa(*count), "."}
+		"-benchmem", "-benchtime", *benchtime, "-count", strconv.Itoa(*count)}
+	if *cpu != "" {
+		args = append(args, "-cpu", *cpu)
+	}
+	args = append(args, ".")
 	cmd := exec.Command("go", args...)
 	cmd.Dir = *dir
 	cmd.Stderr = os.Stderr

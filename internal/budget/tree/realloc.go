@@ -253,6 +253,14 @@ func (r *Reallocator) NodeBudgets() map[string]float64 {
 	return r.tree.NodeBudgets()
 }
 
+// NodeBudget returns one node's current budget (0 when unbudgeted) —
+// the invariant.BudgetAuthority per-node view.
+func (r *Reallocator) NodeBudget(node string) float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tree.NodeBudget(node)
+}
+
 // NodeHosts returns the hosts at or beneath the named node.
 func (r *Reallocator) NodeHosts(node string) []string {
 	r.mu.Lock()

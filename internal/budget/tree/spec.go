@@ -354,6 +354,15 @@ func (t *Tree) NodeBudgets() map[string]float64 {
 	return out
 }
 
+// NodeBudget returns the named node's current budget: 0 for an unknown
+// node or a leaf without an explicit budget, the nodes NodeBudgets omits.
+func (t *Tree) NodeBudget(name string) float64 {
+	if n := t.nodes[name]; n != nil && n.BudgetW > 0 {
+		return n.BudgetW
+	}
+	return 0
+}
+
 // HostsUnder returns the names of the hosts at or beneath the named node,
 // in Hosts() order; nil for an unknown node.
 func (t *Tree) HostsUnder(name string) []string {

@@ -349,11 +349,11 @@ func FuzzParseBudgetTree(f *testing.F) {
 	seeds := []string{
 		"dc:1200=row:600{rack1:300{h0,h1},rack2:300{h2,h3}}",
 		"dc:100{a,b}",
-		"dc:100{a,a}",                 // duplicate hosts
-		"dc:50{h0,h1,h2}",             // budget below realistic idle floors
-		"dc:NaN{a,b}",                 // NaN watts
-		"dc:1e999{a,b}",               // overflow watts
-		"a=b=c=d=e",                   // unbudgeted chain
+		"dc:100{a,a}",     // duplicate hosts
+		"dc:50{h0,h1,h2}", // budget below realistic idle floors
+		"dc:NaN{a,b}",     // NaN watts
+		"dc:1e999{a,b}",   // overflow watts
+		"a=b=c=d=e",       // unbudgeted chain
 		`{"name":"dc","watts":100,"children":[{"name":"a"}]}`,
 		`{"name":"dc","children":[{"name":"dc"}]}`, // dup via JSON
 		"dc:100{a{b{c{d{e{f}}}}}}",

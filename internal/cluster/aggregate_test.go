@@ -48,7 +48,7 @@ func TestAggregateTrialsRoundsToNearest(t *testing.T) {
 	}{
 		{"all-zero", []int{0, 0, 0, 0, 0, 0}, 0},
 		{"below-half", []int{1, 0, 0, 0, 0, 0}, 0},
-		{"exactly-half", []int{1, 1, 1, 0, 0, 0}, 1}, // 0.5 rounds away from zero
+		{"exactly-half", []int{1, 1, 1, 0, 0, 0}, 1},                     // 0.5 rounds away from zero
 		{"above-half-truncation-regression", []int{2, 1, 1, 1, 0, 0}, 1}, // mean 5/6; truncation said 0
 		{"multiple", []int{3, 3, 2, 4, 3, 3}, 3},
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"pocolo/internal/machine"
@@ -151,8 +152,24 @@ func cellMemoStore(k cellKey, v float64) {
 }
 
 // globalFP fingerprints the cell inputs shared by the whole matrix.
+// Like every fingerprint here it is exact-bit (utility.ModelKey's
+// encoding) and process-local: it only has to separate the interned
+// equivalence classes of one process.
 func globalFP(cfg machine.Config, loads []float64) string {
-	return fmt.Sprintf("%+v|loads=%v", cfg, loads)
+	b := make([]byte, 0, 256)
+	b = utility.AppendKeyString(b, cfg.Name)
+	for _, n := range []int{cfg.Cores, cfg.LLCWays, cfg.MemoryGB, cfg.StorageGB} {
+		b = strconv.AppendInt(b, int64(n), 10)
+		b = append(b, ',')
+	}
+	for _, f := range []float64{cfg.LLCMB, cfg.MinFreqGHz, cfg.MaxFreqGHz, cfg.FreqStepGHz, cfg.IdlePowerW, cfg.ActivePowerW} {
+		b = utility.AppendKeyFloat(b, f)
+	}
+	b = append(b, "loads"...)
+	for _, l := range loads {
+		b = utility.AppendKeyFloat(b, l)
+	}
+	return string(b)
 }
 
 // colFP fingerprints exactly the LC-side inputs estimatePairThroughput
@@ -160,7 +177,10 @@ func globalFP(cfg machine.Config, loads []float64) string {
 // model. Names and other spec fields are deliberately excluded so
 // per-host instance specs collapse onto their capacity class.
 func colFP(lc *workload.Spec, lcModel *utility.Model) string {
-	return fmt.Sprintf("%v|%v|%s", lc.PeakLoad, lc.ProvisionedPowerW, utility.ModelKey(lcModel))
+	b := make([]byte, 0, 224)
+	b = utility.AppendKeyFloat(b, lc.PeakLoad)
+	b = utility.AppendKeyFloat(b, lc.ProvisionedPowerW)
+	return string(utility.AppendModelKey(b, lcModel))
 }
 
 // MatrixBuilder owns a Matrix and rebuilds it incrementally as host caps
@@ -457,42 +477,40 @@ func (b *MatrixBuilder) RowSpec(i int) *workload.Spec { return b.be[i] }
 // bit-identical, since cells are pure functions of the fingerprinted
 // inputs.
 func (b *MatrixBuilder) computeCells(refs []cellRef) (DeltaStats, error) {
+	// group is one distinct key: its first cell (the representative the
+	// pool computes) and the value every cell with that key receives.
 	type group struct {
-		refs []cellRef
-		val  float64
+		key cellKey
+		rep cellRef
+		val float64
 	}
-	order := make([]*group, 0, len(refs))
-	byKey := make(map[cellKey]*group, len(refs))
-	for _, r := range refs {
+	var groups []group
+	groupOf := make([]int32, len(refs)) // ref → index into groups
+	byKey := make(map[cellKey]int32, len(refs))
+	for n, r := range refs {
 		k := cellKey{global: b.globalID, row: b.rowID[r.i], col: b.colID[r.j]}
-		g := byKey[k]
-		if g == nil {
-			g = &group{}
+		g, ok := byKey[k]
+		if !ok {
+			g = int32(len(groups))
 			byKey[k] = g
-			order = append(order, g)
+			groups = append(groups, group{key: k, rep: r})
 		}
-		g.refs = append(g.refs, r)
+		groupOf[n] = g
 	}
-	var toCompute []*group
-	var keys []cellKey
-	seen := make(map[cellKey]bool, len(byKey))
-	for _, r := range refs {
-		k := cellKey{global: b.globalID, row: b.rowID[r.i], col: b.colID[r.j]}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		g := byKey[k]
-		if v, ok := cellMemoLookup(k); ok {
-			g.val = v
+	// Groups sit in first-appearance order, so the memo sees the same
+	// lookup sequence — and yields the same computed/reused split — as a
+	// scan over the cells would.
+	var toCompute []int32
+	for g := range groups {
+		if v, ok := cellMemoLookup(groups[g].key); ok {
+			groups[g].val = v
 		} else {
-			toCompute = append(toCompute, g)
-			keys = append(keys, k)
+			toCompute = append(toCompute, int32(g))
 		}
 	}
 	err := parallel.ForEach(len(toCompute), b.workers, func(idx int) error {
-		g := toCompute[idx]
-		r := g.refs[0]
+		g := &groups[toCompute[idx]]
+		r := g.rep
 		v, err := estimatePairThroughput(b.machine, b.lc[r.j], b.lcModel[r.j], b.beModel[r.i], b.loads)
 		if err != nil {
 			return fmt.Errorf("cluster: estimating %s on %s: %w", b.be[r.i].Name, b.lc[r.j].Name, err)
@@ -503,13 +521,11 @@ func (b *MatrixBuilder) computeCells(refs []cellRef) (DeltaStats, error) {
 	if err != nil {
 		return DeltaStats{}, err
 	}
-	for idx, g := range toCompute {
-		cellMemoStore(keys[idx], g.val)
+	for _, g := range toCompute {
+		cellMemoStore(groups[g].key, groups[g].val)
 	}
-	for _, g := range order {
-		for _, r := range g.refs {
-			b.mx.Value[r.i][r.j] = g.val
-		}
+	for n, r := range refs {
+		b.mx.Value[r.i][r.j] = groups[groupOf[n]].val
 	}
 	st := DeltaStats{CellsComputed: len(toCompute), CellsReused: len(refs) - len(toCompute)}
 	b.stats.add(st)

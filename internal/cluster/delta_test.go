@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"pocolo/internal/machine"
 	"pocolo/internal/utility"
 	"pocolo/internal/workload"
 )
@@ -285,5 +287,38 @@ func TestCellMemoControls(t *testing.T) {
 	}
 	if entries, _, _ := CellMemoStats(); entries != 0 {
 		t.Errorf("disabled memo stored %d entries", entries)
+	}
+}
+
+// TestGlobalFPCoversMachineConfig is globalFP's reflect guard: perturbing
+// any one field of machine.Config, or a load, must change the
+// fingerprint, so a field added to the platform cannot silently alias
+// two platforms onto one cell memo entry.
+func TestGlobalFPCoversMachineConfig(t *testing.T) {
+	base := machine.XeonE52650()
+	loads := DefaultLoadRange()
+	want := globalFP(base, loads)
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		cfg := base
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Float64:
+			f.SetFloat(math.Nextafter(f.Float(), math.Inf(1)))
+		case reflect.Int:
+			f.SetInt(f.Int() + 1)
+		default:
+			t.Fatalf("machine.Config.%s has kind %s: extend globalFP and this guard", typ.Field(i).Name, f.Type())
+		}
+		if globalFP(cfg, loads) == want {
+			t.Errorf("globalFP ignores machine.Config.%s", typ.Field(i).Name)
+		}
+	}
+	moved := append([]float64(nil), loads...)
+	moved[len(moved)-1] = math.Nextafter(moved[len(moved)-1], 0)
+	if globalFP(base, moved) == want {
+		t.Error("globalFP ignores the load range")
 	}
 }

@@ -306,7 +306,7 @@ type HyperscaleResult struct {
 	// FinalTotal after the last churn round.
 	InitialTotal, FinalTotal float64
 	// Moves is the total cross-pod migration count.
-	Moves int
+	Moves  int
 	Rounds []HyperscaleRound
 	// BudgetSpec and PodBudgets are set when the fleet has a BudgetFrac:
 	// the per-pod budget tree and the end-of-run allocation.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -63,22 +64,24 @@ func benchFleet(b *testing.B, n int) ([]string, []StatsResponse) {
 
 // benchController stands up a controller over the fleet with a
 // deterministic clock. The returned tick advances it one heartbeat.
-// reg is the observability registry (nil = unobserved, the baseline).
-func benchController(b *testing.B, urls []string, transport string, client *http.Client, reg *obs.Registry) (*Controller, func()) {
+// reg is the observability registry (nil = unobserved, the baseline);
+// budgetTree is the controller's budget-tree spec ("" = unbudgeted).
+func benchController(b *testing.B, urls []string, transport string, client *http.Client, reg *obs.Registry, budgetTree string) (*Controller, func()) {
 	b.Helper()
 	clock := time.Unix(1_700_000_000, 0)
 	var mu sync.Mutex
 	ctl, err := NewController(ControllerConfig{
-		AgentURLs: urls,
-		BE:        []string{"graph", "lstm"},
-		Solver:    SolverSharded,
-		Transport: transport,
-		PodSize:   64,
-		DeadAfter: 2,
-		Heartbeat: time.Second,
-		Retries:   0,
-		Client:    client,
-		Obs:       reg,
+		AgentURLs:  urls,
+		BE:         []string{"graph", "lstm"},
+		Solver:     SolverSharded,
+		Transport:  transport,
+		PodSize:    64,
+		DeadAfter:  2,
+		Heartbeat:  time.Second,
+		Retries:    0,
+		Client:     client,
+		Obs:        reg,
+		BudgetTree: budgetTree,
 		Now: func() time.Time {
 			mu.Lock()
 			defer mu.Unlock()
@@ -108,7 +111,7 @@ func benchmarkPollRound(b *testing.B, n int, reg *obs.Registry) {
 		}
 		bt.stats[urls[i]] = blob
 	}
-	ctl, tick := benchController(b, urls, TransportPoll, &http.Client{Transport: bt}, reg)
+	ctl, tick := benchController(b, urls, TransportPoll, &http.Client{Transport: bt}, reg, "")
 	ctx := context.Background()
 	ctl.Round(ctx) // discovery + solve + initial pushes, outside the timer
 	b.ReportAllocs()
@@ -126,7 +129,7 @@ func benchmarkPollRound(b *testing.B, n int, reg *obs.Registry) {
 // cost the transport actually charges per round.
 func benchmarkStreamRound(b *testing.B, n int, reg *obs.Registry) {
 	urls, stats := benchFleet(b, n)
-	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: &benchTransport{}}, reg)
+	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: &benchTransport{}}, reg, "")
 	encs := make([]*HeartbeatEncoder, n)
 	frames := make([][]byte, n)
 	for i := range encs {
@@ -185,3 +188,112 @@ func BenchmarkControllerRoundPoll1kObs(b *testing.B) {
 func BenchmarkControllerRoundStream1kObs(b *testing.B) {
 	benchmarkStreamRound(b, 1000, obs.NewRegistry())
 }
+
+// capTransport acknowledges the controller's pushes like benchTransport
+// and remembers the last cap pushed to each agent, so the benchmark's
+// agents can report the cap they were given, as real agents do.
+type capTransport struct {
+	benchTransport
+	mu   sync.Mutex
+	caps map[string]float64 // base URL → last pushed cap
+}
+
+func (ct *capTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPost && req.URL.Path == RouteCap {
+		var cr CapRequest
+		if err := json.NewDecoder(req.Body).Decode(&cr); err == nil {
+			ct.mu.Lock()
+			ct.caps["http://"+req.URL.Host] = cr.CapW
+			ct.mu.Unlock()
+		}
+	}
+	return ct.benchTransport.RoundTrip(req)
+}
+
+// benchBudgetTree bounds each pod of podSize agents, and the root, at 90%
+// of their provisioned power: the fleet benchmark's per-pod tree.
+func benchBudgetTree(stats []StatsResponse, podSize int) string {
+	var b strings.Builder
+	total := 0.0
+	for _, st := range stats {
+		total += st.ProvisionedPowerW
+	}
+	fmt.Fprintf(&b, "dc:%.0f{", 0.9*total)
+	for lo := 0; lo < len(stats); lo += podSize {
+		hi := min(lo+podSize, len(stats))
+		podW := 0.0
+		names := make([]string, 0, hi-lo)
+		for _, st := range stats[lo:hi] {
+			podW += st.ProvisionedPowerW
+			names = append(names, st.Agent)
+		}
+		if lo > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "pod-%d:%.0f{%s}", lo/podSize, 0.9*podW, strings.Join(names, ","))
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// benchmarkStreamBudgetRound is benchmarkStreamRound under a live
+// per-pod budget tree: the fleet's drifting draw moves every agent's
+// share each round, so the round divides the budget and pushes and
+// records one cap per agent. Each agent reports the cap it was last
+// pushed. This is the push path the unbudgeted stream round never
+// reaches.
+func benchmarkStreamBudgetRound(b *testing.B, n int) {
+	urls, stats := benchFleet(b, n)
+	ct := &capTransport{caps: make(map[string]float64, n)}
+	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: ct}, nil, benchBudgetTree(stats, 64))
+	encs := make([]*HeartbeatEncoder, n)
+	for i := range encs {
+		encs[i] = NewHeartbeatEncoder(stats[i].Agent, urls[i])
+	}
+	frames := make([][]byte, n)
+	ingest := func(seq uint64) {
+		ct.mu.Lock()
+		for i := range stats {
+			if capW, ok := ct.caps[urls[i]]; ok {
+				stats[i].CapW = capW
+			}
+		}
+		ct.mu.Unlock()
+		for i := range stats {
+			frame, err := encs[i].Encode(stats[i], seq)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames[i] = frame
+		}
+		for i, ack := range ctl.IngestBatch(frames) {
+			if ack.Reject || ack.Resync {
+				b.Fatalf("frame %d ack %+v", i, ack)
+			}
+			encs[i].Ack(ack)
+		}
+	}
+	ctx := context.Background()
+	ingest(1)
+	ctl.Round(ctx) // discovery + solve + first division, outside the timer
+	if st := ctl.Status(); st.Budget == nil || st.Budget.Rebalances != 1 {
+		b.Fatalf("budget tree not dividing: %+v", st.Budget)
+	}
+	seq := uint64(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for iter := 0; iter < b.N; iter++ {
+		tick()
+		seq++
+		for i := range stats {
+			// Staggered so relative demand, and with it every share,
+			// moves each round.
+			stats[i].PowerW = 100 + float64((i+iter)%16)*0.5
+		}
+		ingest(seq)
+		ctl.Round(ctx)
+	}
+}
+
+func BenchmarkControllerRoundStreamBudget1k(b *testing.B) { benchmarkStreamBudgetRound(b, 1000) }
+func BenchmarkControllerRoundStreamBudget4k(b *testing.B) { benchmarkStreamBudgetRound(b, 4000) }

@@ -31,11 +31,20 @@ import (
 const shareTolerance = 1e-9
 
 // budgetState is the controller's budget bookkeeping, guarded by
-// Controller.mu.
+// Controller.mu. Everything per-leaf is a slice in tree.Hosts() order,
+// kept across rounds: the tree's shape is fixed at parse time.
 type budgetState struct {
 	tree   *tree.Tree
 	est    *budget.DemandEstimator
-	shares map[string]float64 // agent name → desired cap from the last division
+	leaves []string // tree.Hosts(): the agent names the tree budgets
+	// bound is each leaf's agent. It is rebuilt only when a leaf's agent
+	// is undiscovered or has been renamed since it was bound.
+	bound []*agentState
+	// demand, caps and floors are the division's input buffers.
+	demand, caps, floors []float64
+	// shares is each leaf's desired cap from the last division (nil
+	// before the first one).
+	shares []float64
 	// rebalances counts installed divisions; lastCutAtReb records the
 	// rebalance count at the latest SetBudget mutation, so convergence
 	// grace is measured in rebalances, not wall time (the agents'
@@ -60,11 +69,57 @@ func newBudgetState(spec string) (*budgetState, error) {
 	if err != nil {
 		return nil, err
 	}
+	leaves := tr.Hosts()
+	n := len(leaves)
 	return &budgetState{
 		tree:   tr,
-		est:    budget.NewDemandEstimator(len(tr.Hosts()), smoothing, marginW),
-		shares: make(map[string]float64, len(tr.Hosts())),
+		est:    budget.NewDemandEstimator(n, smoothing, marginW),
+		leaves: leaves,
+		bound:  make([]*agentState, n),
+		demand: make([]float64, n),
+		caps:   make([]float64, n),
+		floors: make([]float64, n),
 	}, nil
+}
+
+// bindLocked checks every leaf's agent binding and rebuilds it by name
+// when one is missing or stale. It reports false while some leaf has no
+// discovered agent.
+func (b *budgetState) bindLocked(agents []*agentState) bool {
+	stale := false
+	for i, a := range b.bound {
+		if a == nil || !a.everSeen || a.name != b.leaves[i] {
+			stale = true
+			break
+		}
+	}
+	if !stale {
+		return true
+	}
+	byName := make(map[string]*agentState, len(agents))
+	for _, a := range agents {
+		if a.everSeen {
+			byName[a.name] = a
+		}
+	}
+	for i, name := range b.leaves {
+		a, ok := byName[name]
+		if !ok {
+			return false
+		}
+		b.bound[i] = a
+	}
+	return true
+}
+
+// shareMap renders the last division as agent name → share (empty
+// before the first division).
+func (b *budgetState) shareMap() map[string]float64 {
+	out := make(map[string]float64, len(b.shares))
+	for i, w := range b.shares {
+		out[b.leaves[i]] = w
+	}
+	return out
 }
 
 // BudgetStatus is the controller's budget-tree snapshot.
@@ -96,33 +151,18 @@ func (c *Controller) budgetPushesLocked(now time.Time) []pendingPush {
 		start := time.Now()
 		defer func() { c.obs.budgetLat.ObserveDuration(time.Since(start)) }()
 	}
-	leaves := b.tree.Hosts()
-	byName := make(map[string]*agentState, len(c.agents))
-	for _, a := range c.agents {
-		if a.everSeen {
-			byName[a.name] = a
-		}
+	if !b.bindLocked(c.agents) {
+		return nil // discovery incomplete; retry next round
 	}
-	states := make([]*agentState, len(leaves))
-	for i, name := range leaves {
-		a, ok := byName[name]
-		if !ok {
-			return nil // discovery incomplete; retry next round
-		}
-		states[i] = a
-	}
-	demand := make([]float64, len(leaves))
-	caps := make([]float64, len(leaves))
-	floors := make([]float64, len(leaves))
-	for i, a := range states {
+	for i, a := range b.bound {
 		// Dead agents keep their last reported draw: their simulation is
 		// paused, so the stale reading is also the resume point.
 		b.est.Observe(i, a.last.PowerW, a.last.Machine.IdlePowerW)
-		demand[i] = b.est.Demand(i)
-		caps[i] = a.last.ProvisionedPowerW
-		floors[i] = a.last.Machine.IdlePowerW + 1
+		b.demand[i] = b.est.Demand(i)
+		b.caps[i] = a.last.ProvisionedPowerW
+		b.floors[i] = a.last.Machine.IdlePowerW + 1
 	}
-	if err := b.tree.ValidateFloors(floors); err != nil {
+	if err := b.tree.ValidateFloors(b.floors); err != nil {
 		if !b.floorsWarned {
 			c.logf("budget rebalance suspended: %v", err)
 			b.floorsWarned = true
@@ -130,27 +170,32 @@ func (c *Controller) budgetPushesLocked(now time.Time) []pendingPush {
 		return nil
 	}
 	b.floorsWarned = false
-	shares, err := b.tree.Alloc(demand, caps, floors)
+	shares, err := b.tree.Alloc(b.demand, b.caps, b.floors)
 	if err != nil {
 		c.logf("budget division failed: %v", err)
 		return nil
 	}
 	b.rebalances++
 	var pushes []pendingPush
-	for i, name := range leaves {
-		if prev, ok := b.shares[name]; !ok || math.Abs(shares[i]-prev) > shareTolerance {
-			c.tracer.BudgetShift(now, trace.BudgetChange{Node: name, FromW: b.shares[name], ToW: shares[i], Reason: "rebalance"})
+	for i, name := range b.leaves {
+		var prev float64
+		if b.shares != nil {
+			prev = b.shares[i]
 		}
-		b.shares[name] = shares[i]
+		if b.shares == nil || math.Abs(shares[i]-prev) > shareTolerance {
+			c.tracer.BudgetShift(now, trace.BudgetChange{Node: name, FromW: prev, ToW: shares[i], Reason: "rebalance"})
+		}
+		a := b.bound[i]
 		if c.obs != nil {
 			// Headroom: installed share minus the agent's reported draw —
 			// negative means the host is drawing over its budget share.
-			c.obs.headroomGauge(name).Set(shares[i] - states[i].last.PowerW)
+			c.obs.headroomGauge(name).Set(shares[i] - a.last.PowerW)
 		}
-		if a := states[i]; a.alive && math.Abs(a.last.CapW-shares[i]) > shareTolerance {
-			pushes = append(pushes, pendingPush{kind: pushCap, url: a.url, name: name, capW: shares[i]})
+		if a.alive && math.Abs(a.last.CapW-shares[i]) > shareTolerance {
+			pushes = append(pushes, pendingPush{kind: pushCap, agent: a, url: a.url, name: name, capW: shares[i]})
 		}
 	}
+	b.shares = shares
 	return pushes
 }
 
@@ -229,6 +274,17 @@ func (c *Controller) NodeBudgets() map[string]float64 {
 	return c.budget.tree.NodeBudgets()
 }
 
+// NodeBudget implements invariant.BudgetAuthority: one node's current
+// budget (0 when unbudgeted or unknown).
+func (c *Controller) NodeBudget(node string) float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.budget == nil {
+		return 0
+	}
+	return c.budget.tree.NodeBudget(node)
+}
+
 // NodeHosts implements invariant.BudgetAuthority: the agents beneath a
 // tree node.
 func (c *Controller) NodeHosts(node string) []string {
@@ -259,13 +315,9 @@ func (c *Controller) budgetStatusLocked() *BudgetStatus {
 	if b == nil {
 		return nil
 	}
-	shares := make(map[string]float64, len(b.shares))
-	for k, v := range b.shares {
-		shares[k] = v
-	}
 	return &BudgetStatus{
 		NodeBudgets: b.tree.NodeBudgets(),
-		Shares:      shares,
+		Shares:      b.shareMap(),
 		Rebalances:  b.rebalances,
 		Brownouts:   b.brownouts,
 	}

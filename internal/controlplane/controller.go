@@ -139,6 +139,10 @@ type agentState struct {
 	// streaming transport; a round that sees no higher published seq
 	// counts a miss, mirroring a failed poll probe.
 	streamSeq uint64
+	// desiredBE is the BE app the current placement puts on this agent
+	// ("" = park). It is refreshed wherever the placement is replaced, so
+	// deriving the round's assign pushes is one comparison per agent.
+	desiredBE string
 }
 
 // AgentStatus is the exported per-agent view.
@@ -183,7 +187,8 @@ type Controller struct {
 	roundDeadline time.Duration
 
 	mu        sync.Mutex
-	agents    []*agentState
+	agents    []*agentState // in AgentURLs order: agents[i] is stream slot i
+	byURL     map[string]*agentState
 	cursors   map[string]uint64 // agent URL → /v1/trace since-cursor
 	collected []trace.Event     // agent events fetched by CollectTrace
 	placement map[string]string // BE → agent URL
@@ -276,8 +281,11 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		tracer:  cfg.Trace,
 		cursors: make(map[string]uint64, len(cfg.AgentURLs)),
 	}
+	c.byURL = make(map[string]*agentState, len(cfg.AgentURLs))
 	for _, u := range cfg.AgentURLs {
-		c.agents = append(c.agents, &agentState{url: u, name: u})
+		a := &agentState{url: u, name: u}
+		c.agents = append(c.agents, a)
+		c.byURL[u] = a
 	}
 	if cfg.Transport == TransportStream {
 		c.stream = newStreamState(cfg.AgentURLs, cfg.PodSize)
@@ -560,7 +568,7 @@ func (c *Controller) resolveLocked(now time.Time) {
 		return
 	}
 	if len(c.cfg.BE) == 0 {
-		c.placement = map[string]string{}
+		c.setPlacementLocked(map[string]string{})
 		c.lastGood = map[string]string{}
 		c.unplaced = nil
 		c.degraded = false
@@ -574,7 +582,7 @@ func (c *Controller) resolveLocked(now time.Time) {
 		return
 	}
 	prev := c.placement
-	c.placement = placement
+	c.setPlacementLocked(placement)
 	c.lastGood = clone(placement)
 	c.unplaced = unplaced
 	c.degraded = false
@@ -619,7 +627,22 @@ func (c *Controller) degradeLocked(now time.Time, reason string) {
 	}
 	c.degraded = true
 	if c.lastGood != nil {
-		c.placement = clone(c.lastGood)
+		c.setPlacementLocked(clone(c.lastGood))
+	}
+}
+
+// setPlacementLocked installs a placement (BE → agent URL) and refreshes
+// every agent's desired BE from it. These are the only writes to
+// c.placement, which keeps desiredBE in step with it.
+func (c *Controller) setPlacementLocked(p map[string]string) {
+	c.placement = p
+	for _, a := range c.agents {
+		a.desiredBE = ""
+	}
+	for be, url := range p {
+		if a := c.byURL[url]; a != nil {
+			a.desiredBE = be
+		}
 	}
 }
 
@@ -768,9 +791,12 @@ const (
 )
 
 // pendingPush is one agent RPC computed under the lock and executed
-// outside it.
+// outside it. url and name are copied so the unlocked push phase never
+// reads the agent's state; agent is only dereferenced under the lock,
+// when the ack is recorded.
 type pendingPush struct {
 	kind      pushKind
+	agent     *agentState
 	url, name string
 	be        string  // pushAssign
 	capW      float64 // pushCap
@@ -784,25 +810,10 @@ func (c *Controller) assignPushesLocked() []pendingPush {
 	if c.placement == nil {
 		return nil
 	}
-	desired := make(map[string]string, len(c.agents)) // url → BE ("" = park)
-	for _, a := range c.agents {
-		if a.alive {
-			desired[a.url] = ""
-		}
-	}
-	for be, url := range c.placement {
-		if _, live := desired[url]; live {
-			desired[url] = be
-		}
-	}
 	var pushes []pendingPush
 	for _, a := range c.agents {
-		if !a.alive {
-			continue
-		}
-		want := desired[a.url]
-		if a.last.AssignedBE != want {
-			pushes = append(pushes, pendingPush{kind: pushAssign, url: a.url, name: a.name, be: want})
+		if a.alive && a.last.AssignedBE != a.desiredBE {
+			pushes = append(pushes, pendingPush{kind: pushAssign, agent: a, url: a.url, name: a.name, be: a.desiredBE})
 		}
 	}
 	return pushes
@@ -860,22 +871,19 @@ func (c *Controller) pushAll(ctx context.Context, pushes []pendingPush) []bool {
 // report refreshes the truth. Only acknowledged pushes are recorded —
 // recording a failed push would mask the divergence until the agent
 // happened to report again, leaving the fleet out of step with the
-// controller's book.
+// controller's book. An agent declared dead between derivation and
+// record keeps its last report untouched.
 func (c *Controller) recordPushesLocked(pushes []pendingPush, acked []bool) {
 	for i, p := range pushes {
-		if !acked[i] {
+		a := p.agent
+		if !acked[i] || !a.alive {
 			continue
 		}
-		for _, a := range c.agents {
-			if a.url != p.url || !a.alive {
-				continue
-			}
-			switch p.kind {
-			case pushAssign:
-				a.last.AssignedBE = p.be
-			case pushCap:
-				a.last.CapW = p.capW
-			}
+		switch p.kind {
+		case pushAssign:
+			a.last.AssignedBE = p.be
+		case pushCap:
+			a.last.CapW = p.capW
 		}
 	}
 }

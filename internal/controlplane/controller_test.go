@@ -339,3 +339,89 @@ func TestControllerStatusAndMetricsHandlers(t *testing.T) {
 		}
 	}
 }
+
+// bookkeepingController builds a controller over three live agents whose
+// last reports hold distinct caps and assignments, for tests that drive
+// the push bookkeeping directly.
+func bookkeepingController(t *testing.T) *Controller {
+	t.Helper()
+	ctl, err := NewController(ControllerConfig{
+		AgentURLs: []string{"http://a0", "http://a1", "http://a2"},
+		BE:        []string{"graph", "lstm"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range ctl.agents {
+		a.alive, a.everSeen = true, true
+		a.last.CapW = float64(100 + i)
+		a.last.AssignedBE = "old"
+	}
+	return ctl
+}
+
+// TestRecordPushesTouchesOnlyItsAgent pins the ack bookkeeping: an
+// acknowledged push updates its own agent's book and no other, a failed
+// push records nothing, and a push to an agent that died between
+// derivation and record is dropped.
+func TestRecordPushesTouchesOnlyItsAgent(t *testing.T) {
+	ctl := bookkeepingController(t)
+	a0, a1, a2 := ctl.agents[0], ctl.agents[1], ctl.agents[2]
+	pushes := []pendingPush{
+		{kind: pushCap, agent: a0, url: a0.url, name: a0.name, capW: 150},
+		{kind: pushAssign, agent: a0, url: a0.url, name: a0.name, be: "lstm"}, // fails
+		{kind: pushAssign, agent: a1, url: a1.url, name: a1.name, be: "graph"},
+		{kind: pushCap, agent: a2, url: a2.url, name: a2.name, capW: 170},
+	}
+	a2.alive = false // declared dead after the pushes were derived
+	ctl.recordPushesLocked(pushes, []bool{true, false, true, true})
+
+	type book struct {
+		capW float64
+		be   string
+	}
+	want := []book{{150, "old"}, {101, "graph"}, {102, "old"}}
+	for i, a := range ctl.agents {
+		if got := (book{a.last.CapW, a.last.AssignedBE}); got != want[i] {
+			t.Errorf("agent %d book = %+v, want %+v", i, got, want[i])
+		}
+	}
+}
+
+// TestAssignPushesFollowPlacement checks that each agent's desired BE
+// tracks every placement install — a solve and a degrade to the
+// last-known-good placement — and that assign pushes go to exactly the
+// live agents whose reported assignment differs from it.
+func TestAssignPushesFollowPlacement(t *testing.T) {
+	ctl := bookkeepingController(t)
+	if got := ctl.assignPushesLocked(); got != nil {
+		t.Fatalf("pushes before any placement: %+v", got)
+	}
+	ctl.agents[1].last.AssignedBE = "graph"
+	ctl.agents[2].alive = false
+	ctl.setPlacementLocked(map[string]string{"graph": "http://a1", "lstm": "http://a2"})
+	assertPushes := func(want map[string]string) {
+		t.Helper()
+		got := map[string]string{}
+		for _, p := range ctl.assignPushesLocked() {
+			if p.kind != pushAssign || p.agent.url != p.url {
+				t.Fatalf("malformed push %+v", p)
+			}
+			got[p.url] = p.be
+		}
+		if len(got) != len(want) {
+			t.Fatalf("assign pushes %v, want %v", got, want)
+		}
+		for url, be := range want {
+			if got[url] != be {
+				t.Fatalf("assign pushes %v, want %v", got, want)
+			}
+		}
+	}
+	// a0 parks; a1 already runs graph; a2 is dead, so lstm waits.
+	assertPushes(map[string]string{"http://a0": ""})
+
+	ctl.lastGood = map[string]string{"lstm": "http://a0"}
+	ctl.degradeLocked(time.Unix(0, 0), "test")
+	assertPushes(map[string]string{"http://a0": "lstm", "http://a1": ""})
+}

@@ -119,7 +119,7 @@ func (c *Controller) podCounters(now time.Time) []podCounter {
 			Seq:   a.streamSeq,
 		}
 		if c.stream != nil {
-			if v := c.stream.view(a.url); v != nil {
+			if v := c.stream.viewAt(i); v != nil {
 				pc.StaleS = now.Sub(v.lastHeard).Seconds()
 			}
 		}
@@ -243,7 +243,7 @@ func (c *Controller) Top() TopSnapshot {
 	}
 	var shares map[string]float64
 	if c.budget != nil {
-		shares = c.budget.shares
+		shares = c.budget.shareMap()
 	}
 	for i, a := range c.agents {
 		row := &pods[i/c.cfg.PodSize]
@@ -255,7 +255,7 @@ func (c *Controller) Top() TopSnapshot {
 			}
 		}
 		if c.stream != nil {
-			if v := c.stream.view(a.url); v != nil {
+			if v := c.stream.viewAt(i); v != nil {
 				if st := now.Sub(v.lastHeard).Seconds(); st > row.StalenessS {
 					row.StalenessS = st
 				}

@@ -189,6 +189,12 @@ func (s *streamState) view(url string) *agentView {
 	if !ok {
 		return nil
 	}
+	return s.viewAt(slot)
+}
+
+// viewAt returns the published view for a global slot (nil before the
+// agent's first applied frame). Lock-free: one atomic load.
+func (s *streamState) viewAt(slot int) *agentView {
 	sh, li := s.shardOf(slot)
 	pv := sh.snap.Load()
 	if pv == nil {
@@ -503,62 +509,63 @@ const maxHeartbeatFrame = maxHeartbeatBlob + maxHeartbeatName + maxHeartbeatURL 
 // polling transport's probe fan-out and miss accounting collapse into a
 // read over frozen state. An agent whose view has not advanced since the
 // last round has missed a heartbeat, exactly as a failed poll probe
-// would count it.
+// would count it. Agents are visited by slot — c.agents[i] is slot i —
+// so the fold costs no lookups.
 func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool) {
 	s := c.stream
-	// Per-pod staleness watermarks: the max of (now − lastHeard) over each
-	// pod's agents, observed against the staleness SLO per agent.
-	var podMax []float64
-	if c.obs != nil {
-		podMax = make([]float64, len(s.shards))
-	}
-	for _, a := range c.agents {
-		view := s.view(a.url)
-		if c.obs != nil && view != nil {
-			stale := now.Sub(view.lastHeard)
-			c.obs.staleSLO.Observe(stale)
-			if p := s.slots[a.url] / s.podSize; stale.Seconds() > podMax[p] {
-				podMax[p] = stale.Seconds()
+	for p, sh := range s.shards {
+		pv := sh.snap.Load()
+		// The pod's staleness watermark: the max of (now − lastHeard) over
+		// its agents, each also observed against the staleness SLO.
+		podMax := 0.0
+		for li := range sh.decs {
+			a := c.agents[sh.base+li]
+			var view *agentView
+			if pv != nil {
+				view = pv.views[li]
 			}
-		}
-		if view == nil || view.seq <= a.streamSeq {
-			if view == nil {
-				a.lastErr = "no heartbeat received"
-			} else {
-				a.lastErr = fmt.Sprintf("no heartbeat since seq %d", view.seq)
+			if c.obs != nil && view != nil {
+				stale := now.Sub(view.lastHeard)
+				c.obs.staleSLO.Observe(stale)
+				podMax = max(podMax, stale.Seconds())
 			}
-			a.misses++
-			if a.alive && a.misses >= c.cfg.DeadAfter {
-				a.alive = false
-				c.deaths++
+			if view == nil || view.seq <= a.streamSeq {
+				if view == nil {
+					a.lastErr = "no heartbeat received"
+				} else {
+					a.lastErr = fmt.Sprintf("no heartbeat since seq %d", view.seq)
+				}
+				a.misses++
+				if a.alive && a.misses >= c.cfg.DeadAfter {
+					a.alive = false
+					c.deaths++
+					membershipChanged = true
+					c.logf("agent %s (%s) dead after %d missed heartbeats: %s", a.name, a.url, a.misses, a.lastErr)
+				}
+				continue
+			}
+			if !a.alive || !a.everSeen {
 				membershipChanged = true
-				c.logf("agent %s (%s) dead after %d missed heartbeats: %s", a.name, a.url, a.misses, a.lastErr)
+				if a.everSeen {
+					c.rejoins++
+					c.logf("agent %s (%s) rejoined", view.stats.Agent, a.url)
+				} else {
+					c.logf("agent %s (%s) discovered, lc=%s", view.stats.Agent, a.url, view.stats.LC)
+				}
 			}
-			continue
+			a.alive = true
+			a.everSeen = true
+			a.misses = 0
+			a.backoff = 0
+			a.nextDue = now
+			a.lastErr = ""
+			a.name = view.stats.Agent
+			a.lc = view.stats.LC
+			a.last = view.stats
+			a.streamSeq = view.seq
 		}
-		if !a.alive || !a.everSeen {
-			membershipChanged = true
-			if a.everSeen {
-				c.rejoins++
-				c.logf("agent %s (%s) rejoined", view.stats.Agent, a.url)
-			} else {
-				c.logf("agent %s (%s) discovered, lc=%s", view.stats.Agent, a.url, view.stats.LC)
-			}
-		}
-		a.alive = true
-		a.everSeen = true
-		a.misses = 0
-		a.backoff = 0
-		a.nextDue = now
-		a.lastErr = ""
-		a.name = view.stats.Agent
-		a.lc = view.stats.LC
-		a.last = view.stats
-		a.streamSeq = view.seq
-	}
-	if c.obs != nil {
-		for p, v := range podMax {
-			c.obs.podStale[p].Set(v)
+		if c.obs != nil {
+			c.obs.podStale[p].Set(podMax)
 		}
 	}
 	if d := s.summaryDelta(); d.Frames > 0 || d.Resyncs > 0 || d.Rejects > 0 {

@@ -81,10 +81,10 @@ func NewSuite(seed int64) (*Suite, error) {
 // clusterConfig assembles the shared cluster configuration.
 func (s *Suite) clusterConfig() cluster.Config {
 	return cluster.Config{
-		Machine:  s.Machine,
-		LC:       s.Catalog.LC(),
-		BE:       s.Catalog.BE(),
-		Models:   s.Models,
+		Machine:    s.Machine,
+		LC:         s.Catalog.LC(),
+		BE:         s.Catalog.BE(),
+		Models:     s.Models,
 		Dwell:      s.Dwell,
 		Seed:       s.Seed,
 		Parallel:   s.Parallel,

@@ -1,8 +1,10 @@
 package invariant
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fakeAuthority is a scripted BudgetAuthority.
@@ -13,6 +15,7 @@ type fakeAuthority struct {
 }
 
 func (f *fakeAuthority) NodeBudgets() map[string]float64 { return f.budgets }
+func (f *fakeAuthority) NodeBudget(node string) float64  { return f.budgets[node] }
 func (f *fakeAuthority) NodeHosts(node string) []string  { return f.hosts[node] }
 func (f *fakeAuthority) InGrace() bool                   { return f.grace }
 
@@ -78,5 +81,67 @@ func TestTreeConservation(t *testing.T) {
 	h := NewHarness()
 	if err := h.Register(NewTreeConservation(auth)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTreeConservationLeafBudget checks that a host leaf unbudgeted when
+// the checker is built is asserted once it gains a bound at runtime.
+func TestTreeConservationLeafBudget(t *testing.T) {
+	auth := &fakeAuthority{
+		budgets: map[string]float64{"dc": 300},
+		hosts:   map[string][]string{"dc": {"h0", "h1"}, "h0": {"h0"}, "h1": {"h1"}},
+	}
+	check := NewTreeConservation(auth)
+	s := healthySnapshot()
+	s.Host, s.CapW = "h0", 120
+	if err := check.Check(s); err != nil {
+		t.Fatalf("unbudgeted leaf flagged: %v", err)
+	}
+	auth.budgets["h0"] = 100
+	err := check.Check(s)
+	if err == nil || !strings.Contains(err.Error(), `"h0"`) {
+		t.Fatalf("leaf over its runtime budget: err = %v", err)
+	}
+}
+
+// podTree is a fake authority shaped like the fleet benchmark's budget
+// tree: n hosts in pods of 64 under one root.
+func podTree(n int) (*fakeAuthority, []string) {
+	auth := &fakeAuthority{budgets: map[string]float64{"dc": 1e9}, hosts: map[string][]string{}}
+	hosts := make([]string, n)
+	for i := range hosts {
+		hosts[i] = fmt.Sprintf("h%d", i)
+		pod := fmt.Sprintf("pod-%d", i/64)
+		auth.budgets[pod] = 1e9
+		auth.hosts[pod] = append(auth.hosts[pod], hosts[i])
+	}
+	auth.hosts["dc"] = hosts
+	return auth, hosts
+}
+
+// TestTreeConservationAllocsFlat checks that a snapshot's cost does not
+// grow with the fleet: over a steady stream of ticks, in which every host
+// reports once per instant and every node completes once per instant,
+// checking a snapshot allocates nothing at 64 hosts or at 4096.
+func TestTreeConservationAllocsFlat(t *testing.T) {
+	for _, n := range []int{64, 4096} {
+		auth, hosts := podTree(n)
+		check := NewTreeConservation(auth)
+		s := healthySnapshot()
+		s.CapW = 100
+		tick := func() {
+			s.Now = s.Now.Add(time.Second)
+			for _, h := range hosts {
+				s.Host = h
+				if err := check.Check(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		tick() // first observations size the per-node instant counts
+		perTick := testing.AllocsPerRun(20, tick)
+		if perTick != 0 {
+			t.Errorf("%d hosts: %.1f allocs per tick of %d snapshots, want 0", n, perTick, n)
+		}
 	}
 }

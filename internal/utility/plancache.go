@@ -2,8 +2,8 @@ package utility
 
 import (
 	"errors"
-	"fmt"
-	"strings"
+	"math"
+	"strconv"
 	"sync"
 )
 
@@ -45,15 +45,69 @@ func NewPlanCache() *PlanCache {
 // cluster's delta-driven matrix builder can reuse the exact same
 // fingerprint to decide whether a cell's model input changed between
 // rounds.
+//
+// Two models get equal keys exactly when every field is bit-equal:
+// floats are rendered as their IEEE-754 bits (so −0 and +0 differ, and
+// equal NaN payloads match) and strings are length-prefixed (so names
+// holding separators cannot alias). Keys are process-local equivalence
+// classes, not a storage format: the encoding may change between
+// versions and must not be persisted or compared across processes.
 func ModelKey(m *Model) string {
-	return fmt.Sprintf("%+v", *m)
+	return string(AppendModelKey(make([]byte, 0, 192), m))
+}
+
+// AppendModelKey appends m's ModelKey encoding to dst, for callers that
+// fold the model into a larger fingerprint without an intermediate
+// string.
+func AppendModelKey(dst []byte, m *Model) []byte {
+	dst = AppendKeyString(dst, m.App)
+	dst = strconv.AppendInt(dst, int64(len(m.Resources)), 10)
+	dst = append(dst, '[')
+	for _, r := range m.Resources {
+		dst = AppendKeyString(dst, r)
+	}
+	dst = AppendKeyFloat(dst, m.Alpha0)
+	dst = appendKeyFloats(dst, m.Alpha)
+	dst = AppendKeyFloat(dst, m.PStatic)
+	dst = appendKeyFloats(dst, m.P)
+	dst = AppendKeyFloat(dst, m.PerfR2)
+	dst = AppendKeyFloat(dst, m.PowerR2)
+	dst = strconv.AppendInt(dst, int64(m.N), 10)
+	return append(dst, ';')
+}
+
+// AppendKeyString appends s length-prefixed ("<len>:<bytes>"), the
+// fingerprint encoding of a string field.
+func AppendKeyString(dst []byte, s string) []byte {
+	dst = strconv.AppendInt(dst, int64(len(s)), 10)
+	dst = append(dst, ':')
+	return append(dst, s...)
+}
+
+// AppendKeyFloat appends f's IEEE-754 bits in hex plus a terminator, the
+// fingerprint encoding of a float field.
+func AppendKeyFloat(dst []byte, f float64) []byte {
+	dst = strconv.AppendUint(dst, math.Float64bits(f), 16)
+	return append(dst, ',')
+}
+
+func appendKeyFloats(dst []byte, fs []float64) []byte {
+	dst = strconv.AppendInt(dst, int64(len(fs)), 10)
+	dst = append(dst, '[')
+	for _, f := range fs {
+		dst = AppendKeyFloat(dst, f)
+	}
+	return dst
 }
 
 func planKey(m *Model, caps []int) string {
-	var b strings.Builder
-	b.WriteString(ModelKey(m))
-	fmt.Fprintf(&b, "|caps=%v", caps)
-	return b.String()
+	b := AppendModelKey(make([]byte, 0, 256), m)
+	b = append(b, "caps"...)
+	for _, c := range caps {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(c), 10)
+	}
+	return string(b)
 }
 
 // Get returns the shared Plan for the (model, caps) pair, building it on

@@ -351,10 +351,10 @@ func NewSystemOn(cfg MachineConfig, seed int64) (*System, error) {
 
 func (s *System) clusterConfig() cluster.Config {
 	return cluster.Config{
-		Machine:  s.Machine,
-		LC:       s.Catalog.LC(),
-		BE:       s.Catalog.BE(),
-		Models:   s.Models,
+		Machine:    s.Machine,
+		LC:         s.Catalog.LC(),
+		BE:         s.Catalog.BE(),
+		Models:     s.Models,
 		Dwell:      s.Dwell,
 		Seed:       s.Seed,
 		Parallel:   s.Parallel,
