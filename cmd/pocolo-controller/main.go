@@ -66,7 +66,7 @@ func main() {
 	retries := flag.Int("retries", 1, "probe retries within one round")
 	maxBackoff := flag.Duration("max-backoff", 0, "probe backoff cap for dead agents (default 16x heartbeat)")
 	jitter := flag.Float64("jitter", 0.2, "relative heartbeat jitter in [0, 1)")
-	solver := flag.String("solver", "lp", "assignment solver: lp, hungarian, or exhaustive")
+	solver := flag.String("solver", "lp", "assignment solver: lp, hungarian, exhaustive, or sharded (a pod-sharded engine kept warm across re-solves)")
 	resolveEvery := flag.Duration("resolve-every", 30*time.Second, "periodic re-solve interval (0 to re-solve only on membership changes)")
 	seed := flag.Int64("seed", 42, "random seed for the heartbeat jitter")
 	budgetTree := flag.String("budget-tree", "", "hierarchical power-budget tree whose leaves name the agents (e.g. 'dc:600{agent-a,agent-b}') or @file; shares are pushed as caps every round")

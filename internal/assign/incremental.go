@@ -163,6 +163,19 @@ func (inc *Incremental) Assignment() []int {
 	return append([]int(nil), inc.rowMatch[:inc.n]...)
 }
 
+// ColOf returns the column assigned to row i: one element of
+// Assignment, without the copy.
+func (inc *Incremental) ColOf(i int) int { return inc.rowMatch[i] }
+
+// RowOf returns the row assigned to column j, or -1 if the column is
+// free: one element of ColAssignment, without the copy.
+func (inc *Incremental) RowOf(j int) int {
+	if r := inc.colMatch[j]; r < inc.n {
+		return r
+	}
+	return -1
+}
+
 // ColAssignment returns a copy of the column-side matching: element j is
 // the row assigned to column j, or -1 if the column is free (matched
 // only to an internal dummy row).

@@ -172,6 +172,17 @@ func globalFP(cfg machine.Config, loads []float64) string {
 	return string(b)
 }
 
+// downCell is the value of every cell in a down host's column: strictly
+// below every real cell (cells are BE throughputs, never negative), so
+// an optimal pod never seats a job on a down host while it has a free
+// live one.
+const downCell = -1.0
+
+// downColID is the column fingerprint id of a down host. internFP never
+// issues 0, so a down column matches no memo entry, and computeCells
+// fills its cells with downCell without reading or writing the memo.
+const downColID = 0
+
 // colFP fingerprints exactly the LC-side inputs estimatePairThroughput
 // reads: the host's peak load, its provisioned power cap, and its fitted
 // model. Names and other spec fields are deliberately excluded so
@@ -212,6 +223,11 @@ type MatrixBuilder struct {
 	// rendering would otherwise dominate a single-host delta.
 	colPeak []float64
 	colCap  []float64
+	// down marks hosts taken out of service (Sharded.SetHostDown). The
+	// next Refresh turns a down column's cells into downCell sentinels; a
+	// column coming back up is re-fingerprinted and recomputed through
+	// the memo like any other dirty column.
+	down []bool
 
 	mx    *Matrix
 	stats DeltaStats
@@ -263,6 +279,7 @@ func NewMatrixBuilder(cfg MatrixConfig) (*MatrixBuilder, error) {
 		colID:    make([]uint32, len(cfg.LC)),
 		colPeak:  make([]float64, len(cfg.LC)),
 		colCap:   make([]float64, len(cfg.LC)),
+		down:     make([]bool, len(cfg.LC)),
 		mx: &Matrix{
 			BENames: make([]string, len(cfg.BE)),
 			LCNames: make([]string, len(cfg.LC)),
@@ -349,11 +366,20 @@ func (b *MatrixBuilder) Refresh() (RefreshResult, error) {
 		b.beModel[i] = m
 	}
 	for j, lc := range b.lc {
+		if b.down[j] {
+			if b.colID[j] != downColID {
+				b.colID[j] = downColID
+				colDirty[j] = true
+			}
+			continue
+		}
 		m, ok := b.models[lc.Name]
 		if !ok {
 			return res, fmt.Errorf("cluster: no fitted model for %s", lc.Name)
 		}
-		if m == b.lcModel[j] && lc.PeakLoad == b.colPeak[j] && lc.ProvisionedPowerW == b.colCap[j] {
+		// A column coming back up still holds downColID, which no
+		// fingerprint interns to, so it always re-enters as dirty.
+		if b.colID[j] != downColID && m == b.lcModel[j] && lc.PeakLoad == b.colPeak[j] && lc.ProvisionedPowerW == b.colCap[j] {
 			continue
 		}
 		if id := internFP(colFP(lc, m)); id != b.colID[j] {
@@ -475,7 +501,8 @@ func (b *MatrixBuilder) RowSpec(i int) *workload.Spec { return b.be[i] }
 // is deterministic), misses fan through the worker pool, and every
 // duplicate cell is filled from its representative's value —
 // bit-identical, since cells are pure functions of the fingerprinted
-// inputs.
+// inputs. Cells of down columns take downCell and count as neither
+// computed nor reused.
 func (b *MatrixBuilder) computeCells(refs []cellRef) (DeltaStats, error) {
 	// group is one distinct key: its first cell (the representative the
 	// pool computes) and the value every cell with that key receives.
@@ -485,9 +512,15 @@ func (b *MatrixBuilder) computeCells(refs []cellRef) (DeltaStats, error) {
 		val float64
 	}
 	var groups []group
-	groupOf := make([]int32, len(refs)) // ref → index into groups
+	groupOf := make([]int32, len(refs)) // ref → index into groups; -1 = down
 	byKey := make(map[cellKey]int32, len(refs))
+	down := 0
 	for n, r := range refs {
+		if b.colID[r.j] == downColID {
+			groupOf[n] = -1
+			down++
+			continue
+		}
 		k := cellKey{global: b.globalID, row: b.rowID[r.i], col: b.colID[r.j]}
 		g, ok := byKey[k]
 		if !ok {
@@ -525,9 +558,13 @@ func (b *MatrixBuilder) computeCells(refs []cellRef) (DeltaStats, error) {
 		cellMemoStore(groups[g].key, groups[g].val)
 	}
 	for n, r := range refs {
-		b.mx.Value[r.i][r.j] = groups[groupOf[n]].val
+		if g := groupOf[n]; g >= 0 {
+			b.mx.Value[r.i][r.j] = groups[g].val
+		} else {
+			b.mx.Value[r.i][r.j] = downCell
+		}
 	}
-	st := DeltaStats{CellsComputed: len(toCompute), CellsReused: len(refs) - len(toCompute)}
+	st := DeltaStats{CellsComputed: len(toCompute), CellsReused: len(refs) - len(toCompute) - down}
 	b.stats.add(st)
 	return st, nil
 }

@@ -67,8 +67,8 @@ type MatrixConfig struct {
 	Now time.Time
 	// Obs, when non-nil, receives per-pod solve latency and batch-repair
 	// counters from the sharded assignment path. Series are keyed by pod
-	// name, so the transient per-round Sharded reconstruction folds into
-	// stable series.
+	// name, so a rebuilt Sharded folds into the series of the one it
+	// replaces.
 	Obs *obs.Registry
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"pocolo/internal/assign"
@@ -156,8 +157,9 @@ func NewSharded(cfg MatrixConfig, set ShardSettings) (*Sharded, error) {
 			return nil, fmt.Errorf("cluster: pod %d: %w", p, err)
 		}
 		pod := &sPod{name: fmt.Sprintf("pod-%d", p), builder: b, pending: b.Stats(), touched: true}
-		// The registry get-or-creates by (name, labels), so pods of a
-		// transiently rebuilt Sharded land on the same stable series.
+		// The registry get-or-creates by (name, labels), so a rebuilt
+		// Sharded (the controller rebuilds its engine when a new agent
+		// reports) lands on the same series as the one it replaces.
 		pod.obs = obs.NewSolveObs(cfg.Obs, pod.name)
 		s.pods[p] = pod
 	}
@@ -252,6 +254,17 @@ func (s *Sharded) Pods() int { return len(s.pods) }
 // PodDims returns pod p's current (jobs, hosts) dimensions.
 func (s *Sharded) PodDims(p int) (rows, cols int) {
 	return s.pods[p].builder.Rows(), s.pods[p].builder.Cols()
+}
+
+// SetHostDown takes global host index host (its position in the
+// MatrixConfig.LC the cluster was built from) out of service, or puts it
+// back. Like every input change it lands on the next Refresh, which
+// turns the host's column into sentinel cells below every real cell and
+// repairs only its pod. A job the repair still leaves on a down host
+// belongs to a pod with more jobs than live hosts; Evacuate moves it.
+func (s *Sharded) SetHostDown(host int, down bool) {
+	ps := s.set.podSize()
+	s.pods[host/ps].builder.down[host%ps] = down
 }
 
 // Total returns the summed optimal assignment value across pods.
@@ -352,6 +365,37 @@ func (s *Sharded) pairValue(be *workload.Spec, beM *utility.Model, lc *workload.
 	return v, nil
 }
 
+// Evacuate moves every job that Refresh left on a down host to the best
+// free live host of another pod, whatever the gain, and returns the
+// number of moves. After Refresh such a job exists only in a pod with
+// more jobs than live hosts (an optimal pod never leaves a free live
+// host for a down one), so while jobs do not outnumber live hosts
+// cluster-wide every job ends up on a live host. Moves are not traced:
+// the caller sees them in the placement Solve returns.
+func (s *Sharded) Evacuate() (int, error) {
+	moves := 0
+	for p, pod := range s.pods {
+		for r := 0; r < pod.builder.Rows(); {
+			if !pod.builder.down[pod.solver.ColOf(r)] {
+				r++
+				continue
+			}
+			migrated, err := s.tryMigrate(p, r, math.Inf(-1), nil, time.Time{})
+			if err != nil {
+				return moves, err
+			}
+			if !migrated {
+				// No pod has a free live host left, and evacuating never
+				// frees one.
+				return moves, nil
+			}
+			// RemoveRow swapped the last job into slot r: re-examine it.
+			moves++
+		}
+	}
+	return moves, nil
+}
+
 // Rebalance migrates jobs across pods while a free host in another pod
 // beats a job's current cell by more than the configured gap. The gain
 // estimate is a lower bound — adding the job's row to the target pod
@@ -367,7 +411,7 @@ func (s *Sharded) Rebalance(tr *trace.Tracer, now time.Time) (int, error) {
 		moved := 0
 		for p, pod := range s.pods {
 			for r := 0; r < pod.builder.Rows(); {
-				migrated, err := s.tryMigrate(p, r, tr, now)
+				migrated, err := s.tryMigrate(p, r, s.set.RebalanceGap, tr, now)
 				if err != nil {
 					return moves, err
 				}
@@ -389,24 +433,23 @@ func (s *Sharded) Rebalance(tr *trace.Tracer, now time.Time) (int, error) {
 }
 
 // tryMigrate evaluates job r of pod p against every other pod's free
-// hosts and moves it to the best one if the gain clears the gap.
-func (s *Sharded) tryMigrate(p, r int, tr *trace.Tracer, now time.Time) (bool, error) {
+// live hosts and moves it to the best one if the gain beats minGain.
+func (s *Sharded) tryMigrate(p, r int, minGain float64, tr *trace.Tracer, now time.Time) (bool, error) {
 	src := s.pods[p]
 	spec := src.builder.RowSpec(r)
 	model, ok := s.models[spec.Name]
 	if !ok {
 		return false, fmt.Errorf("cluster: no fitted model for %s", spec.Name)
 	}
-	cur := src.solver.At(r, src.solver.Assignment()[r])
-	bestGain := s.set.RebalanceGap
+	cur := src.solver.At(r, src.solver.ColOf(r))
+	bestGain := minGain
 	bestPod := -1
 	for q, dst := range s.pods {
 		if q == p || dst.builder.Rows() >= dst.builder.Cols() {
 			continue
 		}
-		free := dst.solver.ColAssignment()
-		for j := range free {
-			if free[j] != -1 {
+		for j := 0; j < dst.builder.Cols(); j++ {
+			if dst.solver.RowOf(j) != -1 || dst.builder.down[j] {
 				continue
 			}
 			v, err := s.pairValue(spec, model, dst.builder.lc[j], dst.builder.lcModel[j])
@@ -423,7 +466,7 @@ func (s *Sharded) tryMigrate(p, r int, tr *trace.Tracer, now time.Time) (bool, e
 		return false, nil
 	}
 	src, dst := s.pods[p], s.pods[bestPod]
-	fromHost := src.builder.Matrix().LCNames[src.solver.Assignment()[r]]
+	fromHost := src.builder.Matrix().LCNames[src.solver.ColOf(r)]
 	if err := src.builder.RemoveRow(r); err != nil {
 		return false, err
 	}
@@ -437,7 +480,7 @@ func (s *Sharded) tryMigrate(p, r int, tr *trace.Tracer, now time.Time) (bool, e
 	if _, err := dst.solver.AddRow(dst.builder.Matrix().Value[i]); err != nil {
 		return false, err
 	}
-	toHost := dst.builder.Matrix().LCNames[dst.solver.Assignment()[i]]
+	toHost := dst.builder.Matrix().LCNames[dst.solver.ColOf(i)]
 	src.touched = true
 	dst.touched = true
 	tr.Migration(now, trace.Placement{BE: spec.Name, Node: toHost, From: fromHost, Reason: "rebalance"})

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -525,5 +526,155 @@ func TestShardedRefreshBatchMatchesSequential(t *testing.T) {
 		if ev.Kind == trace.KindSolve && ev.Solve.BatchDirty != 0 {
 			t.Errorf("batch counters not reset after Solve: %+v", ev.Solve)
 		}
+	}
+}
+
+// TestShardedDownHostsProperty drives multi-pod clusters through seeded
+// host outages and recoveries (single hosts and whole pods), host cap
+// drift and job and host model drift, each step followed by Refresh and
+// Evacuate. After every step the solvers must be self-consistent, every
+// pod's value must equal a from-scratch Hungarian solve of its current
+// matrix bit for bit, no job may sit on a down host while any pod has a
+// free live one, and while jobs do not outnumber live hosts every job
+// must be placed on a live host.
+func TestShardedDownHostsProperty(t *testing.T) {
+	cases := []struct {
+		seed int64
+		set  ShardSettings
+	}{
+		{1, ShardSettings{PodSize: 6, BatchThreshold: 1}},
+		{2, ShardSettings{PodSize: 6, BatchThreshold: 2}},
+		{3, ShardSettings{PodSize: 8}},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			cfg := shardFixture(t, 24, 14)
+			baseCap := make([]float64, len(cfg.LC))
+			hostIdx := make(map[string]int, len(cfg.LC))
+			for h, lc := range cfg.LC {
+				baseCap[h] = lc.ProvisionedPowerW
+				hostIdx[lc.Name] = h
+			}
+			s, err := NewSharded(cfg, tc.set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := tc.set.PodSize
+			down := make([]bool, len(cfg.LC))
+			setDown := func(h int, d bool) {
+				down[h] = d
+				s.SetHostDown(h, d)
+			}
+			evacuated, overloaded := 0, 0
+			for step := 0; step < 60; step++ {
+				// A host flip brings a down host back, or takes a live one
+				// down half the time: about a third of the fleet is down.
+				for k := rng.Intn(3); k > 0; k-- {
+					h := rng.Intn(len(cfg.LC))
+					if down[h] || rng.Intn(2) == 0 {
+						setDown(h, !down[h])
+					}
+				}
+				switch rng.Intn(10) {
+				case 0: // whole-pod outage
+					p := rng.Intn(s.Pods())
+					for h := p * ps; h < min((p+1)*ps, len(cfg.LC)); h++ {
+						setDown(h, true)
+					}
+				case 1: // whole-pod recovery
+					p := rng.Intn(s.Pods())
+					for h := p * ps; h < min((p+1)*ps, len(cfg.LC)); h++ {
+						setDown(h, false)
+					}
+				}
+				if rng.Intn(2) == 0 {
+					h := rng.Intn(len(cfg.LC))
+					cfg.LC[h].ProvisionedPowerW = baseCap[h] + float64(rng.Intn(5)-2)*4
+					if rng.Intn(3) == 0 {
+						// A cap just above idle leaves no headroom: every
+						// cell of the column is 0, the lowest real value.
+						cfg.LC[h].ProvisionedPowerW = cfg.Machine.IdlePowerW + 3
+					}
+				}
+				if rng.Intn(3) == 0 {
+					job := cfg.BE[rng.Intn(len(cfg.BE))]
+					nudged := *cfg.Models[job.Name]
+					nudged.Alpha0 *= 1 + 0.02*(rng.Float64()-0.5)
+					cfg.Models[job.Name] = &nudged
+				}
+				if rng.Intn(4) == 0 {
+					host := cfg.LC[rng.Intn(len(cfg.LC))]
+					nudged := *cfg.Models[host.Name]
+					nudged.Alpha0 *= 1 + 0.02*(rng.Float64()-0.5)
+					cfg.Models[host.Name] = &nudged
+				}
+				if _, err := s.Refresh(); err != nil {
+					t.Fatalf("step %d: refresh: %v", step, err)
+				}
+				moves, err := s.Evacuate()
+				if err != nil {
+					t.Fatalf("step %d: evacuate: %v", step, err)
+				}
+				evacuated += moves
+				if err := s.SelfCheck(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+
+				live, freeLive, jobs := 0, 0, 0
+				for h := range down {
+					if !down[h] {
+						live++
+					}
+				}
+				for p, pod := range s.pods {
+					jobs += pod.builder.Rows()
+					for j := 0; j < pod.builder.Cols(); j++ {
+						if !down[p*ps+j] && pod.solver.RowOf(j) == -1 {
+							freeLive++
+						}
+					}
+					if pod.builder.Rows() == 0 {
+						continue
+					}
+					_, want, err := assign.Hungarian(pod.builder.Matrix().Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := pod.solver.Total(); got != want {
+						t.Fatalf("step %d: pod %d total %v, Hungarian %v", step, p, got, want)
+					}
+				}
+				if jobs != len(cfg.BE) {
+					t.Fatalf("step %d: %d jobs in pods, want %d", step, jobs, len(cfg.BE))
+				}
+				for p, pod := range s.pods {
+					for r := 0; r < pod.builder.Rows(); r++ {
+						if down[p*ps+pod.solver.ColOf(r)] && freeLive > 0 {
+							t.Fatalf("step %d: job %s on a down host with %d free live hosts",
+								step, pod.builder.RowSpec(r).Name, freeLive)
+						}
+					}
+				}
+				if len(cfg.BE) > live {
+					overloaded++
+					continue
+				}
+				placement, _, err := s.Solve(nil, time.Time{})
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				checkPlacement(t, cfg, placement)
+				for job, host := range placement {
+					if down[hostIdx[host]] {
+						t.Fatalf("step %d: %s placed on down host %s with %d jobs on %d live hosts",
+							step, job, host, len(cfg.BE), live)
+					}
+				}
+			}
+			if evacuated == 0 || overloaded == 0 {
+				t.Fatalf("schedule too gentle: %d evacuations, %d overloaded steps", evacuated, overloaded)
+			}
+		})
 	}
 }

@@ -210,6 +210,33 @@ func (ct *capTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return ct.benchTransport.RoundTrip(req)
 }
 
+// echoTransport is capTransport that also remembers the last assignment
+// pushed to each agent, so agents can report the best-effort app they
+// were given, as real agents do, and the controller pushes only changes.
+type echoTransport struct {
+	capTransport
+	assigned map[string]string // base URL → last pushed BE
+}
+
+func newEchoTransport() *echoTransport {
+	return &echoTransport{
+		capTransport: capTransport{caps: make(map[string]float64)},
+		assigned:     make(map[string]string),
+	}
+}
+
+func (et *echoTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPost && req.URL.Path == RouteAssign {
+		var ar AssignRequest
+		if err := json.NewDecoder(req.Body).Decode(&ar); err == nil {
+			et.mu.Lock()
+			et.assigned["http://"+req.URL.Host] = ar.BE
+			et.mu.Unlock()
+		}
+	}
+	return et.capTransport.RoundTrip(req)
+}
+
 // benchBudgetTree bounds each pod of podSize agents, and the root, at 90%
 // of their provisioned power: the fleet benchmark's per-pod tree.
 func benchBudgetTree(stats []StatsResponse, podSize int) string {
@@ -297,3 +324,90 @@ func benchmarkStreamBudgetRound(b *testing.B, n int) {
 
 func BenchmarkControllerRoundStreamBudget1k(b *testing.B) { benchmarkStreamBudgetRound(b, 1000) }
 func BenchmarkControllerRoundStreamBudget4k(b *testing.B) { benchmarkStreamBudgetRound(b, 4000) }
+
+// benchmarkStreamChurnRound is the budgeted stream round with the churn
+// that makes the controller re-solve: one best-effort replica per two
+// agents, and every other round one agent stops heartbeating and comes
+// back four rounds later with a full frame. With DeadAfter 2 nearly
+// every round then either declares an agent dead or sees one rejoin,
+// and re-solves the placement. Agents report the BE and cap last pushed
+// to them, so only changed assignments are pushed.
+func benchmarkStreamChurnRound(b *testing.B, n int) {
+	urls, stats := benchFleet(b, n)
+	et := newEchoTransport()
+	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: et}, nil, benchBudgetTree(stats, 64))
+	bes := make([]string, n/2)
+	for i := range bes {
+		bes[i] = fmt.Sprintf("%s#%d", []string{"graph", "lstm"}[i%2], i/2)
+	}
+	ctl.cfg.BE = bes // read only when the controller solves
+	encs := make([]*HeartbeatEncoder, n)
+	for i := range encs {
+		encs[i] = NewHeartbeatEncoder(stats[i].Agent, urls[i])
+	}
+	downUntil := make([]int, n) // round a silent agent returns; 0 = running
+	frames := make([][]byte, 0, n)
+	from := make([]int, 0, n)
+	ingest := func(seq uint64) {
+		et.mu.Lock()
+		for i := range stats {
+			stats[i].AssignedBE = et.assigned[urls[i]]
+			if capW, ok := et.caps[urls[i]]; ok {
+				stats[i].CapW = capW
+			}
+		}
+		et.mu.Unlock()
+		frames, from = frames[:0], from[:0]
+		for i := range stats {
+			if downUntil[i] > 0 {
+				continue
+			}
+			frame, err := encs[i].Encode(stats[i], seq)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames = append(frames, frame)
+			from = append(from, i)
+		}
+		for k, ack := range ctl.IngestBatch(frames) {
+			if ack.Reject || ack.Resync {
+				b.Fatalf("agent %d ack %+v", from[k], ack)
+			}
+			encs[from[k]].Ack(ack)
+		}
+	}
+	ctx := context.Background()
+	ingest(1)
+	ctl.Round(ctx) // discovery + solve + first pushes, outside the timer
+	if st := ctl.Status(); len(st.Placement) != len(bes) {
+		b.Fatalf("placed %d of %d replicas", len(st.Placement), len(bes))
+	}
+	seq := uint64(1)
+	victim := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for iter := 1; iter <= b.N; iter++ {
+		tick()
+		seq++
+		for i := range downUntil {
+			if downUntil[i] == iter {
+				downUntil[i] = 0
+				encs[i].Resync() // a restarted agent sends a full frame
+			}
+		}
+		if iter%2 == 0 {
+			for downUntil[victim] > 0 {
+				victim = (victim + 1) % n
+			}
+			downUntil[victim] = iter + 4
+			victim = (victim + 389) % n // a stride coprime to n visits every pod
+		}
+		for i := range stats {
+			stats[i].PowerW = 100 + float64((i+iter)%16)*0.5
+		}
+		ingest(seq)
+		ctl.Round(ctx)
+	}
+}
+
+func BenchmarkControllerRoundStreamChurn1k(b *testing.B) { benchmarkStreamChurnRound(b, 1000) }

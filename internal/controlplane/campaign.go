@@ -571,9 +571,12 @@ func (c *Campaign) applyBrownouts(now time.Duration) error {
 
 // checkPlacement validates the controller's placement against its own
 // liveness view. Outside degraded mode every placed best-effort app must
-// sit on a distinct agent the controller believes alive; in degraded mode
-// the held last-known-good placement may legitimately reference dead
-// agents, so only the matching property (distinct, known agents) applies.
+// sit on a distinct agent the controller believes alive, and the
+// placement must be complete: every app is either placed or listed as
+// unplaced, never both, and apps go unplaced only while they outnumber
+// the live agents. In degraded mode the held last-known-good placement
+// may legitimately reference dead agents, so only the matching property
+// (distinct, known agents) applies.
 func (c *Campaign) checkPlacement() error {
 	st := c.ctl.Status()
 	known := make(map[string]bool, len(st.Agents))
@@ -587,7 +590,27 @@ func (c *Campaign) checkPlacement() error {
 	if st.Degraded {
 		return invariant.CheckPlacement(st.Placement, known)
 	}
-	return invariant.CheckPlacement(st.Placement, alive)
+	if err := invariant.CheckPlacement(st.Placement, alive); err != nil {
+		return err
+	}
+	unplaced := make(map[string]bool, len(st.Unplaced))
+	for _, be := range st.Unplaced {
+		unplaced[be] = true
+	}
+	for _, be := range c.cfg.BE {
+		_, placed := st.Placement[be]
+		switch {
+		case placed && unplaced[be]:
+			return fmt.Errorf("best-effort app %s both placed and unplaced", be)
+		case !placed && !unplaced[be]:
+			return fmt.Errorf("best-effort app %s neither placed nor unplaced", be)
+		}
+	}
+	if len(st.Unplaced) > 0 && len(c.cfg.BE) <= len(alive) {
+		return fmt.Errorf("%d best-effort apps unplaced with %d apps on %d live agents",
+			len(st.Unplaced), len(c.cfg.BE), len(alive))
+	}
+	return nil
 }
 
 // spikeTrace wraps a trace with a campaign-controlled override level. Only

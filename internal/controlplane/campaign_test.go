@@ -2,12 +2,14 @@ package controlplane
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"pocolo/internal/invariant"
 	"pocolo/internal/machine"
+	"pocolo/internal/trace"
 	"pocolo/internal/utility"
 	"pocolo/internal/workload"
 )
@@ -162,6 +164,108 @@ func TestCampaignDelayAndSpike(t *testing.T) {
 // TestCampaignSeededScheduleDeterministic replays the same seeded schedule
 // twice and requires identical failure accounting and final placement —
 // the property that makes fault campaigns debuggable.
+// TestCampaignWholePodOutage crashes every agent of one solver pod at
+// once under the sharded solver on the stream transport. The pod's jobs
+// then outnumber its live hosts (it has none), so they must move to other
+// pods: the campaign's completeness check fails any round that leaves a
+// best-effort app neither placed nor unplaced while the survivors have
+// room for every app.
+func TestCampaignWholePodOutage(t *testing.T) {
+	const n, podSize = 16, 4
+	cycle := []string{"img-dnn", "sphinx", "xapian", "tpcc"}
+	lcs := make([]string, n)
+	for i := range lcs {
+		lcs[i] = cycle[i%len(cycle)]
+	}
+	agents := campaignAgentConfigs(t, lcs, []string{"graph", "lstm"})
+	for i := range agents {
+		agents[i].Name = fmt.Sprintf("agent-%02d", i) // name order = pod order
+	}
+	// Nine replicas over four pods of four: three land in pod 0, and the
+	// twelve survivors can host all nine.
+	bes := make([]string, 9)
+	for i := range bes {
+		bes[i] = fmt.Sprintf("%s#%d", []string{"graph", "lstm"}[i%2], i/2)
+	}
+	hb := time.Second
+	var faults []FaultEvent
+	for i := 0; i < podSize; i++ {
+		faults = append(faults, FaultEvent{At: 4 * hb, Agent: i, Kind: FaultCrash, Duration: 5 * hb})
+	}
+	outageRounds := 0
+	tracer := trace.New("controller", 1<<12)
+	camp, err := NewCampaign(CampaignConfig{
+		Agents:          agents,
+		BE:              bes,
+		Faults:          faults,
+		Duration:        16 * hb,
+		Heartbeat:       hb,
+		DeadAfter:       2,
+		Solver:          SolverSharded,
+		Transport:       TransportStream,
+		PodSize:         podSize,
+		Seed:            13,
+		ControllerTrace: tracer,
+		OnRound: func(round int, st Status) {
+			dead := 0
+			for _, a := range st.Agents {
+				if !a.Alive {
+					dead++
+				}
+			}
+			if dead == podSize {
+				outageRounds++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := camp.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := report.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if outageRounds == 0 {
+		t.Fatal("no round saw the whole pod down")
+	}
+	if report.Deaths < podSize || report.Rejoins < podSize {
+		t.Fatalf("deaths %d, rejoins %d: want the whole pod to die and rejoin", report.Deaths, report.Rejoins)
+	}
+	if len(report.Status.Placement) != len(bes) {
+		t.Fatalf("final placement %v, want all %d apps placed", report.Status.Placement, len(bes))
+	}
+	// Evacuations are ordinary re-solve moves: one Placement or Migration
+	// event per moved app and round, never an extra "rebalance" event.
+	type move struct {
+		at int64
+		be string
+	}
+	seen := make(map[move]bool)
+	migrations := 0
+	for _, ev := range tracer.Events() {
+		if ev.Kind != trace.KindPlacement && ev.Kind != trace.KindMigration {
+			continue
+		}
+		if ev.Kind == trace.KindMigration {
+			migrations++
+			if ev.Place.Reason != "re-solve" {
+				t.Errorf("migration %+v, want reason re-solve", ev.Place)
+			}
+		}
+		k := move{ev.TNS, ev.Place.BE}
+		if seen[k] {
+			t.Errorf("second event for %s at %d ns", ev.Place.BE, ev.TNS)
+		}
+		seen[k] = true
+	}
+	if migrations < 3 {
+		t.Errorf("%d migrations traced, want the outage's three evacuations at least", migrations)
+	}
+}
+
 func TestCampaignSeededScheduleDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full campaigns in -short mode")

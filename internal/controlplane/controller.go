@@ -33,8 +33,9 @@ const (
 	TransportStream = "stream"
 )
 
-// SolverSharded selects the pod-sharded incremental assignment solver
-// (cluster.NewSharded) instead of one cluster-wide matrix.
+// SolverSharded selects the pod-sharded incremental assignment engine
+// (cluster.Sharded), which the controller keeps warm across re-solves,
+// instead of one cluster-wide matrix.
 const SolverSharded = "sharded"
 
 // ControllerConfig assembles the cluster controller.
@@ -61,14 +62,20 @@ type ControllerConfig struct {
 	// Jitter is the relative heartbeat jitter in [0, 1) (default 0.2).
 	Jitter float64
 	// Solver selects the assignment solver: "lp" (default), "hungarian",
-	// "exhaustive", or "sharded" (pod-decomposed incremental solves; see
-	// PodSize).
+	// "exhaustive", or "sharded". The sharded engine is built once over the
+	// reporting agents and repaired in place on each re-solve, so a crash
+	// or rejoin re-solves only its own pod (see PodSize); jobs move to
+	// other pods only when an outage leaves a pod more jobs than live
+	// agents. While best-effort apps outnumber live agents, a "sharded"
+	// re-solve runs the whole-matrix "lp" path instead, which reports the
+	// overflow as unplaced.
 	Solver string
 	// Transport selects how agent state reaches the controller:
 	// TransportPoll (default) or TransportStream.
 	Transport string
 	// PodSize is the number of agents per state shard under the streaming
-	// transport, and the pod size of the "sharded" solver (default 64).
+	// transport, and the pod size of the "sharded" solver, whose pods are
+	// contiguous runs of agents in name order (default 64).
 	PodSize int
 	// BudgetTree, when non-empty, is a hierarchical budget-tree spec (see
 	// tree.Parse) whose leaves name the agents. Each round the controller
@@ -145,6 +152,10 @@ type agentState struct {
 	desiredBE string
 }
 
+// placeable reports whether an agent can host best-effort work: alive,
+// with a fitted LC model to price its column.
+func (a *agentState) placeable() bool { return a.alive && a.last.LCModel != nil }
+
 // AgentStatus is the exported per-agent view.
 type AgentStatus struct {
 	URL        string  `json:"url"`
@@ -196,6 +207,7 @@ type Controller struct {
 	unplaced  []string
 	degraded  bool
 	lastSolve time.Time
+	engine    *placementEngine // warm sharded solver; nil until first needed
 	rounds    int
 	solves    int
 	deaths    int
@@ -546,25 +558,26 @@ func (c *Controller) liveCountLocked() int {
 	return n
 }
 
-// resolveLocked rebuilds the performance matrix from the live agents'
-// reported stats and re-solves the placement. On solver failure or when a
-// majority of agents are unreachable it degrades to the last-known-good
-// placement instead of churning assignments.
+// resolveLocked re-solves the placement against the live agents'
+// reported stats: on the warm sharded engine, or from a whole performance
+// matrix. On solver failure or when a majority of agents are unreachable
+// it degrades to the last-known-good placement instead of churning
+// assignments.
 func (c *Controller) resolveLocked(now time.Time) {
-	live := make([]*agentState, 0, len(c.agents))
+	nLive := 0
 	for _, a := range c.agents {
-		if a.alive && a.last.LCModel != nil {
-			live = append(live, a)
+		if a.placeable() {
+			nLive++
 		}
 	}
-	if len(live) == 0 {
+	if nLive == 0 {
 		c.degradeLocked(now, "no live agents")
 		return
 	}
 	// Majority-unreachable guard: with most of the fleet dark the reports
 	// left are too thin to trust a re-solve; hold the last placement.
-	if c.lastGood != nil && 2*len(live) < len(c.agents) {
-		c.degradeLocked(now, fmt.Sprintf("only %d/%d agents reachable", len(live), len(c.agents)))
+	if c.lastGood != nil && 2*nLive < len(c.agents) {
+		c.degradeLocked(now, fmt.Sprintf("only %d/%d agents reachable", nLive, len(c.agents)))
 		return
 	}
 	if len(c.cfg.BE) == 0 {
@@ -576,7 +589,14 @@ func (c *Controller) resolveLocked(now time.Time) {
 		return
 	}
 
-	placement, unplaced, err := c.solve(live, now)
+	var placement map[string]string
+	var unplaced []string
+	var err error
+	if c.cfg.Solver == SolverSharded && len(c.cfg.BE) <= nLive {
+		placement, err = c.solveEngineLocked(now)
+	} else {
+		placement, unplaced, err = c.solveMatrixLocked(now)
+	}
 	if err != nil {
 		c.degradeLocked(now, fmt.Sprintf("solve failed: %v", err))
 		return
@@ -588,7 +608,7 @@ func (c *Controller) resolveLocked(now time.Time) {
 	c.degraded = false
 	c.lastSolve = now
 	c.solves++
-	c.logf("placement solved over %d agents: %v (unplaced %v)", len(live), placement, unplaced)
+	c.logf("placement solved over %d agents: %v (unplaced %v)", nLive, placement, unplaced)
 	c.tracePlacementLocked(now, prev, placement)
 }
 
@@ -646,13 +666,20 @@ func (c *Controller) setPlacementLocked(p map[string]string) {
 	}
 }
 
-// solve builds the BE×LC matrix from reported stats and runs the
-// assignment solver. Servers are columns keyed by agent name; the minimal
+// solveMatrixLocked builds the whole BE×LC matrix from reported stats and
+// runs the configured solver ("lp" when the sharded engine cannot place
+// every app). Servers are columns keyed by agent name; the minimal
 // workload specs are reconstructed from the agents' reports, so the
 // controller needs no local catalog. When there are more best-effort apps
 // than live servers, the overflow (lowest best-case value first) is
 // reported as unplaced.
-func (c *Controller) solve(live []*agentState, now time.Time) (map[string]string, []string, error) {
+func (c *Controller) solveMatrixLocked(now time.Time) (map[string]string, []string, error) {
+	live := make([]*agentState, 0, len(c.agents))
+	for _, a := range c.agents {
+		if a.placeable() {
+			live = append(live, a)
+		}
+	}
 	sort.Slice(live, func(i, j int) bool { return live[i].name < live[j].name })
 	lcSpecs := make([]*workload.Spec, len(live))
 	models := make(map[string]*utility.Model, len(live)+len(c.cfg.BE))
@@ -662,66 +689,20 @@ func (c *Controller) solve(live []*agentState, now time.Time) (map[string]string
 			return nil, nil, fmt.Errorf("duplicate agent name %q", a.name)
 		}
 		byName[a.name] = a
-		// The matrix builder only consumes the LC envelope (peak load and
-		// provisioned power) plus the fitted model, all reported in stats.
-		lcSpecs[i] = &workload.Spec{
-			Name:              a.name,
-			Class:             workload.LatencyCritical,
-			PeakLoad:          a.last.PeakLoad,
-			ProvisionedPowerW: a.last.ProvisionedPowerW,
-		}
+		lcSpecs[i] = lcSpec(a.name, a)
 		models[a.name] = a.last.LCModel
 	}
 	beSpecs := make([]*workload.Spec, 0, len(c.cfg.BE))
 	for _, be := range c.cfg.BE {
-		var model *utility.Model
-		for _, a := range live {
-			// Replica instances ("graph#3") share the base app's model.
-			if m, ok := a.last.BEModels[be]; ok && m != nil {
-				model = m
-				break
-			}
-			if m, ok := a.last.BEModels[baseBE(be)]; ok && m != nil {
-				model = m
-				break
-			}
-		}
-		if model == nil {
-			return nil, nil, fmt.Errorf("no live agent reports a model for best-effort app %q", be)
+		model, err := beModel(live, be)
+		if err != nil {
+			return nil, nil, err
 		}
 		models[be] = model
 		beSpecs = append(beSpecs, &workload.Spec{Name: be, Class: workload.BestEffort})
 	}
 
 	machine := live[0].last.Machine
-	// The sharded solver decomposes the assignment into independent
-	// PodSize-host pods with warm incremental solvers — the path that
-	// keeps thousand-agent fleets solvable per round. It requires jobs to
-	// fit the hosts; an overloaded fleet falls back to the whole-matrix
-	// path, which trims the overflow.
-	if c.cfg.Solver == SolverSharded && len(beSpecs) <= len(lcSpecs) {
-		sh, err := cluster.NewSharded(cluster.MatrixConfig{
-			Machine: machine,
-			LC:      lcSpecs,
-			BE:      beSpecs,
-			Models:  models,
-			Trace:   c.tracer,
-			Now:     now,
-			Obs:     c.cfg.Obs,
-		}, cluster.ShardSettings{PodSize: c.cfg.PodSize})
-		if err != nil {
-			return nil, nil, err
-		}
-		byBE, _, err := sh.Solve(c.tracer, now)
-		if err != nil {
-			return nil, nil, err
-		}
-		placement := make(map[string]string, len(byBE))
-		for be, agentName := range byBE {
-			placement[be] = byName[agentName].url
-		}
-		return placement, nil, nil
-	}
 	mx, err := cluster.BuildMatrix(cluster.MatrixConfig{
 		Machine: machine,
 		LC:      lcSpecs,
@@ -780,6 +761,37 @@ func (c *Controller) solve(live []*agentState, now time.Time) (map[string]string
 		placement[be] = byName[agentName].url
 	}
 	return placement, unplaced, nil
+}
+
+// lcSpec reconstructs the LC workload spec of an agent's matrix column.
+// The matrix builder only consumes the LC envelope (peak load and
+// provisioned power) plus the fitted model, all reported in stats, so
+// the controller needs no local catalog.
+func lcSpec(name string, a *agentState) *workload.Spec {
+	return &workload.Spec{
+		Name:              name,
+		Class:             workload.LatencyCritical,
+		PeakLoad:          a.last.PeakLoad,
+		ProvisionedPowerW: a.last.ProvisionedPowerW,
+	}
+}
+
+// beModel picks a best-effort app's model: the first placeable agent, in
+// the given (name) order, that reports the app's own model or its base
+// app's (replica instances such as "graph#3" share "graph"'s).
+func beModel(agents []*agentState, be string) (*utility.Model, error) {
+	for _, a := range agents {
+		if !a.placeable() {
+			continue
+		}
+		if m, ok := a.last.BEModels[be]; ok && m != nil {
+			return m, nil
+		}
+		if m, ok := a.last.BEModels[baseBE(be)]; ok && m != nil {
+			return m, nil
+		}
+	}
+	return nil, fmt.Errorf("no live agent reports a model for best-effort app %q", be)
 }
 
 // pushKind discriminates the per-round agent RPCs.

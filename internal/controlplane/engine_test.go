@@ -1,0 +1,258 @@
+package controlplane
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"pocolo/internal/cluster"
+	"pocolo/internal/utility"
+	"pocolo/internal/workload"
+)
+
+// engineFleet is a streaming fleet under the sharded solver, driven one
+// round at a time: every running agent heartbeats the BE and cap last
+// pushed to it, then the controller runs one round.
+type engineFleet struct {
+	t     *testing.T
+	ctl   *Controller
+	tick  func()
+	et    *echoTransport
+	urls  []string
+	encs  []*HeartbeatEncoder
+	stats []StatsResponse
+	down  []bool
+	seq   uint64
+}
+
+// newEngineFleet builds n agents whose names run in the reverse of their
+// URL order, so the engine's name-ordered columns differ from the stream
+// slots. Caps step from one block of podSize agents to the next (n is a
+// multiple of podSize, so the blocks are the engine's pods): pods differ,
+// while the hosts within a pod are alike.
+func newEngineFleet(t *testing.T, n, podSize int, bes []string, mut func(*ControllerConfig)) *engineFleet {
+	t.Helper()
+	et := newEchoTransport()
+	ctl, urls, tick := streamTestController(t, n, podSize, func(cfg *ControllerConfig) {
+		cfg.Solver = SolverSharded
+		cfg.BE = bes
+		cfg.Client = &http.Client{Transport: et}
+		if mut != nil {
+			mut(cfg)
+		}
+	})
+	f := &engineFleet{t: t, ctl: ctl, tick: tick, et: et, urls: urls,
+		encs: make([]*HeartbeatEncoder, n), stats: make([]StatsResponse, n), down: make([]bool, n)}
+	for i := range urls {
+		name := fmt.Sprintf("agent-%02d", n-1-i)
+		f.encs[i] = NewHeartbeatEncoder(name, urls[i])
+		f.stats[i] = streamTestStats(t, name, "graph", "lstm")
+		f.stats[i].ProvisionedPowerW -= float64(i/podSize%4) * 5
+	}
+	return f
+}
+
+// replicas names k best-effort replicas alternating graph and lstm.
+func replicas(k int) []string {
+	bes := make([]string, k)
+	for i := range bes {
+		bes[i] = fmt.Sprintf("%s#%d", []string{"graph", "lstm"}[i%2], i/2)
+	}
+	return bes
+}
+
+func (f *engineFleet) round() Status {
+	f.t.Helper()
+	f.tick()
+	f.seq++
+	var frames [][]byte
+	var from []int
+	f.et.mu.Lock()
+	for i := range f.stats {
+		f.stats[i].AssignedBE = f.et.assigned[f.urls[i]]
+	}
+	f.et.mu.Unlock()
+	for i := range f.stats {
+		if f.down[i] {
+			continue
+		}
+		frame, err := f.encs[i].Encode(f.stats[i], f.seq)
+		if err != nil {
+			f.t.Fatal(err)
+		}
+		frames = append(frames, frame)
+		from = append(from, i)
+	}
+	for k, ack := range f.ctl.IngestBatch(frames) {
+		if ack.Reject {
+			f.t.Fatalf("agent %d frame rejected", from[k])
+		}
+		f.encs[from[k]].Ack(ack)
+	}
+	f.ctl.Round(context.Background())
+	return f.ctl.Status()
+}
+
+// setDown stops (or restarts) agent i's heartbeats; a restarted agent
+// resyncs with a full frame.
+func (f *engineFleet) setDown(i int, down bool) {
+	f.down[i] = down
+	if !down {
+		f.encs[i].Resync()
+	}
+}
+
+// moved lists the best-effort apps whose agent differs between two
+// placements.
+func moved(prev, next map[string]string) []string {
+	var out []string
+	for be, agent := range next {
+		if prev[be] != agent {
+			out = append(out, be)
+		}
+	}
+	for be := range prev {
+		if _, ok := next[be]; !ok {
+			out = append(out, be)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestEngineFirstPlacementMatchesFromScratch pins the engine's first
+// placement to a from-scratch build: cluster.NewSharded over the live
+// agents sorted by name, with each best-effort model taken from the
+// first agent reporting it.
+func TestEngineFirstPlacementMatchesFromScratch(t *testing.T) {
+	bes := replicas(12)
+	f := newEngineFleet(t, 20, 4, bes, nil)
+	st := f.round()
+
+	order := make([]int, len(f.stats))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return f.stats[order[a]].Agent < f.stats[order[b]].Agent })
+	models := make(map[string]*utility.Model)
+	lc := make([]*workload.Spec, len(order))
+	for k, i := range order {
+		s := f.stats[i]
+		lc[k] = &workload.Spec{Name: s.Agent, Class: workload.LatencyCritical,
+			PeakLoad: s.PeakLoad, ProvisionedPowerW: s.ProvisionedPowerW}
+		models[s.Agent] = s.LCModel
+	}
+	be := make([]*workload.Spec, len(bes))
+	for k, name := range bes {
+		be[k] = &workload.Spec{Name: name, Class: workload.BestEffort}
+		models[name] = f.stats[order[0]].BEModels[baseBE(name)]
+	}
+	sh, err := cluster.NewSharded(cluster.MatrixConfig{
+		Machine: f.stats[order[0]].Machine, LC: lc, BE: be, Models: models,
+	}, cluster.ShardSettings{PodSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := sh.Solve(nil, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st.Placement, want) {
+		t.Fatalf("first placement %v, from-scratch build %v", st.Placement, want)
+	}
+}
+
+// TestEngineCrashMovesOnlyItsApp runs a four-pod stream fleet: a crash
+// moves the crashed agent's app and no other, and the rejoin moves at
+// most one app. Neither rebuilds the engine. (The hosts of a pod are
+// alike, so no second app can gain from moving; with unlike hosts an
+// optimal repair may legitimately move one more.)
+func TestEngineCrashMovesOnlyItsApp(t *testing.T) {
+	f := newEngineFleet(t, 16, 4, replicas(8), nil)
+	st := f.round()
+	st = f.round()
+	if len(st.Placement) != 8 {
+		t.Fatalf("placement %v, want 8 apps", st.Placement)
+	}
+	engine := f.ctl.engine
+	before := st.Placement
+	victim := -1
+	for i, s := range f.stats {
+		if s.Agent == before["graph#1"] {
+			victim = i
+		}
+	}
+	f.setDown(victim, true)
+	for r := 0; r < 2; r++ { // DeadAfter 2
+		st = f.round()
+	}
+	if st.Deaths != 1 {
+		t.Fatalf("deaths = %d, want the victim dead", st.Deaths)
+	}
+	if got := moved(before, st.Placement); !reflect.DeepEqual(got, []string{"graph#1"}) {
+		t.Fatalf("crash of %s moved %v, want only graph#1", f.stats[victim].Agent, got)
+	}
+	afterCrash := st.Placement
+	f.setDown(victim, false)
+	st = f.round()
+	if st.Rejoins != 1 {
+		t.Fatalf("rejoins = %d", st.Rejoins)
+	}
+	if got := moved(afterCrash, st.Placement); len(got) > 1 {
+		t.Fatalf("rejoin moved %v, want at most one app", got)
+	}
+	if len(st.Placement) != 8 {
+		t.Fatalf("placement %v after rejoin, want 8 apps", st.Placement)
+	}
+	if f.ctl.engine != engine {
+		t.Fatal("crash or rejoin rebuilt the engine")
+	}
+}
+
+// TestEngineRebuildsOnNewOrRenamedAgent checks the engine's lifetime: it
+// is kept across steady re-solves and rebuilt when an agent reports for
+// the first time or is renamed.
+func TestEngineRebuildsOnNewOrRenamedAgent(t *testing.T) {
+	f := newEngineFleet(t, 12, 4, replicas(6), func(cfg *ControllerConfig) {
+		cfg.ResolveEvery = time.Second // re-solve every round
+	})
+	f.down[0] = true // not discovered yet
+	f.round()
+	first := f.ctl.engine
+	if first == nil || len(first.hosts) != 11 {
+		t.Fatalf("engine %+v, want 11 columns", first)
+	}
+	f.round()
+	if f.ctl.engine != first {
+		t.Fatal("steady re-solve rebuilt the engine")
+	}
+
+	f.down[0] = false
+	st := f.round()
+	discovered := f.ctl.engine
+	if discovered == first || len(discovered.hosts) != 12 {
+		t.Fatalf("newly discovered agent did not rebuild the engine (%d columns)", len(discovered.hosts))
+	}
+	if len(st.Placement) != 6 {
+		t.Fatalf("placement %v, want 6 apps", st.Placement)
+	}
+
+	// Agent 5 comes back under a new name; its fresh encoder needs a
+	// round to adopt the receiver's sequence watermark.
+	f.stats[5] = streamTestStats(t, "agent-zz", "graph", "lstm")
+	f.encs[5] = NewHeartbeatEncoder("agent-zz", f.urls[5])
+	for r := 0; r < 3 && f.ctl.engine == discovered; r++ {
+		f.round()
+	}
+	renamed := f.ctl.engine
+	if renamed == discovered {
+		t.Fatal("renamed agent did not rebuild the engine")
+	}
+	if last := renamed.hosts[len(renamed.hosts)-1]; last.name != "agent-zz" || last.url != f.urls[5] {
+		t.Fatalf("last column %s (%s), want agent-zz at %s", last.name, last.url, f.urls[5])
+	}
+}

@@ -374,6 +374,17 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 		return acks
 	}
 	if len(frames) > maxHeartbeatBatch {
+		// Frames past the limit are refused, not dropped: a reject ack
+		// sends each sender back to a full frame on its next heartbeat.
+		for i := maxHeartbeatBatch; i < len(frames); i++ {
+			s.frames.Add(1)
+			s.bytes.Add(int64(len(frames[i])))
+			s.rejects.Add(1)
+			if c.obs != nil {
+				c.obs.vReject.Inc()
+			}
+			acks[i] = HeartbeatAck{Reject: true}
+		}
 		frames = frames[:maxHeartbeatBatch]
 	}
 	// Decode fans out: full frames carry JSON snapshots, the one

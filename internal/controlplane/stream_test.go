@@ -214,6 +214,35 @@ func TestIngestBatchAcksInFrameOrder(t *testing.T) {
 	}
 }
 
+// TestIngestBatchRejectsOverflow pins the batch limit: a frame past
+// maxHeartbeatBatch gets a reject ack (so its sender falls back to a full
+// frame) and is counted, never silently dropped with a zero ack.
+func TestIngestBatchRejectsOverflow(t *testing.T) {
+	ctl, urls, _ := streamTestController(t, 1, 64, nil)
+	frame, err := NewHeartbeatEncoder("agent-0", urls[0]).Encode(streamTestStats(t, "agent-0"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([][]byte, maxHeartbeatBatch+1)
+	for i := range frames[:maxHeartbeatBatch] {
+		frames[i] = []byte{0x00} // malformed: rejected by the decoder
+	}
+	frames[maxHeartbeatBatch] = frame // valid, but one past the limit
+	acks := ctl.IngestBatch(frames)
+	if len(acks) != len(frames) {
+		t.Fatalf("%d acks for %d frames", len(acks), len(frames))
+	}
+	if last := acks[maxHeartbeatBatch]; !last.Reject {
+		t.Fatalf("overflow frame ack = %+v, want a reject", last)
+	}
+	if s := ctl.StreamStats(); s.Rejects != int64(len(frames)) || s.Frames != int64(len(frames)) {
+		t.Fatalf("stream stats %+v, want %d frames, all rejected", s, len(frames))
+	}
+	if v := ctl.stream.view(urls[0]); v != nil {
+		t.Fatalf("overflow frame applied: %+v", v)
+	}
+}
+
 func TestHeartbeatHandlerHTTP(t *testing.T) {
 	ctl, urls, _ := streamTestController(t, 1, 64, nil)
 	srv := httptest.NewServer(http.HandlerFunc(ctl.HeartbeatHandler))

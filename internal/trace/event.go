@@ -220,8 +220,8 @@ type BudgetChange struct {
 // summary; Fulls, Deltas, and Stale partition the frames that decoded
 // (full resync applies, incremental delta applies, and ignored
 // duplicates); Resyncs counts acks that demanded a full-frame resync;
-// Rejects counts frames the codec refused outright. Bytes is the total
-// encoded frame volume.
+// Rejects counts frames refused outright: malformed, or past a batch's
+// size limit. Bytes is the total encoded frame volume.
 type HeartbeatSummary struct {
 	Frames  int
 	Fulls   int
