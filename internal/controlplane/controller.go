@@ -146,6 +146,11 @@ type agentState struct {
 	// streaming transport; a round that sees no higher published seq
 	// counts a miss, mirroring a failed poll probe.
 	streamSeq uint64
+	// probeCache is the poll decoder's memory of this agent's last
+	// fast-path body (statsdecode.go); nil under the streaming transport.
+	// Immutable: a probe that sees a change returns a new one, which
+	// applyProbesLocked installs.
+	probeCache *statsCache
 	// desiredBE is the BE app the current placement puts on this agent
 	// ("" = park). It is refreshed wherever the placement is replaced, so
 	// deriving the round's assign pushes is one comparison per agent.
@@ -318,7 +323,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		staleLimit = time.Duration(cfg.DeadAfter) * cfg.Heartbeat
 	}
 	nPods := (len(cfg.AgentURLs) + cfg.PodSize - 1) / cfg.PodSize
-	c.obs = newCtlObs(cfg.Obs, nPods, c.roundDeadline, staleLimit, cfg.SLOBudget)
+	c.obs = newCtlObs(cfg.Obs, cfg.Transport == TransportPoll, nPods, c.roundDeadline, staleLimit, cfg.SLOBudget)
 	return c, nil
 }
 
@@ -393,34 +398,35 @@ func (c *Controller) Round(ctx context.Context) {
 	}
 }
 
-// probeResult is one poll probe's outcome.
+// probeResult is one poll probe's outcome. cache is the agent's probe
+// cache as pollProbe found it, and after the probe the one to install.
 type probeResult struct {
 	agent *agentState
+	cache *statsCache
 	stats StatsResponse
 	err   error
 }
 
 // pollProbe fans stats probes out to every due agent. Runs lock-free:
-// the due set is snapshotted under the lock, the probes are not.
+// the due set and each agent's probe cache are snapshotted under the
+// lock, the probes are not.
 func (c *Controller) pollProbe(ctx context.Context, now time.Time) []probeResult {
 	c.mu.Lock()
-	due := make([]*agentState, 0, len(c.agents))
+	results := make([]probeResult, 0, len(c.agents))
 	for _, a := range c.agents {
 		if a.alive || !a.nextDue.After(now) {
-			due = append(due, a)
+			results = append(results, probeResult{agent: a, cache: a.probeCache})
 		}
 	}
 	c.mu.Unlock()
 
-	results := make([]probeResult, len(due))
 	var wg sync.WaitGroup
-	for i, a := range due {
+	for i := range results {
 		wg.Add(1)
-		go func(i int, a *agentState) {
+		go func(r *probeResult) {
 			defer wg.Done()
-			stats, err := c.probe(ctx, a.url)
-			results[i] = probeResult{agent: a, stats: stats, err: err}
-		}(i, a)
+			r.stats, r.cache, r.err = c.probe(ctx, r.agent.url, r.cache)
+		}(&results[i])
 	}
 	wg.Wait()
 	return results
@@ -471,13 +477,15 @@ func (c *Controller) applyProbesLocked(results []probeResult, now time.Time) (me
 		a.name = r.stats.Agent
 		a.lc = r.stats.LC
 		a.last = r.stats
+		a.probeCache = r.cache
 	}
 	return membershipChanged
 }
 
 // probe fetches an agent's stats with the per-request timeout, retrying up
-// to the configured budget with short exponential spacing.
-func (c *Controller) probe(ctx context.Context, baseURL string) (StatsResponse, error) {
+// to the configured budget with short exponential spacing. cache is the
+// agent's probe cache; probe returns the one to install after a success.
+func (c *Controller) probe(ctx context.Context, baseURL string, cache *statsCache) (StatsResponse, *statsCache, error) {
 	var lastErr error
 	backoff := 10 * time.Millisecond
 	if max := c.cfg.Timeout / 8; max > 0 && backoff > max {
@@ -487,23 +495,57 @@ func (c *Controller) probe(ctx context.Context, baseURL string) (StatsResponse, 
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
-				return StatsResponse{}, ctx.Err()
+				return StatsResponse{}, cache, ctx.Err()
 			case <-time.After(backoff):
 			}
 			backoff *= 2
 		}
 		var stats StatsResponse
-		err := c.getJSON(ctx, baseURL+RouteStats, &stats)
+		var next *statsCache
+		err := c.get(ctx, baseURL+RouteStats, func(body io.Reader) (err error) {
+			next, err = c.readStats(body, cache, &stats)
+			return err
+		})
 		if err == nil {
-			return stats, nil
+			return stats, next, nil
 		}
 		lastErr = err
 	}
-	return StatsResponse{}, lastErr
+	return StatsResponse{}, cache, lastErr
 }
 
-// getJSON performs a GET with the configured timeout and decodes the body.
-func (c *Controller) getJSON(ctx context.Context, url string, out any) error {
+// statsBufs recycles the buffers probe bodies are read into.
+var statsBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readStats reads one /v1/stats body into a pooled buffer and decodes it
+// (decodeStats). The body is bounded like a stream snapshot, at
+// maxHeartbeatBlob, so one misbehaving agent cannot make the controller
+// buffer an arbitrarily large value. Nothing decoded refers to the
+// buffer: strings and raw section bytes are copied out of it.
+func (c *Controller) readStats(body io.Reader, cache *statsCache, out *StatsResponse) (*statsCache, error) {
+	buf := statsBufs.Get().(*bytes.Buffer)
+	defer statsBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(body, maxHeartbeatBlob+1)); err != nil {
+		return cache, err
+	}
+	if buf.Len() > maxHeartbeatBlob {
+		return cache, fmt.Errorf("stats body exceeds the %d-byte limit", maxHeartbeatBlob)
+	}
+	next, fast, err := decodeStats(buf.Bytes(), cache, out)
+	if c.obs != nil {
+		if fast {
+			c.obs.pollFast.Inc()
+		} else {
+			c.obs.pollFallback.Inc()
+		}
+	}
+	return next, err
+}
+
+// get performs a GET with the configured timeout and hands a 200 reply's
+// body to read.
+func (c *Controller) get(ctx context.Context, url string, read func(body io.Reader) error) error {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -519,7 +561,12 @@ func (c *Controller) getJSON(ctx context.Context, url string, out any) error {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, bytes.TrimSpace(body))
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return read(resp.Body)
+}
+
+// getJSON performs a GET with the configured timeout and decodes the body.
+func (c *Controller) getJSON(ctx context.Context, url string, out any) error {
+	return c.get(ctx, url, func(body io.Reader) error { return json.NewDecoder(body).Decode(out) })
 }
 
 // postAssign pushes an assignment to an agent.

@@ -44,7 +44,7 @@ func spec(t testing.TB, name string) *workload.Spec {
 
 // newTestAgent builds an agent hosting lcName with the given best-effort
 // candidates, paced far faster than real time (1 ms wall per 100 ms sim).
-func newTestAgent(t *testing.T, name, lcName string, beNames ...string) *Agent {
+func newTestAgent(t testing.TB, name, lcName string, beNames ...string) *Agent {
 	t.Helper()
 	models := fixtureModels(t)
 	trace, err := workload.NewConstantTrace(0.5)

@@ -67,21 +67,40 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 	}
 }
 
-// TestFuzzCorpusCommitted keeps the committed corpus in lockstep with
-// fuzzSeedFrames: every seed must exist on disk in Go corpus format so
-// `go test -fuzz` and plain `go test` start from the same population.
-// Regenerate after changing the seeds with POCOLO_WRITE_CORPUS=1.
+// TestFuzzCorpusCommitted keeps the committed corpora in lockstep with
+// fuzzSeedFrames and statsFuzzSeeds: every seed must exist on disk in Go
+// corpus format so `go test -fuzz` and plain `go test` start from the
+// same population. Regenerate after changing the seeds with
+// POCOLO_WRITE_CORPUS=1.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeHeartbeat")
+	var frames, stats [][][]byte
+	for _, frame := range fuzzSeedFrames(t) {
+		frames = append(frames, [][]byte{frame})
+	}
+	for _, s := range statsFuzzSeeds(t) {
+		stats = append(stats, [][]byte{s.prev, s.body})
+	}
+	checkCorpus(t, "FuzzDecodeHeartbeat", frames)
+	checkCorpus(t, "FuzzDecodeStats", stats)
+}
+
+// checkCorpus compares (or, with POCOLO_WRITE_CORPUS set, writes) one
+// fuzz target's committed corpus against its seeds' []byte arguments.
+func checkCorpus(t *testing.T, target string, seeds [][][]byte) {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
 	write := os.Getenv("POCOLO_WRITE_CORPUS") != ""
 	if write {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, frame := range fuzzSeedFrames(t) {
+	for i, args := range seeds {
 		path := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame)
+		want := "go test fuzz v1\n"
+		for _, arg := range args {
+			want += fmt.Sprintf("[]byte(%q)\n", arg)
+		}
 		if write {
 			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
 				t.Fatal(err)
@@ -152,4 +171,17 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 			t.Fatalf("decode/encode/decode not idempotent:\n got %s\nwant %s", got, want)
 		}
 	})
+}
+
+// FuzzDecodeStats holds the poll probe's fast decoder to encoding/json.
+// prev warms the agent's cache, as the previous probe would have, then
+// body is decoded with it: the result must match json.Decoder's decode of
+// body into a zero StatsResponse (the same error-or-not, and deeply equal
+// values when both succeed), and any body the fast path accepts must be
+// one encoding/json accepts.
+func FuzzDecodeStats(f *testing.F) {
+	for _, s := range statsFuzzSeeds(f) {
+		f.Add(s.prev, s.body)
+	}
+	f.Fuzz(func(t *testing.T, prev, body []byte) { checkDecodeStats(t, prev, body) })
 }

@@ -36,9 +36,14 @@ type ctlObs struct {
 	// budget path
 	budgetLat *obs.Histogram // pocolo_obs_budget_rebalance_seconds
 	headroom  map[string]*obs.Gauge
+
+	// poll probe bodies by decode path (polling transport only): a
+	// rising fallback share means agents send bodies the fast path does
+	// not cover, and each such probe decodes over ten times slower.
+	pollFast, pollFallback *obs.Counter // pocolo_obs_poll_decode_total
 }
 
-func newCtlObs(reg *obs.Registry, nPods int, roundDeadline, staleLimit time.Duration, sloBudget float64) *ctlObs {
+func newCtlObs(reg *obs.Registry, poll bool, nPods int, roundDeadline, staleLimit time.Duration, sloBudget float64) *ctlObs {
 	if reg == nil {
 		return nil
 	}
@@ -56,6 +61,10 @@ func newCtlObs(reg *obs.Registry, nPods int, roundDeadline, staleLimit time.Dura
 		budgetLat: reg.Histogram("pocolo_obs_budget_rebalance_seconds",
 			"Wall-clock duration of the controller's budget-tree divisions."),
 		headroom: make(map[string]*obs.Gauge),
+	}
+	if poll {
+		o.pollFast = reg.Counter("pocolo_obs_poll_decode_total", "Poll probe bodies by decode path.", obs.Label{Key: "path", Value: "fast"})
+		o.pollFallback = reg.Counter("pocolo_obs_poll_decode_total", "Poll probe bodies by decode path.", obs.Label{Key: "path", Value: "fallback"})
 	}
 	o.podStale = make([]*obs.Gauge, nPods)
 	for p := range o.podStale {
