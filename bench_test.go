@@ -395,7 +395,6 @@ func BenchmarkTraceDisabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := tr.StartSpan("control_tick")
 		tr.ControlDecision(now, trace.ControlDecision{Tick: i, Load: 0.5, Path: trace.PathPlannerHit, Feasible: true})
-		tr.ObserveSlack(0.2)
 		sp.End(now)
 	}
 }
@@ -411,7 +410,6 @@ func BenchmarkTraceEnabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := tr.StartSpan("control_tick")
 		tr.ControlDecision(now, trace.ControlDecision{Tick: i, Load: 0.5, Path: trace.PathPlannerHit, Feasible: true})
-		tr.ObserveSlack(0.2)
 		sp.End(now)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"pocolo/internal/invariant"
 	"pocolo/internal/machine"
+	"pocolo/internal/obs"
 	"pocolo/internal/servermgr"
 	"pocolo/internal/sim"
 	"pocolo/internal/trace"
@@ -65,8 +66,10 @@ type AgentConfig struct {
 	// Results are bit-identical either way.
 	PlannerOff bool
 	// TraceEvents sizes the agent's decision-trace ring: 0 uses
-	// trace.DefaultEvents, a negative value disables tracing entirely
-	// (zero overhead on the control path).
+	// trace.DefaultEvents, a negative value records no decision events
+	// (no tracing cost on the control path). The tick-phase duration and
+	// slack histograms on /metrics are metrics, not events: they are
+	// always recorded.
 	TraceEvents int
 }
 
@@ -86,6 +89,9 @@ type Agent struct {
 
 	// tracer is internally locked; /v1/trace reads it without taking a.mu.
 	tracer *trace.Tracer
+	// obs holds the server manager's tick-phase and slack histograms; it
+	// is internally locked, so /metrics snapshots it without taking a.mu.
+	obs *obs.Registry
 
 	mu       sync.Mutex
 	host     *sim.Host
@@ -167,6 +173,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		}
 		tracer = trace.New(cfg.Name, capacity)
 	}
+	reg := obs.NewRegistry()
 	mgr, err := servermgr.New(servermgr.Config{
 		Host:        host,
 		Model:       cfg.LCModel,
@@ -176,6 +183,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		Seed:        cfg.Seed,
 		PlannerOff:  cfg.PlannerOff,
 		Tracer:      tracer,
+		Obs:         reg,
 	})
 	if err != nil {
 		return nil, err
@@ -211,6 +219,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		realTick: cfg.RealTick,
 		simTick:  cfg.SimTick,
 		tracer:   tracer,
+		obs:      reg,
 		host:     host,
 		mgr:      mgr,
 		engine:   engine,
@@ -477,10 +486,7 @@ func (a *Agent) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	stats := a.statsLocked()
 	a.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := writeAgentMetrics(w, stats); err != nil {
-		return
-	}
-	if err := writeTraceMetrics(w, stats.Agent, stats.LC, a.tracer); err != nil {
+	if err := obs.WriteProm(w, agentMetrics(stats, a.obs.Snapshot())); err != nil {
 		return
 	}
 	// OpenMetrics terminator: scrapers use it to distinguish a complete

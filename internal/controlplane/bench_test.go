@@ -411,3 +411,50 @@ func benchmarkStreamChurnRound(b *testing.B, n int) {
 }
 
 func BenchmarkControllerRoundStreamChurn1k(b *testing.B) { benchmarkStreamChurnRound(b, 1000) }
+
+// discardResponse is an http.ResponseWriter that drops the body, so the
+// scrape benchmark measures building and rendering the exposition, not
+// growing a buffer to hold it.
+type discardResponse struct{ header http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// BenchmarkControllerMetrics1k measures one /metrics scrape of a stream
+// controller over 1k agents with a per-pod budget tree and a live
+// registry: per-agent liveness, budget shares and headroom, and the
+// registry's histograms, all rendered by one writer.
+func BenchmarkControllerMetrics1k(b *testing.B) {
+	const n = 1000
+	urls, stats := benchFleet(b, n)
+	ct := &capTransport{caps: make(map[string]float64, n)}
+	ctl, _ := benchController(b, urls, TransportStream, &http.Client{Transport: ct}, obs.NewRegistry(), benchBudgetTree(stats, 64))
+	frames := make([][]byte, n)
+	for i := range stats {
+		frame, err := NewHeartbeatEncoder(stats[i].Agent, urls[i]).Encode(stats[i], 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames[i] = frame
+	}
+	for i, ack := range ctl.IngestBatch(frames) {
+		if ack.Reject || ack.Resync {
+			b.Fatalf("frame %d ack %+v", i, ack)
+		}
+	}
+	ctl.Round(context.Background())
+	if st := ctl.Status(); st.Budget == nil || len(st.Budget.Shares) != n {
+		b.Fatalf("budget tree not dividing over %d agents: %+v", n, st.Budget)
+	}
+	req, err := http.NewRequest(http.MethodGet, RouteMetrics, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := &discardResponse{header: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctl.MetricsHandler(w, req)
+	}
+}

@@ -750,6 +750,7 @@ func (c *Controller) solveMatrixLocked(now time.Time) (map[string]string, []stri
 	}
 
 	machine := live[0].last.Machine
+	timer := c.obs.buildTimer()
 	mx, err := cluster.BuildMatrix(cluster.MatrixConfig{
 		Machine: machine,
 		LC:      lcSpecs,
@@ -758,6 +759,7 @@ func (c *Controller) solveMatrixLocked(now time.Time) (map[string]string, []stri
 		Trace:   c.tracer,
 		Now:     now,
 	})
+	timer.Stop()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -799,7 +801,9 @@ func (c *Controller) solveMatrixLocked(now time.Time) (map[string]string, []stri
 	if solver == SolverSharded {
 		solver = "lp" // whole-matrix fallback when jobs exceed hosts
 	}
+	timer = c.obs.solveTimer()
 	byBE, _, err := mx.SolveTraced(solver, c.tracer, now)
+	timer.Stop()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -999,23 +1003,8 @@ func (c *Controller) MetricsHandler(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	st := c.Status()
-	if err := writeControllerMetrics(w, st); err != nil {
+	if err := obs.WriteProm(w, controllerMetrics(c.Status(), c.StreamStats(), c.Obs().Snapshot())); err != nil {
 		return
-	}
-	if err := writeStreamMetrics(w, c.StreamStats()); err != nil {
-		return
-	}
-	if err := writeBudgetMetrics(w, st.Budget); err != nil {
-		return
-	}
-	if err := writeTraceMetrics(w, "controller", "", c.tracer); err != nil {
-		return
-	}
-	if c.obs != nil {
-		if err := obs.WriteProm(w, c.obs.reg.Snapshot()); err != nil {
-			return
-		}
 	}
 	_, _ = io.WriteString(w, "# EOF\n")
 }

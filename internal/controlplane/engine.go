@@ -8,7 +8,6 @@ import (
 
 	"pocolo/internal/cluster"
 	"pocolo/internal/machine"
-	"pocolo/internal/trace"
 	"pocolo/internal/utility"
 	"pocolo/internal/workload"
 )
@@ -58,7 +57,13 @@ func (c *Controller) solveEngineLocked(now time.Time) (map[string]string, error)
 		}
 		c.engine = e
 	}
-	placement, err := e.repair(c.cfg.BE, c.tracer, now)
+	var placement map[string]string
+	err := e.repair(c.cfg.BE)
+	if err == nil {
+		timer := c.obs.solveTimer()
+		placement, _, err = e.sh.Solve(c.tracer, now)
+		timer.Stop()
+	}
 	if err != nil {
 		// A failed repair can leave the engine half-updated; the next
 		// re-solve starts over from a fresh build.
@@ -136,11 +141,12 @@ func (e *placementEngine) stale(agents []*agentState) bool {
 	return first != nil && first.last.Machine != e.machine
 }
 
-// repair folds the agents' last reports into the engine and re-solves:
-// O(n) in-place updates (the builders notice a changed model by its
-// pointer), then a Refresh that repairs only the pods whose cells
-// changed.
-func (e *placementEngine) repair(bes []string, tr *trace.Tracer, now time.Time) (map[string]string, error) {
+// repair folds the agents' last reports into the engine: O(n) in-place
+// updates (the builders notice a changed model by its pointer), then a
+// Refresh that repairs only the pods whose cells changed, and an
+// evacuation of jobs a pod-wide outage stranded. The caller reads the
+// placement with Solve.
+func (e *placementEngine) repair(bes []string) error {
 	for i, a := range e.hosts {
 		spec := e.specs[i]
 		spec.PeakLoad = a.last.PeakLoad
@@ -153,18 +159,15 @@ func (e *placementEngine) repair(bes []string, tr *trace.Tracer, now time.Time) 
 	for _, be := range bes {
 		m, err := beModel(e.hosts, be)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.models[be] = m
 	}
 	if _, err := e.sh.Refresh(); err != nil {
-		return nil, err
+		return err
 	}
-	if _, err := e.sh.Evacuate(); err != nil {
-		return nil, err
-	}
-	placement, _, err := e.sh.Solve(tr, now)
-	return placement, err
+	_, err := e.sh.Evacuate()
+	return err
 }
 
 // firstLive returns the first placeable column in name order, or nil.

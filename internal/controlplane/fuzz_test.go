@@ -1,12 +1,16 @@
 package controlplane
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"unicode/utf8"
+
+	"pocolo/internal/obs"
 )
 
 // fuzzSeedFrames are the fuzzer's starting population, mirrored into the
@@ -67,21 +71,30 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 	}
 }
 
+// labelFuzzSeeds start FuzzExpositionLabels from the values
+// TestExpositionLabelEscaping covers: each character the exposition
+// format treats specially, all of them at once, and the empty value.
+var labelFuzzSeeds = []string{`a"b`, `a\b`, "a\nb", "a\tb", "aéb", "node-\"1\"\\\n\ttail é", ""}
+
 // TestFuzzCorpusCommitted keeps the committed corpora in lockstep with
-// fuzzSeedFrames and statsFuzzSeeds: every seed must exist on disk in Go
-// corpus format so `go test -fuzz` and plain `go test` start from the
-// same population. Regenerate after changing the seeds with
-// POCOLO_WRITE_CORPUS=1.
+// fuzzSeedFrames, statsFuzzSeeds and labelFuzzSeeds: every seed must
+// exist on disk in Go corpus format so `go test -fuzz` and plain
+// `go test` start from the same population. Regenerate after changing
+// the seeds with POCOLO_WRITE_CORPUS=1.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	var frames, stats [][][]byte
+	var frames, stats, labels [][][]byte
 	for _, frame := range fuzzSeedFrames(t) {
 		frames = append(frames, [][]byte{frame})
 	}
 	for _, s := range statsFuzzSeeds(t) {
 		stats = append(stats, [][]byte{s.prev, s.body})
 	}
+	for _, v := range labelFuzzSeeds {
+		labels = append(labels, [][]byte{[]byte(v)})
+	}
 	checkCorpus(t, "FuzzDecodeHeartbeat", frames)
 	checkCorpus(t, "FuzzDecodeStats", stats)
+	checkCorpus(t, "FuzzExpositionLabels", labels)
 }
 
 // checkCorpus compares (or, with POCOLO_WRITE_CORPUS set, writes) one
@@ -184,4 +197,43 @@ func FuzzDecodeStats(f *testing.F) {
 		f.Add(s.prev, s.body)
 	}
 	f.Fuzz(func(t *testing.T, prev, body []byte) { checkDecodeStats(t, prev, body) })
+}
+
+// FuzzExpositionLabels renders agent and controller expositions whose
+// every free label value is v, through the same builders and writer the
+// /metrics handlers use. For any valid UTF-8 v the result must lint, and
+// every such label must decode back to v.
+func FuzzExpositionLabels(f *testing.F) {
+	for _, v := range labelFuzzSeeds {
+		f.Add([]byte(v))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v := string(b)
+		if !utf8.ValidString(v) {
+			return
+		}
+		reg := obs.NewRegistry()
+		reg.Histogram("pocolo_tick_duration_seconds", "Phase durations.", obs.Label{Key: "phase", Value: v}).Observe(0.001)
+		reg.ValueHistogram("pocolo_lc_slack_ratio_distribution", "Slack.", []float64{0, 0.1}).Observe(0.05)
+		agent := agentMetrics(StatsResponse{Agent: v, LC: v, AssignedBE: v, BEOpsBy: map[string]float64{v: 1.5}}, reg.Snapshot())
+		ctl := controllerMetrics(Status{
+			Agents:    []AgentStatus{{Name: v, URL: v, Alive: true}},
+			Placement: map[string]string{v: v},
+			Budget:    &BudgetStatus{NodeBudgets: map[string]float64{v: 100}, Shares: map[string]float64{v: 90}},
+		}, StreamStats{}, obs.Snapshot{})
+		for _, snap := range []obs.Snapshot{agent, ctl} {
+			var buf bytes.Buffer
+			if err := obs.WriteProm(&buf, snap); err != nil {
+				t.Fatal(err)
+			}
+			buf.WriteString("# EOF\n")
+			for _, s := range decodeSamples(t, buf.String()) {
+				for k, got := range s.labels {
+					if k != "le" && k != "mode" && k != "state" && got != v {
+						t.Fatalf("%s: label %s decoded to %q, want %q", s.name, k, got, v)
+					}
+				}
+			}
+		}
+	})
 }

@@ -1,284 +1,162 @@
 package controlplane
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"strconv"
-	"strings"
 
-	"pocolo/internal/trace"
+	"pocolo/internal/obs"
 )
 
-// This file renders agent and controller state in Prometheus text
-// exposition format (version 0.0.4). The dependency-free writer covers
-// the subset the control plane needs: HELP/TYPE headers, gauges,
-// counters, and escaped label values.
+// This file turns agent and controller state into obs snapshot values at
+// scrape time. Each /metrics handler merges them with its registry's
+// snapshot and renders the whole exposition with one obs.WriteProm call.
+// State-derived families are not pre-registered: several change their
+// label values at runtime (placement, assigned BE, planner mode, budget
+// shares), and a registry never drops a series, so registered series
+// would go stale. Computing them per scrape also puts no work on the
+// tick or round path.
 
-// promEscape escapes a label value per the exposition format.
-func promEscape(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+// expo accumulates one exposition's series.
+type expo struct{ obs.Snapshot }
+
+func (e *expo) gauge(name, help string, v float64, labels ...obs.Label) {
+	e.Gauges = append(e.Gauges, obs.GaugeSnapshot{Name: name, Help: help, Labels: labels, Value: v})
 }
 
-// promWriter accumulates exposition lines.
-type promWriter struct {
-	w   io.Writer
-	err error
+func (e *expo) counter(name, help string, v float64, labels ...obs.Label) {
+	e.Counters = append(e.Counters, obs.CounterSnapshot{Name: name, Help: help, Labels: labels, Value: v})
 }
 
-func (p *promWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
+// add appends every series of a registry snapshot, each labelled with
+// prefix ahead of its own labels.
+func (e *expo) add(reg obs.Snapshot, prefix []obs.Label) {
+	for _, c := range reg.Counters {
+		c.Labels = with(prefix, c.Labels...)
+		e.Counters = append(e.Counters, c)
 	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
+	for _, g := range reg.Gauges {
+		g.Labels = with(prefix, g.Labels...)
+		e.Gauges = append(e.Gauges, g)
+	}
+	for _, h := range reg.Histograms {
+		h.Labels = with(prefix, h.Labels...)
+		e.Histograms = append(e.Histograms, h)
+	}
+	for _, h := range reg.ValueHistograms {
+		h.Labels = with(prefix, h.Labels...)
+		e.ValueHistograms = append(e.ValueHistograms, h)
+	}
 }
 
-// metric emits the HELP/TYPE header for a metric.
-func (p *promWriter) metric(name, typ, help string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// sample emits one sample line. Labels are "k=v" pairs already formatted;
-// pass nil for an unlabelled sample.
-func (p *promWriter) sample(name string, labels []string, value float64) {
+// with returns labels followed by more, never writing into labels'
+// backing array.
+func with(labels []obs.Label, more ...obs.Label) []obs.Label {
 	if len(labels) == 0 {
-		p.printf("%s %g\n", name, value)
-		return
+		return more
 	}
-	p.printf("%s{%s} %g\n", name, strings.Join(labels, ","), value)
+	return append(labels[:len(labels):len(labels)], more...)
 }
 
-func label(k, v string) string { return fmt.Sprintf("%s=%q", k, promEscape(v)) }
+func kv(k, v string) obs.Label { return obs.Label{Key: k, Value: v} }
 
-// writeAgentMetrics renders one agent snapshot.
-func writeAgentMetrics(w io.Writer, s StatsResponse) error {
-	p := &promWriter{w: w}
-	host := []string{label("agent", s.Agent), label("lc", s.LC)}
+// agentMetrics builds one agent's exposition from its stats snapshot and
+// its registry (the server manager's tick-phase and slack histograms).
+// Every series carries the agent and its LC app as its first labels.
+func agentMetrics(s StatsResponse, reg obs.Snapshot) obs.Snapshot {
+	var e expo
+	host := []obs.Label{kv("agent", s.Agent), kv("lc", s.LC)}
 
-	p.metric("pocolo_up", "gauge", "Whether the agent is serving (always 1 when scrapable).")
-	p.sample("pocolo_up", host, 1)
-
-	p.metric("pocolo_lc_offered_load_rps", "gauge", "Offered load of the latency-critical primary, requests/s.")
-	p.sample("pocolo_lc_offered_load_rps", host, s.OfferedLoad)
-
-	p.metric("pocolo_lc_slack_ratio", "gauge", "Relative p99 latency slack of the primary; negative means SLO violation.")
-	p.sample("pocolo_lc_slack_ratio", host, s.Slack)
-
-	p.metric("pocolo_lc_p99_ms", "gauge", "Observed p99 latency of the primary, milliseconds.")
-	p.sample("pocolo_lc_p99_ms", host, s.P99Ms)
-
-	p.metric("pocolo_power_watts", "gauge", "Latest power-meter reading, watts.")
-	p.sample("pocolo_power_watts", host, s.PowerW)
-
-	p.metric("pocolo_power_cap_watts", "gauge", "Power budget the capper enforces, watts.")
-	p.sample("pocolo_power_cap_watts", host, s.CapW)
-
-	p.metric("pocolo_be_throughput_ops", "gauge", "Instantaneous best-effort throughput, ops/s.")
-	p.sample("pocolo_be_throughput_ops", host, s.BEThroughput)
-
-	p.metric("pocolo_be_assigned", "gauge", "1 for the best-effort app currently placed on this server.")
+	e.gauge("pocolo_up", "Whether the agent is serving (always 1 when scrapable).", 1, host...)
+	e.gauge("pocolo_lc_offered_load_rps", "Offered load of the latency-critical primary, requests/s.", s.OfferedLoad, host...)
+	e.gauge("pocolo_lc_slack_ratio", "Relative p99 latency slack of the primary; negative means SLO violation.", s.Slack, host...)
+	e.gauge("pocolo_lc_p99_ms", "Observed p99 latency of the primary, milliseconds.", s.P99Ms, host...)
+	e.gauge("pocolo_power_watts", "Latest power-meter reading, watts.", s.PowerW, host...)
+	e.gauge("pocolo_power_cap_watts", "Power budget the capper enforces, watts.", s.CapW, host...)
+	e.gauge("pocolo_be_throughput_ops", "Instantaneous best-effort throughput, ops/s.", s.BEThroughput, host...)
 	if s.AssignedBE != "" {
-		p.sample("pocolo_be_assigned", append(append([]string{}, host...), label("be", s.AssignedBE)), 1)
+		e.gauge("pocolo_be_assigned", "1 for the best-effort app currently placed on this server.", 1, with(host, kv("be", s.AssignedBE))...)
 	}
-
-	p.metric("pocolo_lc_ops_total", "counter", "Latency-critical requests served.")
-	p.sample("pocolo_lc_ops_total", host, s.LCOps)
-
-	p.metric("pocolo_be_ops_total", "counter", "Best-effort operations completed.")
-	p.sample("pocolo_be_ops_total", host, s.BEOps)
-
-	p.metric("pocolo_be_ops_by_total", "counter", "Best-effort operations completed, by app.")
+	e.counter("pocolo_lc_ops_total", "Latency-critical requests served.", s.LCOps, host...)
+	e.counter("pocolo_be_ops_total", "Best-effort operations completed.", s.BEOps, host...)
 	for _, be := range sortedKeys(s.BEOpsBy) {
-		p.sample("pocolo_be_ops_by_total", append(append([]string{}, host...), label("be", be)), s.BEOpsBy[be])
+		e.counter("pocolo_be_ops_by_total", "Best-effort operations completed, by app.", s.BEOpsBy[be], with(host, kv("be", be))...)
 	}
-
-	p.metric("pocolo_control_ticks_total", "counter", "Server-manager control loop iterations.")
-	p.sample("pocolo_control_ticks_total", host, float64(s.ControlTicks))
-
-	p.metric("pocolo_cap_throttles_total", "counter", "Power-capper throttle actions.")
-	p.sample("pocolo_cap_throttles_total", host, float64(s.CapThrottles))
-
-	p.metric("pocolo_cap_restores_total", "counter", "Power-capper restore actions.")
-	p.sample("pocolo_cap_restores_total", host, float64(s.CapRestores))
-
-	p.metric("pocolo_be_throttles_total", "counter", "Capper interventions that actually moved a best-effort frequency or duty knob down.")
-	p.sample("pocolo_be_throttles_total", host, float64(s.BEThrottles))
-
-	p.metric("pocolo_be_restores_total", "counter", "Capper interventions that actually moved a best-effort frequency or duty knob up.")
-	p.sample("pocolo_be_restores_total", host, float64(s.BERestores))
-
-	p.metric("pocolo_planner_hits_total", "counter", "Allocation lookups served by the precomputed planner (cold cells).")
-	p.sample("pocolo_planner_hits_total", host, float64(s.PlannerHits))
-
-	p.metric("pocolo_planner_warm_total", "counter", "Allocation lookups served by warm-start cell reuse.")
-	p.sample("pocolo_planner_warm_total", host, float64(s.PlannerWarm))
-
-	p.metric("pocolo_planner_fallbacks_total", "counter", "Allocation lookups that fell back to the exact grid search.")
-	p.sample("pocolo_planner_fallbacks_total", host, float64(s.PlannerFallbacks))
-
-	p.metric("pocolo_planner_mode", "gauge", "Info metric: 1 for the allocation path the manager is configured with.")
+	e.counter("pocolo_control_ticks_total", "Server-manager control loop iterations.", float64(s.ControlTicks), host...)
+	e.counter("pocolo_cap_throttles_total", "Power-capper throttle actions.", float64(s.CapThrottles), host...)
+	e.counter("pocolo_cap_restores_total", "Power-capper restore actions.", float64(s.CapRestores), host...)
+	e.counter("pocolo_be_throttles_total", "Capper interventions that actually moved a best-effort frequency or duty knob down.", float64(s.BEThrottles), host...)
+	e.counter("pocolo_be_restores_total", "Capper interventions that actually moved a best-effort frequency or duty knob up.", float64(s.BERestores), host...)
+	e.counter("pocolo_planner_hits_total", "Allocation lookups served by the precomputed planner (cold cells).", float64(s.PlannerHits), host...)
+	e.counter("pocolo_planner_warm_total", "Allocation lookups served by warm-start cell reuse.", float64(s.PlannerWarm), host...)
+	e.counter("pocolo_planner_fallbacks_total", "Allocation lookups that fell back to the exact grid search.", float64(s.PlannerFallbacks), host...)
 	mode := "exact"
 	if s.PlannerOn {
 		mode = "planner"
 	}
-	p.sample("pocolo_planner_mode", append(append([]string{}, host...), label("mode", mode)), 1)
+	e.gauge("pocolo_planner_mode", "Info metric: 1 for the allocation path the manager is configured with.", 1, with(host, kv("mode", mode))...)
+	e.counter("pocolo_sim_seconds_total", "Simulated seconds advanced by the agent.", s.SimSec, host...)
 
-	p.metric("pocolo_sim_seconds_total", "counter", "Simulated seconds advanced by the agent.")
-	p.sample("pocolo_sim_seconds_total", host, s.SimSec)
-
-	return p.err
+	e.add(reg, host)
+	return e.Snapshot
 }
 
-// writeControllerMetrics renders a controller status snapshot.
-func writeControllerMetrics(w io.Writer, st Status) error {
-	p := &promWriter{w: w}
+// controllerMetrics builds the controller's exposition from its status,
+// its streaming-ingest counters, and its registry. The stream families
+// appear only once a heartbeat frame has arrived, so a polling
+// controller exposes none of them; the budget families appear only with
+// a budget tree.
+func controllerMetrics(st Status, s StreamStats, reg obs.Snapshot) obs.Snapshot {
+	var e expo
 
-	p.metric("pocolo_controller_agents", "gauge", "Configured agents by liveness.")
 	alive := 0
 	for _, a := range st.Agents {
 		if a.Alive {
 			alive++
 		}
 	}
-	p.sample("pocolo_controller_agents", []string{label("state", "alive")}, float64(alive))
-	p.sample("pocolo_controller_agents", []string{label("state", "dead")}, float64(len(st.Agents)-alive))
-
-	p.metric("pocolo_controller_agent_up", "gauge", "Per-agent liveness as seen by the controller.")
+	e.gauge("pocolo_controller_agents", "Configured agents by liveness.", float64(alive), kv("state", "alive"))
+	e.gauge("pocolo_controller_agents", "Configured agents by liveness.", float64(len(st.Agents)-alive), kv("state", "dead"))
 	for _, a := range st.Agents {
-		v := 0.0
-		if a.Alive {
-			v = 1
-		}
-		p.sample("pocolo_controller_agent_up", []string{label("agent", a.Name), label("url", a.URL)}, v)
+		e.gauge("pocolo_controller_agent_up", "Per-agent liveness as seen by the controller.", boolValue(a.Alive), kv("agent", a.Name), kv("url", a.URL))
 	}
-
-	p.metric("pocolo_controller_degraded", "gauge", "1 while serving the last-known-good placement instead of a fresh solve.")
-	v := 0.0
-	if st.Degraded {
-		v = 1
-	}
-	p.sample("pocolo_controller_degraded", nil, v)
-
-	p.metric("pocolo_controller_placement", "gauge", "Current placement: best-effort app to agent.")
+	e.gauge("pocolo_controller_degraded", "1 while serving the last-known-good placement instead of a fresh solve.", boolValue(st.Degraded))
 	for _, be := range sortedKeys(st.Placement) {
-		p.sample("pocolo_controller_placement", []string{label("be", be), label("agent", st.Placement[be])}, 1)
+		e.gauge("pocolo_controller_placement", "Current placement: best-effort app to agent.", 1, kv("be", be), kv("agent", st.Placement[be]))
+	}
+	e.gauge("pocolo_controller_unplaced_be", "Best-effort apps with no server to run on.", float64(len(st.Unplaced)))
+	e.counter("pocolo_controller_rounds_total", "Heartbeat rounds completed.", float64(st.Rounds))
+	e.counter("pocolo_controller_solves_total", "Placement re-solves performed.", float64(st.Solves))
+	e.counter("pocolo_controller_deaths_total", "Agents declared dead.", float64(st.Deaths))
+	e.counter("pocolo_controller_rejoins_total", "Dead agents that came back.", float64(st.Rejoins))
+
+	if s.Frames != 0 || s.Rejects != 0 {
+		e.counter("pocolo_controller_heartbeat_frames_total", "Heartbeat frames ingested, by frame type.", float64(s.Fulls), kv("type", "full"))
+		e.counter("pocolo_controller_heartbeat_frames_total", "Heartbeat frames ingested, by frame type.", float64(s.Deltas), kv("type", "delta"))
+		e.counter("pocolo_controller_heartbeat_stale_total", "Duplicate or reordered frames ignored.", float64(s.Stale))
+		e.counter("pocolo_controller_heartbeat_resyncs_total", "Frames answered with a resync demand.", float64(s.Resyncs))
+		e.counter("pocolo_controller_heartbeat_rejects_total", "Malformed frames rejected.", float64(s.Rejects))
+		e.counter("pocolo_controller_heartbeat_bytes_total", "Heartbeat wire bytes ingested.", float64(s.Bytes))
 	}
 
-	p.metric("pocolo_controller_unplaced_be", "gauge", "Best-effort apps with no server to run on.")
-	p.sample("pocolo_controller_unplaced_be", nil, float64(len(st.Unplaced)))
-
-	p.metric("pocolo_controller_rounds_total", "counter", "Heartbeat rounds completed.")
-	p.sample("pocolo_controller_rounds_total", nil, float64(st.Rounds))
-
-	p.metric("pocolo_controller_solves_total", "counter", "Placement re-solves performed.")
-	p.sample("pocolo_controller_solves_total", nil, float64(st.Solves))
-
-	p.metric("pocolo_controller_deaths_total", "counter", "Agents declared dead.")
-	p.sample("pocolo_controller_deaths_total", nil, float64(st.Deaths))
-
-	p.metric("pocolo_controller_rejoins_total", "counter", "Dead agents that came back.")
-	p.sample("pocolo_controller_rejoins_total", nil, float64(st.Rejoins))
-
-	return p.err
-}
-
-// writeStreamMetrics renders the streaming transport's heartbeat-ingest
-// counters. A polling controller writes nothing, so the poll exposition
-// is byte-identical to what it was before streaming existed.
-func writeStreamMetrics(w io.Writer, s StreamStats) error {
-	if s.Frames == 0 && s.Rejects == 0 {
-		return nil
-	}
-	p := &promWriter{w: w}
-
-	p.metric("pocolo_controller_heartbeat_frames_total", "counter", "Heartbeat frames ingested, by frame type.")
-	p.sample("pocolo_controller_heartbeat_frames_total", []string{label("type", "full")}, float64(s.Fulls))
-	p.sample("pocolo_controller_heartbeat_frames_total", []string{label("type", "delta")}, float64(s.Deltas))
-
-	p.metric("pocolo_controller_heartbeat_stale_total", "counter", "Duplicate or reordered frames ignored.")
-	p.sample("pocolo_controller_heartbeat_stale_total", nil, float64(s.Stale))
-
-	p.metric("pocolo_controller_heartbeat_resyncs_total", "counter", "Frames answered with a resync demand.")
-	p.sample("pocolo_controller_heartbeat_resyncs_total", nil, float64(s.Resyncs))
-
-	p.metric("pocolo_controller_heartbeat_rejects_total", "counter", "Malformed frames rejected.")
-	p.sample("pocolo_controller_heartbeat_rejects_total", nil, float64(s.Rejects))
-
-	p.metric("pocolo_controller_heartbeat_bytes_total", "counter", "Heartbeat wire bytes ingested.")
-	p.sample("pocolo_controller_heartbeat_bytes_total", nil, float64(s.Bytes))
-
-	return p.err
-}
-
-// writeBudgetMetrics renders the controller's budget-tree state. A nil
-// status (no budget tree configured) writes nothing, so unbudgeted
-// controllers expose no empty budget families.
-func writeBudgetMetrics(w io.Writer, b *BudgetStatus) error {
-	if b == nil {
-		return nil
-	}
-	p := &promWriter{w: w}
-
-	p.metric("pocolo_budget_node_watts", "gauge", "Current power budget of each tree node, watts.")
-	for _, n := range sortedKeys(b.NodeBudgets) {
-		p.sample("pocolo_budget_node_watts", []string{label("node", n)}, b.NodeBudgets[n])
-	}
-
-	p.metric("pocolo_budget_share_watts", "gauge", "Per-agent power cap installed by the last rebalance, watts.")
-	for _, n := range sortedKeys(b.Shares) {
-		p.sample("pocolo_budget_share_watts", []string{label("agent", n)}, b.Shares[n])
-	}
-
-	p.metric("pocolo_budget_rebalances_total", "counter", "Budget divisions installed across the fleet.")
-	p.sample("pocolo_budget_rebalances_total", nil, float64(b.Rebalances))
-
-	p.metric("pocolo_budget_brownouts_total", "counter", "Runtime budget cuts applied to the tree.")
-	p.sample("pocolo_budget_brownouts_total", nil, float64(b.Brownouts))
-
-	return p.err
-}
-
-// histogram emits the Prometheus histogram sample family for one
-// snapshot: cumulative _bucket samples with le labels (including +Inf),
-// then _sum and _count.
-func (p *promWriter) histogram(name string, labels []string, s trace.HistogramSnapshot) {
-	cum := s.Cumulative()
-	for i, b := range s.Bounds {
-		le := label("le", strconv.FormatFloat(b, 'g', -1, 64))
-		p.sample(name+"_bucket", append(append([]string{}, labels...), le), float64(cum[i]))
-	}
-	p.sample(name+"_bucket", append(append([]string{}, labels...), label("le", "+Inf")), float64(s.Count))
-	p.sample(name+"_sum", labels, s.Sum)
-	p.sample(name+"_count", labels, float64(s.Count))
-}
-
-// writeTraceMetrics renders a tracer's phase-duration and slack
-// histograms. Families with no samples yet are omitted entirely (an empty
-// histogram has no bucket layout to expose). A nil tracer writes nothing.
-func writeTraceMetrics(w io.Writer, agent, lc string, tr *trace.Tracer) error {
-	if tr == nil {
-		return nil
-	}
-	p := &promWriter{w: w}
-	host := []string{label("agent", agent)}
-	if lc != "" {
-		host = append(host, label("lc", lc))
-	}
-	spans := tr.SpanDurations()
-	if len(spans) > 0 {
-		p.metric("pocolo_tick_duration_seconds", "histogram", "Wall-clock duration of control-plane phases, by phase span.")
-		for _, phase := range sortedKeys(spans) {
-			if s := spans[phase]; s.Count > 0 {
-				p.histogram("pocolo_tick_duration_seconds", append(append([]string{}, host...), label("phase", phase)), s)
-			}
+	if b := st.Budget; b != nil {
+		for _, n := range sortedKeys(b.NodeBudgets) {
+			e.gauge("pocolo_budget_node_watts", "Current power budget of each tree node, watts.", b.NodeBudgets[n], kv("node", n))
 		}
+		for _, n := range sortedKeys(b.Shares) {
+			e.gauge("pocolo_budget_share_watts", "Per-agent power cap installed by the last rebalance, watts.", b.Shares[n], kv("agent", n))
+		}
+		e.counter("pocolo_budget_rebalances_total", "Budget divisions installed across the fleet.", float64(b.Rebalances))
+		e.counter("pocolo_budget_brownouts_total", "Runtime budget cuts applied to the tree.", float64(b.Brownouts))
 	}
-	if slack := tr.SlackDistribution(); slack.Count > 0 {
-		p.metric("pocolo_lc_slack_ratio_distribution", "histogram", "Distribution of the primary's per-control-tick latency slack.")
-		p.histogram("pocolo_lc_slack_ratio_distribution", host, slack)
+
+	e.add(reg, nil)
+	return e.Snapshot
+}
+
+func boolValue(b bool) float64 {
+	if b {
+		return 1
 	}
-	return p.err
+	return 0
 }
 
 // sortedKeys returns a map's keys sorted, for deterministic exposition.
@@ -289,312 +167,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// lintExposition validates a full Prometheus text exposition against the
-// subset of format 0.0.4 this package emits. It enforces that every
-// sample is preceded by exactly one HELP and one TYPE header for its
-// family, that declared types are known, that counter families end in
-// _total, that sample names match the declared family (histograms may
-// append _bucket/_sum/_count), that labels parse with promEscape-style
-// escaping, that every histogram bucket series is cumulative,
-// non-decreasing, with strictly ascending le bounds, and closed by an
-// le="+Inf" bucket equal to _count, and that a "# EOF" terminator (the
-// OpenMetrics end marker, optional since writer-level lints see partial
-// output) is the final non-empty line when present. The metrics golden
-// test runs it over the agent and controller handlers' complete output,
-// so any writer regression fails there.
-func lintExposition(text string) error {
-	type family struct {
-		typ           string
-		helped, typed bool
-		sampled       bool
-		count         map[string]float64 // _count value by non-le label signature
-		lastBucket    map[string]float64 // last cumulative bucket by signature
-		lastLE        map[string]float64 // last finite le bound by signature
-		hasLE         map[string]bool
-		sawInf        map[string]bool
-	}
-	families := make(map[string]*family)
-	get := func(name string) *family {
-		f := families[name]
-		if f == nil {
-			f = &family{
-				count:      make(map[string]float64),
-				lastBucket: make(map[string]float64),
-				lastLE:     make(map[string]float64),
-				hasLE:      make(map[string]bool),
-				sawInf:     make(map[string]bool),
-			}
-			families[name] = f
-		}
-		return f
-	}
-	current := ""
-	sawEOF := false
-	for i, line := range strings.Split(text, "\n") {
-		ln := i + 1
-		if line == "" {
-			continue
-		}
-		if sawEOF {
-			return fmt.Errorf("line %d: content after the # EOF terminator", ln)
-		}
-		if line == "# EOF" {
-			sawEOF = true
-			continue
-		}
-		if name, ok := strings.CutPrefix(line, "# HELP "); ok {
-			fields := strings.SplitN(name, " ", 2)
-			if len(fields) != 2 || fields[1] == "" {
-				return fmt.Errorf("line %d: HELP without text", ln)
-			}
-			f := get(fields[0])
-			if f.helped {
-				return fmt.Errorf("line %d: duplicate HELP for %s", ln, fields[0])
-			}
-			if f.sampled {
-				return fmt.Errorf("line %d: HELP for %s after its samples", ln, fields[0])
-			}
-			f.helped = true
-			current = fields[0]
-			continue
-		}
-		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			fields := strings.SplitN(name, " ", 2)
-			if len(fields) != 2 {
-				return fmt.Errorf("line %d: TYPE without a type", ln)
-			}
-			switch fields[1] {
-			case "counter", "gauge", "histogram", "summary", "untyped":
-			default:
-				return fmt.Errorf("line %d: unknown type %q", ln, fields[1])
-			}
-			f := get(fields[0])
-			if f.typed {
-				return fmt.Errorf("line %d: duplicate TYPE for %s", ln, fields[0])
-			}
-			if f.sampled {
-				return fmt.Errorf("line %d: TYPE for %s after its samples", ln, fields[0])
-			}
-			if fields[1] == "counter" && !strings.HasSuffix(fields[0], "_total") {
-				return fmt.Errorf("line %d: counter %s lacks the _total suffix", ln, fields[0])
-			}
-			f.typ = fields[1]
-			f.typed = true
-			current = fields[0]
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue // comment
-		}
-		name, labels, value, err := parseSample(line)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", ln, err)
-		}
-		base := name
-		suffix := ""
-		if current != "" && name != current && strings.HasPrefix(name, current+"_") {
-			base, suffix = current, strings.TrimPrefix(name, current)
-		}
-		f, ok := families[base]
-		if !ok || base != current {
-			return fmt.Errorf("line %d: sample %s outside its family's header block", ln, name)
-		}
-		if !f.helped || !f.typed {
-			return fmt.Errorf("line %d: sample %s before both HELP and TYPE", ln, name)
-		}
-		f.sampled = true
-		switch f.typ {
-		case "histogram":
-			sig := labelSignature(labels, "le")
-			switch suffix {
-			case "_bucket":
-				le, ok := labels["le"]
-				if !ok {
-					return fmt.Errorf("line %d: histogram bucket without le label", ln)
-				}
-				if value < f.lastBucket[sig] {
-					return fmt.Errorf("line %d: bucket counts of %s{%s} decrease", ln, base, sig)
-				}
-				f.lastBucket[sig] = value
-				if le == "+Inf" {
-					f.sawInf[sig] = true
-				} else if bound, err := strconv.ParseFloat(le, 64); err != nil {
-					return fmt.Errorf("line %d: unparsable le bound %q", ln, le)
-				} else if f.sawInf[sig] {
-					return fmt.Errorf("line %d: finite bucket after le=\"+Inf\" in %s{%s}", ln, base, sig)
-				} else if f.hasLE[sig] && bound <= f.lastLE[sig] {
-					return fmt.Errorf("line %d: le bound %q of %s{%s} not strictly ascending (previous %g)", ln, le, base, sig, f.lastLE[sig])
-				} else {
-					f.lastLE[sig] = bound
-					f.hasLE[sig] = true
-				}
-			case "_sum":
-			case "_count":
-				f.count[sig] = value
-			default:
-				return fmt.Errorf("line %d: histogram sample %s is not _bucket/_sum/_count", ln, name)
-			}
-		default:
-			if suffix != "" {
-				return fmt.Errorf("line %d: sample %s does not match family %s", ln, name, base)
-			}
-			if f.typ == "counter" && value < 0 {
-				return fmt.Errorf("line %d: negative counter %s", ln, name)
-			}
-		}
-	}
-	for name, f := range families {
-		if f.typ != "histogram" || !f.sampled {
-			continue
-		}
-		for sig, last := range f.lastBucket {
-			if !f.sawInf[sig] {
-				return fmt.Errorf("histogram %s{%s} has no le=\"+Inf\" bucket", name, sig)
-			}
-			if c, ok := f.count[sig]; !ok {
-				return fmt.Errorf("histogram %s{%s} has no _count", name, sig)
-			} else if c != last {
-				return fmt.Errorf("histogram %s{%s}: +Inf bucket %g != _count %g", name, sig, last, c)
-			}
-		}
-	}
-	return nil
-}
-
-// parseSample splits one exposition sample line into its name, decoded
-// labels, and value, rejecting malformed names, labels, and escapes.
-func parseSample(line string) (string, map[string]string, float64, error) {
-	nameEnd := strings.IndexAny(line, "{ ")
-	if nameEnd <= 0 {
-		return "", nil, 0, fmt.Errorf("malformed sample %q", line)
-	}
-	name := line[:nameEnd]
-	if !validMetricName(name) {
-		return "", nil, 0, fmt.Errorf("invalid metric name %q", name)
-	}
-	rest := line[nameEnd:]
-	labels := make(map[string]string)
-	if rest[0] == '{' {
-		end, err := parseLabels(rest, labels)
-		if err != nil {
-			return "", nil, 0, fmt.Errorf("sample %s: %w", name, err)
-		}
-		rest = rest[end:]
-	}
-	valueStr := strings.TrimSpace(rest)
-	value, err := strconv.ParseFloat(valueStr, 64)
-	if err != nil {
-		return "", nil, 0, fmt.Errorf("sample %s: unparsable value %q", name, valueStr)
-	}
-	return name, labels, value, nil
-}
-
-// parseLabels decodes a {k="v",...} label block starting at s[0] == '{',
-// returning the index just past the closing brace. Escapes follow the
-// exposition format (the inverse of promEscape): \\, \", and \n.
-func parseLabels(s string, out map[string]string) (int, error) {
-	i := 1 // past '{'
-	for {
-		if i >= len(s) {
-			return 0, fmt.Errorf("unterminated label block")
-		}
-		if s[i] == '}' {
-			return i + 1, nil
-		}
-		eq := strings.IndexByte(s[i:], '=')
-		if eq < 0 {
-			return 0, fmt.Errorf("label without '='")
-		}
-		key := s[i : i+eq]
-		if !validLabelName(key) {
-			return 0, fmt.Errorf("invalid label name %q", key)
-		}
-		i += eq + 1
-		if i >= len(s) || s[i] != '"' {
-			return 0, fmt.Errorf("label %s: unquoted value", key)
-		}
-		i++
-		var val strings.Builder
-		for {
-			if i >= len(s) {
-				return 0, fmt.Errorf("label %s: unterminated value", key)
-			}
-			c := s[i]
-			if c == '"' {
-				i++
-				break
-			}
-			if c == '\\' {
-				if i+1 >= len(s) {
-					return 0, fmt.Errorf("label %s: dangling escape", key)
-				}
-				switch s[i+1] {
-				case '\\':
-					val.WriteByte('\\')
-				case '"':
-					val.WriteByte('"')
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					return 0, fmt.Errorf("label %s: bad escape \\%c", key, s[i+1])
-				}
-				i += 2
-				continue
-			}
-			val.WriteByte(c)
-			i++
-		}
-		if _, dup := out[key]; dup {
-			return 0, fmt.Errorf("duplicate label %s", key)
-		}
-		out[key] = val.String()
-		if i < len(s) && s[i] == ',' {
-			i++
-		}
-	}
-}
-
-// labelSignature renders a deterministic label-set key, skipping the
-// named label (le, so all buckets of one series share a signature).
-func labelSignature(labels map[string]string, skip string) string {
-	parts := make([]string, 0, len(labels))
-	for _, k := range sortedKeys(labels) {
-		if k == skip {
-			continue
-		}
-		parts = append(parts, label(k, labels[k]))
-	}
-	return strings.Join(parts, ",")
-}
-
-func validMetricName(s string) bool {
-	for i, c := range s {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return s != ""
-}
-
-func validLabelName(s string) bool {
-	for i, c := range s {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return s != ""
 }

@@ -26,6 +26,10 @@ type ctlObs struct {
 	roundSLO *obs.SLO       // slo="round"
 	staleSLO *obs.SLO       // slo="staleness"
 
+	// placement phases: pocolo_tick_duration_seconds{agent="controller"},
+	// the family the agents' server managers time their ticks into
+	buildMatrix, solve *obs.Histogram
+
 	// heartbeat ingest (streaming transport)
 	decode                                  *obs.Histogram // pocolo_obs_heartbeat_decode_seconds
 	vFull, vDelta, vStale, vResync, vReject *obs.Counter   // verdict-labeled frames
@@ -62,6 +66,11 @@ func newCtlObs(reg *obs.Registry, poll bool, nPods int, roundDeadline, staleLimi
 			"Wall-clock duration of the controller's budget-tree divisions."),
 		headroom: make(map[string]*obs.Gauge),
 	}
+	phase := func(name string) *obs.Histogram {
+		return reg.Histogram("pocolo_tick_duration_seconds", "Wall-clock duration of control-plane phases, by phase span.",
+			obs.Label{Key: "agent", Value: "controller"}, obs.Label{Key: "phase", Value: name})
+	}
+	o.buildMatrix, o.solve = phase("build_matrix"), phase("solve")
 	if poll {
 		o.pollFast = reg.Counter("pocolo_obs_poll_decode_total", "Poll probe bodies by decode path.", obs.Label{Key: "path", Value: "fast"})
 		o.pollFallback = reg.Counter("pocolo_obs_poll_decode_total", "Poll probe bodies by decode path.", obs.Label{Key: "path", Value: "fallback"})
@@ -86,6 +95,23 @@ func (o *ctlObs) headroomGauge(name string) *obs.Gauge {
 		o.headroom[name] = g
 	}
 	return g
+}
+
+// buildTimer and solveTimer time the controller's matrix-build and solve
+// phases. An unobserved controller gets the zero timer, which reads no
+// clock.
+func (o *ctlObs) buildTimer() obs.Timer {
+	if o == nil {
+		return obs.Timer{}
+	}
+	return o.buildMatrix.Start()
+}
+
+func (o *ctlObs) solveTimer() obs.Timer {
+	if o == nil {
+		return obs.Timer{}
+	}
+	return o.solve.Start()
 }
 
 // observeRound records one round's measured duration against the
@@ -225,9 +251,9 @@ func (c *Controller) Top() TopSnapshot {
 			p := labelValue(cs.Labels, "pod")
 			switch cs.Name {
 			case "pocolo_obs_batch_dirty_total":
-				dirtyByPod[p] = cs.Value
+				dirtyByPod[p] = int64(cs.Value)
 			case "pocolo_obs_batch_rounds_total":
-				roundsByPod[p] = cs.Value
+				roundsByPod[p] = int64(cs.Value)
 			}
 		}
 		if roundHist != nil {

@@ -334,13 +334,13 @@ func TestPollDecodeCounter(t *testing.T) {
 		"http://fallback": []byte(`{"agent":"fallback","lc":"xapian","extra":1}`),
 	}, reg)
 	ctl.Round(context.Background())
-	got := map[string]int64{}
+	got := map[string]float64{}
 	for _, cs := range reg.Snapshot().Counters {
 		if cs.Name == "pocolo_obs_poll_decode_total" {
 			got[labelValue(cs.Labels, "path")] = cs.Value
 		}
 	}
-	if want := map[string]int64{"fast": 1, "fallback": 1}; !reflect.DeepEqual(got, want) {
+	if want := map[string]float64{"fast": 1, "fallback": 1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("pocolo_obs_poll_decode_total = %v, want %v", got, want)
 	}
 	for _, a := range ctl.Status().Agents {

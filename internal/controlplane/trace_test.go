@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"pocolo/internal/machine"
+	"pocolo/internal/obs"
 	"pocolo/internal/trace"
 	"pocolo/internal/workload"
 )
@@ -152,8 +153,8 @@ func TestAgentTraceDisabled(t *testing.T) {
 
 // TestMetricsExpositionLints drives a traced agent, scrapes /metrics, and
 // lints the complete exposition — stats gauges and counters plus the
-// tick-duration and slack histograms — then does the same for a
-// controller exposition.
+// tick-duration and slack histograms — then does the same for an
+// observed controller's exposition.
 func TestMetricsExpositionLints(t *testing.T) {
 	a := newTestAgent(t, "agent-lint", "img-dnn", "graph")
 	if err := a.Assign("graph"); err != nil {
@@ -191,6 +192,7 @@ func TestMetricsExpositionLints(t *testing.T) {
 		Timeout:   2 * time.Second,
 		Seed:      1,
 		Trace:     trace.New("controller", 0),
+		Obs:       obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +242,7 @@ func TestAgentMetricsGolden(t *testing.T) {
 		SimSec:            300,
 	}
 	var buf bytes.Buffer
-	if err := writeAgentMetrics(&buf, s); err != nil {
+	if err := obs.WriteProm(&buf, agentMetrics(s, obs.Snapshot{})); err != nil {
 		t.Fatal(err)
 	}
 	if err := lintExposition(buf.String()); err != nil {

@@ -73,6 +73,43 @@ func BenchmarkObsHistogramOnParallel(b *testing.B) {
 	})
 }
 
+// benchSlackBounds is the server manager's slack ladder, the value
+// histogram's production layout.
+var benchSlackBounds = []float64{-0.5, -0.25, -0.1, -0.05, 0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5}
+
+func BenchmarkObsValueHistogramOff(b *testing.B) {
+	var h *ValueHistogram
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Observe(float64(i&15)*0.05 - 0.2)
+	}
+}
+
+func BenchmarkObsValueHistogramOn(b *testing.B) {
+	h := NewRegistry().ValueHistogram("pocolo_obs_bench_ratio", "bench", benchSlackBounds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(float64(i&15)*0.05 - 0.2)
+	}
+	if got := h.Snapshot().Count; got != uint64(b.N) {
+		b.Fatalf("lost observations: %d != %d", got, b.N)
+	}
+}
+
+func BenchmarkObsValueHistogramOnParallel(b *testing.B) {
+	h := NewRegistry().ValueHistogram("pocolo_obs_bench_par_ratio", "bench", benchSlackBounds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			h.Observe(float64(i&15)*0.05 - 0.2)
+			i++
+		}
+	})
+}
+
 func BenchmarkObsSnapshot(b *testing.B) {
 	reg := NewRegistry()
 	for i := 0; i < 16; i++ {

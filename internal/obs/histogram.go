@@ -212,3 +212,95 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	}
 	return 0
 }
+
+// Timer times one call into a duration histogram, like trace.Span: Start
+// reads the clock, Stop records the elapsed time. The zero Timer (from a
+// nil histogram) reads no clock and records nothing.
+type Timer struct {
+	h     *Histogram
+	start time.Time
+}
+
+// Start begins timing one call.
+func (h *Histogram) Start() Timer {
+	if h == nil {
+		return Timer{}
+	}
+	return Timer{h: h, start: time.Now()}
+}
+
+// Stop records the time since Start.
+func (t Timer) Stop() {
+	if t.h != nil {
+		t.h.ObserveDuration(time.Since(t.start))
+	}
+}
+
+// ValueHistogram is a fixed-bound histogram over plain float64 values —
+// ratios, watts — that the nanosecond ladder does not fit. Each bucket
+// counts observations at or below its upper bound, and one overflow
+// bucket counts the rest. Bounds are fixed at registration, so Observe is
+// a short scan plus two atomic updates and never allocates. It is not
+// striped: its callers observe at control-loop rates, not per frame.
+type ValueHistogram struct {
+	bounds []float64       // strictly increasing upper bounds
+	counts []atomic.Uint64 // len(bounds)+1; the last is the overflow bucket
+	sum    atomic.Uint64   // float64 bits
+}
+
+func newValueHistogram(bounds []float64) *ValueHistogram {
+	return &ValueHistogram{
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]atomic.Uint64, len(bounds)+1),
+	}
+}
+
+// Observe records one value.
+func (h *ValueHistogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
+	}
+	h.counts[i].Add(1)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
+}
+
+// ValueHistogramSnapshot is one value histogram series at read time.
+// Counts are per bucket, not cumulative: Counts[i] holds the observations
+// in (Bounds[i-1], Bounds[i]], and the final entry the ones above the last
+// bound.
+type ValueHistogramSnapshot struct {
+	Name   string    `json:"name"`
+	Help   string    `json:"help,omitempty"`
+	Labels []Label   `json:"labels,omitempty"`
+	Bounds []float64 `json:"bounds"`
+	Counts []uint64  `json:"counts"`
+	Count  uint64    `json:"count"`
+	Sum    float64   `json:"sum"`
+}
+
+// Snapshot copies the bucket counts and sum. The result carries no
+// name/labels; the registry stamps those.
+func (h *ValueHistogram) Snapshot() ValueHistogramSnapshot {
+	if h == nil {
+		return ValueHistogramSnapshot{}
+	}
+	snap := ValueHistogramSnapshot{
+		Bounds: append([]float64(nil), h.bounds...),
+		Counts: make([]uint64, len(h.counts)),
+		Sum:    math.Float64frombits(h.sum.Load()),
+	}
+	for i := range h.counts {
+		snap.Counts[i] = h.counts[i].Load()
+		snap.Count += snap.Counts[i]
+	}
+	return snap
+}

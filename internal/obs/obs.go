@@ -1,15 +1,16 @@
 // Package obs is the cluster-wide observability core: a zero-allocation
-// metrics substrate (counters, gauges, log-linear latency histograms)
-// designed for the control plane's hot paths. Where package trace answers
-// "why did the controller do that", obs answers "is the fleet healthy" —
-// round latency percentiles, heartbeat staleness watermarks, budget
-// headroom, SLO burn rates.
+// metrics substrate (counters, gauges, log-linear latency histograms,
+// fixed-bound value histograms) designed for the control plane's hot
+// paths, and the one Prometheus writer every /metrics endpoint renders
+// through. Where package trace answers "why did the controller do that",
+// obs answers "is the fleet healthy" — round latency percentiles,
+// heartbeat staleness watermarks, budget headroom, SLO burn rates.
 //
-// The write path is lock-free and allocation-free: every metric stripes
-// its state across cache-line-padded shards and picks a shard from a hash
-// of the calling goroutine's stack address, so concurrent writers on
-// different goroutines land on different cache lines with no pinning and
-// no mutex. Reads are snapshot-on-read: a Snapshot sums the shards into
+// The write path is lock-free and allocation-free: counters and duration
+// histograms stripe their state across cache-line-padded shards and pick
+// a shard from a hash of the calling goroutine's stack address, so
+// concurrent writers on different goroutines land on different cache
+// lines with no pinning and no mutex. Reads are snapshot-on-read: a Snapshot sums the shards into
 // plain values, and snapshots with identical bucket layouts merge, which
 // is how pocolo-top folds many agents' histograms into one fleet view.
 //
@@ -136,13 +137,14 @@ type series struct {
 	ctr    *Counter
 	gauge  *Gauge
 	hist   *Histogram
+	vhist  *ValueHistogram
 }
 
 // family groups the series sharing one metric name.
 type family struct {
 	name   string
 	help   string
-	kind   string // "counter" | "gauge" | "histogram"
+	kind   string // "counter" | "gauge" | "histogram" | "value histogram"
 	series []*series
 }
 
@@ -246,12 +248,32 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	return s.hist
 }
 
-// CounterSnapshot is one counter series at read time.
+// ValueHistogram returns the value histogram for (name, labels), creating
+// it over bounds on first use; later calls return the existing series and
+// ignore bounds. A value histogram family cannot share its name with a
+// duration histogram family.
+func (r *Registry) ValueHistogram(name, help string, bounds []float64, labels ...Label) *ValueHistogram {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, _ := r.register(name, help, "value histogram", labels)
+	if s.vhist == nil {
+		s.vhist = newValueHistogram(bounds)
+	}
+	return s.vhist
+}
+
+// CounterSnapshot is one counter series at read time. Value is a float so
+// that exposition-only counters of fractional quantities (operations
+// served, simulated seconds) render untruncated; registry counters are
+// whole numbers and marshal exactly as integers do.
 type CounterSnapshot struct {
 	Name   string  `json:"name"`
 	Help   string  `json:"help,omitempty"`
 	Labels []Label `json:"labels,omitempty"`
-	Value  int64   `json:"value"`
+	Value  float64 `json:"value"`
 }
 
 // GaugeSnapshot is one gauge series at read time.
@@ -266,9 +288,10 @@ type GaugeSnapshot struct {
 // ordered (families sorted by name, series by label signature), safe to
 // marshal, diff, and merge across processes.
 type Snapshot struct {
-	Counters   []CounterSnapshot   `json:"counters,omitempty"`
-	Gauges     []GaugeSnapshot     `json:"gauges,omitempty"`
-	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
+	Counters        []CounterSnapshot        `json:"counters,omitempty"`
+	Gauges          []GaugeSnapshot          `json:"gauges,omitempty"`
+	Histograms      []HistogramSnapshot      `json:"histograms,omitempty"`
+	ValueHistograms []ValueHistogramSnapshot `json:"value_histograms,omitempty"`
 }
 
 // Snapshot sums every metric's shards into a point-in-time view. Nil
@@ -286,7 +309,7 @@ func (r *Registry) Snapshot() Snapshot {
 			switch {
 			case s.ctr != nil:
 				snap.Counters = append(snap.Counters, CounterSnapshot{
-					Name: f.name, Help: f.help, Labels: s.labels, Value: s.ctr.Value(),
+					Name: f.name, Help: f.help, Labels: s.labels, Value: float64(s.ctr.Value()),
 				})
 			case s.gauge != nil:
 				snap.Gauges = append(snap.Gauges, GaugeSnapshot{
@@ -296,6 +319,10 @@ func (r *Registry) Snapshot() Snapshot {
 				hs := s.hist.Snapshot()
 				hs.Name, hs.Help, hs.Labels = f.name, f.help, s.labels
 				snap.Histograms = append(snap.Histograms, hs)
+			case s.vhist != nil:
+				vs := s.vhist.Snapshot()
+				vs.Name, vs.Help, vs.Labels = f.name, f.help, s.labels
+				snap.ValueHistograms = append(snap.ValueHistograms, vs)
 			}
 		}
 	}

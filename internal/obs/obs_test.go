@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -31,7 +32,7 @@ func TestCounterConcurrentSum(t *testing.T) {
 	if got := c.Value(); got != workers*per {
 		t.Fatalf("counter sum = %d, want %d", got, workers*per)
 	}
-	if c.Value() != reg.Snapshot().Counters[0].Value {
+	if float64(c.Value()) != reg.Snapshot().Counters[0].Value {
 		t.Fatalf("snapshot disagrees with Value")
 	}
 }
@@ -213,6 +214,139 @@ func TestWritePromShape(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("empty histogram produced output:\n%s", buf.String())
+	}
+}
+
+func TestWritePromGroupsFamilies(t *testing.T) {
+	snap := Snapshot{
+		Counters: []CounterSnapshot{
+			{Name: "pocolo_obs_b_total", Help: "B.", Labels: []Label{{"x", "1"}}, Value: 2.5},
+			{Name: "pocolo_obs_a_total", Help: "A.", Value: 1},
+			{Name: "pocolo_obs_b_total", Help: "B.", Labels: []Label{{"x", "2"}}, Value: 3},
+		},
+		Gauges: []GaugeSnapshot{{Name: "pocolo_obs_g", Help: "G.", Value: 4}},
+	}
+	var buf bytes.Buffer
+	if err := WriteProm(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP pocolo_obs_b_total B.
+# TYPE pocolo_obs_b_total counter
+pocolo_obs_b_total{x="1"} 2.5
+pocolo_obs_b_total{x="2"} 3
+# HELP pocolo_obs_a_total A.
+# TYPE pocolo_obs_a_total counter
+pocolo_obs_a_total 1
+# HELP pocolo_obs_g G.
+# TYPE pocolo_obs_g gauge
+pocolo_obs_g 4
+`
+	if buf.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
+func TestValueHistogram(t *testing.T) {
+	reg := NewRegistry()
+	bounds := []float64{-0.25, 0, 0.25}
+	h := reg.ValueHistogram("pocolo_obs_slack_ratio", "Slack.", bounds, Label{"host", "h0"})
+	if again := reg.ValueHistogram("pocolo_obs_slack_ratio", "Slack.", []float64{1}, Label{"host", "h0"}); again != h {
+		t.Fatal("same (name, labels) returned a distinct value histogram")
+	}
+	for _, v := range []float64{-0.5, -0.25, 0.125, 0.25, 0.25, 1} {
+		h.Observe(v)
+	}
+	snap := reg.Snapshot()
+	if len(snap.ValueHistograms) != 1 || len(snap.Histograms) != 0 {
+		t.Fatalf("snapshot holds %d value and %d duration histograms", len(snap.ValueHistograms), len(snap.Histograms))
+	}
+	s := snap.ValueHistograms[0]
+	if s.Name != "pocolo_obs_slack_ratio" || len(s.Labels) != 1 || s.Labels[0].Value != "h0" {
+		t.Fatalf("series identity = %+v", s)
+	}
+	if want := []uint64{2, 0, 3, 1}; !reflect.DeepEqual(s.Counts, want) || !reflect.DeepEqual(s.Bounds, bounds) {
+		t.Fatalf("bounds %v counts %v, want %v %v", s.Bounds, s.Counts, bounds, want)
+	}
+	if s.Count != 6 || s.Sum != 0.875 {
+		t.Fatalf("count=%d sum=%g, want 6 and 0.875", s.Count, s.Sum)
+	}
+	var buf bytes.Buffer
+	if err := WriteProm(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP pocolo_obs_slack_ratio Slack.
+# TYPE pocolo_obs_slack_ratio histogram
+pocolo_obs_slack_ratio_bucket{host="h0",le="-0.25"} 2
+pocolo_obs_slack_ratio_bucket{host="h0",le="0"} 2
+pocolo_obs_slack_ratio_bucket{host="h0",le="0.25"} 5
+pocolo_obs_slack_ratio_bucket{host="h0",le="+Inf"} 6
+pocolo_obs_slack_ratio_sum{host="h0"} 0.875
+pocolo_obs_slack_ratio_count{host="h0"} 6
+`
+	if buf.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", buf.String(), want)
+	}
+
+	// Empty value histograms render nothing; nil ones record nothing.
+	buf.Reset()
+	empty := NewRegistry()
+	empty.ValueHistogram("pocolo_obs_empty_ratio", "Empty.", bounds)
+	if err := WriteProm(&buf, empty.Snapshot()); err != nil || buf.Len() != 0 {
+		t.Fatalf("empty value histogram rendered %q (err %v)", buf.String(), err)
+	}
+	var nilReg *Registry
+	nh := nilReg.ValueHistogram("x", "h", bounds)
+	nh.Observe(1)
+	if nh != nil || nh.Snapshot().Count != 0 {
+		t.Fatal("nil value histogram not inert")
+	}
+}
+
+// TestValueHistogramConcurrent races Observe against Snapshot. CI runs
+// it under -race -count=10.
+func TestValueHistogramConcurrent(t *testing.T) {
+	h := NewRegistry().ValueHistogram("pocolo_obs_race_ratio", "Race.", []float64{0, 1, 2})
+	const writers, per = 4, 2000
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := h.Snapshot()
+			var total uint64
+			for _, c := range s.Counts {
+				total += c
+			}
+			if total != s.Count {
+				t.Errorf("snapshot bucket total %d != count %d", total, s.Count)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				h.Observe(float64(w)) // writer w lands in bucket w (3 overflows)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	s := h.Snapshot()
+	if want := []uint64{per, per, per, per}; !reflect.DeepEqual(s.Counts, want) {
+		t.Fatalf("counts = %v, want %v", s.Counts, want)
+	}
+	if want := float64(per * (0 + 1 + 2 + 3)); s.Count != writers*per || s.Sum != want {
+		t.Fatalf("count=%d sum=%g, want %d and %g", s.Count, s.Sum, writers*per, want)
 	}
 }
 

@@ -104,12 +104,17 @@ type Config struct {
 	// host/trial evaluating the same (model, caps) pair.
 	Plans *utility.PlanCache
 	// Tracer, when non-nil, receives one ControlDecision per control tick,
-	// one CapAction per capper knob movement, and tick-phase spans. A nil
-	// tracer disables tracing at the cost of a nil check per site.
+	// one CapAction per capper knob movement, and tick-phase span events.
+	// A nil tracer disables tracing at the cost of a nil check per site.
 	Tracer *trace.Tracer
-	// Obs, when non-nil, receives per-phase tick duration histograms
-	// (pocolo_obs_manager_tick_seconds{phase="control"|"cap"}). The
-	// histograms merge across managers, giving fleet-wide phase timing.
+	// Obs, when non-nil, receives the tick-phase duration histograms
+	// pocolo_tick_duration_seconds{phase="control_tick"|"cap_tick"} and
+	// the LC slack distribution pocolo_lc_slack_ratio_distribution (one
+	// observation per control tick, over fixed slack bounds). A
+	// controlplane agent passes its own registry here and renders both on
+	// its /metrics. The duration histograms merge across managers, giving
+	// fleet-wide phase timing. A nil registry records nothing and reads no
+	// clock.
 	Obs *obs.Registry
 }
 
@@ -183,9 +188,11 @@ type Manager struct {
 	tracer   *trace.Tracer
 	lastPath string
 
-	// tick-phase duration histograms (nil = disabled, zero cost)
+	// tick-phase duration histograms and the slack distribution (nil =
+	// disabled, zero cost)
 	obsControl *obs.Histogram
 	obsCap     *obs.Histogram
+	obsSlack   *obs.ValueHistogram
 
 	// counters for introspection and tests
 	controlTicks int
@@ -202,6 +209,18 @@ type Manager struct {
 }
 
 const maxBoost = 4
+
+// The tick-phase duration family, shared with the controller's own
+// build_matrix and solve phases.
+const (
+	tickMetric = "pocolo_tick_duration_seconds"
+	tickHelp   = "Wall-clock duration of control-plane phases, by phase span."
+)
+
+// slackBounds are the upper bounds of the LC slack distribution's
+// buckets. Negative slack is an SLO violation; the target region is
+// ~[0, 0.2].
+var slackBounds = []float64{-0.5, -0.25, -0.1, -0.05, 0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5}
 
 // DutyFloor is the lowest duty cycle the power capper will impose on the
 // best-effort partition. At the floor (and at the platform's minimum
@@ -244,12 +263,10 @@ func New(cfg Config) (*Manager, error) {
 		tracer:        cfg.Tracer,
 	}
 	if cfg.Obs != nil {
-		m.obsControl = cfg.Obs.Histogram("pocolo_obs_manager_tick_seconds",
-			"Wall-clock duration of server-manager ticks by phase.",
-			obs.Label{Key: "phase", Value: "control"})
-		m.obsCap = cfg.Obs.Histogram("pocolo_obs_manager_tick_seconds",
-			"Wall-clock duration of server-manager ticks by phase.",
-			obs.Label{Key: "phase", Value: "cap"})
+		m.obsControl = cfg.Obs.Histogram(tickMetric, tickHelp, obs.Label{Key: "phase", Value: "control_tick"})
+		m.obsCap = cfg.Obs.Histogram(tickMetric, tickHelp, obs.Label{Key: "phase", Value: "cap_tick"})
+		m.obsSlack = cfg.Obs.ValueHistogram("pocolo_lc_slack_ratio_distribution",
+			"Distribution of the primary's per-control-tick latency slack.", slackBounds)
 	}
 	if m.rng == nil {
 		m.rng = rand.New(rand.NewSource(cfg.Seed))
@@ -397,16 +414,13 @@ func (m *Manager) feasibleAlloc(target float64) (cores, ways int, ok bool) {
 
 // ControlTick runs one iteration of the 1 s LC allocation loop.
 func (m *Manager) ControlTick(now time.Time) {
-	if m.obsControl != nil {
-		start := time.Now()
-		defer func() { m.obsControl.ObserveDuration(time.Since(start)) }()
-	}
+	defer m.obsControl.Start().Stop()
 	sp := m.tracer.StartSpan("control_tick")
 	m.controlTicks++
 	cfg := m.host.Machine()
 	load := m.host.OfferedLoad()
 	slack := m.host.Slack()
-	m.tracer.ObserveSlack(slack)
+	m.obsSlack.Observe(slack)
 
 	// Feedback integrator: starve → boost, comfortable → relax. The model
 	// target already encodes the slack guard (profiling measured max load
@@ -683,10 +697,7 @@ func (m *Manager) CapTick(now time.Time) {
 	if len(bes) == 0 {
 		return
 	}
-	if m.obsCap != nil {
-		start := time.Now()
-		defer func() { m.obsCap.ObserveDuration(time.Since(start)) }()
-	}
+	defer m.obsCap.Start().Stop()
 	sp := m.tracer.StartFineSpan("cap_tick")
 	cfg := m.host.Machine()
 	srv := m.host.Server()

@@ -1,17 +1,19 @@
 // Package trace is the decision-tracing subsystem: a low-overhead,
-// ring-buffered structured event log plus span timing, threaded through
-// every decision site of the two control loops and the cluster layer.
-// Where the Prometheus exposition answers "what is the state now", the
-// trace answers "why did the controller do that at t=42s" — every control
-// tick, capper intervention, placement, migration, degradation, and solve
-// is recorded as a typed event on a per-host timeline that exports to
-// JSONL and to the Chrome trace-event format (loadable in Perfetto or
-// chrome://tracing).
+// ring-buffered structured event log, threaded through every decision
+// site of the two control loops and the cluster layer. Where the
+// Prometheus exposition answers "what is the state now", the trace
+// answers "why did the controller do that at t=42s" — every control
+// tick, capper intervention, placement, migration, degradation, solve,
+// and timed phase (span) is recorded as a typed event on a per-host
+// timeline that exports to JSONL and to the Chrome trace-event format
+// (loadable in Perfetto or chrome://tracing). The package holds events
+// only; phase-duration and slack histograms are metrics and live in
+// package obs.
 //
-// The tracer is allocation-conscious: the ring is preallocated, recording
-// copies a flat Event value under a mutex, and every method is a no-op on
-// a nil *Tracer, so the disabled path costs a nil check and zero
-// allocations. Simulated timestamps (t_ns) are deterministic for seeded
+// The tracer is allocation-conscious: the ring grows geometrically to its
+// capacity, recording copies a flat Event value under a mutex, and every
+// method is a no-op on a nil *Tracer, so the disabled path costs a nil
+// check and zero allocations. Simulated timestamps (t_ns) are deterministic for seeded
 // runs; wall-clock fields (wall_ns, span dur_ns) are the only
 // nondeterministic content and the canonical JSONL form omits them, which
 // is what the deterministic-replay tests compare.

@@ -12,7 +12,6 @@ import (
 func fullTrace() []Event {
 	tr := New("host-a", 32)
 	sp := tr.StartSpan("control_tick")
-	tr.ObserveSlack(0.07)
 	tr.ControlDecision(at(1), sampleControl(1))
 	sp.End(at(1))
 	tr.CapAction(at(2), CapAction{PowerW: 121.5, CapW: 110, Action: ActionThrottleFreq, BEFreqGHz: 1.8, BEDuty: 1})

@@ -86,48 +86,3 @@ func (s *Set) Dropped() uint64 {
 	}
 	return total
 }
-
-// SpanDurations merges every child's phase-duration histograms by phase
-// name. Children always share the DurationBuckets ladder, so merges
-// cannot fail; a child with foreign bounds (possible only via direct
-// Histogram construction) is skipped.
-func (s *Set) SpanDurations() map[string]HistogramSnapshot {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	children := make([]*Tracer, 0, len(s.children))
-	for _, t := range s.children {
-		children = append(children, t)
-	}
-	s.mu.Unlock()
-	out := make(map[string]HistogramSnapshot)
-	for _, t := range children {
-		for name, snap := range t.SpanDurations() {
-			if merged, ok := out[name].Merge(snap); ok {
-				out[name] = merged
-			}
-		}
-	}
-	return out
-}
-
-// SlackDistribution merges every child's slack histogram.
-func (s *Set) SlackDistribution() HistogramSnapshot {
-	if s == nil {
-		return HistogramSnapshot{}
-	}
-	s.mu.Lock()
-	children := make([]*Tracer, 0, len(s.children))
-	for _, t := range s.children {
-		children = append(children, t)
-	}
-	s.mu.Unlock()
-	var out HistogramSnapshot
-	for _, t := range children {
-		if merged, ok := out.Merge(t.SlackDistribution()); ok {
-			out = merged
-		}
-	}
-	return out
-}

@@ -25,17 +25,12 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Migration(at(1), Placement{BE: "x264", Node: "b", From: "a"})
 	tr.Degradation(at(1), "all agents dead")
 	tr.SolveSummary(at(1), SolveSummary{Method: "lp", Rows: 2, Cols: 2})
-	tr.ObserveSlack(0.1)
-	tr.ObserveSpanSeconds("x", 0.001)
 	sp.End(at(1))
 	if tr.Events() != nil || tr.Len() != 0 || tr.Dropped() != 0 || tr.Host() != "" {
 		t.Fatal("nil tracer leaked state")
 	}
 	if ev, next := tr.EventsSince(0, 10); ev != nil || next != 0 {
 		t.Fatal("nil tracer EventsSince not empty")
-	}
-	if tr.SpanDurations() != nil || tr.SlackDistribution().Count != 0 {
-		t.Fatal("nil tracer histograms not empty")
 	}
 }
 
@@ -44,7 +39,6 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 	now := at(5)
 	allocs := testing.AllocsPerRun(200, func() {
 		sp := tr.StartSpan("control_tick")
-		tr.ObserveSlack(0.12)
 		tr.ControlDecision(now, sampleControl(1))
 		tr.CapAction(now, CapAction{PowerW: 120, CapW: 100, Action: ActionThrottleDuty})
 		sp.End(now)
@@ -122,7 +116,7 @@ func TestEventsSincePagination(t *testing.T) {
 	}
 }
 
-func TestSpanRecordsEventAndHistogram(t *testing.T) {
+func TestSpanRecordsEvent(t *testing.T) {
 	tr := New("h", 8)
 	sp := tr.StartSpan("control_tick")
 	time.Sleep(time.Millisecond)
@@ -133,45 +127,6 @@ func TestSpanRecordsEventAndHistogram(t *testing.T) {
 	}
 	if events[0].Span.Name != "control_tick" || events[0].Span.DurNS <= 0 {
 		t.Fatalf("span payload = %+v", events[0].Span)
-	}
-	hists := tr.SpanDurations()
-	h, ok := hists["control_tick"]
-	if !ok || h.Count != 1 || h.Sum <= 0 {
-		t.Fatalf("span histogram = %+v", hists)
-	}
-}
-
-func TestHistogramBucketsAndMerge(t *testing.T) {
-	h := NewHistogram(1, 2, 4)
-	for _, v := range []float64{0.5, 1, 1.5, 3, 100} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if want := []uint64{2, 1, 1, 1}; !reflect.DeepEqual(s.Counts, want) {
-		t.Fatalf("counts = %v, want %v", s.Counts, want)
-	}
-	if s.Count != 5 || s.Sum != 106 {
-		t.Fatalf("count=%d sum=%g", s.Count, s.Sum)
-	}
-	if want := []uint64{2, 3, 4, 5}; !reflect.DeepEqual(s.Cumulative(), want) {
-		t.Fatalf("cumulative = %v, want %v", s.Cumulative(), want)
-	}
-	merged, ok := s.Merge(s)
-	if !ok || merged.Count != 10 || merged.Counts[0] != 4 {
-		t.Fatalf("merge = %+v ok=%v", merged, ok)
-	}
-	if _, ok := s.Merge(NewHistogram(1, 2).Snapshot()); !ok {
-		t.Fatal("merging an empty snapshot should succeed")
-	}
-	other := NewHistogram(1, 3, 9)
-	other.Observe(2)
-	if _, ok := s.Merge(other.Snapshot()); ok {
-		t.Fatal("merge across mismatched bounds should fail")
-	}
-	var nilH *Histogram
-	nilH.Observe(1) // must not panic
-	if nilH.Snapshot().Count != 0 {
-		t.Fatal("nil histogram snapshot not empty")
 	}
 }
 
@@ -188,8 +143,6 @@ func TestSetMergesDeterministically(t *testing.T) {
 				tr := s.Tracer(host)
 				for i := 1; i <= 5; i++ {
 					tr.ControlDecision(at(int64(i)), sampleControl(i))
-					tr.ObserveSlack(0.1 * float64(i))
-					tr.ObserveSpanSeconds("control_tick", 1e-5)
 				}
 			}(host)
 		}
@@ -208,12 +161,6 @@ func TestSetMergesDeterministically(t *testing.T) {
 		t.Fatalf("merge order: %q %q %q", a[0].Host, a[1].Host, a[2].Host)
 	}
 	s := build()
-	if s.SlackDistribution().Count != 15 {
-		t.Fatalf("merged slack count = %d", s.SlackDistribution().Count)
-	}
-	if s.SpanDurations()["control_tick"].Count != 15 {
-		t.Fatalf("merged span count = %d", s.SpanDurations()["control_tick"].Count)
-	}
 	if s.Dropped() != 0 {
 		t.Fatalf("dropped = %d", s.Dropped())
 	}
@@ -245,7 +192,6 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 				sp := tr.StartSpan("cap_tick")
 				tr.CapAction(at(int64(i)), CapAction{PowerW: 100, CapW: 90, Action: ActionThrottleFreq, BEDuty: 1})
 				sp.End(at(int64(i)))
-				tr.ObserveSlack(float64(g))
 			}
 		}(g)
 	}
@@ -261,15 +207,15 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 			}
 			tr.Events()
 			tr.EventsSince(0, 8)
-			tr.SpanDurations()
-			tr.SlackDistribution()
+			tr.Dropped()
 		}
 	}()
 	writers.Wait()
 	close(stop)
 	<-readerDone
-	if got := tr.SlackDistribution().Count; got != 800 {
-		t.Fatalf("slack observations = %d, want 800", got)
+	// Each writer records a cap action and a span event per iteration.
+	if got := uint64(tr.Len()) + tr.Dropped(); got != 1600 {
+		t.Fatalf("retained + dropped events = %d, want 1600", got)
 	}
 	if tr.Len() != 64 {
 		t.Fatalf("ring length = %d, want 64", tr.Len())

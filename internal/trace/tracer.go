@@ -11,9 +11,10 @@ import (
 // events retain on the order of 20 minutes of decisions per host.
 const DefaultEvents = 4096
 
-// Tracer records structured events into a bounded ring and feeds
-// phase-duration and slack histograms. The ring grows geometrically up
-// to its capacity rather than being preallocated — an Event is ~300
+// Tracer records structured events into a bounded ring. It holds events
+// only: tick-phase durations and the LC slack distribution are metrics,
+// recorded in package obs. The ring grows geometrically up to its
+// capacity rather than being preallocated — an Event is ~300
 // bytes, and runs that fan out into many short-lived child tracers (one
 // per host per trial) would otherwise pay megabytes of zeroed ring per
 // child. All methods are safe for concurrent use and are no-ops on a nil
@@ -41,8 +42,6 @@ type Tracer struct {
 	head, n  int
 	seq      uint64
 	dropped  uint64
-	spanDur  map[string]*Histogram
-	slack    *Histogram
 }
 
 // ringSeed is the initial ring allocation; the ring doubles from here up
@@ -63,8 +62,6 @@ func New(host string, capacity int) *Tracer {
 		host:     host,
 		ring:     make([]Event, seed),
 		capacity: capacity,
-		spanDur:  make(map[string]*Histogram),
-		slack:    NewHistogram(SlackBuckets()...),
 	}
 }
 
@@ -186,14 +183,6 @@ func (t *Tracer) Heartbeat(now time.Time, h HeartbeatSummary) {
 	t.record(now, Event{Kind: KindHeartbeat, Heartbeat: h})
 }
 
-// ObserveSlack feeds the LC slack distribution histogram.
-func (t *Tracer) ObserveSlack(v float64) {
-	if t == nil {
-		return
-	}
-	t.slack.Observe(v)
-}
-
 // Span is an in-flight timed phase. The zero Span (from a nil tracer) is
 // valid and End on it is a no-op, so callers never branch.
 type Span struct {
@@ -222,31 +211,13 @@ func (t *Tracer) StartFineSpan(name string) Span {
 	return Span{t: t, name: name, start: time.Now()}
 }
 
-// End stops the span, records a span event at the given (simulated or
-// controller) time, and feeds the phase-duration histogram.
+// End stops the span and records a span event at the given (simulated or
+// controller) time.
 func (s Span) End(now time.Time) {
 	if s.t == nil {
 		return
 	}
-	d := time.Since(s.start)
-	s.t.ObserveSpanSeconds(s.name, d.Seconds())
-	s.t.record(now, Event{Kind: KindSpan, Span: SpanInfo{Name: s.name, DurNS: int64(d)}})
-}
-
-// ObserveSpanSeconds feeds the named phase-duration histogram directly.
-// Span.End uses it; tests use it to produce deterministic histograms.
-func (t *Tracer) ObserveSpanSeconds(name string, seconds float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	h := t.spanDur[name]
-	if h == nil {
-		h = NewHistogram(DurationBuckets()...)
-		t.spanDur[name] = h
-	}
-	t.mu.Unlock()
-	h.Observe(seconds)
+	s.t.record(now, Event{Kind: KindSpan, Span: SpanInfo{Name: s.name, DurNS: int64(time.Since(s.start))}})
 }
 
 // Events returns a copy of the retained events, oldest first.
@@ -307,32 +278,6 @@ func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// SpanDurations snapshots every phase-duration histogram by phase name.
-func (t *Tracer) SpanDurations() map[string]HistogramSnapshot {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	hs := make(map[string]*Histogram, len(t.spanDur))
-	for name, h := range t.spanDur {
-		hs[name] = h
-	}
-	t.mu.Unlock()
-	out := make(map[string]HistogramSnapshot, len(hs))
-	for name, h := range hs {
-		out[name] = h.Snapshot()
-	}
-	return out
-}
-
-// SlackDistribution snapshots the LC slack histogram.
-func (t *Tracer) SlackDistribution() HistogramSnapshot {
-	if t == nil {
-		return HistogramSnapshot{}
-	}
-	return t.slack.Snapshot()
 }
 
 // SortEvents orders events by (time, host, sequence) — the canonical
