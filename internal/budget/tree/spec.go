@@ -61,6 +61,15 @@ type Tree struct {
 	hosts []string
 	// hostsUnder caches, per node name, the indices of the hosts beneath.
 	hostsUnder map[string][]int
+	// order lists every node in tree order (pre-order, as in the spec)
+	// with its hostsUnder entry, so a walk over it is deterministic.
+	order []nodeHosts
+}
+
+// nodeHosts is one node and the indices of the hosts at or beneath it.
+type nodeHosts struct {
+	node  *Node
+	hosts []int
 }
 
 // treeJSON mirrors Node for the JSON spec form.
@@ -179,13 +188,17 @@ func (t *Tree) index(n *Node, depth int, onPath map[*Node]bool) error {
 		idx := len(t.hosts)
 		t.hosts = append(t.hosts, n.Name)
 		t.hostIdx[n.Name] = idx
-		t.hostsUnder[n.Name] = []int{idx}
+		under := []int{idx}
+		t.hostsUnder[n.Name] = under
+		t.order = append(t.order, nodeHosts{node: n, hosts: under})
 		return nil
 	}
 	if n.BudgetW <= 0 {
 		return fmt.Errorf("tree: internal node %q needs a positive budget", n.Name)
 	}
 	onPath[n] = true
+	pos := len(t.order)
+	t.order = append(t.order, nodeHosts{node: n})
 	var under []int
 	for _, c := range n.Children {
 		if err := t.index(c, depth+1, onPath); err != nil {
@@ -195,6 +208,7 @@ func (t *Tree) index(n *Node, depth int, onPath map[*Node]bool) error {
 	}
 	delete(onPath, n)
 	t.hostsUnder[n.Name] = under
+	t.order[pos].hosts = under
 	return nil
 }
 
@@ -398,22 +412,24 @@ func (t *Tree) SetBudget(name string, watts float64) error {
 
 // ValidateFloors checks that every node's budget can keep the hosts
 // beneath it above their idle floors — the same guard budget.New applies
-// to the flat total. floors is in Hosts() order.
+// to the flat total. floors is in Hosts() order. Nodes are checked in
+// tree order, so the error names the first violator in the spec. Budgets
+// are read at call time, so a SetBudget needs no re-indexing.
 func (t *Tree) ValidateFloors(floors []float64) error {
 	if len(floors) != len(t.hosts) {
 		return fmt.Errorf("tree: %d floors for %d hosts", len(floors), len(t.hosts))
 	}
-	for name, idxs := range t.hostsUnder {
-		n := t.nodes[name]
+	for _, nh := range t.order {
+		n := nh.node
 		if n.BudgetW <= 0 {
 			continue
 		}
 		sum := 0.0
-		for _, i := range idxs {
+		for _, i := range nh.hosts {
 			sum += floors[i]
 		}
 		if n.BudgetW <= sum {
-			return fmt.Errorf("tree: node %q budget %v W cannot keep %d hosts above their idle floors (%v W)", name, n.BudgetW, len(idxs), sum)
+			return fmt.Errorf("tree: node %q budget %v W cannot keep %d hosts above their idle floors (%v W)", n.Name, n.BudgetW, len(nh.hosts), sum)
 		}
 	}
 	return nil

@@ -194,6 +194,18 @@ func TestValidateFloors(t *testing.T) {
 	if err := tr.ValidateFloors([]float64{40, 40}); err == nil {
 		t.Error("expected error for wrong floor count")
 	}
+
+	// Two violators: the error names the first in tree order, every time.
+	tr, err = Parse("dc:1000{r1:100{a,b},r2:100{c,d}}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		err := tr.ValidateFloors([]float64{60, 60, 60, 60})
+		if err == nil || !strings.Contains(err.Error(), `node "r1"`) {
+			t.Fatalf("call %d: err = %v, want it to name r1", i, err)
+		}
+	}
 }
 
 // genTree builds a random 2-4 level tree over n hosts with budgets that

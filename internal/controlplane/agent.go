@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -107,7 +108,9 @@ type Agent struct {
 	startOnce sync.Once
 	stopOnce  sync.Once
 
-	mux *http.ServeMux
+	// capReply is the POST /v1/cap ack up to its value,
+	// {"agent":<name>,"cap_w": — see appendCapReply.
+	capReply []byte
 }
 
 // NewAgent validates the configuration and builds an agent. The host
@@ -226,13 +229,10 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	a.mux = http.NewServeMux()
-	a.mux.HandleFunc(RouteAssign, a.handleAssign)
-	a.mux.HandleFunc(RouteStats, a.handleStats)
-	a.mux.HandleFunc(RouteHealthz, a.handleHealthz)
-	a.mux.HandleFunc(RouteMetrics, a.handleMetrics)
-	a.mux.HandleFunc(RouteTrace, a.handleTrace)
-	a.mux.HandleFunc(RouteCap, a.handleCap)
+	// json.Marshal escapes the name as writeJSON's encoder does, HTML
+	// characters included; a string always marshals.
+	name, _ := json.Marshal(cfg.Name)
+	a.capReply = append(append([]byte(`{"agent":`), name...), `,"cap_w":`...)
 	return a, nil
 }
 
@@ -242,8 +242,30 @@ func (a *Agent) Name() string { return a.name }
 // LCName returns the name of the latency-critical primary.
 func (a *Agent) LCName() string { return a.lc.Name }
 
-// Handler returns the agent's HTTP API.
-func (a *Agent) Handler() http.Handler { return a.mux }
+// Handler returns the agent's HTTP API: the agent itself.
+func (a *Agent) Handler() http.Handler { return a }
+
+// ServeHTTP implements http.Handler. It routes the six API paths by
+// exact match on r.URL.Path; any other path, an unclean spelling of a
+// route such as //v1/cap included, gets 404.
+func (a *Agent) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case RouteCap:
+		a.handleCap(w, r)
+	case RouteAssign:
+		a.handleAssign(w, r)
+	case RouteStats:
+		a.handleStats(w, r)
+	case RouteHealthz:
+		a.handleHealthz(w, r)
+	case RouteMetrics:
+		a.handleMetrics(w, r)
+	case RouteTrace:
+		a.handleTrace(w, r)
+	default:
+		http.NotFound(w, r)
+	}
+}
 
 // Start launches the pacing loop: every RealTick of wall-clock time the
 // simulation advances by SimTick. Start is idempotent.
@@ -331,12 +353,23 @@ func (a *Agent) Assign(name string) error {
 // clears the override). The change applies immediately; the capper
 // enforces it from the next 100 ms cap tick.
 func (a *Agent) SetCap(w float64) error {
+	_, err := a.applyCap(w)
+	return err
+}
+
+// applyCap validates and installs a cap of w watts and returns the cap
+// the capper now enforces, all under one lock acquisition, so a cap
+// push's ack reports the cap that push set even when pushes race.
+func (a *Agent) applyCap(w float64) (float64, error) {
 	if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-		return fmt.Errorf("controlplane: agent %s: cap %v W is not physical", a.name, w)
+		return 0, fmt.Errorf("controlplane: agent %s: cap %v W is not physical", a.name, w)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.mgr.SetCapW(w)
+	if err := a.mgr.SetCapW(w); err != nil {
+		return 0, err
+	}
+	return a.mgr.CapW(), nil
 }
 
 // CapW reports the power cap the agent's capper currently enforces.
@@ -411,14 +444,45 @@ func (a *Agent) statsLocked() StatsResponse {
 	}
 }
 
+// maxControlBody bounds a POST /v1/cap or /v1/assign body. Either
+// request is a few dozen bytes; a larger body gets 413 instead of being
+// buffered.
+const maxControlBody = 4 << 10
+
+// controlBufs recycles the buffers control request bodies are read into.
+// A cap push renders its ack into the same buffer.
+var controlBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readControlBody reads a control request's body into buf, up to
+// maxControlBody bytes. On failure it has written the error reply (413
+// for an oversized body) and returns false.
+func readControlBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxControlBody)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxControlBody)
+		} else {
+			writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		}
+		return false
+	}
+	return true
+}
+
 // handleAssign serves POST /v1/assign.
 func (a *Agent) handleAssign(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	buf := controlBufs.Get().(*bytes.Buffer)
+	defer controlBufs.Put(buf)
+	if !readControlBody(w, r, buf) {
+		return
+	}
 	var req AssignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding assign request: %v", err)
 		return
 	}
@@ -429,22 +493,90 @@ func (a *Agent) handleAssign(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, AssignResponse{Agent: a.name, AssignedBE: a.Assigned()})
 }
 
-// handleCap serves POST /v1/cap.
+// handleCap serves POST /v1/cap, the controller's per-round budget push.
+// It decodes the body in place (decodeCapRequest), applies the cap and
+// reads back the enforced cap under one lock, and renders the ack
+// without reflection (appendCapReply).
 func (a *Agent) handleCap(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req CapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	buf := controlBufs.Get().(*bytes.Buffer)
+	defer controlBufs.Put(buf)
+	if !readControlBody(w, r, buf) {
+		return
+	}
+	capW, err := decodeCapRequest(buf.Bytes())
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding cap request: %v", err)
 		return
 	}
-	if err := a.SetCap(req.CapW); err != nil {
+	enforced, err := a.applyCap(capW)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CapResponse{Agent: a.name, CapW: a.CapW()})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(a.appendCapReply(buf.Bytes()[:0], enforced))
+}
+
+// decodeCapRequest decodes a POST /v1/cap body. The controller's form,
+// exactly {"cap_w":<number>} with at most one trailing newline, is
+// parsed in place. Any other body goes through json.Decoder, as every
+// body did before, so accept/reject and the decoded bits are
+// encoding/json's for every input; FuzzDecodeCapRequest checks that.
+func decodeCapRequest(body []byte) (float64, error) {
+	if w, ok := parseCanonicalCap(body); ok {
+		return w, nil
+	}
+	var req CapRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		return 0, err
+	}
+	return req.CapW, nil
+}
+
+// parseCanonicalCap parses the canonical cap body. The number is checked
+// against the JSON grammar, then parsed by strconv.ParseFloat, the call
+// encoding/json makes, so the value is bit-identical. A number out of
+// float64 range is declined, for encoding/json to reject.
+func parseCanonicalCap(body []byte) (float64, bool) {
+	const head = `{"cap_w":`
+	if n := len(body); n > 0 && body[n-1] == '\n' {
+		body = body[:n-1]
+	}
+	n := len(body)
+	if n < len(head)+2 || string(body[:len(head)]) != head || body[n-1] != '}' {
+		return 0, false
+	}
+	num := body[len(head) : n-1]
+	if end, ok := scanNumber(num, 0); !ok || end != len(num) {
+		return 0, false
+	}
+	w, err := strconv.ParseFloat(string(num), 64)
+	return w, err == nil
+}
+
+// appendCapReply appends the POST /v1/cap ack for an enforced cap of w
+// watts: the bytes writeJSON(CapResponse{Agent: a.name, CapW: w}) writes.
+// The number follows encoding/json's float rule: 'f' format, or 'e'
+// outside [1e-6, 1e21) with a negative two-digit exponent shortened
+// (e-09 → e-9). The cap is finite: applyCap installed it or it is the
+// host's provisioned capacity.
+func (a *Agent) appendCapReply(b []byte, w float64) []byte {
+	b = append(b, a.capReply...)
+	format := byte('f')
+	if abs := math.Abs(w); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, w, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return append(b, "}\n"...)
 }
 
 // handleStats serves GET /v1/stats.

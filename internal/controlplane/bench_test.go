@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -456,5 +457,47 @@ func BenchmarkControllerMetrics1k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctl.MetricsHandler(w, req)
+	}
+}
+
+// resettableBody is a request body a benchmark rewinds onto the next
+// payload instead of allocating a reader per request.
+type resettableBody struct{ bytes.Reader }
+
+func (*resettableBody) Close() error { return nil }
+
+// BenchmarkAgentCapPush is the agent's side of one cap push: a canonical
+// POST /v1/cap body, as postCap marshals it, through Agent.ServeHTTP to
+// its ack. The request and a no-op ResponseWriter are reused, and the
+// bodies rotate over 16 caps, so every push changes the installed cap.
+func BenchmarkAgentCapPush(b *testing.B) {
+	a := newTestAgent(b, "agent-00042", "xapian", "graph")
+	idle := a.machine.IdlePowerW
+	bodies := make([][]byte, 16)
+	for i := range bodies {
+		body, err := json.Marshal(CapRequest{CapW: idle + 20 + 1.25*float64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	body := &resettableBody{}
+	req, err := http.NewRequest(http.MethodPost, RouteCap, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req.Body = body
+	body.Reset(bodies[1])
+	rec := httptest.NewRecorder()
+	a.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		b.Fatalf("cap push = %d %s", rec.Code, rec.Body)
+	}
+	w := &discardResponse{header: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(bodies[i%len(bodies)])
+		a.ServeHTTP(w, req)
 	}
 }

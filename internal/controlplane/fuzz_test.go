@@ -77,12 +77,12 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 var labelFuzzSeeds = []string{`a"b`, `a\b`, "a\nb", "a\tb", "aéb", "node-\"1\"\\\n\ttail é", ""}
 
 // TestFuzzCorpusCommitted keeps the committed corpora in lockstep with
-// fuzzSeedFrames, statsFuzzSeeds and labelFuzzSeeds: every seed must
-// exist on disk in Go corpus format so `go test -fuzz` and plain
-// `go test` start from the same population. Regenerate after changing
-// the seeds with POCOLO_WRITE_CORPUS=1.
+// fuzzSeedFrames, statsFuzzSeeds, labelFuzzSeeds and capFuzzSeeds: every
+// seed must exist on disk in Go corpus format so `go test -fuzz` and
+// plain `go test` start from the same population. Regenerate after
+// changing the seeds with POCOLO_WRITE_CORPUS=1.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	var frames, stats, labels [][][]byte
+	var frames, stats, labels, caps [][][]byte
 	for _, frame := range fuzzSeedFrames(t) {
 		frames = append(frames, [][]byte{frame})
 	}
@@ -92,9 +92,13 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 	for _, v := range labelFuzzSeeds {
 		labels = append(labels, [][]byte{[]byte(v)})
 	}
+	for _, s := range capFuzzSeeds {
+		caps = append(caps, [][]byte{[]byte(s.body)})
+	}
 	checkCorpus(t, "FuzzDecodeHeartbeat", frames)
 	checkCorpus(t, "FuzzDecodeStats", stats)
 	checkCorpus(t, "FuzzExpositionLabels", labels)
+	checkCorpus(t, "FuzzDecodeCapRequest", caps)
 }
 
 // checkCorpus compares (or, with POCOLO_WRITE_CORPUS set, writes) one
@@ -197,6 +201,23 @@ func FuzzDecodeStats(f *testing.F) {
 		f.Add(s.prev, s.body)
 	}
 	f.Fuzz(func(t *testing.T, prev, body []byte) { checkDecodeStats(t, prev, body) })
+}
+
+// FuzzDecodeCapRequest holds the cap push decoder to encoding/json: for
+// any body within the control-body bound, decodeCapRequest and
+// json.Decoder agree on accept/reject and on the bits of CapW, and the
+// in-place path serves only bodies encoding/json decodes to the same
+// bits.
+func FuzzDecodeCapRequest(f *testing.F) {
+	for _, s := range capFuzzSeeds {
+		f.Add([]byte(s.body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > maxControlBody {
+			return
+		}
+		checkDecodeCapRequest(t, body)
+	})
 }
 
 // FuzzExpositionLabels renders agent and controller expositions whose
