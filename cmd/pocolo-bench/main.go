@@ -10,7 +10,8 @@
 //	             [-baseline BENCH_old.json] [-max-regress 0.25]
 //
 // The snapshot records goos/goarch/cpu, the exact go test invocation, and
-// one entry per benchmark with ns/op, B/op, and allocs/op. B/op and
+// one entry per benchmark with ns/op, B/op, allocs/op, and any other
+// columns (MB/s, b.ReportMetric units) under metrics. B/op and
 // allocs/op are always emitted (zero is a meaningful measurement, not an
 // absence), and the per-benchmark GOMAXPROCS suffix (`-8`) is stripped so
 // names are stable across machines — the stripped value is preserved per
@@ -53,6 +54,10 @@ type Result struct {
 	// Procs is the GOMAXPROCS suffix go test stamped on the name (0 when
 	// the name carried none) — the worker count the benchmark ran with.
 	Procs int `json:"procs,omitempty"`
+	// Metrics holds every other "value unit" column by unit: MB/s and
+	// the custom units benchmarks report with b.ReportMetric (e.g.
+	// "rebuilds/op"). Compare ignores them.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Snapshot is the full BENCH_<date>.json payload.
@@ -323,7 +328,14 @@ func parseLine(line string) (Result, bool) {
 			}
 			r.HasMem = true
 		default:
-			// MB/s, custom ReportMetric units, etc. — skipped, not fatal.
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				return Result{}, false
+			}
+			if r.Metrics == nil {
+				r.Metrics = make(map[string]float64)
+			}
+			r.Metrics[unit] = v
 		}
 	}
 	return r, seen

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -16,6 +17,7 @@ BenchmarkPlannerLookup-8   	20000000	        61.5 ns/op	       0 B/op	       0 a
 BenchmarkThroughput-8      	     100	    123456 ns/op	 512.00 MB/s	      64 B/op	       2 allocs/op
 BenchmarkNoMem-8           	    1000	      5000 ns/op
 BenchmarkSub/case=small-16 	    3000	      1200 ns/op	      16 B/op	       1 allocs/op
+BenchmarkCustom-2          	      40	   7032036 ns/op	  96.50 MB/s	         0.8500 rebuilds/op	 11751666 B/op	   50489 allocs/op
 PASS
 ok  	pocolo	12.3s
 `
@@ -28,8 +30,8 @@ func TestParse(t *testing.T) {
 	if !strings.Contains(snap.CPU, "Xeon") {
 		t.Fatalf("cpu: %q", snap.CPU)
 	}
-	if len(snap.Results) != 6 {
-		t.Fatalf("got %d results, want 6: %+v", len(snap.Results), snap.Results)
+	if len(snap.Results) != 7 {
+		t.Fatalf("got %d results, want 7: %+v", len(snap.Results), snap.Results)
 	}
 	byName := map[string]Result{}
 	for _, r := range snap.Results {
@@ -69,8 +71,22 @@ func TestParse(t *testing.T) {
 		t.Fatalf("PlannerLookup: %+v", byName["BenchmarkPlannerLookup"])
 	}
 	thr := byName["BenchmarkThroughput"]
-	if thr.BytesPerOp != 64 || thr.AllocsPerOp != 2 {
+	if thr.BytesPerOp != 64 || thr.AllocsPerOp != 2 || thr.Metrics["MB/s"] != 512 {
 		t.Fatalf("Throughput: %+v", thr)
+	}
+
+	// MB/s and custom b.ReportMetric units are kept by unit, beside the
+	// standard columns.
+	cus := byName["BenchmarkCustom"]
+	want := map[string]float64{"MB/s": 96.5, "rebuilds/op": 0.85}
+	if cus.NsPerOp != 7032036 || cus.BytesPerOp != 11751666 || cus.AllocsPerOp != 50489 || !reflect.DeepEqual(cus.Metrics, want) {
+		t.Fatalf("Custom: %+v", cus)
+	}
+	if b, err := json.Marshal(cus); err != nil || !strings.Contains(string(b), `"metrics":{"MB/s":96.5,"rebuilds/op":0.85}`) {
+		t.Fatalf("marshalled result %s missing metrics", b)
+	}
+	if b, err := json.Marshal(fig); err != nil || strings.Contains(string(b), "metrics") {
+		t.Fatalf("result without extra columns marshalled metrics: %s", b)
 	}
 
 	// A line without -benchmem columns still parses, flagged HasMem=false.
@@ -98,6 +114,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"BenchmarkBroken-8 abc 100 ns/op",
 		"BenchmarkBroken-8 10 xyz ns/op",
 		"BenchmarkBroken-8 10 100", // no unit
+		"BenchmarkBroken-8 10 100 ns/op abc rebuilds/op",
 	} {
 		if snap := Parse(line + "\n"); len(snap.Results) != 0 {
 			t.Errorf("line %q parsed to %+v", line, snap.Results)

@@ -1,16 +1,18 @@
 // Command pocolo-controller runs the cluster-level half of the control
-// plane: it heartbeats a static set of pocolo-agent endpoints, rebuilds
-// the best-effort x server performance matrix from their reported stats
-// and models, solves the assignment, and pushes placements. Agents that
-// miss K consecutive heartbeats are declared dead and their best-effort
-// work migrates to the survivors; recovered agents rejoin automatically.
+// plane: it heartbeats a static set of pocolo-agent endpoints, keeps the
+// best-effort placement solved on a pod-sharded assignment engine that
+// it repairs in place from their reported stats and models, and pushes
+// placements. Agents that miss K consecutive heartbeats are declared dead
+// and their best-effort work migrates to the survivors; recovered agents
+// rejoin automatically. While best-effort apps outnumber live agents, the
+// apps with the lowest best-case value wait unplaced.
 //
 // Usage:
 //
 //	pocolo-controller -agents http://127.0.0.1:7001,http://127.0.0.1:7002 \
 //	                  [-be graph,lstm] [-listen :7100] [-heartbeat 1s] \
 //	                  [-timeout 500ms] [-dead-after 3] [-retries 1] \
-//	                  [-max-backoff 16s] [-jitter 0.2] [-solver lp] \
+//	                  [-max-backoff 16s] [-jitter 0.2] \
 //	                  [-resolve-every 30s] [-seed 42] \
 //	                  [-budget-tree 'dc:600{agent-a,agent-b}'] \
 //	                  [-trace cluster.jsonl] [-trace-events 4096] \
@@ -21,6 +23,8 @@
 // POST /v1/heartbeat (run pocolo-agent with -push pointed here). Agent
 // state lands in per-pod shards sized by -pod-size and the round loop
 // reads immutable snapshots without blocking ingest; see DESIGN.md §14.
+// On both transports -pod-size is also the placement engine's pod size
+// (DESIGN.md §13).
 //
 // With -budget-tree the controller enforces a hierarchical power budget
 // over the fleet: the tree's leaves name the agents, every heartbeat
@@ -66,12 +70,11 @@ func main() {
 	retries := flag.Int("retries", 1, "probe retries within one round")
 	maxBackoff := flag.Duration("max-backoff", 0, "probe backoff cap for dead agents (default 16x heartbeat)")
 	jitter := flag.Float64("jitter", 0.2, "relative heartbeat jitter in [0, 1)")
-	solver := flag.String("solver", "lp", "assignment solver: lp, hungarian, exhaustive, or sharded (a pod-sharded engine kept warm across re-solves)")
 	resolveEvery := flag.Duration("resolve-every", 30*time.Second, "periodic re-solve interval (0 to re-solve only on membership changes)")
 	seed := flag.Int64("seed", 42, "random seed for the heartbeat jitter")
 	budgetTree := flag.String("budget-tree", "", "hierarchical power-budget tree whose leaves name the agents (e.g. 'dc:600{agent-a,agent-b}') or @file; shares are pushed as caps every round")
 	transport := flag.String("transport", controlplane.TransportPoll, "state transport: poll (controller scrapes GET /v1/stats each round) or stream (agents push binary delta heartbeats to POST /v1/heartbeat; requires -listen)")
-	podSize := flag.Int("pod-size", 0, "agents per state shard under -transport stream (0 = default)")
+	podSize := flag.Int("pod-size", 0, "agents per placement-engine pod, and per state shard under -transport stream (0 = default 64)")
 	tracePath := flag.String("trace", "", "dump the aggregated cluster decision trace as JSONL to this file on shutdown")
 	traceEvents := flag.Int("trace-events", 0, "controller decision-trace ring capacity in events (0 = default, negative disables tracing)")
 	noObs := flag.Bool("no-obs", false, "disable the observability plane (round/solve/ingest histograms, SLO burn, /v1/top rollup)")
@@ -118,7 +121,6 @@ func main() {
 		Retries:       *retries,
 		MaxBackoff:    *maxBackoff,
 		Jitter:        *jitter,
-		Solver:        *solver,
 		ResolveEvery:  *resolveEvery,
 		Seed:          *seed,
 		Transport:     *transport,

@@ -227,7 +227,7 @@ func Place(cfg Config) (map[string]string, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	placement, total, err := mx.SolveTraced("lp", tr, simEpoch())
+	placement, total, err := mx.SolveTraced("lp", tr)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -247,8 +247,8 @@ type RefreshResult struct {
 type cellRef struct{ i, j int }
 
 // NewMatrixBuilder validates the configuration and builds the initial
-// matrix through the delta-cell memo. cfg.Trace and cfg.Now are unused —
-// tracing of builder-driven construction is the pod layer's job.
+// matrix through the delta-cell memo. cfg.Trace is unused — tracing of
+// builder-driven construction is the pod layer's job.
 func NewMatrixBuilder(cfg MatrixConfig) (*MatrixBuilder, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, err

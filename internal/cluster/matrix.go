@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"pocolo/internal/assign"
 	"pocolo/internal/invariant"
@@ -59,12 +58,10 @@ type MatrixConfig struct {
 	// independent pure functions of the models, so the matrix is identical
 	// at every setting.
 	Parallel int
-	// Trace, when non-nil, records a build_matrix phase span.
+	// Trace, when non-nil, records a build_matrix phase span, stamped at
+	// the simulation epoch: construction happens before simulated time
+	// starts.
 	Trace *trace.Tracer
-	// Now timestamps the build_matrix span event (default: the simulation
-	// epoch — in the simulation pipeline construction happens before
-	// simulated time starts; the live controller passes its clock).
-	Now time.Time
 	// Obs, when non-nil, receives per-pod solve latency and batch-repair
 	// counters from the sharded assignment path. Series are keyed by pod
 	// name, so a rebuilt Sharded folds into the series of the one it
@@ -78,12 +75,8 @@ type MatrixConfig struct {
 // provisioned capacity; the BE app's throughput at that operating point is
 // its power-budget-constrained Cobb-Douglas demand on the spare resources.
 func BuildMatrix(cfg MatrixConfig) (*Matrix, error) {
-	stamp := cfg.Now
-	if stamp.IsZero() {
-		stamp = simEpoch()
-	}
 	sp := cfg.Trace.StartSpan("build_matrix")
-	defer sp.End(stamp)
+	defer sp.End(simEpoch())
 	if len(cfg.BE) == 0 {
 		return nil, errors.New("cluster: need at least one LC and one BE application")
 	}
@@ -141,14 +134,14 @@ func estimatePairThroughput(cfg machine.Config, lc *workload.Spec, lcModel, beMo
 // solver ("lp", "hungarian", or "exhaustive"). It returns the mapping from
 // BE name to LC name and the predicted total.
 func (mx *Matrix) Solve(method string) (map[string]string, float64, error) {
-	return mx.SolveTraced(method, nil, time.Time{})
+	return mx.SolveTraced(method, nil)
 }
 
 // SolveTraced is Solve with decision tracing: a solve phase span and one
-// SolveSummary event are recorded at the given timestamp (a controller
-// passes its clock, the simulation pipeline passes the epoch). A nil
-// tracer makes it identical to Solve.
-func (mx *Matrix) SolveTraced(method string, tr *trace.Tracer, now time.Time) (map[string]string, float64, error) {
+// SolveSummary event are recorded at the simulation epoch, as the build
+// is. A nil tracer makes it identical to Solve.
+func (mx *Matrix) SolveTraced(method string, tr *trace.Tracer) (map[string]string, float64, error) {
+	now := simEpoch()
 	sp := tr.StartSpan("solve")
 	var (
 		idx []int

@@ -74,7 +74,6 @@ func benchController(b *testing.B, urls []string, transport string, client *http
 	ctl, err := NewController(ControllerConfig{
 		AgentURLs:  urls,
 		BE:         []string{"graph", "lstm"},
-		Solver:     SolverSharded,
 		Transport:  transport,
 		PodSize:    64,
 		DeadAfter:  2,
@@ -327,17 +326,18 @@ func BenchmarkControllerRoundStreamBudget1k(b *testing.B) { benchmarkStreamBudge
 func BenchmarkControllerRoundStreamBudget4k(b *testing.B) { benchmarkStreamBudgetRound(b, 4000) }
 
 // benchmarkStreamChurnRound is the budgeted stream round with the churn
-// that makes the controller re-solve: one best-effort replica per two
-// agents, and every other round one agent stops heartbeating and comes
-// back four rounds later with a full frame. With DeadAfter 2 nearly
-// every round then either declares an agent dead or sees one rejoin,
-// and re-solves the placement. Agents report the BE and cap last pushed
-// to them, so only changed assignments are pushed.
-func benchmarkStreamChurnRound(b *testing.B, n int) {
+// that makes the controller re-solve: replicas best-effort replicas, and
+// every other round one agent stops heartbeating and comes back four
+// rounds later with a full frame. With DeadAfter 2 nearly every round
+// then either declares an agent dead or sees one rejoin, and re-solves
+// the placement. Agents report the BE and cap last pushed to them, so
+// only changed assignments are pushed. It reports the placement engine's
+// rebuilds and the unplaced apps per round.
+func benchmarkStreamChurnRound(b *testing.B, n, replicas int) {
 	urls, stats := benchFleet(b, n)
 	et := newEchoTransport()
 	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: et}, nil, benchBudgetTree(stats, 64))
-	bes := make([]string, n/2)
+	bes := make([]string, replicas)
 	for i := range bes {
 		bes[i] = fmt.Sprintf("%s#%d", []string{"graph", "lstm"}[i%2], i/2)
 	}
@@ -385,6 +385,7 @@ func benchmarkStreamChurnRound(b *testing.B, n int) {
 	}
 	seq := uint64(1)
 	victim := 0
+	engine, rebuilds, unplaced := ctl.engine, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for iter := 1; iter <= b.N; iter++ {
@@ -408,10 +409,27 @@ func benchmarkStreamChurnRound(b *testing.B, n int) {
 		}
 		ingest(seq)
 		ctl.Round(ctx)
+		ctl.mu.Lock()
+		if ctl.engine != engine {
+			engine = ctl.engine
+			rebuilds++
+		}
+		unplaced += len(ctl.unplaced)
+		ctl.mu.Unlock()
 	}
+	b.ReportMetric(float64(rebuilds)/float64(b.N), "rebuilds/op")
+	b.ReportMetric(float64(unplaced)/float64(b.N), "unplaced/op")
 }
 
-func BenchmarkControllerRoundStreamChurn1k(b *testing.B) { benchmarkStreamChurnRound(b, 1000) }
+func BenchmarkControllerRoundStreamChurn1k(b *testing.B) { benchmarkStreamChurnRound(b, 1000, 500) }
+
+// BenchmarkControllerRoundStreamOverflow1k is the churn round with one
+// replica per agent, so any silent agent leaves the apps outnumbering
+// the live agents: the re-solve trims the rows to the live agents'
+// count and rebuilds the engine over them.
+func BenchmarkControllerRoundStreamOverflow1k(b *testing.B) {
+	benchmarkStreamChurnRound(b, 1000, 1000)
+}
 
 // discardResponse is an http.ResponseWriter that drops the body, so the
 // scrape benchmark measures building and rendering the exposition, not

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pocolo/internal/cluster"
 	"pocolo/internal/machine"
 	"pocolo/internal/trace"
 )
@@ -168,6 +169,9 @@ func TestCampaignBrownoutEndToEnd(t *testing.T) {
 		dc, rack1, rack2)
 
 	run := func() (*CampaignReport, Status, []trace.Event) {
+		// The delta-cell memo is process-wide: clear it so both runs trace
+		// the same computed/reused cell counts.
+		cluster.ResetCellMemo()
 		camp, err := NewCampaign(CampaignConfig{
 			Agents:     campaignAgentConfigs(t, lcs, bes),
 			BE:         bes,

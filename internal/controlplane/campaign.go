@@ -160,10 +160,9 @@ type CampaignConfig struct {
 	// delayed responses ever consume it; healthy loopback probes return
 	// immediately.
 	Timeout time.Duration
-	// DeadAfter, Solver, Seed configure the controller as in
+	// DeadAfter and Seed configure the controller as in
 	// ControllerConfig.
 	DeadAfter int
-	Solver    string
 	Seed      int64
 	// Transport selects the control-plane transport (TransportPoll or
 	// TransportStream; default poll). Under TransportStream each round
@@ -337,7 +336,6 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		Timeout:            cfg.Timeout,
 		DeadAfter:          cfg.DeadAfter,
 		MaxBackoff:         maxBackoff,
-		Solver:             cfg.Solver,
 		Transport:          cfg.Transport,
 		PodSize:            cfg.PodSize,
 		BudgetTree:         cfg.BudgetTree,

@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
+	"pocolo/internal/cluster"
 	"pocolo/internal/invariant"
 	"pocolo/internal/machine"
 	"pocolo/internal/trace"
@@ -161,15 +164,12 @@ func TestCampaignDelayAndSpike(t *testing.T) {
 	}
 }
 
-// TestCampaignSeededScheduleDeterministic replays the same seeded schedule
-// twice and requires identical failure accounting and final placement —
-// the property that makes fault campaigns debuggable.
 // TestCampaignWholePodOutage crashes every agent of one solver pod at
-// once under the sharded solver on the stream transport. The pod's jobs
-// then outnumber its live hosts (it has none), so they must move to other
-// pods: the campaign's completeness check fails any round that leaves a
-// best-effort app neither placed nor unplaced while the survivors have
-// room for every app.
+// once on the stream transport. The pod's jobs then outnumber its live
+// hosts (it has none), so they must move to other pods: the campaign's
+// completeness check fails any round that leaves a best-effort app
+// neither placed nor unplaced while the survivors have room for every
+// app.
 func TestCampaignWholePodOutage(t *testing.T) {
 	const n, podSize = 16, 4
 	cycle := []string{"img-dnn", "sphinx", "xapian", "tpcc"}
@@ -201,7 +201,6 @@ func TestCampaignWholePodOutage(t *testing.T) {
 		Duration:        16 * hb,
 		Heartbeat:       hb,
 		DeadAfter:       2,
-		Solver:          SolverSharded,
 		Transport:       TransportStream,
 		PodSize:         podSize,
 		Seed:            13,
@@ -266,6 +265,122 @@ func TestCampaignWholePodOutage(t *testing.T) {
 	}
 }
 
+// TestCampaignOverflow runs one best-effort replica per agent on a
+// 48-agent stream fleet in pods of eight and crashes two agents, one
+// after the other, so for several rounds the apps outnumber the live
+// agents. Every solve runs on the placement engine; each overflow round
+// leaves unplaced exactly the apps the trim rule picks, lowest best-case
+// value first with ties broken in BE order; and after recovery every app
+// is placed again.
+func TestCampaignOverflow(t *testing.T) {
+	const n, podSize = 48, 8
+	cycle := []string{"img-dnn", "sphinx", "xapian", "tpcc"}
+	lcs := make([]string, n)
+	for i := range lcs {
+		lcs[i] = cycle[i%len(cycle)]
+	}
+	agents := campaignAgentConfigs(t, lcs, []string{"graph", "lstm"})
+	index := make(map[string]int, n)
+	for i := range agents {
+		agents[i].Name = fmt.Sprintf("agent-%02d", i) // name order = pod order
+		index[agents[i].Name] = i
+	}
+	bes := replicas(n)
+	hb := time.Second
+	tracer := trace.New("controller", 1<<14)
+	picks := make(map[int]bool) // live-agent counts seen in overflow rounds
+	camp, err := NewCampaign(CampaignConfig{
+		Agents: agents,
+		BE:     bes,
+		Faults: []FaultEvent{
+			{At: 4 * hb, Agent: 5, Kind: FaultCrash, Duration: 6 * hb},
+			{At: 7 * hb, Agent: 30, Kind: FaultCrash, Duration: 6 * hb},
+		},
+		Duration:        20 * hb,
+		Heartbeat:       hb,
+		DeadAfter:       2,
+		Transport:       TransportStream,
+		PodSize:         podSize,
+		Seed:            17,
+		ControllerTrace: tracer,
+		OnRound: func(round int, st Status) {
+			var live []int
+			for _, a := range st.Agents {
+				if a.Alive {
+					live = append(live, index[a.Name])
+				}
+			}
+			if len(live) >= len(bes) || st.Degraded {
+				return
+			}
+			picks[len(live)] = true
+			if want := overflowPick(t, agents, live, bes); !reflect.DeepEqual(st.Unplaced, want) {
+				t.Errorf("round %d, %d live agents: unplaced %v, want %v", round, len(live), st.Unplaced, want)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := camp.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := report.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !picks[n-1] || !picks[n-2] {
+		t.Fatalf("overflow rounds saw live-agent counts %v, want %d and %d", picks, n-1, n-2)
+	}
+	for _, ev := range tracer.Events() {
+		if ev.Kind == trace.KindSolve && ev.Solve.Method != "incremental" && ev.Solve.Method != "sharded" {
+			t.Fatalf("solve summary %+v, want only the engine's incremental and sharded solves", ev.Solve)
+		}
+	}
+	if len(report.Status.Placement) != len(bes) || len(report.Status.Unplaced) != 0 {
+		t.Fatalf("after recovery: %d of %d apps placed, unplaced %v", len(report.Status.Placement), len(bes), report.Status.Unplaced)
+	}
+}
+
+// overflowPick is the trim rule worked out from the fleet's own specs
+// and models: over the live agents, each app's best-case value is its
+// best cell (or 0); the len(bes)-len(live) apps last in order of
+// decreasing value, ties in BE order, go unplaced, reported sorted.
+func overflowPick(t *testing.T, agents []AgentConfig, live []int, bes []string) []string {
+	t.Helper()
+	models := make(map[string]*utility.Model)
+	lc := make([]*workload.Spec, len(live))
+	for k, i := range live {
+		host := *agents[i].LC
+		host.Name = agents[i].Name
+		lc[k] = &host
+		models[host.Name] = agents[i].LCModel
+	}
+	var be []*workload.Spec
+	for _, c := range agents[0].BECandidates {
+		be = append(be, c)
+		models[c.Name] = agents[0].BEModels[c.Name]
+	}
+	mx, err := cluster.BuildMatrix(cluster.MatrixConfig{Machine: agents[0].Machine, LC: lc, BE: be, Models: models})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := make(map[string]float64)
+	for r, row := range mx.Value {
+		for _, v := range row {
+			best[mx.BENames[r]] = max(best[mx.BENames[r]], v)
+		}
+	}
+	order := slices.Clone(bes)
+	sort.SliceStable(order, func(i, j int) bool { return best[baseBE(order[i])] > best[baseBE(order[j])] })
+	out := order[len(live):]
+	sort.Strings(out)
+	return out
+}
+
+// TestCampaignSeededScheduleDeterministic replays the same seeded schedule
+// twice and requires identical failure accounting and final placement —
+// the property that makes fault campaigns debuggable.
 func TestCampaignSeededScheduleDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full campaigns in -short mode")

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -18,8 +17,6 @@ import (
 	"pocolo/internal/obs"
 	"pocolo/internal/parallel"
 	"pocolo/internal/trace"
-	"pocolo/internal/utility"
-	"pocolo/internal/workload"
 )
 
 // Transport values for ControllerConfig.Transport.
@@ -33,9 +30,11 @@ const (
 	TransportStream = "stream"
 )
 
-// SolverSharded selects the pod-sharded incremental assignment engine
-// (cluster.Sharded), which the controller keeps warm across re-solves,
-// instead of one cluster-wide matrix.
+// SolverSharded names the pod-sharded incremental assignment engine
+// (cluster.Sharded) the controller keeps warm across re-solves.
+//
+// Deprecated: the engine is the controller's only placement path; see
+// ControllerConfig.Solver.
 const SolverSharded = "sharded"
 
 // ControllerConfig assembles the cluster controller.
@@ -44,6 +43,8 @@ type ControllerConfig struct {
 	// "http://127.0.0.1:7001"; required.
 	AgentURLs []string
 	// BE names the best-effort apps to keep placed across the cluster.
+	// While they outnumber the live agents, the apps with the lowest
+	// best-case value wait unplaced (of equal ones, the later in BE).
 	BE []string
 	// Heartbeat is the poll interval (default 1 s). Each round is jittered
 	// by ±Jitter·Heartbeat so a fleet of controllers does not thunder.
@@ -61,21 +62,23 @@ type ControllerConfig struct {
 	MaxBackoff time.Duration
 	// Jitter is the relative heartbeat jitter in [0, 1) (default 0.2).
 	Jitter float64
-	// Solver selects the assignment solver: "lp" (default), "hungarian",
-	// "exhaustive", or "sharded". The sharded engine is built once over the
-	// reporting agents and repaired in place on each re-solve, so a crash
-	// or rejoin re-solves only its own pod (see PodSize); jobs move to
-	// other pods only when an outage leaves a pod more jobs than live
-	// agents. While best-effort apps outnumber live agents, a "sharded"
-	// re-solve runs the whole-matrix "lp" path instead, which reports the
-	// overflow as unplaced.
+	// Solver must be "" or SolverSharded; NewController rejects any other
+	// value.
+	//
+	// Deprecated: the placement engine (see PodSize) is the only solver,
+	// so there is nothing to select.
 	Solver string
 	// Transport selects how agent state reaches the controller:
 	// TransportPoll (default) or TransportStream.
 	Transport string
-	// PodSize is the number of agents per state shard under the streaming
-	// transport, and the pod size of the "sharded" solver, whose pods are
-	// contiguous runs of agents in name order (default 64).
+	// PodSize is the pod size of the placement engine, a sharded solver
+	// built once over the reporting agents and repaired in place on each
+	// re-solve. Its pods are contiguous runs of agents in name order: a
+	// crash or rejoin re-solves only its own pod, jobs move to other pods
+	// only when an outage leaves a pod more jobs than live agents, and a
+	// fleet of at most PodSize agents is solved exactly. Under the
+	// streaming transport PodSize is also the number of agents per state
+	// shard (default 64).
 	PodSize int
 	// BudgetTree, when non-empty, is a hierarchical budget-tree spec (see
 	// tree.Parse) whose leaves name the agents. Each round the controller
@@ -262,8 +265,8 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.Jitter < 0 || cfg.Jitter >= 1 {
 		return nil, fmt.Errorf("controlplane: jitter %v outside [0, 1)", cfg.Jitter)
 	}
-	if cfg.Solver == "" {
-		cfg.Solver = "lp"
+	if cfg.Solver != "" && cfg.Solver != SolverSharded {
+		return nil, fmt.Errorf("controlplane: unknown solver %q (the sharded engine is the only one)", cfg.Solver)
 	}
 	if cfg.Transport == "" {
 		cfg.Transport = TransportPoll
@@ -606,10 +609,9 @@ func (c *Controller) liveCountLocked() int {
 }
 
 // resolveLocked re-solves the placement against the live agents'
-// reported stats: on the warm sharded engine, or from a whole performance
-// matrix. On solver failure or when a majority of agents are unreachable
-// it degrades to the last-known-good placement instead of churning
-// assignments.
+// reported stats on the warm placement engine. On solver failure or when
+// a majority of agents are unreachable it degrades to the last-known-good
+// placement instead of churning assignments.
 func (c *Controller) resolveLocked(now time.Time) {
 	nLive := 0
 	for _, a := range c.agents {
@@ -636,14 +638,7 @@ func (c *Controller) resolveLocked(now time.Time) {
 		return
 	}
 
-	var placement map[string]string
-	var unplaced []string
-	var err error
-	if c.cfg.Solver == SolverSharded && len(c.cfg.BE) <= nLive {
-		placement, err = c.solveEngineLocked(now)
-	} else {
-		placement, unplaced, err = c.solveMatrixLocked(now)
-	}
+	placement, unplaced, err := c.solveEngineLocked(now, nLive)
 	if err != nil {
 		c.degradeLocked(now, fmt.Sprintf("solve failed: %v", err))
 		return
@@ -711,138 +706,6 @@ func (c *Controller) setPlacementLocked(p map[string]string) {
 			a.desiredBE = be
 		}
 	}
-}
-
-// solveMatrixLocked builds the whole BE×LC matrix from reported stats and
-// runs the configured solver ("lp" when the sharded engine cannot place
-// every app). Servers are columns keyed by agent name; the minimal
-// workload specs are reconstructed from the agents' reports, so the
-// controller needs no local catalog. When there are more best-effort apps
-// than live servers, the overflow (lowest best-case value first) is
-// reported as unplaced.
-func (c *Controller) solveMatrixLocked(now time.Time) (map[string]string, []string, error) {
-	live := make([]*agentState, 0, len(c.agents))
-	for _, a := range c.agents {
-		if a.placeable() {
-			live = append(live, a)
-		}
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].name < live[j].name })
-	lcSpecs := make([]*workload.Spec, len(live))
-	models := make(map[string]*utility.Model, len(live)+len(c.cfg.BE))
-	byName := make(map[string]*agentState, len(live))
-	for i, a := range live {
-		if _, dup := byName[a.name]; dup {
-			return nil, nil, fmt.Errorf("duplicate agent name %q", a.name)
-		}
-		byName[a.name] = a
-		lcSpecs[i] = lcSpec(a.name, a)
-		models[a.name] = a.last.LCModel
-	}
-	beSpecs := make([]*workload.Spec, 0, len(c.cfg.BE))
-	for _, be := range c.cfg.BE {
-		model, err := beModel(live, be)
-		if err != nil {
-			return nil, nil, err
-		}
-		models[be] = model
-		beSpecs = append(beSpecs, &workload.Spec{Name: be, Class: workload.BestEffort})
-	}
-
-	machine := live[0].last.Machine
-	timer := c.obs.buildTimer()
-	mx, err := cluster.BuildMatrix(cluster.MatrixConfig{
-		Machine: machine,
-		LC:      lcSpecs,
-		BE:      beSpecs,
-		Models:  models,
-		Trace:   c.tracer,
-		Now:     now,
-	})
-	timer.Stop()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// More BE apps than servers: keep the rows with the highest best-case
-	// value, report the rest unplaced.
-	var unplaced []string
-	if len(mx.BENames) > len(mx.LCNames) {
-		type rowVal struct {
-			idx int
-			max float64
-		}
-		rows := make([]rowVal, len(mx.BENames))
-		for i, row := range mx.Value {
-			best := 0.0
-			for _, v := range row {
-				if v > best {
-					best = v
-				}
-			}
-			rows[i] = rowVal{idx: i, max: best}
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].max > rows[j].max })
-		keep := rows[:len(mx.LCNames)]
-		sort.Slice(keep, func(i, j int) bool { return keep[i].idx < keep[j].idx })
-		trimmed := &cluster.Matrix{LCNames: mx.LCNames}
-		for _, r := range keep {
-			trimmed.BENames = append(trimmed.BENames, mx.BENames[r.idx])
-			trimmed.Value = append(trimmed.Value, mx.Value[r.idx])
-		}
-		for _, r := range rows[len(mx.LCNames):] {
-			unplaced = append(unplaced, mx.BENames[r.idx])
-		}
-		sort.Strings(unplaced)
-		mx = trimmed
-	}
-
-	solver := c.cfg.Solver
-	if solver == SolverSharded {
-		solver = "lp" // whole-matrix fallback when jobs exceed hosts
-	}
-	timer = c.obs.solveTimer()
-	byBE, _, err := mx.SolveTraced(solver, c.tracer, now)
-	timer.Stop()
-	if err != nil {
-		return nil, nil, err
-	}
-	placement := make(map[string]string, len(byBE))
-	for be, agentName := range byBE {
-		placement[be] = byName[agentName].url
-	}
-	return placement, unplaced, nil
-}
-
-// lcSpec reconstructs the LC workload spec of an agent's matrix column.
-// The matrix builder only consumes the LC envelope (peak load and
-// provisioned power) plus the fitted model, all reported in stats, so
-// the controller needs no local catalog.
-func lcSpec(name string, a *agentState) *workload.Spec {
-	return &workload.Spec{
-		Name:              name,
-		Class:             workload.LatencyCritical,
-		PeakLoad:          a.last.PeakLoad,
-		ProvisionedPowerW: a.last.ProvisionedPowerW,
-	}
-}
-
-// beModel picks a best-effort app's model: the first placeable agent, in
-// the given (name) order, that reports the app's own model or its base
-// app's (replica instances such as "graph#3" share "graph"'s).
-func beModel(agents []*agentState, be string) (*utility.Model, error) {
-	for _, a := range agents {
-		if !a.placeable() {
-			continue
-		}
-		if m, ok := a.last.BEModels[be]; ok && m != nil {
-			return m, nil
-		}
-		if m, ok := a.last.BEModels[baseBE(be)]; ok && m != nil {
-			return m, nil
-		}
-	}
-	return nil, fmt.Errorf("no live agent reports a model for best-effort app %q", be)
 }
 
 // pushKind discriminates the per-round agent RPCs.

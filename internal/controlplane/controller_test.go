@@ -101,6 +101,7 @@ func TestNewControllerValidation(t *testing.T) {
 		{"negative dead-after", ControllerConfig{AgentURLs: []string{"http://a"}, DeadAfter: -1}},
 		{"negative retries", ControllerConfig{AgentURLs: []string{"http://a"}, Retries: -1}},
 		{"bad jitter", ControllerConfig{AgentURLs: []string{"http://a"}, Jitter: 1.5}},
+		{"retired solver", ControllerConfig{AgentURLs: []string{"http://a"}, Solver: "lp"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,8 +110,10 @@ func TestNewControllerValidation(t *testing.T) {
 			}
 		})
 	}
-	if _, err := NewController(ControllerConfig{AgentURLs: []string{"http://a"}}); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, solver := range []string{"", SolverSharded} {
+		if _, err := NewController(ControllerConfig{AgentURLs: []string{"http://a"}, Solver: solver}); err != nil {
+			t.Errorf("valid config (solver %q) rejected: %v", solver, err)
+		}
 	}
 }
 

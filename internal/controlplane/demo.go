@@ -171,7 +171,6 @@ func NewStreamDemo(cfg StreamDemoConfig) (*Campaign, error) {
 		Duration:           time.Duration(cfg.Rounds) * time.Second,
 		Heartbeat:          time.Second,
 		DeadAfter:          2,
-		Solver:             SolverSharded,
 		Transport:          cfg.Transport,
 		PodSize:            cfg.PodSize,
 		Seed:               cfg.Seed,

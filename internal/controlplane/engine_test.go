@@ -9,14 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"pocolo/internal/assign"
 	"pocolo/internal/cluster"
 	"pocolo/internal/utility"
 	"pocolo/internal/workload"
 )
 
-// engineFleet is a streaming fleet under the sharded solver, driven one
-// round at a time: every running agent heartbeats the BE and cap last
-// pushed to it, then the controller runs one round.
+// engineFleet is a streaming fleet driven one round at a time: every
+// running agent heartbeats the BE and cap last pushed to it, then the
+// controller runs one round.
 type engineFleet struct {
 	t     *testing.T
 	ctl   *Controller
@@ -38,7 +39,6 @@ func newEngineFleet(t *testing.T, n, podSize int, bes []string, mut func(*Contro
 	t.Helper()
 	et := newEchoTransport()
 	ctl, urls, tick := streamTestController(t, n, podSize, func(cfg *ControllerConfig) {
-		cfg.Solver = SolverSharded
 		cfg.BE = bes
 		cfg.Client = &http.Client{Transport: et}
 		if mut != nil {
@@ -255,4 +255,102 @@ func TestEngineRebuildsOnNewOrRenamedAgent(t *testing.T) {
 	if last := renamed.hosts[len(renamed.hosts)-1]; last.name != "agent-zz" || last.url != f.urls[5] {
 		t.Fatalf("last column %s (%s), want agent-zz at %s", last.name, last.url, f.urls[5])
 	}
+}
+
+// TestEngineSinglePodMatchesHungarian pins the exactness of a fleet that
+// fits in one pod: under the default pod size, the value of the
+// controller's placement on the live matrix equals assign.Hungarian's
+// optimum bit for bit, at discovery, after a crash and after the rejoin.
+// The agents are all distinct (four LC apps, a different provisioned
+// power each), so the only ties are between replicas, whose rows are
+// equal: every optimal placement sums the same cells.
+func TestEngineSinglePodMatchesHungarian(t *testing.T) {
+	const n = 12
+	f := newEngineFleet(t, n, n, replicas(7), func(cfg *ControllerConfig) { cfg.PodSize = 0 })
+	models := fixtureModels(t)
+	lcs := []string{"img-dnn", "sphinx", "xapian", "tpcc"}
+	for i := range f.stats {
+		lc := spec(t, lcs[i%len(lcs)])
+		st := &f.stats[i]
+		st.LC, st.PeakLoad, st.LCModel = lc.Name, lc.PeakLoad, models[lc.Name]
+		st.ProvisionedPowerW = lc.ProvisionedPowerW - float64(i)
+	}
+	check := func(st Status) {
+		t.Helper()
+		if st.Degraded || len(st.Unplaced) > 0 {
+			t.Fatalf("status %+v, want a full placement", st)
+		}
+		alive := make(map[string]bool)
+		for _, a := range st.Agents {
+			alive[a.Name] = a.Alive
+		}
+		matrixModels := make(map[string]*utility.Model)
+		var lc, be []*workload.Spec
+		col := make(map[string]int)
+		for _, s := range f.stats {
+			if alive[s.Agent] {
+				col[s.Agent] = len(lc)
+				lc = append(lc, &workload.Spec{Name: s.Agent, Class: workload.LatencyCritical,
+					PeakLoad: s.PeakLoad, ProvisionedPowerW: s.ProvisionedPowerW})
+				matrixModels[s.Agent] = s.LCModel
+			}
+		}
+		row := make(map[string]int)
+		for _, name := range f.ctl.cfg.BE {
+			row[name] = len(be)
+			be = append(be, &workload.Spec{Name: name, Class: workload.BestEffort})
+			matrixModels[name] = f.stats[0].BEModels[baseBE(name)]
+		}
+		mx, err := cluster.BuildMatrix(cluster.MatrixConfig{Machine: f.stats[0].Machine, LC: lc, BE: be, Models: matrixModels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, err := assign.Hungarian(mx.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The canonical sum Hungarian and the engine's pods total with:
+		// sorted, then added.
+		var vals []float64
+		for app, agent := range st.Placement {
+			j, ok := col[agent]
+			if !ok {
+				t.Fatalf("%s placed on %s, which is not live", app, agent)
+			}
+			vals = append(vals, mx.Value[row[app]][j])
+		}
+		if len(vals) != len(be) {
+			t.Fatalf("placement %v, want all %d apps placed", st.Placement, len(be))
+		}
+		sort.Float64s(vals)
+		got := 0.0
+		for _, v := range vals {
+			got += v
+		}
+		if got != want {
+			t.Fatalf("placement value %v != Hungarian optimum %v (diff %g)", got, want, got-want)
+		}
+	}
+
+	st := f.round()
+	check(st)
+	victim := -1
+	for i, s := range f.stats {
+		if st.Placement["graph#1"] == s.Agent {
+			victim = i
+		}
+	}
+	f.setDown(victim, true)
+	for r := 0; r < 2; r++ { // DeadAfter 2
+		st = f.round()
+	}
+	if st.Deaths != 1 {
+		t.Fatalf("deaths = %d, want the victim dead", st.Deaths)
+	}
+	check(st)
+	f.setDown(victim, false)
+	if st = f.round(); st.Rejoins != 1 {
+		t.Fatalf("rejoins = %d", st.Rejoins)
+	}
+	check(st)
 }

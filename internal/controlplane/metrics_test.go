@@ -73,10 +73,14 @@ var (
 		"pocolo_controller_rounds_total counter",
 		"pocolo_controller_solves_total counter",
 		"pocolo_controller_unplaced_be gauge",
+		"pocolo_obs_batch_augments_total counter pod",
+		"pocolo_obs_batch_dirty_total counter pod",
+		"pocolo_obs_batch_rounds_total counter pod",
 		"pocolo_obs_budget_headroom_watts gauge host",
 		"pocolo_obs_budget_rebalance_seconds histogram",
 		"pocolo_obs_heartbeat_decode_seconds histogram",
 		"pocolo_obs_heartbeat_frames_total counter verdict",
+		"pocolo_obs_pod_solve_seconds histogram pod",
 		"pocolo_obs_round_seconds histogram",
 		"pocolo_obs_slo_breach_total counter slo",
 		"pocolo_obs_slo_burn gauge slo",

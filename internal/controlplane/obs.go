@@ -97,7 +97,7 @@ func (o *ctlObs) headroomGauge(name string) *obs.Gauge {
 	return g
 }
 
-// buildTimer and solveTimer time the controller's matrix-build and solve
+// buildTimer and solveTimer time the controller's engine-build and solve
 // phases. An unobserved controller gets the zero timer, which reads no
 // clock.
 func (o *ctlObs) buildTimer() obs.Timer {

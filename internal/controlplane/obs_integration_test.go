@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"pocolo/internal/cluster"
 	"pocolo/internal/obs"
 	"pocolo/internal/trace"
 )
@@ -153,6 +154,9 @@ func TestControllerObsMetricsAndTop(t *testing.T) {
 // contract (only meta.json's wall_ns field may differ).
 func TestStreamDemoFlightBundle(t *testing.T) {
 	run := func(dir string) {
+		// The delta-cell memo is process-wide: clear it so both runs trace
+		// the same computed/reused cell counts.
+		cluster.ResetCellMemo()
 		report, err := RunStreamDemo(context.Background(), StreamDemoConfig{
 			Agents: 16, PodSize: 8, Rounds: 8, Seed: 7,
 			SlowRound: 5, FlightDir: dir,

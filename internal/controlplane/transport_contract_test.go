@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pocolo/internal/cluster"
 	"pocolo/internal/trace"
 )
 
@@ -227,6 +228,9 @@ func TestPartitionAcceptance(t *testing.T) {
 	bes := []string{"graph", "lstm"}
 	hb := time.Second
 	run := func() (*CampaignReport, Status, []trace.Event) {
+		// The delta-cell memo is process-wide: clear it so both runs trace
+		// the same computed/reused cell counts.
+		cluster.ResetCellMemo()
 		camp, err := NewCampaign(CampaignConfig{
 			Agents: campaignAgentConfigs(t, lcs, bes),
 			BE:     bes,
