@@ -1,16 +1,20 @@
 // Package controlplane networks the paper's two-level design: a per-server
 // agent wraps one servermgr.Manager behind an HTTP/JSON API, and a cluster
-// controller discovers agents from static configuration, polls their
-// heartbeats, rebuilds the BE×LC performance matrix from reported stats,
-// and re-solves placement with the internal/assign LP solver. The
-// controller is failure-aware — per-request timeouts, capped exponential
-// backoff with a retry budget, dead-after-K-misses detection — and migrates
-// a dead server's best-effort work to the survivors, degrading to the
-// last-known-good placement when the solver or a majority of agents are
-// unreachable.
+// controller discovers agents from static configuration and hears from
+// them every heartbeat, either by polling GET /v1/stats or by ingesting
+// the binary delta heartbeats they push to POST /v1/heartbeat. Both
+// transports feed one liveness fold. From the reported stats the
+// controller keeps the BE×LC placement solved on a warm, pod-sharded
+// assignment engine (internal/cluster). It is failure-aware — per-request
+// timeouts, a retry budget, capped exponential probe backoff,
+// dead-after-K-misses detection — and migrates a dead server's best-effort
+// work to the survivors, degrading to the last-known-good placement when
+// a solve fails or a majority of agents are unreachable.
 //
 // Wire types live in this file. All endpoints speak JSON except GET
-// /metrics, which emits Prometheus text exposition format (version 0.0.4).
+// /metrics, which emits Prometheus text exposition format (version
+// 0.0.4), and POST /v1/heartbeat, whose request is a binary frame
+// (codec.go).
 package controlplane
 
 import (

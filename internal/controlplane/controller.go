@@ -54,8 +54,9 @@ type ControllerConfig struct {
 	// DeadAfter is K: an alive agent missing K consecutive heartbeats is
 	// declared dead and its best-effort work is migrated (default 3).
 	DeadAfter int
-	// Retries is the per-probe retry budget within one round (default 1
-	// retry, i.e. two attempts).
+	// Retries is the per-probe retry budget within one round: a probe
+	// makes Retries+1 attempts. NewController applies no default, so 0
+	// means one attempt (pocolo-controller's -retries defaults to 1).
 	Retries int
 	// MaxBackoff caps the exponential probe backoff for dead agents
 	// (default 16×Heartbeat).
@@ -109,7 +110,7 @@ type ControllerConfig struct {
 	// traces fetched over /v1/trace into one cluster timeline.
 	Trace *trace.Tracer
 	// Obs, when non-nil, is the controller's metrics registry: round
-	// latency, SLO burn, heartbeat ingest verdicts, per-pod solve latency
+	// latency, SLO burn, heartbeat decode latency, per-pod solve latency
 	// and staleness watermarks all land here and are appended to the
 	// /metrics exposition. Nil disables the whole plane at one pointer
 	// check per site.
@@ -138,13 +139,21 @@ type agentState struct {
 	name string // reported identity; URL until first contact
 	lc   string
 
+	// Liveness and the last report: observeLocked is their only writer,
+	// except that an acknowledged push sets last.AssignedBE or last.CapW.
 	alive    bool
 	everSeen bool
 	misses   int
-	backoff  time.Duration
-	nextDue  time.Time
 	lastErr  string
 	last     StatsResponse
+	// lastHeard is when the report in last was taken: the round's clock
+	// under poll, the frame's ingest time under stream.
+	lastHeard time.Time
+
+	// backoff and nextDue schedule the poll transport's probes of a dead
+	// agent.
+	backoff time.Duration
+	nextDue time.Time
 	// streamSeq is the heartbeat seq last folded into this state by the
 	// streaming transport; a round that sees no higher published seq
 	// counts a miss, mirroring a failed poll probe.
@@ -190,8 +199,9 @@ type Status struct {
 	Budget    *BudgetStatus     `json:"budget,omitempty"`
 }
 
-// Controller polls agents, detects failures, and keeps the cluster's
-// best-effort placement solved against the live membership.
+// Controller observes agents over either transport, detects failures,
+// and keeps the cluster's best-effort placement solved against the live
+// membership.
 type Controller struct {
 	cfg    ControllerConfig
 	client *http.Client
@@ -435,51 +445,63 @@ func (c *Controller) pollProbe(ctx context.Context, now time.Time) []probeResult
 	return results
 }
 
-// applyProbesLocked folds poll probe results into the liveness state.
+// observeLocked folds one round's observation of one agent into its
+// liveness state, on either transport. A non-nil report, taken at heard,
+// discovers, rejoins or refreshes the agent. A nil report is a miss for
+// the reason miss, and an alive agent dies at its DeadAfter-th
+// consecutive miss. It reports whether membership changed.
+func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard time.Time, miss string) (membershipChanged bool) {
+	if report == nil {
+		a.lastErr = miss
+		a.misses++
+		if !a.alive || a.misses < c.cfg.DeadAfter {
+			return false
+		}
+		a.alive = false
+		c.deaths++
+		c.logf("agent %s (%s) dead after %d missed heartbeats: %s", a.name, a.url, a.misses, miss)
+		return true
+	}
+	if !a.alive || !a.everSeen {
+		membershipChanged = true
+		if a.everSeen {
+			c.rejoins++
+			c.logf("agent %s (%s) rejoined", report.Agent, a.url)
+		} else {
+			c.logf("agent %s (%s) discovered, lc=%s", report.Agent, a.url, report.LC)
+		}
+	}
+	a.alive = true
+	a.everSeen = true
+	a.misses = 0
+	a.lastErr = ""
+	a.lastHeard = heard
+	a.name = report.Agent
+	a.lc = report.LC
+	a.last = *report
+	return membershipChanged
+}
+
+// applyProbesLocked is the poll transport's round head: it folds each
+// probe result into the agent's liveness (observeLocked), installs the
+// probe's decoder cache, and schedules a dead agent's next probe on a
+// capped exponential backoff.
 func (c *Controller) applyProbesLocked(results []probeResult, now time.Time) (membershipChanged bool) {
-	for _, r := range results {
+	for i := range results {
+		r := &results[i]
 		a := r.agent
 		if r.err != nil {
-			a.lastErr = r.err.Error()
-			a.misses++
-			if a.alive && a.misses >= c.cfg.DeadAfter {
-				a.alive = false
-				c.deaths++
-				membershipChanged = true
-				c.logf("agent %s (%s) dead after %d missed heartbeats: %v", a.name, a.url, a.misses, r.err)
-			}
+			membershipChanged = c.observeLocked(a, nil, now, r.err.Error()) || membershipChanged
 			if !a.alive {
-				// Capped exponential probe backoff for dead agents.
-				if a.backoff == 0 {
-					a.backoff = c.cfg.Heartbeat
-				} else {
-					a.backoff *= 2
-				}
-				if a.backoff > c.cfg.MaxBackoff {
-					a.backoff = c.cfg.MaxBackoff
-				}
+				// Next probe in 1, 2, 4, … heartbeats, capped at MaxBackoff.
+				a.backoff = min(max(2*a.backoff, c.cfg.Heartbeat), c.cfg.MaxBackoff)
 				a.nextDue = now.Add(a.backoff)
 			}
 			continue
 		}
-		if !a.alive || !a.everSeen {
-			membershipChanged = true
-			if a.everSeen {
-				c.rejoins++
-				c.logf("agent %s (%s) rejoined", r.stats.Agent, a.url)
-			} else {
-				c.logf("agent %s (%s) discovered, lc=%s", r.stats.Agent, a.url, r.stats.LC)
-			}
-		}
-		a.alive = true
-		a.everSeen = true
-		a.misses = 0
+		membershipChanged = c.observeLocked(a, &r.stats, now, "") || membershipChanged
 		a.backoff = 0
 		a.nextDue = now
-		a.lastErr = ""
-		a.name = r.stats.Agent
-		a.lc = r.stats.LC
-		a.last = r.stats
 		a.probeCache = r.cache
 	}
 	return membershipChanged

@@ -1,9 +1,14 @@
 package controlplane
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -427,4 +432,88 @@ func TestAssignPushesFollowPlacement(t *testing.T) {
 	ctl.lastGood = map[string]string{"lstm": "http://a0"}
 	ctl.degradeLocked(time.Unix(0, 0), "test")
 	assertPushes(map[string]string{"http://a0": "lstm", "http://a1": ""})
+}
+
+// scriptedProbes answers every request with one /v1/stats body, or fails
+// it while down, and counts the requests.
+type scriptedProbes struct {
+	mu     sync.Mutex
+	body   []byte
+	down   bool
+	probes int
+}
+
+func (s *scriptedProbes) RoundTrip(req *http.Request) (*http.Response, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.probes++
+	if s.down {
+		return nil, errors.New("connection refused")
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Body:       io.NopCloser(bytes.NewReader(s.body)),
+		Header:     make(http.Header),
+		Request:    req,
+	}, nil
+}
+
+// set switches the agent down or up and returns the probe count so far.
+func (s *scriptedProbes) set(down bool) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.down = down
+	return s.probes
+}
+
+// TestPollBackoffSchedule pins the poll transport's dead-agent schedule:
+// a dead agent is probed again after 1, 2, 4, … heartbeats, doubling up
+// to MaxBackoff; Misses counts only the rounds that probed it; and a
+// rejoin starts the schedule over.
+func TestPollBackoffSchedule(t *testing.T) {
+	body, err := json.Marshal(codecStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := &scriptedProbes{body: body}
+	clock := time.Unix(1_700_000_000, 0)
+	ctl, err := NewController(ControllerConfig{
+		AgentURLs:  []string{"http://agent-a:7001"},
+		Heartbeat:  time.Second,
+		DeadAfter:  2,
+		MaxBackoff: 4 * time.Second,
+		Client:     &http.Client{Transport: probes},
+		Now:        func() time.Time { return clock },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The agent answers in rounds 1 (discovery) and 18 (rejoin) only. It
+	// dies at its second miss, in round 3 and again in round 20.
+	up := map[int]bool{1: true, 18: true}
+	wantProbed := []int{1, 2, 3, 4, 6, 10, 14, 18, 19, 20, 21, 23}
+	var probed []int
+	misses := 0
+	for r := 1; r <= 23; r++ {
+		before := probes.set(!up[r])
+		clock = clock.Add(time.Second)
+		ctl.Round(context.Background())
+		if probes.set(!up[r]) > before {
+			probed = append(probed, r)
+			if up[r] {
+				misses = 0
+			} else {
+				misses++
+			}
+		}
+		if got := ctl.Status().Agents[0].Misses; got != misses {
+			t.Fatalf("round %d: misses = %d, want %d (probed in rounds %v)", r, got, misses, probed)
+		}
+	}
+	if !reflect.DeepEqual(probed, wantProbed) {
+		t.Fatalf("probed in rounds %v, want %v", probed, wantProbed)
+	}
+	if st := ctl.Status(); st.Deaths != 2 || st.Rejoins != 1 || st.Agents[0].Alive {
+		t.Fatalf("deaths=%d rejoins=%d alive=%v, want 2, 1, false", st.Deaths, st.Rejoins, st.Agents[0].Alive)
+	}
 }

@@ -76,13 +76,19 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 // format treats specially, all of them at once, and the empty value.
 var labelFuzzSeeds = []string{`a"b`, `a\b`, "a\nb", "a\tb", "aéb", "node-\"1\"\\\n\ttail é", ""}
 
+// ingestFuzzSeeds start FuzzIngestEntryPoints from the frame sequences
+// TestIngestEntryPointsAgree covers.
+func ingestFuzzSeeds(tb testing.TB) [][][]byte {
+	return [][][]byte{ingestScenarioFrames(tb), fuzzSeedFrames(tb)}
+}
+
 // TestFuzzCorpusCommitted keeps the committed corpora in lockstep with
-// fuzzSeedFrames, statsFuzzSeeds, labelFuzzSeeds and capFuzzSeeds: every
-// seed must exist on disk in Go corpus format so `go test -fuzz` and
-// plain `go test` start from the same population. Regenerate after
-// changing the seeds with POCOLO_WRITE_CORPUS=1.
+// fuzzSeedFrames, statsFuzzSeeds, labelFuzzSeeds, capFuzzSeeds and
+// ingestFuzzSeeds: every seed must exist on disk in Go corpus format so
+// `go test -fuzz` and plain `go test` start from the same population.
+// Regenerate after changing the seeds with POCOLO_WRITE_CORPUS=1.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	var frames, stats, labels, caps [][][]byte
+	var frames, stats, labels, caps, ingest [][][]byte
 	for _, frame := range fuzzSeedFrames(t) {
 		frames = append(frames, [][]byte{frame})
 	}
@@ -95,10 +101,14 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 	for _, s := range capFuzzSeeds {
 		caps = append(caps, [][]byte{[]byte(s.body)})
 	}
+	for _, seq := range ingestFuzzSeeds(t) {
+		ingest = append(ingest, [][]byte{joinFrames(seq)})
+	}
 	checkCorpus(t, "FuzzDecodeHeartbeat", frames)
 	checkCorpus(t, "FuzzDecodeStats", stats)
 	checkCorpus(t, "FuzzExpositionLabels", labels)
 	checkCorpus(t, "FuzzDecodeCapRequest", caps)
+	checkCorpus(t, "FuzzIngestEntryPoints", ingest)
 }
 
 // checkCorpus compares (or, with POCOLO_WRITE_CORPUS set, writes) one
@@ -187,6 +197,49 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 		if string(got) != string(want) {
 			t.Fatalf("decode/encode/decode not idempotent:\n got %s\nwant %s", got, want)
 		}
+	})
+}
+
+// maxFuzzFrames bounds the frame sequence of one FuzzIngestEntryPoints
+// input.
+const maxFuzzFrames = 64
+
+// joinFrames and splitFrames convert between a frame sequence and one
+// FuzzIngestEntryPoints input: each frame prefixed with its length as a
+// uvarint. A malformed or overlong prefix, or a frame past
+// maxFuzzFrames, ends the sequence.
+func joinFrames(frames [][]byte) []byte {
+	var b []byte
+	for _, f := range frames {
+		b = binary.AppendUvarint(b, uint64(len(f)))
+		b = append(b, f...)
+	}
+	return b
+}
+
+func splitFrames(b []byte) [][]byte {
+	var frames [][]byte
+	for len(b) > 0 && len(frames) < maxFuzzFrames {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)-k) {
+			break
+		}
+		frames = append(frames, b[k:k+int(n)])
+		b = b[k+int(n):]
+	}
+	return frames
+}
+
+// FuzzIngestEntryPoints holds the two ingest entry points to one
+// behaviour over arbitrary frame sequences: IngestHeartbeat frame by
+// frame and one IngestBatch call must agree on every ack, on StreamStats
+// and on every published view (checkIngestEntryPoints).
+func FuzzIngestEntryPoints(f *testing.F) {
+	for _, frames := range ingestFuzzSeeds(f) {
+		f.Add(joinFrames(frames))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkIngestEntryPoints(t, splitFrames(b))
 	})
 }
 

@@ -79,7 +79,6 @@ var (
 		"pocolo_obs_budget_headroom_watts gauge host",
 		"pocolo_obs_budget_rebalance_seconds histogram",
 		"pocolo_obs_heartbeat_decode_seconds histogram",
-		"pocolo_obs_heartbeat_frames_total counter verdict",
 		"pocolo_obs_pod_solve_seconds histogram pod",
 		"pocolo_obs_round_seconds histogram",
 		"pocolo_obs_slo_breach_total counter slo",

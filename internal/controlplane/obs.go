@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the controller's observability plane: the ctlObs handle
-// bundle (round latency, SLO trackers, heartbeat ingest, per-pod
+// bundle (round latency, SLO trackers, heartbeat decode latency, per-pod
 // staleness watermarks), the round-deadline flight-recorder trigger, and
 // the /v1/top fleet snapshot that pocolo-top renders. Everything is
 // nil-safe — a controller without a registry pays one nil check per
@@ -30,9 +30,9 @@ type ctlObs struct {
 	// the family the agents' server managers time their ticks into
 	buildMatrix, solve *obs.Histogram
 
-	// heartbeat ingest (streaming transport)
-	decode                                  *obs.Histogram // pocolo_obs_heartbeat_decode_seconds
-	vFull, vDelta, vStale, vResync, vReject *obs.Counter   // verdict-labeled frames
+	// heartbeat ingest (streaming transport); the frame counters are
+	// streamState's, rendered from StreamStats
+	decode *obs.Histogram // pocolo_obs_heartbeat_decode_seconds
 
 	// per-pod staleness watermark, indexed by stream shard
 	podStale []*obs.Gauge
@@ -57,11 +57,6 @@ func newCtlObs(reg *obs.Registry, poll bool, nPods int, roundDeadline, staleLimi
 		roundSLO: obs.NewSLO(reg, obs.Objective{Name: "round", Target: roundDeadline, Budget: sloBudget}),
 		staleSLO: obs.NewSLO(reg, obs.Objective{Name: "staleness", Target: staleLimit, Budget: sloBudget}),
 		decode:   reg.Histogram("pocolo_obs_heartbeat_decode_seconds", "Wall-clock duration of heartbeat frame decodes."),
-		vFull:    reg.Counter("pocolo_obs_heartbeat_frames_total", "Heartbeat frames by ingest verdict.", obs.Label{Key: "verdict", Value: "full"}),
-		vDelta:   reg.Counter("pocolo_obs_heartbeat_frames_total", "Heartbeat frames by ingest verdict.", obs.Label{Key: "verdict", Value: "delta"}),
-		vStale:   reg.Counter("pocolo_obs_heartbeat_frames_total", "Heartbeat frames by ingest verdict.", obs.Label{Key: "verdict", Value: "stale"}),
-		vResync:  reg.Counter("pocolo_obs_heartbeat_frames_total", "Heartbeat frames by ingest verdict.", obs.Label{Key: "verdict", Value: "resync"}),
-		vReject:  reg.Counter("pocolo_obs_heartbeat_frames_total", "Heartbeat frames by ingest verdict.", obs.Label{Key: "verdict", Value: "reject"}),
 		budgetLat: reg.Histogram("pocolo_obs_budget_rebalance_seconds",
 			"Wall-clock duration of the controller's budget-tree divisions."),
 		headroom: make(map[string]*obs.Gauge),
@@ -147,24 +142,29 @@ func (c *Controller) podCounters(now time.Time) []podCounter {
 	defer c.mu.Unlock()
 	out := make([]podCounter, 0, len(c.agents))
 	for i, a := range c.agents {
-		pc := podCounter{
-			Agent: a.name,
-			Pod:   fmt.Sprintf("pod-%d", i/c.cfg.PodSize),
-			Alive: a.alive,
-			Seq:   a.streamSeq,
-		}
-		if c.stream != nil {
-			if v := c.stream.viewAt(i); v != nil {
-				pc.StaleS = now.Sub(v.lastHeard).Seconds()
-			}
-		}
-		out = append(out, pc)
+		out = append(out, podCounter{
+			Agent:  a.name,
+			Pod:    fmt.Sprintf("pod-%d", i/c.cfg.PodSize),
+			Alive:  a.alive,
+			Seq:    a.streamSeq,
+			StaleS: a.staleness(now),
+		})
 	}
 	return out
 }
 
+// staleness is the age of the agent's last report, zero before its
+// first.
+func (a *agentState) staleness(now time.Time) float64 {
+	if !a.everSeen {
+		return 0
+	}
+	return now.Sub(a.lastHeard).Seconds()
+}
+
 // triggerBundle fires the flight recorder with the controller's recent
-// trace events, obs snapshot, and per-agent counters. Bundle event logs
+// trace events, obs snapshot, per-agent counters, and heartbeat ingest
+// counters (meta.json's detail). Bundle event logs
 // are wall-free and stamped on the controller clock, so seeded runs
 // produce byte-identical events.jsonl files.
 func (c *Controller) triggerBundle(now time.Time, round int, d time.Duration, reason string) {
@@ -182,6 +182,7 @@ func (c *Controller) triggerBundle(now time.Time, round int, d time.Duration, re
 			"round":      round,
 			"duration_s": d.Seconds(),
 			"deadline_s": c.roundDeadline.Seconds(),
+			"heartbeats": c.StreamStats(),
 		},
 	})
 	if err != nil {
@@ -289,15 +290,7 @@ func (c *Controller) Top() TopSnapshot {
 				row.Violations++
 			}
 		}
-		if c.stream != nil {
-			if v := c.stream.viewAt(i); v != nil {
-				if st := now.Sub(v.lastHeard).Seconds(); st > row.StalenessS {
-					row.StalenessS = st
-				}
-			}
-		} else if !a.alive {
-			row.StalenessS = float64(a.misses) * c.cfg.Heartbeat.Seconds()
-		}
+		row.StalenessS = max(row.StalenessS, a.staleness(now))
 		if share, ok := shares[a.name]; ok {
 			row.HeadroomW += share - a.last.PowerW
 		}

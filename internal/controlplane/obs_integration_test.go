@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pocolo/internal/cluster"
 	"pocolo/internal/obs"
@@ -100,8 +101,8 @@ func TestControllerObsMetricsAndTop(t *testing.T) {
 		"pocolo_obs_round_seconds_count",
 		`pocolo_obs_pod_solve_seconds_bucket{pod="pod-0",le=`,
 		`pocolo_obs_pod_solve_seconds_bucket{pod="pod-1",le=`,
-		`pocolo_obs_heartbeat_frames_total{verdict="delta"}`,
-		`pocolo_obs_heartbeat_frames_total{verdict="full"}`,
+		`pocolo_controller_heartbeat_frames_total{type="delta"}`,
+		`pocolo_controller_heartbeat_frames_total{type="full"}`,
 		`pocolo_obs_slo_burn{slo="round"}`,
 		`pocolo_obs_slo_burn{slo="staleness"}`,
 		`pocolo_obs_stream_staleness_seconds{pod="pod-0"}`,
@@ -266,5 +267,87 @@ func TestStreamDemoFlightBundle(t *testing.T) {
 	}
 	if !bytes.Equal(evBytes, evBytes2) {
 		t.Fatalf("event logs differ across identical seeded runs (%d vs %d bytes)", len(evBytes), len(evBytes2))
+	}
+}
+
+// TestPodStalenessIsTheOldestReport crashes two agents of one pod at
+// different times, on each transport. The pod's staleness in /v1/top is
+// the age of its oldest last report, not a count of misses: 12 s after
+// 14 rounds for the agent silent since t=2 s. A flight bundle's per-agent
+// rows carry each agent's own age.
+func TestPodStalenessIsTheOldestReport(t *testing.T) {
+	for _, transport := range []string{TransportPoll, TransportStream} {
+		t.Run(transport, func(t *testing.T) {
+			hb := time.Second
+			camp, err := NewCampaign(CampaignConfig{
+				Agents: campaignAgentConfigs(t, []string{"img-dnn", "sphinx", "xapian", "tpcc"}, nil),
+				Faults: []FaultEvent{
+					{At: 2 * hb, Agent: 0, Kind: FaultCrash, Duration: time.Hour},
+					{At: 10 * hb, Agent: 1, Kind: FaultCrash, Duration: time.Hour},
+				},
+				Duration:  14 * hb,
+				Heartbeat: hb,
+				DeadAfter: 2,
+				Transport: transport,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := camp.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			ctl := camp.Controller()
+			top := ctl.Top()
+			if len(top.Pods) != 1 || top.Pods[0].StalenessS != 12 {
+				t.Fatalf("pods %+v, want one pod at 12 s staleness", top.Pods)
+			}
+			want := []float64{12, 4, 0, 0}
+			for i, pc := range ctl.podCounters(ctl.now()) {
+				if pc.StaleS != want[i] {
+					t.Errorf("agent %d staleness %.1f s, want %.1f s", i, pc.StaleS, want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestFlightBundleCarriesStreamStats requires a bundle's meta.json to
+// carry the controller's heartbeat ingest counters, since no registry
+// series counts frames.
+func TestFlightBundleCarriesStreamStats(t *testing.T) {
+	dir := t.TempDir()
+	report, err := RunStreamDemo(context.Background(), StreamDemoConfig{
+		Agents: 8, PodSize: 4, Rounds: 5, Seed: 7, SlowRound: 3, FlightDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := report.Err(); err != nil {
+		t.Fatal(err)
+	}
+	bundles, err := filepath.Glob(filepath.Join(dir, "bundle-*", "meta.json"))
+	if err != nil || len(bundles) != 1 {
+		t.Fatalf("want one bundle, got %v (%v)", bundles, err)
+	}
+	raw, err := os.ReadFile(bundles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta struct {
+		Detail struct {
+			Heartbeats StreamStats `json:"heartbeats"`
+		} `json:"detail"`
+	}
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	got := meta.Detail.Heartbeats
+	if got.Bytes == 0 {
+		t.Fatalf("meta.json heartbeats %+v count no bytes", got)
+	}
+	got.Bytes = 0
+	// Three rounds of eight agents: one full frame each, then deltas.
+	if want := (StreamStats{Frames: 24, Fulls: 8, Deltas: 16}); got != want {
+		t.Fatalf("meta.json heartbeats %+v, want %+v", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pocolo/internal/obs"
 	"pocolo/internal/parallel"
 	"pocolo/internal/trace"
 )
@@ -182,44 +183,46 @@ func (s *streamState) shardOf(slot int) (*streamShard, int) {
 	return s.shards[slot/s.podSize], slot % s.podSize
 }
 
-// view returns the published view for a configured agent URL (nil before
-// the agent's first applied frame). Lock-free: one atomic load.
-func (s *streamState) view(url string) *agentView {
-	slot, ok := s.slots[url]
-	if !ok {
-		return nil
-	}
-	return s.viewAt(slot)
-}
-
-// viewAt returns the published view for a global slot (nil before the
-// agent's first applied frame). Lock-free: one atomic load.
-func (s *streamState) viewAt(slot int) *agentView {
-	sh, li := s.shardOf(slot)
-	pv := sh.snap.Load()
-	if pv == nil {
-		return nil
-	}
-	return pv.views[li]
-}
-
 // route resolves a decoded frame to its global slot. Full frames bind by
 // the advertised URL and (re)bind the agent name; deltas resolve by the
-// name bound by an earlier full frame.
-func (s *streamState) route(hb *Heartbeat) (int, hbVerdict) {
+// name bound by an earlier full frame. A frame it cannot place gets its
+// resync ack instead.
+func (s *streamState) route(hb *Heartbeat) (slot int, ack HeartbeatAck, ok bool) {
 	if hb.Full {
-		slot, ok := s.slots[hb.URL]
-		if !ok {
-			return 0, hbResync // not a configured agent; refuse to bind
+		// An unconfigured URL is refused, not bound.
+		if slot, ok = s.slots[hb.URL]; ok {
+			s.names.Store(hb.Agent, slot)
 		}
-		s.names.Store(hb.Agent, slot)
-		return slot, hbApplied
+	} else if v, bound := s.names.Load(hb.Agent); bound {
+		slot, ok = v.(int), true
 	}
-	v, ok := s.names.Load(hb.Agent)
 	if !ok {
-		return 0, hbResync // unknown sender; a full frame will bind it
+		return 0, s.ack(hb, hbResync, 0), false
 	}
-	return v.(int), hbApplied
+	return slot, HeartbeatAck{}, true
+}
+
+// applyLocked folds one routed frame into decoder li of sh and returns
+// its ack, and whether it applied; the caller publishes li if so.
+// Callers hold sh.mu.
+func (s *streamState) applyLocked(sh *streamShard, li int, hb *Heartbeat) (HeartbeatAck, bool) {
+	d := &sh.decs[li]
+	v := d.apply(hb)
+	return s.ack(hb, v, d.seq), v == hbApplied
+}
+
+// ack turns a frame's verdict into the ack its sender gets and counts
+// the verdict. watermark is the receiving decoder's applied seq (zero
+// for a frame no decoder saw).
+func (s *streamState) ack(hb *Heartbeat, v hbVerdict, watermark uint64) HeartbeatAck {
+	switch v {
+	case hbStale:
+		s.stale.Add(1)
+	case hbResync:
+		s.resyncs.Add(1)
+		return HeartbeatAck{Agent: hb.Agent, Seq: resyncSeq(hb.Seq, watermark), Resync: true}
+	}
+	return HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq}
 }
 
 // summaryDelta snapshots the cumulative counters and returns the change
@@ -285,85 +288,58 @@ func (c *Controller) IngestHeartbeat(frame []byte) HeartbeatAck {
 	if s == nil {
 		return HeartbeatAck{Reject: true}
 	}
-	s.frames.Add(1)
-	s.bytes.Add(int64(len(frame)))
-	hb, err := c.decodeHeartbeatObs(frame)
+	hb, err := c.decodeFrame(frame)
 	if err != nil {
-		s.rejects.Add(1)
-		if c.obs != nil {
-			c.obs.vReject.Inc()
-		}
 		c.logf("heartbeat rejected: %v", err)
 		return HeartbeatAck{Reject: true}
 	}
-	c.countFrameObs(hb, s)
-	slot, verdict := s.route(hb)
-	if verdict != hbApplied {
-		s.resyncs.Add(1)
-		if c.obs != nil {
-			c.obs.vResync.Inc()
-		}
-		return HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq, Resync: true}
+	slot, ack, ok := s.route(hb)
+	if !ok {
+		return ack
 	}
 	sh, li := s.shardOf(slot)
 	now := c.now()
 	sh.mu.Lock()
-	verdict = sh.decs[li].apply(hb)
-	watermark := sh.decs[li].seq
-	if verdict == hbApplied {
+	ack, applied := s.applyLocked(sh, li, hb)
+	if applied {
 		sh.publishLocked([]int{li}, now)
 	}
 	sh.mu.Unlock()
-	switch verdict {
-	case hbStale:
-		s.stale.Add(1)
-		if c.obs != nil {
-			c.obs.vStale.Inc()
-		}
-		return HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq}
-	case hbResync:
-		s.resyncs.Add(1)
-		if c.obs != nil {
-			c.obs.vResync.Inc()
-		}
-		return HeartbeatAck{Agent: hb.Agent, Seq: resyncSeq(hb.Seq, watermark), Resync: true}
-	}
-	return HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq}
+	return ack
 }
 
-// decodeHeartbeatObs wraps DecodeHeartbeat with the decode-latency
-// histogram; the timing branch costs nothing when obs is off.
-func (c *Controller) decodeHeartbeatObs(frame []byte) (*Heartbeat, error) {
-	if c.obs == nil {
-		return DecodeHeartbeat(frame)
+// decodeFrame decodes one frame, timing the decode when observed, and
+// counts it: its bytes, and whether it was a full frame, a delta, or a
+// reject.
+func (c *Controller) decodeFrame(frame []byte) (*Heartbeat, error) {
+	s := c.stream
+	s.frames.Add(1)
+	s.bytes.Add(int64(len(frame)))
+	var timer obs.Timer
+	if c.obs != nil {
+		timer = c.obs.decode.Start()
 	}
-	start := time.Now()
 	hb, err := DecodeHeartbeat(frame)
-	c.obs.decode.ObserveDuration(time.Since(start))
-	return hb, err
-}
-
-// countFrameObs mirrors the frame-kind counters into the obs registry.
-func (c *Controller) countFrameObs(hb *Heartbeat, s *streamState) {
-	if hb.Full {
+	timer.Stop()
+	switch {
+	case err != nil:
+		s.rejects.Add(1)
+	case hb.Full:
 		s.fulls.Add(1)
-		if c.obs != nil {
-			c.obs.vFull.Inc()
-		}
-	} else {
+	default:
 		s.deltas.Add(1)
-		if c.obs != nil {
-			c.obs.vDelta.Inc()
-		}
 	}
+	return hb, err
 }
 
 // IngestBatch decodes a batch of frames through the bounded worker pool,
 // groups the survivors by shard, and applies each shard's frames under
 // one lock acquisition with one snapshot swap. Acks are returned in
-// frame order. This is the campaign's and the benchmarks' bulk path; a
-// live deployment reaches the same shards one frame at a time through
-// the HTTP handler.
+// frame order. This is the benchmarks' bulk path; a live deployment, and
+// the fault campaign's loopback fabric, reach the same shards one frame
+// at a time through the HTTP handler (IngestHeartbeat). Both entry
+// points share decodeFrame, route, applyLocked and ack, so a frame's
+// fate and its counters do not depend on the path it took.
 func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 	s := c.stream
 	acks := make([]HeartbeatAck, len(frames))
@@ -380,9 +356,6 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 			s.frames.Add(1)
 			s.bytes.Add(int64(len(frames[i])))
 			s.rejects.Add(1)
-			if c.obs != nil {
-				c.obs.vReject.Inc()
-			}
 			acks[i] = HeartbeatAck{Reject: true}
 		}
 		frames = frames[:maxHeartbeatBatch]
@@ -391,18 +364,10 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 	// genuinely expensive decode.
 	decoded := make([]*Heartbeat, len(frames))
 	_ = parallel.ForEach(len(frames), 0, func(i int) error {
-		s.frames.Add(1)
-		s.bytes.Add(int64(len(frames[i])))
-		hb, err := c.decodeHeartbeatObs(frames[i])
-		if err != nil {
-			s.rejects.Add(1)
-			if c.obs != nil {
-				c.obs.vReject.Inc()
-			}
+		var err error
+		if decoded[i], err = c.decodeFrame(frames[i]); err != nil {
 			acks[i] = HeartbeatAck{Reject: true}
-			return nil
 		}
-		decoded[i] = hb
 		return nil
 	})
 	// Route serially: binding order must be deterministic, and it is two
@@ -416,15 +381,9 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 		if hb == nil {
 			continue
 		}
-		c.countFrameObs(hb, s)
-		slot, verdict := s.route(hb)
-		if verdict != hbApplied {
-			s.resyncs.Add(1)
-			if c.obs != nil {
-				c.obs.vResync.Inc()
-			}
-			acks[i] = HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq, Resync: true}
-			decoded[i] = nil
+		slot, ack, ok := s.route(hb)
+		if !ok {
+			acks[i] = ack
 			continue
 		}
 		slots[i] = slot
@@ -452,24 +411,10 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 		var dirty []int
 		sh.mu.Lock()
 		for _, i := range work[p].idx {
-			hb := decoded[i]
 			li := slots[i] % s.podSize
-			switch sh.decs[li].apply(hb) {
-			case hbApplied:
+			var applied bool
+			if acks[i], applied = s.applyLocked(sh, li, decoded[i]); applied {
 				dirty = append(dirty, li)
-				acks[i] = HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq}
-			case hbStale:
-				s.stale.Add(1)
-				if c.obs != nil {
-					c.obs.vStale.Inc()
-				}
-				acks[i] = HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq}
-			case hbResync:
-				s.resyncs.Add(1)
-				if c.obs != nil {
-					c.obs.vResync.Inc()
-				}
-				acks[i] = HeartbeatAck{Agent: hb.Agent, Seq: resyncSeq(hb.Seq, sh.decs[li].seq), Resync: true}
 			}
 		}
 		if len(dirty) > 0 {
@@ -515,13 +460,13 @@ func (c *Controller) HeartbeatHandler(w http.ResponseWriter, r *http.Request) {
 const maxHeartbeatFrame = maxHeartbeatBlob + maxHeartbeatName + maxHeartbeatURL + 64
 
 // streamObserveLocked is the streaming transport's round head: fold each
-// agent's latest published view into the controller's liveness state.
-// One atomic snapshot load per pod, zero locks, zero network — the
-// polling transport's probe fan-out and miss accounting collapse into a
-// read over frozen state. An agent whose view has not advanced since the
-// last round has missed a heartbeat, exactly as a failed poll probe
-// would count it. Agents are visited by slot — c.agents[i] is slot i —
-// so the fold costs no lookups.
+// agent's latest published view into the controller's liveness state
+// (observeLocked). One atomic snapshot load per pod, zero locks, zero
+// network — the polling transport's probe fan-out collapses into a read
+// over frozen state. An agent whose view has not advanced since the last
+// round has missed a heartbeat, exactly as a failed poll probe would
+// count it. Agents are visited by slot — c.agents[i] is slot i — so the
+// fold costs no lookups.
 func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool) {
 	s := c.stream
 	for p, sh := range s.shards {
@@ -535,45 +480,20 @@ func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool)
 			if pv != nil {
 				view = pv.views[li]
 			}
-			if c.obs != nil && view != nil {
-				stale := now.Sub(view.lastHeard)
+			switch {
+			case view == nil:
+				membershipChanged = c.observeLocked(a, nil, now, "no heartbeat received") || membershipChanged
+			case view.seq <= a.streamSeq:
+				membershipChanged = c.observeLocked(a, nil, now, fmt.Sprintf("no heartbeat since seq %d", view.seq)) || membershipChanged
+			default:
+				a.streamSeq = view.seq
+				membershipChanged = c.observeLocked(a, &view.stats, view.lastHeard, "") || membershipChanged
+			}
+			if c.obs != nil && a.everSeen {
+				stale := now.Sub(a.lastHeard)
 				c.obs.staleSLO.Observe(stale)
 				podMax = max(podMax, stale.Seconds())
 			}
-			if view == nil || view.seq <= a.streamSeq {
-				if view == nil {
-					a.lastErr = "no heartbeat received"
-				} else {
-					a.lastErr = fmt.Sprintf("no heartbeat since seq %d", view.seq)
-				}
-				a.misses++
-				if a.alive && a.misses >= c.cfg.DeadAfter {
-					a.alive = false
-					c.deaths++
-					membershipChanged = true
-					c.logf("agent %s (%s) dead after %d missed heartbeats: %s", a.name, a.url, a.misses, a.lastErr)
-				}
-				continue
-			}
-			if !a.alive || !a.everSeen {
-				membershipChanged = true
-				if a.everSeen {
-					c.rejoins++
-					c.logf("agent %s (%s) rejoined", view.stats.Agent, a.url)
-				} else {
-					c.logf("agent %s (%s) discovered, lc=%s", view.stats.Agent, a.url, view.stats.LC)
-				}
-			}
-			a.alive = true
-			a.everSeen = true
-			a.misses = 0
-			a.backoff = 0
-			a.nextDue = now
-			a.lastErr = ""
-			a.name = view.stats.Agent
-			a.lc = view.stats.LC
-			a.last = view.stats
-			a.streamSeq = view.seq
 		}
 		if c.obs != nil {
 			c.obs.podStale[p].Set(podMax)

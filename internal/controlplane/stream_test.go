@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -74,6 +75,27 @@ func streamTestStats(t testing.TB, name string, bes ...string) StatsResponse {
 		st.BEModels[be] = models[be]
 	}
 	return st
+}
+
+// view returns the published view for a configured agent URL (nil before
+// the agent's first applied frame).
+func (s *streamState) view(url string) *agentView {
+	slot, ok := s.slots[url]
+	if !ok {
+		return nil
+	}
+	return s.viewAt(slot)
+}
+
+// viewAt returns the published view for a global slot (nil before the
+// agent's first applied frame).
+func (s *streamState) viewAt(slot int) *agentView {
+	sh, li := s.shardOf(slot)
+	pv := sh.snap.Load()
+	if pv == nil {
+		return nil
+	}
+	return pv.views[li]
 }
 
 func TestStreamIngestAndView(t *testing.T) {
@@ -460,4 +482,114 @@ func TestSlowAgentCannotStallRound(t *testing.T) {
 			t.Fatalf("acked push not recorded on %s", a.URL)
 		}
 	}
+}
+
+// ingestTestURLs is the fleet checkIngestEntryPoints' controllers serve:
+// the URL fuzzSeedFrames advertise, a pod-mate, and an agent in a second
+// pod (PodSize 2).
+var ingestTestURLs = []string{"http://agent-a:7001", "http://agent-b:7001", "http://agent-c:7001"}
+
+// checkIngestEntryPoints sends frames one at a time through
+// IngestHeartbeat on one controller and in a single IngestBatch call on
+// a twin, and requires the two to agree on every ack, on StreamStats and
+// on every published view. It returns the acks and the stats.
+func checkIngestEntryPoints(t *testing.T, frames [][]byte) ([]HeartbeatAck, StreamStats) {
+	t.Helper()
+	clock := time.Unix(1_700_000_000, 0)
+	twin := func() *Controller {
+		ctl, err := NewController(ControllerConfig{
+			AgentURLs: ingestTestURLs,
+			Transport: TransportStream,
+			PodSize:   2,
+			Now:       func() time.Time { return clock },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctl
+	}
+	one, batch := twin(), twin()
+	acks := make([]HeartbeatAck, len(frames))
+	for i, frame := range frames {
+		acks[i] = one.IngestHeartbeat(frame)
+	}
+	if got := batch.IngestBatch(frames); !reflect.DeepEqual(got, acks) {
+		t.Fatalf("acks differ:\n IngestHeartbeat %+v\n IngestBatch     %+v", acks, got)
+	}
+	stats := one.StreamStats()
+	if got := batch.StreamStats(); got != stats {
+		t.Fatalf("stream stats differ:\n IngestHeartbeat %+v\n IngestBatch     %+v", stats, got)
+	}
+	for slot, url := range ingestTestURLs {
+		if a, b := one.stream.viewAt(slot), batch.stream.viewAt(slot); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: views differ:\n IngestHeartbeat %+v\n IngestBatch     %+v", url, a, b)
+		}
+	}
+	return acks, stats
+}
+
+// ingestScenarioFrames is one frame of every fate, for the fleet of
+// ingestTestURLs: full frames and deltas that apply in both pods, a
+// duplicate delta, a delta past a gap, a delta from a name no full frame
+// bound, a full frame from an unconfigured URL, garbage, and a replayed
+// full frame behind the receiver's watermark.
+func ingestScenarioFrames(tb testing.TB) [][]byte {
+	tb.Helper()
+	encode := func(hb *Heartbeat) []byte {
+		tb.Helper()
+		frame, err := EncodeHeartbeat(hb)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return frame
+	}
+	full := func(name, url string, seq uint64) []byte {
+		st := codecStats()
+		st.Agent = name
+		return encode(&Heartbeat{Agent: name, URL: url, Seq: seq, Epoch: seq, Full: true, Stats: st})
+	}
+	delta := func(name string, seq, base uint64) []byte {
+		// Mask bit 0 is power_w.
+		return encode(&Heartbeat{Agent: name, Seq: seq, Base: base, Epoch: seq, Mask: 1, Stats: StatsResponse{PowerW: float64(100 + seq)}})
+	}
+	a, c := ingestTestURLs[0], ingestTestURLs[2]
+	dup := delta("agent-a", 2, 1)
+	return [][]byte{
+		full("agent-a", a, 1),
+		full("agent-c", c, 1),
+		dup,
+		dup,
+		delta("agent-a", 4, 3),
+		delta("nobody", 2, 1),
+		full("intruder", "http://intruder:7001", 1),
+		[]byte("garbage"),
+		full("agent-a", a, 1),
+		delta("agent-c", 2, 1),
+	}
+}
+
+// TestIngestEntryPointsAgree pins IngestHeartbeat and IngestBatch to one
+// behaviour over every frame fate and over the fuzzer's seed population.
+func TestIngestEntryPointsAgree(t *testing.T) {
+	acks, stats := checkIngestEntryPoints(t, ingestScenarioFrames(t))
+	want := []HeartbeatAck{
+		{Agent: "agent-a", Seq: 1},
+		{Agent: "agent-c", Seq: 1},
+		{Agent: "agent-a", Seq: 2},
+		{Agent: "agent-a", Seq: 2},               // duplicate: stale
+		{Agent: "agent-a", Seq: 4, Resync: true}, // gap
+		{Agent: "nobody", Seq: 2, Resync: true},
+		{Agent: "intruder", Seq: 1, Resync: true},
+		{Reject: true},
+		{Agent: "agent-a", Seq: 2, Resync: true}, // replay: the watermark
+		{Agent: "agent-c", Seq: 2},
+	}
+	if !reflect.DeepEqual(acks, want) {
+		t.Fatalf("acks %+v\nwant %+v", acks, want)
+	}
+	stats.Bytes = 0
+	if want := (StreamStats{Frames: 10, Fulls: 4, Deltas: 5, Stale: 1, Resyncs: 4, Rejects: 1}); stats != want {
+		t.Fatalf("stream stats %+v, want %+v", stats, want)
+	}
+	checkIngestEntryPoints(t, fuzzSeedFrames(t))
 }
