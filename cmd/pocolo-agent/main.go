@@ -28,9 +28,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -242,7 +240,7 @@ func run(opts agentOptions) error {
 func streamHeartbeats(ctx context.Context, agent *controlplane.Agent, name, advertise, controller string, every time.Duration) {
 	enc := controlplane.NewHeartbeatEncoder(name, advertise)
 	client := &http.Client{Timeout: every}
-	endpoint := strings.TrimSuffix(controller, "/") + controlplane.RouteHeartbeat
+	base := strings.TrimSuffix(controller, "/")
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {
@@ -257,7 +255,7 @@ func streamHeartbeats(ctx context.Context, agent *controlplane.Agent, name, adve
 			log.Printf("heartbeat encode: %v", err)
 			continue
 		}
-		ack, err := postHeartbeatFrame(ctx, client, endpoint, frame)
+		ack, err := controlplane.PostHeartbeat(ctx, client, base, frame)
 		if err != nil {
 			enc.Resync()
 			log.Printf("heartbeat push: %v", err)
@@ -265,25 +263,6 @@ func streamHeartbeats(ctx context.Context, agent *controlplane.Agent, name, adve
 		}
 		enc.Ack(ack)
 	}
-}
-
-// postHeartbeatFrame POSTs one frame and decodes the controller's ack.
-func postHeartbeatFrame(ctx context.Context, client *http.Client, endpoint string, frame []byte) (controlplane.HeartbeatAck, error) {
-	var ack controlplane.HeartbeatAck
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, bytes.NewReader(frame))
-	if err != nil {
-		return ack, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := client.Do(req)
-	if err != nil {
-		return ack, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		return ack, fmt.Errorf("decoding heartbeat ack: %w", err)
-	}
-	return ack, nil
 }
 
 // dumpDecisionTrace writes the agent's retained decision trace as JSONL

@@ -519,3 +519,54 @@ func BenchmarkAgentCapPush(b *testing.B) {
 		a.ServeHTTP(w, req)
 	}
 }
+
+// benchResyncFrame is the full heartbeat frame the resync benchmarks
+// encode and decode: a streamTestStats snapshot (identity, LC envelope,
+// fitted models, two BE candidates), as every agent sends after
+// discovery, a controller restart or a partition.
+func benchResyncFrame(b *testing.B) *Heartbeat {
+	b.Helper()
+	return &Heartbeat{
+		Agent: "agent-00042", URL: "http://bench-agent-42", Seq: 1, Epoch: 1,
+		Full: true, Stats: streamTestStats(b, "agent-00042", "graph", "lstm"),
+	}
+}
+
+// Package-level sinks keep the compiler from eliding the measured calls.
+var (
+	benchFrameSink     []byte
+	benchHeartbeatSink *Heartbeat
+)
+
+// BenchmarkHeartbeatFullEncode is the sender's side of one resync: one
+// full frame, snapshot JSON through DEFLATE into the wire layout.
+func BenchmarkHeartbeatFullEncode(b *testing.B) {
+	hb := benchResyncFrame(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame, err := EncodeHeartbeat(hb)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchFrameSink = frame
+	}
+}
+
+// BenchmarkHeartbeatFullDecode is the controller's side of one resync:
+// one full frame through the strict inflate and the snapshot JSON.
+func BenchmarkHeartbeatFullDecode(b *testing.B) {
+	frame, err := EncodeHeartbeat(benchResyncFrame(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hb, err := DecodeHeartbeat(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchHeartbeatSink = hb
+	}
+}

@@ -3,7 +3,6 @@ package controlplane
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -501,7 +500,7 @@ func (c *Campaign) emitHeartbeats(ctx context.Context, crashed, down, partitione
 			c.encoders[i].Resync()
 			continue
 		}
-		ack, err := postHeartbeat(ctx, client, "http://"+campaignControllerHost, frame)
+		ack, err := PostHeartbeat(ctx, client, "http://"+campaignControllerHost, frame)
 		if err != nil {
 			c.encoders[i].Resync()
 			continue
@@ -509,27 +508,6 @@ func (c *Campaign) emitHeartbeats(ctx context.Context, crashed, down, partitione
 		c.encoders[i].Ack(ack)
 	}
 	return nil
-}
-
-// postHeartbeat pushes one binary frame and decodes the ack. A non-2xx
-// reply still carries an ack body (the reject case); transport errors
-// return err with a zero ack.
-func postHeartbeat(ctx context.Context, client *http.Client, baseURL string, frame []byte) (HeartbeatAck, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+RouteHeartbeat, bytes.NewReader(frame))
-	if err != nil {
-		return HeartbeatAck{}, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := client.Do(req)
-	if err != nil {
-		return HeartbeatAck{}, err
-	}
-	defer resp.Body.Close()
-	var ack HeartbeatAck
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		return HeartbeatAck{}, fmt.Errorf("decoding heartbeat ack: %w", err)
-	}
-	return ack, nil
 }
 
 // applyBrownouts edge-triggers scheduled budget cuts: when a

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // This file is the streaming transport's wire format: a compact,
@@ -209,16 +210,6 @@ func EncodeHeartbeat(hb *Heartbeat) ([]byte, error) {
 	if hb.Agent == "" || len(hb.Agent) > maxHeartbeatName {
 		return nil, fmt.Errorf("controlplane: heartbeat agent name length %d outside [1, %d]", len(hb.Agent), maxHeartbeatName)
 	}
-	flags := byte(0)
-	if hb.Full {
-		flags |= hbFlagFull
-	}
-	b := make([]byte, 0, 64)
-	b = append(b, hbMagic, hbVersion, flags)
-	b = binary.AppendUvarint(b, uint64(len(hb.Agent)))
-	b = append(b, hb.Agent...)
-	b = binary.AppendUvarint(b, hb.Seq)
-	b = binary.AppendUvarint(b, hb.Epoch)
 	if hb.Full {
 		if len(hb.URL) > maxHeartbeatURL {
 			return nil, fmt.Errorf("controlplane: heartbeat URL length %d exceeds %d", len(hb.URL), maxHeartbeatURL)
@@ -230,27 +221,32 @@ func EncodeHeartbeat(hb *Heartbeat) ([]byte, error) {
 		if len(blob) > maxHeartbeatBlob {
 			return nil, fmt.Errorf("controlplane: heartbeat snapshot %d bytes exceeds %d", len(blob), maxHeartbeatBlob)
 		}
+		d := deflaters.Get().(*deflater)
+		defer deflaters.Put(d)
+		d.comp.Reset()
+		d.zw.Reset(&d.comp)
+		if _, err := d.zw.Write(blob); err != nil {
+			return nil, fmt.Errorf("controlplane: compressing heartbeat snapshot: %w", err)
+		}
+		if err := d.zw.Close(); err != nil {
+			return nil, fmt.Errorf("controlplane: compressing heartbeat snapshot: %w", err)
+		}
+		comp := d.comp.Bytes()
+		// The frame is allocated once and copies comp out of the pooled
+		// buffer. Its six uvarints (agent length, seq, epoch, URL length,
+		// raw length, compressed length) each fit in MaxVarintLen64 bytes.
+		b := make([]byte, 0, 3+6*binary.MaxVarintLen64+len(hb.Agent)+len(hb.URL)+len(comp))
+		b = appendHeartbeatHeader(b, hb, hbFlagFull)
 		b = binary.AppendUvarint(b, uint64(len(hb.URL)))
 		b = append(b, hb.URL...)
-		var comp bytes.Buffer
-		zw, err := flate.NewWriter(&comp, flate.BestSpeed)
-		if err != nil {
-			return nil, fmt.Errorf("controlplane: compressing heartbeat snapshot: %w", err)
-		}
-		if _, err := zw.Write(blob); err != nil {
-			return nil, fmt.Errorf("controlplane: compressing heartbeat snapshot: %w", err)
-		}
-		if err := zw.Close(); err != nil {
-			return nil, fmt.Errorf("controlplane: compressing heartbeat snapshot: %w", err)
-		}
 		b = binary.AppendUvarint(b, uint64(len(blob)))
-		b = binary.AppendUvarint(b, uint64(comp.Len()))
-		b = append(b, comp.Bytes()...)
-		return b, nil
+		b = binary.AppendUvarint(b, uint64(len(comp)))
+		return append(b, comp...), nil
 	}
 	if hb.Mask&^hbMaskAll != 0 {
 		return nil, fmt.Errorf("controlplane: heartbeat mask %#x has undefined bits", hb.Mask)
 	}
+	b := appendHeartbeatHeader(make([]byte, 0, 64), hb, 0)
 	b = binary.AppendUvarint(b, hb.Base)
 	b = binary.AppendUvarint(b, hb.Mask)
 	for i := range hbFields {
@@ -261,11 +257,108 @@ func EncodeHeartbeat(hb *Heartbeat) ([]byte, error) {
 	return b, nil
 }
 
+// appendHeartbeatHeader appends the header both frame shapes share.
+func appendHeartbeatHeader(b []byte, hb *Heartbeat, flags byte) []byte {
+	b = append(b, hbMagic, hbVersion, flags)
+	b = binary.AppendUvarint(b, uint64(len(hb.Agent)))
+	b = append(b, hb.Agent...)
+	b = binary.AppendUvarint(b, hb.Seq)
+	return binary.AppendUvarint(b, hb.Epoch)
+}
+
+// Full frames reset DEFLATE state taken from these pools rather than
+// building it per frame: a fresh writer allocates ~1.2 MB of compressor
+// tables and a fresh inflater ~47 KB of tables and window, and in a
+// resync storm (every agent sending a full frame at once, after
+// discovery, a controller restart or a partition) both ends would pay
+// that per frame. flate.Writer.Reset is documented to equal a fresh
+// NewWriter, so the wire bytes do not depend on the pool.
+var (
+	deflaters = sync.Pool{New: func() any {
+		d := new(deflater)
+		// BestSpeed is a valid level, so NewWriter cannot fail.
+		d.zw, _ = flate.NewWriter(&d.comp, flate.BestSpeed)
+		return d
+	}}
+	inflaters = sync.Pool{New: func() any {
+		z := new(inflater)
+		z.zr = flate.NewReader(&z.br)
+		return z
+	}}
+)
+
+// deflater is one full frame's compression state: a BestSpeed writer
+// and the buffer it compresses into.
+type deflater struct {
+	zw   *flate.Writer
+	comp bytes.Buffer
+}
+
+// inflater is one full frame's decompression state: a flate reader
+// over br and the buffer it inflates into.
+type inflater struct {
+	br  bytes.Reader
+	zr  io.ReadCloser // from flate.NewReader, so also a flate.Resetter
+	raw bytes.Buffer
+}
+
+// release returns z to its pool with its reader reset onto an empty
+// slice, so a pool entry never pins a frame.
+func (z *inflater) release() {
+	z.br.Reset(nil)
+	inflaters.Put(z)
+}
+
+// inflateSnapshot decodes a v2 full frame's compressed snapshot into dst
+// through pooled inflater state. The header declares that comp inflates
+// to n bytes: the stream must produce exactly n bytes and consume
+// exactly comp — a frame lying about either is rejected, not truncated.
+// Reading stops at n+1 bytes, into a buffer that grows only with what
+// the stream produced, so the declared length never sizes an allocation
+// on its own.
+func inflateSnapshot(comp []byte, n uint64, dst *StatsResponse) error {
+	z := inflaters.Get().(*inflater)
+	defer z.release()
+	z.br.Reset(comp)
+	// A flate reader's Reset cannot fail.
+	_ = z.zr.(flate.Resetter).Reset(&z.br, nil)
+	z.raw.Reset()
+	_, err := z.raw.ReadFrom(io.LimitReader(z.zr, int64(n)+1))
+	if cerr := z.zr.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("controlplane: heartbeat snapshot inflate: %w", err)
+	}
+	if uint64(z.raw.Len()) != n {
+		return fmt.Errorf("controlplane: heartbeat snapshot inflates to %d bytes, header says %d", z.raw.Len(), n)
+	}
+	if z.br.Len() != 0 {
+		return fmt.Errorf("controlplane: heartbeat compressed snapshot has %d trailing bytes", z.br.Len())
+	}
+	return unmarshalSnapshot(z.raw.Bytes(), dst)
+}
+
+// unmarshalSnapshot decodes a full frame's snapshot JSON. encoding/json
+// copies what it keeps, so dst never aliases blob.
+func unmarshalSnapshot(blob []byte, dst *StatsResponse) error {
+	if err := json.Unmarshal(blob, dst); err != nil {
+		return fmt.Errorf("controlplane: heartbeat snapshot: %w", err)
+	}
+	return nil
+}
+
 // DecodeHeartbeat parses and validates one frame. Every length is
 // bounded, every float must be finite, trailing bytes are an error, and
 // a full frame's embedded snapshot must agree with the header's agent
 // name — a frame that decodes is internally consistent.
 func DecodeHeartbeat(frame []byte) (*Heartbeat, error) {
+	return decodeHeartbeat(frame, inflateSnapshot)
+}
+
+// decodeHeartbeat is DecodeHeartbeat with the v2 snapshot decode as a
+// parameter, so tests can hold the pooled path to a fresh inflater.
+func decodeHeartbeat(frame []byte, inflate func(comp []byte, n uint64, dst *StatsResponse) error) (*Heartbeat, error) {
 	r := &frameReader{b: frame}
 	magic, err := r.byte("magic")
 	if err != nil {
@@ -315,9 +408,12 @@ func DecodeHeartbeat(frame []byte) (*Heartbeat, error) {
 		if n > maxHeartbeatBlob {
 			return nil, fmt.Errorf("controlplane: heartbeat snapshot %d bytes exceeds %d", n, maxHeartbeatBlob)
 		}
-		var blob []byte
 		if version == hbVersionV1 {
-			if blob, err = r.bytes(int(n), "snapshot"); err != nil {
+			blob, err := r.bytes(int(n), "snapshot")
+			if err != nil {
+				return nil, err
+			}
+			if err := unmarshalSnapshot(blob, &hb.Stats); err != nil {
 				return nil, err
 			}
 		} else {
@@ -332,27 +428,9 @@ func DecodeHeartbeat(frame []byte) (*Heartbeat, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Strict inflate: the stream must produce exactly the declared
-			// raw length and consume exactly the declared compressed bytes —
-			// a frame lying about either is rejected, not truncated.
-			br := bytes.NewReader(comp)
-			zr := flate.NewReader(br)
-			blob, err = io.ReadAll(io.LimitReader(zr, int64(n)+1))
-			if cerr := zr.Close(); err == nil {
-				err = cerr
+			if err := inflate(comp, n, &hb.Stats); err != nil {
+				return nil, err
 			}
-			if err != nil {
-				return nil, fmt.Errorf("controlplane: heartbeat snapshot inflate: %w", err)
-			}
-			if uint64(len(blob)) != n {
-				return nil, fmt.Errorf("controlplane: heartbeat snapshot inflates to %d bytes, header says %d", len(blob), n)
-			}
-			if br.Len() != 0 {
-				return nil, fmt.Errorf("controlplane: heartbeat compressed snapshot has %d trailing bytes", br.Len())
-			}
-		}
-		if err := json.Unmarshal(blob, &hb.Stats); err != nil {
-			return nil, fmt.Errorf("controlplane: heartbeat snapshot: %w", err)
 		}
 		if hb.Stats.Agent != hb.Agent {
 			return nil, fmt.Errorf("controlplane: heartbeat header names %q but snapshot names %q", hb.Agent, hb.Stats.Agent)

@@ -365,10 +365,12 @@ func (c *Controller) jitteredHeartbeat() time.Duration {
 // changed, compute the assignment and budget pushes under the lock, then
 // execute every push through the bounded worker pool with the lock
 // released. Only acknowledged pushes are recorded as agent state — a
-// failed push is re-derived and retried next round — and no push can
-// stall the round for longer than one request timeout, however many
-// agents are slow. Exposed for deterministic tests; Run calls it on the
-// jittered interval.
+// failed push is re-derived and retried next round. Each push is bounded
+// by the request timeout and at most maxPushWorkers run at once, so S
+// stalled pushes hold the round for at most ⌈S/maxPushWorkers⌉
+// timeouts, not one per slow agent (an agent gets at most two pushes a
+// round: its assignment and its cap). Exposed for deterministic tests;
+// Run calls it on the jittered interval.
 func (c *Controller) Round(ctx context.Context) {
 	now := c.now()
 	// Round timing is measured, not derived from the controller clock:
@@ -775,8 +777,9 @@ const maxPushWorkers = 32
 
 // pushAll executes the round's pushes through a bounded worker pool and
 // reports which were acknowledged. Each RPC is bounded by the request
-// timeout, so a stalled agent delays the round by at most one timeout —
-// not one timeout per slow agent, as a serial push loop would. Log lines
+// timeout and holds one of at most maxPushWorkers workers, so S stalled
+// pushes delay the round by at most ⌈S/maxPushWorkers⌉ timeouts — not
+// one timeout per slow agent, as a serial push loop would. Log lines
 // are emitted after the joins, in push order, so interleaving stays
 // deterministic for log-capturing tests.
 func (c *Controller) pushAll(ctx context.Context, pushes []pendingPush) []bool {

@@ -82,13 +82,29 @@ func ingestFuzzSeeds(tb testing.TB) [][][]byte {
 	return [][][]byte{ingestScenarioFrames(tb), fuzzSeedFrames(tb)}
 }
 
+// pooledDecodeFuzzSeeds start FuzzPooledHeartbeatDecode from
+// resyncDecodeFrames, with a good full frame again after the bad ones,
+// and from fuzzSeedFrames.
+func pooledDecodeFuzzSeeds(tb testing.TB) [][][]byte {
+	tb.Helper()
+	var resync [][]byte
+	for _, f := range resyncDecodeFrames(tb, &Heartbeat{
+		Agent: "agent-a", URL: "http://agent-a:7001", Seq: 1, Epoch: 1,
+		Full: true, Stats: codecStats(),
+	}) {
+		resync = append(resync, f.frame)
+	}
+	return [][][]byte{append(resync, resync[0]), fuzzSeedFrames(tb)}
+}
+
 // TestFuzzCorpusCommitted keeps the committed corpora in lockstep with
-// fuzzSeedFrames, statsFuzzSeeds, labelFuzzSeeds, capFuzzSeeds and
-// ingestFuzzSeeds: every seed must exist on disk in Go corpus format so
-// `go test -fuzz` and plain `go test` start from the same population.
-// Regenerate after changing the seeds with POCOLO_WRITE_CORPUS=1.
+// fuzzSeedFrames, statsFuzzSeeds, labelFuzzSeeds, capFuzzSeeds,
+// ingestFuzzSeeds and pooledDecodeFuzzSeeds: every seed must exist on
+// disk in Go corpus format so `go test -fuzz` and plain `go test` start
+// from the same population. Regenerate after changing the seeds with
+// POCOLO_WRITE_CORPUS=1.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	var frames, stats, labels, caps, ingest [][][]byte
+	var frames, stats, labels, caps, ingest, pooled [][][]byte
 	for _, frame := range fuzzSeedFrames(t) {
 		frames = append(frames, [][]byte{frame})
 	}
@@ -104,11 +120,15 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 	for _, seq := range ingestFuzzSeeds(t) {
 		ingest = append(ingest, [][]byte{joinFrames(seq)})
 	}
+	for _, seq := range pooledDecodeFuzzSeeds(t) {
+		pooled = append(pooled, [][]byte{joinFrames(seq)})
+	}
 	checkCorpus(t, "FuzzDecodeHeartbeat", frames)
 	checkCorpus(t, "FuzzDecodeStats", stats)
 	checkCorpus(t, "FuzzExpositionLabels", labels)
 	checkCorpus(t, "FuzzDecodeCapRequest", caps)
 	checkCorpus(t, "FuzzIngestEntryPoints", ingest)
+	checkCorpus(t, "FuzzPooledHeartbeatDecode", pooled)
 }
 
 // checkCorpus compares (or, with POCOLO_WRITE_CORPUS set, writes) one
@@ -201,13 +221,13 @@ func FuzzDecodeHeartbeat(f *testing.F) {
 }
 
 // maxFuzzFrames bounds the frame sequence of one FuzzIngestEntryPoints
-// input.
+// or FuzzPooledHeartbeatDecode input.
 const maxFuzzFrames = 64
 
 // joinFrames and splitFrames convert between a frame sequence and one
-// FuzzIngestEntryPoints input: each frame prefixed with its length as a
-// uvarint. A malformed or overlong prefix, or a frame past
-// maxFuzzFrames, ends the sequence.
+// FuzzIngestEntryPoints or FuzzPooledHeartbeatDecode input: each frame
+// prefixed with its length as a uvarint. A malformed or overlong
+// prefix, or a frame past maxFuzzFrames, ends the sequence.
 func joinFrames(frames [][]byte) []byte {
 	var b []byte
 	for _, f := range frames {
@@ -240,6 +260,23 @@ func FuzzIngestEntryPoints(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkIngestEntryPoints(t, splitFrames(b))
+	})
+}
+
+// FuzzPooledHeartbeatDecode holds the pooled full-frame decode to a
+// fresh inflater over arbitrary frame sequences: each frame, decoded in
+// order, must return what decodeHeartbeatReference returns, so no frame
+// can leave pooled state behind that changes a later frame's result.
+func FuzzPooledHeartbeatDecode(f *testing.F) {
+	for _, frames := range pooledDecodeFuzzSeeds(f) {
+		f.Add(joinFrames(frames))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for i, frame := range splitFrames(b) {
+			if d := decodeDisagreement(frame); d != "" {
+				t.Fatalf("frame %d: %s", i, d)
+			}
+		}
 	})
 }
 

@@ -1,6 +1,9 @@
 package controlplane
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -453,6 +456,42 @@ func (c *Controller) HeartbeatHandler(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, ack)
+}
+
+// PostHeartbeat POSTs one frame to baseURL's HeartbeatHandler and
+// decodes the ack. Only a 200, or a 400 carrying a reject ack, is an
+// ack. Any other reply (a poll-mode controller's 404, an oversized
+// frame's 413, a proxy's 502) is an error naming the status and body,
+// so the sender resyncs instead of taking a JSON error body for a zero
+// ack. A transport error returns err with a zero ack.
+func PostHeartbeat(ctx context.Context, client *http.Client, baseURL string, frame []byte) (HeartbeatAck, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+RouteHeartbeat, bytes.NewReader(frame))
+	if err != nil {
+		return HeartbeatAck{}, err
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := client.Do(req)
+	if err != nil {
+		return HeartbeatAck{}, err
+	}
+	defer resp.Body.Close()
+	// Acks and error bodies are a line of JSON; 4 KiB bounds a stray
+	// proxy page.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+	if err != nil {
+		return HeartbeatAck{}, fmt.Errorf("reading heartbeat ack: %w", err)
+	}
+	var ack HeartbeatAck
+	switch {
+	case resp.StatusCode == http.StatusOK:
+		if err := json.Unmarshal(body, &ack); err != nil {
+			return HeartbeatAck{}, fmt.Errorf("decoding heartbeat ack: %w", err)
+		}
+		return ack, nil
+	case resp.StatusCode == http.StatusBadRequest && json.Unmarshal(body, &ack) == nil && ack.Reject:
+		return ack, nil
+	}
+	return HeartbeatAck{}, fmt.Errorf("controller answered %s: %s", resp.Status, bytes.TrimSpace(body))
 }
 
 // maxHeartbeatFrame bounds one pushed frame: header plus URL plus the

@@ -321,6 +321,65 @@ func TestHeartbeatHandlerHTTP(t *testing.T) {
 	}
 }
 
+// TestPostHeartbeat drives PostHeartbeat against each reply a
+// controller or a proxy in front of it gives. A 200 ack and a 400 reject
+// ack come back as acks. A JSON error body (404 from a poll-mode
+// controller, 413 for an oversized frame, 400 without a reject ack) and
+// a non-JSON 502 come back as errors naming the status, never as a zero
+// ack.
+func TestPostHeartbeat(t *testing.T) {
+	const agentURL = "http://agent-a:7001"
+	controller := func(transport string) http.HandlerFunc {
+		ctl, err := NewController(ControllerConfig{AgentURLs: []string{agentURL}, Transport: transport})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctl.HeartbeatHandler
+	}
+	reply := func(status int, body string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(status)
+			_, _ = w.Write([]byte(body))
+		}
+	}
+	full, err := NewHeartbeatEncoder("agent-a", agentURL).Encode(StatsResponse{Agent: "agent-a"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		handler http.HandlerFunc
+		frame   []byte
+		want    HeartbeatAck
+		wantErr string // "" = an ack, no error
+	}{
+		{"200 ack", controller(TransportStream), full, HeartbeatAck{Agent: "agent-a", Seq: 1}, ""},
+		{"400 reject ack", controller(TransportStream), []byte("not a frame"), HeartbeatAck{Reject: true}, ""},
+		{"404 from a poll-mode controller", controller(TransportPoll), full, HeartbeatAck{}, "404 Not Found"},
+		{"413 oversized frame", reply(http.StatusRequestEntityTooLarge, `{"error":"frame exceeds 1049408 bytes"}`), full,
+			HeartbeatAck{}, "413 Request Entity Too Large"},
+		{"400 without a reject ack", reply(http.StatusBadRequest, `{"error":"reading frame: unexpected EOF"}`), full,
+			HeartbeatAck{}, "400 Bad Request"},
+		{"502 non-JSON", reply(http.StatusBadGateway, "<html>bad gateway</html>"), full, HeartbeatAck{}, "502 Bad Gateway"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(tc.handler)
+			defer srv.Close()
+			ack, err := PostHeartbeat(context.Background(), srv.Client(), srv.URL, tc.frame)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("error %v, want ack %+v", err, tc.want)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("error %v, want one naming %q", err, tc.wantErr)
+			}
+			if ack != tc.want {
+				t.Fatalf("ack %+v, want %+v", ack, tc.want)
+			}
+		})
+	}
+}
+
 // TestStreamRoundLiveness drives the full liveness cycle over the
 // streaming transport: discovery on first frames, death after DeadAfter
 // silent rounds, rejoin on the next applied frame — and the per-round
@@ -401,16 +460,16 @@ func TestStreamRoundLiveness(t *testing.T) {
 	}
 }
 
-// stallTransport routes assign/cap pushes: requests to the slow URL block
-// until the request context is cancelled; all others ack instantly and
-// are counted.
+// stallTransport routes assign/cap pushes: requests to a slow agent
+// (keyed by base URL) block until the request context is cancelled; all
+// others ack instantly and are counted.
 type stallTransport struct {
-	slowURL string
-	fast    atomic.Int64
+	slow map[string]bool
+	fast atomic.Int64
 }
 
 func (s *stallTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if strings.HasPrefix(req.URL.String(), s.slowURL) {
+	if s.slow[req.URL.Scheme+"://"+req.URL.Host] {
 		<-req.Context().Done() // hold the connection until the push timeout
 		return nil, req.Context().Err()
 	}
@@ -444,7 +503,7 @@ func TestSlowAgentCannotStallRound(t *testing.T) {
 		cfg.BE = []string{"graph#0", "graph#1", "graph#2", "lstm#0", "lstm#1", "lstm#2"}
 		cfg.Client = &http.Client{Transport: tr}
 	})
-	tr.slowURL = urls[0]
+	tr.slow = map[string]bool{urls[0]: true}
 
 	for i, u := range urls {
 		name := fmt.Sprintf("agent-%d", i)
@@ -479,6 +538,62 @@ func TestSlowAgentCannotStallRound(t *testing.T) {
 				t.Fatalf("unacked push recorded on slow agent: %+v", a)
 			}
 		} else if a.AssignedBE == "" {
+			t.Fatalf("acked push not recorded on %s", a.URL)
+		}
+	}
+}
+
+// TestManySlowAgentsRoundBound holds the push phase to its stall bound
+// with more stalled agents than push workers: 66 of 70 agents hold
+// their connections for the full timeout, so the pool's 32 workers need
+// ⌈66/32⌉ = 3 timeouts to clear them. Every fast agent's push is
+// delivered and recorded, no stalled push is recorded, and the round
+// ends within ⌈66/maxPushWorkers⌉ + 2 timeouts.
+func TestManySlowAgentsRoundBound(t *testing.T) {
+	const n, fast = 70, 4
+	const timeout = 100 * time.Millisecond
+	bes := make([]string, n)
+	for i := range bes {
+		bes[i] = fmt.Sprintf("%s#%d", []string{"graph", "lstm"}[i%2], i/2)
+	}
+	tr := &stallTransport{slow: make(map[string]bool, n-fast)}
+	ctl, urls, tick := streamTestController(t, n, 16, func(cfg *ControllerConfig) {
+		cfg.Timeout = timeout
+		cfg.BE = bes
+		cfg.Client = &http.Client{Transport: tr}
+	})
+	for i, u := range urls {
+		if i%18 != 0 { // agents 0, 18, 36 and 54 answer at once
+			tr.slow[u] = true
+		}
+		name := fmt.Sprintf("agent-%d", i)
+		frame, err := NewHeartbeatEncoder(name, u).Encode(streamTestStats(t, name, "graph", "lstm"), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack := ctl.IngestHeartbeat(frame); ack.Reject || ack.Resync {
+			t.Fatalf("seed frame %d: %+v", i, ack)
+		}
+	}
+
+	tick()
+	start := time.Now()
+	ctl.Round(context.Background())
+	elapsed := time.Since(start)
+
+	const stalled = n - fast
+	bound := time.Duration((stalled+maxPushWorkers-1)/maxPushWorkers+2) * timeout
+	if elapsed > bound {
+		t.Fatalf("round took %v with %d stalled agents (timeout %v), over the %v bound", elapsed, stalled, timeout, bound)
+	}
+	if got := tr.fast.Load(); got != fast {
+		t.Fatalf("%d fast pushes delivered, want %d", got, fast)
+	}
+	for _, a := range ctl.Status().Agents {
+		if tr.slow[a.URL] && a.AssignedBE != "" {
+			t.Fatalf("unacked push recorded on stalled agent: %+v", a)
+		}
+		if !tr.slow[a.URL] && a.AssignedBE == "" {
 			t.Fatalf("acked push not recorded on %s", a.URL)
 		}
 	}
