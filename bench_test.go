@@ -10,13 +10,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
 	"pocolo/internal/assign"
-	"pocolo/internal/budget"
-	"pocolo/internal/budget/tree"
 	"pocolo/internal/cluster"
 	"pocolo/internal/experiments"
 	"pocolo/internal/latency"
@@ -437,58 +434,6 @@ func BenchmarkFig12Traced(b *testing.B) {
 		}
 	}
 }
-
-// --- hierarchical budget division ---
-
-// benchBudgetRealloc measures one reallocation period over an n-host
-// budget tree (8 hosts per rack): the EWMA demand refresh plus the
-// hierarchical water-filling division. This is the per-period cost the
-// Reallocator pays at every rebalance, so it sits in the bench
-// regression gate.
-func benchBudgetRealloc(b *testing.B, n int) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "dc:%g{", float64(n)*160)
-	for i := 0; i < n; i += 8 {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "rack%d:%g{", i/8, 8*180.0)
-		for j := i; j < i+8 && j < n; j++ {
-			if j > i {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "h%d", j)
-		}
-		sb.WriteByte('}')
-	}
-	sb.WriteByte('}')
-	tr, err := tree.Parse(sb.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	est := budget.NewDemandEstimator(n, budget.DefaultSmoothing, budget.DefaultMarginW)
-	demand := make([]float64, n)
-	caps := make([]float64, n)
-	floors := make([]float64, n)
-	for i := 0; i < n; i++ {
-		caps[i] = 200
-		floors[i] = 62
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < n; j++ {
-			est.Observe(j, 80+float64((i+j)%40), 61)
-			demand[j] = est.Demand(j)
-		}
-		if _, err := tr.Alloc(demand, caps, floors); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBudgetRealloc4(b *testing.B)  { benchBudgetRealloc(b, 4) }
-func BenchmarkBudgetRealloc64(b *testing.B) { benchBudgetRealloc(b, 64) }
 
 func BenchmarkHistogramRecord(b *testing.B) {
 	h := latency.MustNewHistogram(0.01, 10000, 0.01)

@@ -21,9 +21,11 @@
 // With -baseline, the run is additionally compared against a committed
 // snapshot: any benchmark whose best ns/op regresses by more than
 // -max-regress (a fraction, default 0.25) fails the command, which makes
-// it usable as a CI regression gate. With -max-allocs N, any matched
-// benchmark reporting more than N allocs/op fails too — the zero-alloc
-// gate the observability hot path is held to.
+// it usable as a CI regression gate. So does any benchmark the run
+// measured that has no row in the snapshot: a gate cannot judge it.
+// With -max-allocs N, any matched benchmark reporting more than N
+// allocs/op fails too — the zero-alloc gate the observability hot path
+// is held to.
 package main
 
 import (
@@ -175,6 +177,10 @@ func main() {
 		if err != nil {
 			log.Fatalf("baseline: %v", err)
 		}
+		if missing := Unbaselined(base, snap); len(missing) > 0 {
+			log.Fatalf("%d benchmark(s) have no row in %s, so the gate cannot judge them: %s",
+				len(missing), *baseline, strings.Join(missing, ", "))
+		}
 		regressions := Compare(base, snap, *maxRegress)
 		for _, c := range regressions {
 			log.Printf("REGRESSION %s: %.0f ns/op -> %.0f ns/op (%+.1f%%, limit +%.0f%%)",
@@ -229,7 +235,7 @@ type Regression struct {
 // Compare matches benchmarks by name (best ns/op across -count repeats,
 // the standard noise-robust statistic) and returns those that regressed
 // by more than maxRegress. Benchmarks present on only one side are
-// ignored: a gate must not fail because a benchmark was added or renamed.
+// ignored here; the command rejects the ones Unbaselined reports first.
 func Compare(base, cur Snapshot, maxRegress float64) []Regression {
 	best := func(s Snapshot) map[string]float64 {
 		m := make(map[string]float64)
@@ -251,6 +257,23 @@ func Compare(base, cur Snapshot, maxRegress float64) []Regression {
 		if delta := c/b - 1; delta > maxRegress {
 			out = append(out, Regression{Name: r.Name, BaseNs: b, NewNs: c, Delta: delta})
 			delete(curBest, r.Name) // report each name once
+		}
+	}
+	return out
+}
+
+// Unbaselined returns the names, in run order and once each, of the
+// benchmarks in cur that have no row in base.
+func Unbaselined(base, cur Snapshot) []string {
+	seen := make(map[string]bool, len(base.Results))
+	for _, r := range base.Results {
+		seen[r.Name] = true
+	}
+	var out []string
+	for _, r := range cur.Results {
+		if !seen[r.Name] {
+			seen[r.Name] = true
+			out = append(out, r.Name)
 		}
 	}
 	return out

@@ -167,3 +167,21 @@ func TestCompare(t *testing.T) {
 		t.Fatalf("duplicate rows reported %d times: %+v", len(regs), regs)
 	}
 }
+
+// TestUnbaselined is the gate's coverage check: a benchmark the run
+// measured with no baseline row is named, once, in run order; one the
+// baseline has but the run skipped is not.
+func TestUnbaselined(t *testing.T) {
+	base := Snapshot{Results: []Result{{Name: "BenchmarkA"}, {Name: "BenchmarkGone"}}}
+	cur := Snapshot{Results: []Result{
+		{Name: "BenchmarkNew", Procs: 1}, {Name: "BenchmarkA", Procs: 1},
+		{Name: "BenchmarkNew", Procs: 2}, {Name: "BenchmarkA", Procs: 2},
+		{Name: "BenchmarkOther"},
+	}}
+	if got, want := Unbaselined(base, cur), []string{"BenchmarkNew", "BenchmarkOther"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Unbaselined = %v, want %v", got, want)
+	}
+	if got := Unbaselined(base, Snapshot{Results: base.Results[:1]}); got != nil {
+		t.Fatalf("fully baselined run: Unbaselined = %v, want none", got)
+	}
+}

@@ -1,33 +1,29 @@
-// Package budget distributes a cluster-level power budget across servers —
-// the hierarchical power management layer of systems like Facebook's
-// Dynamo, which the paper builds alongside (Section VI cites it as the
-// datacenter-wide power telemetry/capping substrate). Pocolo's servers
-// each enforce a per-server cap; when the datacenter's aggregate budget is
-// tighter than the sum of provisioned capacities, a Budgeter periodically
-// re-divides the total among the servers and installs the shares through
-// each server manager's SetCapW hook.
+// Package budget holds the division arithmetic of the cluster-level power
+// budget — the hierarchical power management layer of systems like
+// Facebook's Dynamo, which the paper builds alongside (Section VI cites it
+// as the datacenter-wide power telemetry/capping substrate). Pocolo's
+// servers each enforce a per-server cap; when the datacenter's budget is
+// tighter than the sum of provisioned capacities, the budget/tree
+// package's Divider periodically re-divides it among the servers — a
+// flat cluster budget being a one-level tree — and its adapters install
+// the shares as caps.
 //
-// Two division policies are provided: a static equal split, and a
+// Two division policies are provided: an equal split, and a
 // demand-proportional split that follows each server's smoothed power draw
 // — servers whose primaries are at peak get more of the budget than
 // servers coasting at 10% load, which is exactly when their co-runners can
 // use it.
 package budget
 
-import (
-	"errors"
-	"fmt"
-	"time"
+import "fmt"
 
-	"pocolo/internal/servermgr"
-	"pocolo/internal/sim"
-)
-
-// Policy selects how the total budget is divided.
+// Policy selects how a budget is divided.
 type Policy int
 
 const (
-	// EqualSplit gives every server Total/n regardless of demand.
+	// EqualSplit gives every server an equal share of its node's budget
+	// (unit weights per server), clamped to provisioned capacity with the
+	// remainder redistributed.
 	EqualSplit Policy = iota
 	// DemandProportional divides the budget in proportion to each server's
 	// smoothed power draw (plus a request margin), clamped between the
@@ -47,155 +43,3 @@ func (p Policy) String() string {
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
 }
-
-// Config assembles a budgeter.
-type Config struct {
-	// TotalW is the cluster power budget to divide; required.
-	TotalW float64
-	// Hosts and Managers are parallel slices of the servers under the
-	// budget; required, same length.
-	Hosts    []*sim.Host
-	Managers []*servermgr.Manager
-	// Policy selects the division rule (default EqualSplit).
-	Policy Policy
-	// Period is the rebalance interval (default 5 s; Dynamo-class
-	// controllers act on seconds-scale windows).
-	Period time.Duration
-	// Smoothing is the EWMA coefficient on power readings in (0, 1]
-	// (nil selects DefaultSmoothing; 1 = use the latest reading only).
-	// Use Float to set it inline.
-	Smoothing *float64
-	// MarginW is the demand headroom added to each server's smoothed draw
-	// before dividing (nil selects DefaultMarginW), letting throttled
-	// servers signal appetite beyond their current (capped) draw. An
-	// explicit zero margin is valid and means "divide by smoothed draw
-	// alone" — the pointer distinguishes it from an unset field.
-	MarginW *float64
-}
-
-// Budgeter periodically re-divides a cluster power budget.
-type Budgeter struct {
-	total     float64
-	hosts     []*sim.Host
-	managers  []*servermgr.Manager
-	policy    Policy
-	period    time.Duration
-	smoothing float64
-	marginW   float64
-
-	est        *DemandEstimator
-	rebalances int
-	lastShares []float64
-}
-
-// New validates the configuration and builds a budgeter.
-func New(cfg Config) (*Budgeter, error) {
-	if len(cfg.Hosts) == 0 {
-		return nil, errors.New("budget: no hosts")
-	}
-	if len(cfg.Hosts) != len(cfg.Managers) {
-		return nil, errors.New("budget: hosts and managers must be parallel")
-	}
-	for i, h := range cfg.Hosts {
-		if h == nil || cfg.Managers[i] == nil {
-			return nil, fmt.Errorf("budget: nil host or manager at %d", i)
-		}
-	}
-	// The budget must at least keep every server above its idle floor.
-	var floor float64
-	for _, h := range cfg.Hosts {
-		floor += h.Machine().IdlePowerW + 1
-	}
-	if cfg.TotalW <= floor {
-		return nil, fmt.Errorf("budget: total %v W cannot keep %d servers above their idle floors (%v W)", cfg.TotalW, len(cfg.Hosts), floor)
-	}
-	period := cfg.Period
-	if period == 0 {
-		period = 5 * time.Second
-	}
-	if period <= 0 {
-		return nil, errors.New("budget: period must be positive")
-	}
-	smoothing, err := ResolveSmoothing(cfg.Smoothing)
-	if err != nil {
-		return nil, err
-	}
-	marginW, err := ResolveMarginW(cfg.MarginW)
-	if err != nil {
-		return nil, err
-	}
-	b := &Budgeter{
-		total:      cfg.TotalW,
-		hosts:      append([]*sim.Host(nil), cfg.Hosts...),
-		managers:   append([]*servermgr.Manager(nil), cfg.Managers...),
-		policy:     cfg.Policy,
-		period:     period,
-		smoothing:  smoothing,
-		marginW:    marginW,
-		est:        NewDemandEstimator(len(cfg.Hosts), smoothing, marginW),
-		lastShares: make([]float64, len(cfg.Hosts)),
-	}
-	return b, nil
-}
-
-// Attach registers the rebalance loop on the engine and installs an
-// initial division.
-func (b *Budgeter) Attach(e *sim.Engine) error {
-	if e == nil {
-		return errors.New("budget: nil engine")
-	}
-	b.Rebalance(e.Now())
-	return e.Every(b.period, b.Rebalance)
-}
-
-// Rebalance reads the power meters, updates the demand estimates, and
-// installs fresh per-server budgets. Division goes through the shared
-// helpers in divide.go: proportional or equal split clamped to the
-// provisioned capacities, then a floor pass that keeps every server above
-// its idle floor by draining headroom from the others, so the installed
-// shares never sum beyond the budget.
-func (b *Budgeter) Rebalance(time.Time) {
-	n := len(b.hosts)
-	caps := make([]float64, n)
-	floors := make([]float64, n)
-	for i, h := range b.hosts {
-		b.est.Observe(i, h.MeterReading().Watts, h.Machine().IdlePowerW)
-		caps[i] = h.CapW()
-		floors[i] = h.Machine().IdlePowerW + 1
-	}
-
-	var shares []float64
-	switch b.policy {
-	case DemandProportional:
-		demand := make([]float64, n)
-		for i := range demand {
-			demand[i] = b.est.Demand(i)
-		}
-		shares = DivideProportional(b.total, demand, caps)
-	default:
-		shares = DivideEqual(b.total, caps)
-	}
-	ApplyFloors(shares, floors)
-	for i, mgr := range b.managers {
-		_ = mgr.SetCapW(shares[i])
-	}
-	copy(b.lastShares, shares)
-	b.rebalances++
-}
-
-// Shares returns the most recently installed per-server budgets.
-func (b *Budgeter) Shares() []float64 {
-	return append([]float64(nil), b.lastShares...)
-}
-
-// Rebalances returns the number of divisions installed so far.
-func (b *Budgeter) Rebalances() int { return b.rebalances }
-
-// TotalW returns the cluster budget.
-func (b *Budgeter) TotalW() float64 { return b.total }
-
-// Smoothing returns the resolved EWMA coefficient.
-func (b *Budgeter) Smoothing() float64 { return b.smoothing }
-
-// MarginW returns the resolved demand margin.
-func (b *Budgeter) MarginW() float64 { return b.marginW }

@@ -1,10 +1,13 @@
-package budget
+package budget_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"pocolo/internal/budget"
+	"pocolo/internal/budget/tree"
 	"pocolo/internal/machine"
 	"pocolo/internal/profiler"
 	"pocolo/internal/servermgr"
@@ -89,46 +92,71 @@ func buildRigCustom(t *testing.T, loads []float64, withBE []bool) *rig {
 	return r
 }
 
+// newFlat divides totalW over the rig's hosts as a one-level tree, the
+// way every flat cluster budget runs.
+func newFlat(t *testing.T, r *rig, totalW float64, cfg tree.Config) (*tree.Reallocator, error) {
+	t.Helper()
+	names := make([]string, len(r.hosts))
+	for i, h := range r.hosts {
+		names[i] = h.Name()
+	}
+	tr, err := tree.Flat(totalW, names)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Tree = tr
+	if cfg.Hosts == nil {
+		cfg.Hosts = r.hosts
+	}
+	if cfg.Managers == nil {
+		cfg.Managers = r.managers
+	}
+	return tree.New(cfg)
+}
+
 func TestNewValidation(t *testing.T) {
 	r := buildRig(t, []float64{0.3, 0.6})
-	if _, err := New(Config{TotalW: 300}); err == nil {
+	if _, err := tree.Flat(300, nil); err == nil {
 		t.Error("expected error for no hosts")
 	}
-	if _, err := New(Config{TotalW: 300, Hosts: r.hosts, Managers: r.managers[:1]}); err == nil {
+	if _, err := tree.Flat(0, []string{"a"}); err == nil {
+		t.Error("expected error for a zero total")
+	}
+	if _, err := newFlat(t, r, 300, tree.Config{Managers: r.managers[:1]}); err == nil {
 		t.Error("expected error for mismatched slices")
 	}
-	if _, err := New(Config{TotalW: 300, Hosts: []*sim.Host{nil, nil}, Managers: r.managers}); err == nil {
+	if _, err := newFlat(t, r, 300, tree.Config{Hosts: []*sim.Host{nil, nil}}); err == nil {
 		t.Error("expected error for nil host")
 	}
-	if _, err := New(Config{TotalW: 80, Hosts: r.hosts, Managers: r.managers}); err == nil {
+	if _, err := newFlat(t, r, 80, tree.Config{}); err == nil {
 		t.Error("expected error for budget below the idle floors")
 	}
-	if _, err := New(Config{TotalW: 300, Hosts: r.hosts, Managers: r.managers, Period: -time.Second}); err == nil {
+	if _, err := newFlat(t, r, 300, tree.Config{Period: -time.Second}); err == nil {
 		t.Error("expected error for negative period")
 	}
-	if _, err := New(Config{TotalW: 300, Hosts: r.hosts, Managers: r.managers, Smoothing: Float(2)}); err == nil {
+	if _, err := newFlat(t, r, 300, tree.Config{Smoothing: budget.Float(2)}); err == nil {
 		t.Error("expected error for bad smoothing")
 	}
-	if _, err := New(Config{TotalW: 300, Hosts: r.hosts, Managers: r.managers, MarginW: Float(-1)}); err == nil {
+	if _, err := newFlat(t, r, 300, tree.Config{MarginW: budget.Float(-1)}); err == nil {
 		t.Error("expected error for negative margin")
 	}
-	if _, err := New(Config{TotalW: 300, Hosts: r.hosts, Managers: r.managers, Smoothing: Float(math.NaN())}); err == nil {
+	if _, err := newFlat(t, r, 300, tree.Config{Smoothing: budget.Float(math.NaN())}); err == nil {
 		t.Error("expected error for NaN smoothing")
 	}
-	if _, err := New(Config{TotalW: 300, Hosts: r.hosts, Managers: r.managers, MarginW: Float(math.Inf(1))}); err == nil {
+	if _, err := newFlat(t, r, 300, tree.Config{MarginW: budget.Float(math.Inf(1))}); err == nil {
 		t.Error("expected error for infinite margin")
 	}
-	b, err := New(Config{TotalW: 300, Hosts: r.hosts, Managers: r.managers})
+	b, err := newFlat(t, r, 300, tree.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Attach(nil); err == nil {
 		t.Error("expected error attaching to nil engine")
 	}
-	if b.TotalW() != 300 {
-		t.Errorf("TotalW = %v", b.TotalW())
+	if got := b.Tree().Root().BudgetW; got != 300 {
+		t.Errorf("total = %v", got)
 	}
-	if EqualSplit.String() == "" || DemandProportional.String() == "" || Policy(9).String() == "" {
+	if budget.EqualSplit.String() == "" || budget.DemandProportional.String() == "" || budget.Policy(9).String() == "" {
 		t.Error("policy strings broken")
 	}
 }
@@ -136,42 +164,57 @@ func TestNewValidation(t *testing.T) {
 func TestConfigSentinels(t *testing.T) {
 	// Regression for the zero-value footgun: an unset Smoothing/MarginW
 	// resolves to the documented defaults, while an explicit zero margin
-	// sticks instead of being silently promoted to the default.
-	r := buildRig(t, []float64{0.3, 0.6})
-	b, err := New(Config{TotalW: 300, Hosts: r.hosts, Managers: r.managers})
-	if err != nil {
-		t.Fatal(err)
+	// sticks instead of being silently promoted to the default. Two
+	// divisions over two hosts whose draws swap expose both settings.
+	first := []tree.Leaf{{DrawW: 100, IdleW: 10, ProvisionedW: 1000}, {DrawW: 300, IdleW: 10, ProvisionedW: 1000}}
+	second := []tree.Leaf{{DrawW: 300, IdleW: 10, ProvisionedW: 1000}, {DrawW: 100, IdleW: 10, ProvisionedW: 1000}}
+	divide := func(smoothing, marginW *float64) [2][]float64 {
+		t.Helper()
+		tr, err := tree.Flat(200, []string{"a", "b"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		div, err := tree.NewDivider(tr, budget.DemandProportional, smoothing, marginW, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [2][]float64
+		for i, leaves := range [][]tree.Leaf{first, second} {
+			shares, short := div.Divide(time.Unix(0, 0), leaves)
+			if short != nil {
+				t.Fatal(short)
+			}
+			out[i] = shares
+		}
+		return out
 	}
-	if b.Smoothing() != DefaultSmoothing {
-		t.Errorf("nil Smoothing resolved to %v, want %v", b.Smoothing(), DefaultSmoothing)
+	unset := divide(nil, nil)
+	if want := divide(budget.Float(budget.DefaultSmoothing), budget.Float(budget.DefaultMarginW)); !reflect.DeepEqual(unset, want) {
+		t.Errorf("nil settings divided %v, want the defaults' %v", unset, want)
 	}
-	if b.MarginW() != DefaultMarginW {
-		t.Errorf("nil MarginW resolved to %v, want %v", b.MarginW(), DefaultMarginW)
+	// Defaults: margin 5 on the first division, equal EWMAs on the second.
+	if got, want := unset[0][0], 200*105.0/410; got != want {
+		t.Errorf("default margin: first share %v, want %v", got, want)
 	}
-	b, err = New(Config{
-		TotalW: 300, Hosts: r.hosts, Managers: r.managers,
-		Smoothing: Float(1), MarginW: Float(0),
-	})
-	if err != nil {
-		t.Fatal(err)
+	if unset[1][0] != 100 || unset[1][1] != 100 {
+		t.Errorf("default smoothing: second division %v, want 100/100", unset[1])
 	}
-	if b.Smoothing() != 1 {
-		t.Errorf("explicit smoothing 1 resolved to %v", b.Smoothing())
-	}
-	if b.MarginW() != 0 {
-		t.Errorf("explicit zero margin resolved to %v, want 0", b.MarginW())
+	// Explicit smoothing 1 and zero margin: the latest draw alone.
+	exact := divide(budget.Float(1), budget.Float(0))
+	if exact[0][0] != 50 || exact[0][1] != 150 || exact[1][0] != 150 || exact[1][1] != 50 {
+		t.Errorf("explicit smoothing 1 and zero margin divided %v, want [[50 150] [150 50]]", exact)
 	}
 }
 
 func TestSharesNeverExceedTotalOrCaps(t *testing.T) {
-	for _, policy := range []Policy{EqualSplit, DemandProportional} {
+	for _, policy := range []budget.Policy{budget.EqualSplit, budget.DemandProportional} {
 		r := buildRig(t, []float64{0.1, 0.8, 0.4, 0.6})
 		var total float64
 		for _, h := range r.hosts {
 			total += h.CapW()
 		}
 		budgetW := 0.85 * total
-		b, err := New(Config{TotalW: budgetW, Hosts: r.hosts, Managers: r.managers, Policy: policy})
+		b, err := newFlat(t, r, budgetW, tree.Config{Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,10 +253,7 @@ func TestProportionalFollowsDemand(t *testing.T) {
 	// larger share under the proportional policy.
 	r := buildRigCustom(t, []float64{0.8, 0.1}, []bool{true, false})
 	budgetW := 0.8 * (r.hosts[0].CapW() + r.hosts[1].CapW())
-	b, err := New(Config{
-		TotalW: budgetW, Hosts: r.hosts, Managers: r.managers,
-		Policy: DemandProportional, Period: 2 * time.Second,
-	})
+	b, err := newFlat(t, r, budgetW, tree.Config{Policy: budget.DemandProportional, Period: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +270,7 @@ func TestProportionalFollowsDemand(t *testing.T) {
 }
 
 func TestClusterStaysInsideBudget(t *testing.T) {
-	// The end-to-end guarantee: with the budgeter installed, total cluster
+	// The end-to-end guarantee: with the budget installed, total cluster
 	// power stays at or below the budget (after the first rebalances).
 	r := buildRig(t, []float64{0.5, 0.3, 0.7, 0.2})
 	var total float64
@@ -238,10 +278,7 @@ func TestClusterStaysInsideBudget(t *testing.T) {
 		total += h.CapW()
 	}
 	budgetW := 0.8 * total
-	b, err := New(Config{
-		TotalW: budgetW, Hosts: r.hosts, Managers: r.managers,
-		Policy: DemandProportional, Period: 2 * time.Second,
-	})
+	b, err := newFlat(t, r, budgetW, tree.Config{Policy: budget.DemandProportional, Period: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +318,13 @@ func TestClusterStaysInsideBudget(t *testing.T) {
 
 func TestEqualSplitSpillsOverProvisionedCaps(t *testing.T) {
 	// With a generous total, the equal split would hand some servers more
-	// than their provisioned capacity; the spill-over must reassign it.
+	// than their provisioned capacity; the excess must be reassigned.
 	r := buildRig(t, []float64{0.5, 0.5, 0.5, 0.5})
 	var total float64
 	for _, h := range r.hosts {
 		total += h.CapW()
 	}
-	b, err := New(Config{TotalW: total * 0.99, Hosts: r.hosts, Managers: r.managers, Policy: EqualSplit})
+	b, err := newFlat(t, r, total*0.99, tree.Config{Policy: budget.EqualSplit})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,23 +5,22 @@ import (
 	"math"
 )
 
-// This file holds the pure division arithmetic shared by the flat
-// Budgeter and the hierarchical tree reallocator (budget/tree). The tree
-// divides every internal node's budget with exactly these functions, so a
-// degenerate one-level tree reproduces the flat Budgeter bit for bit.
+// This file holds the pure division arithmetic of the budget tree
+// (budget/tree): its Divider divides every internal node's budget with
+// exactly these functions.
 
-// Defaults shared by the flat Budgeter and the tree reallocator.
+// Demand-estimator defaults.
 const (
 	// DefaultSmoothing is the EWMA coefficient applied to power readings
-	// when Config.Smoothing is nil.
+	// when no smoothing is given.
 	DefaultSmoothing = 0.5
 	// DefaultMarginW is the demand headroom added to each server's
-	// smoothed draw when Config.MarginW is nil.
+	// smoothed draw when no margin is given.
 	DefaultMarginW = 5.0
 )
 
-// Float returns a pointer to v, for filling the optional Config fields
-// (Smoothing, MarginW) inline.
+// Float returns a pointer to v, for filling the optional smoothing and
+// margin settings inline.
 func Float(v float64) *float64 { return &v }
 
 // ResolveSmoothing applies the default to a nil Smoothing pointer and
@@ -101,49 +100,12 @@ func DivideProportional(total float64, demand, caps []float64) []float64 {
 	return shares
 }
 
-// DivideEqual gives every entry total/n, clamps to caps, and spills the
-// clipped excess across unclamped entries so the whole budget stays
-// usable.
-func DivideEqual(total float64, caps []float64) []float64 {
-	n := len(caps)
-	shares := make([]float64, n)
-	for i := range shares {
-		shares[i] = total / float64(n)
-	}
-	spillOver(shares, caps)
-	return shares
-}
-
-// spillOver clamps shares to caps and redistributes the clipped excess
-// across unclamped entries.
-func spillOver(shares, caps []float64) {
-	for iter := 0; iter < len(shares); iter++ {
-		excess := 0.0
-		var openIdx []int
-		for i := range shares {
-			if shares[i] > caps[i] {
-				excess += shares[i] - caps[i]
-				shares[i] = caps[i]
-			} else if shares[i] < caps[i] {
-				openIdx = append(openIdx, i)
-			}
-		}
-		if excess == 0 || len(openIdx) == 0 {
-			return
-		}
-		per := excess / float64(len(openIdx))
-		for _, i := range openIdx {
-			shares[i] += per
-		}
-	}
-}
-
 // ApplyFloors raises every share below its floor up to the floor and
 // drains the needed watts from shares above their floors (in proportion
 // to each one's headroom), preserving the sum. It is a no-op when no
 // share sits below its floor, so division results without floor pressure
 // pass through bit-identical. When the total headroom cannot cover the
-// deficit (total below the summed floors, which the constructors reject)
+// deficit (a total below the summed floors, as after a deep brownout)
 // every share lands on its floor and the sum grows — the same never-
 // starve-a-host escape the per-server capper relies on.
 func ApplyFloors(shares, floors []float64) {
@@ -178,7 +140,7 @@ func ApplyFloors(shares, floors []float64) {
 }
 
 // DemandEstimator tracks each server's smoothed power draw — the demand
-// signal both the flat Budgeter and the tree reallocator divide by. The
+// signal the budget tree's Divider divides by. The
 // estimate is an EWMA of meter readings, floored at idle (a dark meter
 // reads zero), plus a fixed request margin letting throttled servers
 // signal appetite beyond their current capped draw.

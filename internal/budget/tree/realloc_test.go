@@ -136,57 +136,76 @@ func TestNewReallocatorValidation(t *testing.T) {
 	}
 }
 
-// TestDegenerateTreeMatchesFlatBudgeter is the golden contract: a
-// one-level tree driven by the Reallocator installs bit-identical shares
-// to the flat Budgeter over an identical seeded run.
+// TestDegenerateTreeMatchesFlatBudgeter is the golden contract: a flat
+// budget, divided as a one-level tree by the Reallocator, installs the
+// shares of the flat budget loop (flatBudgeter) over an identical seeded
+// run. Demand division is bit-identical. The equal split is unit weights
+// through DivideProportional: bit-identical while no provisioned cap
+// binds (0.85 × Σcaps), within 1e-9 W of the spill-over split when
+// img-dnn's and tpcc's 133 W caps bind (0.99 × Σcaps).
 func TestDegenerateTreeMatchesFlatBudgeter(t *testing.T) {
 	loads := []float64{0.1, 0.8, 0.4, 0.6}
-	flatRig := buildRig(t, loads)
-	treeRig := buildRig(t, loads)
-	var total float64
-	for _, h := range flatRig.hosts {
-		total += h.CapW()
-	}
-	budgetW := 0.85 * total
+	for _, tc := range []struct {
+		policy pbudget.Policy
+		frac   float64
+		tol    float64
+	}{
+		{pbudget.DemandProportional, 0.85, 0},
+		{pbudget.EqualSplit, 0.85, 0},
+		{pbudget.EqualSplit, 0.99, 1e-9},
+	} {
+		flatRig := buildRig(t, loads)
+		treeRig := buildRig(t, loads)
+		var total float64
+		for _, h := range flatRig.hosts {
+			total += h.CapW()
+		}
+		budgetW := tc.frac * total
 
-	flat, err := pbudget.New(pbudget.Config{
-		TotalW: budgetW, Hosts: flatRig.hosts, Managers: flatRig.managers,
-		Policy: pbudget.DemandProportional, Period: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.Attach(flatRig.engine); err != nil {
-		t.Fatal(err)
-	}
+		flat := newFlatBudgeter(budgetW, flatRig.hosts, flatRig.managers, tc.policy)
+		if err := flat.attach(flatRig.engine, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Flat(budgetW, []string{"h0", "h1", "h2", "h3"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := New(Config{
+			Tree: tr, Hosts: treeRig.hosts, Managers: treeRig.managers,
+			Policy: tc.policy, Period: 2 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := re.Attach(treeRig.engine); err != nil {
+			t.Fatal(err)
+		}
 
-	spec := fmt.Sprintf("dc:%g{h0,h1,h2,h3}", budgetW)
-	tr, err := Parse(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := New(Config{
-		Tree: tr, Hosts: treeRig.hosts, Managers: treeRig.managers,
-		Period: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Attach(treeRig.engine); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := flatRig.engine.Run(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := treeRig.engine.Run(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if flat.Rebalances() != re.Rebalances() {
-		t.Fatalf("rebalance counts diverged: flat %d, tree %d", flat.Rebalances(), re.Rebalances())
-	}
-	if got, want := re.Shares(), flat.Shares(); !reflect.DeepEqual(got, want) {
-		t.Errorf("degenerate tree shares %v != flat budgeter shares %v", got, want)
+		if err := flatRig.engine.Run(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := treeRig.engine.Run(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if flat.rebalances != re.Rebalances() {
+			t.Fatalf("%v at %v: rebalance counts diverged: flat %d, tree %d", tc.policy, tc.frac, flat.rebalances, re.Rebalances())
+		}
+		got, want := re.Shares(), flat.lastShares
+		if tc.tol == 0 {
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v at %v: one-level tree shares %v != flat shares %v", tc.policy, tc.frac, got, want)
+			}
+		} else if d := maxAbsDiff(got, want); d > tc.tol {
+			t.Errorf("%v at %v: one-level tree shares %v differ from flat shares %v by %g W", tc.policy, tc.frac, got, want, d)
+		}
+		if tc.frac == 0.99 {
+			// h0 and h3 run img-dnn and tpcc, provisioned at 133 W.
+			for _, i := range []int{0, 3} {
+				if got[i] != 133 || treeRig.hosts[i].CapW() != 133 {
+					t.Errorf("h%d share %v, want it bound at its 133 W cap", i, got[i])
+				}
+			}
+		}
 	}
 }
 
@@ -198,7 +217,10 @@ func TestReallocatorShiftsTowardDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := New(Config{Tree: tr, Hosts: r.hosts, Managers: r.managers, Period: 2 * time.Second})
+	re, err := New(Config{
+		Tree: tr, Hosts: r.hosts, Managers: r.managers,
+		Policy: pbudget.DemandProportional, Period: 2 * time.Second,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +257,7 @@ func TestSetBudgetConvergesAndTraces(t *testing.T) {
 	tracer := trace.New("realloc", 0)
 	re, err := New(Config{
 		Tree: tr, Hosts: r.hosts, Managers: r.managers,
-		Period: 2 * time.Second, Tracer: tracer,
+		Policy: pbudget.DemandProportional, Period: 2 * time.Second, Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,9 +335,12 @@ func TestSetBudgetConvergesAndTraces(t *testing.T) {
 func BenchmarkBudgetRealloc4(b *testing.B)  { benchRealloc(b, 4) }
 func BenchmarkBudgetRealloc64(b *testing.B) { benchRealloc(b, 64) }
 
-// benchRealloc measures one full tree division — demand update plus
-// Alloc plus floor pass — over a two-level tree of n hosts, the per-period
-// cost a Reallocator pays.
+// sinkShares keeps the benchmarked division from being optimized away.
+var sinkShares []float64
+
+// benchRealloc measures one Divider.Divide — demand update, floor check,
+// division and floor pass — over a two-level tree of n hosts (8 per
+// rack), the per-period cost every budget adapter pays.
 func benchRealloc(b *testing.B, n int) {
 	children := make([]*Node, 0, (n+7)/8)
 	for i := 0; i < n; i += 8 {
@@ -329,23 +354,25 @@ func benchRealloc(b *testing.B, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	est := pbudget.NewDemandEstimator(n, pbudget.DefaultSmoothing, pbudget.DefaultMarginW)
-	demand := make([]float64, n)
-	caps := make([]float64, n)
-	floors := make([]float64, n)
-	for i := 0; i < n; i++ {
-		caps[i] = 200
-		floors[i] = 62
+	div, err := NewDivider(tr, pbudget.DemandProportional, nil, nil, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
+	leaves := make([]Leaf, n)
+	for i := range leaves {
+		leaves[i] = Leaf{IdleW: 61, ProvisionedW: 200}
+	}
+	now := time.Unix(0, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < n; j++ {
-			est.Observe(j, 80+float64((i+j)%40), 61)
-			demand[j] = est.Demand(j)
+		for j := range leaves {
+			leaves[j].DrawW = 80 + float64((i+j)%40)
 		}
-		if _, err := tr.Alloc(demand, caps, floors); err != nil {
-			b.Fatal(err)
+		shares, short := div.Divide(now, leaves)
+		if short != nil {
+			b.Fatal(short)
 		}
+		sinkShares = shares
 	}
 }

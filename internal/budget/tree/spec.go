@@ -1,16 +1,16 @@
 // Package tree implements a hierarchical power-budget tree — host ≤
-// rack ≤ row ≤ datacenter — with a periodic reallocator that shifts cap
-// headroom down the tree toward the servers that can use it. The flat
-// budget.Budgeter divides one number across all servers; real facilities
-// (Dynamo-class controllers, the substrate the paper's Section VI builds
-// on) enforce nested budgets at every level of the power delivery tree:
-// a rack breaker bounds its hosts no matter how much the row has spare.
+// rack ≤ row ≤ datacenter — and the one engine that divides it, shifting
+// cap headroom down the tree toward the servers that can use it. Real
+// facilities (Dynamo-class controllers, the substrate the paper's Section
+// VI builds on) enforce nested budgets at every level of the power
+// delivery tree: a rack breaker bounds its hosts no matter how much the
+// row has spare. A flat cluster budget is a one-level tree (Flat).
 //
-// A Tree is pure structure parsed from a compact spec; the Reallocator
-// (realloc.go) drives it inside a simulation, and the controlplane drives
-// it over live agents. Both divide each node's budget with the shared
-// helpers in the parent budget package, so a degenerate one-level tree
-// reproduces the flat Budgeter bit for bit.
+// A Tree is pure structure parsed from a compact spec; a Divider
+// (divider.go) divides it over per-host draw with the shared helpers in
+// the parent budget package. The Reallocator (realloc.go) adapts a
+// Divider to a simulation, and the controlplane adapts one to live
+// agents.
 package tree
 
 import (
@@ -328,6 +328,16 @@ func (p *parser) readWatts(node string) (float64, error) {
 	return w, nil
 }
 
+// Flat builds the one-level tree of a flat cluster budget: a root named
+// "cluster" budgeting totalW directly over the named hosts.
+func Flat(totalW float64, hosts []string) (*Tree, error) {
+	root := &Node{Name: "cluster", BudgetW: totalW}
+	for _, h := range hosts {
+		root.Children = append(root.Children, &Node{Name: h})
+	}
+	return Build(root)
+}
+
 // Root returns the tree's root node.
 func (t *Tree) Root() *Node { return t.root }
 
@@ -411,8 +421,7 @@ func (t *Tree) SetBudget(name string, watts float64) error {
 }
 
 // ValidateFloors checks that every node's budget can keep the hosts
-// beneath it above their idle floors — the same guard budget.New applies
-// to the flat total. floors is in Hosts() order. Nodes are checked in
+// beneath it above their idle floors. floors is in Hosts() order. Nodes are checked in
 // tree order, so the error names the first violator in the spec. Budgets
 // are read at call time, so a SetBudget needs no re-indexing.
 func (t *Tree) ValidateFloors(floors []float64) error {

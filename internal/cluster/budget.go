@@ -15,17 +15,18 @@ import (
 	"pocolo/internal/workload"
 )
 
-// BudgetConfig puts a cluster run under a power budget. With only TotalW
-// set, the flat budget.Budgeter divides one cluster-wide number; with
-// Tree set, the hierarchical budget/tree reallocator enforces nested
+// BudgetConfig puts a cluster run under a power budget, divided by the
+// budget/tree reallocator. With only TotalW set, one cluster-wide number
+// is divided as a one-level tree; with Tree set, the tree enforces nested
 // bounds (host ≤ rack ≤ row ≤ DC). Budgeted runs share one engine across
-// all hosts — the budgeter's rebalance must observe every meter in
-// lockstep — and always bypass the sweep memo.
+// all hosts — the rebalance must observe every meter in lockstep — and
+// always bypass the sweep memo.
 type BudgetConfig struct {
 	// TotalW is the flat cluster budget in watts (ignored when Tree is
 	// set).
 	TotalW float64
 	// Policy selects the flat division rule (default budget.EqualSplit).
+	// Tree runs always divide by demand.
 	Policy budget.Policy
 	// Tree, when non-empty, is a budget-tree spec (see tree.Parse) whose
 	// leaves name the cluster's LC servers.
@@ -115,7 +116,7 @@ type BudgetResult struct {
 	Shares map[string]float64
 	// Rebalances counts the divisions installed over the run.
 	Rebalances int
-	// Cuts counts runtime budget mutations (brownouts).
+	// Cuts counts runtime budget reductions (brownouts).
 	Cuts int
 	// NodeBudgets snapshots the end-of-run budget of every tree node
 	// (nil for flat budgets).
@@ -123,7 +124,7 @@ type BudgetResult struct {
 }
 
 // runBudgetedPlacement is the shared-engine twin of RunPlacement: every
-// host and manager steps on one engine so the attached budgeter can read
+// host and manager steps on one engine so the attached reallocator can read
 // all meters and install all caps in lockstep each period. A scheduled
 // brownout splits the run at the cut point — the engine is resumable, so
 // the two chunks are bit-identical to one uninterrupted run plus the
@@ -187,41 +188,34 @@ func runBudgetedPlacement(cfg Config, placement map[string]string, mgmt servermg
 		managers[i] = mgr
 	}
 
-	// Install the budget authority: flat budgeter or tree reallocator.
-	var (
-		realloc *tree.Reallocator
-		flat    *budget.Budgeter
-	)
+	// Install the budget authority: a flat budget is a one-level tree.
+	var tr *tree.Tree
+	policy := budget.DemandProportional
 	if bc.Tree != "" {
-		tr, err := tree.Parse(bc.Tree)
-		if err != nil {
-			return Result{}, err
-		}
-		realloc, err = tree.New(tree.Config{
-			Tree:      tr,
-			Hosts:     hosts,
-			Managers:  managers,
-			Period:    bc.Period,
-			Smoothing: bc.Smoothing,
-			MarginW:   bc.MarginW,
-			Tracer:    cfg.Trace.Tracer(cfg.TraceLabel + "budget"),
-		})
-		if err != nil {
-			return Result{}, err
-		}
+		tr, err = tree.Parse(bc.Tree)
 	} else {
-		flat, err = budget.New(budget.Config{
-			TotalW:    bc.TotalW,
-			Hosts:     hosts,
-			Managers:  managers,
-			Policy:    bc.Policy,
-			Period:    bc.Period,
-			Smoothing: bc.Smoothing,
-			MarginW:   bc.MarginW,
-		})
-		if err != nil {
-			return Result{}, err
+		names := make([]string, len(cfg.LC))
+		for i, lc := range cfg.LC {
+			names[i] = lc.Name
 		}
+		tr, err = tree.Flat(bc.TotalW, names)
+		policy = bc.Policy
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	realloc, err := tree.New(tree.Config{
+		Tree:      tr,
+		Hosts:     hosts,
+		Managers:  managers,
+		Policy:    policy,
+		Period:    bc.Period,
+		Smoothing: bc.Smoothing,
+		MarginW:   bc.MarginW,
+		Tracer:    cfg.Trace.Tracer(cfg.TraceLabel + "budget"),
+	})
+	if err != nil {
+		return Result{}, err
 	}
 
 	var harness *invariant.Harness
@@ -232,10 +226,8 @@ func runBudgetedPlacement(cfg Config, placement map[string]string, mgmt servermg
 				return Result{}, err
 			}
 		}
-		if realloc != nil {
-			if err := harness.Register(invariant.NewTreeConservation(realloc)); err != nil {
-				return Result{}, err
-			}
+		if err := harness.Register(invariant.NewTreeConservation(realloc)); err != nil {
+			return Result{}, err
 		}
 		if err := harness.Bind(engine); err != nil {
 			return Result{}, err
@@ -245,14 +237,8 @@ func runBudgetedPlacement(cfg Config, placement map[string]string, mgmt servermg
 	// Attach after the managers so the initial division lands on fully
 	// constructed hosts, then run — in two chunks around a scheduled
 	// brownout.
-	if realloc != nil {
-		if err := realloc.Attach(engine); err != nil {
-			return Result{}, err
-		}
-	} else {
-		if err := flat.Attach(engine); err != nil {
-			return Result{}, err
-		}
+	if err := realloc.Attach(engine); err != nil {
+		return Result{}, err
 	}
 	chunks := []time.Duration{duration}
 	if bc.BrownoutFrac > 0 {
@@ -268,7 +254,7 @@ func runBudgetedPlacement(cfg Config, placement map[string]string, mgmt servermg
 		if ci == 1 {
 			node := bc.BrownoutNode
 			if node == "" {
-				node = realloc.Tree().Root().Name
+				node = tr.Root().Name
 			}
 			orig := realloc.NodeBudgets()[node]
 			if orig <= 0 {
@@ -318,20 +304,14 @@ func runBudgetedPlacement(cfg Config, placement map[string]string, mgmt servermg
 	if normCount > 0 {
 		res.BENormThroughput = normSum / float64(normCount)
 	}
-	if realloc != nil {
-		shares := realloc.Shares()
-		for i, name := range realloc.Tree().Hosts() {
-			res.Budget.Shares[name] = shares[i]
-		}
-		res.Budget.Rebalances = realloc.Rebalances()
-		res.Budget.Cuts = realloc.Cuts()
+	shares := realloc.Shares()
+	for i, name := range tr.Hosts() {
+		res.Budget.Shares[name] = shares[i]
+	}
+	res.Budget.Rebalances = realloc.Rebalances()
+	res.Budget.Cuts = realloc.Cuts()
+	if bc.Tree != "" {
 		res.Budget.NodeBudgets = realloc.NodeBudgets()
-	} else {
-		shares := flat.Shares()
-		for i, lc := range cfg.LC {
-			res.Budget.Shares[lc.Name] = shares[i]
-		}
-		res.Budget.Rebalances = flat.Rebalances()
 	}
 	return res, nil
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,5 +173,40 @@ func TestBudgetedBrownoutEndToEnd(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Error("seeded brownout runs exported different traces")
+	}
+}
+
+// TestBudgetedBrownoutBelowFloors cuts the DC budget 70 %, below the
+// servers' summed idle floors: the run still divides, holding every
+// server at its floor, and with invariants on the tree-conservation
+// check reports the breach.
+func TestBudgetedBrownoutBelowFloors(t *testing.T) {
+	run := func(invariants bool) (Result, error) {
+		cfg := fixture(t)
+		cfg.Dwell = 2 * time.Second
+		cfg.Invariants = invariants
+		names := make([]string, len(cfg.LC))
+		for i, lc := range cfg.LC {
+			names[i] = lc.Name
+		}
+		cfg.Budget = &BudgetConfig{
+			Tree:         fmt.Sprintf("dc:%g{%s}", 0.85*provisionedW(cfg), strings.Join(names, ",")),
+			Period:       2 * time.Second,
+			BrownoutFrac: 0.7,
+		}
+		return Run(cfg, POColo)
+	}
+	res, err := run(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := fixture(t).Machine.IdlePowerW + 1
+	for name, s := range res.Budget.Shares {
+		if math.Abs(s-floor) > 1e-9 {
+			t.Errorf("%s share %v W after the cut, want its %v W floor", name, s, floor)
+		}
+	}
+	if _, err := run(true); err == nil || !strings.Contains(err.Error(), "tree-conservation") {
+		t.Fatalf("err = %v, want a tree-conservation violation", err)
 	}
 }

@@ -17,75 +17,60 @@ import (
 )
 
 // This file is the controller half of the hierarchical power-budget
-// subsystem (internal/budget/tree): the controller owns a budget tree
-// whose leaves name its agents, re-divides every node's budget over the
-// fleet's reported power draw each heartbeat round, and pushes the
-// per-agent shares over POST /v1/cap. Runtime SetBudget mutations — the
+// subsystem (internal/budget/tree): the controller adapts the tree's
+// Divider to its agents. The tree's leaves name agents; each heartbeat
+// round the Divider re-divides every node's budget over the fleet's
+// reported power draw, and the controller pushes the per-agent shares
+// over POST /v1/cap. Runtime SetBudget mutations — the
 // brownout campaign's cut-and-restore hook — shrink or regrow a node
 // mid-flight, and the tree-conservation invariant rides the campaign
 // harness through the BudgetAuthority interface the Controller
 // implements.
 
-// shareTolerance is the smallest watt change worth a push or a
-// BudgetShift trace event.
+// shareTolerance is the smallest watt change worth a cap push.
 const shareTolerance = 1e-9
 
-// budgetState is the controller's budget bookkeeping, guarded by
-// Controller.mu. Everything per-leaf is a slice in tree.Hosts() order,
-// kept across rounds: the tree's shape is fixed at parse time.
+// budgetState is the controller's adapter over the budget tree's Divider,
+// guarded by Controller.mu. Everything per-leaf is a slice in
+// tree.Hosts() order, kept across rounds: the tree's shape is fixed at
+// parse time.
 type budgetState struct {
-	tree   *tree.Tree
-	est    *budget.DemandEstimator
+	div    *tree.Divider
 	leaves []string // tree.Hosts(): the agent names the tree budgets
 	// bound is each leaf's agent. It is rebuilt only when a leaf's agent
 	// is undiscovered or has been renamed since it was bound.
 	bound []*agentState
-	// demand, caps and floors are the division's input buffers.
-	demand, caps, floors []float64
-	// shares is each leaf's desired cap from the last division (nil
-	// before the first one).
-	shares []float64
-	// rebalances counts installed divisions; lastCutAtReb records the
-	// rebalance count at the latest SetBudget mutation, so convergence
-	// grace is measured in rebalances, not wall time (the agents'
-	// simulated clocks and the controller clock share no epoch).
-	rebalances   int
-	brownouts    int
-	lastCutAtReb int
-	floorsWarned bool
+	// in is the division's input, one Leaf per bound agent.
+	in []tree.Leaf
+	// unboundWarned and shortWarned log an unbound leaf and a node short
+	// of its floors once per episode.
+	unboundWarned, shortWarned bool
 }
 
-// newBudgetState parses the tree spec and builds the demand estimator.
-func newBudgetState(spec string) (*budgetState, error) {
-	tr, err := tree.Parse(spec)
+// newBudgetState parses the tree spec and builds the division engine.
+// The controller always divides by demand.
+func newBudgetState(spec string, tr *trace.Tracer) (*budgetState, error) {
+	t, err := tree.Parse(spec)
 	if err != nil {
 		return nil, err
 	}
-	smoothing, err := budget.ResolveSmoothing(nil)
+	div, err := tree.NewDivider(t, budget.DemandProportional, nil, nil, tr)
 	if err != nil {
 		return nil, err
 	}
-	marginW, err := budget.ResolveMarginW(nil)
-	if err != nil {
-		return nil, err
-	}
-	leaves := tr.Hosts()
-	n := len(leaves)
+	leaves := t.Hosts()
 	return &budgetState{
-		tree:   tr,
-		est:    budget.NewDemandEstimator(n, smoothing, marginW),
+		div:    div,
 		leaves: leaves,
-		bound:  make([]*agentState, n),
-		demand: make([]float64, n),
-		caps:   make([]float64, n),
-		floors: make([]float64, n),
+		bound:  make([]*agentState, len(leaves)),
+		in:     make([]tree.Leaf, len(leaves)),
 	}, nil
 }
 
 // bindLocked checks every leaf's agent binding and rebuilds it by name
-// when one is missing or stale. It reports false while some leaf has no
-// discovered agent.
-func (b *budgetState) bindLocked(agents []*agentState) bool {
+// when one is missing or stale. It returns the first leaf with no
+// discovered agent, or "" once every leaf is bound.
+func (b *budgetState) bindLocked(agents []*agentState) string {
 	stale := false
 	for i, a := range b.bound {
 		if a == nil || !a.everSeen || a.name != b.leaves[i] {
@@ -94,7 +79,7 @@ func (b *budgetState) bindLocked(agents []*agentState) bool {
 		}
 	}
 	if !stale {
-		return true
+		return ""
 	}
 	byName := make(map[string]*agentState, len(agents))
 	for _, a := range agents {
@@ -105,18 +90,19 @@ func (b *budgetState) bindLocked(agents []*agentState) bool {
 	for i, name := range b.leaves {
 		a, ok := byName[name]
 		if !ok {
-			return false
+			return name
 		}
 		b.bound[i] = a
 	}
-	return true
+	return ""
 }
 
 // shareMap renders the last division as agent name → share (empty
 // before the first division).
 func (b *budgetState) shareMap() map[string]float64 {
-	out := make(map[string]float64, len(b.shares))
-	for i, w := range b.shares {
+	shares := b.div.Shares()
+	out := make(map[string]float64, len(shares))
+	for i, w := range shares {
 		out[b.leaves[i]] = w
 	}
 	return out
@@ -126,7 +112,9 @@ func (b *budgetState) shareMap() map[string]float64 {
 type BudgetStatus struct {
 	// NodeBudgets maps every budgeted tree node to its current budget.
 	NodeBudgets map[string]float64 `json:"node_budgets"`
-	// Shares maps each agent to the cap installed by the last rebalance.
+	// Shares maps each agent to the cap the last rebalance desires for
+	// it. A failed or skipped push leaves the agent's installed cap
+	// different from its share until a later push lands.
 	Shares map[string]float64 `json:"shares"`
 	// Rebalances counts divisions installed across the fleet.
 	Rebalances int `json:"rebalances"`
@@ -151,43 +139,33 @@ func (c *Controller) budgetPushesLocked(now time.Time) []pendingPush {
 		start := time.Now()
 		defer func() { c.obs.budgetLat.ObserveDuration(time.Since(start)) }()
 	}
-	if !b.bindLocked(c.agents) {
-		return nil // discovery incomplete; retry next round
+	if leaf := b.bindLocked(c.agents); leaf != "" {
+		// Discovery incomplete; retry next round. Once every agent has
+		// reported, the leaf names no agent at all.
+		if !b.unboundWarned && c.allSeenLocked() {
+			c.logf("budget division waiting: tree leaf %q names no agent", leaf)
+			b.unboundWarned = true
+		}
+		return nil
 	}
+	b.unboundWarned = false
 	for i, a := range b.bound {
 		// Dead agents keep their last reported draw: their simulation is
 		// paused, so the stale reading is also the resume point.
-		b.est.Observe(i, a.last.PowerW, a.last.Machine.IdlePowerW)
-		b.demand[i] = b.est.Demand(i)
-		b.caps[i] = a.last.ProvisionedPowerW
-		b.floors[i] = a.last.Machine.IdlePowerW + 1
+		b.in[i] = tree.Leaf{DrawW: a.last.PowerW, IdleW: a.last.Machine.IdlePowerW, ProvisionedW: a.last.ProvisionedPowerW}
 	}
-	if err := b.tree.ValidateFloors(b.floors); err != nil {
-		if !b.floorsWarned {
-			c.logf("budget rebalance suspended: %v", err)
-			b.floorsWarned = true
-		}
-		return nil
+	shares, short := b.div.Divide(now, b.in)
+	if short == nil {
+		b.shortWarned = false
+	} else if !b.shortWarned {
+		c.logf("budget short of the floors, agents held at their floors: %v", short)
+		b.shortWarned = true
 	}
-	b.floorsWarned = false
-	shares, err := b.tree.Alloc(b.demand, b.caps, b.floors)
-	if err != nil {
-		c.logf("budget division failed: %v", err)
-		return nil
-	}
-	b.rebalances++
 	var pushes []pendingPush
 	for i, name := range b.leaves {
-		var prev float64
-		if b.shares != nil {
-			prev = b.shares[i]
-		}
-		if b.shares == nil || math.Abs(shares[i]-prev) > shareTolerance {
-			c.tracer.BudgetShift(now, trace.BudgetChange{Node: name, FromW: prev, ToW: shares[i], Reason: "rebalance"})
-		}
 		a := b.bound[i]
 		if c.obs != nil {
-			// Headroom: installed share minus the agent's reported draw —
+			// Headroom: desired share minus the agent's reported draw —
 			// negative means the host is drawing over its budget share.
 			c.obs.headroomGauge(name).Set(shares[i] - a.last.PowerW)
 		}
@@ -195,8 +173,18 @@ func (c *Controller) budgetPushesLocked(now time.Time) []pendingPush {
 			pushes = append(pushes, pendingPush{kind: pushCap, agent: a, url: a.url, name: name, capW: shares[i]})
 		}
 	}
-	b.shares = shares
 	return pushes
+}
+
+// allSeenLocked reports whether every configured agent has reported at
+// least once.
+func (c *Controller) allSeenLocked() bool {
+	for _, a := range c.agents {
+		if !a.everSeen {
+			return false
+		}
+	}
+	return true
 }
 
 // postCap pushes a power cap to an agent.
@@ -235,19 +223,14 @@ func (c *Controller) SetBudget(node string, watts float64, reason string) error 
 	if b == nil {
 		return errors.New("controlplane: controller has no budget tree")
 	}
-	n := b.tree.Lookup(node)
+	n := b.div.Tree().Lookup(node)
 	if n == nil {
 		return fmt.Errorf("controlplane: no budget node %q", node)
 	}
 	prev := n.BudgetW
-	if err := b.tree.SetBudget(node, watts); err != nil {
+	if err := b.div.SetBudget(c.now(), node, watts, reason); err != nil {
 		return err
 	}
-	if watts < prev {
-		b.brownouts++
-	}
-	b.lastCutAtReb = b.rebalances
-	c.tracer.BudgetCut(c.now(), trace.BudgetChange{Node: node, FromW: prev, ToW: watts, Reason: reason})
 	c.logf("budget node %s: %.1fW -> %.1fW (%s)", node, prev, watts, reason)
 	return nil
 }
@@ -260,29 +243,29 @@ func (c *Controller) BudgetRoot() string {
 	if c.budget == nil {
 		return ""
 	}
-	return c.budget.tree.Root().Name
+	return c.budget.div.Tree().Root().Name
 }
 
-// NodeBudgets implements invariant.BudgetAuthority: the current budget
-// of every budgeted tree node (nil without a budget tree).
+// NodeBudgets implements invariant.BudgetAuthority (nil without a budget
+// tree).
 func (c *Controller) NodeBudgets() map[string]float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.budget == nil {
 		return nil
 	}
-	return c.budget.tree.NodeBudgets()
+	return c.budget.div.Tree().NodeBudgets()
 }
 
-// NodeBudget implements invariant.BudgetAuthority: one node's current
-// budget (0 when unbudgeted or unknown).
+// NodeBudget implements invariant.BudgetAuthority (0 without a budget
+// tree).
 func (c *Controller) NodeBudget(node string) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.budget == nil {
 		return 0
 	}
-	return c.budget.tree.NodeBudget(node)
+	return c.budget.div.Tree().NodeBudget(node)
 }
 
 // NodeHosts implements invariant.BudgetAuthority: the agents beneath a
@@ -293,20 +276,18 @@ func (c *Controller) NodeHosts(node string) []string {
 	if c.budget == nil {
 		return nil
 	}
-	return c.budget.tree.HostsUnder(node)
+	return c.budget.div.Tree().HostsUnder(node)
 }
 
-// InGrace implements invariant.BudgetAuthority: true while fewer than
-// tree.ConvergencePeriods rebalances have run since the latest budget
-// mutation (or since startup, before the first division reaches the
-// fleet).
+// InGrace implements invariant.BudgetAuthority (see tree.Divider.InGrace;
+// false without a budget tree).
 func (c *Controller) InGrace() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.budget == nil {
 		return false
 	}
-	return c.budget.rebalances < c.budget.lastCutAtReb+tree.ConvergencePeriods
+	return c.budget.div.InGrace()
 }
 
 // budgetStatusLocked snapshots the budget state for Status.
@@ -316,9 +297,9 @@ func (c *Controller) budgetStatusLocked() *BudgetStatus {
 		return nil
 	}
 	return &BudgetStatus{
-		NodeBudgets: b.tree.NodeBudgets(),
+		NodeBudgets: b.div.Tree().NodeBudgets(),
 		Shares:      b.shareMap(),
-		Rebalances:  b.rebalances,
-		Brownouts:   b.brownouts,
+		Rebalances:  b.div.Rebalances(),
+		Brownouts:   b.div.Cuts(),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -276,5 +277,115 @@ func TestCampaignBrownoutValidation(t *testing.T) {
 	bad.BudgetTree = "dc:{"
 	if _, err := NewCampaign(bad); err == nil {
 		t.Error("unparseable budget tree accepted")
+	}
+}
+
+// TestCampaignBrownoutBelowFloors cuts the DC budget 70 %, below the
+// four agents' summed idle floors, for ten rounds. Division never
+// suspends: every agent is held at its floor, the controller logs the
+// shortfall once, and the tree-conservation check reports the breach
+// once the convergence grace ends.
+func TestCampaignBrownoutBelowFloors(t *testing.T) {
+	lcs := []string{"img-dnn", "sphinx", "tpcc", "xapian"}
+	var prov float64
+	names := make([]string, len(lcs))
+	for i, lc := range lcs {
+		prov += spec(t, lc).ProvisionedPowerW
+		names[i] = "agent-" + lc
+	}
+	dc := 0.85 * prov
+	floor := machine.XeonE52650().IdlePowerW + 1
+	var mu sync.Mutex
+	var logs []string
+	atFloors := 0
+	camp, err := NewCampaign(CampaignConfig{
+		Agents:     campaignAgentConfigs(t, lcs, nil),
+		BudgetTree: fmt.Sprintf("dc:%g{%s}", dc, strings.Join(names, ",")),
+		Faults: []FaultEvent{{
+			At: 6 * time.Second, Kind: FaultBrownout, Level: 0.7, Duration: 10 * time.Second,
+		}},
+		Duration: 20 * time.Second,
+		Seed:     5,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
+		OnRound: func(_ int, st Status) {
+			if st.Budget.NodeBudgets["dc"] >= 4*floor {
+				return
+			}
+			for _, name := range names {
+				if math.Abs(st.Budget.Shares[name]-floor) > 1e-9 {
+					return
+				}
+			}
+			atFloors++
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := camp.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if atFloors != 10 {
+		t.Errorf("agents held at their %v W floors in %d rounds of the cut, want 10", floor, atFloors)
+	}
+	if len(report.Violations) == 0 {
+		t.Fatal("tree-conservation reported nothing while the cut sat below the floors")
+	}
+	for _, v := range report.Violations {
+		if v.Checker != "tree-conservation" {
+			t.Fatalf("unexpected violation: %s", v)
+		}
+	}
+	short := 0
+	for _, l := range logs {
+		if strings.Contains(l, "short of the floors") && strings.Contains(l, `"dc"`) {
+			short++
+		}
+	}
+	if short != 1 {
+		t.Errorf("%d shortfall log lines naming dc, want 1 per episode:\n%s", short, strings.Join(logs, "\n"))
+	}
+	st := report.Status.Budget
+	if st.Brownouts != 1 || math.Abs(st.NodeBudgets["dc"]-dc) > 1e-9 {
+		t.Errorf("after restore: Brownouts %d, dc %v W; want 1 and %v W", st.Brownouts, st.NodeBudgets["dc"], dc)
+	}
+}
+
+// TestBudgetUnboundLeafLogged covers a tree leaf that names no agent:
+// division waits for it, and once every agent has reported the
+// controller says which leaf it waits for, once.
+func TestBudgetUnboundLeafLogged(t *testing.T) {
+	var mu sync.Mutex
+	var logs []string
+	tc := newTestCluster(t, []string{"img-dnn", "sphinx"}, nil, func(cfg *ControllerConfig) {
+		cfg.BudgetTree = "dc:252{agent-img-dnn,agent-sphinx-typo}"
+		cfg.Logf = func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}
+	})
+	for i := 0; i < 6; i++ {
+		tc.advanceAll(t, time.Second)
+		tc.ctl.Round(context.Background())
+	}
+	if n := tc.ctl.Status().Budget.Rebalances; n != 0 {
+		t.Errorf("Rebalances = %d with a leaf unbound, want 0", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	named := 0
+	for _, l := range logs {
+		if strings.Contains(l, `"agent-sphinx-typo"`) {
+			named++
+		}
+	}
+	if named != 1 {
+		t.Errorf("%d log lines name the unbound leaf, want 1:\n%s", named, strings.Join(logs, "\n"))
 	}
 }

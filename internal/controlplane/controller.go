@@ -321,7 +321,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		c.stream = newStreamState(cfg.AgentURLs, cfg.PodSize)
 	}
 	if cfg.BudgetTree != "" {
-		b, err := newBudgetState(cfg.BudgetTree)
+		b, err := newBudgetState(cfg.BudgetTree, cfg.Trace)
 		if err != nil {
 			return nil, err
 		}

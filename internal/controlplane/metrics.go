@@ -142,7 +142,7 @@ func controllerMetrics(st Status, s StreamStats, reg obs.Snapshot) obs.Snapshot 
 			e.gauge("pocolo_budget_node_watts", "Current power budget of each tree node, watts.", b.NodeBudgets[n], kv("node", n))
 		}
 		for _, n := range sortedKeys(b.Shares) {
-			e.gauge("pocolo_budget_share_watts", "Per-agent power cap installed by the last rebalance, watts.", b.Shares[n], kv("agent", n))
+			e.gauge("pocolo_budget_share_watts", "Per-agent power cap desired by the last rebalance, watts.", b.Shares[n], kv("agent", n))
 		}
 		e.counter("pocolo_budget_rebalances_total", "Budget divisions installed across the fleet.", float64(b.Rebalances))
 		e.counter("pocolo_budget_brownouts_total", "Runtime budget cuts applied to the tree.", float64(b.Brownouts))

@@ -85,7 +85,7 @@ func (o *ctlObs) headroomGauge(name string) *obs.Gauge {
 	g, ok := o.headroom[name]
 	if !ok {
 		g = o.reg.Gauge("pocolo_obs_budget_headroom_watts",
-			"Installed budget share minus reported power draw per agent.",
+			"Desired budget share minus reported power draw per agent.",
 			obs.Label{Key: "host", Value: name})
 		o.headroom[name] = g
 	}

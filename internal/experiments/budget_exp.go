@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"pocolo/internal/budget"
+	"pocolo/internal/budget/tree"
 	"pocolo/internal/servermgr"
 	"pocolo/internal/sim"
 	"pocolo/internal/workload"
@@ -44,6 +45,7 @@ func (s *Suite) AblationBudget() (AblationBudgetResult, error) {
 		}
 		var hosts []*sim.Host
 		var managers []*servermgr.Manager
+		var names []string
 		var totalProvisioned float64
 		for _, lc := range s.Catalog.LC() {
 			trace, err := workload.NewConstantTrace(loads[lc.Name])
@@ -80,11 +82,16 @@ func (s *Suite) AblationBudget() (AblationBudgetResult, error) {
 			}
 			hosts = append(hosts, host)
 			managers = append(managers, mgr)
+			names = append(names, lc.Name)
 			totalProvisioned += host.CapW()
 		}
 		budgetW := 0.85 * totalProvisioned
-		b, err := budget.New(budget.Config{
-			TotalW: budgetW, Hosts: hosts, Managers: managers,
+		tr, err := tree.Flat(budgetW, names)
+		if err != nil {
+			return res, err
+		}
+		b, err := tree.New(tree.Config{
+			Tree: tr, Hosts: hosts, Managers: managers,
 			Policy: policy, Period: 2 * time.Second,
 		})
 		if err != nil {

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"pocolo/internal/budget"
+	"pocolo/internal/budget/tree"
 	"pocolo/internal/cluster"
 	"pocolo/internal/experiments"
 	"pocolo/internal/machine"
@@ -707,6 +708,7 @@ func (s *System) SimulateBudgetedCluster(loads map[string]float64, placement map
 	}
 	var hosts []*sim.Host
 	var managers []*servermgr.Manager
+	var names []string
 	var totalProvisioned float64
 	for i, lc := range s.Catalog.LC() {
 		frac, ok := loads[lc.Name]
@@ -748,12 +750,15 @@ func (s *System) SimulateBudgetedCluster(loads map[string]float64, placement map
 		}
 		hosts = append(hosts, host)
 		managers = append(managers, mgr)
+		names = append(names, lc.Name)
 		totalProvisioned += host.CapW()
 	}
 	budgetW := budgetFrac * totalProvisioned
-	b, err := budget.New(budget.Config{
-		TotalW: budgetW, Hosts: hosts, Managers: managers, Policy: policy,
-	})
+	tr, err := tree.Flat(budgetW, names)
+	if err != nil {
+		return BudgetedResult{}, err
+	}
+	b, err := tree.New(tree.Config{Tree: tr, Hosts: hosts, Managers: managers, Policy: policy})
 	if err != nil {
 		return BudgetedResult{}, err
 	}
