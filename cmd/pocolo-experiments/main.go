@@ -45,7 +45,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	invariants := flag.Bool("invariants", false, "check cross-layer invariants on every simulated tick of every cluster run; any violation aborts the experiment")
-	planner := flag.String("planner", "on", "precomputed allocation planner: on (O(log n) frontier lookups) or off (exact per-tick grid search); results are bit-identical either way")
 	tracePath := flag.String("trace", "", "write the decision trace as canonical JSONL to this file")
 	traceChrome := flag.String("trace-chrome", "", "write the decision trace in Chrome trace-event format (Perfetto-loadable) to this file")
 	traceEvents := flag.Int("trace-events", trace.DefaultEvents, "decision-trace ring capacity per host, in events")
@@ -54,15 +53,6 @@ func main() {
 	budgetTree := flag.String("budget-tree", "", "hierarchical budget-tree spec or @file; leaves name the LC servers; overrides -budget")
 	budgetPeriod := flag.Duration("budget-period", 5*time.Second, "budget rebalance interval")
 	flag.Parse()
-
-	var plannerOff bool
-	switch *planner {
-	case "on":
-	case "off":
-		plannerOff = true
-	default:
-		log.Fatalf("unknown -planner value %q (want on or off)", *planner)
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -83,7 +73,6 @@ func main() {
 	suite.Dwell = *dwell
 	suite.Parallel = *par
 	suite.Invariants = *invariants
-	suite.PlannerOff = plannerOff
 	suite.Budget, err = cluster.ParseBudgetFlags(*budgetW, *budgetPolicy, *budgetTree, *budgetPeriod, 0, 0, "")
 	if err != nil {
 		log.Fatal(err)

@@ -55,7 +55,6 @@ func run(args []string, out io.Writer) error {
 	par := fs.Int("parallel", 0, "worker pool size for independent hosts and trials (0 = GOMAXPROCS, 1 = sequential; results identical at any setting)")
 	modelsPath := fs.String("models", "", "load fitted models from this JSON file (see pocolo-profile -o) instead of re-profiling")
 	invariants := fs.Bool("invariants", false, "check cross-layer invariants (resource conservation, power-cap compliance, slack recovery, physical sanity) on every simulated tick; any violation aborts the run")
-	planner := fs.String("planner", "on", "precomputed allocation planner: on (O(log n) frontier lookups) or off (exact per-tick grid search); results are bit-identical either way")
 	tracePath := fs.String("trace", "", "write the decision trace as canonical JSONL to this file")
 	traceChrome := fs.String("trace-chrome", "", "write the decision trace in Chrome trace-event format (Perfetto-loadable) to this file")
 	traceEvents := fs.Int("trace-events", trace.DefaultEvents, "decision-trace ring capacity per host, in events")
@@ -70,7 +69,6 @@ func run(args []string, out io.Writer) error {
 	hyperJobs := fs.Int("hyperscale-jobs", 0, "BE job instances in the hyperscale fleet (default: 3/4 of the hosts)")
 	podSize := fs.Int("pod-size", 0, "hosts per assignment pod in the hyperscale scenario (default 64)")
 	hyperRounds := fs.Int("hyperscale-rounds", 3, "churn rounds after the initial hyperscale solve")
-	batchThreshold := fs.Int("batch-threshold", 0, "dirty-line count at which a pod refresh switches to the parallel auction batch re-solve (0 = solver default, 1 forces sequential per-line repair); the placement is identical either way")
 	churn := fs.Float64("churn", 0.1, "per-round fraction of hosts whose caps drift (and per-class model re-fit probability)")
 	rebalanceGap := fs.Float64("rebalance-gap", 0, "minimum estimated gain before a job migrates across pods")
 	hyperBudget := fs.Float64("hyperscale-budget", 0, "size a per-pod power-budget tree at this fraction of provisioned capacity (0 = none)")
@@ -97,12 +95,8 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 
-	plannerOff, err := parsePlannerFlag(*planner)
-	if err != nil {
-		return err
-	}
-
 	var sys *pocolo.System
+	var err error
 	if *modelsPath != "" {
 		f, ferr := os.Open(*modelsPath)
 		if ferr != nil {
@@ -123,7 +117,6 @@ func run(args []string, out io.Writer) error {
 	sys.Dwell = *dwell
 	sys.Parallel = *par
 	sys.Invariants = *invariants
-	sys.PlannerOff = plannerOff
 	if *tracePath != "" || *traceChrome != "" {
 		sys.Trace = trace.NewSet(*traceEvents)
 	}
@@ -142,9 +135,8 @@ func run(args []string, out io.Writer) error {
 				Hosts: *hyper,
 				Jobs:  jobs,
 				Shard: pocolo.ShardSettings{
-					PodSize:        *podSize,
-					RebalanceGap:   *rebalanceGap,
-					BatchThreshold: *batchThreshold,
+					PodSize:      *podSize,
+					RebalanceGap: *rebalanceGap,
 				},
 				BudgetFrac: *hyperBudget,
 			},
@@ -337,16 +329,4 @@ func writeTraceFile(path string, events []trace.Event, write func(io.Writer, []t
 		return err
 	}
 	return f.Close()
-}
-
-// parsePlannerFlag maps the -planner flag to System.PlannerOff.
-func parsePlannerFlag(v string) (plannerOff bool, err error) {
-	switch v {
-	case "on":
-		return false, nil
-	case "off":
-		return true, nil
-	default:
-		return false, fmt.Errorf("unknown -planner value %q (want on or off)", v)
-	}
 }

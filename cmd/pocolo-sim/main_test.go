@@ -137,15 +137,3 @@ func TestHyperscaleCLI(t *testing.T) {
 		t.Error("no sharded solve summaries in the hyperscale trace")
 	}
 }
-
-func TestParsePlannerFlag(t *testing.T) {
-	if off, err := parsePlannerFlag("on"); err != nil || off {
-		t.Fatalf("on: got off=%v err=%v", off, err)
-	}
-	if off, err := parsePlannerFlag("off"); err != nil || !off {
-		t.Fatalf("off: got off=%v err=%v", off, err)
-	}
-	if _, err := parsePlannerFlag("auto"); err == nil {
-		t.Fatal("auto: want error")
-	}
-}

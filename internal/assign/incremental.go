@@ -168,26 +168,12 @@ func (inc *Incremental) Assignment() []int {
 func (inc *Incremental) ColOf(i int) int { return inc.rowMatch[i] }
 
 // RowOf returns the row assigned to column j, or -1 if the column is
-// free: one element of ColAssignment, without the copy.
+// free (matched only to an internal dummy row).
 func (inc *Incremental) RowOf(j int) int {
 	if r := inc.colMatch[j]; r < inc.n {
 		return r
 	}
 	return -1
-}
-
-// ColAssignment returns a copy of the column-side matching: element j is
-// the row assigned to column j, or -1 if the column is free (matched
-// only to an internal dummy row).
-func (inc *Incremental) ColAssignment() []int {
-	out := make([]int, inc.m)
-	for j, r := range inc.colMatch {
-		if r >= inc.n {
-			r = -1
-		}
-		out[j] = r
-	}
-	return out
 }
 
 // Total returns the value of the current optimal assignment as the

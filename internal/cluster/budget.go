@@ -147,7 +147,7 @@ func runBudgetedPlacement(cfg Config, placement map[string]string, mgmt servermg
 	}
 
 	duration := workload.UniformSweep(cfg.Dwell).Duration()
-	engine, err := sim.NewEngine(cfg.Tick)
+	engine, err := sim.NewEngine(engineTick)
 	if err != nil {
 		return Result{}, err
 	}
@@ -161,7 +161,7 @@ func runBudgetedPlacement(cfg Config, placement map[string]string, mgmt servermg
 			BE:         beBy[lc.Name],
 			Trace:      workload.UniformSweep(cfg.Dwell),
 			Seed:       cfg.Seed + int64(i)*977,
-			SeriesHint: seriesHint(duration, cfg.Tick),
+			SeriesHint: seriesHint(duration),
 		})
 		if err != nil {
 			return Result{}, err
@@ -175,7 +175,6 @@ func runBudgetedPlacement(cfg Config, placement map[string]string, mgmt servermg
 			Policy:      mgmt,
 			TargetSlack: cfg.TargetSlack,
 			Seed:        cfg.Seed + int64(i)*389,
-			PlannerOff:  cfg.PlannerOff,
 			Tracer:      cfg.Trace.Tracer(cfg.TraceLabel + lc.Name),
 		})
 		if err != nil {

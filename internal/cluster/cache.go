@@ -14,7 +14,7 @@ import (
 
 // The sweep memo caches finished cluster and pair runs process-wide. Every
 // simulation here is a pure function of its configuration — machine, specs,
-// fitted models, dwell, tick, and seed fully determine the noise streams
+// fitted models, dwell, and seed fully determine the noise streams
 // and therefore the result — so two runs with identical fingerprints are
 // interchangeable. The evaluation suite leans on this: Fig. 14's sixteen
 // RunPair sweeps are simulated once and shared across repeated figure
@@ -73,18 +73,17 @@ func MemoStats() (hits, misses int) {
 }
 
 // fingerprintConfig writes the cacheable identity of a cluster Config: the
-// machine, dwell, tick, seed, slack guard, shard layout, and every
-// involved spec and fitted model by value. Parallel is deliberately
-// excluded — worker count must not change results. Invariants and PlannerOff are included even
-// though neither perturbs results (the planner is bit-identical to the
-// exact search): a run requesting invariant checks or the exact search
-// must not silently satisfy itself from a cache entry produced in the
-// other mode.
+// machine, dwell, seed, slack guard, shard layout, and every involved
+// spec and fitted model by value. Parallel is deliberately excluded —
+// worker count must not change results. Invariants is included even
+// though it does not perturb results: a run requesting invariant checks
+// must not silently satisfy itself from a cache entry produced without
+// them.
 func fingerprintConfig(w *strings.Builder, cfg *Config) {
 	// Shard is included because the pod layout changes the POColo
 	// placement: a result computed under one layout must not satisfy a
 	// request made under another.
-	fmt.Fprintf(w, "m=%+v|dwell=%d|tick=%d|seed=%d|slack=%g|inv=%t|planner=%t|shard=%+v", cfg.Machine, cfg.Dwell, cfg.Tick, cfg.Seed, cfg.TargetSlack, cfg.Invariants, cfg.PlannerOff, cfg.Shard)
+	fmt.Fprintf(w, "m=%+v|dwell=%d|seed=%d|slack=%g|inv=%t|shard=%+v", cfg.Machine, cfg.Dwell, cfg.Seed, cfg.TargetSlack, cfg.Invariants, cfg.Shard)
 	writeSpecs := func(label string, specs []*workload.Spec) {
 		fmt.Fprintf(w, "|%s=", label)
 		for _, s := range specs {

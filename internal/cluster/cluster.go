@@ -77,8 +77,6 @@ type Config struct {
 	// server sweeps the uniform 10–90% range, the paper's evaluation
 	// distribution.
 	Dwell time.Duration
-	// Tick is the engine step (default 100 ms).
-	Tick time.Duration
 	// Seed drives placement randomness and per-host noise.
 	Seed int64
 	// TargetSlack overrides the server managers' latency slack guard
@@ -97,12 +95,6 @@ type Config struct {
 	// tick, and any violation fails the run with an error. Checking does
 	// not perturb results — observers run after the tick's state is final.
 	Invariants bool
-	// PlannerOff forces every server manager in the run through the exact
-	// per-tick grid search instead of the precomputed allocation planner.
-	// Results are bit-identical either way; the switch keeps the exact
-	// search exercised (race tests, equivalence suites) and serves as an
-	// escape hatch.
-	PlannerOff bool
 	// Trace, when non-nil, collects decision events from every simulated
 	// host and the placement pipeline. Each host records into its own
 	// child tracer (keyed TraceLabel + host name) so parallel execution
@@ -144,11 +136,8 @@ func (c *Config) defaults() error {
 	if c.Dwell == 0 {
 		c.Dwell = 5 * time.Second
 	}
-	if c.Tick == 0 {
-		c.Tick = 100 * time.Millisecond
-	}
-	if c.Dwell <= 0 || c.Tick <= 0 {
-		return errors.New("cluster: dwell and tick must be positive")
+	if c.Dwell <= 0 {
+		return errors.New("cluster: dwell must be positive")
 	}
 	return nil
 }
@@ -354,12 +343,12 @@ func runManagedHost(cfg Config, lc, be *workload.Spec, hostSeed, mgrSeed int64, 
 		BE:         be,
 		Trace:      loadTrace,
 		Seed:       hostSeed,
-		SeriesHint: seriesHint(duration, cfg.Tick),
+		SeriesHint: seriesHint(duration),
 	})
 	if err != nil {
 		return sim.Metrics{}, err
 	}
-	engine, err := sim.NewEngine(cfg.Tick)
+	engine, err := sim.NewEngine(engineTick)
 	if err != nil {
 		return sim.Metrics{}, err
 	}
@@ -372,7 +361,6 @@ func runManagedHost(cfg Config, lc, be *workload.Spec, hostSeed, mgrSeed int64, 
 		Policy:      mgmt,
 		TargetSlack: cfg.TargetSlack,
 		Seed:        mgrSeed,
-		PlannerOff:  cfg.PlannerOff,
 		Tracer:      cfg.Trace.Tracer(cfg.TraceLabel + lc.Name),
 	})
 	if err != nil {
@@ -402,13 +390,13 @@ func runManagedHost(cfg Config, lc, be *workload.Spec, hostSeed, mgrSeed int64, 
 	return host.Metrics(), nil
 }
 
+// engineTick is the simulation engine's step, the power capper's period.
+const engineTick = 100 * time.Millisecond
+
 // seriesHint sizes the per-host telemetry series for a run of the given
 // length so the hot path appends without reallocating.
-func seriesHint(duration, tick time.Duration) int {
-	if tick <= 0 {
-		return 0
-	}
-	return int(duration/tick) + 2
+func seriesHint(duration time.Duration) int {
+	return int(duration/engineTick) + 2
 }
 
 // Run evaluates the cluster under one of the paper's three policies. For
@@ -588,12 +576,12 @@ func RunPair(cfg Config, lc, be *workload.Spec) (PairResult, error) {
 			BE:         be,
 			Trace:      loadTrace,
 			Seed:       cfg.Seed + int64(frac*1000),
-			SeriesHint: seriesHint(cfg.Dwell, cfg.Tick),
+			SeriesHint: seriesHint(cfg.Dwell),
 		})
 		if err != nil {
 			return err
 		}
-		engine, err := sim.NewEngine(cfg.Tick)
+		engine, err := sim.NewEngine(engineTick)
 		if err != nil {
 			return err
 		}
@@ -601,11 +589,10 @@ func RunPair(cfg Config, lc, be *workload.Spec) (PairResult, error) {
 			return err
 		}
 		mgr, err := servermgr.New(servermgr.Config{
-			Host:       host,
-			Model:      cfg.Models[lc.Name],
-			Policy:     servermgr.PowerOptimized,
-			PlannerOff: cfg.PlannerOff,
-			Tracer:     cfg.Trace.Tracer(cfg.TraceLabel + hostName),
+			Host:   host,
+			Model:  cfg.Models[lc.Name],
+			Policy: servermgr.PowerOptimized,
+			Tracer: cfg.Trace.Tracer(cfg.TraceLabel + hostName),
 		})
 		if err != nil {
 			return err

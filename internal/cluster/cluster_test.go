@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -362,5 +363,32 @@ func TestRunReplicatedValidation(t *testing.T) {
 	bad.Models = nil
 	if _, err := RunReplicated(bad, 1, servermgr.PowerOptimized); err == nil {
 		t.Error("expected error for missing models")
+	}
+}
+
+// TestBuildMatrixParallel checks the fanned-out matrix construction is
+// identical to the sequential path at any worker count, and that model
+// validation errors still surface.
+func TestBuildMatrixParallel(t *testing.T) {
+	cfg := fixture(t)
+	seq, err := BuildMatrix(MatrixConfig{Machine: cfg.Machine, LC: cfg.LC, BE: cfg.BE, Models: cfg.Models, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 2, 8} {
+		par, err := BuildMatrix(MatrixConfig{Machine: cfg.Machine, LC: cfg.LC, BE: cfg.BE, Models: cfg.Models, Parallel: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("parallel=%d matrix differs from sequential", workers)
+		}
+	}
+
+	// A missing model must surface the same first (row-major) error from
+	// the fanned-out path as from the sequential one.
+	broken := MatrixConfig{Machine: cfg.Machine, LC: cfg.LC, BE: cfg.BE, Models: nil, Parallel: 8}
+	if _, err := BuildMatrix(broken); err == nil || !strings.Contains(err.Error(), "no fitted model for "+cfg.BE[0].Name) {
+		t.Fatalf("missing-model error = %v", err)
 	}
 }

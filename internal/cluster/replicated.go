@@ -85,7 +85,7 @@ func RunReplicated(cfg Config, replicas int, mgmt servermgr.LCPolicy) (Result, e
 		beByHost[lcInst] = spec
 	}
 
-	engine, err := sim.NewEngine(cfg.Tick)
+	engine, err := sim.NewEngine(engineTick)
 	if err != nil {
 		return Result{}, err
 	}
@@ -113,7 +113,6 @@ func RunReplicated(cfg Config, replicas int, mgmt servermgr.LCPolicy) (Result, e
 			Policy:      mgmt,
 			TargetSlack: cfg.TargetSlack,
 			Seed:        cfg.Seed + int64(j)*389,
-			PlannerOff:  cfg.PlannerOff,
 		})
 		if err != nil {
 			return Result{}, err

@@ -23,9 +23,9 @@ import (
 // round.
 const DefaultPodSize = 64
 
-// DefaultRebalanceRounds bounds the cross-pod migration passes per
-// Rebalance call.
-const DefaultRebalanceRounds = 2
+// rebalanceRounds bounds the cross-pod migration passes per Rebalance
+// call.
+const rebalanceRounds = 2
 
 // ShardSettings configures pod sharding of the assignment problem.
 // The zero value means unsharded (one pod spanning the whole cluster).
@@ -40,16 +40,13 @@ type ShardSettings struct {
 	// strictly increases total value by more than the gap, so
 	// rebalancing terminates.
 	RebalanceGap float64
-	// RebalanceRounds bounds migration passes per Rebalance call
-	// (0 = DefaultRebalanceRounds).
-	RebalanceRounds int
-	// BatchThreshold is the dirty-line count at or above which a pod's
-	// Refresh hands the whole dirty set to the parallel auction batch
-	// re-solve instead of repairing line by line
-	// (0 = assign.DefaultBatchThreshold, 1 forces the sequential path).
-	// The resulting assignment value is identical either way; only
-	// wall-clock changes.
-	BatchThreshold int
+	// batchThreshold, when nonzero, replaces assign.DefaultBatchThreshold
+	// as the dirty-line count at or above which a pod's Refresh hands the
+	// whole dirty set to the parallel auction batch re-solve instead of
+	// repairing line by line; 1 forces the sequential path. The
+	// assignment value is identical either way, so only the package's
+	// tests set it, to hold the two paths to each other.
+	batchThreshold int
 }
 
 func (s ShardSettings) podSize() int {
@@ -57,13 +54,6 @@ func (s ShardSettings) podSize() int {
 		return DefaultPodSize
 	}
 	return s.PodSize
-}
-
-func (s ShardSettings) rounds() int {
-	if s.RebalanceRounds <= 0 {
-		return DefaultRebalanceRounds
-	}
-	return s.RebalanceRounds
 }
 
 // sPod is one shard: a contiguous slice of hosts with its own
@@ -322,7 +312,7 @@ func (s *Sharded) Refresh() (DeltaStats, error) {
 		if len(res.ChangedRows) == 0 && len(res.ChangedCols) == 0 {
 			return nil
 		}
-		opts := assign.BatchOptions{Threshold: s.set.BatchThreshold, Workers: innerWorkers, Obs: pod.obs}
+		opts := assign.BatchOptions{Threshold: s.set.batchThreshold, Workers: innerWorkers, Obs: pod.obs}
 		mx := pod.builder.Matrix()
 		rows := make([]assign.RowUpdate, len(res.ChangedRows))
 		for k, i := range res.ChangedRows {
@@ -407,7 +397,7 @@ func (s *Sharded) Evacuate() (int, error) {
 // traced as migration events with reason "rebalance".
 func (s *Sharded) Rebalance(tr *trace.Tracer, now time.Time) (int, error) {
 	moves := 0
-	for round := 0; round < s.set.rounds(); round++ {
+	for round := 0; round < rebalanceRounds; round++ {
 		moved := 0
 		for p, pod := range s.pods {
 			for r := 0; r < pod.builder.Rows(); {

@@ -262,7 +262,7 @@ func TestShardedRebalanceMigrates(t *testing.T) {
 	models[job2.Name] = base.Models[base.BE[1].Name]
 	cfg := MatrixConfig{Machine: base.Machine, LC: lc, BE: []*workload.Spec{job, job2}, Models: models}
 
-	s, err := NewSharded(cfg, ShardSettings{PodSize: 2, RebalanceRounds: 3})
+	s, err := NewSharded(cfg, ShardSettings{PodSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,11 +447,11 @@ func TestShardedDegenerate(t *testing.T) {
 func TestShardedRefreshBatchMatchesSequential(t *testing.T) {
 	mkPair := func() (*Sharded, *Sharded, MatrixConfig) {
 		cfg := shardFixture(t, 16, 12)
-		seq, err := NewSharded(cfg, ShardSettings{PodSize: 8, BatchThreshold: 1})
+		seq, err := NewSharded(cfg, ShardSettings{PodSize: 8, batchThreshold: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		auc, err := NewSharded(cfg, ShardSettings{PodSize: 8, BatchThreshold: 2})
+		auc, err := NewSharded(cfg, ShardSettings{PodSize: 8, batchThreshold: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,8 +542,8 @@ func TestShardedDownHostsProperty(t *testing.T) {
 		seed int64
 		set  ShardSettings
 	}{
-		{1, ShardSettings{PodSize: 6, BatchThreshold: 1}},
-		{2, ShardSettings{PodSize: 6, BatchThreshold: 2}},
+		{1, ShardSettings{PodSize: 6, batchThreshold: 1}},
+		{2, ShardSettings{PodSize: 6, batchThreshold: 2}},
 		{3, ShardSettings{PodSize: 8}},
 	}
 	for _, tc := range cases {

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -79,5 +81,79 @@ func TestSharded1kSmoke(t *testing.T) {
 	}
 	if podSolves != 16 || sharded != 1 {
 		t.Fatalf("traced %d pod solves and %d sharded summaries, want 16 and 1", podSolves, sharded)
+	}
+}
+
+// TestHyperscaleAuctionMatchesSequential1k runs the seeded hyperscale
+// scenario of `pocolo-sim -hyperscale 1024 -pod-size 64
+// -hyperscale-rounds 3 -churn 0.2` twice: once with every pod refresh
+// forced through the sequential per-line repair, once at the default
+// batch threshold. The auction batch re-solve is an optimization, never a
+// policy change, so the results must be identical and the canonical
+// traces byte-identical once the batch_* work counters are zeroed. The
+// default run must engage the auction, or the comparison proves nothing.
+//
+// 1024 hosts are too slow for the race-enabled default suite; CI runs
+// it unraced in the same dedicated step as TestSharded1kSmoke.
+func TestHyperscaleAuctionMatchesSequential1k(t *testing.T) {
+	if os.Getenv("POCOLO_SMOKE_1K") == "" {
+		t.Skip("set POCOLO_SMOKE_1K=1 to run the 1k-host smoke (CI runs it as a dedicated step)")
+	}
+	base := fixture(t)
+	run := func(batchThreshold int) (HyperscaleResult, []byte, int) {
+		// Each run starts from an empty delta-cell memo, as a fresh
+		// process does, so the cell counters compare too.
+		ResetCellMemo()
+		tr := trace.New("hyperscale", 0)
+		res, err := RunHyperscale(HyperscaleConfig{
+			Fleet: FleetConfig{
+				Machine:   base.Machine,
+				LCClasses: base.LC,
+				BEClasses: base.BE,
+				Models:    base.Models,
+				Hosts:     1024,
+				Jobs:      768,
+				Seed:      42,
+				Shard:     ShardSettings{PodSize: 64, batchThreshold: batchThreshold},
+			},
+			Rounds: 3,
+			Churn:  0.2,
+			Trace:  tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := tr.Events()
+		if err := trace.Validate(events); err != nil {
+			t.Fatal(err)
+		}
+		auctions := 0
+		for i := range events {
+			s := &events[i].Solve
+			if events[i].Kind == trace.KindSolve && s.BatchRounds > 0 {
+				auctions++
+			}
+			s.BatchDirty, s.BatchRounds, s.BatchAugments = 0, 0, 0
+		}
+		var jsonl bytes.Buffer
+		if err := trace.WriteJSONL(&jsonl, events, false); err != nil {
+			t.Fatal(err)
+		}
+		return res, jsonl.Bytes(), auctions
+	}
+	seqRes, seqTrace, seqAuctions := run(1)
+	defRes, defTrace, defAuctions := run(0)
+	t.Logf("solve summaries with auction rounds: %d at the default threshold, %d sequential", defAuctions, seqAuctions)
+	if seqAuctions != 0 {
+		t.Fatalf("forced-sequential run engaged the auction in %d solve summaries", seqAuctions)
+	}
+	if defAuctions == 0 {
+		t.Fatal("default run never engaged the auction; the comparison covers one path only")
+	}
+	if !reflect.DeepEqual(seqRes, defRes) {
+		t.Fatalf("results differ:\nsequential: %+v\ndefault:    %+v", seqRes, defRes)
+	}
+	if !bytes.Equal(seqTrace, defTrace) {
+		t.Fatal("traces differ beyond the batch_* counters")
 	}
 }

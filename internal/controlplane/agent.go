@@ -62,10 +62,6 @@ type AgentConfig struct {
 	// cluster's agents (it is internally locked), or each agent may get
 	// its own for per-server attribution.
 	Invariants *invariant.Harness
-	// PlannerOff forces the agent's server manager through the exact
-	// per-tick grid search instead of the precomputed allocation planner.
-	// Results are bit-identical either way.
-	PlannerOff bool
 	// TraceEvents sizes the agent's decision-trace ring: 0 uses
 	// trace.DefaultEvents, a negative value records no decision events
 	// (no tracing cost on the control path). The tick-phase duration and
@@ -184,7 +180,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		TargetSlack: cfg.TargetSlack,
 		BEModels:    cfg.BEModels,
 		Seed:        cfg.Seed,
-		PlannerOff:  cfg.PlannerOff,
 		Tracer:      tracer,
 		Obs:         reg,
 	})

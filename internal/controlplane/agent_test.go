@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pocolo/internal/machine"
+	"pocolo/internal/utility"
 	"pocolo/internal/workload"
 )
 
@@ -171,6 +172,64 @@ func TestAgentMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
 		}
+	}
+}
+
+// TestAgentOnRefusedPlanReportsExact runs an agent on a platform whose
+// cores × ways grid exceeds utility.MaxPlanPoints. utility.Plans refuses
+// the grid, so the manager serves every lookup from the exact search,
+// and /v1/stats and /metrics must report the path it resolved.
+func TestAgentOnRefusedPlanReportsExact(t *testing.T) {
+	models := fixtureModels(t)
+	loadTrace, err := workload.NewConstantTrace(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := machine.XeonE52650()
+	mc.Name, mc.Cores, mc.LLCWays = "huge-grid", 260, 260
+	if mc.Cores*mc.LLCWays <= utility.MaxPlanPoints {
+		t.Fatalf("grid %dx%d fits the planner's %d points", mc.Cores, mc.LLCWays, utility.MaxPlanPoints)
+	}
+	a, err := NewAgent(AgentConfig{
+		Name:    "huge",
+		Machine: mc,
+		LC:      spec(t, "xapian"),
+		LCModel: models["xapian"],
+		Trace:   loadTrace,
+		Seed:    11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	advance(t, a, 3*time.Second)
+	srv := serveAgent(t, a)
+
+	resp, err := http.Get(srv.URL + RouteStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"planner_on":false`)) {
+		t.Errorf("stats do not report planner_on false:\n%s", body)
+	}
+	var st StatsResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.PlannerHits != 0 || st.PlannerWarm != 0 || st.PlannerFallbacks == 0 {
+		t.Errorf("refused plan: hits=%d warm=%d fallbacks=%d, want only fallbacks", st.PlannerHits, st.PlannerWarm, st.PlannerFallbacks)
+	}
+
+	text := scrapeHandler(t, a.handleMetrics)
+	if want := `pocolo_planner_mode{agent="huge",lc="xapian",mode="exact"} 1`; !strings.Contains(text, want) {
+		t.Errorf("metrics lack %q\n%s", want, text)
+	}
+	if strings.Contains(text, `mode="planner"`) {
+		t.Errorf("metrics report the planner path for a refused plan\n%s", text)
 	}
 }
 

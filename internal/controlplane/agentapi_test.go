@@ -26,7 +26,7 @@ type capSeed struct {
 // per class of input the in-place path must decline. TestFuzzCorpusCommitted
 // mirrors them into testdata/fuzz/FuzzDecodeCapRequest.
 var capFuzzSeeds = []capSeed{
-	{`{"cap_w":123.456}`, true},              // canonical: what postCap sends
+	{`{"cap_w":123.456}`, true},              // canonical: what the controller's push sends
 	{"{\"cap_w\":123.456}\n", true},          // with json.Encoder's newline
 	{` { "cap_w" : 123.456 }` + "\n", false}, // whitespace
 	{`{"CAP_W":123.456}`, false},             // case-variant key, which encoding/json folds

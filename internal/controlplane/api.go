@@ -132,8 +132,10 @@ type StatsResponse struct {
 	// here).
 	BEThrottles int `json:"be_throttles"`
 	BERestores  int `json:"be_restores"`
-	// PlannerOn reports whether allocation lookups go through the
-	// precomputed planner (false = exact per-tick grid search).
+	// PlannerOn reports the allocation path the manager resolved: true
+	// when its plan resolved and lookups go through the precomputed
+	// planner, false when utility.Plans refused the grid and the exact
+	// per-tick grid search serves them.
 	PlannerOn bool    `json:"planner_on"`
 	SimSec    float64 `json:"sim_seconds"`
 

@@ -485,7 +485,7 @@ type resettableBody struct{ bytes.Reader }
 func (*resettableBody) Close() error { return nil }
 
 // BenchmarkAgentCapPush is the agent's side of one cap push: a canonical
-// POST /v1/cap body, as postCap marshals it, through Agent.ServeHTTP to
+// POST /v1/cap body, as the controller's push marshals it, through Agent.ServeHTTP to
 // its ack. The request and a no-op ResponseWriter are reused, and the
 // bodies rotate over 16 caps, so every push changes the installed cap.
 func BenchmarkAgentCapPush(b *testing.B) {

@@ -1,14 +1,9 @@
 package controlplane
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"net/http"
 	"time"
 
 	"pocolo/internal/budget"
@@ -185,31 +180,6 @@ func (c *Controller) allSeenLocked() bool {
 		}
 	}
 	return true
-}
-
-// postCap pushes a power cap to an agent.
-func (c *Controller) postCap(ctx context.Context, baseURL string, capW float64) error {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	body, err := json.Marshal(CapRequest{CapW: capW})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+RouteCap, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("POST %s: %s: %s", baseURL+RouteCap, resp.Status, bytes.TrimSpace(msg))
-	}
-	return nil
 }
 
 // SetBudget mutates one budget-tree node at runtime — the brownout

@@ -116,14 +116,10 @@ type ControllerConfig struct {
 	// check per site.
 	Obs *obs.Registry
 	// RoundDeadline is the round-latency SLO target and the flight
-	// recorder's trigger threshold (default Heartbeat).
+	// recorder's trigger threshold (default Heartbeat). The per-agent
+	// staleness SLO target under the streaming transport is DeadAfter ×
+	// Heartbeat, and each objective tolerates a 1 % breach fraction.
 	RoundDeadline time.Duration
-	// StalenessLimit is the per-agent staleness SLO target under the
-	// streaming transport (default DeadAfter × Heartbeat).
-	StalenessLimit time.Duration
-	// SLOBudget is the tolerated breach fraction for both objectives
-	// (default 0.01 — see obs.Objective).
-	SLOBudget float64
 	// Recorder, when non-nil, captures a diagnostics bundle when a round
 	// blows RoundDeadline (rate-limited on the controller clock).
 	Recorder *obs.FlightRecorder
@@ -331,12 +327,9 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if c.roundDeadline == 0 {
 		c.roundDeadline = cfg.Heartbeat
 	}
-	staleLimit := cfg.StalenessLimit
-	if staleLimit == 0 {
-		staleLimit = time.Duration(cfg.DeadAfter) * cfg.Heartbeat
-	}
+	staleLimit := time.Duration(cfg.DeadAfter) * cfg.Heartbeat
 	nPods := (len(cfg.AgentURLs) + cfg.PodSize - 1) / cfg.PodSize
-	c.obs = newCtlObs(cfg.Obs, cfg.Transport == TransportPoll, nPods, c.roundDeadline, staleLimit, cfg.SLOBudget)
+	c.obs = newCtlObs(cfg.Obs, cfg.Transport == TransportPoll, nPods, c.roundDeadline, staleLimit)
 	return c, nil
 }
 
@@ -596,27 +589,29 @@ func (c *Controller) getJSON(ctx context.Context, url string, out any) error {
 	return c.get(ctx, url, func(body io.Reader) error { return json.NewDecoder(body).Decode(out) })
 }
 
-// postAssign pushes an assignment to an agent.
-func (c *Controller) postAssign(ctx context.Context, baseURL, be string) error {
+// postJSON pushes one control request to an agent: req, marshalled as
+// JSON, to baseURL+route, bounded by the request timeout. Any status but
+// 200 is an error that carries the start of the agent's reply.
+func (c *Controller) postJSON(ctx context.Context, baseURL, route string, req any) error {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	body, err := json.Marshal(AssignRequest{BE: be})
+	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+RouteAssign, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+route, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := c.client.Do(hreq)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("POST %s: %s: %s", baseURL+RouteAssign, resp.Status, bytes.TrimSpace(msg))
+		return fmt.Errorf("POST %s: %s: %s", baseURL+route, resp.Status, bytes.TrimSpace(msg))
 	}
 	return nil
 }
@@ -793,9 +788,9 @@ func (c *Controller) pushAll(ctx context.Context, pushes []pendingPush) []bool {
 		p := pushes[i]
 		switch p.kind {
 		case pushAssign:
-			errs[i] = c.postAssign(ctx, p.url, p.be)
+			errs[i] = c.postJSON(ctx, p.url, RouteAssign, AssignRequest{BE: p.be})
 		case pushCap:
-			errs[i] = c.postCap(ctx, p.url, p.capW)
+			errs[i] = c.postJSON(ctx, p.url, RouteCap, CapRequest{CapW: p.capW})
 		}
 		acked[i] = errs[i] == nil
 		return nil

@@ -92,7 +92,7 @@ func agentMetrics(s StatsResponse, reg obs.Snapshot) obs.Snapshot {
 	if s.PlannerOn {
 		mode = "planner"
 	}
-	e.gauge("pocolo_planner_mode", "Info metric: 1 for the allocation path the manager is configured with.", 1, with(host, kv("mode", mode))...)
+	e.gauge("pocolo_planner_mode", "Info metric: 1 for the allocation path the manager resolved.", 1, with(host, kv("mode", mode))...)
 	e.counter("pocolo_sim_seconds_total", "Simulated seconds advanced by the agent.", s.SimSec, host...)
 
 	e.add(reg, host)

@@ -47,7 +47,11 @@ type ctlObs struct {
 	pollFast, pollFallback *obs.Counter // pocolo_obs_poll_decode_total
 }
 
-func newCtlObs(reg *obs.Registry, poll bool, nPods int, roundDeadline, staleLimit time.Duration, sloBudget float64) *ctlObs {
+// sloBudget is the breach fraction the round and staleness objectives
+// tolerate.
+const sloBudget = 0.01
+
+func newCtlObs(reg *obs.Registry, poll bool, nPods int, roundDeadline, staleLimit time.Duration) *ctlObs {
 	if reg == nil {
 		return nil
 	}

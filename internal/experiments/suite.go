@@ -37,10 +37,6 @@ type Suite struct {
 	// invariant harness bound to its per-tick observe path; a violation
 	// fails the experiment instead of producing a silently wrong table.
 	Invariants bool
-	// PlannerOff forces every server manager through the exact per-tick
-	// grid search instead of the precomputed allocation planner. Results
-	// are bit-identical either way.
-	PlannerOff bool
 	// Trace, when non-nil, collects decision-trace events from every
 	// simulation the experiments run (and disables the sweep memo for
 	// them, so the timeline is complete).
@@ -89,7 +85,6 @@ func (s *Suite) clusterConfig() cluster.Config {
 		Seed:       s.Seed,
 		Parallel:   s.Parallel,
 		Invariants: s.Invariants,
-		PlannerOff: s.PlannerOff,
 		Trace:      s.Trace,
 		Budget:     s.Budget,
 	}

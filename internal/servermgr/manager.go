@@ -65,24 +65,9 @@ type Config struct {
 	// TargetSlack is the minimum relative p99 slack the controller defends
 	// (default 0.10, the paper's guard).
 	TargetSlack float64
-	// Headroom inflates the model's load target to absorb model error
-	// (default 1.05).
-	Headroom float64
-	// ControlPeriod is the LC allocation loop period (default 1 s).
-	ControlPeriod time.Duration
-	// CapPeriod is the power-capper period (default 100 ms).
-	CapPeriod time.Duration
-	// CapGuard is the relative hysteresis band under the cap within which
-	// the capper neither throttles nor restores (default 0.03).
-	CapGuard float64
 	// Seed drives the power-unaware baseline's arbitrary choice among
-	// feasible allocations; POM ignores it. Ignored when Rand is set.
+	// feasible allocations; POM ignores it.
 	Seed int64
-	// Rand, when non-nil, is the random source the manager uses instead of
-	// deriving one from Seed. Each manager must get its own *rand.Rand —
-	// the source is not locked, so sharing one across concurrently ticking
-	// managers would race.
-	Rand *rand.Rand
 	// BEModels optionally maps co-runner names to their fitted utility
 	// models. With two or more co-runners on the host, the manager uses
 	// them to split the spare resources spatially (the paper's Section
@@ -92,17 +77,6 @@ type Config struct {
 	// before frequency scaling. The paper's order (frequency first) is the
 	// default; the ablation experiments exercise both.
 	DutyFirst bool
-	// PlannerOff disables the precomputed allocation planner, forcing
-	// every control tick through the exact per-tick grid search. Results
-	// are bit-identical either way (the planner's equivalence guarantee);
-	// the switch exists as an escape hatch and to keep the exact search
-	// exercised in tests.
-	PlannerOff bool
-	// Plans, when non-nil, is the plan cache to resolve the allocation
-	// planner from; nil uses the process-wide utility.Plans. Sharing one
-	// cache across managers amortizes plan construction across every
-	// host/trial evaluating the same (model, caps) pair.
-	Plans *utility.PlanCache
 	// Tracer, when non-nil, receives one ControlDecision per control tick,
 	// one CapAction per capper knob movement, and tick-phase span events.
 	// A nil tracer disables tracing at the cost of a nil check per site.
@@ -123,12 +97,8 @@ type Manager struct {
 	host  *sim.Host
 	model *utility.Model
 
-	policy        LCPolicy
-	targetSlack   float64
-	headroom      float64
-	controlPeriod time.Duration
-	capPeriod     time.Duration
-	capGuard      float64
+	policy      LCPolicy
+	targetSlack float64
 
 	// boost is the feedback integrator: extra resource units granted on
 	// top of the model's allocation when observed slack runs low.
@@ -163,13 +133,13 @@ type Manager struct {
 	// sizing itself is wrong, not merely stale.
 	lastTarget float64
 
-	// plan is the precomputed allocation planner for (model, machine caps);
-	// nil means the exact per-tick grid search (PlannerOff, or plan
-	// construction failed). planCell is the frontier cell the previous
+	// plan is the precomputed allocation planner for (model, machine caps),
+	// resolved from the process-wide utility.Plans cache; nil means
+	// utility.Plans refused the grid and every lookup takes the exact
+	// per-tick grid search. planCell is the frontier cell the previous
 	// lookup landed in (-1 none) — the warm start: when the target stays
 	// inside the same quantization cell the answer is reused in O(1).
 	plan     *utility.Plan
-	plans    *utility.PlanCache
 	planCell int
 	caps     [2]int
 
@@ -210,6 +180,21 @@ type Manager struct {
 
 const maxBoost = 4
 
+// The manager's fixed loop parameters: the paper's 1 s allocation loop
+// and 100 ms capper (Section IV-C), and this implementation's model
+// headroom and capper hysteresis.
+const (
+	// controlPeriod is the LC allocation loop period.
+	controlPeriod = time.Second
+	// capPeriod is the power-capper period.
+	capPeriod = 100 * time.Millisecond
+	// loadHeadroom inflates the model's load target to absorb model error.
+	loadHeadroom float64 = 1.05
+	// capGuard is the relative hysteresis band under the cap within which
+	// the capper neither throttles nor restores.
+	capGuard float64 = 0.03
+)
+
 // The tick-phase duration family, shared with the controller's own
 // build_matrix and solve phases.
 const (
@@ -246,21 +231,17 @@ func New(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("servermgr: need a 2-resource (cores, ways) model, have %d", len(cfg.Model.Alpha))
 	}
 	m := &Manager{
-		host:          cfg.Host,
-		model:         cfg.Model,
-		policy:        cfg.Policy,
-		targetSlack:   cfg.TargetSlack,
-		headroom:      cfg.Headroom,
-		controlPeriod: cfg.ControlPeriod,
-		capPeriod:     cfg.CapPeriod,
-		capGuard:      cfg.CapGuard,
-		lcFreq:        cfg.Host.Machine().MaxFreqGHz,
-		beFreq:        cfg.Host.Machine().MaxFreqGHz,
-		beDuty:        1,
-		beModels:      cfg.BEModels,
-		dutyFirst:     cfg.DutyFirst,
-		rng:           cfg.Rand,
-		tracer:        cfg.Tracer,
+		host:        cfg.Host,
+		model:       cfg.Model,
+		policy:      cfg.Policy,
+		targetSlack: cfg.TargetSlack,
+		lcFreq:      cfg.Host.Machine().MaxFreqGHz,
+		beFreq:      cfg.Host.Machine().MaxFreqGHz,
+		beDuty:      1,
+		beModels:    cfg.BEModels,
+		dutyFirst:   cfg.DutyFirst,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		tracer:      cfg.Tracer,
 	}
 	if cfg.Obs != nil {
 		m.obsControl = cfg.Obs.Histogram(tickMetric, tickHelp, obs.Label{Key: "phase", Value: "control_tick"})
@@ -268,59 +249,26 @@ func New(cfg Config) (*Manager, error) {
 		m.obsSlack = cfg.Obs.ValueHistogram("pocolo_lc_slack_ratio_distribution",
 			"Distribution of the primary's per-control-tick latency slack.", slackBounds)
 	}
-	if m.rng == nil {
-		m.rng = rand.New(rand.NewSource(cfg.Seed))
-	}
 	if m.targetSlack == 0 {
 		m.targetSlack = 0.10
 	}
 	if m.targetSlack < 0 || m.targetSlack >= 0.5 {
 		return nil, fmt.Errorf("servermgr: target slack %v outside [0, 0.5)", m.targetSlack)
 	}
-	if m.headroom == 0 {
-		m.headroom = 1.05
-	}
-	if m.headroom < 1 || m.headroom > 2 {
-		return nil, fmt.Errorf("servermgr: headroom %v outside [1, 2]", m.headroom)
-	}
-	if m.controlPeriod == 0 {
-		m.controlPeriod = time.Second
-	}
-	if m.capPeriod == 0 {
-		m.capPeriod = 100 * time.Millisecond
-	}
-	if m.controlPeriod <= 0 || m.capPeriod <= 0 {
-		return nil, errors.New("servermgr: control periods must be positive")
-	}
-	if m.capGuard == 0 {
-		m.capGuard = 0.03
-	}
-	if m.capGuard < 0 || m.capGuard > 0.2 {
-		return nil, fmt.Errorf("servermgr: cap guard %v outside [0, 0.2]", m.capGuard)
-	}
 	mc := cfg.Host.Machine()
 	m.caps = [2]int{mc.Cores, mc.LLCWays}
-	m.planCell = -1
-	if !cfg.PlannerOff {
-		m.plans = cfg.Plans
-		if m.plans == nil {
-			m.plans = utility.Plans
-		}
-		m.rebindPlan()
-	}
+	m.rebindPlan()
 	return m, nil
 }
 
 // rebindPlan resolves the planner for the current (model, caps) pair from
-// the cache. A construction failure (hostile model, oversized grid) leaves
-// the plan nil and the manager on the exact search — never an error.
+// utility.Plans. A construction failure (hostile model, a grid over
+// utility.MaxPlanPoints) leaves the plan nil and the manager on the exact
+// search — never an error.
 func (m *Manager) rebindPlan() {
 	m.plan = nil
 	m.planCell = -1
-	if m.plans == nil {
-		return
-	}
-	if plan, err := m.plans.Get(m.model, m.caps[:]); err == nil {
+	if plan, err := utility.Plans.Get(m.model, m.caps[:]); err == nil {
 		m.plan = plan
 	}
 }
@@ -332,10 +280,10 @@ func (m *Manager) Attach(e *sim.Engine) error {
 		return errors.New("servermgr: nil engine")
 	}
 	m.ControlTick(e.Now())
-	if err := e.Every(m.controlPeriod, m.ControlTick); err != nil {
+	if err := e.Every(controlPeriod, m.ControlTick); err != nil {
 		return err
 	}
-	return e.Every(m.capPeriod, m.CapTick)
+	return e.Every(capPeriod, m.CapTick)
 }
 
 // feasibleAlloc picks the LC allocation for the load target according to
@@ -430,7 +378,7 @@ func (m *Manager) ControlTick(now time.Time) {
 	// significant slack change rather than creeping toward it.
 	if m.controlTicks > 1 {
 		switch {
-		case slack < 0 && sameTarget(load*m.headroom, m.lastTarget):
+		case slack < 0 && sameTarget(load*loadHeadroom, m.lastTarget):
 			// Still violating at the operating point the previous tick
 			// already sized for: the model is off here, jump straight to
 			// the maximum correction ("quickly changes the allocation
@@ -444,7 +392,7 @@ func (m *Manager) ControlTick(now time.Time) {
 		}
 	}
 
-	target := load * m.headroom
+	target := load * loadHeadroom
 	m.lastTarget = target
 	var cores, ways int
 	feasible := false
@@ -717,7 +665,7 @@ func (m *Manager) CapTick(now time.Time) {
 		if m.beDuty <= dutyFloor {
 			return false
 		}
-		cut := math.Max(0.5, capW*(1-m.capGuard/2)/reading)
+		cut := math.Max(0.5, capW*(1-capGuard/2)/reading)
 		m.beDuty = math.Max(dutyFloor, m.beDuty*cut)
 		return true
 	}
@@ -727,7 +675,7 @@ func (m *Manager) CapTick(now time.Time) {
 		if m.beDuty >= 1 {
 			return false
 		}
-		grow := math.Min(1.1, capW*(1-m.capGuard/2)/reading)
+		grow := math.Min(1.1, capW*(1-capGuard/2)/reading)
 		m.beDuty = math.Min(1, m.beDuty*grow)
 		return true
 	}
@@ -768,7 +716,7 @@ func (m *Manager) CapTick(now time.Time) {
 			PowerW: reading, CapW: capW, Action: action,
 			BEFreqGHz: m.beFreq, BEDuty: m.beDuty,
 		})
-	case reading < capW*(1-m.capGuard):
+	case reading < capW*(1-capGuard):
 		// Comfortable headroom: restore in reverse order.
 		m.capRestores++
 		action := ""
@@ -845,9 +793,7 @@ func (m *Manager) SetModel(model *utility.Model) error {
 	m.model = model
 	// The plan is model-specific: re-resolve it (or drop to the exact
 	// search if the new model defeats plan construction).
-	if m.plans != nil {
-		m.rebindPlan()
-	}
+	m.rebindPlan()
 	return nil
 }
 
@@ -858,10 +804,10 @@ func (m *Manager) Model() *utility.Model { return m.model }
 func (m *Manager) Policy() LCPolicy { return m.policy }
 
 // ControlPeriod returns the LC allocation loop period.
-func (m *Manager) ControlPeriod() time.Duration { return m.controlPeriod }
+func (m *Manager) ControlPeriod() time.Duration { return controlPeriod }
 
 // CapPeriod returns the power-capper period.
-func (m *Manager) CapPeriod() time.Duration { return m.capPeriod }
+func (m *Manager) CapPeriod() time.Duration { return capPeriod }
 
 // TargetSlack returns the relative p99 slack guard the manager defends.
 func (m *Manager) TargetSlack() float64 { return m.targetSlack }
@@ -890,7 +836,7 @@ func (m *Manager) KnobCounters() (throttles, restores int) {
 // PlannerCounters reports how the control loop's allocation lookups were
 // served: hits (planner table lookup, cold cell), warm (warm start — the
 // target stayed in the previous tick's quantization cell), and fallbacks
-// (exact grid search: planner off or plan construction failed).
+// (exact grid search: utility.Plans refused the grid).
 func (m *Manager) PlannerCounters() (hits, warm, fallbacks int) {
 	return m.plannerHits, m.plannerWarm, m.planFallback
 }

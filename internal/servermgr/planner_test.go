@@ -7,20 +7,27 @@ import (
 
 	"pocolo/internal/machine"
 	"pocolo/internal/sim"
+	"pocolo/internal/utility"
 	"pocolo/internal/workload"
 )
 
-// runManaged builds one managed host (identical seeds and configuration
-// apart from plannerOff) and runs it for dur, returning the final metrics
-// and the manager for counter inspection.
-func runManaged(t *testing.T, policy LCPolicy, plannerOff bool, dur time.Duration) (sim.Metrics, *Manager) {
+// forceExact clears the manager's plan, the seam the tests use to reach
+// the exact per-tick grid search: the path a manager takes when
+// utility.Plans refuses its grid, and the planner's reference.
+func forceExact(m *Manager) { m.plan = nil }
+
+// runManaged builds one managed host running lcName with beName
+// co-located (identical seeds and configuration apart from exact) and
+// runs it for dur, returning the final metrics and the manager for
+// counter inspection. exact forces the exact search from the first tick.
+func runManaged(t *testing.T, lcName, beName string, policy LCPolicy, exact bool, dur time.Duration) (sim.Metrics, *Manager) {
 	t.Helper()
 	cat := workload.MustDefaults()
-	lc, err := cat.ByName("sphinx")
+	lc, err := cat.ByName(lcName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := cat.ByName("pbzip")
+	be, err := cat.ByName(beName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +43,16 @@ func runManaged(t *testing.T, policy LCPolicy, plannerOff bool, dur time.Duratio
 		t.Fatal(err)
 	}
 	mgr, err := New(Config{
-		Host:       host,
-		Model:      fitted(t, "sphinx"),
-		Policy:     policy,
-		Seed:       5,
-		PlannerOff: plannerOff,
+		Host:   host,
+		Model:  fitted(t, lcName),
+		Policy: policy,
+		Seed:   5,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if exact {
+		forceExact(mgr)
 	}
 	eng, err := sim.NewEngine(100 * time.Millisecond)
 	if err != nil {
@@ -64,57 +73,119 @@ func runManaged(t *testing.T, policy LCPolicy, plannerOff bool, dur time.Duratio
 // TestPlannerGoldenEquivalence is the golden DeepEqual suite: a full
 // managed run with the planner must be bit-identical — metrics, final
 // allocations, throttle state — to the same run with the exact search,
-// for both policies.
+// for both policies and every catalog LC app, each with every catalog BE
+// co-runner.
 func TestPlannerGoldenEquivalence(t *testing.T) {
+	cat := workload.MustDefaults()
+	dur := workload.UniformSweep(2 * time.Second).Duration()
 	for _, policy := range []LCPolicy{PowerOptimized, PowerUnaware} {
 		t.Run(policy.String(), func(t *testing.T) {
-			dur := workload.UniformSweep(2 * time.Second).Duration()
-			mOn, mgrOn := runManaged(t, policy, false, dur)
-			mOff, mgrOff := runManaged(t, policy, true, dur)
-			if !reflect.DeepEqual(mOn, mOff) {
-				t.Fatalf("planner-on metrics differ from planner-off:\non:  %+v\noff: %+v", mOn, mOff)
-			}
-			fOn, dOn := mgrOn.BEThrottle()
-			fOff, dOff := mgrOff.BEThrottle()
-			if fOn != fOff || dOn != dOff {
-				t.Fatalf("throttle state differs: on (%v, %v), off (%v, %v)", fOn, dOn, fOff, dOff)
-			}
-			if mgrOn.Boost() != mgrOff.Boost() {
-				t.Fatalf("boost differs: on %d, off %d", mgrOn.Boost(), mgrOff.Boost())
+			for _, lc := range cat.LC() {
+				for _, be := range cat.BE() {
+					t.Run(lc.Name+"+"+be.Name, func(t *testing.T) {
+						mOn, mgrOn := runManaged(t, lc.Name, be.Name, policy, false, dur)
+						mOff, mgrOff := runManaged(t, lc.Name, be.Name, policy, true, dur)
+						if !mgrOn.PlannerEnabled() || mgrOff.PlannerEnabled() {
+							t.Fatalf("paths not separated: planner run enabled=%v, exact run enabled=%v", mgrOn.PlannerEnabled(), mgrOff.PlannerEnabled())
+						}
+						if !reflect.DeepEqual(mOn, mOff) {
+							t.Fatalf("planner metrics differ from exact search:\nplanner: %+v\nexact:   %+v", mOn, mOff)
+						}
+						fOn, dOn := mgrOn.BEThrottle()
+						fOff, dOff := mgrOff.BEThrottle()
+						if fOn != fOff || dOn != dOff {
+							t.Fatalf("throttle state differs: planner (%v, %v), exact (%v, %v)", fOn, dOn, fOff, dOff)
+						}
+						if mgrOn.Boost() != mgrOff.Boost() {
+							t.Fatalf("boost differs: planner %d, exact %d", mgrOn.Boost(), mgrOff.Boost())
+						}
+					})
+				}
 			}
 		})
 	}
 }
 
-// TestPlannerCounters checks the counter taxonomy: a planner-enabled run
-// serves lookups from the plan (with warm starts once the target settles)
-// and never falls back; a planner-off run only falls back.
+// TestPlannerCounters checks the counter taxonomy: a planner run serves
+// lookups from the plan (with warm starts once the target settles) and
+// never falls back; an exact run only falls back.
 func TestPlannerCounters(t *testing.T) {
-	_, mgrOn := runManaged(t, PowerOptimized, false, 10*time.Second)
+	_, mgrOn := runManaged(t, "sphinx", "pbzip", PowerOptimized, false, 10*time.Second)
 	hits, warm, fallbacks := mgrOn.PlannerCounters()
 	if !mgrOn.PlannerEnabled() {
 		t.Fatal("planner did not resolve for the fitted model")
 	}
 	if hits == 0 {
-		t.Fatalf("planner-on run recorded no hits (hits=%d warm=%d fallbacks=%d)", hits, warm, fallbacks)
+		t.Fatalf("planner run recorded no hits (hits=%d warm=%d fallbacks=%d)", hits, warm, fallbacks)
 	}
 	if warm == 0 {
 		t.Fatalf("constant-dwell sweep recorded no warm starts (hits=%d warm=%d)", hits, warm)
 	}
 	if fallbacks != 0 {
-		t.Fatalf("planner-on run fell back %d times", fallbacks)
+		t.Fatalf("planner run fell back %d times", fallbacks)
 	}
 
-	_, mgrOff := runManaged(t, PowerOptimized, true, 10*time.Second)
+	_, mgrOff := runManaged(t, "sphinx", "pbzip", PowerOptimized, true, 10*time.Second)
 	hits, warm, fallbacks = mgrOff.PlannerCounters()
-	if mgrOff.PlannerEnabled() {
-		t.Fatal("PlannerOff manager still resolved a plan")
-	}
 	if hits != 0 || warm != 0 {
-		t.Fatalf("planner-off run recorded plan lookups (hits=%d warm=%d)", hits, warm)
+		t.Fatalf("exact run recorded plan lookups (hits=%d warm=%d)", hits, warm)
 	}
 	if fallbacks == 0 {
-		t.Fatal("planner-off run recorded no exact-search fallbacks")
+		t.Fatal("exact run recorded no exact-search fallbacks")
+	}
+}
+
+// TestRefusedPlanFallsBackToExact covers the only route to the exact
+// search outside the tests' seam: a platform whose cores × ways grid
+// exceeds utility.MaxPlanPoints, which utility.Plans refuses. The manager
+// still runs, reports the planner off, and counts only fallbacks.
+func TestRefusedPlanFallsBackToExact(t *testing.T) {
+	mc := machine.XeonE52650()
+	mc.Name, mc.Cores, mc.LLCWays = "huge-grid", 260, 260
+	if mc.Cores*mc.LLCWays <= utility.MaxPlanPoints {
+		t.Fatalf("grid %dx%d fits the planner's %d points", mc.Cores, mc.LLCWays, utility.MaxPlanPoints)
+	}
+	for _, policy := range []LCPolicy{PowerOptimized, PowerUnaware} {
+		t.Run(policy.String(), func(t *testing.T) {
+			cat := workload.MustDefaults()
+			lc, err := cat.ByName("xapian")
+			if err != nil {
+				t.Fatal(err)
+			}
+			host, err := sim.NewHost(sim.HostConfig{
+				Name: "huge", Machine: mc, LC: lc, Trace: constTrace(t, 0.5), Seed: 21,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr, err := New(Config{Host: host, Model: fitted(t, "xapian"), Policy: policy, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mgr.PlannerEnabled() {
+				t.Fatal("manager resolved a plan for a grid over MaxPlanPoints")
+			}
+			eng, err := sim.NewEngine(100 * time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.AddHost(host); err != nil {
+				t.Fatal(err)
+			}
+			if err := mgr.Attach(eng); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Run(3 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			hits, warm, fallbacks := mgr.PlannerCounters()
+			if hits != 0 || warm != 0 || fallbacks == 0 {
+				t.Fatalf("refused plan: hits=%d warm=%d fallbacks=%d, want only fallbacks", hits, warm, fallbacks)
+			}
+			if a, err := host.Server().Alloc("xapian"); err != nil || a.Cores == 0 {
+				t.Fatalf("exact search granted the primary nothing: %+v, %v", a, err)
+			}
+		})
 	}
 }
 

@@ -455,8 +455,5 @@ func (h *Host) LoadSeries() *telemetry.Series { return h.loadSeries }
 // BEThroughputSeries returns the per-tick BE throughput series.
 func (h *Host) BEThroughputSeries() *telemetry.Series { return h.beThrSeries }
 
-// SlackSeries returns the per-tick relative p99 slack series.
-func (h *Host) SlackSeries() *telemetry.Series { return h.slackSeries }
-
 // BEThroughput returns the instantaneous best-effort throughput in ops/s.
 func (h *Host) BEThroughput() float64 { return h.curBEThr }

@@ -246,9 +246,6 @@ func copyModel(m *Model) Model {
 // Model returns a copy of the model parameters the plan was built from.
 func (p *Plan) Model() Model { return copyModel(&p.model) }
 
-// Caps returns a copy of the per-resource caps the plan covers.
-func (p *Plan) Caps() []int { return append([]int(nil), p.caps...) }
-
 // Cells returns the number of quantization cells in the min-power
 // frontier — the number of distinct answers the plan can give.
 func (p *Plan) Cells() int { return len(p.thresh) }

@@ -240,9 +240,6 @@ func (c *Catalog) LC() []*Spec { return append([]*Spec(nil), c.lc...) }
 // (lstm, rnn, graph, pbzip).
 func (c *Catalog) BE() []*Spec { return append([]*Spec(nil), c.be...) }
 
-// Ref returns the platform configuration the catalog was calibrated for.
-func (c *Catalog) Ref() machine.Config { return c.ref }
-
 // ByName looks up a spec by its name.
 func (c *Catalog) ByName(name string) (*Spec, error) {
 	s, ok := c.byName[name]

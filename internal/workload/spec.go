@@ -104,9 +104,6 @@ type Spec struct {
 	alpha0 float64        // capacity scale, computed by calibrate
 }
 
-// Ref returns the machine configuration the spec was calibrated against.
-func (s *Spec) Ref() machine.Config { return s.ref }
-
 // Alpha0 returns the calibrated Cobb-Douglas scale constant.
 func (s *Spec) Alpha0() float64 { return s.alpha0 }
 

@@ -309,10 +309,6 @@ type System struct {
 	// tick and any violation fails the run. Checking does not change
 	// results, only adds per-tick assertions.
 	Invariants bool
-	// PlannerOff forces every server manager through the exact per-tick
-	// grid search instead of the precomputed allocation planner. Results
-	// are bit-identical either way; the planner is only faster.
-	PlannerOff bool
 	// Trace, when non-nil, collects decision-trace events (control
 	// decisions, capper actions, placements, solves, tick-phase spans)
 	// from every simulation the system runs; see internal/trace. Traced
@@ -360,7 +356,6 @@ func (s *System) clusterConfig() cluster.Config {
 		Seed:       s.Seed,
 		Parallel:   s.Parallel,
 		Invariants: s.Invariants,
-		PlannerOff: s.PlannerOff,
 		Trace:      s.Trace,
 		Budget:     s.Budget,
 	}
@@ -803,7 +798,6 @@ func (s *System) Experiments() (*Suite, error) {
 	suite.Dwell = s.Dwell
 	suite.Parallel = s.Parallel
 	suite.Invariants = s.Invariants
-	suite.PlannerOff = s.PlannerOff
 	suite.Trace = s.Trace
 	return suite, nil
 }
