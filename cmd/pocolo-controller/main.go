@@ -21,8 +21,9 @@
 // With -transport stream the controller stops scraping GET /v1/stats and
 // instead accepts binary delta heartbeats pushed by the agents to
 // POST /v1/heartbeat (run pocolo-agent with -push pointed here). Agent
-// state lands in per-pod shards sized by -pod-size and the round loop
-// reads immutable snapshots without blocking ingest; see DESIGN.md §14.
+// state lands in per-pod shards sized by -pod-size, decoded without a
+// per-frame allocation, and each round copies out the reports that
+// changed, taking each pod's lock once; see DESIGN.md §14.
 // On both transports -pod-size is also the placement engine's pod size
 // (DESIGN.md §13).
 //

@@ -54,11 +54,19 @@ func ResolveMarginW(p *float64) (float64, error) {
 // share to caps[i] and redistributing any clamped-off remainder across the
 // still-unclamped entries. demand and caps must be the same length; the
 // returned shares sum to at most total (exactly total unless every entry
-// clamped).
+// clamped). It allocates its result; DivideProportionalInto is the same
+// division into caller-owned buffers.
 func DivideProportional(total float64, demand, caps []float64) []float64 {
 	n := len(demand)
-	shares := make([]float64, n)
-	active := make([]bool, n)
+	return DivideProportionalInto(make([]float64, n), make([]bool, n), total, demand, caps)
+}
+
+// DivideProportionalInto is DivideProportional writing into shares, with
+// active as its scratch; both must have len(demand) entries. It returns
+// shares.
+func DivideProportionalInto(shares []float64, active []bool, total float64, demand, caps []float64) []float64 {
+	n := len(demand)
+	clear(shares)
 	for i := range active {
 		active[i] = true
 	}

@@ -47,10 +47,16 @@ type Divider struct {
 	est    *pbudget.DemandEstimator
 	tracer *trace.Tracer
 	hosts  []string // tree.Hosts()
-	// demand, caps and floors are the division's input buffers.
+	// demand, caps and floors are the division's input buffers, and bufs
+	// its working storage.
 	demand, caps, floors []float64
-	// shares is the last division (nil before the first).
-	shares []float64
+	bufs                 *allocBufs
+	// shares is the last division (nil before the first). Divisions
+	// alternate between the two buffers of sharesBuf, so each one fills
+	// the buffer the previous one does not hold and can compare against
+	// it.
+	shares    []float64
+	sharesBuf [2][]float64
 	// lastCutAtReb is the rebalance count at the latest SetBudget, so
 	// grace is counted in divisions: simulated and controller clocks
 	// share no epoch.
@@ -76,22 +82,26 @@ func NewDivider(t *Tree, p pbudget.Policy, smoothing, marginW *float64, tr *trac
 	}
 	n := len(t.hosts)
 	return &Divider{
-		tree:   t,
-		policy: p,
-		est:    pbudget.NewDemandEstimator(n, s, m),
-		tracer: tr,
-		hosts:  t.Hosts(),
-		demand: make([]float64, n),
-		caps:   make([]float64, n),
-		floors: make([]float64, n),
+		tree:      t,
+		policy:    p,
+		est:       pbudget.NewDemandEstimator(n, s, m),
+		tracer:    tr,
+		hosts:     t.Hosts(),
+		demand:    make([]float64, n),
+		caps:      make([]float64, n),
+		floors:    make([]float64, n),
+		bufs:      t.newAllocBufs(),
+		sharesBuf: [2][]float64{make([]float64, n), make([]float64, n)},
 	}, nil
 }
 
 // Divide folds each leaf's draw into its demand estimate and divides the
 // tree: DemandProportional splits every node by its children's demand,
 // EqualSplit by their host counts (unit weights per host). leaves is in
-// Hosts() order; the returned shares are too, and stay valid (callers must
-// not modify them). It traces one BudgetShift per share that moved.
+// Hosts() order; the returned shares are too. They are the Divider's own
+// buffer, valid until the next Divide: callers install or copy them at
+// once and must not modify them. A division allocates nothing. It traces
+// one BudgetShift per share that moved.
 //
 // Divide always divides. When a node's budget cannot cover the idle
 // floors beneath it, those hosts sit at their floors, the shares beneath
@@ -111,7 +121,8 @@ func (d *Divider) Divide(now time.Time, leaves []Leaf) (shares []float64, short 
 		d.floors[i] = l.IdleW + 1
 	}
 	short = d.tree.ValidateFloors(d.floors)
-	shares, _ = d.tree.Alloc(d.demand, d.caps, d.floors) // the buffers match the tree
+	shares = d.sharesBuf[d.rebalances%2]
+	d.tree.alloc(d.bufs, d.demand, d.caps, d.floors, shares)
 	for i, name := range d.hosts {
 		var prev float64
 		if d.shares != nil {
@@ -151,7 +162,8 @@ func (d *Divider) SetBudget(now time.Time, node string, watts float64, reason st
 func (d *Divider) Tree() *Tree { return d.tree }
 
 // Shares returns the last division in Hosts() order (nil before the
-// first). Callers must not modify it.
+// first). Like Divide's result it is valid until the next Divide, and
+// callers must not modify it.
 func (d *Divider) Shares() []float64 { return d.shares }
 
 // Rebalances returns the number of divisions so far.

@@ -66,10 +66,12 @@ type Tree struct {
 	order []nodeHosts
 }
 
-// nodeHosts is one node and the indices of the hosts at or beneath it.
+// nodeHosts is one node, the indices of the hosts at or beneath it, and
+// the order positions of its children.
 type nodeHosts struct {
 	node  *Node
 	hosts []int
+	kids  []int
 }
 
 // treeJSON mirrors Node for the JSON spec form.
@@ -200,7 +202,9 @@ func (t *Tree) index(n *Node, depth int, onPath map[*Node]bool) error {
 	pos := len(t.order)
 	t.order = append(t.order, nodeHosts{node: n})
 	var under []int
+	kids := make([]int, 0, len(n.Children))
 	for _, c := range n.Children {
+		kids = append(kids, len(t.order))
 		if err := t.index(c, depth+1, onPath); err != nil {
 			return err
 		}
@@ -209,6 +213,7 @@ func (t *Tree) index(n *Node, depth int, onPath map[*Node]bool) error {
 	delete(onPath, n)
 	t.hostsUnder[n.Name] = under
 	t.order[pos].hosts = under
+	t.order[pos].kids = kids
 	return nil
 }
 
@@ -453,45 +458,76 @@ func (t *Tree) ValidateFloors(floors []float64) error {
 // final shares. The result satisfies, up to float tolerance: shares sum
 // to at most the root budget, the shares beneath any node sum to at most
 // that node's budget, and no share sits below its floor (budgets
-// permitting).
+// permitting). Alloc allocates its result and working storage; a Divider
+// divides through the same code into buffers it owns.
 func (t *Tree) Alloc(demand, caps, floors []float64) ([]float64, error) {
 	n := len(t.hosts)
 	if len(demand) != n || len(caps) != n || len(floors) != n {
 		return nil, fmt.Errorf("tree: demand/caps/floors must have %d entries", n)
 	}
 	shares := make([]float64, n)
-	t.alloc(t.root, t.root.BudgetW, demand, caps, floors, shares)
+	t.alloc(t.newAllocBufs(), demand, caps, floors, shares)
 	return shares, nil
 }
 
-func (t *Tree) alloc(n *Node, budget float64, demand, caps, floors, shares []float64) {
-	if len(n.Children) == 0 {
-		i := t.hostIdx[n.Name]
-		shares[i] = budget
-		return
+// allocBufs is one division's working storage: every node's grant, in
+// tree order, and one node's children's summed demand, caps and floors,
+// their shares, and DivideProportionalInto's scratch, sized for the
+// widest node.
+type allocBufs struct {
+	grant                        []float64
+	demand, caps, floors, shares []float64
+	active                       []bool
+}
+
+func (t *Tree) newAllocBufs() *allocBufs {
+	k := 0
+	for _, nh := range t.order {
+		k = max(k, len(nh.kids))
 	}
-	k := len(n.Children)
-	childDemand := make([]float64, k)
-	childCaps := make([]float64, k)
-	childFloors := make([]float64, k)
-	for ci, c := range n.Children {
-		var d, cap, fl float64
-		for _, hi := range t.hostsUnder[c.Name] {
-			d += demand[hi]
-			cap += caps[hi]
-			fl += floors[hi]
-		}
-		if c.BudgetW > 0 && c.BudgetW < cap {
-			cap = c.BudgetW
-		}
-		childDemand[ci] = d
-		childCaps[ci] = cap
-		childFloors[ci] = fl
+	return &allocBufs{
+		grant:  make([]float64, len(t.order)),
+		demand: make([]float64, k),
+		caps:   make([]float64, k),
+		floors: make([]float64, k),
+		shares: make([]float64, k),
+		active: make([]bool, k),
 	}
-	childShares := pbudget.DivideProportional(budget, childDemand, childCaps)
-	pbudget.ApplyFloors(childShares, childFloors)
-	for ci, c := range n.Children {
-		t.alloc(c, childShares[ci], demand, caps, floors, shares)
+}
+
+// alloc walks the nodes in tree order, so each node's grant is set
+// before it is divided: the root is granted its budget, an internal node
+// divides its grant among its children, and a host leaf's grant is its
+// share.
+func (t *Tree) alloc(b *allocBufs, demand, caps, floors, shares []float64) {
+	b.grant[0] = t.root.BudgetW
+	for i, nh := range t.order {
+		if len(nh.kids) == 0 {
+			shares[nh.hosts[0]] = b.grant[i]
+			continue
+		}
+		k := len(nh.kids)
+		childDemand, childCaps, childFloors := b.demand[:k], b.caps[:k], b.floors[:k]
+		for ci, kid := range nh.kids {
+			c := t.order[kid]
+			var d, cap, fl float64
+			for _, hi := range c.hosts {
+				d += demand[hi]
+				cap += caps[hi]
+				fl += floors[hi]
+			}
+			if c.node.BudgetW > 0 && c.node.BudgetW < cap {
+				cap = c.node.BudgetW
+			}
+			childDemand[ci] = d
+			childCaps[ci] = cap
+			childFloors[ci] = fl
+		}
+		childShares := pbudget.DivideProportionalInto(b.shares[:k], b.active[:k], b.grant[i], childDemand, childCaps)
+		pbudget.ApplyFloors(childShares, childFloors)
+		for ci, kid := range nh.kids {
+			b.grant[kid] = childShares[ci]
+		}
 	}
 }
 

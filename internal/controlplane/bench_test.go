@@ -423,6 +423,56 @@ func benchmarkStreamChurnRound(b *testing.B, n, replicas int) {
 
 func BenchmarkControllerRoundStreamChurn1k(b *testing.B) { benchmarkStreamChurnRound(b, 1000, 500) }
 
+// benchmarkIngestBatch measures one IngestBatch of n deltas, one per
+// agent, each of which applies, over warm shards: every agent is bound
+// by a full frame and the batch buffer is built. The deltas are encoded,
+// and the previous batch's acks fed back, with the timer stopped.
+func benchmarkIngestBatch(b *testing.B, n int) {
+	urls, stats := benchFleet(b, n)
+	ctl, _ := benchController(b, urls, TransportStream, &http.Client{Transport: &benchTransport{}}, nil, "")
+	encs := make([]*HeartbeatEncoder, n)
+	for i := range encs {
+		encs[i] = NewHeartbeatEncoder(stats[i].Agent, urls[i])
+	}
+	frames := make([][]byte, n)
+	encode := func(iter int) {
+		for i := range stats {
+			stats[i].PowerW = 100 + float64((i+iter)%16)*0.5
+			frame, err := encs[i].Encode(stats[i], 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames[i] = frame
+		}
+	}
+	ack := func(acks []HeartbeatAck) {
+		for i, a := range acks {
+			if a.Reject || a.Resync {
+				b.Fatalf("frame %d ack %+v", i, a)
+			}
+			encs[i].Ack(a)
+		}
+	}
+	encode(0) // full frames
+	ack(ctl.IngestBatch(frames))
+	encode(1) // the first deltas, which build the batch buffer
+	acks := ctl.IngestBatch(frames)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for iter := 2; iter < b.N+2; iter++ {
+		b.StopTimer()
+		ack(acks)
+		encode(iter)
+		b.StartTimer()
+		acks = ctl.IngestBatch(frames)
+	}
+	b.StopTimer()
+	ack(acks)
+}
+
+func BenchmarkIngestBatch1k(b *testing.B) { benchmarkIngestBatch(b, 1000) }
+func BenchmarkIngestBatch4k(b *testing.B) { benchmarkIngestBatch(b, 4000) }
+
 // BenchmarkControllerRoundStreamOverflow1k is the churn round with one
 // replica per agent, so any silent agent leaves the apps outnumbering
 // the live agents: the re-solve trims the rows to the live agents'

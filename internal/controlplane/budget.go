@@ -118,17 +118,17 @@ type BudgetStatus struct {
 }
 
 // budgetPushesLocked re-divides the budget tree over the agents' latest
-// reported draw and returns the cap pushes for agents whose installed
-// cap drifted from their share. It waits until every tree leaf has a
-// discovered agent (the first round's reports land before it runs, so a
-// healthy fleet rebalances from round one). The pushes execute in the
-// round's shared push phase; a lost push is retried next round because
-// the desired share is re-derived from the tree while the agent's
-// reported CapW carries the truth back.
-func (c *Controller) budgetPushesLocked(now time.Time) []pendingPush {
+// reported draw and appends to pushes the cap pushes for agents whose
+// installed cap drifted from their share. It waits until every tree leaf
+// has a discovered agent (the first round's reports land before it runs,
+// so a healthy fleet rebalances from round one). The pushes execute in
+// the round's shared push phase; a lost push is retried next round
+// because the desired share is re-derived from the tree while the
+// agent's reported CapW carries the truth back.
+func (c *Controller) budgetPushesLocked(now time.Time, pushes []pendingPush) []pendingPush {
 	b := c.budget
 	if b == nil {
-		return nil
+		return pushes
 	}
 	if c.obs != nil {
 		start := time.Now()
@@ -141,7 +141,7 @@ func (c *Controller) budgetPushesLocked(now time.Time) []pendingPush {
 			c.logf("budget division waiting: tree leaf %q names no agent", leaf)
 			b.unboundWarned = true
 		}
-		return nil
+		return pushes
 	}
 	b.unboundWarned = false
 	for i, a := range b.bound {
@@ -156,7 +156,8 @@ func (c *Controller) budgetPushesLocked(now time.Time) []pendingPush {
 		c.logf("budget short of the floors, agents held at their floors: %v", short)
 		b.shortWarned = true
 	}
-	var pushes []pendingPush
+	// shares is the Divider's buffer, valid until the next division: each
+	// push copies its share.
 	for i, name := range b.leaves {
 		a := b.bound[i]
 		if c.obs != nil {

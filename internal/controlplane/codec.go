@@ -79,76 +79,81 @@ type HeartbeatAck struct {
 	Reject bool   `json:"reject,omitempty"`
 }
 
-// hbField wires one StatsResponse field into the delta mask. The four
-// closures keep diffing, encoding, decoding, and applying structurally
-// in sync: each is derived from the same accessor.
+// hbField wires one StatsResponse field into the delta mask. Exactly
+// one accessor is set, and it fixes the field's wire form: f a float as
+// 8-byte little-endian IEEE-754 bits, n a counter as a uvarint, s a
+// length-prefixed string. Diffing, encoding, decoding and applying all
+// go through the one accessor, which keeps them structurally in sync,
+// and decoding hands the frame reader to no function value, so a
+// delta's reader stays off the heap.
 type hbField struct {
 	name string
-	eq   func(a, b *StatsResponse) bool
-	enc  func(b []byte, s *StatsResponse) []byte
-	dec  func(r *frameReader, s *StatsResponse) error
-	cp   func(dst, src *StatsResponse)
+	f    func(*StatsResponse) *float64
+	n    func(*StatsResponse) *int
+	s    func(*StatsResponse) *string
 }
 
-func floatHBField(name string, get func(*StatsResponse) *float64) hbField {
-	return hbField{
-		name: name,
-		eq:   func(a, b *StatsResponse) bool { return *get(a) == *get(b) },
-		enc: func(b []byte, s *StatsResponse) []byte {
-			return binary.LittleEndian.AppendUint64(b, math.Float64bits(*get(s)))
-		},
-		dec: func(r *frameReader, s *StatsResponse) error {
-			v, err := r.float(name)
-			if err != nil {
-				return err
-			}
-			*get(s) = v
-			return nil
-		},
-		cp: func(dst, src *StatsResponse) { *get(dst) = *get(src) },
+// eq reports whether a and b agree on the field.
+func (fd *hbField) eq(a, b *StatsResponse) bool {
+	switch {
+	case fd.f != nil:
+		return *fd.f(a) == *fd.f(b)
+	case fd.n != nil:
+		return *fd.n(a) == *fd.n(b)
 	}
+	return *fd.s(a) == *fd.s(b)
 }
 
-func intHBField(name string, get func(*StatsResponse) *int) hbField {
-	return hbField{
-		name: name,
-		eq:   func(a, b *StatsResponse) bool { return *get(a) == *get(b) },
-		enc: func(b []byte, s *StatsResponse) []byte {
-			return binary.AppendUvarint(b, uint64(*get(s)))
-		},
-		dec: func(r *frameReader, s *StatsResponse) error {
-			v, err := r.uvarint()
-			if err != nil {
-				return fmt.Errorf("field %s: %w", name, err)
-			}
-			if v > math.MaxInt32 {
-				return fmt.Errorf("field %s: counter %d out of range", name, v)
-			}
-			*get(s) = int(v)
-			return nil
-		},
-		cp: func(dst, src *StatsResponse) { *get(dst) = *get(src) },
+// enc appends s's value of the field to b.
+func (fd *hbField) enc(b []byte, s *StatsResponse) []byte {
+	switch {
+	case fd.f != nil:
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(*fd.f(s)))
+	case fd.n != nil:
+		return binary.AppendUvarint(b, uint64(*fd.n(s)))
 	}
+	v := *fd.s(s)
+	b = binary.AppendUvarint(b, uint64(len(v)))
+	return append(b, v...)
 }
 
-func stringHBField(name string, get func(*StatsResponse) *string) hbField {
-	return hbField{
-		name: name,
-		eq:   func(a, b *StatsResponse) bool { return *get(a) == *get(b) },
-		enc: func(b []byte, s *StatsResponse) []byte {
-			v := *get(s)
-			b = binary.AppendUvarint(b, uint64(len(v)))
-			return append(b, v...)
-		},
-		dec: func(r *frameReader, s *StatsResponse) error {
-			v, err := r.str(maxHeartbeatName)
-			if err != nil {
-				return fmt.Errorf("field %s: %w", name, err)
-			}
-			*get(s) = v
-			return nil
-		},
-		cp: func(dst, src *StatsResponse) { *get(dst) = *get(src) },
+// dec reads the field's value from r into s.
+func (fd *hbField) dec(r *frameReader, s *StatsResponse) error {
+	switch {
+	case fd.f != nil:
+		v, err := r.float(fd.name)
+		if err != nil {
+			return err
+		}
+		*fd.f(s) = v
+	case fd.n != nil:
+		v, err := r.uvarint()
+		if err != nil {
+			return fmt.Errorf("field %s: %w", fd.name, err)
+		}
+		if v > math.MaxInt32 {
+			return fmt.Errorf("field %s: counter %d out of range", fd.name, v)
+		}
+		*fd.n(s) = int(v)
+	default:
+		v, err := r.str(maxHeartbeatName)
+		if err != nil {
+			return fmt.Errorf("field %s: %w", fd.name, err)
+		}
+		*fd.s(s) = v
+	}
+	return nil
+}
+
+// cp copies the field from src to dst.
+func (fd *hbField) cp(dst, src *StatsResponse) {
+	switch {
+	case fd.f != nil:
+		*fd.f(dst) = *fd.f(src)
+	case fd.n != nil:
+		*fd.n(dst) = *fd.n(src)
+	default:
+		*fd.s(dst) = *fd.s(src)
 	}
 }
 
@@ -160,24 +165,24 @@ func stringHBField(name string, get func(*StatsResponse) *string) hbField {
 // Appending a field is a compatible change (old receivers reject the
 // unknown mask bit and demand a resync); reordering is not.
 var hbFields = []hbField{
-	floatHBField("power_w", func(s *StatsResponse) *float64 { return &s.PowerW }),
-	floatHBField("slack", func(s *StatsResponse) *float64 { return &s.Slack }),
-	floatHBField("cap_w", func(s *StatsResponse) *float64 { return &s.CapW }),
-	floatHBField("offered_load", func(s *StatsResponse) *float64 { return &s.OfferedLoad }),
-	floatHBField("p99_ms", func(s *StatsResponse) *float64 { return &s.P99Ms }),
-	floatHBField("be_throughput", func(s *StatsResponse) *float64 { return &s.BEThroughput }),
-	floatHBField("sim_sec", func(s *StatsResponse) *float64 { return &s.SimSec }),
-	floatHBField("lc_ops", func(s *StatsResponse) *float64 { return &s.LCOps }),
-	floatHBField("be_ops", func(s *StatsResponse) *float64 { return &s.BEOps }),
-	stringHBField("assigned_be", func(s *StatsResponse) *string { return &s.AssignedBE }),
-	intHBField("control_ticks", func(s *StatsResponse) *int { return &s.ControlTicks }),
-	intHBField("cap_throttles", func(s *StatsResponse) *int { return &s.CapThrottles }),
-	intHBField("cap_restores", func(s *StatsResponse) *int { return &s.CapRestores }),
-	intHBField("planner_hits", func(s *StatsResponse) *int { return &s.PlannerHits }),
-	intHBField("planner_warm", func(s *StatsResponse) *int { return &s.PlannerWarm }),
-	intHBField("planner_fallbacks", func(s *StatsResponse) *int { return &s.PlannerFallbacks }),
-	intHBField("be_throttles", func(s *StatsResponse) *int { return &s.BEThrottles }),
-	intHBField("be_restores", func(s *StatsResponse) *int { return &s.BERestores }),
+	{name: "power_w", f: func(s *StatsResponse) *float64 { return &s.PowerW }},
+	{name: "slack", f: func(s *StatsResponse) *float64 { return &s.Slack }},
+	{name: "cap_w", f: func(s *StatsResponse) *float64 { return &s.CapW }},
+	{name: "offered_load", f: func(s *StatsResponse) *float64 { return &s.OfferedLoad }},
+	{name: "p99_ms", f: func(s *StatsResponse) *float64 { return &s.P99Ms }},
+	{name: "be_throughput", f: func(s *StatsResponse) *float64 { return &s.BEThroughput }},
+	{name: "sim_sec", f: func(s *StatsResponse) *float64 { return &s.SimSec }},
+	{name: "lc_ops", f: func(s *StatsResponse) *float64 { return &s.LCOps }},
+	{name: "be_ops", f: func(s *StatsResponse) *float64 { return &s.BEOps }},
+	{name: "assigned_be", s: func(s *StatsResponse) *string { return &s.AssignedBE }},
+	{name: "control_ticks", n: func(s *StatsResponse) *int { return &s.ControlTicks }},
+	{name: "cap_throttles", n: func(s *StatsResponse) *int { return &s.CapThrottles }},
+	{name: "cap_restores", n: func(s *StatsResponse) *int { return &s.CapRestores }},
+	{name: "planner_hits", n: func(s *StatsResponse) *int { return &s.PlannerHits }},
+	{name: "planner_warm", n: func(s *StatsResponse) *int { return &s.PlannerWarm }},
+	{name: "planner_fallbacks", n: func(s *StatsResponse) *int { return &s.PlannerFallbacks }},
+	{name: "be_throttles", n: func(s *StatsResponse) *int { return &s.BEThrottles }},
+	{name: "be_restores", n: func(s *StatsResponse) *int { return &s.BERestores }},
 }
 
 // hbMaskAll is every defined mask bit; frames carrying others are
@@ -359,7 +364,23 @@ func DecodeHeartbeat(frame []byte) (*Heartbeat, error) {
 // decodeHeartbeat is DecodeHeartbeat with the v2 snapshot decode as a
 // parameter, so tests can hold the pooled path to a fresh inflater.
 func decodeHeartbeat(frame []byte, inflate func(comp []byte, n uint64, dst *StatsResponse) error) (*Heartbeat, error) {
-	r := &frameReader{b: frame}
+	hb := new(Heartbeat)
+	name, err := decodeHeartbeatInto(frame, hb, inflate)
+	if err != nil {
+		return nil, err
+	}
+	hb.Agent = string(name)
+	return hb, nil
+}
+
+// decodeHeartbeatInto is decodeHeartbeat into hb, which must be zero: a
+// full frame's snapshot is decoded in place, and JSON merges into any
+// map it finds there. It leaves hb.Agent unset and returns the agent name
+// as framed, aliasing frame, so a receiver can resolve a delta's name to
+// a string it already holds instead of copying it per frame. A delta
+// decodes without allocating.
+func decodeHeartbeatInto(frame []byte, hb *Heartbeat, inflate func(comp []byte, n uint64, dst *StatsResponse) error) (name []byte, err error) {
+	r := frameReader{b: frame}
 	magic, err := r.byte("magic")
 	if err != nil {
 		return nil, err
@@ -381,11 +402,11 @@ func decodeHeartbeat(frame []byte, inflate func(comp []byte, n uint64, dst *Stat
 	if flags&^byte(hbFlagFull) != 0 {
 		return nil, fmt.Errorf("controlplane: heartbeat flags %#x have undefined bits", flags)
 	}
-	hb := &Heartbeat{Full: flags&hbFlagFull != 0}
-	if hb.Agent, err = r.str(maxHeartbeatName); err != nil {
+	hb.Full = flags&hbFlagFull != 0
+	if name, err = r.rawStr(maxHeartbeatName); err != nil {
 		return nil, fmt.Errorf("controlplane: heartbeat agent: %w", err)
 	}
-	if hb.Agent == "" {
+	if len(name) == 0 {
 		return nil, fmt.Errorf("controlplane: heartbeat with empty agent name")
 	}
 	if hb.Seq, err = r.uvarint(); err != nil {
@@ -432,8 +453,8 @@ func decodeHeartbeat(frame []byte, inflate func(comp []byte, n uint64, dst *Stat
 				return nil, err
 			}
 		}
-		if hb.Stats.Agent != hb.Agent {
-			return nil, fmt.Errorf("controlplane: heartbeat header names %q but snapshot names %q", hb.Agent, hb.Stats.Agent)
+		if hb.Stats.Agent != string(name) {
+			return nil, fmt.Errorf("controlplane: heartbeat header names %q but snapshot names %q", name, hb.Stats.Agent)
 		}
 	} else {
 		if hb.Base, err = r.uvarint(); err != nil {
@@ -450,7 +471,7 @@ func decodeHeartbeat(frame []byte, inflate func(comp []byte, n uint64, dst *Stat
 		}
 		for i := range hbFields {
 			if hb.Mask&(1<<i) != 0 {
-				if err := hbFields[i].dec(r, &hb.Stats); err != nil {
+				if err := hbFields[i].dec(&r, &hb.Stats); err != nil {
 					return nil, fmt.Errorf("controlplane: heartbeat %w", err)
 				}
 			}
@@ -459,7 +480,7 @@ func decodeHeartbeat(frame []byte, inflate func(comp []byte, n uint64, dst *Stat
 	if r.off != len(r.b) {
 		return nil, fmt.Errorf("controlplane: heartbeat has %d trailing bytes", len(r.b)-r.off)
 	}
-	return hb, nil
+	return name, nil
 }
 
 // HeartbeatEncoder is the sender half of the delta protocol: it owns the
@@ -583,18 +604,25 @@ func (r *frameReader) bytes(n int, what string) ([]byte, error) {
 }
 
 func (r *frameReader) str(max int) (string, error) {
+	b, err := r.rawStr(max)
+	return string(b), err
+}
+
+// rawStr reads a length-prefixed string of at most max bytes without
+// copying it: the result aliases the frame.
+func (r *frameReader) rawStr(max int) ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(max) {
-		return "", fmt.Errorf("string length %d exceeds %d", n, max)
+		return nil, fmt.Errorf("string length %d exceeds %d", n, max)
 	}
 	b, err := r.bytes(int(n), "string")
 	if err != nil {
-		return "", fmt.Errorf("truncated string")
+		return nil, fmt.Errorf("truncated string")
 	}
-	return string(b), nil
+	return b, nil
 }
 
 func (r *frameReader) float(name string) (float64, error) {

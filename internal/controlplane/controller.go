@@ -26,7 +26,7 @@ const (
 	TransportPoll = "poll"
 	// TransportStream is the push model: agents send binary delta
 	// heartbeats (POST /v1/heartbeat) that ingest into per-pod shards;
-	// the round loop reads immutable pod snapshots without locking.
+	// the round loop copies each changed report out of its shard.
 	TransportStream = "stream"
 )
 
@@ -227,6 +227,10 @@ type Controller struct {
 	deaths    int
 	rejoins   int
 	budget    *budgetState // nil when unbudgeted
+	// pushes is the push list the next round fills, kept across rounds.
+	// A round takes it under mu and returns it once the pushes are
+	// recorded; a concurrent round finds none and allocates its own.
+	pushes []pendingPush
 }
 
 // NewController validates the configuration and builds a controller.
@@ -392,15 +396,18 @@ func (c *Controller) Round(ctx context.Context) {
 	if needResolve {
 		c.resolveLocked(now)
 	}
-	pushes := append(c.assignPushesLocked(), c.budgetPushesLocked(now)...)
+	pushes := c.budgetPushesLocked(now, c.assignPushesLocked(c.pushes[:0]))
+	c.pushes = nil
 	c.mu.Unlock()
 
+	var acked []bool
 	if len(pushes) > 0 {
-		acked := c.pushAll(ctx, pushes)
-		c.mu.Lock()
-		c.recordPushesLocked(pushes, acked)
-		c.mu.Unlock()
+		acked = c.pushAll(ctx, pushes)
 	}
+	c.mu.Lock()
+	c.recordPushesLocked(pushes, acked)
+	c.pushes = pushes[:0]
+	c.mu.Unlock()
 	if !start.IsZero() {
 		c.observeRound(now, round, time.Since(start))
 	}
@@ -589,6 +596,11 @@ func (c *Controller) getJSON(ctx context.Context, url string, out any) error {
 	return c.get(ctx, url, func(body io.Reader) error { return json.NewDecoder(body).Decode(out) })
 }
 
+// jsonHeader is every push request's header. Requests share it, so
+// nothing may write it: net/http's client copies a request's header
+// before adding to it, and a RoundTripper must not modify a request.
+var jsonHeader = http.Header{"Content-Type": {"application/json"}}
+
 // postJSON pushes one control request to an agent: req, marshalled as
 // JSON, to baseURL+route, bounded by the request timeout. Any status but
 // 200 is an error that carries the start of the agent's reply.
@@ -603,7 +615,7 @@ func (c *Controller) postJSON(ctx context.Context, baseURL, route string, req an
 	if err != nil {
 		return err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header = jsonHeader
 	resp, err := c.client.Do(hreq)
 	if err != nil {
 		return err
@@ -747,15 +759,14 @@ type pendingPush struct {
 	capW      float64 // pushCap
 }
 
-// assignPushesLocked derives the assignment pushes that drive each live
-// agent toward the desired placement. Failures are retried on the next
-// round: the desired state is re-derived every cycle, so a lost push
-// self-heals.
-func (c *Controller) assignPushesLocked() []pendingPush {
+// assignPushesLocked appends to pushes the assignment pushes that drive
+// each live agent toward the desired placement. Failures are retried on
+// the next round: the desired state is re-derived every cycle, so a lost
+// push self-heals.
+func (c *Controller) assignPushesLocked(pushes []pendingPush) []pendingPush {
 	if c.placement == nil {
-		return nil
+		return pushes
 	}
-	var pushes []pendingPush
 	for _, a := range c.agents {
 		if a.alive && a.last.AssignedBE != a.desiredBE {
 			pushes = append(pushes, pendingPush{kind: pushAssign, agent: a, url: a.url, name: a.name, be: a.desiredBE})

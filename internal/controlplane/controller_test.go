@@ -402,7 +402,7 @@ func TestRecordPushesTouchesOnlyItsAgent(t *testing.T) {
 // live agents whose reported assignment differs from it.
 func TestAssignPushesFollowPlacement(t *testing.T) {
 	ctl := bookkeepingController(t)
-	if got := ctl.assignPushesLocked(); got != nil {
+	if got := ctl.assignPushesLocked(nil); got != nil {
 		t.Fatalf("pushes before any placement: %+v", got)
 	}
 	ctl.agents[1].last.AssignedBE = "graph"
@@ -411,7 +411,7 @@ func TestAssignPushesFollowPlacement(t *testing.T) {
 	assertPushes := func(want map[string]string) {
 		t.Helper()
 		got := map[string]string{}
-		for _, p := range ctl.assignPushesLocked() {
+		for _, p := range ctl.assignPushesLocked(nil) {
 			if p.kind != pushAssign || p.agent.url != p.url {
 				t.Fatalf("malformed push %+v", p)
 			}

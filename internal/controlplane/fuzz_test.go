@@ -253,7 +253,7 @@ func splitFrames(b []byte) [][]byte {
 // FuzzIngestEntryPoints holds the two ingest entry points to one
 // behaviour over arbitrary frame sequences: IngestHeartbeat frame by
 // frame and one IngestBatch call must agree on every ack, on StreamStats
-// and on every published view (checkIngestEntryPoints).
+// and on every decoder's state (checkIngestEntryPoints).
 func FuzzIngestEntryPoints(f *testing.F) {
 	for _, frames := range ingestFuzzSeeds(f) {
 		f.Add(joinFrames(frames))

@@ -20,42 +20,31 @@ import (
 // push binary delta heartbeats (codec.go) instead of being polled; the
 // controller ingests them — one at a time over POST /v1/heartbeat, or
 // batched through the bounded worker pool — into per-pod state shards.
-// Each shard serializes its writers behind a mutex, folds every applied
-// frame into its decoders, and publishes the pod's agent views as an
-// immutable snapshot swapped in atomically. The round loop never takes
-// a shard lock: it loads each pod's current snapshot pointer and reads
-// frozen views, so a round costs the same whether zero or ten thousand
-// frames are in flight, and a stalled sender can block nothing but its
-// own pod's ingest.
+// A frame is read and decoded into controller-owned storage before any
+// lock is taken, and a shard's mutex covers only folding it into the
+// agent's decoder, so a delta costs no allocation from bytes to fold.
+// The round takes each pod's lock once, copies out the reports that
+// changed since it last looked, and releases the lock before it logs or
+// decides anything: a stalled sender can block nothing but its own
+// pod's ingest, and a round waits on ingest at most one pod's fold.
 
 // maxHeartbeatBatch bounds one IngestBatch call.
 const maxHeartbeatBatch = 1 << 16
 
-// agentView is one agent's state as of its last applied frame. Views
-// are immutable after construction: ingest replaces the pointer, never
-// the fields, which is what makes the round loop's lock-free reads
-// sound.
-type agentView struct {
-	slot      int
-	stats     StatsResponse
-	seq       uint64
-	epoch     uint64
-	lastHeard time.Time
-}
-
-// podViews is one pod's published snapshot: local index → view, nil
-// until that agent's first frame applies.
-type podViews struct {
-	views []*agentView
-}
+// decodeRun is how many consecutive frames of a batch one decode task
+// takes: enough to amortize the hand-off over ~100 ns deltas, few enough
+// to spread a burst of full frames over every worker.
+const decodeRun = 64
 
 // hbDecoder is the receiver half of the delta protocol for one agent:
-// the last applied snapshot and its seq. Guarded by its shard's mutex.
+// the last applied snapshot, its seq and epoch, and when it applied.
+// Guarded by its shard's mutex.
 type hbDecoder struct {
 	synced bool
 	seq    uint64
 	epoch  uint64
 	stats  StatsResponse
+	heard  time.Time // the ingest clock when the last frame applied
 }
 
 // hbVerdict classifies one frame's fate.
@@ -116,44 +105,56 @@ func resyncSeq(frameSeq, watermark uint64) uint64 {
 	return frameSeq
 }
 
-// streamShard is one pod's ingest state: decoders behind a mutex,
-// published views behind an atomic pointer.
+// streamShard is one pod's ingest state: its agents' decoders behind a
+// mutex.
 type streamShard struct {
 	base int // first global slot in this shard
 
 	mu   sync.Mutex
 	decs []hbDecoder
-	snap atomic.Pointer[podViews]
 }
 
-// publishLocked rebuilds and swaps the shard's snapshot from the given
-// locally-indexed dirty set. Callers hold sh.mu; one swap covers a whole
-// batch, so batch ingest costs one views-slice copy per touched pod.
-func (sh *streamShard) publishLocked(dirty []int, now time.Time) {
-	prev := sh.snap.Load()
-	next := &podViews{views: make([]*agentView, len(sh.decs))}
-	if prev != nil {
-		copy(next.views, prev.views)
-	}
-	for _, li := range dirty {
-		d := &sh.decs[li]
-		next.views[li] = &agentView{
-			slot:      sh.base + li,
-			stats:     d.stats,
-			seq:       d.seq,
-			epoch:     d.epoch,
-			lastHeard: now,
-		}
-	}
-	sh.snap.Store(next)
+// nameBinding is the slot a full frame bound an agent name to, and the
+// name itself: a delta's ack carries this string, not a copy of the
+// frame's bytes.
+type nameBinding struct {
+	name string
+	slot int
+}
+
+// ingestBuf is one ingest call's working storage: a decode slot and the
+// framed agent name per frame, each frame's routed slot, and per shard
+// the frames routed to it.
+type ingestBuf struct {
+	hbs     []Heartbeat
+	names   [][]byte // alias the caller's frames; cleared on return
+	slots   []int    // the routed slot; -1 for a frame the decoder rejected
+	byShard [][]int  // frame indices, in arrival order
 }
 
 // streamState is the controller's streaming ingest plane.
 type streamState struct {
 	podSize int
 	slots   map[string]int // configured agent URL → global slot
-	names   sync.Map       // agent name → global slot, bound by full frames
 	shards  []*streamShard
+
+	// names binds agent names to slots. Full frames bind (every agent at
+	// discovery and again on every resync) and deltas resolve, by the
+	// frame's name bytes.
+	namesMu sync.Mutex
+	names   map[string]nameBinding
+
+	// spare is the ingest buffer the next call takes. A call that finds
+	// none (a concurrent one holds it) allocates its own; the larger one
+	// is kept. It is not a sync.Pool: a pool drops what it holds within
+	// two collections, and a controller collects between heartbeats.
+	spareMu sync.Mutex
+	spare   *ingestBuf
+
+	// fresh marks, for the pod the round is folding, which agents'
+	// reports changed since the last round (round-owned, under
+	// Controller.mu).
+	fresh []bool
 
 	// Cumulative ingest counters (atomic: ingest is concurrent). The
 	// round loop snapshots them and traces the per-round delta.
@@ -165,6 +166,8 @@ func newStreamState(urls []string, podSize int) *streamState {
 	s := &streamState{
 		podSize: podSize,
 		slots:   make(map[string]int, len(urls)),
+		names:   make(map[string]nameBinding, len(urls)),
+		fresh:   make([]bool, podSize),
 	}
 	for i, u := range urls {
 		s.slots[u] = i
@@ -186,18 +189,57 @@ func (s *streamState) shardOf(slot int) (*streamShard, int) {
 	return s.shards[slot/s.podSize], slot % s.podSize
 }
 
-// route resolves a decoded frame to its global slot. Full frames bind by
-// the advertised URL and (re)bind the agent name; deltas resolve by the
-// name bound by an earlier full frame. A frame it cannot place gets its
-// resync ack instead.
-func (s *streamState) route(hb *Heartbeat) (slot int, ack HeartbeatAck, ok bool) {
+// takeBuf returns an ingest buffer with room for n frames.
+func (s *streamState) takeBuf(n int) *ingestBuf {
+	s.spareMu.Lock()
+	b := s.spare
+	s.spare = nil
+	s.spareMu.Unlock()
+	if b == nil {
+		b = &ingestBuf{byShard: make([][]int, len(s.shards))}
+	}
+	if len(b.hbs) < n {
+		b.hbs = make([]Heartbeat, n)
+		b.names = make([][]byte, n)
+		b.slots = make([]int, n)
+	}
+	return b
+}
+
+// putBuf returns a buffer taken by takeBuf whose first n frames were
+// used.
+func (s *streamState) putBuf(b *ingestBuf, n int) {
+	clear(b.names[:n])
+	s.spareMu.Lock()
+	if s.spare == nil || len(s.spare.hbs) < len(b.hbs) {
+		s.spare = b
+	}
+	s.spareMu.Unlock()
+}
+
+// route resolves a decoded frame, whose framed agent name is name, to its
+// global slot and sets hb.Agent. Full frames bind by the advertised URL
+// and (re)bind the agent name; deltas resolve by the name bound by an
+// earlier full frame, looked up by the name bytes, and take the bound
+// string. A frame it cannot place gets its resync ack instead.
+func (s *streamState) route(hb *Heartbeat, name []byte) (slot int, ack HeartbeatAck, ok bool) {
 	if hb.Full {
+		hb.Agent = hb.Stats.Agent // the decoder held it equal to name
 		// An unconfigured URL is refused, not bound.
 		if slot, ok = s.slots[hb.URL]; ok {
-			s.names.Store(hb.Agent, slot)
+			s.namesMu.Lock()
+			s.names[hb.Agent] = nameBinding{name: hb.Agent, slot: slot}
+			s.namesMu.Unlock()
 		}
-	} else if v, bound := s.names.Load(hb.Agent); bound {
-		slot, ok = v.(int), true
+	} else {
+		s.namesMu.Lock()
+		b, bound := s.names[string(name)]
+		s.namesMu.Unlock()
+		if bound {
+			hb.Agent, slot, ok = b.name, b.slot, true
+		} else {
+			hb.Agent = string(name)
+		}
 	}
 	if !ok {
 		return 0, s.ack(hb, hbResync, 0), false
@@ -205,13 +247,15 @@ func (s *streamState) route(hb *Heartbeat) (slot int, ack HeartbeatAck, ok bool)
 	return slot, HeartbeatAck{}, true
 }
 
-// applyLocked folds one routed frame into decoder li of sh and returns
-// its ack, and whether it applied; the caller publishes li if so.
-// Callers hold sh.mu.
-func (s *streamState) applyLocked(sh *streamShard, li int, hb *Heartbeat) (HeartbeatAck, bool) {
+// applyLocked folds one routed frame into decoder li of sh, stamping it
+// heard at now if it applies, and returns its ack. Callers hold sh.mu.
+func (s *streamState) applyLocked(sh *streamShard, li int, hb *Heartbeat, now time.Time) HeartbeatAck {
 	d := &sh.decs[li]
 	v := d.apply(hb)
-	return s.ack(hb, v, d.seq), v == hbApplied
+	if v == hbApplied {
+		d.heard = now
+	}
+	return s.ack(hb, v, d.seq)
 }
 
 // ack turns a frame's verdict into the ack its sender gets and counts
@@ -285,64 +329,84 @@ func (c *Controller) StreamStats() StreamStats {
 
 // IngestHeartbeat decodes and applies one pushed frame, returning the
 // ack to send back. Safe for concurrent use; only the owning shard
-// locks, and the round loop is never blocked.
+// locks, and only to fold the decoded frame.
 func (c *Controller) IngestHeartbeat(frame []byte) HeartbeatAck {
 	s := c.stream
 	if s == nil {
 		return HeartbeatAck{Reject: true}
 	}
-	hb, err := c.decodeFrame(frame)
+	buf := s.takeBuf(1)
+	defer s.putBuf(buf, 1)
+	hb := &buf.hbs[0]
+	var t frameTally
+	name, err := c.decodeFrame(frame, hb, &t)
+	s.count(&t)
 	if err != nil {
 		c.logf("heartbeat rejected: %v", err)
 		return HeartbeatAck{Reject: true}
 	}
-	slot, ack, ok := s.route(hb)
+	slot, ack, ok := s.route(hb, name)
 	if !ok {
 		return ack
 	}
 	sh, li := s.shardOf(slot)
 	now := c.now()
 	sh.mu.Lock()
-	ack, applied := s.applyLocked(sh, li, hb)
-	if applied {
-		sh.publishLocked([]int{li}, now)
-	}
+	ack = s.applyLocked(sh, li, hb, now)
 	sh.mu.Unlock()
 	return ack
 }
 
-// decodeFrame decodes one frame, timing the decode when observed, and
-// counts it: its bytes, and whether it was a full frame, a delta, or a
-// reject.
-func (c *Controller) decodeFrame(frame []byte) (*Heartbeat, error) {
-	s := c.stream
-	s.frames.Add(1)
-	s.bytes.Add(int64(len(frame)))
+// frameTally counts decoded frames toward streamState's cumulative
+// counters. A batch tallies each run of frames locally and adds the run
+// once, so decode workers do not contend on the counters per frame.
+type frameTally struct{ frames, fulls, deltas, rejects, bytes int64 }
+
+// count adds a tally to the cumulative counters.
+func (s *streamState) count(t *frameTally) {
+	s.frames.Add(t.frames)
+	s.bytes.Add(t.bytes)
+	s.fulls.Add(t.fulls)
+	s.deltas.Add(t.deltas)
+	s.rejects.Add(t.rejects)
+}
+
+// decodeFrame decodes one frame into hb, timing the decode when
+// observed, and tallies it: its bytes, and whether it was a full frame,
+// a delta, or a reject. It zeroes hb first (a reused slot may hold the
+// maps of a full frame its decoder now owns) and returns the framed
+// agent name, which route resolves.
+func (c *Controller) decodeFrame(frame []byte, hb *Heartbeat, t *frameTally) ([]byte, error) {
+	t.frames++
+	t.bytes += int64(len(frame))
+	*hb = Heartbeat{}
 	var timer obs.Timer
 	if c.obs != nil {
 		timer = c.obs.decode.Start()
 	}
-	hb, err := DecodeHeartbeat(frame)
+	name, err := decodeHeartbeatInto(frame, hb, inflateSnapshot)
 	timer.Stop()
 	switch {
 	case err != nil:
-		s.rejects.Add(1)
+		t.rejects++
 	case hb.Full:
-		s.fulls.Add(1)
+		t.fulls++
 	default:
-		s.deltas.Add(1)
+		t.deltas++
 	}
-	return hb, err
+	return name, err
 }
 
 // IngestBatch decodes a batch of frames through the bounded worker pool,
 // groups the survivors by shard, and applies each shard's frames under
-// one lock acquisition with one snapshot swap. Acks are returned in
-// frame order. This is the benchmarks' bulk path; a live deployment, and
-// the fault campaign's loopback fabric, reach the same shards one frame
-// at a time through the HTTP handler (IngestHeartbeat). Both entry
-// points share decodeFrame, route, applyLocked and ack, so a frame's
-// fate and its counters do not depend on the path it took.
+// one lock acquisition. Acks are returned in frame order; the batch's
+// other working storage is the controller's, reused across calls, so a
+// call allocates a constant number of objects however many deltas it
+// applies. This is the benchmarks' bulk path; a live deployment, and the
+// fault campaign's loopback fabric, reach the same shards one frame at
+// a time through the HTTP handler (IngestHeartbeat). Both entry points
+// share decodeFrame, route, applyLocked and ack, so a frame's fate and
+// its counters do not depend on the path it took.
 func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 	s := c.stream
 	acks := make([]HeartbeatAck, len(frames))
@@ -363,65 +427,54 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 		}
 		frames = frames[:maxHeartbeatBatch]
 	}
+	n := len(frames)
+	buf := s.takeBuf(n)
+	defer s.putBuf(buf, n)
+	hbs, names, slots := buf.hbs[:n], buf.names[:n], buf.slots[:n]
 	// Decode fans out: full frames carry JSON snapshots, the one
-	// genuinely expensive decode.
-	decoded := make([]*Heartbeat, len(frames))
-	_ = parallel.ForEach(len(frames), 0, func(i int) error {
-		var err error
-		if decoded[i], err = c.decodeFrame(frames[i]); err != nil {
-			acks[i] = HeartbeatAck{Reject: true}
+	// genuinely expensive decode. Each task decodes a contiguous run of
+	// frames, so workers write disjoint stretches of the buffers.
+	_ = parallel.ForEach((n+decodeRun-1)/decodeRun, 0, func(k int) error {
+		var t frameTally
+		for i := k * decodeRun; i < min(n, (k+1)*decodeRun); i++ {
+			var err error
+			slots[i] = 0
+			if names[i], err = c.decodeFrame(frames[i], &hbs[i], &t); err != nil {
+				acks[i] = HeartbeatAck{Reject: true}
+				slots[i] = -1
+			}
 		}
+		s.count(&t)
 		return nil
 	})
-	// Route serially: binding order must be deterministic, and it is two
-	// map operations per frame.
-	type shardWork struct {
-		idx []int // frame indices, in arrival order
+	// Route serially: binding order must be deterministic.
+	byShard := buf.byShard
+	for p := range byShard {
+		byShard[p] = byShard[p][:0]
 	}
-	work := make(map[int]*shardWork)
-	slots := make([]int, len(frames))
-	for i, hb := range decoded {
-		if hb == nil {
+	for i := range hbs {
+		if slots[i] < 0 {
 			continue
 		}
-		slot, ack, ok := s.route(hb)
+		slot, ack, ok := s.route(&hbs[i], names[i])
 		if !ok {
 			acks[i] = ack
 			continue
 		}
 		slots[i] = slot
-		p := slot / s.podSize
-		w := work[p]
-		if w == nil {
-			w = &shardWork{}
-			work[p] = w
-		}
-		w.idx = append(w.idx, i)
-	}
-	if len(work) == 0 {
-		return acks
-	}
-	pods := make([]int, 0, len(work))
-	for p := range work {
-		pods = append(pods, p)
+		byShard[slot/s.podSize] = append(byShard[slot/s.podSize], i)
 	}
 	now := c.now()
 	// Shard application fans out: shards share nothing, and each touched
-	// pod pays exactly one lock round-trip and one snapshot swap.
-	_ = parallel.ForEach(len(pods), 0, func(k int) error {
-		p := pods[k]
-		sh := s.shards[p]
-		var dirty []int
-		sh.mu.Lock()
-		for _, i := range work[p].idx {
-			li := slots[i] % s.podSize
-			var applied bool
-			if acks[i], applied = s.applyLocked(sh, li, decoded[i]); applied {
-				dirty = append(dirty, li)
-			}
+	// pod pays exactly one lock round-trip.
+	_ = parallel.ForEach(len(byShard), 0, func(p int) error {
+		if len(byShard[p]) == 0 {
+			return nil
 		}
-		if len(dirty) > 0 {
-			sh.publishLocked(dirty, now)
+		sh := s.shards[p]
+		sh.mu.Lock()
+		for _, i := range byShard[p] {
+			acks[i] = s.applyLocked(sh, slots[i]%s.podSize, &hbs[i], now)
 		}
 		sh.mu.Unlock()
 		return nil
@@ -499,34 +552,40 @@ func PostHeartbeat(ctx context.Context, client *http.Client, baseURL string, fra
 const maxHeartbeatFrame = maxHeartbeatBlob + maxHeartbeatName + maxHeartbeatURL + 64
 
 // streamObserveLocked is the streaming transport's round head: fold each
-// agent's latest published view into the controller's liveness state
-// (observeLocked). One atomic snapshot load per pod, zero locks, zero
-// network — the polling transport's probe fan-out collapses into a read
-// over frozen state. An agent whose view has not advanced since the last
-// round has missed a heartbeat, exactly as a failed poll probe would
-// count it. Agents are visited by slot — c.agents[i] is slot i — so the
-// fold costs no lookups.
+// agent's latest applied frame into the controller's liveness state
+// (observeLocked). Per pod it takes the shard lock once, copies the
+// report of every agent whose decoder advanced since the last round
+// into the agent's state, and releases the lock; the fold, which logs
+// discoveries and rejoins, runs after. No network, and no lock held
+// across a log line: the polling transport's probe fan-out collapses
+// into one copy per changed agent. An agent whose decoder has not
+// advanced since the last round has missed a heartbeat, exactly as a
+// failed poll probe would count it. Agents are visited by slot —
+// c.agents[i] is slot i — so the fold costs no lookups.
 func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool) {
 	s := c.stream
 	for p, sh := range s.shards {
-		pv := sh.snap.Load()
+		agents := c.agents[sh.base : sh.base+len(sh.decs)]
+		fresh := s.fresh[:len(agents)]
+		sh.mu.Lock()
+		for li := range sh.decs {
+			d, a := &sh.decs[li], agents[li]
+			if fresh[li] = d.seq > a.streamSeq; fresh[li] {
+				a.streamSeq, a.last, a.lastHeard = d.seq, d.stats, d.heard
+			}
+		}
+		sh.mu.Unlock()
 		// The pod's staleness watermark: the max of (now − lastHeard) over
 		// its agents, each also observed against the staleness SLO.
 		podMax := 0.0
-		for li := range sh.decs {
-			a := c.agents[sh.base+li]
-			var view *agentView
-			if pv != nil {
-				view = pv.views[li]
-			}
+		for li, a := range agents {
 			switch {
-			case view == nil:
+			case fresh[li]:
+				membershipChanged = c.observeLocked(a, &a.last, a.lastHeard, "") || membershipChanged
+			case a.streamSeq == 0:
 				membershipChanged = c.observeLocked(a, nil, now, "no heartbeat received") || membershipChanged
-			case view.seq <= a.streamSeq:
-				membershipChanged = c.observeLocked(a, nil, now, fmt.Sprintf("no heartbeat since seq %d", view.seq)) || membershipChanged
 			default:
-				a.streamSeq = view.seq
-				membershipChanged = c.observeLocked(a, &view.stats, view.lastHeard, "") || membershipChanged
+				membershipChanged = c.observeLocked(a, nil, now, fmt.Sprintf("no heartbeat since seq %d", a.streamSeq)) || membershipChanged
 			}
 			if c.obs != nil && a.everSeen {
 				stale := now.Sub(a.lastHeard)

@@ -77,9 +77,9 @@ func streamTestStats(t testing.TB, name string, bes ...string) StatsResponse {
 	return st
 }
 
-// view returns the published view for a configured agent URL (nil before
-// the agent's first applied frame).
-func (s *streamState) view(url string) *agentView {
+// view returns a copy of the decoder state for a configured agent URL
+// (nil before the agent's first applied frame).
+func (s *streamState) view(url string) *hbDecoder {
 	slot, ok := s.slots[url]
 	if !ok {
 		return nil
@@ -87,19 +87,23 @@ func (s *streamState) view(url string) *agentView {
 	return s.viewAt(slot)
 }
 
-// viewAt returns the published view for a global slot (nil before the
-// agent's first applied frame).
-func (s *streamState) viewAt(slot int) *agentView {
+// viewAt returns a copy of the decoder state for a global slot, read
+// under its shard's lock (nil before the agent's first applied frame).
+func (s *streamState) viewAt(slot int) *hbDecoder {
 	sh, li := s.shardOf(slot)
-	pv := sh.snap.Load()
-	if pv == nil {
+	sh.mu.Lock()
+	d := sh.decs[li]
+	sh.mu.Unlock()
+	if d.seq == 0 {
 		return nil
 	}
-	return pv.views[li]
+	return &d
 }
 
 func TestStreamIngestAndView(t *testing.T) {
-	ctl, urls, _ := streamTestController(t, 3, 2, nil) // 2 shards: {0,1}, {2}
+	ctl, urls, tick := streamTestController(t, 3, 2, func(cfg *ControllerConfig) {
+		cfg.Client = &http.Client{Transport: &stallTransport{}} // acks the rounds' pushes
+	}) // 2 shards: {0,1}, {2}
 
 	encs := make([]*HeartbeatEncoder, len(urls))
 	for i, u := range urls {
@@ -128,8 +132,16 @@ func TestStreamIngestAndView(t *testing.T) {
 		}
 	}
 
-	// A delta moves only its masked fields and swaps a fresh snapshot.
-	before := ctl.stream.view(urls[1])
+	// A round folds every report into the controller's state.
+	tick()
+	ctl.Round(context.Background())
+	if got := ctl.Status().Agents[1].PowerW; got != st.PowerW {
+		t.Fatalf("folded power %v, want %v", got, st.PowerW)
+	}
+
+	// A delta moves only its masked fields, in the decoder only: the
+	// controller's state changes when the next round copies it out.
+	before := st.PowerW
 	st.Agent = "agent-1"
 	st.PowerW = 171.5
 	frame, err := encs[1].Encode(st, 2)
@@ -140,16 +152,18 @@ func TestStreamIngestAndView(t *testing.T) {
 		t.Fatalf("delta ack %+v", ack)
 	}
 	after := ctl.stream.view(urls[1])
-	if after == before {
-		t.Fatal("delta did not publish a new snapshot")
-	}
 	if after.stats.PowerW != 171.5 || after.seq != 2 || after.epoch != 2 {
 		t.Fatalf("delta view %+v", after)
 	}
-	if before.stats.PowerW == 171.5 {
-		t.Fatal("published view mutated in place; snapshots must be immutable")
+	if got := ctl.Status().Agents[1].PowerW; got != before {
+		t.Fatalf("ingest moved the folded report to %v before a round", got)
 	}
-	// The sibling pod's views are untouched pointers.
+	tick()
+	ctl.Round(context.Background())
+	if got := ctl.Status().Agents[1].PowerW; got != 171.5 {
+		t.Fatalf("round folded power %v, want 171.5", got)
+	}
+	// The sibling pod's decoder is untouched.
 	if v := ctl.stream.view(urls[2]); v.seq != 1 {
 		t.Fatalf("unrelated view advanced: %+v", v)
 	}
@@ -190,8 +204,8 @@ func TestStreamFullFrameFromUnknownURLRefused(t *testing.T) {
 	if ack := ctl.IngestHeartbeat(frame); !ack.Resync {
 		t.Fatalf("unconfigured URL ack %+v, want resync refusal", ack)
 	}
-	if v, ok := ctl.stream.names.Load("intruder"); ok {
-		t.Fatalf("intruder bound to slot %v", v)
+	if v, ok := ctl.stream.names["intruder"]; ok {
+		t.Fatalf("intruder bound to slot %v", v.slot)
 	}
 }
 
@@ -607,7 +621,7 @@ var ingestTestURLs = []string{"http://agent-a:7001", "http://agent-b:7001", "htt
 // checkIngestEntryPoints sends frames one at a time through
 // IngestHeartbeat on one controller and in a single IngestBatch call on
 // a twin, and requires the two to agree on every ack, on StreamStats and
-// on every published view. It returns the acks and the stats.
+// on every decoder's state. It returns the acks and the stats.
 func checkIngestEntryPoints(t *testing.T, frames [][]byte) ([]HeartbeatAck, StreamStats) {
 	t.Helper()
 	clock := time.Unix(1_700_000_000, 0)
@@ -637,7 +651,7 @@ func checkIngestEntryPoints(t *testing.T, frames [][]byte) ([]HeartbeatAck, Stre
 	}
 	for slot, url := range ingestTestURLs {
 		if a, b := one.stream.viewAt(slot), batch.stream.viewAt(slot); !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: views differ:\n IngestHeartbeat %+v\n IngestBatch     %+v", url, a, b)
+			t.Fatalf("%s: decoders differ:\n IngestHeartbeat %+v\n IngestBatch     %+v", url, a, b)
 		}
 	}
 	return acks, stats
