@@ -18,8 +18,9 @@
 // stream) instead of waiting to be polled; -advertise must match the URL
 // the controller lists this agent under.
 //
-// Endpoints: POST /v1/assign, GET /v1/stats, GET /v1/healthz,
-// GET /metrics, GET /v1/trace (cursor-paginated decision trace).
+// Endpoints: POST /v1/assign, POST /v1/cap (the controller's per-round
+// power budget push), GET /v1/stats, GET /v1/healthz, GET /metrics,
+// GET /v1/trace (cursor-paginated decision trace).
 // SIGINT/SIGTERM shut the agent down gracefully; with -trace-file the
 // retained decision trace is dumped as JSONL on shutdown. (-trace
 // selects the *load* trace; the decision-trace flags are -trace-file

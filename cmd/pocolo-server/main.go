@@ -108,10 +108,6 @@ func main() {
 		hc.BE = bes[0]
 		hc.ExtraBE = bes[1:]
 	}
-	host, err := sim.NewHost(hc)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	model, err := profiler.ProfileAndFit(profiler.Config{Spec: lc, Machine: cfg, Seed: *seed})
 	if err != nil {
@@ -134,21 +130,14 @@ func main() {
 	default:
 		log.Fatalf("unknown policy %q (want pom or baseline)", *policy)
 	}
-	mgr, err := servermgr.New(servermgr.Config{
-		Host: host, Model: model, Policy: mgmt, Seed: *seed, BEModels: beModels,
+	engine, err := sim.NewEngine(servermgr.CapPeriod)
+	if err != nil {
+		log.Fatal(err)
+	}
+	host, _, err := servermgr.Start(engine, hc, servermgr.Config{
+		Model: model, Policy: mgmt, Seed: *seed, BEModels: beModels,
 	})
 	if err != nil {
-		log.Fatal(err)
-	}
-
-	engine, err := sim.NewEngine(100 * time.Millisecond)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := engine.AddHost(host); err != nil {
-		log.Fatal(err)
-	}
-	if err := mgr.Attach(engine); err != nil {
 		log.Fatal(err)
 	}
 	// Run in chunks so an interrupt stops the simulation at the next

@@ -2,7 +2,6 @@ package budget_test
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -134,18 +133,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := newFlat(t, r, 300, tree.Config{Period: -time.Second}); err == nil {
 		t.Error("expected error for negative period")
 	}
-	if _, err := newFlat(t, r, 300, tree.Config{Smoothing: budget.Float(2)}); err == nil {
-		t.Error("expected error for bad smoothing")
-	}
-	if _, err := newFlat(t, r, 300, tree.Config{MarginW: budget.Float(-1)}); err == nil {
-		t.Error("expected error for negative margin")
-	}
-	if _, err := newFlat(t, r, 300, tree.Config{Smoothing: budget.Float(math.NaN())}); err == nil {
-		t.Error("expected error for NaN smoothing")
-	}
-	if _, err := newFlat(t, r, 300, tree.Config{MarginW: budget.Float(math.Inf(1))}); err == nil {
-		t.Error("expected error for infinite margin")
-	}
 	b, err := newFlat(t, r, 300, tree.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -162,47 +149,46 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestConfigSentinels(t *testing.T) {
-	// Regression for the zero-value footgun: an unset Smoothing/MarginW
-	// resolves to the documented defaults, while an explicit zero margin
-	// sticks instead of being silently promoted to the default. Two
-	// divisions over two hosts whose draws swap expose both settings.
+	// Every Divider smooths by DefaultSmoothing and adds DefaultMarginW.
+	// Two divisions over two hosts whose draws swap expose both constants.
 	first := []tree.Leaf{{DrawW: 100, IdleW: 10, ProvisionedW: 1000}, {DrawW: 300, IdleW: 10, ProvisionedW: 1000}}
 	second := []tree.Leaf{{DrawW: 300, IdleW: 10, ProvisionedW: 1000}, {DrawW: 100, IdleW: 10, ProvisionedW: 1000}}
-	divide := func(smoothing, marginW *float64) [2][]float64 {
-		t.Helper()
-		tr, err := tree.Flat(200, []string{"a", "b"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		div, err := tree.NewDivider(tr, budget.DemandProportional, smoothing, marginW, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out [2][]float64
-		for i, leaves := range [][]tree.Leaf{first, second} {
-			shares, short := div.Divide(time.Unix(0, 0), leaves)
-			if short != nil {
-				t.Fatal(short)
-			}
-			out[i] = shares
-		}
-		return out
+	tr, err := tree.Flat(200, []string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	unset := divide(nil, nil)
-	if want := divide(budget.Float(budget.DefaultSmoothing), budget.Float(budget.DefaultMarginW)); !reflect.DeepEqual(unset, want) {
-		t.Errorf("nil settings divided %v, want the defaults' %v", unset, want)
+	div, err := tree.NewDivider(tr, budget.DemandProportional, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Defaults: margin 5 on the first division, equal EWMAs on the second.
-	if got, want := unset[0][0], 200*105.0/410; got != want {
+	var shares [2][]float64
+	for i, leaves := range [][]tree.Leaf{first, second} {
+		got, short := div.Divide(time.Unix(0, 0), leaves)
+		if short != nil {
+			t.Fatal(short)
+		}
+		shares[i] = append([]float64(nil), got...)
+	}
+	// Margin 5 on the first division, equal EWMAs on the second.
+	if got, want := shares[0][0], 200*105.0/410; got != want {
 		t.Errorf("default margin: first share %v, want %v", got, want)
 	}
-	if unset[1][0] != 100 || unset[1][1] != 100 {
-		t.Errorf("default smoothing: second division %v, want 100/100", unset[1])
+	if shares[1][0] != 100 || shares[1][1] != 100 {
+		t.Errorf("default smoothing: second division %v, want 100/100", shares[1])
 	}
-	// Explicit smoothing 1 and zero margin: the latest draw alone.
-	exact := divide(budget.Float(1), budget.Float(0))
+	// An estimator with smoothing 1 and zero margin demands the latest
+	// draw alone, and an explicit zero margin stays zero.
+	est := budget.NewDemandEstimator(2, 1, 0)
+	caps := []float64{1000, 1000}
+	var exact [2][]float64
+	for i, leaves := range [][]tree.Leaf{first, second} {
+		for h, l := range leaves {
+			est.Observe(h, l.DrawW, l.IdleW)
+		}
+		exact[i] = budget.DivideProportional(200, []float64{est.Demand(0), est.Demand(1)}, caps)
+	}
 	if exact[0][0] != 50 || exact[0][1] != 150 || exact[1][0] != 150 || exact[1][1] != 50 {
-		t.Errorf("explicit smoothing 1 and zero margin divided %v, want [[50 150] [150 50]]", exact)
+		t.Errorf("smoothing 1 and zero margin divided %v, want [[50 150] [150 50]]", exact)
 	}
 }
 

@@ -1,54 +1,18 @@
 package budget
 
-import (
-	"errors"
-	"math"
-)
-
 // This file holds the pure division arithmetic of the budget tree
 // (budget/tree): its Divider divides every internal node's budget with
 // exactly these functions.
 
-// Demand-estimator defaults.
+// The demand estimator's settings, the same for every Divider.
 const (
-	// DefaultSmoothing is the EWMA coefficient applied to power readings
-	// when no smoothing is given.
+	// DefaultSmoothing is the EWMA coefficient applied to power readings.
 	DefaultSmoothing = 0.5
 	// DefaultMarginW is the demand headroom added to each server's
-	// smoothed draw when no margin is given.
+	// smoothed draw, letting throttled servers signal appetite beyond
+	// their capped draw.
 	DefaultMarginW = 5.0
 )
-
-// Float returns a pointer to v, for filling the optional smoothing and
-// margin settings inline.
-func Float(v float64) *float64 { return &v }
-
-// ResolveSmoothing applies the default to a nil Smoothing pointer and
-// validates the resolved coefficient.
-func ResolveSmoothing(p *float64) (float64, error) {
-	s := DefaultSmoothing
-	if p != nil {
-		s = *p
-	}
-	if math.IsNaN(s) || s <= 0 || s > 1 {
-		return 0, errors.New("budget: smoothing outside (0, 1]")
-	}
-	return s, nil
-}
-
-// ResolveMarginW applies the default to a nil MarginW pointer and
-// validates the resolved margin. An explicit zero margin is valid — that
-// is the point of the pointer sentinel.
-func ResolveMarginW(p *float64) (float64, error) {
-	m := DefaultMarginW
-	if p != nil {
-		m = *p
-	}
-	if math.IsNaN(m) || math.IsInf(m, 0) || m < 0 {
-		return 0, errors.New("budget: margin must be non-negative and finite")
-	}
-	return m, nil
-}
 
 // DivideProportional divides total in proportion to demand, clamping each
 // share to caps[i] and redistributing any clamped-off remainder across the
@@ -158,8 +122,8 @@ type DemandEstimator struct {
 	ewmaW     []float64
 }
 
-// NewDemandEstimator builds an estimator for n servers with the resolved
-// smoothing coefficient and margin.
+// NewDemandEstimator builds an estimator for n servers with the given
+// smoothing coefficient, in (0, 1], and margin.
 func NewDemandEstimator(n int, smoothing, marginW float64) *DemandEstimator {
 	return &DemandEstimator{smoothing: smoothing, marginW: marginW, ewmaW: make([]float64, n)}
 }

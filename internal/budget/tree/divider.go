@@ -63,28 +63,20 @@ type Divider struct {
 	rebalances, cuts, lastCutAtReb int
 }
 
-// NewDivider builds a division engine over t with the given policy.
-// smoothing and marginW tune the demand estimator (nil selects
-// budget.DefaultSmoothing and budget.DefaultMarginW; use budget.Float).
-// tr, when non-nil, receives the BudgetShift and BudgetCut events. The
-// Divider owns t from here on: budget mutations go through SetBudget.
-func NewDivider(t *Tree, p pbudget.Policy, smoothing, marginW *float64, tr *trace.Tracer) (*Divider, error) {
+// NewDivider builds a division engine over t with the given policy; its
+// demand estimator smooths by budget.DefaultSmoothing and adds
+// budget.DefaultMarginW. tr, when non-nil, receives the BudgetShift and
+// BudgetCut events. The Divider owns t from here on: budget mutations go
+// through SetBudget.
+func NewDivider(t *Tree, p pbudget.Policy, tr *trace.Tracer) (*Divider, error) {
 	if t == nil {
 		return nil, errors.New("tree: nil tree")
-	}
-	s, err := pbudget.ResolveSmoothing(smoothing)
-	if err != nil {
-		return nil, err
-	}
-	m, err := pbudget.ResolveMarginW(marginW)
-	if err != nil {
-		return nil, err
 	}
 	n := len(t.hosts)
 	return &Divider{
 		tree:      t,
 		policy:    p,
-		est:       pbudget.NewDemandEstimator(n, s, m),
+		est:       pbudget.NewDemandEstimator(n, pbudget.DefaultSmoothing, pbudget.DefaultMarginW),
 		tracer:    tr,
 		hosts:     t.Hosts(),
 		demand:    make([]float64, n),

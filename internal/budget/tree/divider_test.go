@@ -65,15 +65,12 @@ func TestDividerCutsAndGrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer := trace.New("divider", 0)
-	div, err := NewDivider(tr, pbudget.DemandProportional, nil, nil, tracer)
+	div, err := NewDivider(tr, pbudget.DemandProportional, tracer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDivider(nil, pbudget.EqualSplit, nil, nil, nil); err == nil {
+	if _, err := NewDivider(nil, pbudget.EqualSplit, nil); err == nil {
 		t.Error("nil tree accepted")
-	}
-	if _, err := NewDivider(tr, pbudget.EqualSplit, pbudget.Float(0), nil, nil); err == nil {
-		t.Error("zero smoothing accepted")
 	}
 	leaves := []Leaf{{DrawW: 90, IdleW: 50, ProvisionedW: 200}, {DrawW: 120, IdleW: 50, ProvisionedW: 200}}
 	now := time.Unix(0, 0)
@@ -144,7 +141,7 @@ func TestDividerShortOfFloors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	div, err := NewDivider(tr, pbudget.DemandProportional, nil, nil, nil)
+	div, err := NewDivider(tr, pbudget.DemandProportional, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,6 @@ type Config struct {
 	// Period is the reallocation interval (default 5 s; Dynamo-class
 	// controllers act on seconds-scale windows).
 	Period time.Duration
-	// Smoothing is the EWMA coefficient on power readings in (0, 1], and
-	// MarginW the demand headroom added to each server's smoothed draw,
-	// letting throttled servers signal appetite beyond their capped draw.
-	// nil selects the defaults; an explicit zero margin is valid. Use
-	// budget.Float to set them inline.
-	Smoothing *float64
-	MarginW   *float64
 	// Tracer, when non-nil, receives BudgetShift events for every host
 	// share change and BudgetCut events for every runtime mutation.
 	Tracer *trace.Tracer
@@ -96,7 +89,7 @@ func New(cfg Config) (*Reallocator, error) {
 	if period <= 0 {
 		return nil, errors.New("tree: period must be positive")
 	}
-	div, err := NewDivider(cfg.Tree, cfg.Policy, cfg.Smoothing, cfg.MarginW, cfg.Tracer)
+	div, err := NewDivider(cfg.Tree, cfg.Policy, cfg.Tracer)
 	if err != nil {
 		return nil, err
 	}

@@ -115,12 +115,6 @@ func TestNewReallocatorValidation(t *testing.T) {
 	if _, err := New(Config{Tree: tr, Hosts: r.hosts, Managers: r.managers, Period: -time.Second}); err == nil {
 		t.Error("expected error for negative period")
 	}
-	if _, err := New(Config{Tree: tr, Hosts: r.hosts, Managers: r.managers, Smoothing: pbudget.Float(-1)}); err == nil {
-		t.Error("expected error for bad smoothing")
-	}
-	if _, err := New(Config{Tree: tr, Hosts: r.hosts, Managers: r.managers, MarginW: pbudget.Float(-1)}); err == nil {
-		t.Error("expected error for bad margin")
-	}
 	re, err := New(Config{Tree: tr, Hosts: r.hosts, Managers: r.managers})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +348,7 @@ func benchRealloc(b *testing.B, n int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	div, err := NewDivider(tr, pbudget.DemandProportional, nil, nil, nil)
+	div, err := NewDivider(tr, pbudget.DemandProportional, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -33,9 +33,6 @@ type BudgetConfig struct {
 	Tree string
 	// Period is the rebalance interval (default 5 s).
 	Period time.Duration
-	// Smoothing and MarginW tune the demand estimator (nil = defaults).
-	Smoothing *float64
-	MarginW   *float64
 	// BrownoutNode/BrownoutFrac/BrownoutAt schedule a mid-run budget cut:
 	// at BrownoutAt into the run, BrownoutNode's budget drops by
 	// BrownoutFrac (0.3 = −30%). Tree mode only; BrownoutNode defaults to
@@ -129,62 +126,22 @@ type BudgetResult struct {
 // brownout splits the run at the cut point — the engine is resumable, so
 // the two chunks are bit-identical to one uninterrupted run plus the
 // mutation.
-func runBudgetedPlacement(cfg Config, placement map[string]string, mgmt servermgr.LCPolicy) (Result, error) {
+func runBudgetedPlacement(cfg Config, placement map[string]string, servers []server) (Result, error) {
 	bc := cfg.Budget
 	if err := bc.validate(); err != nil {
 		return Result{}, err
 	}
-	beBy := make(map[string]*workload.Spec)
-	for _, b := range cfg.BE {
-		lcName, ok := placement[b.Name]
-		if !ok {
-			return Result{}, fmt.Errorf("cluster: placement misses BE app %s", b.Name)
-		}
-		if _, dup := beBy[lcName]; dup {
-			return Result{}, fmt.Errorf("cluster: two BE apps placed on %s", lcName)
-		}
-		beBy[lcName] = b
-	}
-
 	duration := workload.UniformSweep(cfg.Dwell).Duration()
-	engine, err := sim.NewEngine(engineTick)
+	engine, err := sim.NewEngine(servermgr.CapPeriod)
 	if err != nil {
 		return Result{}, err
 	}
-	hosts := make([]*sim.Host, len(cfg.LC))
-	managers := make([]*servermgr.Manager, len(cfg.LC))
-	for i, lc := range cfg.LC {
-		host, err := sim.NewHost(sim.HostConfig{
-			Name:       lc.Name,
-			Machine:    cfg.Machine,
-			LC:         lc,
-			BE:         beBy[lc.Name],
-			Trace:      workload.UniformSweep(cfg.Dwell),
-			Seed:       cfg.Seed + int64(i)*977,
-			SeriesHint: seriesHint(duration),
-		})
-		if err != nil {
+	hosts := make([]*sim.Host, len(servers))
+	managers := make([]*servermgr.Manager, len(servers))
+	for j, s := range servers {
+		if hosts[j], managers[j], err = cfg.start(engine, s); err != nil {
 			return Result{}, err
 		}
-		if err := engine.AddHost(host); err != nil {
-			return Result{}, err
-		}
-		mgr, err := servermgr.New(servermgr.Config{
-			Host:        host,
-			Model:       cfg.Models[lc.Name],
-			Policy:      mgmt,
-			TargetSlack: cfg.TargetSlack,
-			Seed:        cfg.Seed + int64(i)*389,
-			Tracer:      cfg.Trace.Tracer(cfg.TraceLabel + lc.Name),
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		if err := mgr.Attach(engine); err != nil {
-			return Result{}, err
-		}
-		hosts[i] = host
-		managers[i] = mgr
 	}
 
 	// Install the budget authority: a flat budget is a one-level tree.
@@ -204,31 +161,22 @@ func runBudgetedPlacement(cfg Config, placement map[string]string, mgmt servermg
 		return Result{}, err
 	}
 	realloc, err := tree.New(tree.Config{
-		Tree:      tr,
-		Hosts:     hosts,
-		Managers:  managers,
-		Policy:    policy,
-		Period:    bc.Period,
-		Smoothing: bc.Smoothing,
-		MarginW:   bc.MarginW,
-		Tracer:    cfg.Trace.Tracer(cfg.TraceLabel + "budget"),
+		Tree:     tr,
+		Hosts:    hosts,
+		Managers: managers,
+		Policy:   policy,
+		Period:   bc.Period,
+		Tracer:   cfg.Trace.Tracer(cfg.TraceLabel + "budget"),
 	})
 	if err != nil {
 		return Result{}, err
 	}
-
-	var harness *invariant.Harness
-	if cfg.Invariants {
-		harness = invariant.NewHarness()
-		for i, host := range hosts {
-			if err := harness.Watch(host, managers[i]); err != nil {
-				return Result{}, err
-			}
-		}
+	harness, err := cfg.watch(engine, hosts, managers)
+	if err != nil {
+		return Result{}, err
+	}
+	if harness != nil {
 		if err := harness.Register(invariant.NewTreeConservation(realloc)); err != nil {
-			return Result{}, err
-		}
-		if err := harness.Bind(engine); err != nil {
 			return Result{}, err
 		}
 	}
@@ -277,32 +225,12 @@ func runBudgetedPlacement(cfg Config, placement map[string]string, mgmt servermg
 		}
 	}
 
-	res := Result{
-		Placement: placement,
-		Hosts:     make(map[string]sim.Metrics, len(cfg.LC)),
-		Budget:    &BudgetResult{Shares: make(map[string]float64, len(cfg.LC))},
+	metrics := make([]sim.Metrics, len(hosts))
+	for j, h := range hosts {
+		metrics[j] = h.Metrics()
 	}
-	var normSum float64
-	var normCount int
-	var utilSum float64
-	for i, lc := range cfg.LC {
-		m := hosts[i].Metrics()
-		res.Hosts[lc.Name] = m
-		res.TotalEnergyKWh += m.EnergyKWh
-		res.TotalBEOps += m.BEOps
-		utilSum += m.PowerUtil
-		if m.SLOViolFrac > res.SLOViolFrac {
-			res.SLOViolFrac = m.SLOViolFrac
-		}
-		if be := beBy[lc.Name]; be != nil {
-			normSum += m.BEMeanThr / be.PeakLoad
-			normCount++
-		}
-	}
-	res.MeanPowerUtil = utilSum / float64(len(cfg.LC))
-	if normCount > 0 {
-		res.BENormThroughput = normSum / float64(normCount)
-	}
+	res := summarize(placement, servers, metrics)
+	res.Budget = &BudgetResult{Shares: make(map[string]float64, len(hosts))}
 	shares := realloc.Shares()
 	for i, name := range tr.Hosts() {
 		res.Budget.Shares[name] = shares[i]

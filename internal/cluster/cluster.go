@@ -255,23 +255,15 @@ func RunPlacement(cfg Config, placement map[string]string, mgmt servermgr.LCPoli
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
 	}
+	servers, err := cfg.sweepServers(cfg.LC, cfg.BE, placement, mgmt)
+	if err != nil {
+		return Result{}, err
+	}
 	// Budgeted runs need all hosts in lockstep on one engine and never
 	// touch the memo — the budgeter's installed caps depend on the whole
 	// cluster's demand history, which a per-host cache key cannot capture.
 	if cfg.Budget != nil {
-		return runBudgetedPlacement(cfg, placement, mgmt)
-	}
-	// Invert the placement to find each server's co-runner.
-	beBy := make(map[string]*workload.Spec)
-	for _, b := range cfg.BE {
-		lcName, ok := placement[b.Name]
-		if !ok {
-			return Result{}, fmt.Errorf("cluster: placement misses BE app %s", b.Name)
-		}
-		if _, dup := beBy[lcName]; dup {
-			return Result{}, fmt.Errorf("cluster: two BE apps placed on %s", lcName)
-		}
-		beBy[lcName] = b
+		return runBudgetedPlacement(cfg, placement, servers)
 	}
 
 	// Traced runs bypass the memo in both directions: a cache hit would
@@ -285,118 +277,176 @@ func RunPlacement(cfg Config, placement map[string]string, mgmt servermgr.LCPoli
 			return res, nil
 		}
 	}
-
-	duration := workload.UniformSweep(cfg.Dwell).Duration()
-	perHost := make([]sim.Metrics, len(cfg.LC))
-	err := parallel.ForEach(len(cfg.LC), cfg.Parallel, func(i int) error {
-		lc := cfg.LC[i]
-		m, err := runManagedHost(cfg, lc, beBy[lc.Name], cfg.Seed+int64(i)*977, cfg.Seed+int64(i)*389, mgmt, duration)
-		if err != nil {
-			return err
-		}
-		perHost[i] = m
-		return nil
-	})
+	metrics, err := runManagedHosts(cfg, servers, workload.UniformSweep(cfg.Dwell).Duration())
 	if err != nil {
 		return Result{}, err
 	}
-
-	res := Result{
-		Placement: placement,
-		Hosts:     make(map[string]sim.Metrics, len(cfg.LC)),
-	}
-	var normSum float64
-	var normCount int
-	var utilSum float64
-	for i, lc := range cfg.LC {
-		m := perHost[i]
-		res.Hosts[lc.Name] = m
-		res.TotalEnergyKWh += m.EnergyKWh
-		res.TotalBEOps += m.BEOps
-		utilSum += m.PowerUtil
-		if m.SLOViolFrac > res.SLOViolFrac {
-			res.SLOViolFrac = m.SLOViolFrac
-		}
-		if be := beBy[lc.Name]; be != nil {
-			normSum += m.BEMeanThr / be.PeakLoad
-			normCount++
-		}
-	}
-	res.MeanPowerUtil = utilSum / float64(len(cfg.LC))
-	if normCount > 0 {
-		res.BENormThroughput = normSum / float64(normCount)
-	}
+	res := summarize(placement, servers, metrics)
 	if !traced {
 		memoPutPlacement(key, res)
 	}
 	return res, nil
 }
 
-// runManagedHost simulates one host with its server manager on a private
-// single-host engine for the given duration and returns its metrics.
-func runManagedHost(cfg Config, lc, be *workload.Spec, hostSeed, mgrSeed int64, mgmt servermgr.LCPolicy, duration time.Duration) (sim.Metrics, error) {
-	loadTrace := workload.UniformSweep(cfg.Dwell)
-	host, err := sim.NewHost(sim.HostConfig{
-		Name:       lc.Name,
-		Machine:    cfg.Machine,
-		LC:         lc,
-		BE:         be,
-		Trace:      loadTrace,
-		Seed:       hostSeed,
-		SeriesHint: seriesHint(duration),
-	})
-	if err != nil {
-		return sim.Metrics{}, err
-	}
-	engine, err := sim.NewEngine(engineTick)
-	if err != nil {
-		return sim.Metrics{}, err
-	}
-	if err := engine.AddHost(host); err != nil {
-		return sim.Metrics{}, err
-	}
-	mgr, err := servermgr.New(servermgr.Config{
-		Host:        host,
-		Model:       cfg.Models[lc.Name],
-		Policy:      mgmt,
-		TargetSlack: cfg.TargetSlack,
-		Seed:        mgrSeed,
-		Tracer:      cfg.Trace.Tracer(cfg.TraceLabel + lc.Name),
-	})
-	if err != nil {
-		return sim.Metrics{}, err
-	}
-	if err := mgr.Attach(engine); err != nil {
-		return sim.Metrics{}, err
-	}
-	var harness *invariant.Harness
-	if cfg.Invariants {
-		harness = invariant.NewHarness()
-		if err := harness.Watch(host, mgr); err != nil {
-			return sim.Metrics{}, err
-		}
-		if err := harness.Bind(engine); err != nil {
-			return sim.Metrics{}, err
-		}
-	}
-	if err := engine.Run(duration); err != nil {
-		return sim.Metrics{}, err
-	}
-	if harness != nil {
-		if err := harness.Err(); err != nil {
-			return sim.Metrics{}, fmt.Errorf("cluster: host %s: %w", lc.Name, err)
-		}
-	}
-	return host.Metrics(), nil
+// server is one managed server of a cluster run: its host, and its
+// manager's policy and seed. Config.start supplies the rest.
+type server struct {
+	host   sim.HostConfig
+	policy servermgr.LCPolicy
+	seed   int64
 }
 
-// engineTick is the simulation engine's step, the power capper's period.
-const engineTick = 100 * time.Millisecond
+// start brings s up on e through servermgr.Start, on the run's machine,
+// with the primary's fitted model, the run's slack guard, and the host's
+// own child tracer.
+func (cfg *Config) start(e *sim.Engine, s server) (*sim.Host, *servermgr.Manager, error) {
+	hc := s.host
+	hc.Machine = cfg.Machine
+	return servermgr.Start(e, hc, servermgr.Config{
+		Model:       cfg.Models[hc.LC.Name],
+		Policy:      s.policy,
+		TargetSlack: cfg.TargetSlack,
+		Seed:        s.seed,
+		Tracer:      cfg.Trace.Tracer(cfg.TraceLabel + hc.Name),
+	})
+}
+
+// sweepServers lays out a load-sweep run with one server per entry of lc,
+// named after it, and inverts placement (BE app name → server name) to
+// find each server's co-runner. Server j runs the uniform sweep with the
+// noise and manager seeds of index j. lc and be are cfg.LC and cfg.BE, or
+// RunReplicated's renamed instances of them; a server runs the base specs
+// (entry j of lc instances cfg.LC[j%len(cfg.LC)], and likewise for be). A
+// BE app the placement misses, a BE app placed on a name that is not a
+// server, and two BE apps on one server are errors.
+func (cfg *Config) sweepServers(lc, be []*workload.Spec, placement map[string]string, mgmt servermgr.LCPolicy) ([]server, error) {
+	index := make(map[string]int, len(lc))
+	for j, s := range lc {
+		index[s.Name] = j
+	}
+	coRunner := make([]*workload.Spec, len(lc))
+	for k, b := range be {
+		name, ok := placement[b.Name]
+		if !ok {
+			return nil, fmt.Errorf("cluster: placement misses BE app %s", b.Name)
+		}
+		j, ok := index[name]
+		if !ok {
+			return nil, fmt.Errorf("cluster: BE app %s placed on %s, which is not an LC server", b.Name, name)
+		}
+		if coRunner[j] != nil {
+			return nil, fmt.Errorf("cluster: two BE apps placed on %s", name)
+		}
+		coRunner[j] = cfg.BE[k%len(cfg.BE)]
+	}
+	hint := seriesHint(workload.UniformSweep(cfg.Dwell).Duration())
+	servers := make([]server, len(lc))
+	for j, s := range lc {
+		servers[j] = server{
+			host: sim.HostConfig{
+				Name:       s.Name,
+				LC:         cfg.LC[j%len(cfg.LC)],
+				BE:         coRunner[j],
+				Trace:      workload.UniformSweep(cfg.Dwell),
+				Seed:       cfg.Seed + int64(j)*977,
+				SeriesHint: hint,
+			},
+			policy: mgmt,
+			seed:   cfg.Seed + int64(j)*389,
+		}
+	}
+	return servers, nil
+}
+
+// runManagedHosts simulates each server under its manager on a private
+// single-host engine for duration, fanned through the worker pool, and
+// returns their metrics in server order. Servers share nothing, so each
+// result is bit-identical to stepping the server beside the others on one
+// engine.
+func runManagedHosts(cfg Config, servers []server, duration time.Duration) ([]sim.Metrics, error) {
+	metrics := make([]sim.Metrics, len(servers))
+	err := parallel.ForEach(len(servers), cfg.Parallel, func(j int) error {
+		engine, err := sim.NewEngine(servermgr.CapPeriod)
+		if err != nil {
+			return err
+		}
+		host, mgr, err := cfg.start(engine, servers[j])
+		if err != nil {
+			return err
+		}
+		harness, err := cfg.watch(engine, []*sim.Host{host}, []*servermgr.Manager{mgr})
+		if err != nil {
+			return err
+		}
+		if err := engine.Run(duration); err != nil {
+			return err
+		}
+		if harness != nil {
+			if err := harness.Err(); err != nil {
+				return fmt.Errorf("cluster: host %s: %w", host.Name(), err)
+			}
+		}
+		metrics[j] = host.Metrics()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return metrics, nil
+}
+
+// watch binds a fresh invariant harness to e over the hosts and their
+// managers when the run checks invariants. It returns nil when the run
+// does not.
+func (cfg *Config) watch(e *sim.Engine, hosts []*sim.Host, mgrs []*servermgr.Manager) (*invariant.Harness, error) {
+	if !cfg.Invariants {
+		return nil, nil
+	}
+	h := invariant.NewHarness()
+	for i, host := range hosts {
+		if err := h.Watch(host, mgrs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return h, h.Bind(e)
+}
+
+// summarize folds the servers' metrics, in server order, into a Result:
+// per-host metrics keyed by host name, the summed energy and BE work, the
+// mean power utilization, the worst SLO violation, and the mean normalized
+// BE throughput over the servers with a co-runner.
+func summarize(placement map[string]string, servers []server, metrics []sim.Metrics) Result {
+	res := Result{
+		Placement: placement,
+		Hosts:     make(map[string]sim.Metrics, len(servers)),
+	}
+	var normSum float64
+	var normCount int
+	var utilSum float64
+	for j, m := range metrics {
+		res.Hosts[servers[j].host.Name] = m
+		res.TotalEnergyKWh += m.EnergyKWh
+		res.TotalBEOps += m.BEOps
+		utilSum += m.PowerUtil
+		if m.SLOViolFrac > res.SLOViolFrac {
+			res.SLOViolFrac = m.SLOViolFrac
+		}
+		if be := servers[j].host.BE; be != nil {
+			normSum += m.BEMeanThr / be.PeakLoad
+			normCount++
+		}
+	}
+	res.MeanPowerUtil = utilSum / float64(len(metrics))
+	if normCount > 0 {
+		res.BENormThroughput = normSum / float64(normCount)
+	}
+	return res
+}
 
 // seriesHint sizes the per-host telemetry series for a run of the given
 // length so the hot path appends without reallocating.
 func seriesHint(duration time.Duration) int {
-	return int(duration/engineTick) + 2
+	return int(duration/servermgr.CapPeriod) + 2
 }
 
 // Run evaluates the cluster under one of the paper's three policies. For
@@ -561,72 +611,32 @@ func RunPair(cfg Config, lc, be *workload.Spec) (PairResult, error) {
 		}
 	}
 	loads := DefaultLoadRange()
-	pr := PairResult{LC: lc.Name, BE: be.Name, Loads: loads, TotalNorm: make([]float64, len(loads))}
-	err := parallel.ForEach(len(loads), cfg.Parallel, func(i int) error {
-		frac := loads[i]
+	servers := make([]server, len(loads))
+	for i, frac := range loads {
 		loadTrace, err := workload.NewConstantTrace(frac)
 		if err != nil {
-			return err
+			return PairResult{}, err
 		}
-		hostName := fmt.Sprintf("%s+%s@%.0f", lc.Name, be.Name, frac*100)
-		host, err := sim.NewHost(sim.HostConfig{
-			Name:       hostName,
-			Machine:    cfg.Machine,
-			LC:         lc,
-			BE:         be,
-			Trace:      loadTrace,
-			Seed:       cfg.Seed + int64(frac*1000),
-			SeriesHint: seriesHint(cfg.Dwell),
-		})
-		if err != nil {
-			return err
+		servers[i] = server{
+			host: sim.HostConfig{
+				Name:       fmt.Sprintf("%s+%s@%.0f", lc.Name, be.Name, frac*100),
+				LC:         lc,
+				BE:         be,
+				Trace:      loadTrace,
+				Seed:       cfg.Seed + int64(frac*1000),
+				SeriesHint: seriesHint(cfg.Dwell),
+			},
+			policy: servermgr.PowerOptimized,
 		}
-		engine, err := sim.NewEngine(engineTick)
-		if err != nil {
-			return err
-		}
-		if err := engine.AddHost(host); err != nil {
-			return err
-		}
-		mgr, err := servermgr.New(servermgr.Config{
-			Host:   host,
-			Model:  cfg.Models[lc.Name],
-			Policy: servermgr.PowerOptimized,
-			Tracer: cfg.Trace.Tracer(cfg.TraceLabel + hostName),
-		})
-		if err != nil {
-			return err
-		}
-		if err := mgr.Attach(engine); err != nil {
-			return err
-		}
-		var harness *invariant.Harness
-		if cfg.Invariants {
-			harness = invariant.NewHarness()
-			if err := harness.Watch(host, mgr); err != nil {
-				return err
-			}
-			if err := harness.Bind(engine); err != nil {
-				return err
-			}
-		}
-		if err := engine.Run(cfg.Dwell); err != nil {
-			return err
-		}
-		if harness != nil {
-			if err := harness.Err(); err != nil {
-				return fmt.Errorf("cluster: pair %s+%s: %w", lc.Name, be.Name, err)
-			}
-		}
-		m := host.Metrics()
-		pr.TotalNorm[i] = m.LCOps/(lc.PeakLoad*m.DurationSec) + m.BEMeanThr/be.PeakLoad
-		return nil
-	})
+	}
+	metrics, err := runManagedHosts(cfg, servers, cfg.Dwell)
 	if err != nil {
 		return PairResult{}, err
 	}
-	for _, norm := range pr.TotalNorm {
-		pr.Mean += norm
+	pr := PairResult{LC: lc.Name, BE: be.Name, Loads: loads, TotalNorm: make([]float64, len(loads))}
+	for i, m := range metrics {
+		pr.TotalNorm[i] = m.LCOps/(lc.PeakLoad*m.DurationSec) + m.BEMeanThr/be.PeakLoad
+		pr.Mean += pr.TotalNorm[i]
 	}
 	pr.Mean /= float64(len(loads))
 	if !traced {

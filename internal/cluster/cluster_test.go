@@ -175,6 +175,17 @@ func TestRunPlacementValidation(t *testing.T) {
 	if _, err := RunPlacement(bad, nil, servermgr.PowerOptimized); err == nil {
 		t.Error("expected error for more BE apps than servers")
 	}
+	// A BE app placed on a name that is not an LC server would otherwise
+	// drop out of the run unnoticed, budgeted or not.
+	stray := map[string]string{"lstm": "sphinx", "rnn": "nowhere", "graph": "xapian", "pbzip": "tpcc"}
+	if _, err := RunPlacement(cfg, stray, servermgr.PowerOptimized); err == nil || !strings.Contains(err.Error(), "nowhere") {
+		t.Errorf("placement on a non-server: err = %v", err)
+	}
+	budgeted := cfg
+	budgeted.Budget = &BudgetConfig{TotalW: 1000}
+	if _, err := RunPlacement(budgeted, stray, servermgr.PowerOptimized); err == nil || !strings.Contains(err.Error(), "nowhere") {
+		t.Errorf("budgeted placement on a non-server: err = %v", err)
+	}
 }
 
 func TestRunPlacementProducesHealthyCluster(t *testing.T) {

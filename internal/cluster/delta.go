@@ -37,8 +37,12 @@ type cellKey struct {
 // CellsComputed is the number of estimatePairThroughput evaluations,
 // CellsReused the number of cells filled from the memo or from a
 // duplicate cell in the same batch. Both are deterministic for a given
-// input regardless of the worker count: distinct cells are identified
-// before any parallel work starts.
+// input and memo content regardless of the worker count: distinct cells
+// are identified before any parallel work starts. The memo is
+// process-wide, so they also depend on what ran before in the process: a
+// repeated build finds its cells memoized and counts them reused. Call
+// ResetCellMemo first to count from an empty memo, as a fresh process
+// does.
 type DeltaStats struct {
 	CellsComputed int
 	CellsReused   int

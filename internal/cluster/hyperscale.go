@@ -317,7 +317,11 @@ type HyperscaleResult struct {
 // RunHyperscale builds the fleet, solves the initial placement, then
 // drives Rounds churn rounds of Advance → Refresh → Rebalance → Solve
 // through the sharded incremental path. Each round re-solves only the
-// rows and columns the churn actually dirtied.
+// rows and columns the churn actually dirtied. Two seeded runs return
+// equal results, delta counters included, only when each starts from an
+// empty delta-cell memo (ResetCellMemo): the counters count the
+// process-wide memo's misses and hits, so a second run in one process
+// reads 0 cells computed.
 func RunHyperscale(cfg HyperscaleConfig) (HyperscaleResult, error) {
 	if cfg.Rounds == 0 {
 		cfg.Rounds = 3

@@ -1,10 +1,10 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"pocolo/internal/servermgr"
-	"pocolo/internal/sim"
 	"pocolo/internal/utility"
 	"pocolo/internal/workload"
 )
@@ -22,14 +22,21 @@ import (
 // collapses all replicas onto one block of evaluations), and the
 // per-pod solves fan through the bounded worker pool.
 //
-// Host names take the form "<lc>#<i>"; the returned Result keys hosts by
-// those names and the placement by BE instance names "<be>#<i>".
+// Every host runs on its own engine through the worker pool, as in
+// RunPlacement, under the invariant harness and tracing when cfg asks for
+// them. Replicated runs implement no power budget, so a set cfg.Budget is
+// an error rather than silently ignored. Host names take the form
+// "<lc>#<i>"; the returned Result keys hosts by those names and the
+// placement by BE instance names "<be>#<i>".
 func RunReplicated(cfg Config, replicas int, mgmt servermgr.LCPolicy) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
 	}
 	if replicas < 1 {
 		return Result{}, fmt.Errorf("cluster: replicas must be at least 1, got %d", replicas)
+	}
+	if cfg.Budget != nil {
+		return Result{}, errors.New("cluster: replicated runs take no power budget")
 	}
 
 	nBE0, nLC0 := len(cfg.BE), len(cfg.LC)
@@ -62,103 +69,13 @@ func RunReplicated(cfg Config, replicas int, mgmt servermgr.LCPolicy) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	nLC := nLC0 * replicas
-
-	// Invert: each host gets at most one BE spec.
-	beByHost := make(map[string]*workload.Spec, len(be))
-	for beInst, lcInst := range placement {
-		// Strip the "#k" suffix to recover the spec name.
-		beName := beInst
-		for k := len(beInst) - 1; k >= 0; k-- {
-			if beInst[k] == '#' {
-				beName = beInst[:k]
-				break
-			}
-		}
-		spec, err := findSpec(cfg.BE, beName)
-		if err != nil {
-			return Result{}, err
-		}
-		if _, dup := beByHost[lcInst]; dup {
-			return Result{}, fmt.Errorf("cluster: two BE instances placed on %s", lcInst)
-		}
-		beByHost[lcInst] = spec
-	}
-
-	engine, err := sim.NewEngine(engineTick)
+	servers, err := cfg.sweepServers(lc, be, placement, mgmt)
 	if err != nil {
 		return Result{}, err
 	}
-	var hosts []*sim.Host
-	for j := 0; j < nLC; j++ {
-		lc := cfg.LC[j%len(cfg.LC)]
-		hostName := fmt.Sprintf("%s#%d", lc.Name, j/nLC0)
-		host, err := sim.NewHost(sim.HostConfig{
-			Name:    hostName,
-			Machine: cfg.Machine,
-			LC:      lc,
-			BE:      beByHost[hostName],
-			Trace:   workload.UniformSweep(cfg.Dwell),
-			Seed:    cfg.Seed + int64(j)*977,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		if err := engine.AddHost(host); err != nil {
-			return Result{}, err
-		}
-		mgr, err := servermgr.New(servermgr.Config{
-			Host:        host,
-			Model:       cfg.Models[lc.Name],
-			Policy:      mgmt,
-			TargetSlack: cfg.TargetSlack,
-			Seed:        cfg.Seed + int64(j)*389,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		if err := mgr.Attach(engine); err != nil {
-			return Result{}, err
-		}
-		hosts = append(hosts, host)
-	}
-	if err := engine.Run(workload.UniformSweep(cfg.Dwell).Duration()); err != nil {
+	metrics, err := runManagedHosts(cfg, servers, workload.UniformSweep(cfg.Dwell).Duration())
+	if err != nil {
 		return Result{}, err
 	}
-
-	res := Result{
-		Placement: placement,
-		Hosts:     make(map[string]sim.Metrics, len(hosts)),
-	}
-	var normSum float64
-	var normCount int
-	var utilSum float64
-	for _, h := range hosts {
-		m := h.Metrics()
-		res.Hosts[h.Name()] = m
-		res.TotalEnergyKWh += m.EnergyKWh
-		res.TotalBEOps += m.BEOps
-		utilSum += m.PowerUtil
-		if m.SLOViolFrac > res.SLOViolFrac {
-			res.SLOViolFrac = m.SLOViolFrac
-		}
-		if be := h.BE(); be != nil {
-			normSum += m.BEMeanThr / be.PeakLoad
-			normCount++
-		}
-	}
-	res.MeanPowerUtil = utilSum / float64(len(hosts))
-	if normCount > 0 {
-		res.BENormThroughput = normSum / float64(normCount)
-	}
-	return res, nil
-}
-
-func findSpec(specs []*workload.Spec, name string) (*workload.Spec, error) {
-	for _, s := range specs {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return nil, fmt.Errorf("cluster: unknown spec %q", name)
+	return summarize(placement, servers, metrics), nil
 }

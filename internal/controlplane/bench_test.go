@@ -423,29 +423,38 @@ func benchmarkStreamChurnRound(b *testing.B, n, replicas int) {
 
 func BenchmarkControllerRoundStreamChurn1k(b *testing.B) { benchmarkStreamChurnRound(b, 1000, 500) }
 
-// benchmarkIngestBatch measures one IngestBatch of n deltas, one per
-// agent, each of which applies, over warm shards: every agent is bound
-// by a full frame and the batch buffer is built. The deltas are encoded,
-// and the previous batch's acks fed back, with the timer stopped.
-func benchmarkIngestBatch(b *testing.B, n int) {
+// ingestRig is a warm stream controller over n agents and their
+// encoders: encode(iter) encodes one report per agent into frames, and
+// ack feeds a batch's acks back to the encoders, failing on any reject or
+// resync.
+type ingestRig struct {
+	ctl    *Controller
+	frames [][]byte
+	encode func(iter int)
+	ack    func(acks []HeartbeatAck)
+}
+
+// newIngestRig builds the rig and binds every agent with a full frame, so
+// the next encode yields deltas that all apply.
+func newIngestRig(b *testing.B, n int) *ingestRig {
 	urls, stats := benchFleet(b, n)
 	ctl, _ := benchController(b, urls, TransportStream, &http.Client{Transport: &benchTransport{}}, nil, "")
 	encs := make([]*HeartbeatEncoder, n)
 	for i := range encs {
 		encs[i] = NewHeartbeatEncoder(stats[i].Agent, urls[i])
 	}
-	frames := make([][]byte, n)
-	encode := func(iter int) {
+	r := &ingestRig{ctl: ctl, frames: make([][]byte, n)}
+	r.encode = func(iter int) {
 		for i := range stats {
 			stats[i].PowerW = 100 + float64((i+iter)%16)*0.5
 			frame, err := encs[i].Encode(stats[i], 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			frames[i] = frame
+			r.frames[i] = frame
 		}
 	}
-	ack := func(acks []HeartbeatAck) {
+	r.ack = func(acks []HeartbeatAck) {
 		for i, a := range acks {
 			if a.Reject || a.Resync {
 				b.Fatalf("frame %d ack %+v", i, a)
@@ -453,25 +462,80 @@ func benchmarkIngestBatch(b *testing.B, n int) {
 			encs[i].Ack(a)
 		}
 	}
-	encode(0) // full frames
-	ack(ctl.IngestBatch(frames))
-	encode(1) // the first deltas, which build the batch buffer
-	acks := ctl.IngestBatch(frames)
+	r.encode(0) // full frames
+	r.ack(ctl.IngestBatch(r.frames))
+	return r
+}
+
+// benchmarkIngestBatch measures one IngestBatch of n deltas, one per
+// agent, each of which applies, over warm shards: every agent is bound
+// by a full frame and the batch buffer is built. The deltas are encoded,
+// and the previous batch's acks fed back, with the timer stopped.
+func benchmarkIngestBatch(b *testing.B, n int) {
+	r := newIngestRig(b, n)
+	r.encode(1) // the first deltas, which build the batch buffer
+	acks := r.ctl.IngestBatch(r.frames)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for iter := 2; iter < b.N+2; iter++ {
 		b.StopTimer()
-		ack(acks)
-		encode(iter)
+		r.ack(acks)
+		r.encode(iter)
 		b.StartTimer()
-		acks = ctl.IngestBatch(frames)
+		acks = r.ctl.IngestBatch(r.frames)
 	}
 	b.StopTimer()
-	ack(acks)
+	r.ack(acks)
 }
 
 func BenchmarkIngestBatch1k(b *testing.B) { benchmarkIngestBatch(b, 1000) }
 func BenchmarkIngestBatch4k(b *testing.B) { benchmarkIngestBatch(b, 4000) }
+
+// BenchmarkIngestPhases splits BenchmarkIngestBatch{1k,4k} into
+// IngestBatch's three phases over the same frames: decode (the worker
+// pool over runs of frames), route (serial), and apply (the worker pool
+// over shards, one lock each). Every iteration runs all three on a fresh
+// batch of deltas and times only the named one, so the phases of one
+// size add up to its IngestBatch apart from taking and returning the
+// batch buffer.
+func BenchmarkIngestPhases(b *testing.B) {
+	for _, n := range []int{1000, 4000} {
+		for _, phase := range []string{"decode", "route", "apply"} {
+			b.Run(fmt.Sprintf("%dk/%s", n/1000, phase), func(b *testing.B) {
+				benchmarkIngestPhase(b, n, phase)
+			})
+		}
+	}
+}
+
+func benchmarkIngestPhase(b *testing.B, n int, phase string) {
+	r := newIngestRig(b, n)
+	r.encode(1)
+	r.ack(r.ctl.IngestBatch(r.frames)) // builds the batch buffer
+	s := r.ctl.stream
+	buf := s.takeBuf(n)
+	defer s.putBuf(buf, n)
+	acks := make([]HeartbeatAck, n)
+	timed := func(name string, f func()) {
+		if name == phase {
+			b.StartTimer()
+			defer b.StopTimer()
+		}
+		f()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	for iter := 2; iter < b.N+2; iter++ {
+		r.encode(iter)
+		clear(acks)
+		timed("decode", func() { r.ctl.decodeBatch(buf, r.frames, acks) })
+		timed("route", func() { s.routeBatch(buf, n, acks) })
+		now := r.ctl.now()
+		timed("apply", func() { s.applyBatch(buf, now, acks) })
+		r.ack(acks)
+	}
+}
 
 // BenchmarkControllerRoundStreamOverflow1k is the churn round with one
 // replica per agent, so any silent agent leaves the apps outnumbering

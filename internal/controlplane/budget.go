@@ -49,7 +49,7 @@ func newBudgetState(spec string, tr *trace.Tracer) (*budgetState, error) {
 	if err != nil {
 		return nil, err
 	}
-	div, err := tree.NewDivider(t, budget.DemandProportional, nil, nil, tr)
+	div, err := tree.NewDivider(t, budget.DemandProportional, tr)
 	if err != nil {
 		return nil, err
 	}

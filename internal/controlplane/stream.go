@@ -430,10 +430,21 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 	n := len(frames)
 	buf := s.takeBuf(n)
 	defer s.putBuf(buf, n)
+	c.decodeBatch(buf, frames, acks)
+	s.routeBatch(buf, n, acks)
+	s.applyBatch(buf, c.now(), acks)
+	return acks
+}
+
+// decodeBatch decodes frames into buf through the worker pool. Full
+// frames carry JSON snapshots, the one genuinely expensive decode. Each
+// task decodes a contiguous run of frames, so workers write disjoint
+// stretches of the buffers. A frame that fails to decode gets a reject
+// ack and slot -1.
+func (c *Controller) decodeBatch(buf *ingestBuf, frames [][]byte, acks []HeartbeatAck) {
+	s := c.stream
+	n := len(frames)
 	hbs, names, slots := buf.hbs[:n], buf.names[:n], buf.slots[:n]
-	// Decode fans out: full frames carry JSON snapshots, the one
-	// genuinely expensive decode. Each task decodes a contiguous run of
-	// frames, so workers write disjoint stretches of the buffers.
 	_ = parallel.ForEach((n+decodeRun-1)/decodeRun, 0, func(k int) error {
 		var t frameTally
 		for i := k * decodeRun; i < min(n, (k+1)*decodeRun); i++ {
@@ -447,7 +458,14 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 		s.count(&t)
 		return nil
 	})
-	// Route serially: binding order must be deterministic.
+}
+
+// routeBatch routes the first n decoded frames of buf to their slots and
+// lists each shard's frames in buf.byShard. It runs serially: binding
+// order must be deterministic. A frame it cannot place gets its resync
+// ack.
+func (s *streamState) routeBatch(buf *ingestBuf, n int, acks []HeartbeatAck) {
+	hbs, names, slots := buf.hbs[:n], buf.names[:n], buf.slots[:n]
 	byShard := buf.byShard
 	for p := range byShard {
 		byShard[p] = byShard[p][:0]
@@ -464,9 +482,13 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 		slots[i] = slot
 		byShard[slot/s.podSize] = append(byShard[slot/s.podSize], i)
 	}
-	now := c.now()
-	// Shard application fans out: shards share nothing, and each touched
-	// pod pays exactly one lock round-trip.
+}
+
+// applyBatch folds the routed frames of buf, stamped heard at now. Shard
+// application fans out: shards share nothing, and each touched pod pays
+// exactly one lock round-trip.
+func (s *streamState) applyBatch(buf *ingestBuf, now time.Time, acks []HeartbeatAck) {
+	byShard := buf.byShard
 	_ = parallel.ForEach(len(byShard), 0, func(p int) error {
 		if len(byShard[p]) == 0 {
 			return nil
@@ -474,12 +496,11 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 		sh := s.shards[p]
 		sh.mu.Lock()
 		for _, i := range byShard[p] {
-			acks[i] = s.applyLocked(sh, slots[i]%s.podSize, &hbs[i], now)
+			acks[i] = s.applyLocked(sh, buf.slots[i]%s.podSize, &buf.hbs[i], now)
 		}
 		sh.mu.Unlock()
 		return nil
 	})
-	return acks
 }
 
 // HeartbeatHandler serves POST /v1/heartbeat: one binary frame in, one

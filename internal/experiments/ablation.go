@@ -186,30 +186,18 @@ func (s *Suite) AblationKnobOrder() (AblationKnobOrderResult, error) {
 		if err != nil {
 			return err
 		}
-		host, err := sim.NewHost(sim.HostConfig{
-			Name: "knob", Machine: s.Machine, LC: lc, BE: be, Trace: trace, Seed: s.Seed,
-		})
-		if err != nil {
-			return err
-		}
 		model, err := s.model("xapian")
 		if err != nil {
 			return err
 		}
-		mgr, err := servermgr.New(servermgr.Config{
-			Host: host, Model: model, Policy: servermgr.PowerOptimized, DutyFirst: dutyFirst,
-		})
+		engine, err := sim.NewEngine(servermgr.CapPeriod)
 		if err != nil {
 			return err
 		}
-		engine, err := sim.NewEngine(100 * time.Millisecond)
+		host, _, err := servermgr.Start(engine, sim.HostConfig{
+			Name: "knob", Machine: s.Machine, LC: lc, BE: be, Trace: trace, Seed: s.Seed,
+		}, servermgr.Config{Model: model, Policy: servermgr.PowerOptimized, DutyFirst: dutyFirst})
 		if err != nil {
-			return err
-		}
-		if err := engine.AddHost(host); err != nil {
-			return err
-		}
-		if err := mgr.Attach(engine); err != nil {
 			return err
 		}
 		if err := engine.Run(60 * time.Second); err != nil {
@@ -453,28 +441,18 @@ func (s *Suite) AblationSharing() (AblationSharingResult, error) {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		host, err := sim.NewHost(sim.HostConfig{
-			Name: "sharing", Machine: s.Machine, LC: lc, BE: graph, ExtraBE: extra, Trace: trace, Seed: s.Seed,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		cfg := servermgr.Config{Host: host, Model: lcModel, Policy: servermgr.PowerOptimized}
+		cfg := servermgr.Config{Model: lcModel, Policy: servermgr.PowerOptimized}
 		if beModels {
 			cfg.BEModels = s.Models
 		}
-		mgr, err := servermgr.New(cfg)
+		engine, err := sim.NewEngine(servermgr.CapPeriod)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		engine, err := sim.NewEngine(100 * time.Millisecond)
+		host, mgr, err := servermgr.Start(engine, sim.HostConfig{
+			Name: "sharing", Machine: s.Machine, LC: lc, BE: graph, ExtraBE: extra, Trace: trace, Seed: s.Seed,
+		}, cfg)
 		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := engine.AddHost(host); err != nil {
-			return nil, nil, nil, err
-		}
-		if err := mgr.Attach(engine); err != nil {
 			return nil, nil, nil, err
 		}
 		return host, mgr, engine, nil

@@ -39,7 +39,7 @@ func (s *Suite) AblationBudget() (AblationBudgetResult, error) {
 
 	var res AblationBudgetResult
 	for _, policy := range []budget.Policy{budget.EqualSplit, budget.DemandProportional} {
-		engine, err := sim.NewEngine(100 * time.Millisecond)
+		engine, err := sim.NewEngine(servermgr.CapPeriod)
 		if err != nil {
 			return res, err
 		}
@@ -60,24 +60,14 @@ func (s *Suite) AblationBudget() (AblationBudgetResult, error) {
 					}
 				}
 			}
-			host, err := sim.NewHost(sim.HostConfig{
-				Name: lc.Name, Machine: s.Machine, LC: lc, BE: be, Trace: trace, Seed: s.Seed,
-			})
-			if err != nil {
-				return res, err
-			}
-			if err := engine.AddHost(host); err != nil {
-				return res, err
-			}
 			model, err := s.model(lc.Name)
 			if err != nil {
 				return res, err
 			}
-			mgr, err := servermgr.New(servermgr.Config{Host: host, Model: model, Policy: servermgr.PowerOptimized})
+			host, mgr, err := servermgr.Start(engine, sim.HostConfig{
+				Name: lc.Name, Machine: s.Machine, LC: lc, BE: be, Trace: trace, Seed: s.Seed,
+			}, servermgr.Config{Model: model, Policy: servermgr.PowerOptimized})
 			if err != nil {
-				return res, err
-			}
-			if err := mgr.Attach(engine); err != nil {
 				return res, err
 			}
 			hosts = append(hosts, host)

@@ -29,7 +29,15 @@ func (s *Suite) runManagedHost(lcName, beName string, trace workload.Trace, capW
 			return nil, sim.Metrics{}, err
 		}
 	}
-	host, err := sim.NewHost(sim.HostConfig{
+	model, err := s.model(lcName)
+	if err != nil {
+		return nil, sim.Metrics{}, err
+	}
+	engine, err := sim.NewEngine(servermgr.CapPeriod)
+	if err != nil {
+		return nil, sim.Metrics{}, err
+	}
+	host, _, err := servermgr.Start(engine, sim.HostConfig{
 		Name:    fmt.Sprintf("%s+%s", lcName, beName),
 		Machine: s.Machine,
 		LC:      lc,
@@ -37,26 +45,8 @@ func (s *Suite) runManagedHost(lcName, beName string, trace workload.Trace, capW
 		Trace:   trace,
 		CapW:    capW,
 		Seed:    seed,
-	})
+	}, servermgr.Config{Model: model, Policy: policy, Seed: seed})
 	if err != nil {
-		return nil, sim.Metrics{}, err
-	}
-	model, err := s.model(lcName)
-	if err != nil {
-		return nil, sim.Metrics{}, err
-	}
-	engine, err := sim.NewEngine(100 * time.Millisecond)
-	if err != nil {
-		return nil, sim.Metrics{}, err
-	}
-	if err := engine.AddHost(host); err != nil {
-		return nil, sim.Metrics{}, err
-	}
-	mgr, err := servermgr.New(servermgr.Config{Host: host, Model: model, Policy: policy, Seed: seed})
-	if err != nil {
-		return nil, sim.Metrics{}, err
-	}
-	if err := mgr.Attach(engine); err != nil {
 		return nil, sim.Metrics{}, err
 	}
 	if err := engine.Run(dur); err != nil {
@@ -138,7 +128,7 @@ func (s *Suite) TableII() (TableIIResult, error) {
 		if err != nil {
 			return res, err
 		}
-		engine, err := sim.NewEngine(100 * time.Millisecond)
+		engine, err := sim.NewEngine(servermgr.CapPeriod)
 		if err != nil {
 			return res, err
 		}

@@ -51,13 +51,6 @@ func (s *Suite) AblationOnline() (AblationOnlineResult, error) {
 	}
 
 	run := func(name string, borrowed, adapt bool) (OnlineRow, error) {
-		host, err := sim.NewHost(sim.HostConfig{
-			Name: name, Machine: s.Machine, LC: lc,
-			Trace: workload.UniformSweep(5 * time.Second), Seed: s.Seed,
-		})
-		if err != nil {
-			return OnlineRow{}, err
-		}
 		model := rightModel
 		if borrowed {
 			clone := *wrongBase
@@ -66,18 +59,15 @@ func (s *Suite) AblationOnline() (AblationOnlineResult, error) {
 			clone.App = "xapian"
 			model = &clone
 		}
-		mgr, err := servermgr.New(servermgr.Config{Host: host, Model: model, Policy: servermgr.PowerOptimized})
+		engine, err := sim.NewEngine(servermgr.CapPeriod)
 		if err != nil {
 			return OnlineRow{}, err
 		}
-		engine, err := sim.NewEngine(100 * time.Millisecond)
+		host, mgr, err := servermgr.Start(engine, sim.HostConfig{
+			Name: name, Machine: s.Machine, LC: lc,
+			Trace: workload.UniformSweep(5 * time.Second), Seed: s.Seed,
+		}, servermgr.Config{Model: model, Policy: servermgr.PowerOptimized})
 		if err != nil {
-			return OnlineRow{}, err
-		}
-		if err := engine.AddHost(host); err != nil {
-			return OnlineRow{}, err
-		}
-		if err := mgr.Attach(engine); err != nil {
 			return OnlineRow{}, err
 		}
 		var adapter *online.Adapter

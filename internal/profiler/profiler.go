@@ -39,13 +39,16 @@ type Config struct {
 	// Slack is the minimum relative p99 slack an LC sample must have to be
 	// kept (default 0.10). Ignored for BE apps.
 	Slack float64
-	// PerfNoise and PowerNoise are relative measurement noise levels
-	// (defaults 4% and 2%).
-	PerfNoise  float64
-	PowerNoise float64
 	// Seed makes the sweep reproducible.
 	Seed int64
 }
+
+// The sweep's relative measurement noise: application counters and the
+// per-application power meter.
+const (
+	perfNoise  = 0.04
+	powerNoise = 0.02
+)
 
 // Profile is the result of a sweep.
 type Profile struct {
@@ -83,14 +86,6 @@ func Run(cfg Config) (*Profile, error) {
 	}
 	if slack < 0 || slack >= 0.7 {
 		return nil, fmt.Errorf("profiler: slack %v outside [0, 0.7)", slack)
-	}
-	perfNoise := cfg.PerfNoise
-	if perfNoise == 0 {
-		perfNoise = 0.04
-	}
-	powerNoise := cfg.PowerNoise
-	if powerNoise == 0 {
-		powerNoise = 0.02
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -180,14 +180,16 @@ type Manager struct {
 
 const maxBoost = 4
 
-// The manager's fixed loop parameters: the paper's 1 s allocation loop
-// and 100 ms capper (Section IV-C), and this implementation's model
-// headroom and capper hysteresis.
+// CapPeriod is the power capper's period, the paper's 100 ms (Section
+// IV-C). It is also the tick every simulation engine steps at, so the
+// capper acts on every step.
+const CapPeriod = 100 * time.Millisecond
+
+// The manager's other fixed loop parameters: the paper's 1 s allocation
+// loop, and this implementation's model headroom and capper hysteresis.
 const (
 	// controlPeriod is the LC allocation loop period.
 	controlPeriod = time.Second
-	// capPeriod is the power-capper period.
-	capPeriod = 100 * time.Millisecond
 	// loadHeadroom inflates the model's load target to absorb model error.
 	loadHeadroom float64 = 1.05
 	// capGuard is the relative hysteresis band under the cap within which
@@ -283,7 +285,36 @@ func (m *Manager) Attach(e *sim.Engine) error {
 	if err := e.Every(controlPeriod, m.ControlTick); err != nil {
 		return err
 	}
-	return e.Every(capPeriod, m.CapTick)
+	return e.Every(CapPeriod, m.CapTick)
+}
+
+// Start brings up one managed server on e: it builds the host hc
+// describes, builds a manager from cfg over that host, registers the host
+// on e and attaches the manager there, so a manager always runs on the
+// engine that steps its own host. cfg.Host must be nil; Start fills it.
+func Start(e *sim.Engine, hc sim.HostConfig, cfg Config) (*sim.Host, *Manager, error) {
+	if e == nil {
+		return nil, nil, errors.New("servermgr: nil engine")
+	}
+	if cfg.Host != nil {
+		return nil, nil, errors.New("servermgr: Start builds the host; cfg.Host must be nil")
+	}
+	host, err := sim.NewHost(hc)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Host = host
+	mgr, err := New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := e.AddHost(host); err != nil {
+		return nil, nil, err
+	}
+	if err := mgr.Attach(e); err != nil {
+		return nil, nil, err
+	}
+	return host, mgr, nil
 }
 
 // feasibleAlloc picks the LC allocation for the load target according to
@@ -807,7 +838,7 @@ func (m *Manager) Policy() LCPolicy { return m.policy }
 func (m *Manager) ControlPeriod() time.Duration { return controlPeriod }
 
 // CapPeriod returns the power-capper period.
-func (m *Manager) CapPeriod() time.Duration { return capPeriod }
+func (m *Manager) CapPeriod() time.Duration { return CapPeriod }
 
 // TargetSlack returns the relative p99 slack guard the manager defends.
 func (m *Manager) TargetSlack() float64 { return m.targetSlack }

@@ -47,32 +47,83 @@ func newBench(t *testing.T, lcName, beName string, trace workload.Trace, policy 
 			t.Fatal(err)
 		}
 	}
-	host, err := sim.NewHost(sim.HostConfig{
+	eng, err := sim.NewEngine(CapPeriod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, mgr, err := Start(eng, sim.HostConfig{
 		Name:    "bench",
 		Machine: machine.XeonE52650(),
 		LC:      lc,
 		BE:      be,
 		Trace:   trace,
 		Seed:    21,
-	})
+	}, Config{Model: fitted(t, lcName), Policy: policy})
 	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := New(Config{Host: host, Model: fitted(t, lcName), Policy: policy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := sim.NewEngine(100 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.AddHost(host); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Attach(eng); err != nil {
 		t.Fatal(err)
 	}
 	return &bench{host: host, mgr: mgr, eng: eng}
+}
+
+// TestStart checks the one bring-up routine: it refuses a nil engine, a
+// preset host, and a bad host or manager setting without registering
+// anything, and otherwise registers the host on the engine with the
+// manager's two loops attached there.
+func TestStart(t *testing.T) {
+	lc, err := workload.MustDefaults().ByName("xapian")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := fitted(t, "xapian")
+	hc := sim.HostConfig{Name: "s", Machine: machine.XeonE52650(), LC: lc, Trace: constTrace(t, 0.5), Seed: 3}
+	eng, err := sim.NewEngine(CapPeriod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preset, err := sim.NewHost(hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noName := hc
+	noName.Name = ""
+	for _, c := range []struct {
+		name string
+		e    *sim.Engine
+		hc   sim.HostConfig
+		cfg  Config
+	}{
+		{"nil engine", nil, hc, Config{Model: model}},
+		{"preset host", eng, hc, Config{Host: preset, Model: model}},
+		{"bad host", eng, noName, Config{Model: model}},
+		{"nil model", eng, hc, Config{}},
+		{"bad slack", eng, hc, Config{Model: model, TargetSlack: 0.9}},
+	} {
+		if _, _, err := Start(c.e, c.hc, c.cfg); err == nil {
+			t.Errorf("%s: expected error", c.name)
+		}
+	}
+	if n := len(eng.Hosts()); n != 0 {
+		t.Fatalf("failed bring-ups registered %d hosts", n)
+	}
+	host, mgr, err := Start(eng, hc, Config{Model: model, Policy: PowerOptimized})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hosts := eng.Hosts(); len(hosts) != 1 || hosts[0] != host {
+		t.Fatalf("engine hosts %v, want the started host", hosts)
+	}
+	if control, _, _ := mgr.Counters(); control != 1 {
+		t.Errorf("%d control ticks at attach, want the initial one", control)
+	}
+	if err := eng.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if control, _, _ := mgr.Counters(); control != 3 {
+		t.Errorf("%d control ticks after 2 s, want 3", control)
+	}
+	if _, _, err := Start(eng, hc, Config{Model: model}); err == nil {
+		t.Error("expected error for a second host of the same name")
+	}
 }
 
 func constTrace(t *testing.T, level float64) workload.Trace {

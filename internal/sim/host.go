@@ -45,11 +45,6 @@ type HostConfig struct {
 	// MeterPeriod is the power-meter sampling period (default 100 ms, the
 	// paper's setting).
 	MeterPeriod time.Duration
-	// MeterNoise is the relative power measurement noise (default 1%).
-	MeterNoise float64
-	// LatencyNoise is the relative tail-latency observation noise
-	// (default 3%): real p99 measurements over one-second windows jitter.
-	LatencyNoise float64
 	// Seed makes the host's noise streams reproducible.
 	Seed int64
 	// SeriesCap bounds each telemetry series to the most recent SeriesCap
@@ -64,6 +59,15 @@ type HostConfig struct {
 	SeriesHint int
 }
 
+// The host's observation noise, relative to the true value.
+const (
+	// meterNoise is the power meter's measurement noise.
+	meterNoise = 0.01
+	// latencyNoise is the tail-latency observation noise: real p99
+	// measurements over one-second windows jitter.
+	latencyNoise = 0.03
+)
+
 // Host is one simulated server in the cluster.
 type Host struct {
 	name   string
@@ -77,7 +81,6 @@ type Host struct {
 	meter    *power.Meter
 	energy   power.EnergyCounter
 	capTrack *power.CapTracker
-	latNoise float64
 	rng      *rand.Rand
 
 	// Live state updated each tick.
@@ -164,14 +167,6 @@ func NewHost(hc HostConfig) (*Host, error) {
 	if meterPeriod == 0 {
 		meterPeriod = 100 * time.Millisecond
 	}
-	meterNoise := hc.MeterNoise
-	if meterNoise == 0 {
-		meterNoise = 0.01
-	}
-	latNoise := hc.LatencyNoise
-	if latNoise == 0 {
-		latNoise = 0.03
-	}
 	newSeries := func(suffix string) *telemetry.Series {
 		s := telemetry.NewBoundedSeries(hc.Name+suffix, hc.SeriesCap)
 		if hc.SeriesHint > 0 {
@@ -188,7 +183,6 @@ func NewHost(hc HostConfig) (*Host, error) {
 		trace:       hc.Trace,
 		capW:        capW,
 		capTrack:    capTrack,
-		latNoise:    latNoise,
 		rng:         rand.New(rand.NewSource(hc.Seed)),
 		powerSeries: newSeries("/power"),
 		p95Series:   newSeries("/p95"),
@@ -382,7 +376,7 @@ func (h *Host) observe(truth, slo float64) float64 {
 	if isInf(truth) {
 		return slo * 10
 	}
-	v := truth * (1 + h.rng.NormFloat64()*h.latNoise)
+	v := truth * (1 + h.rng.NormFloat64()*latencyNoise)
 	if v < 0 {
 		return 0
 	}

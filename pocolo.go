@@ -32,7 +32,9 @@ package pocolo
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"pocolo/internal/budget"
@@ -318,7 +320,8 @@ type System struct {
 	// Budget, when non-nil, puts every cluster run under a power budget —
 	// flat (TotalW + Policy) or hierarchical (a budget-tree spec whose
 	// leaves name the LC servers). Budgeted runs step all hosts on one
-	// shared engine and bypass the sweep memo.
+	// shared engine and bypass the sweep memo. RunReplicated implements no
+	// budget and fails when one is set.
 	Budget *BudgetConfig
 }
 
@@ -424,8 +427,9 @@ func (s *System) RunHyperscale(cfg HyperscaleConfig) (HyperscaleResult, error) {
 
 // RunReplicated evaluates a datacenter-scale variant: each LC cluster runs
 // `replicas` servers and each BE application submits `replicas` instances;
-// the placement is solved exactly with the Hungarian method and the whole
-// fleet is simulated. Host names take the form "<lc>#<i>".
+// the placement is solved exactly, one pod per replica cluster, and the
+// whole fleet is simulated. Host names take the form "<lc>#<i>". A set
+// Budget is an error.
 func (s *System) RunReplicated(replicas int, mgmt LCPolicy) (Result, error) {
 	return cluster.RunReplicated(s.clusterConfig(), replicas, mgmt)
 }
@@ -465,29 +469,19 @@ func (s *System) SimulateServer(lcName, beName string, trace Trace, mgmt LCPolic
 	if err != nil {
 		return nil, HostMetrics{}, err
 	}
-	host, err := sim.NewHost(sim.HostConfig{
+	engine, err := sim.NewEngine(servermgr.CapPeriod)
+	if err != nil {
+		return nil, HostMetrics{}, err
+	}
+	host, _, err := servermgr.Start(engine, sim.HostConfig{
 		Name:    lcName,
 		Machine: s.Machine,
 		LC:      lc,
 		BE:      be,
 		Trace:   trace,
 		Seed:    s.Seed,
-	})
+	}, servermgr.Config{Model: model, Policy: mgmt, Seed: s.Seed})
 	if err != nil {
-		return nil, HostMetrics{}, err
-	}
-	engine, err := sim.NewEngine(100 * time.Millisecond)
-	if err != nil {
-		return nil, HostMetrics{}, err
-	}
-	if err := engine.AddHost(host); err != nil {
-		return nil, HostMetrics{}, err
-	}
-	mgr, err := servermgr.New(servermgr.Config{Host: host, Model: model, Policy: mgmt, Seed: s.Seed})
-	if err != nil {
-		return nil, HostMetrics{}, err
-	}
-	if err := mgr.Attach(engine); err != nil {
 		return nil, HostMetrics{}, err
 	}
 	if err := engine.Run(dur); err != nil {
@@ -537,7 +531,11 @@ func (s *System) RunBatch(lcName string, trace Trace, policy BatchPolicy, quantu
 	if len(bes) == 0 {
 		return BatchResult{}, errors.New("pocolo: batch needs at least one job")
 	}
-	host, err := sim.NewHost(sim.HostConfig{
+	engine, err := sim.NewEngine(servermgr.CapPeriod)
+	if err != nil {
+		return BatchResult{}, err
+	}
+	host, mgr, err := servermgr.Start(engine, sim.HostConfig{
 		Name:    lcName,
 		Machine: s.Machine,
 		LC:      lc,
@@ -545,24 +543,8 @@ func (s *System) RunBatch(lcName string, trace Trace, policy BatchPolicy, quantu
 		ExtraBE: bes[1:],
 		Trace:   trace,
 		Seed:    s.Seed,
-	})
+	}, servermgr.Config{Model: model, Policy: servermgr.PowerOptimized, Seed: s.Seed})
 	if err != nil {
-		return BatchResult{}, err
-	}
-	engine, err := sim.NewEngine(100 * time.Millisecond)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	if err := engine.AddHost(host); err != nil {
-		return BatchResult{}, err
-	}
-	mgr, err := servermgr.New(servermgr.Config{
-		Host: host, Model: model, Policy: servermgr.PowerOptimized, Seed: s.Seed,
-	})
-	if err != nil {
-		return BatchResult{}, err
-	}
-	if err := mgr.Attach(engine); err != nil {
 		return BatchResult{}, err
 	}
 	sched, err := timeshare.New(timeshare.Config{
@@ -624,24 +606,14 @@ func (s *System) SimulateAdaptiveServer(lcName, borrowedFrom string, trace Trace
 	clone.Alpha = append([]float64(nil), borrowed.Alpha...)
 	clone.P = append([]float64(nil), borrowed.P...)
 	clone.App = lcName
-	host, err := sim.NewHost(sim.HostConfig{
+	engine, err := sim.NewEngine(servermgr.CapPeriod)
+	if err != nil {
+		return AdaptiveResult{}, err
+	}
+	host, mgr, err := servermgr.Start(engine, sim.HostConfig{
 		Name: lcName, Machine: s.Machine, LC: lc, Trace: trace, Seed: s.Seed,
-	})
+	}, servermgr.Config{Model: &clone, Policy: servermgr.PowerOptimized, Seed: s.Seed})
 	if err != nil {
-		return AdaptiveResult{}, err
-	}
-	engine, err := sim.NewEngine(100 * time.Millisecond)
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
-	if err := engine.AddHost(host); err != nil {
-		return AdaptiveResult{}, err
-	}
-	mgr, err := servermgr.New(servermgr.Config{Host: host, Model: &clone, Policy: servermgr.PowerOptimized, Seed: s.Seed})
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
-	if err := mgr.Attach(engine); err != nil {
 		return AdaptiveResult{}, err
 	}
 	adapter, err := online.NewAdapter(online.AdapterConfig{Host: host, Manager: mgr})
@@ -697,7 +669,33 @@ func (s *System) SimulateBudgetedCluster(loads map[string]float64, placement map
 			return BudgetedResult{}, err
 		}
 	}
-	engine, err := sim.NewEngine(100 * time.Millisecond)
+	lcs := s.Catalog.LC()
+	// Invert the placement; every LC server starts with no co-runner.
+	beOn := make(map[string]*Spec, len(lcs))
+	for _, lc := range lcs {
+		beOn[lc.Name] = nil
+	}
+	beNames := make([]string, 0, len(placement))
+	for beName := range placement {
+		beNames = append(beNames, beName)
+	}
+	sort.Strings(beNames)
+	for _, beName := range beNames {
+		lcName := placement[beName]
+		prev, ok := beOn[lcName]
+		if !ok {
+			return BudgetedResult{}, fmt.Errorf("pocolo: BE app %s placed on %s, which is not an LC server", beName, lcName)
+		}
+		if prev != nil {
+			return BudgetedResult{}, fmt.Errorf("pocolo: two BE apps placed on %s", lcName)
+		}
+		be, err := s.Catalog.ByName(beName)
+		if err != nil {
+			return BudgetedResult{}, err
+		}
+		beOn[lcName] = be
+	}
+	engine, err := sim.NewEngine(servermgr.CapPeriod)
 	if err != nil {
 		return BudgetedResult{}, err
 	}
@@ -705,7 +703,7 @@ func (s *System) SimulateBudgetedCluster(loads map[string]float64, placement map
 	var managers []*servermgr.Manager
 	var names []string
 	var totalProvisioned float64
-	for i, lc := range s.Catalog.LC() {
+	for i, lc := range lcs {
 		frac, ok := loads[lc.Name]
 		if !ok {
 			return BudgetedResult{}, errors.New("pocolo: no load given for " + lc.Name)
@@ -714,33 +712,15 @@ func (s *System) SimulateBudgetedCluster(loads map[string]float64, placement map
 		if err != nil {
 			return BudgetedResult{}, err
 		}
-		var be *Spec
-		for beName, lcName := range placement {
-			if lcName == lc.Name {
-				if be, err = s.Catalog.ByName(beName); err != nil {
-					return BudgetedResult{}, err
-				}
-			}
-		}
-		host, err := sim.NewHost(sim.HostConfig{
-			Name: lc.Name, Machine: s.Machine, LC: lc, BE: be,
-			Trace: trace, Seed: s.Seed + int64(i)*577,
-		})
-		if err != nil {
-			return BudgetedResult{}, err
-		}
-		if err := engine.AddHost(host); err != nil {
-			return BudgetedResult{}, err
-		}
 		model, err := s.Model(lc.Name)
 		if err != nil {
 			return BudgetedResult{}, err
 		}
-		mgr, err := servermgr.New(servermgr.Config{Host: host, Model: model, Policy: servermgr.PowerOptimized})
+		host, mgr, err := servermgr.Start(engine, sim.HostConfig{
+			Name: lc.Name, Machine: s.Machine, LC: lc, BE: beOn[lc.Name],
+			Trace: trace, Seed: s.Seed + int64(i)*577,
+		}, servermgr.Config{Model: model, Policy: servermgr.PowerOptimized})
 		if err != nil {
-			return BudgetedResult{}, err
-		}
-		if err := mgr.Attach(engine); err != nil {
 			return BudgetedResult{}, err
 		}
 		hosts = append(hosts, host)

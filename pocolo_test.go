@@ -297,6 +297,34 @@ func TestPublicSimulateBudgetedCluster(t *testing.T) {
 	}
 }
 
+// TestPublicSimulateBudgetedClusterPlacement checks the placement
+// inversion: two BE apps on one server and a BE app placed on a name that
+// is not an LC server are errors, whichever the map yields first, and a
+// partial placement runs each placed app on its server alone.
+func TestPublicSimulateBudgetedClusterPlacement(t *testing.T) {
+	sys := newTestSystem(t)
+	loads := map[string]float64{"img-dnn": 0.8, "sphinx": 0.1, "xapian": 0.6, "tpcc": 0.3}
+	for name, placement := range map[string]map[string]string{
+		"two on one server": {"graph": "sphinx", "lstm": "sphinx"},
+		"not an LC server":  {"graph": "sphinx", "lstm": "nowhere"},
+	} {
+		for i := 0; i < 8; i++ {
+			if _, err := sys.SimulateBudgetedCluster(loads, placement, 0.85, EqualSplit, time.Second); err == nil {
+				t.Fatalf("%s: placement %v accepted", name, placement)
+			}
+		}
+	}
+	res, err := sys.SimulateBudgetedCluster(loads, map[string]string{"graph": "sphinx"}, 0.85, EqualSplit, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range res.Hosts {
+		if ran := m.BEOpsBy["graph"] > 0; ran != (name == "sphinx") || len(m.BEOpsBy) > 1 {
+			t.Errorf("%s: co-runner work %v, want graph on sphinx only", name, m.BEOpsBy)
+		}
+	}
+}
+
 func TestPublicModelPersistence(t *testing.T) {
 	sys := newTestSystem(t)
 	var buf bytes.Buffer
