@@ -20,9 +20,11 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -39,17 +41,27 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pocolo-server: ")
-	lcName := flag.String("lc", "xapian", "latency-critical primary (img-dnn, sphinx, xapian, tpcc)")
-	beNames := flag.String("be", "graph", "comma-separated best-effort co-runners (empty for none)")
-	policy := flag.String("policy", "pom", "server management: pom (power-optimized) or baseline (power-unaware)")
-	traceKind := flag.String("trace", "diurnal", "load trace: constant, diurnal, two-peak, sweep, step, flash, or csv:FILE")
-	level := flag.Float64("level", 0.5, "load level for the constant trace")
-	noise := flag.Float64("noise", 0, "relative load jitter added on top of the trace (e.g. 0.05)")
-	duration := flag.Duration("duration", 4*time.Minute, "simulated run length")
-	csvOut := flag.String("csv", "", "write the telemetry timeline to this CSV file")
-	catalogPath := flag.String("catalog", "", "load a custom application catalog from this JSON file")
-	seed := flag.Int64("seed", 42, "random seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command behind a testable seam: flags in, report out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("pocolo-server", flag.ContinueOnError)
+	lcName := fs.String("lc", "xapian", "latency-critical primary (img-dnn, sphinx, xapian, tpcc)")
+	beNames := fs.String("be", "graph", "comma-separated best-effort co-runners (empty for none)")
+	policy := fs.String("policy", "pom", "server management: pom (power-optimized) or baseline (power-unaware)")
+	traceKind := fs.String("trace", "diurnal", "load trace: constant, diurnal, two-peak, sweep, step, flash, or csv:FILE")
+	level := fs.Float64("level", 0.5, "load level for the constant trace")
+	noise := fs.Float64("noise", 0, "relative load jitter added on top of the trace (e.g. 0.05)")
+	duration := fs.Duration("duration", 4*time.Minute, "simulated run length")
+	csvOut := fs.String("csv", "", "write the telemetry timeline to this CSV file")
+	catalogPath := fs.String("catalog", "", "load a custom application catalog from this JSON file")
+	seed := fs.Int64("seed", 42, "random seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := machine.XeonE52650()
 	var cat *workload.Catalog
@@ -57,7 +69,7 @@ func main() {
 	if *catalogPath != "" {
 		f, ferr := os.Open(*catalogPath)
 		if ferr != nil {
-			log.Fatal(ferr)
+			return ferr
 		}
 		cat, err = workload.LoadCatalog(f, cfg)
 		f.Close()
@@ -65,14 +77,14 @@ func main() {
 		cat, err = workload.Defaults(cfg)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lc, err := cat.ByName(*lcName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if lc.Class != workload.LatencyCritical {
-		log.Fatalf("%s is not a latency-critical application", *lcName)
+		return fmt.Errorf("%s is not a latency-critical application", *lcName)
 	}
 
 	var bes []*workload.Spec
@@ -80,7 +92,7 @@ func main() {
 		for _, name := range strings.Split(*beNames, ",") {
 			be, err := cat.ByName(strings.TrimSpace(name))
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			bes = append(bes, be)
 		}
@@ -88,12 +100,12 @@ func main() {
 
 	trace, err := buildTrace(*traceKind, *level, *duration)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *noise > 0 {
 		trace, err = workload.NewNoisyTrace(trace, *noise, time.Second, *seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -111,13 +123,13 @@ func main() {
 
 	model, err := profiler.ProfileAndFit(profiler.Config{Spec: lc, Machine: cfg, Seed: *seed})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	beModels := make(map[string]*utility.Model)
 	for i, be := range bes {
 		m, err := profiler.ProfileAndFit(profiler.Config{Spec: be, Machine: cfg, Seed: *seed + int64(i)*101})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		beModels[be.Name] = m
 	}
@@ -128,60 +140,69 @@ func main() {
 	case "baseline":
 		mgmt = servermgr.PowerUnaware
 	default:
-		log.Fatalf("unknown policy %q (want pom or baseline)", *policy)
+		return fmt.Errorf("unknown policy %q (want pom or baseline)", *policy)
 	}
 	engine, err := sim.NewEngine(servermgr.CapPeriod)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	host, _, err := servermgr.Start(engine, hc, servermgr.Config{
 		Model: model, Policy: mgmt, Seed: *seed, BEModels: beModels,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Run in chunks so an interrupt stops the simulation at the next
 	// boundary instead of killing the process: metrics and the -csv
 	// timeline still cover the portion that ran.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ran := runInterruptible(ctx, engine, *duration)
+	ran, err := runInterruptible(ctx, engine, *duration)
+	if err != nil {
+		return err
+	}
 	if ran < *duration {
 		log.Printf("interrupted after %v of %v simulated", ran, *duration)
 	}
 
 	m := host.Metrics()
-	fmt.Printf("server %s under %v for %v (%s management)\n", *lcName, trace, ran, mgmt)
-	fmt.Printf("  provisioned capacity:  %.0f W\n", m.ProvisionedCapW)
-	fmt.Printf("  mean / peak power:     %.1f / %.1f W (%.1f%% of cap)\n", m.MeanPowerW, m.PeakPowerW, m.PowerUtil*100)
-	fmt.Printf("  time over cap:         %.2f%% (%d excursions)\n", m.CapOverFrac*100, m.CapEvents)
-	fmt.Printf("  energy:                %.4f kWh\n", m.EnergyKWh)
-	fmt.Printf("  LC requests served:    %.0f (SLO violations %.2f%% of time, mean slack %.2f)\n", m.LCOps, m.SLOViolFrac*100, m.MeanSlack)
+	fmt.Fprintf(out, "server %s under %v for %v (%s management)\n", *lcName, trace, ran, mgmt)
+	fmt.Fprintf(out, "  provisioned capacity:  %.0f W\n", m.ProvisionedCapW)
+	fmt.Fprintf(out, "  mean / peak power:     %.1f / %.1f W (%.1f%% of cap)\n", m.MeanPowerW, m.PeakPowerW, m.PowerUtil*100)
+	fmt.Fprintf(out, "  time over cap:         %.2f%% (%d excursions)\n", m.CapOverFrac*100, m.CapEvents)
+	fmt.Fprintf(out, "  energy:                %.4f kWh\n", m.EnergyKWh)
+	fmt.Fprintf(out, "  LC requests served:    %.0f (SLO violations %.2f%% of time, mean slack %.2f)\n", m.LCOps, m.SLOViolFrac*100, m.MeanSlack)
 	if len(bes) > 0 {
-		fmt.Printf("  BE work completed:     %.0f ops (mean %.1f ops/s)\n", m.BEOps, m.BEMeanThr)
-		for name, ops := range m.BEOpsBy {
-			fmt.Printf("    %-8s %.0f ops\n", name, ops)
+		fmt.Fprintf(out, "  BE work completed:     %.0f ops (mean %.1f ops/s)\n", m.BEOps, m.BEMeanThr)
+		names := make([]string, 0, len(m.BEOpsBy))
+		for name := range m.BEOpsBy {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(out, "    %-8s %.0f ops\n", name, m.BEOpsBy[name])
 		}
 	}
 
 	if *csvOut != "" {
 		if err := writeTimeline(*csvOut, host); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("timeline written to %s\n", *csvOut)
+		fmt.Fprintf(out, "timeline written to %s\n", *csvOut)
 	}
+	return nil
 }
 
 // runInterruptible advances the engine in one-second slices until the
 // full duration has run or ctx is cancelled, returning the simulated
 // time actually covered.
-func runInterruptible(ctx context.Context, engine *sim.Engine, duration time.Duration) time.Duration {
+func runInterruptible(ctx context.Context, engine *sim.Engine, duration time.Duration) (time.Duration, error) {
 	const chunk = time.Second
 	var ran time.Duration
 	for ran < duration {
 		select {
 		case <-ctx.Done():
-			return ran
+			return ran, nil
 		default:
 		}
 		step := chunk
@@ -189,11 +210,11 @@ func runInterruptible(ctx context.Context, engine *sim.Engine, duration time.Dur
 			step = rest
 		}
 		if err := engine.Run(step); err != nil {
-			log.Fatal(err)
+			return ran, err
 		}
 		ran += step
 	}
-	return ran
+	return ran, nil
 }
 
 // buildTrace constructs the requested load trace.

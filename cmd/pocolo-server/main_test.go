@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -90,5 +92,31 @@ func TestWriteTimeline(t *testing.T) {
 	// Unwritable path errors.
 	if err := writeTimeline("/does/not/exist/x.csv", host); err == nil {
 		t.Error("expected error for unwritable path")
+	}
+}
+
+// TestSeededRunRepeats runs one seeded configuration with three
+// co-runners twice: the two reports must be byte-identical, with the
+// per-co-runner BE work lines in name order.
+func TestSeededRunRepeats(t *testing.T) {
+	args := []string{"-seed", "5", "-duration", "10s", "-be", "graph,lstm,rnn"}
+	var first, second bytes.Buffer
+	if err := run(args, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args, &second); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Fatalf("one seed, two reports:\n%s\n---\n%s", &first, &second)
+	}
+	var names []string
+	for _, line := range strings.Split(first.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[2] == "ops" {
+			names = append(names, f[0])
+		}
+	}
+	if want := []string{"graph", "lstm", "rnn"}; !slices.Equal(names, want) {
+		t.Fatalf("BE work lines for %v, want %v in name order:\n%s", names, want, &first)
 	}
 }

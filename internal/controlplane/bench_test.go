@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,10 +99,36 @@ func benchController(b *testing.B, urls []string, transport string, client *http
 	}
 }
 
+// delayTransport holds every RPC for rtt before benchTransport answers
+// it, standing in for a network round trip. The runtime's timers round
+// a short sleep up when no goroutine is runnable, so the benchmark
+// reports the mean hold it actually served as rtt_us.
+type delayTransport struct {
+	*benchTransport
+	rtt          time.Duration
+	held, served atomic.Int64 // total hold (ns) and RPCs held
+}
+
+func (dt *delayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	start := time.Now()
+	t := time.NewTimer(dt.rtt)
+	select {
+	case <-t.C:
+	case <-req.Context().Done():
+		t.Stop()
+		return nil, req.Context().Err()
+	}
+	dt.held.Add(int64(time.Since(start)))
+	dt.served.Add(1)
+	return dt.benchTransport.RoundTrip(req)
+}
+
 // benchmarkPollRound measures one polling round at steady state: every
 // agent answers GET /v1/stats with a full JSON snapshot, the controller
 // decodes all n of them, and liveness bookkeeping runs over the results.
-func benchmarkPollRound(b *testing.B, n int, reg *obs.Registry) {
+// A positive rtt holds every RPC that long (delayTransport), so the
+// round also shows how far its fan-out overlaps network waits.
+func benchmarkPollRound(b *testing.B, n int, reg *obs.Registry, rtt time.Duration) {
 	urls, stats := benchFleet(b, n)
 	bt := &benchTransport{stats: make(map[string][]byte, n)}
 	for i, st := range stats {
@@ -111,14 +138,24 @@ func benchmarkPollRound(b *testing.B, n int, reg *obs.Registry) {
 		}
 		bt.stats[urls[i]] = blob
 	}
-	ctl, tick := benchController(b, urls, TransportPoll, &http.Client{Transport: bt}, reg, "")
+	var rt http.RoundTripper = bt
+	dt := &delayTransport{benchTransport: bt, rtt: rtt}
+	if rtt > 0 {
+		rt = dt
+	}
+	ctl, tick := benchController(b, urls, TransportPoll, &http.Client{Transport: rt}, reg, "")
 	ctx := context.Background()
 	ctl.Round(ctx) // discovery + solve + initial pushes, outside the timer
+	dt.held.Store(0)
+	dt.served.Store(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick()
 		ctl.Round(ctx)
+	}
+	if n := dt.served.Load(); n > 0 {
+		b.ReportMetric(float64(dt.held.Load())/float64(n)/1e3, "rtt_us")
 	}
 }
 
@@ -172,9 +209,9 @@ func benchmarkStreamRound(b *testing.B, n int, reg *obs.Registry) {
 	}
 }
 
-func BenchmarkControllerRoundPoll100(b *testing.B)   { benchmarkPollRound(b, 100, nil) }
-func BenchmarkControllerRoundPoll1k(b *testing.B)    { benchmarkPollRound(b, 1000, nil) }
-func BenchmarkControllerRoundPoll10k(b *testing.B)   { benchmarkPollRound(b, 10000, nil) }
+func BenchmarkControllerRoundPoll100(b *testing.B)   { benchmarkPollRound(b, 100, nil, 0) }
+func BenchmarkControllerRoundPoll1k(b *testing.B)    { benchmarkPollRound(b, 1000, nil, 0) }
+func BenchmarkControllerRoundPoll10k(b *testing.B)   { benchmarkPollRound(b, 10000, nil, 0) }
 func BenchmarkControllerRoundStream100(b *testing.B) { benchmarkStreamRound(b, 100, nil) }
 func BenchmarkControllerRoundStream1k(b *testing.B)  { benchmarkStreamRound(b, 1000, nil) }
 func BenchmarkControllerRoundStream10k(b *testing.B) { benchmarkStreamRound(b, 10000, nil) }
@@ -183,7 +220,16 @@ func BenchmarkControllerRoundStream10k(b *testing.B) { benchmarkStreamRound(b, 1
 // registry live — the delta against the plain variants is the total
 // observability tax on the hot path (CI holds it under 5%).
 func BenchmarkControllerRoundPoll1kObs(b *testing.B) {
-	benchmarkPollRound(b, 1000, obs.NewRegistry())
+	benchmarkPollRound(b, 1000, obs.NewRegistry(), 0)
+}
+
+// BenchmarkControllerRoundPollRTT1k is the 1k poll round with every RPC
+// held for a network round trip: the in-memory rows show the round's
+// CPU, these show how much of each RTT the probe fan-out serializes.
+func BenchmarkControllerRoundPollRTT1k(b *testing.B) {
+	for _, rtt := range []time.Duration{200 * time.Microsecond, time.Millisecond} {
+		b.Run(rtt.String(), func(b *testing.B) { benchmarkPollRound(b, 1000, nil, rtt) })
+	}
 }
 func BenchmarkControllerRoundStream1kObs(b *testing.B) {
 	benchmarkStreamRound(b, 1000, obs.NewRegistry())

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -95,8 +97,12 @@ type ControllerConfig struct {
 	Seed int64
 	// Logf, when set, receives controller event logs.
 	Logf func(format string, args ...any)
-	// Client overrides the HTTP client (tests); Timeout still applies
-	// per request via context.
+	// Client supplies the RoundTripper every agent RPC goes through
+	// (tests, the fleet benchmark); only its Transport is used, and a nil
+	// Transport means http.DefaultTransport. The controller bounds each
+	// RPC with Timeout itself and never follows a redirect, so
+	// NewController rejects a Client whose Timeout, Jar or CheckRedirect
+	// is set rather than silently ignore it.
 	Client *http.Client
 	// Now overrides the clock used for liveness bookkeeping — dead-agent
 	// probe backoff and periodic re-solve scheduling (default time.Now).
@@ -134,6 +140,10 @@ type agentState struct {
 	url  string
 	name string // reported identity; URL until first contact
 	lc   string
+	// statsURL, capURL and assignURL are url+route for the agent's three
+	// round RPCs, parsed once by NewController. Like url they never
+	// change, so the unlocked RPC phases read them.
+	statsURL, capURL, assignURL *url.URL
 
 	// Liveness and the last report: observeLocked is their only writer,
 	// except that an acknowledged push sets last.AssignedBE or last.CapW.
@@ -199,14 +209,14 @@ type Status struct {
 // and keeps the cluster's best-effort placement solved against the live
 // membership.
 type Controller struct {
-	cfg    ControllerConfig
-	client *http.Client
-	rng    *rand.Rand
-	logf   func(string, ...any)
-	now    func() time.Time
-	tracer *trace.Tracer
-	stream *streamState // nil under the polling transport
-	obs    *ctlObs      // nil without a metrics registry
+	cfg       ControllerConfig
+	transport http.RoundTripper // every agent RPC's; see ControllerConfig.Client
+	rng       *rand.Rand
+	logf      func(string, ...any)
+	now       func() time.Time
+	tracer    *trace.Tracer
+	stream    *streamState // nil under the polling transport
+	obs       *ctlObs      // nil without a metrics registry
 	// roundDeadline is the resolved RoundDeadline (never zero when obs or
 	// the recorder is wired).
 	roundDeadline time.Duration
@@ -231,6 +241,10 @@ type Controller struct {
 	// A round takes it under mu and returns it once the pushes are
 	// recorded; a concurrent round finds none and allocates its own.
 	pushes []pendingPush
+	// probes is the poll round's probe results, kept the same way: a
+	// round takes it with the due set and returns it, cleared, after the
+	// fold.
+	probes []probeResult
 }
 
 // NewController validates the configuration and builds a controller.
@@ -247,6 +261,15 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 			return nil, fmt.Errorf("controlplane: duplicate agent URL %s", u)
 		}
 		seen[u] = true
+	}
+	transport := http.DefaultTransport
+	if cl := cfg.Client; cl != nil {
+		if cl.Timeout != 0 || cl.Jar != nil || cl.CheckRedirect != nil {
+			return nil, errors.New("controlplane: the controller uses only its Client's Transport; Timeout, Jar and CheckRedirect must be unset")
+		}
+		if cl.Transport != nil {
+			transport = cl.Transport
+		}
 	}
 	if cfg.Heartbeat == 0 {
 		cfg.Heartbeat = time.Second
@@ -294,26 +317,29 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	now := cfg.Now
 	if now == nil {
 		now = time.Now
 	}
 	c := &Controller{
-		cfg:     cfg,
-		client:  client,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		logf:    logf,
-		now:     now,
-		tracer:  cfg.Trace,
-		cursors: make(map[string]uint64, len(cfg.AgentURLs)),
+		cfg:       cfg,
+		transport: transport,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		logf:      logf,
+		now:       now,
+		tracer:    cfg.Trace,
+		cursors:   make(map[string]uint64, len(cfg.AgentURLs)),
 	}
 	c.byURL = make(map[string]*agentState, len(cfg.AgentURLs))
 	for _, u := range cfg.AgentURLs {
 		a := &agentState{url: u, name: u}
+		var errStats, errCap, errAssign error
+		a.statsURL, errStats = parseAgentURL(u, RouteStats)
+		a.capURL, errCap = parseAgentURL(u, RouteCap)
+		a.assignURL, errAssign = parseAgentURL(u, RouteAssign)
+		if err := cmp.Or(errStats, errCap, errAssign); err != nil {
+			return nil, err
+		}
 		c.agents = append(c.agents, a)
 		c.byURL[u] = a
 	}
@@ -335,6 +361,23 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	nPods := (len(cfg.AgentURLs) + cfg.PodSize - 1) / cfg.PodSize
 	c.obs = newCtlObs(cfg.Obs, cfg.Transport == TransportPoll, nPods, c.roundDeadline, staleLimit)
 	return c, nil
+}
+
+// parseAgentURL parses one agent route, base+route, as every RPC to it
+// sends it. The URL must name a scheme and a host, and it may not carry
+// user info: the controller's requests send no credentials.
+func parseAgentURL(base, route string) (*url.URL, error) {
+	u, err := url.Parse(base + route)
+	if err != nil {
+		return nil, fmt.Errorf("controlplane: agent URL %q: %w", base, err)
+	}
+	if u.Scheme == "" || u.Host == "" {
+		return nil, fmt.Errorf("controlplane: agent URL %q has no scheme or host", base)
+	}
+	if u.User != nil {
+		return nil, fmt.Errorf("controlplane: agent URL %q carries user info, which the controller does not send", base)
+	}
+	return u, nil
 }
 
 // Run polls until ctx is cancelled.
@@ -360,14 +403,20 @@ func (c *Controller) jitteredHeartbeat() time.Duration {
 // Round performs one heartbeat cycle: observe the fleet (poll probes or
 // streamed snapshots), update liveness, re-solve placement if membership
 // changed, compute the assignment and budget pushes under the lock, then
-// execute every push through the bounded worker pool with the lock
-// released. Only acknowledged pushes are recorded as agent state — a
-// failed push is re-derived and retried next round. Each push is bounded
-// by the request timeout and at most maxPushWorkers run at once, so S
-// stalled pushes hold the round for at most ⌈S/maxPushWorkers⌉
-// timeouts, not one per slow agent (an agent gets at most two pushes a
-// round: its assignment and its cap). Exposed for deterministic tests;
-// Run calls it on the jittered interval.
+// execute every push through the RPC fan-out with the lock released.
+// Only acknowledged pushes are recorded as agent state — a failed push
+// is re-derived and retried next round. Each RPC is bounded by the
+// request timeout. Every due agent's probe runs on its own worker, so
+// the probe phase costs one probe's attempts however many agents stall:
+// Retries+1 timeouts at worst. Pushes run on maxRPCWorkers workers plus
+// one for each push to an agent that missed its last report: S pushes
+// stalled on agents that reported cost ⌈S/maxRPCWorkers⌉ timeouts, any
+// number to agents that missed cost one (an agent gets at most two
+// pushes a round: its assignment and its cap). Under poll an agent that
+// stalls on every request has missed by the time its pushes go out, so
+// however many agents do that a poll round costs at most Retries+2
+// timeouts. Exposed for deterministic tests; Run calls it on the
+// jittered interval.
 func (c *Controller) Round(ctx context.Context) {
 	now := c.now()
 	// Round timing is measured, not derived from the controller clock:
@@ -386,6 +435,8 @@ func (c *Controller) Round(ctx context.Context) {
 		results := c.pollProbe(ctx, now)
 		c.mu.Lock()
 		membershipChanged = c.applyProbesLocked(results, now)
+		clear(results)
+		c.probes = results[:0]
 	}
 	c.rounds++
 	round := c.rounds
@@ -398,11 +449,17 @@ func (c *Controller) Round(ctx context.Context) {
 	}
 	pushes := c.budgetPushesLocked(now, c.assignPushesLocked(c.pushes[:0]))
 	c.pushes = nil
+	missed := 0
+	for _, p := range pushes {
+		if p.agent.missed() {
+			missed++
+		}
+	}
 	c.mu.Unlock()
 
 	var acked []bool
 	if len(pushes) > 0 {
-		acked = c.pushAll(ctx, pushes)
+		acked = c.pushAll(ctx, pushes, missed)
 	}
 	c.mu.Lock()
 	c.recordPushesLocked(pushes, acked)
@@ -422,12 +479,17 @@ type probeResult struct {
 	err   error
 }
 
-// pollProbe fans stats probes out to every due agent. Runs lock-free:
-// the due set and each agent's probe cache are snapshotted under the
-// lock, the probes are not.
+// pollProbe probes every due agent, each on its own fan-out worker: a
+// probe waits out its round trips and retries without holding up
+// another's, where a bounded pool would queue ⌈n/width⌉ network round
+// trips on each lane. Runs lock-free: the due set and each agent's probe
+// cache are snapshotted under the lock, the probes are not. The results
+// live in the controller's kept buffer, which the caller returns after
+// the fold.
 func (c *Controller) pollProbe(ctx context.Context, now time.Time) []probeResult {
 	c.mu.Lock()
-	results := make([]probeResult, 0, len(c.agents))
+	results := c.probes[:0]
+	c.probes = nil
 	for _, a := range c.agents {
 		if a.alive || !a.nextDue.After(now) {
 			results = append(results, probeResult{agent: a, cache: a.probeCache})
@@ -435,17 +497,13 @@ func (c *Controller) pollProbe(ctx context.Context, now time.Time) []probeResult
 	}
 	c.mu.Unlock()
 
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func(r *probeResult) {
-			defer wg.Done()
-			r.stats, r.cache, r.err = c.probe(ctx, r.agent.url, r.cache)
-		}(&results[i])
-	}
-	wg.Wait()
+	fanOut(len(results), len(results), func(i int) { c.probe(ctx, &results[i]) })
 	return results
 }
+
+// missed reports whether the agent missed its last report: it is dead,
+// or alive with misses counting toward DeadAfter. Callers hold c.mu.
+func (a *agentState) missed() bool { return !a.alive || a.misses > 0 }
 
 // observeLocked folds one round's observation of one agent into its
 // liveness state, on either transport. A non-nil report, taken at heard,
@@ -509,11 +567,11 @@ func (c *Controller) applyProbesLocked(results []probeResult, now time.Time) (me
 	return membershipChanged
 }
 
-// probe fetches an agent's stats with the per-request timeout, retrying up
-// to the configured budget with short exponential spacing. cache is the
-// agent's probe cache; probe returns the one to install after a success.
-func (c *Controller) probe(ctx context.Context, baseURL string, cache *statsCache) (StatsResponse, *statsCache, error) {
-	var lastErr error
+// probe fetches an agent's stats into r with the per-request timeout,
+// retrying up to the configured budget with short exponential spacing.
+// r.cache is the agent's probe cache on entry and, after a success, the
+// one to install.
+func (c *Controller) probe(ctx context.Context, r *probeResult) {
 	backoff := 10 * time.Millisecond
 	if max := c.cfg.Timeout / 8; max > 0 && backoff > max {
 		backoff = max
@@ -522,23 +580,22 @@ func (c *Controller) probe(ctx context.Context, baseURL string, cache *statsCach
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
-				return StatsResponse{}, cache, ctx.Err()
+				r.err = ctx.Err()
+				return
 			case <-time.After(backoff):
 			}
 			backoff *= 2
 		}
-		var stats StatsResponse
 		var next *statsCache
-		err := c.get(ctx, baseURL+RouteStats, func(body io.Reader) (err error) {
-			next, err = c.readStats(body, cache, &stats)
+		r.err = c.call(ctx, r.agent.statsURL, nil, func(body io.Reader) (err error) {
+			next, err = c.readStats(body, r.cache, &r.stats)
 			return err
 		})
-		if err == nil {
-			return stats, next, nil
+		if r.err == nil {
+			r.cache = next
+			return
 		}
-		lastErr = err
 	}
-	return StatsResponse{}, cache, lastErr
 }
 
 // statsBufs recycles the buffers probe bodies are read into.
@@ -570,60 +627,62 @@ func (c *Controller) readStats(body io.Reader, cache *statsCache, out *StatsResp
 	return next, err
 }
 
-// get performs a GET with the configured timeout and hands a 200 reply's
-// body to read.
-func (c *Controller) get(ctx context.Context, url string, read func(body io.Reader) error) error {
+// getHeader is every GET's header and jsonHeader every POST's. Requests
+// share them, so nothing may write them: a RoundTripper must not modify
+// a request.
+var (
+	getHeader  = http.Header{}
+	jsonHeader = http.Header{"Content-Type": {"application/json"}}
+)
+
+// maxReplyDrain bounds what call reads of a reply that read left
+// unfinished: a reply longer than that is not worth keeping its
+// connection for.
+const maxReplyDrain = 4 << 10
+
+// call is the controller's one agent RPC: a GET of u, or with a body a
+// JSON POST of it, bounded by the request timeout. The request goes
+// straight to the configured RoundTripper, so a redirect is not
+// followed, and a transport error reads as http.Client would report it
+// (Get "<url>": <cause>). A 200 reply's body goes to read when read is
+// non-nil; any other status is an error that carries the start of the
+// agent's reply. Up to maxReplyDrain bytes of whatever read leaves of
+// the reply are drained before it is closed: a reply closed unread
+// makes the transport drop its connection instead of pooling it.
+func (c *Controller) call(ctx context.Context, u *url.URL, body []byte, read func(body io.Reader) error) error {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	req := &http.Request{
+		Method:     http.MethodGet,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     getHeader,
+		Host:       u.Host,
+	}
+	op := "Get"
+	if body != nil {
+		req.Method, op = http.MethodPost, "Post"
+		req.Header = jsonHeader
+		req.ContentLength = int64(len(body))
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	}
+	resp, err := c.transport.RoundTrip(req.WithContext(ctx))
 	if err != nil {
-		return err
+		return &url.Error{Op: op, URL: u.String(), Err: err}
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, bytes.TrimSpace(body))
-	}
-	return read(resp.Body)
-}
-
-// getJSON performs a GET with the configured timeout and decodes the body.
-func (c *Controller) getJSON(ctx context.Context, url string, out any) error {
-	return c.get(ctx, url, func(body io.Reader) error { return json.NewDecoder(body).Decode(out) })
-}
-
-// jsonHeader is every push request's header. Requests share it, so
-// nothing may write it: net/http's client copies a request's header
-// before adding to it, and a RoundTripper must not modify a request.
-var jsonHeader = http.Header{"Content-Type": {"application/json"}}
-
-// postJSON pushes one control request to an agent: req, marshalled as
-// JSON, to baseURL+route, bounded by the request timeout. Any status but
-// 200 is an error that carries the start of the agent's reply.
-func (c *Controller) postJSON(ctx context.Context, baseURL, route string, req any) error {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+route, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header = jsonHeader
-	resp, err := c.client.Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
+	defer func() {
+		_, _ = io.CopyN(io.Discard, resp.Body, maxReplyDrain)
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("POST %s: %s: %s", baseURL+route, resp.Status, bytes.TrimSpace(msg))
+		return fmt.Errorf("%s %s: %s: %s", req.Method, u, resp.Status, bytes.TrimSpace(msg))
+	}
+	if read != nil {
+		return read(resp.Body)
 	}
 	return nil
 }
@@ -748,9 +807,10 @@ const (
 )
 
 // pendingPush is one agent RPC computed under the lock and executed
-// outside it. url and name are copied so the unlocked push phase never
-// reads the agent's state; agent is only dereferenced under the lock,
-// when the ack is recorded.
+// outside it. url and name are copied so the unlocked push phase reads
+// none of the agent's mutable state: it reads only the agent's routes,
+// which never change, and the rest of agent only under the lock, when
+// the ack is recorded.
 type pendingPush struct {
 	kind      pushKind
 	agent     *agentState
@@ -775,36 +835,53 @@ func (c *Controller) assignPushesLocked(pushes []pendingPush) []pendingPush {
 	return pushes
 }
 
-// maxPushWorkers caps the push pool. The floor of one worker per push
-// (up to the cap) is deliberate: the pool must not degenerate to a
-// single lane on GOMAXPROCS=1, where one slow agent would serialize
-// every other agent's push behind its timeout.
-const maxPushWorkers = 32
+// maxRPCWorkers is the base width of the push and trace-page fan-outs,
+// which add one worker for each target that missed its last report —
+// the ones likeliest to hold a worker for a whole timeout. Fresh stalls
+// share the maxRPCWorkers lanes, so S of them cost ⌈S/maxRPCWorkers⌉
+// timeouts; targets that have missed never queue behind one another, so
+// however many are still stalled they cost one. The floor of one worker
+// per target (up to the cap) is deliberate: the pool must not
+// degenerate to a single lane on GOMAXPROCS=1, where one slow agent
+// would serialize every other agent's RPC behind its timeout.
+const maxRPCWorkers = 32
 
-// pushAll executes the round's pushes through a bounded worker pool and
-// reports which were acknowledged. Each RPC is bounded by the request
-// timeout and holds one of at most maxPushWorkers workers, so S stalled
-// pushes delay the round by at most ⌈S/maxPushWorkers⌉ timeouts — not
-// one timeout per slow agent, as a serial push loop would. Log lines
-// are emitted after the joins, in push order, so interleaving stays
-// deterministic for log-capturing tests.
-func (c *Controller) pushAll(ctx context.Context, pushes []pendingPush) []bool {
+// fanOut runs rpc(i) for every target i in [0, n) on at most workers
+// goroutines and returns when all are done. rpc must write its result
+// into index-disjoint storage.
+func fanOut(n, workers int, rpc func(i int)) {
+	_ = parallel.ForEach(n, workers, func(i int) error {
+		rpc(i)
+		return nil
+	})
+}
+
+// pushAll executes the round's pushes through the RPC fan-out and reports
+// which were acknowledged; missed counts the pushes whose agent missed its
+// last report. Each RPC is bounded by the request timeout, so S pushes
+// stalled on agents that reported last round delay the round by at most
+// ⌈S/maxRPCWorkers⌉ timeouts, and any number stalled on agents that
+// missed by one — not one timeout per slow agent, as a serial push loop
+// would. Log lines are emitted after the join, in push order, so
+// interleaving stays deterministic for log-capturing tests.
+func (c *Controller) pushAll(ctx context.Context, pushes []pendingPush, missed int) []bool {
 	acked := make([]bool, len(pushes))
 	errs := make([]error, len(pushes))
-	workers := len(pushes)
-	if workers > maxPushWorkers {
-		workers = maxPushWorkers
-	}
-	_ = parallel.ForEach(len(pushes), workers, func(i int) error {
-		p := pushes[i]
+	fanOut(len(pushes), maxRPCWorkers+missed, func(i int) {
+		p := &pushes[i]
+		var req any
+		var u *url.URL
 		switch p.kind {
 		case pushAssign:
-			errs[i] = c.postJSON(ctx, p.url, RouteAssign, AssignRequest{BE: p.be})
+			req, u = AssignRequest{BE: p.be}, p.agent.assignURL
 		case pushCap:
-			errs[i] = c.postJSON(ctx, p.url, RouteCap, CapRequest{CapW: p.capW})
+			req, u = CapRequest{CapW: p.capW}, p.agent.capURL
 		}
-		acked[i] = errs[i] == nil
-		return nil
+		body, err := json.Marshal(req)
+		if err == nil {
+			err = c.call(ctx, u, body, nil)
+		}
+		errs[i], acked[i] = err, err == nil
 	})
 	for i, p := range pushes {
 		switch p.kind {
@@ -916,50 +993,65 @@ func (c *Controller) Tracer() *trace.Tracer { return c.tracer }
 // /v1/trace — cursor-paged per agent, so repeated calls transfer only
 // fresh events — folds them into the controller's accumulated cluster
 // timeline, merges in the controller's own decision events, and returns
-// the combined timeline in canonical (time, host, seq) order. Unreachable
-// agents are skipped (their cursor does not advance, so nothing still in
-// their ring is lost) and retried on the next call.
+// the combined timeline in canonical (time, host, seq) order. Agents are
+// paged concurrently on the pushes' fan-out width (maxRPCWorkers), so k
+// stalled agents cost the call ⌈k/maxRPCWorkers⌉ timeouts at most, not
+// k; unlike a worker per agent, the bound also caps the pages in flight.
+// Unreachable agents are skipped (their cursor does not advance past the
+// last page fetched, so nothing still in their ring is lost) and retried
+// on the next call.
 func (c *Controller) CollectTrace(ctx context.Context) []trace.Event {
 	type target struct {
-		url   string
-		since uint64
+		url    string
+		since  uint64 // the agent's cursor; after the fetch, the next one
+		events []trace.Event
+		err    error
 	}
 	c.mu.Lock()
 	targets := make([]target, 0, len(c.agents))
+	missed := 0
 	for _, a := range c.agents {
 		if a.alive {
 			targets = append(targets, target{url: a.url, since: c.cursors[a.url]})
+			if a.missed() {
+				missed++
+			}
 		}
 	}
 	c.mu.Unlock()
 
-	var fetched []trace.Event
-	next := make(map[string]uint64, len(targets))
-	for _, t := range targets {
-		since := t.since
+	fanOut(len(targets), maxRPCWorkers+missed, func(i int) {
+		t := &targets[i]
 		for {
 			var page TraceResponse
-			url := fmt.Sprintf("%s%s?since=%d&limit=4096", t.url, RouteTrace, since)
-			if err := c.getJSON(ctx, url, &page); err != nil {
-				c.logf("trace fetch from %s failed: %v", t.url, err)
-				break
+			u, err := url.Parse(fmt.Sprintf("%s%s?since=%d&limit=4096", t.url, RouteTrace, t.since))
+			if err == nil {
+				err = c.call(ctx, u, nil, func(body io.Reader) error { return json.NewDecoder(body).Decode(&page) })
 			}
-			fetched = append(fetched, page.Events...)
-			if len(page.Events) == 0 || page.Next <= since {
-				break
+			if err != nil {
+				t.err = err
+				return
 			}
-			since = page.Next
+			t.events = append(t.events, page.Events...)
+			if len(page.Events) == 0 || page.Next <= t.since {
+				return
+			}
+			t.since = page.Next
 		}
-		next[t.url] = since
-	}
+	})
 
-	c.mu.Lock()
-	for url, n := range next {
-		if n > c.cursors[url] {
-			c.cursors[url] = n
+	for _, t := range targets {
+		if t.err != nil {
+			c.logf("trace fetch from %s failed: %v", t.url, t.err)
 		}
 	}
-	c.collected = append(c.collected, fetched...)
+	c.mu.Lock()
+	for _, t := range targets {
+		if t.since > c.cursors[t.url] {
+			c.cursors[t.url] = t.since
+		}
+		c.collected = append(c.collected, t.events...)
+	}
 	if len(c.collected) > maxCollectedEvents {
 		c.collected = append([]trace.Event(nil), c.collected[len(c.collected)-maxCollectedEvents:]...)
 	}

@@ -562,7 +562,7 @@ func TestSlowAgentCannotStallRound(t *testing.T) {
 // their connections for the full timeout, so the pool's 32 workers need
 // ⌈66/32⌉ = 3 timeouts to clear them. Every fast agent's push is
 // delivered and recorded, no stalled push is recorded, and the round
-// ends within ⌈66/maxPushWorkers⌉ + 2 timeouts.
+// ends within ⌈66/maxRPCWorkers⌉ + 2 timeouts.
 func TestManySlowAgentsRoundBound(t *testing.T) {
 	const n, fast = 70, 4
 	const timeout = 100 * time.Millisecond
@@ -596,7 +596,7 @@ func TestManySlowAgentsRoundBound(t *testing.T) {
 	elapsed := time.Since(start)
 
 	const stalled = n - fast
-	bound := time.Duration((stalled+maxPushWorkers-1)/maxPushWorkers+2) * timeout
+	bound := time.Duration((stalled+maxRPCWorkers-1)/maxRPCWorkers+2) * timeout
 	if elapsed > bound {
 		t.Fatalf("round took %v with %d stalled agents (timeout %v), over the %v bound", elapsed, stalled, timeout, bound)
 	}

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -407,6 +409,98 @@ func TestControllerCollectTrace(t *testing.T) {
 	}
 	if page.Agent != "controller" || len(page.Events) < len(events) {
 		t.Fatalf("TraceHandler served %d events for %q, want >= %d for controller", len(page.Events), page.Agent, len(events))
+	}
+}
+
+// traceStallTransport serves each fast agent's decision trace over
+// /v1/trace, paged by the since cursor; a request to any other agent
+// blocks until its context ends.
+type traceStallTransport struct {
+	fast map[string]*trace.Tracer // base URL → the agent's ring
+}
+
+func (s *traceStallTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	tr := s.fast[req.URL.Scheme+"://"+req.URL.Host]
+	if tr == nil {
+		<-req.Context().Done()
+		return nil, req.Context().Err()
+	}
+	since, err := strconv.ParseUint(req.URL.Query().Get("since"), 10, 64)
+	if err != nil {
+		return nil, err
+	}
+	events, next := tr.EventsSince(since, 4096)
+	body, err := json.Marshal(TraceResponse{Agent: tr.Host(), Events: events, Next: next})
+	if err != nil {
+		return nil, err
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: make(http.Header), Body: httpBody(body), Request: req}, nil
+}
+
+// TestCollectTraceStalledAgents: with 8 of 10 live agents holding their
+// trace requests open for the full timeout, CollectTrace pages every
+// agent at once, so it returns within two timeouts, not eight. The fast
+// agents' events are merged and their cursors advance; each stalled
+// agent's failure is logged after the join, in agent order, and its
+// cursor stays where it was.
+func TestCollectTraceStalledAgents(t *testing.T) {
+	const n = 10
+	const timeout = 200 * time.Millisecond
+	tr := &traceStallTransport{fast: make(map[string]*trace.Tracer)}
+	urls := make([]string, n)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://trace-agent-%d", i)
+	}
+	var logs []string
+	ctl, err := NewController(ControllerConfig{
+		AgentURLs: urls,
+		Timeout:   timeout,
+		Client:    &http.Client{Transport: tr},
+		Logf:      func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range ctl.agents {
+		a.alive, a.everSeen, a.name = true, true, fmt.Sprintf("agent-%d", i)
+		if i == 3 || i == 7 {
+			agentTrace := trace.New(a.name, 0)
+			agentTrace.Degradation(time.Unix(int64(i), 0), "first")
+			agentTrace.Degradation(time.Unix(int64(i), 1), "second")
+			tr.fast[a.url] = agentTrace
+		}
+	}
+
+	start := time.Now()
+	events := ctl.CollectTrace(context.Background())
+	if elapsed := time.Since(start); elapsed > 2*timeout {
+		t.Fatalf("CollectTrace took %v with 8 stalled agents (timeout %v), over two timeouts", elapsed, timeout)
+	}
+	byHost := make(map[string]int)
+	for _, ev := range events {
+		byHost[ev.Host]++
+	}
+	if want := map[string]int{"agent-3": 2, "agent-7": 2}; !reflect.DeepEqual(byHost, want) {
+		t.Fatalf("merged timeline events by host %v, want %v", byHost, want)
+	}
+	for _, u := range urls {
+		want := uint64(0)
+		if tr.fast[u] != nil {
+			want = 2
+		}
+		if ctl.cursors[u] != want {
+			t.Errorf("%s cursor %d, want %d", u, ctl.cursors[u], want)
+		}
+	}
+	var failed []string
+	for _, line := range logs {
+		if u, _, ok := strings.Cut(strings.TrimPrefix(line, "trace fetch from "), " failed: "); ok {
+			failed = append(failed, u)
+		}
+	}
+	want := []string{urls[0], urls[1], urls[2], urls[4], urls[5], urls[6], urls[8], urls[9]}
+	if !reflect.DeepEqual(failed, want) {
+		t.Fatalf("logged trace fetch failures for %v, want %v (agent order)", failed, want)
 	}
 }
 

@@ -1,6 +1,9 @@
 package trace
 
-import "sync"
+import (
+	"strconv"
+	"sync"
+)
 
 // Set is a family of per-host tracers sharing one capacity. Parallel
 // cluster sweeps hand each simulated host its own child tracer (so hosts
@@ -12,6 +15,7 @@ type Set struct {
 
 	mu       sync.Mutex
 	children map[string]*Tracer
+	runs     map[string]int // Label calls per kind
 }
 
 // NewSet builds a tracer set whose children each hold capacity events
@@ -20,7 +24,25 @@ func NewSet(capacity int) *Set {
 	if capacity <= 0 {
 		capacity = DefaultEvents
 	}
-	return &Set{capacity: capacity, children: make(map[string]*Tracer)}
+	return &Set{capacity: capacity, children: make(map[string]*Tracer), runs: make(map[string]int)}
+}
+
+// Label returns a key prefix for one run of kind that no earlier Label
+// call on the set returned: "kind/" the first time, then "kind#2/",
+// "kind#3/", and so on. Runs that key their tracers under it each record
+// their own timelines, so repeating a run on one set still merges into
+// a valid timeline. Returns "" on a nil set.
+func (s *Set) Label(kind string) string {
+	if s == nil {
+		return ""
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.runs[kind]++
+	if n := s.runs[kind]; n > 1 {
+		return kind + "#" + strconv.Itoa(n) + "/"
+	}
+	return kind + "/"
 }
 
 // Tracer returns the child tracer for key, creating it on first use.

@@ -170,6 +170,21 @@ func TestSetMergesDeterministically(t *testing.T) {
 	}
 }
 
+func TestSetLabelUniquePerRun(t *testing.T) {
+	s := NewSet(8)
+	var got []string
+	for _, kind := range []string{"server", "batch", "server", "server"} {
+		got = append(got, s.Label(kind))
+	}
+	if want := []string{"server/", "batch/", "server#2/", "server#3/"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("labels %q, want %q", got, want)
+	}
+	var nilSet *Set
+	if l := nilSet.Label("server"); l != "" {
+		t.Fatalf("nil set label %q, want empty", l)
+	}
+}
+
 func stripWall(events []Event) []Event {
 	out := append([]Event(nil), events...)
 	for i := range out {

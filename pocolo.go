@@ -315,7 +315,12 @@ type System struct {
 	// decisions, capper actions, placements, solves, tick-phase spans)
 	// from every simulation the system runs; see internal/trace. Traced
 	// runs bypass the process-wide sweep memo so the timeline is always
-	// complete.
+	// complete. The single-server runs key their timelines by a label
+	// unique to each call (trace.Set.Label) and the LC app: server/<lc>
+	// (SimulateServer), batch/<lc> (RunBatch), adaptive/<lc>
+	// (SimulateAdaptiveServer) and budgeted/<lc>, budgeted/budget and,
+	// for a solved placement, budgeted/cluster (SimulateBudgetedCluster);
+	// a repeated call of one kind records under <kind>#2/, <kind>#3/, ….
 	Trace *trace.Set
 	// Budget, when non-nil, puts every cluster run under a power budget —
 	// flat (TotalW + Policy) or hierarchical (a budget-tree spec whose
@@ -480,7 +485,7 @@ func (s *System) SimulateServer(lcName, beName string, trace Trace, mgmt LCPolic
 		BE:      be,
 		Trace:   trace,
 		Seed:    s.Seed,
-	}, servermgr.Config{Model: model, Policy: mgmt, Seed: s.Seed})
+	}, servermgr.Config{Model: model, Policy: mgmt, Seed: s.Seed, Tracer: s.Trace.Tracer(s.Trace.Label("server") + lcName)})
 	if err != nil {
 		return nil, HostMetrics{}, err
 	}
@@ -543,7 +548,7 @@ func (s *System) RunBatch(lcName string, trace Trace, policy BatchPolicy, quantu
 		ExtraBE: bes[1:],
 		Trace:   trace,
 		Seed:    s.Seed,
-	}, servermgr.Config{Model: model, Policy: servermgr.PowerOptimized, Seed: s.Seed})
+	}, servermgr.Config{Model: model, Policy: servermgr.PowerOptimized, Seed: s.Seed, Tracer: s.Trace.Tracer(s.Trace.Label("batch") + lcName)})
 	if err != nil {
 		return BatchResult{}, err
 	}
@@ -612,7 +617,7 @@ func (s *System) SimulateAdaptiveServer(lcName, borrowedFrom string, trace Trace
 	}
 	host, mgr, err := servermgr.Start(engine, sim.HostConfig{
 		Name: lcName, Machine: s.Machine, LC: lc, Trace: trace, Seed: s.Seed,
-	}, servermgr.Config{Model: &clone, Policy: servermgr.PowerOptimized, Seed: s.Seed})
+	}, servermgr.Config{Model: &clone, Policy: servermgr.PowerOptimized, Seed: s.Seed, Tracer: s.Trace.Tracer(s.Trace.Label("adaptive") + lcName)})
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
@@ -663,9 +668,12 @@ func (s *System) SimulateBudgetedCluster(loads map[string]float64, placement map
 	if dur <= 0 {
 		return BudgetedResult{}, errors.New("pocolo: duration must be positive")
 	}
+	label := s.Trace.Label("budgeted")
 	if placement == nil {
+		cfg := s.clusterConfig()
+		cfg.TraceLabel = label
 		var err error
-		if placement, _, err = s.Place(); err != nil {
+		if placement, _, err = cluster.Place(cfg); err != nil {
 			return BudgetedResult{}, err
 		}
 	}
@@ -719,7 +727,7 @@ func (s *System) SimulateBudgetedCluster(loads map[string]float64, placement map
 		host, mgr, err := servermgr.Start(engine, sim.HostConfig{
 			Name: lc.Name, Machine: s.Machine, LC: lc, BE: beOn[lc.Name],
 			Trace: trace, Seed: s.Seed + int64(i)*577,
-		}, servermgr.Config{Model: model, Policy: servermgr.PowerOptimized})
+		}, servermgr.Config{Model: model, Policy: servermgr.PowerOptimized, Tracer: s.Trace.Tracer(label + lc.Name)})
 		if err != nil {
 			return BudgetedResult{}, err
 		}
@@ -733,7 +741,7 @@ func (s *System) SimulateBudgetedCluster(loads map[string]float64, placement map
 	if err != nil {
 		return BudgetedResult{}, err
 	}
-	b, err := tree.New(tree.Config{Tree: tr, Hosts: hosts, Managers: managers, Policy: policy})
+	b, err := tree.New(tree.Config{Tree: tr, Hosts: hosts, Managers: managers, Policy: policy, Tracer: s.Trace.Tracer(label + "budget")})
 	if err != nil {
 		return BudgetedResult{}, err
 	}

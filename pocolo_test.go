@@ -2,9 +2,12 @@ package pocolo
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"pocolo/internal/trace"
 )
 
 func newTestSystem(t *testing.T) *System {
@@ -452,5 +455,75 @@ func TestPublicRunHyperscale(t *testing.T) {
 		Fleet: FleetConfig{Hosts: 4, Jobs: 8},
 	}); err == nil {
 		t.Error("expected error for jobs > hosts")
+	}
+}
+
+// TestPublicSingleServerRunsTrace: with System.Trace set, each
+// single-server entry point records its managers' decisions on its own
+// timelines, which validate, and returns what an untraced twin returns.
+// Called twice on one system, the second call records under its own
+// label, so the merged timeline still validates.
+func TestPublicSingleServerRunsTrace(t *testing.T) {
+	load, err := ConstantTrace(0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := map[string]float64{"img-dnn": 0.8, "sphinx": 0.1, "xapian": 0.6, "tpcc": 0.3}
+	runs := []struct {
+		name, kind string
+		keys       []string // timelines under the call's label
+		run        func(sys *System) (any, error)
+	}{
+		{"SimulateServer", "server", []string{"xapian"}, func(sys *System) (any, error) {
+			_, m, err := sys.SimulateServer("xapian", "graph", load, PowerOptimized, 10*time.Second)
+			return m, err
+		}},
+		{"RunBatch", "batch", []string{"xapian"}, func(sys *System) (any, error) {
+			return sys.RunBatch("xapian", load, SJF, 2*time.Second, []BatchJob{{App: "graph", SizeOps: 50}, {App: "rnn", SizeOps: 100}}, 10*time.Second)
+		}},
+		{"SimulateAdaptiveServer", "adaptive", []string{"xapian"}, func(sys *System) (any, error) {
+			return sys.SimulateAdaptiveServer("xapian", "img-dnn", load, 10*time.Second)
+		}},
+		// A nil placement is solved by Place, traced under the call's label.
+		{"SimulateBudgetedCluster", "budgeted", []string{"img-dnn", "sphinx", "xapian", "tpcc", "budget", "cluster"}, func(sys *System) (any, error) {
+			return sys.SimulateBudgetedCluster(loads, nil, 0.85, DemandProportional, 10*time.Second)
+		}},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			want, err := r.run(newTestSystem(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := newTestSystem(t)
+			sys.Trace = trace.NewSet(0)
+			for call := 1; call <= 2; call++ {
+				got, err := r.run(sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("traced call %d returned\n %+v\nuntraced\n %+v", call, got, want)
+				}
+			}
+			events := sys.Trace.Events()
+			byHost := make(map[string]int)
+			for _, ev := range events {
+				byHost[ev.Host]++
+			}
+			for _, label := range []string{r.kind + "/", r.kind + "#2/"} {
+				for _, key := range r.keys {
+					if byHost[label+key] == 0 {
+						t.Errorf("no events on %s (events by timeline %v)", label+key, byHost)
+					}
+				}
+			}
+			if len(byHost) != 2*len(r.keys) {
+				t.Errorf("events on timelines %v, want exactly %v under %s/ and %s#2/", byHost, r.keys, r.kind, r.kind)
+			}
+			if err := trace.Validate(events); err != nil {
+				t.Errorf("timeline fails validation: %v", err)
+			}
+		})
 	}
 }
