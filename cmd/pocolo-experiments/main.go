@@ -6,16 +6,19 @@
 // Usage:
 //
 //	pocolo-experiments [-seed N] [-dwell 5s] [-parallel N] [-only fig12,fig13] [-markdown]
-//	                   [-invariants] [-planner on|off] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	                   [-invariants] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	                   [-trace out.jsonl] [-trace-chrome out.json] [-trace-events N]
 //	                   [-budget W] [-budget-policy equal|demand] [-budget-tree spec|@file] [-budget-period 5s]
 //
-// With -trace every cluster run in the selected experiments records its
-// control-loop decisions into shared per-host rings; the merged timeline
-// is written as JSONL (and as a Perfetto-loadable Chrome trace with
-// -trace-chrome). Because successive experiments reuse host names, trace
-// a single experiment (e.g. -only fig12) when per-host time monotonicity
-// matters.
+// With -trace the cluster runs of the selected experiments (see
+// experiments.Suite.Trace for which record) write their control-loop
+// decisions into shared per-host rings; the merged timeline is written as
+// JSONL (and as a Perfetto-loadable Chrome trace with -trace-chrome).
+// Only ablation-budget keys its runs apart, under
+// ablation-budget/<policy>/. The others key hosts by bare name, so runs
+// that repeat a host — within fig12, fig13, fig15, ablation-slack and
+// ablation-myopic, or across any two traced experiments — share a
+// timeline that pocolo-trace -validate rejects.
 package main
 
 import (

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	pocolo-sim [-policy pocolo] [-seed 42] [-dwell 5s] [-parallel N] [-models models.json] [-invariants] [-planner on|off] \
+//	pocolo-sim [-policy pocolo] [-seed 42] [-dwell 5s] [-parallel N] [-models models.json] [-invariants] \
 //	           [-trace out.jsonl] [-trace-chrome out.json] [-trace-events N] \
 //	           [-budget W] [-budget-policy equal|demand] [-budget-tree spec|@file] [-budget-period 5s] \
 //	           [-brownout 0.3] [-brownout-at 10s] [-brownout-node dc]
@@ -18,7 +18,8 @@
 // With -trace the run records every control-loop decision, capper
 // intervention, placement, and solve into per-host rings and writes the
 // merged timeline as canonical JSONL (wall-clock fields stripped, so two
-// seeded runs produce byte-identical files). -trace-chrome writes the
+// seeded runs produce byte-identical files). Each event's host field
+// carries the call's label, e.g. run/img-dnn, run/cluster or run/budget. -trace-chrome writes the
 // same timeline in Chrome trace-event format; open it in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing.
 package main

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pocolo/internal/budget"
+	"pocolo/internal/servermgr"
 	"pocolo/internal/trace"
 	"pocolo/internal/workload"
 )
@@ -22,22 +23,121 @@ func provisionedW(cfg Config) float64 {
 	return total
 }
 
+// lcNames lists the cluster's LC servers in catalog order.
+func lcNames(cfg Config) []string {
+	names := make([]string, len(cfg.LC))
+	for i, lc := range cfg.LC {
+		names[i] = lc.Name
+	}
+	return names
+}
+
+// TestBudgetConfigValidation: every bad budget or brownout setting fails
+// the run before anything is simulated, so the traced run records no
+// event past time 0 (bringing the managers up records their first control
+// tick there).
 func TestBudgetConfigValidation(t *testing.T) {
 	cfg := fixture(t)
 	placement := PlaceRandom(cfg.LC, cfg.BE, 1)
+	names := lcNames(cfg)
+	racks := fmt.Sprintf("dc:600{rack1:300{%s,%s},rack2:300{%s,%s}}", names[0], names[1], names[2], names[3])
+	duration := workload.UniformSweep(cfg.Dwell).Duration()
 	for name, bc := range map[string]*BudgetConfig{
-		"no total or tree": {},
-		"negative period":  {TotalW: 500, Period: -time.Second},
-		"bad frac":         {Tree: "dc:500{x}", BrownoutFrac: 1.5},
-		"flat brownout":    {TotalW: 500, BrownoutFrac: 0.3},
-		"negative at":      {Tree: "dc:500{x}", BrownoutFrac: 0.3, BrownoutAt: -time.Second},
-		"bad tree":         {Tree: "dc:{"},
-		"wrong leaves":     {Tree: "dc:500{nothere,nope}"},
+		"no total or tree":      {},
+		"negative period":       {TotalW: 500, Period: -time.Second},
+		"bad frac":              {Tree: "dc:500{x}", BrownoutFrac: 1.5},
+		"flat brownout":         {TotalW: 500, BrownoutFrac: 0.3},
+		"negative at":           {Tree: "dc:500{x}", BrownoutFrac: 0.3, BrownoutAt: -time.Second},
+		"bad tree":              {Tree: "dc:{"},
+		"wrong leaves":          {Tree: "dc:500{nothere,nope}"},
+		"at without fraction":   {Tree: racks, BrownoutAt: duration / 3},
+		"node without fraction": {Tree: racks, BrownoutNode: "rack1"},
+		"unknown node":          {Tree: racks, BrownoutFrac: 0.3, BrownoutNode: "nosuch"},
+		"unbudgeted leaf":       {Tree: racks, BrownoutFrac: 0.3, BrownoutNode: names[0]},
+		"cut at the end":        {Tree: racks, BrownoutFrac: 0.3, BrownoutAt: duration},
+		"cut past the end":      {Tree: racks, BrownoutFrac: 0.3, BrownoutAt: 10 * duration},
 	} {
 		c := cfg
 		c.Budget = bc
-		if _, err := RunPlacement(c, placement, 1); err == nil {
+		c.Trace = trace.NewSet(0)
+		if _, err := RunPlacement(c, placement, servermgr.PowerOptimized); err == nil {
 			t.Errorf("%s: budgeted run unexpectedly succeeded", name)
+		}
+		for _, ev := range c.Trace.Events() {
+			if ev.TNS > 0 {
+				t.Errorf("%s: failed only after simulating to %v", name, time.Duration(ev.TNS))
+				break
+			}
+		}
+	}
+	// Brownout flags without a budget are refused too.
+	if _, err := ParseBudgetFlags(0, "", "", 0, 0, time.Second, "rack1"); err == nil {
+		t.Error("ParseBudgetFlags accepted a brownout time and node without a budget")
+	}
+}
+
+// TestRunBudgetedOverBudgetPerChunk: each side of a brownout counts
+// against its own root budget. A 70 % cut takes the root below the
+// servers' summed idle draw, so every tick after it is over budget, and
+// the ticks before it count as in an uncut run of that length.
+func TestRunBudgetedOverBudgetPerChunk(t *testing.T) {
+	cfg := fixture(t)
+	placement := PlaceRandom(cfg.LC, cfg.BE, 1)
+	loads := map[string]float64{}
+	for i, name := range lcNames(cfg) {
+		loads[name] = 0.2 + 0.2*float64(i)
+	}
+	spec := fmt.Sprintf("dc:%g{%s}", 0.85*provisionedW(cfg), strings.Join(lcNames(cfg), ","))
+	const half = 10 * time.Second
+	cfg.Budget = &BudgetConfig{Tree: spec, Period: 2 * time.Second}
+	uncut, err := RunBudgeted(cfg, placement, loads, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Budget = &BudgetConfig{Tree: spec, Period: 2 * time.Second, BrownoutFrac: 0.7}
+	cut, err := RunBudgeted(cfg, placement, loads, 2*half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks := float64(half / servermgr.CapPeriod)
+	before := math.Round(uncut.Budget.OverBudgetFrac * ticks)
+	if want := (before + ticks) / (2 * ticks); cut.Budget.OverBudgetFrac != want {
+		t.Errorf("over budget %v of the cut run, want %v (%v of %v ticks over before the cut, all after)",
+			cut.Budget.OverBudgetFrac, want, before, ticks)
+	}
+	if cut.Budget.Cuts != 1 {
+		t.Errorf("Cuts = %d, want 1", cut.Budget.Cuts)
+	}
+}
+
+// TestRunBudgetedErrors: RunBudgeted refuses a missing budget, duration
+// or load, a placed name that is not a BE app, and the placements the
+// sweep layout refuses.
+func TestRunBudgetedErrors(t *testing.T) {
+	cfg := fixture(t)
+	names := lcNames(cfg)
+	loads := map[string]float64{}
+	for _, name := range names {
+		loads[name] = 0.5
+	}
+	budgeted := cfg
+	budgeted.Budget = &BudgetConfig{TotalW: 0.85 * provisionedW(cfg)}
+	for name, tc := range map[string]struct {
+		cfg       Config
+		placement map[string]string
+		loads     map[string]float64
+		dur       time.Duration
+	}{
+		"no budget":        {cfg, map[string]string{}, loads, time.Second},
+		"no duration":      {budgeted, map[string]string{}, loads, 0},
+		"missing load":     {budgeted, map[string]string{}, map[string]float64{names[0]: 0.5}, time.Second},
+		"LC app placed":    {budgeted, map[string]string{names[1]: names[0]}, loads, time.Second},
+		"unknown app":      {budgeted, map[string]string{"nosuch": names[0]}, loads, time.Second},
+		"not an LC server": {budgeted, map[string]string{"graph": "nowhere"}, loads, time.Second},
+		"two on a server":  {budgeted, map[string]string{"graph": names[0], "lstm": names[0]}, loads, time.Second},
+	} {
+		if _, err := RunBudgeted(tc.cfg, tc.placement, tc.loads, tc.dur); err == nil {
+			t.Errorf("%s: run unexpectedly succeeded", name)
 		}
 	}
 }

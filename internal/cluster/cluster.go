@@ -103,9 +103,9 @@ type Config struct {
 	// would replay no decisions — so tracing trades the memo's speedup
 	// for a complete timeline.
 	Trace *trace.Set
-	// TraceLabel prefixes the per-host trace keys (e.g. "trial3/") so
-	// repeated simulations of the same host inside one run land on
-	// distinct timelines.
+	// TraceLabel prefixes every trace key of the run (the host names,
+	// "cluster" and "budget"), e.g. "run/" or "trial3/", so repeated
+	// simulations of the same host land on distinct timelines.
 	TraceLabel string
 	// Budget, when non-nil, puts the run under a cluster power budget —
 	// flat or hierarchical (see BudgetConfig). Budgeted runs step every
@@ -243,14 +243,17 @@ func recordPlacement(tr *trace.Tracer, placement map[string]string, reason strin
 func simEpoch() time.Time { return time.Unix(0, 0).UTC() }
 
 // RunPlacement simulates the cluster under an explicit placement with the
-// given server-level management policy.
+// given server-level management policy, every server sweeping the uniform
+// 10–90% load range.
 //
 // Hosts are fully independent — each gets its own machine, server manager,
 // and seeded noise streams — so every host+manager pair runs on its own
 // single-host engine in a bounded worker pool (cfg.Parallel) and the
 // per-host metrics are aggregated in fixed LC order afterwards. The result
 // is bit-identical to stepping all hosts on one sequential engine.
-// Finished runs are memoized process-wide (see cache.go).
+// Finished runs are memoized process-wide (see cache.go). With cfg.Budget
+// set, the same servers run instead through the budgeted loop RunBudgeted
+// uses: one shared engine, no memo, and Result.Budget filled in.
 func RunPlacement(cfg Config, placement map[string]string, mgmt servermgr.LCPolicy) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
@@ -263,7 +266,7 @@ func RunPlacement(cfg Config, placement map[string]string, mgmt servermgr.LCPoli
 	// touch the memo — the budgeter's installed caps depend on the whole
 	// cluster's demand history, which a per-host cache key cannot capture.
 	if cfg.Budget != nil {
-		return runBudgetedPlacement(cfg, placement, servers)
+		return runBudgeted(cfg, placement, servers, workload.UniformSweep(cfg.Dwell).Duration())
 	}
 
 	// Traced runs bypass the memo in both directions: a cache hit would

@@ -4,10 +4,7 @@ import (
 	"time"
 
 	"pocolo/internal/budget"
-	"pocolo/internal/budget/tree"
-	"pocolo/internal/servermgr"
-	"pocolo/internal/sim"
-	"pocolo/internal/workload"
+	"pocolo/internal/cluster"
 )
 
 // BudgetRow is one budget-division policy's cluster outcome.
@@ -31,95 +28,37 @@ type AblationBudgetResult struct {
 // budget of 85% of the summed provisioned capacities, with servers held at
 // deliberately skewed loads (10%–80%), and compares dividing the budget
 // equally against following demand. The demand-proportional division
-// should route watts to the servers whose tenants can spend them.
+// should route watts to the servers whose tenants can spend them. Each
+// policy is one cluster.RunBudgeted run, traced under
+// ablation-budget/<policy>/.
 func (s *Suite) AblationBudget() (AblationBudgetResult, error) {
 	const dur = 60 * time.Second
 	placement := map[string]string{"graph": "sphinx", "lstm": "img-dnn", "pbzip": "xapian", "rnn": "tpcc"}
 	loads := map[string]float64{"img-dnn": 0.8, "sphinx": 0.1, "xapian": 0.6, "tpcc": 0.3}
 
 	var res AblationBudgetResult
+	label := s.Trace.Label("ablation-budget")
 	for _, policy := range []budget.Policy{budget.EqualSplit, budget.DemandProportional} {
-		engine, err := sim.NewEngine(servermgr.CapPeriod)
+		cfg := s.clusterConfig()
+		cfg.TraceLabel = label + policy.String() + "/"
+		var provisionedW float64
+		for _, lc := range cfg.LC {
+			provisionedW += lc.ProvisionedPowerW
+		}
+		cfg.Budget = &cluster.BudgetConfig{TotalW: 0.85 * provisionedW, Policy: policy, Period: 2 * time.Second}
+		run, err := cluster.RunBudgeted(cfg, placement, loads, dur)
 		if err != nil {
 			return res, err
 		}
-		var hosts []*sim.Host
-		var managers []*servermgr.Manager
-		var names []string
-		var totalProvisioned float64
-		for _, lc := range s.Catalog.LC() {
-			trace, err := workload.NewConstantTrace(loads[lc.Name])
-			if err != nil {
-				return res, err
-			}
-			var be *workload.Spec
-			for beName, lcName := range placement {
-				if lcName == lc.Name {
-					if be, err = s.spec(beName); err != nil {
-						return res, err
-					}
-				}
-			}
-			model, err := s.model(lc.Name)
-			if err != nil {
-				return res, err
-			}
-			host, mgr, err := servermgr.Start(engine, sim.HostConfig{
-				Name: lc.Name, Machine: s.Machine, LC: lc, BE: be, Trace: trace, Seed: s.Seed,
-			}, servermgr.Config{Model: model, Policy: servermgr.PowerOptimized})
-			if err != nil {
-				return res, err
-			}
-			hosts = append(hosts, host)
-			managers = append(managers, mgr)
-			names = append(names, lc.Name)
-			totalProvisioned += host.CapW()
+		row := BudgetRow{
+			Policy:        policy.String(),
+			TotalBEOps:    run.TotalBEOps,
+			BudgetW:       cfg.Budget.TotalW,
+			WorstSLOViol:  run.SLOViolFrac,
+			OverBudgetPct: run.Budget.OverBudgetFrac,
 		}
-		budgetW := 0.85 * totalProvisioned
-		tr, err := tree.Flat(budgetW, names)
-		if err != nil {
-			return res, err
-		}
-		b, err := tree.New(tree.Config{
-			Tree: tr, Hosts: hosts, Managers: managers,
-			Policy: policy, Period: 2 * time.Second,
-		})
-		if err != nil {
-			return res, err
-		}
-		if err := b.Attach(engine); err != nil {
-			return res, err
-		}
-		if err := engine.Run(dur); err != nil {
-			return res, err
-		}
-		row := BudgetRow{Policy: policy.String(), BudgetW: budgetW}
-		overSamples, samples := 0, 0
-		for _, h := range hosts {
-			m := h.Metrics()
-			row.TotalBEOps += m.BEOps
-			row.MeanClusterW += m.MeanPowerW
-			if m.SLOViolFrac > row.WorstSLOViol {
-				row.WorstSLOViol = m.SLOViolFrac
-			}
-		}
-		// Budget compliance from the recorded power series.
-		series := make([][]float64, len(hosts))
-		for i, h := range hosts {
-			series[i] = h.PowerSeries().Values()
-		}
-		for tick := 0; tick < len(series[0]); tick++ {
-			sum := 0.0
-			for i := range hosts {
-				sum += series[i][tick]
-			}
-			samples++
-			if sum > budgetW*1.02 {
-				overSamples++
-			}
-		}
-		if samples > 0 {
-			row.OverBudgetPct = float64(overSamples) / float64(samples)
+		for _, lc := range cfg.LC {
+			row.MeanClusterW += run.Hosts[lc.Name].MeanPowerW
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -37,9 +37,15 @@ type Suite struct {
 	// invariant harness bound to its per-tick observe path; a violation
 	// fails the experiment instead of producing a silently wrong table.
 	Invariants bool
-	// Trace, when non-nil, collects decision-trace events from every
-	// simulation the experiments run (and disables the sweep memo for
-	// them, so the timeline is complete).
+	// Trace, when non-nil, collects decision-trace events from the
+	// experiments that run cluster simulations (and disables the sweep
+	// memo for them, so the timeline is complete): fig12, fig13 and fig15
+	// (the policy runs), fig14 (its placement solve and pair sweeps),
+	// ablation-slack, ablation-myopic, ablation-profiling (its placement
+	// solve) and ablation-budget (under ablation-budget/<policy>/). The
+	// other experiments, sensitivity-seeds' sub-suites included, record
+	// nothing. Only ablation-budget labels its runs; the others key hosts
+	// by bare name, so runs that repeat a host share its timeline.
 	Trace *trace.Set
 	// Budget, when non-nil, puts every cluster run under a power budget —
 	// flat or hierarchical (see cluster.BudgetConfig). Budgeted runs

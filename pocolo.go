@@ -32,13 +32,10 @@ package pocolo
 
 import (
 	"errors"
-	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"pocolo/internal/budget"
-	"pocolo/internal/budget/tree"
 	"pocolo/internal/cluster"
 	"pocolo/internal/experiments"
 	"pocolo/internal/machine"
@@ -312,21 +309,26 @@ type System struct {
 	// results, only adds per-tick assertions.
 	Invariants bool
 	// Trace, when non-nil, collects decision-trace events (control
-	// decisions, capper actions, placements, solves, tick-phase spans)
-	// from every simulation the system runs; see internal/trace. Traced
-	// runs bypass the process-wide sweep memo so the timeline is always
-	// complete. The single-server runs key their timelines by a label
-	// unique to each call (trace.Set.Label) and the LC app: server/<lc>
-	// (SimulateServer), batch/<lc> (RunBatch), adaptive/<lc>
-	// (SimulateAdaptiveServer) and budgeted/<lc>, budgeted/budget and,
-	// for a solved placement, budgeted/cluster (SimulateBudgetedCluster);
-	// a repeated call of one kind records under <kind>#2/, <kind>#3/, ….
+	// decisions, capper actions, placements, solves, budget shifts,
+	// tick-phase spans) from every simulation the system runs; see
+	// internal/trace. Traced runs bypass the process-wide sweep memo so
+	// the timeline is always complete. Every call keys its timelines under
+	// a label unique to the call, Trace.Label(kind) — <kind>/ on the set's
+	// first call of that kind, then <kind>#2/, <kind>#3/, … — so repeated
+	// calls merge into one valid timeline. Under the label, each host
+	// records on its own name, a placement solve on "cluster" and the
+	// budget divider on "budget" (e.g. run/img-dnn, run/cluster). The
+	// kinds are place (Place), run (Run), placement (RunPlacement),
+	// replicated (RunReplicated), pair (RunPair), hyperscale
+	// (RunHyperscale), server (SimulateServer), batch (RunBatch), adaptive
+	// (SimulateAdaptiveServer) and budgeted (SimulateBudgetedCluster).
 	Trace *trace.Set
 	// Budget, when non-nil, puts every cluster run under a power budget —
 	// flat (TotalW + Policy) or hierarchical (a budget-tree spec whose
 	// leaves name the LC servers). Budgeted runs step all hosts on one
 	// shared engine and bypass the sweep memo. RunReplicated implements no
-	// budget and fails when one is set.
+	// budget and fails when one is set; SimulateBudgetedCluster sizes its
+	// own flat budget and ignores this one.
 	Budget *BudgetConfig
 }
 
@@ -354,7 +356,9 @@ func NewSystemOn(cfg MachineConfig, seed int64) (*System, error) {
 	}, nil
 }
 
-func (s *System) clusterConfig() cluster.Config {
+// clusterConfig assembles one cluster run of the given kind, traced under
+// a label unique to the call.
+func (s *System) clusterConfig(kind string) cluster.Config {
 	return cluster.Config{
 		Machine:    s.Machine,
 		LC:         s.Catalog.LC(),
@@ -365,6 +369,7 @@ func (s *System) clusterConfig() cluster.Config {
 		Parallel:   s.Parallel,
 		Invariants: s.Invariants,
 		Trace:      s.Trace,
+		TraceLabel: s.Trace.Label(kind),
 		Budget:     s.Budget,
 	}
 }
@@ -383,19 +388,19 @@ func (s *System) Matrix() (*Matrix, error) {
 // Place computes the POColo placement (LP solver over the performance
 // matrix), returning the BE→LC assignment and its predicted total value.
 func (s *System) Place() (map[string]string, float64, error) {
-	return cluster.Place(s.clusterConfig())
+	return cluster.Place(s.clusterConfig("place"))
 }
 
 // Run evaluates the cluster under one of the paper's policies across the
 // uniform 10–90% load sweep.
 func (s *System) Run(policy cluster.Policy) (Result, error) {
-	return cluster.Run(s.clusterConfig(), policy)
+	return cluster.Run(s.clusterConfig("run"), policy)
 }
 
 // RunPlacement evaluates an explicit placement with the given server
 // management policy.
 func (s *System) RunPlacement(placement map[string]string, mgmt servermgr.LCPolicy) (Result, error) {
-	return cluster.RunPlacement(s.clusterConfig(), placement, mgmt)
+	return cluster.RunPlacement(s.clusterConfig("placement"), placement, mgmt)
 }
 
 // RunHyperscale scales the system's catalog to a synthetic fleet of
@@ -403,8 +408,8 @@ func (s *System) RunPlacement(placement map[string]string, mgmt servermgr.LCPoli
 // sharded incremental assignment path (see cluster.RunHyperscale).
 // Unset fleet fields default from the system: machine, catalog classes,
 // models, seed, and worker pool. With tracing enabled on the system the
-// run records per-pod solve summaries and rebalance migrations under the
-// "hyperscale" timeline.
+// run records per-pod solve summaries and rebalance migrations on the
+// hyperscale/cluster timeline (see System.Trace).
 func (s *System) RunHyperscale(cfg HyperscaleConfig) (HyperscaleResult, error) {
 	if cfg.Fleet.Machine == (MachineConfig{}) {
 		cfg.Fleet.Machine = s.Machine
@@ -425,7 +430,7 @@ func (s *System) RunHyperscale(cfg HyperscaleConfig) (HyperscaleResult, error) {
 		cfg.Fleet.Parallel = s.Parallel
 	}
 	if cfg.Trace == nil && s.Trace != nil {
-		cfg.Trace = s.Trace.Tracer("hyperscale")
+		cfg.Trace = s.Trace.Tracer(s.Trace.Label("hyperscale") + "cluster")
 	}
 	return cluster.RunHyperscale(cfg)
 }
@@ -436,7 +441,7 @@ func (s *System) RunHyperscale(cfg HyperscaleConfig) (HyperscaleResult, error) {
 // whole fleet is simulated. Host names take the form "<lc>#<i>". A set
 // Budget is an error.
 func (s *System) RunReplicated(replicas int, mgmt LCPolicy) (Result, error) {
-	return cluster.RunReplicated(s.clusterConfig(), replicas, mgmt)
+	return cluster.RunReplicated(s.clusterConfig("replicated"), replicas, mgmt)
 }
 
 // RunPair evaluates a single (latency-critical, best-effort) pairing
@@ -451,7 +456,7 @@ func (s *System) RunPair(lcName, beName string) (PairResult, error) {
 	if err != nil {
 		return PairResult{}, err
 	}
-	return cluster.RunPair(s.clusterConfig(), lc, be)
+	return cluster.RunPair(s.clusterConfig("pair"), lc, be)
 }
 
 // SimulateServer runs one managed server for dur: lcName as the primary
@@ -657,112 +662,41 @@ type BudgetedResult struct {
 
 // SimulateBudgetedCluster runs the four LC servers at the given constant
 // load fractions (keyed by LC app name) with the given co-runner placement
-// (BE name → LC name, nil for the POColo placement), under an aggregate
-// power budget of budgetFrac × Σ provisioned capacities divided by the
-// chosen policy. This is the Dynamo-style hierarchical capping layer on
-// top of Pocolo's per-server managers.
+// (BE name → LC name, nil for the POColo placement; BE apps it leaves out
+// do not run), under an aggregate power budget of budgetFrac × Σ
+// provisioned capacities divided by the chosen policy. This is the
+// Dynamo-style hierarchical capping layer on top of Pocolo's per-server
+// managers. It is cluster.RunBudgeted under a flat budget, so it lays out
+// hosts and seeds as every cluster run does and honours Invariants and
+// Trace.
 func (s *System) SimulateBudgetedCluster(loads map[string]float64, placement map[string]string, budgetFrac float64, policy BudgetPolicy, dur time.Duration) (BudgetedResult, error) {
 	if budgetFrac <= 0 || budgetFrac > 1 {
 		return BudgetedResult{}, errors.New("pocolo: budget fraction outside (0, 1]")
 	}
-	if dur <= 0 {
-		return BudgetedResult{}, errors.New("pocolo: duration must be positive")
-	}
-	label := s.Trace.Label("budgeted")
+	cfg := s.clusterConfig("budgeted")
 	if placement == nil {
-		cfg := s.clusterConfig()
-		cfg.TraceLabel = label
 		var err error
 		if placement, _, err = cluster.Place(cfg); err != nil {
 			return BudgetedResult{}, err
 		}
 	}
-	lcs := s.Catalog.LC()
-	// Invert the placement; every LC server starts with no co-runner.
-	beOn := make(map[string]*Spec, len(lcs))
-	for _, lc := range lcs {
-		beOn[lc.Name] = nil
+	var provisionedW float64
+	for _, lc := range cfg.LC {
+		provisionedW += lc.ProvisionedPowerW
 	}
-	beNames := make([]string, 0, len(placement))
-	for beName := range placement {
-		beNames = append(beNames, beName)
-	}
-	sort.Strings(beNames)
-	for _, beName := range beNames {
-		lcName := placement[beName]
-		prev, ok := beOn[lcName]
-		if !ok {
-			return BudgetedResult{}, fmt.Errorf("pocolo: BE app %s placed on %s, which is not an LC server", beName, lcName)
-		}
-		if prev != nil {
-			return BudgetedResult{}, fmt.Errorf("pocolo: two BE apps placed on %s", lcName)
-		}
-		be, err := s.Catalog.ByName(beName)
-		if err != nil {
-			return BudgetedResult{}, err
-		}
-		beOn[lcName] = be
-	}
-	engine, err := sim.NewEngine(servermgr.CapPeriod)
+	cfg.Budget = &BudgetConfig{TotalW: budgetFrac * provisionedW, Policy: policy}
+	run, err := cluster.RunBudgeted(cfg, placement, loads, dur)
 	if err != nil {
-		return BudgetedResult{}, err
-	}
-	var hosts []*sim.Host
-	var managers []*servermgr.Manager
-	var names []string
-	var totalProvisioned float64
-	for i, lc := range lcs {
-		frac, ok := loads[lc.Name]
-		if !ok {
-			return BudgetedResult{}, errors.New("pocolo: no load given for " + lc.Name)
-		}
-		trace, err := workload.NewConstantTrace(frac)
-		if err != nil {
-			return BudgetedResult{}, err
-		}
-		model, err := s.Model(lc.Name)
-		if err != nil {
-			return BudgetedResult{}, err
-		}
-		host, mgr, err := servermgr.Start(engine, sim.HostConfig{
-			Name: lc.Name, Machine: s.Machine, LC: lc, BE: beOn[lc.Name],
-			Trace: trace, Seed: s.Seed + int64(i)*577,
-		}, servermgr.Config{Model: model, Policy: servermgr.PowerOptimized, Tracer: s.Trace.Tracer(label + lc.Name)})
-		if err != nil {
-			return BudgetedResult{}, err
-		}
-		hosts = append(hosts, host)
-		managers = append(managers, mgr)
-		names = append(names, lc.Name)
-		totalProvisioned += host.CapW()
-	}
-	budgetW := budgetFrac * totalProvisioned
-	tr, err := tree.Flat(budgetW, names)
-	if err != nil {
-		return BudgetedResult{}, err
-	}
-	b, err := tree.New(tree.Config{Tree: tr, Hosts: hosts, Managers: managers, Policy: policy, Tracer: s.Trace.Tracer(label + "budget")})
-	if err != nil {
-		return BudgetedResult{}, err
-	}
-	if err := b.Attach(engine); err != nil {
-		return BudgetedResult{}, err
-	}
-	if err := engine.Run(dur); err != nil {
 		return BudgetedResult{}, err
 	}
 	res := BudgetedResult{
-		BudgetW: budgetW,
-		Hosts:   make(map[string]HostMetrics, len(hosts)),
-		Shares:  make(map[string]float64, len(hosts)),
+		BudgetW:    cfg.Budget.TotalW,
+		Hosts:      run.Hosts,
+		Shares:     run.Budget.Shares,
+		TotalBEOps: run.TotalBEOps,
 	}
-	shares := b.Shares()
-	for i, h := range hosts {
-		m := h.Metrics()
-		res.Hosts[h.Name()] = m
-		res.Shares[h.Name()] = shares[i]
-		res.TotalBEOps += m.BEOps
-		res.MeanClusterW += m.MeanPowerW
+	for _, lc := range cfg.LC {
+		res.MeanClusterW += run.Hosts[lc.Name].MeanPowerW
 	}
 	return res, nil
 }

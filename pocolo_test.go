@@ -2,11 +2,13 @@ package pocolo
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"pocolo/internal/cluster"
 	"pocolo/internal/trace"
 )
 
@@ -458,17 +460,27 @@ func TestPublicRunHyperscale(t *testing.T) {
 	}
 }
 
-// TestPublicSingleServerRunsTrace: with System.Trace set, each
-// single-server entry point records its managers' decisions on its own
-// timelines, which validate, and returns what an untraced twin returns.
-// Called twice on one system, the second call records under its own
-// label, so the merged timeline still validates.
-func TestPublicSingleServerRunsTrace(t *testing.T) {
+// TestPublicRunsTrace: with System.Trace set, each entry point records
+// its decisions on its own timelines, which validate, and returns what an
+// untraced twin returns. Called twice on one system, the second call
+// records under its own label, so the merged timeline still validates.
+func TestPublicRunsTrace(t *testing.T) {
 	load, err := ConstantTrace(0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	loads := map[string]float64{"img-dnn": 0.8, "sphinx": 0.1, "xapian": 0.6, "tpcc": 0.3}
+	placement := map[string]string{"graph": "sphinx", "lstm": "img-dnn", "pbzip": "xapian", "rnn": "tpcc"}
+	lcs := []string{"img-dnn", "sphinx", "xapian", "tpcc"}
+	var replicas, levels []string
+	for i := 0; i < 2; i++ {
+		for _, lc := range lcs {
+			replicas = append(replicas, fmt.Sprintf("%s#%d", lc, i))
+		}
+	}
+	for _, frac := range cluster.DefaultLoadRange() {
+		levels = append(levels, fmt.Sprintf("xapian+graph@%.0f", frac*100))
+	}
 	runs := []struct {
 		name, kind string
 		keys       []string // timelines under the call's label
@@ -485,8 +497,37 @@ func TestPublicSingleServerRunsTrace(t *testing.T) {
 			return sys.SimulateAdaptiveServer("xapian", "img-dnn", load, 10*time.Second)
 		}},
 		// A nil placement is solved by Place, traced under the call's label.
-		{"SimulateBudgetedCluster", "budgeted", []string{"img-dnn", "sphinx", "xapian", "tpcc", "budget", "cluster"}, func(sys *System) (any, error) {
+		{"SimulateBudgetedCluster", "budgeted", append([]string{"budget", "cluster"}, lcs...), func(sys *System) (any, error) {
 			return sys.SimulateBudgetedCluster(loads, nil, 0.85, DemandProportional, 10*time.Second)
+		}},
+		{"Place", "place", []string{"cluster"}, func(sys *System) (any, error) {
+			placement, total, err := sys.Place()
+			return []any{placement, total}, err
+		}},
+		{"Run", "run", append([]string{"cluster"}, lcs...), func(sys *System) (any, error) {
+			return sys.Run(POColo)
+		}},
+		{"RunPlacement", "placement", lcs, func(sys *System) (any, error) {
+			return sys.RunPlacement(placement, PowerOptimized)
+		}},
+		{"RunReplicated", "replicated", append([]string{"cluster"}, replicas...), func(sys *System) (any, error) {
+			return sys.RunReplicated(2, PowerOptimized)
+		}},
+		{"RunPair", "pair", levels, func(sys *System) (any, error) {
+			return sys.RunPair("xapian", "graph")
+		}},
+		{"RunHyperscale", "hyperscale", []string{"cluster"}, func(sys *System) (any, error) {
+			res, err := sys.RunHyperscale(HyperscaleConfig{
+				Fleet:  FleetConfig{Hosts: 64, Jobs: 48, Shard: ShardSettings{PodSize: 16}},
+				Rounds: 2,
+				Churn:  0.3,
+			})
+			// The delta counters count the process-wide cell memo's hits
+			// and misses, which earlier runs change (see RunHyperscale).
+			for i := range res.Rounds {
+				res.Rounds[i].Refresh = DeltaStats{}
+			}
+			return res, err
 		}},
 	}
 	for _, r := range runs {
