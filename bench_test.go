@@ -143,8 +143,9 @@ func BenchmarkFig9to11(b *testing.B) {
 // own per-policy memo never carries over. These benches therefore report
 // the steady-state regeneration cost of each artifact: profiling plus
 // model fitting plus cluster sweeps, where repeated identical sweeps are
-// served by the process-wide cache in internal/cluster. Run with
-// cluster.SetMemo(false) to force every simulation to re-execute.
+// served by the process-wide cache in internal/cluster. Call
+// cluster.ResetMemo at the top of an iteration to force every simulation
+// to re-execute, as BenchmarkFig12NoMemo does.
 
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -412,12 +413,13 @@ func BenchmarkTraceEnabled(b *testing.B) {
 }
 
 // BenchmarkFig12NoMemo and BenchmarkFig12Traced are the macro overhead
-// pair: the same evaluation figure with the sweep memo forced off (a
-// traced run always bypasses it), untraced vs fully traced. Their ratio
-// is the end-to-end enabled-path overhead the acceptance bar caps at 5%.
+// pair: the same evaluation figure from an empty cluster memo each
+// iteration (a traced run also bypasses the sweep memo), untraced vs
+// fully traced. Their ratio is the end-to-end enabled-path overhead the
+// acceptance bar caps at 5%.
 func BenchmarkFig12NoMemo(b *testing.B) {
-	defer cluster.SetMemo(cluster.SetMemo(false))
 	for i := 0; i < b.N; i++ {
+		cluster.ResetMemo()
 		if _, err := benchSuite(b).Fig12(); err != nil {
 			b.Fatal(err)
 		}
@@ -425,8 +427,8 @@ func BenchmarkFig12NoMemo(b *testing.B) {
 }
 
 func BenchmarkFig12Traced(b *testing.B) {
-	defer cluster.SetMemo(cluster.SetMemo(false))
 	for i := 0; i < b.N; i++ {
+		cluster.ResetMemo()
 		s := benchSuite(b)
 		s.Trace = trace.NewSet(trace.DefaultEvents)
 		if _, err := s.Fig12(); err != nil {

@@ -46,7 +46,6 @@ import (
 	"pocolo/internal/machine"
 	"pocolo/internal/profiler"
 	dtrace "pocolo/internal/trace"
-	"pocolo/internal/utility"
 	"pocolo/internal/workload"
 )
 
@@ -103,7 +102,7 @@ func run(opts agentOptions) error {
 		return errors.New("-speed must be positive")
 	}
 	cfg := machine.XeonE52650()
-	cat, err := loadCatalog(opts.catalog, cfg)
+	cat, err := workload.LoadCatalogFile(opts.catalog, cfg)
 	if err != nil {
 		return err
 	}
@@ -125,7 +124,7 @@ func run(opts agentOptions) error {
 		}
 	}
 
-	loadTrace, err := buildTrace(opts.trace, opts.level, opts.period)
+	loadTrace, err := workload.NamedTrace(opts.trace, opts.level, opts.period)
 	if err != nil {
 		return err
 	}
@@ -137,17 +136,13 @@ func run(opts agentOptions) error {
 	}
 
 	log.Printf("profiling %s and %d best-effort candidates", lc.Name, len(bes))
-	lcModel, err := profiler.ProfileAndFit(profiler.Config{Spec: lc, Machine: cfg, Seed: opts.seed})
+	lcModels, err := profiler.FitAll(cfg, []*workload.Spec{lc}, opts.seed)
 	if err != nil {
 		return err
 	}
-	beModels := make(map[string]*utility.Model, len(bes))
-	for i, be := range bes {
-		m, err := profiler.ProfileAndFit(profiler.Config{Spec: be, Machine: cfg, Seed: opts.seed + int64(i)*101})
-		if err != nil {
-			return err
-		}
-		beModels[be.Name] = m
+	beModels, err := profiler.FitAll(cfg, bes, opts.seed)
+	if err != nil {
+		return err
 	}
 
 	simTick := 100 * time.Millisecond
@@ -155,7 +150,7 @@ func run(opts agentOptions) error {
 		Name:         opts.name,
 		Machine:      cfg,
 		LC:           lc,
-		LCModel:      lcModel,
+		LCModel:      lcModels[lc.Name],
 		BECandidates: bes,
 		BEModels:     beModels,
 		Trace:        loadTrace,
@@ -287,46 +282,4 @@ func dumpDecisionTrace(path string, tr *dtrace.Tracer) error {
 	}
 	log.Printf("wrote %d decision-trace events to %s (%d dropped)", len(events), path, tr.Dropped())
 	return nil
-}
-
-// loadCatalog opens the application catalog (defaults when path is empty).
-func loadCatalog(path string, cfg machine.Config) (*workload.Catalog, error) {
-	if path == "" {
-		return workload.Defaults(cfg)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return workload.LoadCatalog(f, cfg)
-}
-
-// buildTrace constructs the requested load trace; periodic traces repeat
-// with the given period.
-func buildTrace(kind string, level float64, period time.Duration) (workload.Trace, error) {
-	switch {
-	case kind == "constant":
-		return workload.NewConstantTrace(level)
-	case kind == "diurnal":
-		return workload.NewDiurnalTrace(0.1, 0.9, period)
-	case kind == "two-peak":
-		return workload.NewTwoPeakTrace(0.1, 0.5, 0.9, period)
-	case kind == "sweep":
-		return workload.UniformSweep(period / 9), nil
-	case kind == "step":
-		return workload.NewStepTrace(0.5, 0.8, period/2, period)
-	case kind == "flash":
-		return workload.NewFlashCrowdTrace(0.2, 0.9, period/3, period/6, period)
-	case strings.HasPrefix(kind, "csv:"):
-		path := strings.TrimPrefix(kind, "csv:")
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return workload.ParseCSVTrace(path, f)
-	default:
-		return nil, fmt.Errorf("unknown trace %q", kind)
-	}
 }

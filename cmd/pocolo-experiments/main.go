@@ -14,11 +14,11 @@
 // experiments.Suite.Trace for which record) write their control-loop
 // decisions into shared per-host rings; the merged timeline is written as
 // JSONL (and as a Perfetto-loadable Chrome trace with -trace-chrome).
-// Only ablation-budget keys its runs apart, under
-// ablation-budget/<policy>/. The others key hosts by bare name, so runs
-// that repeat a host — within fig12, fig13, fig15, ablation-slack and
-// ablation-myopic, or across any two traced experiments — share a
-// timeline that pocolo-trace -validate rejects.
+// Every experiment keys its runs under a label of its own (fig14/,
+// ablation-slack/slack0.05/, sensitivity-seeds/seed42/random/, …; the
+// policy runs fig12, fig13 and fig15 share record once, under random/,
+// pom/ and pocolo/), so any selection merges into one timeline that
+// pocolo-trace -validate accepts.
 package main
 
 import (

@@ -34,7 +34,6 @@ import (
 	"pocolo/internal/profiler"
 	"pocolo/internal/servermgr"
 	"pocolo/internal/sim"
-	"pocolo/internal/utility"
 	"pocolo/internal/workload"
 )
 
@@ -64,18 +63,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	cfg := machine.XeonE52650()
-	var cat *workload.Catalog
-	var err error
-	if *catalogPath != "" {
-		f, ferr := os.Open(*catalogPath)
-		if ferr != nil {
-			return ferr
-		}
-		cat, err = workload.LoadCatalog(f, cfg)
-		f.Close()
-	} else {
-		cat, err = workload.Defaults(cfg)
-	}
+	cat, err := workload.LoadCatalogFile(*catalogPath, cfg)
 	if err != nil {
 		return err
 	}
@@ -98,7 +86,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	trace, err := buildTrace(*traceKind, *level, *duration)
+	trace, err := workload.NamedTrace(*traceKind, *level, *duration)
 	if err != nil {
 		return err
 	}
@@ -121,17 +109,13 @@ func run(args []string, out io.Writer) error {
 		hc.ExtraBE = bes[1:]
 	}
 
-	model, err := profiler.ProfileAndFit(profiler.Config{Spec: lc, Machine: cfg, Seed: *seed})
+	lcModels, err := profiler.FitAll(cfg, []*workload.Spec{lc}, *seed)
 	if err != nil {
 		return err
 	}
-	beModels := make(map[string]*utility.Model)
-	for i, be := range bes {
-		m, err := profiler.ProfileAndFit(profiler.Config{Spec: be, Machine: cfg, Seed: *seed + int64(i)*101})
-		if err != nil {
-			return err
-		}
-		beModels[be.Name] = m
+	beModels, err := profiler.FitAll(cfg, bes, *seed)
+	if err != nil {
+		return err
 	}
 
 	mgmt := servermgr.PowerOptimized
@@ -147,7 +131,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	host, _, err := servermgr.Start(engine, hc, servermgr.Config{
-		Model: model, Policy: mgmt, Seed: *seed, BEModels: beModels,
+		Model: lcModels[lc.Name], Policy: mgmt, Seed: *seed, BEModels: beModels,
 	})
 	if err != nil {
 		return err
@@ -215,34 +199,6 @@ func runInterruptible(ctx context.Context, engine *sim.Engine, duration time.Dur
 		ran += step
 	}
 	return ran, nil
-}
-
-// buildTrace constructs the requested load trace.
-func buildTrace(kind string, level float64, duration time.Duration) (workload.Trace, error) {
-	switch {
-	case kind == "constant":
-		return workload.NewConstantTrace(level)
-	case kind == "diurnal":
-		return workload.NewDiurnalTrace(0.1, 0.9, duration)
-	case kind == "two-peak":
-		return workload.NewTwoPeakTrace(0.1, 0.5, 0.9, duration)
-	case kind == "sweep":
-		return workload.UniformSweep(duration / 9), nil
-	case kind == "step":
-		return workload.NewStepTrace(0.5, 0.8, duration/2, duration)
-	case kind == "flash":
-		return workload.NewFlashCrowdTrace(0.2, 0.9, duration/3, duration/6, duration)
-	case strings.HasPrefix(kind, "csv:"):
-		path := strings.TrimPrefix(kind, "csv:")
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return workload.ParseCSVTrace(path, f)
-	default:
-		return nil, fmt.Errorf("unknown trace %q", kind)
-	}
 }
 
 // writeTimeline dumps the host's telemetry series as CSV.

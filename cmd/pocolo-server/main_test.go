@@ -14,37 +14,6 @@ import (
 	"pocolo/internal/workload"
 )
 
-func TestBuildTrace(t *testing.T) {
-	for _, kind := range []string{"constant", "diurnal", "two-peak", "sweep", "step", "flash"} {
-		tr, err := buildTrace(kind, 0.5, 4*time.Minute)
-		if err != nil {
-			t.Errorf("%s: %v", kind, err)
-			continue
-		}
-		if v := tr.LoadFraction(time.Minute); v < 0 || v > 1 {
-			t.Errorf("%s: load %v out of range", kind, v)
-		}
-	}
-	if _, err := buildTrace("nope", 0.5, time.Minute); err == nil {
-		t.Error("expected error for unknown trace")
-	}
-	if _, err := buildTrace("csv:/does/not/exist.csv", 0.5, time.Minute); err == nil {
-		t.Error("expected error for missing CSV file")
-	}
-	// A real CSV file round-trips.
-	path := filepath.Join(t.TempDir(), "trace.csv")
-	if err := os.WriteFile(path, []byte("0,0.2\n60,0.8\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := buildTrace("csv:"+path, 0.5, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.LoadFraction(30 * time.Second); got < 0.45 || got > 0.55 {
-		t.Errorf("CSV midpoint = %v, want ≈0.5", got)
-	}
-}
-
 func TestWriteTimeline(t *testing.T) {
 	cat := workload.MustDefaults()
 	lc, err := cat.ByName("xapian")

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
+	"pocolo/internal/memo"
 	"pocolo/internal/servermgr"
 	"pocolo/internal/sim"
 	"pocolo/internal/utility"
@@ -22,54 +22,38 @@ import (
 // policy runs behind Figs. 12/13/15 are shared across fresh Suites with the
 // same seed instead of re-simulated per figure.
 //
-// The memo deep-copies on both store and load, so callers may mutate what
-// they get back. Disable it (SetMemo) when measuring raw simulation cost or
-// when proving sequential/parallel equivalence on live runs.
-var memo = struct {
-	sync.Mutex
-	enabled      bool
-	pairs        map[string]PairResult
-	placements   map[string]Result
-	hits, misses int
-}{
-	enabled:    true,
-	pairs:      make(map[string]PairResult),
-	placements: make(map[string]Result),
-}
-
-// memoLimit bounds each memo map; a full map is cleared wholesale (the
+// Each map holds up to 4,096 runs and is cleared wholesale when full (the
 // workload is a small set of configs hit many times, not a scan).
-const memoLimit = 4096
+var (
+	pairRuns      = memo.New[string, PairResult](4096)
+	placementRuns = memo.New[string, Result](4096)
+)
 
-// SetMemo enables or disables the process-wide run memo. Disabling also
-// clears it. Returns the previous setting.
-func SetMemo(enabled bool) bool {
-	memo.Lock()
-	defer memo.Unlock()
-	prev := memo.enabled
-	memo.enabled = enabled
-	if !enabled {
-		memo.pairs = make(map[string]PairResult)
-		memo.placements = make(map[string]Result)
-	}
-	return prev
-}
-
-// ResetMemo clears the memo and its counters without changing whether it
-// is enabled.
+// ResetMemo empties the run memos and the delta-cell memo and zeroes
+// their counters, so the next runs and matrix builds start cold, as in a
+// fresh process. Interned fingerprint ids stay valid: a live
+// MatrixBuilder's clean rows and columns stay clean.
 func ResetMemo() {
-	memo.Lock()
-	defer memo.Unlock()
-	memo.pairs = make(map[string]PairResult)
-	memo.placements = make(map[string]Result)
-	memo.hits, memo.misses = 0, 0
+	pairRuns.Reset()
+	placementRuns.Reset()
+	cells.Reset()
 }
 
-// MemoStats reports cache hits and misses since the last reset.
-func MemoStats() (hits, misses int) {
-	memo.Lock()
-	defer memo.Unlock()
-	return memo.hits, memo.misses
+// memoRun serves key's run from cache, calling run on a miss. The cache
+// keeps a private deep copy: the caller that ran it gets the original
+// and every hit gets a fresh copy, so callers may mutate what they get
+// back.
+func memoRun[V any](cache *memo.Cache[string, V], key string, copyOf func(V) V, run func() (V, error)) (V, error) {
+	var ran V
+	v, hit, err := cache.Get(key, func() (V, error) {
+		var err error
+		ran, err = run()
+		return copyOf(ran), err
+	})
+	if err != nil || !hit {
+		return ran, err
+	}
+	return copyOf(v), nil
 }
 
 // fingerprintConfig writes the cacheable identity of a cluster Config: the
@@ -135,60 +119,6 @@ func pairKey(cfg *Config, lc, be *workload.Spec) string {
 	fmt.Fprintf(&w, "pair|lc=%+v|be=%+v|", *lc, *be)
 	fingerprintConfig(&w, cfg)
 	return w.String()
-}
-
-func memoGetPlacement(key string) (Result, bool) {
-	memo.Lock()
-	defer memo.Unlock()
-	if !memo.enabled {
-		return Result{}, false
-	}
-	res, ok := memo.placements[key]
-	if ok {
-		memo.hits++
-		return copyResult(res), true
-	}
-	memo.misses++
-	return Result{}, false
-}
-
-func memoPutPlacement(key string, res Result) {
-	memo.Lock()
-	defer memo.Unlock()
-	if !memo.enabled {
-		return
-	}
-	if len(memo.placements) >= memoLimit {
-		memo.placements = make(map[string]Result)
-	}
-	memo.placements[key] = copyResult(res)
-}
-
-func memoGetPair(key string) (PairResult, bool) {
-	memo.Lock()
-	defer memo.Unlock()
-	if !memo.enabled {
-		return PairResult{}, false
-	}
-	pr, ok := memo.pairs[key]
-	if ok {
-		memo.hits++
-		return copyPairResult(pr), true
-	}
-	memo.misses++
-	return PairResult{}, false
-}
-
-func memoPutPair(key string, pr PairResult) {
-	memo.Lock()
-	defer memo.Unlock()
-	if !memo.enabled {
-		return
-	}
-	if len(memo.pairs) >= memoLimit {
-		memo.pairs = make(map[string]PairResult)
-	}
-	memo.pairs[key] = copyPairResult(pr)
 }
 
 func copyResult(r Result) Result {

@@ -269,26 +269,20 @@ func RunPlacement(cfg Config, placement map[string]string, mgmt servermgr.LCPoli
 		return runBudgeted(cfg, placement, servers, workload.UniformSweep(cfg.Dwell).Duration())
 	}
 
+	run := func() (Result, error) {
+		metrics, err := runManagedHosts(cfg, servers, workload.UniformSweep(cfg.Dwell).Duration())
+		if err != nil {
+			return Result{}, err
+		}
+		return summarize(placement, servers, metrics), nil
+	}
 	// Traced runs bypass the memo in both directions: a cache hit would
 	// replay no decisions, and a traced result must not poison the cache
 	// for untraced callers expecting the speedup.
-	traced := cfg.Trace != nil
-	var key string
-	if !traced {
-		key = placementKey(&cfg, placement, mgmt)
-		if res, ok := memoGetPlacement(key); ok {
-			return res, nil
-		}
+	if cfg.Trace != nil {
+		return run()
 	}
-	metrics, err := runManagedHosts(cfg, servers, workload.UniformSweep(cfg.Dwell).Duration())
-	if err != nil {
-		return Result{}, err
-	}
-	res := summarize(placement, servers, metrics)
-	if !traced {
-		memoPutPlacement(key, res)
-	}
-	return res, nil
+	return memoRun(placementRuns, placementKey(&cfg, placement, mgmt), copyResult, run)
 }
 
 // server is one managed server of a cluster run: its host, and its
@@ -605,14 +599,15 @@ func RunPair(cfg Config, lc, be *workload.Spec) (PairResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return PairResult{}, err
 	}
-	traced := cfg.Trace != nil
-	var key string
-	if !traced {
-		key = pairKey(&cfg, lc, be)
-		if pr, ok := memoGetPair(key); ok {
-			return pr, nil
-		}
+	// Traced sweeps bypass the memo in both directions, as in RunPlacement.
+	if cfg.Trace != nil {
+		return runPair(cfg, lc, be)
 	}
+	return memoRun(pairRuns, pairKey(&cfg, lc, be), copyPairResult, func() (PairResult, error) { return runPair(cfg, lc, be) })
+}
+
+// runPair lays out one server per load level and simulates the sweep.
+func runPair(cfg Config, lc, be *workload.Spec) (PairResult, error) {
 	loads := DefaultLoadRange()
 	servers := make([]server, len(loads))
 	for i, frac := range loads {
@@ -642,9 +637,6 @@ func RunPair(cfg Config, lc, be *workload.Spec) (PairResult, error) {
 		pr.Mean += pr.TotalNorm[i]
 	}
 	pr.Mean /= float64(len(loads))
-	if !traced {
-		memoPutPair(key, pr)
-	}
 	return pr, nil
 }
 

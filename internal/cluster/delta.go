@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"pocolo/internal/machine"
+	"pocolo/internal/memo"
 	"pocolo/internal/parallel"
 	"pocolo/internal/utility"
 	"pocolo/internal/workload"
@@ -41,8 +42,7 @@ type cellKey struct {
 // are identified before any parallel work starts. The memo is
 // process-wide, so they also depend on what ran before in the process: a
 // repeated build finds its cells memoized and counts them reused. Call
-// ResetCellMemo first to count from an empty memo, as a fresh process
-// does.
+// ResetMemo first to count from an empty memo, as a fresh process does.
 type DeltaStats struct {
 	CellsComputed int
 	CellsReused   int
@@ -53,106 +53,24 @@ func (s *DeltaStats) add(o DeltaStats) {
 	s.CellsReused += o.CellsReused
 }
 
-// cellMemo is the process-wide delta-cell cache, mirroring the sweep
-// memo's policy: bounded maps cleared wholesale, enable/disable with
-// clear-on-disable, hit/miss counters. The intern counter is never
-// rewound — after a wholesale clear, stale ids held by live builders
-// simply never match again.
-var cellMemo = struct {
-	sync.Mutex
-	enabled bool
-	intern  map[string]uint32
-	next    uint32
-	vals    map[cellKey]float64
-	hits    int
-	misses  int
-}{
-	enabled: true,
-	intern:  make(map[string]uint32),
-	next:    1,
-	vals:    make(map[cellKey]float64),
-}
+// fingerprints interns cell-input fingerprints to dense ids, and cells
+// holds the process-wide cell values keyed by id triple. Each clears
+// wholesale at 1<<16 entries, which comfortably holds a hyperscale
+// fleet's distinct (machine, model, host-class) combinations while
+// bounding worst-case memory near a few megabytes. Ids come from a
+// counter that starts at 1 and is never rewound, so a cleared intern
+// table cannot alias an old fingerprint onto a new one: stale ids held by
+// live builders simply never match again.
+var (
+	fingerprints = memo.New[string, uint32](1 << 16)
+	cells        = memo.New[cellKey, float64](1 << 16)
+	lastFPID     atomic.Uint32
+)
 
-// cellMemoLimit bounds the value map and the intern table; past it the
-// full map is cleared wholesale. 1<<16 entries comfortably hold a
-// hyperscale fleet's distinct (machine, model, host-class) combinations
-// while bounding worst-case memory near a few megabytes.
-const cellMemoLimit = 1 << 16
-
-// SetCellMemo enables or disables the process-wide delta-cell memo.
-// Disabling also clears it. Returns the previous setting.
-func SetCellMemo(enabled bool) bool {
-	cellMemo.Lock()
-	defer cellMemo.Unlock()
-	prev := cellMemo.enabled
-	cellMemo.enabled = enabled
-	if !enabled {
-		cellMemo.vals = make(map[cellKey]float64)
-	}
-	return prev
-}
-
-// ResetCellMemo clears the delta-cell memo and its counters without
-// changing whether it is enabled.
-func ResetCellMemo() {
-	cellMemo.Lock()
-	defer cellMemo.Unlock()
-	cellMemo.vals = make(map[cellKey]float64)
-	cellMemo.hits, cellMemo.misses = 0, 0
-}
-
-// CellMemoStats reports entry count and hit/miss totals since the last
-// reset.
-func CellMemoStats() (entries, hits, misses int) {
-	cellMemo.Lock()
-	defer cellMemo.Unlock()
-	return len(cellMemo.vals), cellMemo.hits, cellMemo.misses
-}
-
-// internFP maps a fingerprint string to a stable dense id. Ids are
-// monotonic and never reused, so a cleared table cannot alias an old
-// fingerprint onto a new one.
+// internFP maps a fingerprint string to a stable dense id.
 func internFP(fp string) uint32 {
-	cellMemo.Lock()
-	defer cellMemo.Unlock()
-	if id, ok := cellMemo.intern[fp]; ok {
-		return id
-	}
-	if len(cellMemo.intern) >= cellMemoLimit {
-		cellMemo.intern = make(map[string]uint32)
-		cellMemo.vals = make(map[cellKey]float64)
-	}
-	id := cellMemo.next
-	cellMemo.next++
-	cellMemo.intern[fp] = id
+	id, _, _ := fingerprints.Get(fp, func() (uint32, error) { return lastFPID.Add(1), nil })
 	return id
-}
-
-func cellMemoLookup(k cellKey) (float64, bool) {
-	cellMemo.Lock()
-	defer cellMemo.Unlock()
-	if !cellMemo.enabled {
-		return 0, false
-	}
-	v, ok := cellMemo.vals[k]
-	if ok {
-		cellMemo.hits++
-	} else {
-		cellMemo.misses++
-	}
-	return v, ok
-}
-
-func cellMemoStore(k cellKey, v float64) {
-	cellMemo.Lock()
-	defer cellMemo.Unlock()
-	if !cellMemo.enabled {
-		return
-	}
-	if len(cellMemo.vals) >= cellMemoLimit {
-		cellMemo.vals = make(map[cellKey]float64)
-	}
-	cellMemo.vals[k] = v
 }
 
 // globalFP fingerprints the cell inputs shared by the whole matrix.
@@ -206,7 +124,7 @@ func colFP(lc *workload.Spec, lcModel *utility.Model) string {
 // assign.Incremental, so a pod's builder and solver stay index-aligned.
 //
 // A builder is not safe for concurrent use, but distinct builders are:
-// all shared state lives in the locked process-wide cell memo.
+// all shared state lives in the process-wide cell memo.
 type MatrixBuilder struct {
 	machine  machine.Config
 	loads    []float64
@@ -536,10 +454,10 @@ func (b *MatrixBuilder) computeCells(refs []cellRef) (DeltaStats, error) {
 	}
 	// Groups sit in first-appearance order, so the memo sees the same
 	// lookup sequence — and yields the same computed/reused split — as a
-	// scan over the cells would.
+	// scan over the cells would. Only the misses fan out.
 	var toCompute []int32
 	for g := range groups {
-		if v, ok := cellMemoLookup(groups[g].key); ok {
+		if v, ok := cells.Lookup(groups[g].key); ok {
 			groups[g].val = v
 		} else {
 			toCompute = append(toCompute, int32(g))
@@ -548,7 +466,9 @@ func (b *MatrixBuilder) computeCells(refs []cellRef) (DeltaStats, error) {
 	err := parallel.ForEach(len(toCompute), b.workers, func(idx int) error {
 		g := &groups[toCompute[idx]]
 		r := g.rep
-		v, err := estimatePairThroughput(b.machine, b.lc[r.j], b.lcModel[r.j], b.beModel[r.i], b.loads)
+		v, _, err := cells.Get(g.key, func() (float64, error) {
+			return estimatePairThroughput(b.machine, b.lc[r.j], b.lcModel[r.j], b.beModel[r.i], b.loads)
+		})
 		if err != nil {
 			return fmt.Errorf("cluster: estimating %s on %s: %w", b.be[r.i].Name, b.lc[r.j].Name, err)
 		}
@@ -557,9 +477,6 @@ func (b *MatrixBuilder) computeCells(refs []cellRef) (DeltaStats, error) {
 	})
 	if err != nil {
 		return DeltaStats{}, err
-	}
-	for _, g := range toCompute {
-		cellMemoStore(groups[g].key, groups[g].val)
 	}
 	for n, r := range refs {
 		if g := groupOf[n]; g >= 0 {

@@ -35,21 +35,19 @@ func TestMatrixBuilderMatchesBuildMatrix(t *testing.T) {
 	cfg := fixture(t)
 	mcfg := MatrixConfig{Machine: cfg.Machine, LC: cfg.LC, BE: cfg.BE, Models: cfg.Models}
 
-	// Ground truth with the memo disabled: every cell evaluated.
-	prev := SetCellMemo(false)
-	defer SetCellMemo(prev)
+	// Ground truth from an empty memo: every distinct cell evaluated.
+	ResetMemo()
 	want, err := BuildMatrix(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCellMemo(true)
-	ResetCellMemo()
+	ResetMemo()
 	b, err := NewMatrixBuilder(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(b.Matrix(), want) {
-		t.Error("builder matrix differs from memo-off BuildMatrix")
+		t.Error("builder matrix differs from cold BuildMatrix")
 	}
 	// A second builder over the same inputs must be all memo hits.
 	before := b.Stats()
@@ -76,8 +74,7 @@ func TestMatrixBuilderMemoCollapsesIdenticalHosts(t *testing.T) {
 		cloneSpec(cfg.LC[0]), cloneSpec(cfg.LC[0]),
 		cloneSpec(cfg.LC[0]), cloneSpec(cfg.LC[0]),
 	}
-	SetCellMemo(true)
-	ResetCellMemo()
+	ResetMemo()
 	b, err := NewMatrixBuilder(MatrixConfig{Machine: cfg.Machine, LC: lc, BE: cfg.BE[:2], Models: cfg.Models})
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +99,7 @@ func TestMatrixBuilderRefreshDelta(t *testing.T) {
 	cfg := fixture(t)
 	lc := cloneSpecs(cfg.LC) // private copies so cap mutations stay local
 	mcfg := MatrixConfig{Machine: cfg.Machine, LC: lc, BE: cfg.BE, Models: cfg.Models}
-	SetCellMemo(true)
-	ResetCellMemo()
+	ResetMemo()
 	b, err := NewMatrixBuilder(mcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +191,7 @@ func TestMatrixBuilderRefreshDelta(t *testing.T) {
 
 func TestMatrixBuilderAddRemoveRow(t *testing.T) {
 	cfg := fixture(t)
-	SetCellMemo(true)
-	ResetCellMemo()
+	ResetMemo()
 	b, err := NewMatrixBuilder(MatrixConfig{Machine: cfg.Machine, LC: cfg.LC, BE: cfg.BE[:2], Models: cfg.Models})
 	if err != nil {
 		t.Fatal(err)
@@ -255,38 +250,23 @@ func TestMatrixBuilderEmptyRows(t *testing.T) {
 func TestCellMemoControls(t *testing.T) {
 	cfg := fixture(t)
 	mcfg := MatrixConfig{Machine: cfg.Machine, LC: cfg.LC, BE: cfg.BE, Models: cfg.Models}
-	SetCellMemo(true)
-	ResetCellMemo()
+	ResetMemo()
 	if _, err := NewMatrixBuilder(mcfg); err != nil {
 		t.Fatal(err)
 	}
-	entries, _, misses := CellMemoStats()
+	entries, _, misses := cells.Stats()
 	if entries == 0 || misses == 0 {
 		t.Fatalf("expected memo population, got entries=%d misses=%d", entries, misses)
 	}
 	if _, err := NewMatrixBuilder(mcfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, hits, _ := CellMemoStats(); hits == 0 {
+	if _, hits, _ := cells.Stats(); hits == 0 {
 		t.Error("expected memo hits on rebuild")
 	}
-	ResetCellMemo()
-	if entries, hits, misses := CellMemoStats(); entries != 0 || hits != 0 || misses != 0 {
+	ResetMemo()
+	if entries, hits, misses := cells.Stats(); entries != 0 || hits != 0 || misses != 0 {
 		t.Errorf("reset left entries=%d hits=%d misses=%d", entries, hits, misses)
-	}
-	// Disabled: every build evaluates every distinct cell again, and the
-	// map stays empty.
-	prev := SetCellMemo(false)
-	defer SetCellMemo(prev)
-	b, err := NewMatrixBuilder(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Stats().CellsComputed == 0 {
-		t.Error("disabled memo served cells")
-	}
-	if entries, _, _ := CellMemoStats(); entries != 0 {
-		t.Errorf("disabled memo stored %d entries", entries)
 	}
 }
 

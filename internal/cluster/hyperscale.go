@@ -319,7 +319,7 @@ type HyperscaleResult struct {
 // through the sharded incremental path. Each round re-solves only the
 // rows and columns the churn actually dirtied. Two seeded runs return
 // equal results, delta counters included, only when each starts from an
-// empty delta-cell memo (ResetCellMemo): the counters count the
+// empty delta-cell memo (ResetMemo): the counters count the
 // process-wide memo's misses and hits, so a second run in one process
 // reads 0 cells computed.
 func RunHyperscale(cfg HyperscaleConfig) (HyperscaleResult, error) {

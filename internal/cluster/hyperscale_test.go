@@ -133,12 +133,12 @@ func TestRunHyperscaleDeterministic(t *testing.T) {
 		Rounds: 2,
 		Churn:  0.4,
 	}
-	ResetCellMemo()
+	ResetMemo()
 	r1, err := RunHyperscale(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetCellMemo()
+	ResetMemo()
 	r2, err := RunHyperscale(cfg)
 	if err != nil {
 		t.Fatal(err)

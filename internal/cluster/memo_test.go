@@ -25,9 +25,8 @@ func smallFixture(t *testing.T) Config {
 // simulated after a reset or served from the cache — must be identical to
 // the reference, and the race detector must stay quiet.
 func TestResetMemoUnderConcurrentRunPlacement(t *testing.T) {
-	prev := SetMemo(true)
 	ResetMemo()
-	defer func() { SetMemo(prev); ResetMemo() }()
+	defer ResetMemo()
 
 	cfg := smallFixture(t)
 	placement := mustPlace(t, cfg)
@@ -138,9 +137,8 @@ func TestFingerprintKeys(t *testing.T) {
 // hits, and fingerprint changes — including that an invariant-checked run
 // never satisfies itself from an unchecked entry.
 func TestMemoStatsCounts(t *testing.T) {
-	prev := SetMemo(true)
 	ResetMemo()
-	defer func() { SetMemo(prev); ResetMemo() }()
+	defer ResetMemo()
 
 	cfg := smallFixture(t)
 	placement := mustPlace(t, cfg)
@@ -152,35 +150,35 @@ func TestMemoStatsCounts(t *testing.T) {
 	}
 
 	run(cfg)
-	if h, m := MemoStats(); h != 0 || m != 1 {
+	if _, h, m := placementRuns.Stats(); h != 0 || m != 1 {
 		t.Fatalf("after first run: hits=%d misses=%d, want 0/1", h, m)
 	}
 	run(cfg)
-	if h, m := MemoStats(); h != 1 || m != 1 {
+	if _, h, m := placementRuns.Stats(); h != 1 || m != 1 {
 		t.Fatalf("after repeat: hits=%d misses=%d, want 1/1", h, m)
 	}
 	seeded := cfg
 	seeded.Seed += 100
 	run(seeded)
-	if h, m := MemoStats(); h != 1 || m != 2 {
+	if _, h, m := placementRuns.Stats(); h != 1 || m != 2 {
 		t.Fatalf("after reseeded run: hits=%d misses=%d, want 1/2", h, m)
 	}
 	checked := cfg
 	checked.Invariants = true
 	run(checked)
-	if h, m := MemoStats(); h != 1 || m != 3 {
+	if _, h, m := placementRuns.Stats(); h != 1 || m != 3 {
 		t.Fatalf("invariant-checked run must miss an unchecked entry: hits=%d misses=%d, want 1/3", h, m)
 	}
 	run(checked)
-	if h, m := MemoStats(); h != 2 || m != 3 {
+	if _, h, m := placementRuns.Stats(); h != 2 || m != 3 {
 		t.Fatalf("repeated checked run must hit: hits=%d misses=%d, want 2/3", h, m)
 	}
 	ResetMemo()
-	if h, m := MemoStats(); h != 0 || m != 0 {
+	if _, h, m := placementRuns.Stats(); h != 0 || m != 0 {
 		t.Fatalf("ResetMemo left counters at %d/%d", h, m)
 	}
 	run(cfg)
-	if h, m := MemoStats(); h != 0 || m != 1 {
+	if _, h, m := placementRuns.Stats(); h != 0 || m != 1 {
 		t.Fatalf("after reset the cache must be cold: hits=%d misses=%d, want 0/1", h, m)
 	}
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // TestParallelMatchesSequential is the golden equality check behind the
-// whole parallel layer: with the memo off (every run live), a cluster run
-// fanned across a worker pool must be bit-identical to the sequential run —
-// same hosts, same trials, same load levels, same aggregates.
+// whole parallel layer: with the memo reset before each side (every run
+// live), a cluster run fanned across a worker pool must be bit-identical
+// to the sequential run — same hosts, same trials, same load levels, same
+// aggregates.
 func TestParallelMatchesSequential(t *testing.T) {
-	prev := SetMemo(false)
-	defer func() { SetMemo(prev); ResetMemo() }()
+	defer ResetMemo()
 
 	cfg := fixture(t)
 	placement := mustPlace(t, cfg)
@@ -22,45 +22,41 @@ func TestParallelMatchesSequential(t *testing.T) {
 	lc, _ := cat.ByName("sphinx")
 	be, _ := cat.ByName("graph")
 
-	seq, par := cfg, cfg
-	seq.Parallel = 1
-	par.Parallel = 4
-
-	seqPlaced, err := RunPlacement(seq, placement, servermgr.PowerOptimized)
-	if err != nil {
-		t.Fatal(err)
+	type side struct {
+		placed, random Result
+		pair           PairResult
 	}
-	parPlaced, err := RunPlacement(par, placement, servermgr.PowerOptimized)
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) side {
+		t.Helper()
+		c := cfg
+		c.Parallel = workers
+		ResetMemo()
+		var s side
+		var err error
+		if s.placed, err = RunPlacement(c, placement, servermgr.PowerOptimized); err != nil {
+			t.Fatal(err)
+		}
+		// Random exercises the trial fan-out in runRandomExpectation.
+		if s.random, err = Run(c, Random); err != nil {
+			t.Fatal(err)
+		}
+		if s.pair, err = RunPair(c, lc, be); err != nil {
+			t.Fatal(err)
+		}
+		if _, hits, _ := placementRuns.Stats(); hits != 0 {
+			t.Fatalf("%d memo hits on a side that must run live", hits)
+		}
+		return s
 	}
-	if !reflect.DeepEqual(seqPlaced, parPlaced) {
-		t.Errorf("RunPlacement diverges:\nsequential %+v\nparallel   %+v", seqPlaced, parPlaced)
+	seq, par := run(1), run(4)
+	if !reflect.DeepEqual(seq.placed, par.placed) {
+		t.Errorf("RunPlacement diverges:\nsequential %+v\nparallel   %+v", seq.placed, par.placed)
 	}
-
-	// Random exercises the trial fan-out in runRandomExpectation.
-	seqRand, err := Run(seq, Random)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(seq.random, par.random) {
+		t.Errorf("Run(Random) diverges:\nsequential %+v\nparallel   %+v", seq.random, par.random)
 	}
-	parRand, err := Run(par, Random)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqRand, parRand) {
-		t.Errorf("Run(Random) diverges:\nsequential %+v\nparallel   %+v", seqRand, parRand)
-	}
-
-	seqPair, err := RunPair(seq, lc, be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parPair, err := RunPair(par, lc, be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqPair, parPair) {
-		t.Errorf("RunPair diverges:\nsequential %+v\nparallel   %+v", seqPair, parPair)
+	if !reflect.DeepEqual(seq.pair, par.pair) {
+		t.Errorf("RunPair diverges:\nsequential %+v\nparallel   %+v", seq.pair, par.pair)
 	}
 }
 
@@ -68,9 +64,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 // returns exactly the first result, and hands out an independent copy the
 // caller may mutate.
 func TestMemoServesIdenticalIsolatedResults(t *testing.T) {
-	prev := SetMemo(true)
 	ResetMemo()
-	defer func() { SetMemo(prev); ResetMemo() }()
+	defer ResetMemo()
 
 	cfg := fixture(t)
 	placement := mustPlace(t, cfg)
@@ -79,14 +74,14 @@ func TestMemoServesIdenticalIsolatedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := MemoStats(); hits != 0 || misses == 0 {
+	if _, hits, misses := placementRuns.Stats(); hits != 0 || misses == 0 {
 		t.Fatalf("after first run: hits=%d misses=%d", hits, misses)
 	}
 	second, err := RunPlacement(cfg, placement, servermgr.PowerOptimized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := MemoStats(); hits == 0 {
+	if _, hits, _ := placementRuns.Stats(); hits == 0 {
 		t.Fatal("second identical run was not a cache hit")
 	}
 	if !reflect.DeepEqual(first, second) {
@@ -111,11 +106,11 @@ func TestMemoServesIdenticalIsolatedResults(t *testing.T) {
 	// A different seed is a different fingerprint — a miss, not a hit.
 	other := cfg
 	other.Seed = cfg.Seed + 1
-	hitsBefore, _ := MemoStats()
+	_, hitsBefore, _ := placementRuns.Stats()
 	if _, err := RunPlacement(other, placement, servermgr.PowerOptimized); err != nil {
 		t.Fatal(err)
 	}
-	if hitsAfter, _ := MemoStats(); hitsAfter != hitsBefore {
+	if _, hitsAfter, _ := placementRuns.Stats(); hitsAfter != hitsBefore {
 		t.Error("run with a different seed was served from the cache")
 	}
 

@@ -344,15 +344,10 @@ func (s *Sharded) Refresh() (DeltaStats, error) {
 // builder.
 func (s *Sharded) pairValue(be *workload.Spec, beM *utility.Model, lc *workload.Spec, lcM *utility.Model) (float64, error) {
 	k := cellKey{global: s.globalID, row: internFP(utility.ModelKey(beM)), col: internFP(colFP(lc, lcM))}
-	if v, ok := cellMemoLookup(k); ok {
-		return v, nil
-	}
-	v, err := estimatePairThroughput(s.platform, lc, lcM, beM, s.loads)
-	if err != nil {
-		return 0, err
-	}
-	cellMemoStore(k, v)
-	return v, nil
+	v, _, err := cells.Get(k, func() (float64, error) {
+		return estimatePairThroughput(s.platform, lc, lcM, beM, s.loads)
+	})
+	return v, err
 }
 
 // Evacuate moves every job that Refresh left on a down host to the best

@@ -103,7 +103,7 @@ func TestHyperscaleAuctionMatchesSequential1k(t *testing.T) {
 	run := func(batchThreshold int) (HyperscaleResult, []byte, int) {
 		// Each run starts from an empty delta-cell memo, as a fresh
 		// process does, so the cell counters compare too.
-		ResetCellMemo()
+		ResetMemo()
 		tr := trace.New("hyperscale", 0)
 		res, err := RunHyperscale(HyperscaleConfig{
 			Fleet: FleetConfig{

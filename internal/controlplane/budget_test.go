@@ -172,7 +172,7 @@ func TestCampaignBrownoutEndToEnd(t *testing.T) {
 	run := func() (*CampaignReport, Status, []trace.Event) {
 		// The delta-cell memo is process-wide: clear it so both runs trace
 		// the same computed/reused cell counts.
-		cluster.ResetCellMemo()
+		cluster.ResetMemo()
 		camp, err := NewCampaign(CampaignConfig{
 			Agents:     campaignAgentConfigs(t, lcs, bes),
 			BE:         bes,

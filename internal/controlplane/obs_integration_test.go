@@ -157,7 +157,7 @@ func TestStreamDemoFlightBundle(t *testing.T) {
 	run := func(dir string) {
 		// The delta-cell memo is process-wide: clear it so both runs trace
 		// the same computed/reused cell counts.
-		cluster.ResetCellMemo()
+		cluster.ResetMemo()
 		report, err := RunStreamDemo(context.Background(), StreamDemoConfig{
 			Agents: 16, PodSize: 8, Rounds: 8, Seed: 7,
 			SlowRound: 5, FlightDir: dir,

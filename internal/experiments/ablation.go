@@ -106,15 +106,17 @@ type AblationSlackResult struct {
 // for latency safety.
 func (s *Suite) AblationSlack() (AblationSlackResult, error) {
 	var res AblationSlackResult
-	placement, _, err := cluster.Place(s.clusterConfig())
+	base := s.clusterConfig("ablation-slack")
+	placement, _, err := cluster.Place(base)
 	if err != nil {
 		return res, err
 	}
 	slacks := []float64{0.05, 0.10, 0.20}
 	rows := make([]SlackRow, len(slacks))
 	err = parallel.ForEach(len(slacks), s.Parallel, func(i int) error {
-		cfg := s.clusterConfig()
+		cfg := base
 		cfg.TargetSlack = slacks[i]
+		cfg.TraceLabel = fmt.Sprintf("%sslack%g/", base.TraceLabel, slacks[i])
 		run, err := cluster.RunPlacement(cfg, placement, servermgr.PowerOptimized)
 		if err != nil {
 			return err
@@ -253,13 +255,14 @@ type AblationMyopicResult struct {
 func (s *Suite) AblationMyopic() (AblationMyopicResult, error) {
 	var res AblationMyopicResult
 	variants := []struct {
-		name  string
-		loads []float64
+		name, label string
+		loads       []float64
 	}{
-		{"whole range (10–90%)", nil},
-		{"myopic (50% only)", []float64{0.5}},
-		{"myopic (10% only)", []float64{0.1}},
+		{"whole range (10–90%)", "whole", nil},
+		{"myopic (50% only)", "myopic50", []float64{0.5}},
+		{"myopic (10% only)", "myopic10", []float64{0.1}},
 	}
+	base := s.clusterConfig("ablation-myopic")
 	rows := make([]MyopicRow, len(variants))
 	err := parallel.ForEach(len(variants), s.Parallel, func(i int) error {
 		v := variants[i]
@@ -273,7 +276,9 @@ func (s *Suite) AblationMyopic() (AblationMyopicResult, error) {
 		if err != nil {
 			return err
 		}
-		run, err := cluster.RunPlacement(s.clusterConfig(), placement, servermgr.PowerOptimized)
+		cfg := base
+		cfg.TraceLabel = base.TraceLabel + v.label + "/"
+		run, err := cluster.RunPlacement(cfg, placement, servermgr.PowerOptimized)
 		if err != nil {
 			return err
 		}
@@ -327,7 +332,7 @@ type AblationProfilingResult struct {
 // cost in a real deployment.
 func (s *Suite) AblationProfiling() (AblationProfilingResult, error) {
 	var res AblationProfilingResult
-	fullPlacement, _, err := cluster.Place(s.clusterConfig())
+	fullPlacement, _, err := cluster.Place(s.clusterConfig("ablation-profiling"))
 	if err != nil {
 		return res, err
 	}

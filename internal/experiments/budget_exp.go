@@ -37,10 +37,10 @@ func (s *Suite) AblationBudget() (AblationBudgetResult, error) {
 	loads := map[string]float64{"img-dnn": 0.8, "sphinx": 0.1, "xapian": 0.6, "tpcc": 0.3}
 
 	var res AblationBudgetResult
-	label := s.Trace.Label("ablation-budget")
+	base := s.clusterConfig("ablation-budget")
 	for _, policy := range []budget.Policy{budget.EqualSplit, budget.DemandProportional} {
-		cfg := s.clusterConfig()
-		cfg.TraceLabel = label + policy.String() + "/"
+		cfg := base
+		cfg.TraceLabel = base.TraceLabel + policy.String() + "/"
 		var provisionedW float64
 		for _, lc := range cfg.LC {
 			provisionedW += lc.ProvisionedPowerW

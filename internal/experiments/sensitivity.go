@@ -39,14 +39,13 @@ func (s *Suite) SeedSensitivity(seeds ...int64) (SeedSensitivityResult, error) {
 	// noise, models, placements, and simulations), so the replicas fan out
 	// through the worker pool; rows land at their seed's index.
 	rows := make([]SeedRow, len(seeds))
+	label := s.Trace.Label("sensitivity-seeds")
 	err := parallel.ForEach(len(seeds), s.Parallel, func(i int) error {
 		seed := seeds[i]
-		sub, err := NewSuite(seed)
+		sub, err := s.seedSuite(seed, label)
 		if err != nil {
 			return err
 		}
-		sub.Dwell = minDuration(s.Dwell, 3*time.Second)
-		sub.Parallel = s.Parallel
 		if err := sub.prefetchPolicies(cluster.Random, cluster.POM, cluster.POColo); err != nil {
 			return err
 		}
@@ -82,6 +81,24 @@ func (s *Suite) SeedSensitivity(seeds ...int64) (SeedSensitivityResult, error) {
 	res.POMMin, res.POMMean, res.POMMax = stats.Min(poms), stats.Mean(poms), stats.Max(poms)
 	res.POColoMin, res.POColoMean, res.POColoMax = stats.Min(pocolos), stats.Mean(pocolos), stats.Max(pocolos)
 	return res, nil
+}
+
+// seedSuite profiles and fits one seed's sub-suite. It carries the
+// suite's settings, a dwell of at most 3 s, and traces its runs under
+// label + "seed<N>/", fixed before any fan-out so that host names do not
+// depend on scheduling.
+func (s *Suite) seedSuite(seed int64, label string) (*Suite, error) {
+	sub, err := NewSuite(seed)
+	if err != nil {
+		return nil, err
+	}
+	sub.Dwell = minDuration(s.Dwell, 3*time.Second)
+	sub.Parallel = s.Parallel
+	sub.Invariants = s.Invariants
+	sub.Trace = s.Trace
+	sub.Budget = s.Budget
+	sub.traceLabel = fmt.Sprintf("%sseed%d/", label, seed)
+	return sub, nil
 }
 
 func minDuration(a, b time.Duration) time.Duration {

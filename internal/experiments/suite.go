@@ -7,11 +7,11 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"pocolo/internal/cluster"
 	"pocolo/internal/machine"
+	"pocolo/internal/memo"
 	"pocolo/internal/parallel"
 	"pocolo/internal/profiler"
 	"pocolo/internal/trace"
@@ -42,10 +42,16 @@ type Suite struct {
 	// memo for them, so the timeline is complete): fig12, fig13 and fig15
 	// (the policy runs), fig14 (its placement solve and pair sweeps),
 	// ablation-slack, ablation-myopic, ablation-profiling (its placement
-	// solve) and ablation-budget (under ablation-budget/<policy>/). The
-	// other experiments, sensitivity-seeds' sub-suites included, record
-	// nothing. Only ablation-budget labels its runs; the others key hosts
-	// by bare name, so runs that repeat a host share its timeline.
+	// solve), ablation-budget and sensitivity-seeds (its seeds' policy
+	// runs). Every experiment call keys its runs under a label unique to
+	// the call, Trace.Label(kind) — <kind>/ the first time, then
+	// <kind>#2/, … — with a suffix per run where one call runs the same
+	// hosts more than once: ablation-slack/slack0.05/,
+	// ablation-myopic/whole/, ablation-budget/<policy>/. The policy runs
+	// that fig12, fig13 and fig15 share run once per Suite, under
+	// random/, pom/ and pocolo/; sensitivity-seeds keys each seed's
+	// policy runs under sensitivity-seeds/seed<N>/. Repeated or combined
+	// experiments on one set therefore merge into one valid timeline.
 	Trace *trace.Set
 	// Budget, when non-nil, puts every cluster run under a power budget —
 	// flat or hierarchical (see cluster.BudgetConfig). Budgeted runs
@@ -54,8 +60,11 @@ type Suite struct {
 	// policyRuns cache is keyed inside one Suite, which holds one budget.
 	Budget *cluster.BudgetConfig
 
-	mu         sync.Mutex
-	policyRuns map[cluster.Policy]*cluster.Result
+	// policyRuns holds the Suite's policy runs, one per policy.
+	policyRuns *memo.Cache[cluster.Policy, *cluster.Result]
+	// traceLabel prefixes every trace label the Suite takes; a
+	// sensitivity-seeds sub-suite keys its runs under its seed's label.
+	traceLabel string
 }
 
 // NewSuite profiles and fits all eight applications on the Table I server
@@ -76,12 +85,13 @@ func NewSuite(seed int64) (*Suite, error) {
 		Models:     models,
 		Seed:       seed,
 		Dwell:      5 * time.Second,
-		policyRuns: make(map[cluster.Policy]*cluster.Result),
+		policyRuns: memo.New[cluster.Policy, *cluster.Result](3),
 	}, nil
 }
 
-// clusterConfig assembles the shared cluster configuration.
-func (s *Suite) clusterConfig() cluster.Config {
+// clusterConfig assembles one cluster run of the given kind, traced under
+// a label unique to the call.
+func (s *Suite) clusterConfig(kind string) cluster.Config {
 	return cluster.Config{
 		Machine:    s.Machine,
 		LC:         s.Catalog.LC(),
@@ -92,6 +102,7 @@ func (s *Suite) clusterConfig() cluster.Config {
 		Parallel:   s.Parallel,
 		Invariants: s.Invariants,
 		Trace:      s.Trace,
+		TraceLabel: s.Trace.Label(s.traceLabel + kind),
 		Budget:     s.Budget,
 	}
 }
@@ -100,20 +111,14 @@ func (s *Suite) clusterConfig() cluster.Config {
 // Figs. 12, 13, and 15 share these runs. Safe for concurrent use: the
 // figure methods prefetch all three policies through the worker pool.
 func (s *Suite) policyRun(p cluster.Policy) (*cluster.Result, error) {
-	s.mu.Lock()
-	if r, ok := s.policyRuns[p]; ok {
-		s.mu.Unlock()
-		return r, nil
-	}
-	s.mu.Unlock()
-	r, err := cluster.Run(s.clusterConfig(), p)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %v cluster run: %w", p, err)
-	}
-	s.mu.Lock()
-	s.policyRuns[p] = &r
-	s.mu.Unlock()
-	return &r, nil
+	r, _, err := s.policyRuns.Get(p, func() (*cluster.Result, error) {
+		r, err := cluster.Run(s.clusterConfig(p.String()), p)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %v cluster run: %w", p, err)
+		}
+		return &r, nil
+	})
+	return r, err
 }
 
 // prefetchPolicies fans the (independent) policy cluster runs through the

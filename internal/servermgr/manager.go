@@ -263,14 +263,14 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// rebindPlan resolves the planner for the current (model, caps) pair from
-// utility.Plans. A construction failure (hostile model, a grid over
+// rebindPlan resolves the planner for the current (model, caps) pair
+// through utility.SharedPlan. A construction failure (hostile model, a grid over
 // utility.MaxPlanPoints) leaves the plan nil and the manager on the exact
 // search — never an error.
 func (m *Manager) rebindPlan() {
 	m.plan = nil
 	m.planCell = -1
-	if plan, err := utility.Plans.Get(m.model, m.caps[:]); err == nil {
+	if plan, err := utility.SharedPlan(m.model, m.caps[:]); err == nil {
 		m.plan = plan
 	}
 }

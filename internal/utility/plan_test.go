@@ -244,42 +244,43 @@ func TestPlanLogDomain(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSharing checks the cache returns one shared plan per
-// (model, caps) pair, counts hits/misses, and is safe under concurrent
-// cold-key races.
+// TestPlanCacheSharing checks the process-wide cache returns one shared
+// plan per (model, caps) pair, counts hits/misses, and is safe under
+// concurrent cold-key races.
 func TestPlanCacheSharing(t *testing.T) {
 	m := testModel(t)
 	caps := []int{12, 20}
-	pc := utility.NewPlanCache()
-	p1, err := pc.Get(m, caps)
+	utility.Plans.Reset()
+	defer utility.Plans.Reset()
+	p1, err := utility.SharedPlan(m, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := pc.Get(m, caps)
+	p2, err := utility.SharedPlan(m, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
 		t.Fatal("same (model, caps) produced two distinct plans")
 	}
-	if _, err := pc.Get(m, []int{6, 20}); err != nil {
+	if _, err := utility.SharedPlan(m, []int{6, 20}); err != nil {
 		t.Fatal(err)
 	}
-	entries, hits, misses := pc.Stats()
+	entries, hits, misses := utility.Plans.Stats()
 	if entries != 2 || hits != 1 || misses != 2 {
 		t.Fatalf("stats = (%d entries, %d hits, %d misses), want (2, 1, 2)", entries, hits, misses)
 	}
 
 	// Concurrent cold gets on a fresh cache must build exactly once and
 	// agree (run under -race this also proves the sharing is race-clean).
-	pc.Reset()
+	utility.Plans.Reset()
 	var wg sync.WaitGroup
 	plans := make([]*utility.Plan, 16)
 	for i := range plans {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := pc.Get(m, caps)
+			p, err := utility.SharedPlan(m, caps)
 			if err != nil {
 				t.Error(err)
 				return

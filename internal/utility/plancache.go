@@ -4,40 +4,30 @@ import (
 	"errors"
 	"math"
 	"strconv"
-	"sync"
+
+	"pocolo/internal/memo"
 )
 
-// PlanCache shares built Plans across every manager, host, trial, and
-// matrix cell that evaluates the same (model, caps) pair — one grid walk
-// per distinct pair per process instead of one per server manager. Keys
+// Plans shares built Plans across every manager, host, trial, and matrix
+// cell that evaluates the same (model, caps) pair — one grid walk per
+// distinct pair per process instead of one per server manager. Keys
 // fingerprint the full fitted parameter vector (like the cluster sweep
-// memo), entries build exactly once under a per-entry sync.Once even when
-// many goroutines race for a cold key, and the Plans themselves are
-// immutable deep copies, so sharing is race-clean under internal/parallel
-// fan-out.
-type PlanCache struct {
-	mu      sync.Mutex
-	entries map[string]*planEntry
-	hits    uint64
-	misses  uint64
-}
+// memo), each entry builds once even when many goroutines race for a cold
+// key, a construction error is kept with its key so hostile pairs are not
+// re-walked, and the Plans themselves are immutable deep copies, so
+// sharing is race-clean under internal/parallel fan-out. A full cache
+// (4,096 pairs) is cleared wholesale.
+var Plans = memo.New[string, *Plan](4096)
 
-type planEntry struct {
-	once sync.Once
-	plan *Plan
-	err  error
-}
-
-// planCacheLimit bounds distinct (model, caps) entries; past it the cache
-// is cleared wholesale, mirroring the cluster sweep memo's policy.
-const planCacheLimit = 4096
-
-// Plans is the process-wide plan cache used by default.
-var Plans = NewPlanCache()
-
-// NewPlanCache returns an empty plan cache.
-func NewPlanCache() *PlanCache {
-	return &PlanCache{entries: make(map[string]*planEntry)}
+// SharedPlan returns the shared Plan for the (model, caps) pair from
+// Plans, building it on first use. The returned Plan must be treated as
+// read-only; it holds no references into the caller's model or caps.
+func SharedPlan(m *Model, caps []int) (*Plan, error) {
+	if m == nil {
+		return nil, errors.New("utility: nil model")
+	}
+	p, _, err := Plans.Get(planKey(m, caps), func() (*Plan, error) { return NewPlan(m, caps) })
+	return p, err
 }
 
 // ModelKey fingerprints a model's full fitted parameter vector as a
@@ -108,45 +98,4 @@ func planKey(m *Model, caps []int) string {
 		b = strconv.AppendInt(b, int64(c), 10)
 	}
 	return string(b)
-}
-
-// Get returns the shared Plan for the (model, caps) pair, building it on
-// first use. The returned Plan is shared and must be treated as read-only;
-// it holds no references into the caller's model or caps. Construction
-// errors are cached alongside the entry so hostile pairs are not re-walked.
-func (pc *PlanCache) Get(m *Model, caps []int) (*Plan, error) {
-	if m == nil {
-		return nil, errors.New("utility: nil model")
-	}
-	key := planKey(m, caps)
-	pc.mu.Lock()
-	e, ok := pc.entries[key]
-	if ok {
-		pc.hits++
-	} else {
-		if len(pc.entries) >= planCacheLimit {
-			pc.entries = make(map[string]*planEntry)
-		}
-		e = &planEntry{}
-		pc.entries[key] = e
-		pc.misses++
-	}
-	pc.mu.Unlock()
-	e.once.Do(func() { e.plan, e.err = NewPlan(m, caps) })
-	return e.plan, e.err
-}
-
-// Reset empties the cache and zeroes its statistics.
-func (pc *PlanCache) Reset() {
-	pc.mu.Lock()
-	pc.entries = make(map[string]*planEntry)
-	pc.hits, pc.misses = 0, 0
-	pc.mu.Unlock()
-}
-
-// Stats reports entry count and hit/miss totals since the last Reset.
-func (pc *PlanCache) Stats() (entries int, hits, misses uint64) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.entries), pc.hits, pc.misses
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"pocolo/internal/machine"
 )
@@ -53,6 +54,20 @@ type specJSON struct {
 
 // catalogFormatMarker identifies the envelope and its major revision.
 const catalogFormatMarker = "pocolo-catalog/v1"
+
+// LoadCatalogFile loads the JSON catalog at path, or the built-in
+// Defaults when path is empty, calibrated against the platform.
+func LoadCatalogFile(path string, cfg machine.Config) (*Catalog, error) {
+	if path == "" {
+		return Defaults(cfg)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return LoadCatalog(f, cfg)
+}
 
 // LoadCatalog reads a JSON application catalog and calibrates it against
 // the platform.

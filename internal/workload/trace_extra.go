@@ -7,8 +7,10 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -282,4 +284,35 @@ func (rt *ReplayTrace) Duration() time.Duration { return rt.span }
 // String implements fmt.Stringer.
 func (rt *ReplayTrace) String() string {
 	return fmt.Sprintf("%s[%d points/%v]", rt.name, len(rt.times), rt.span)
+}
+
+// NamedTrace builds the load trace a command line names: constant (at
+// level), diurnal, two-peak, sweep, step and flash (periodic shapes
+// spanning period), or csv:FILE to replay a two-column
+// "seconds,load-fraction" file.
+func NamedTrace(kind string, level float64, period time.Duration) (Trace, error) {
+	switch {
+	case kind == "constant":
+		return NewConstantTrace(level)
+	case kind == "diurnal":
+		return NewDiurnalTrace(0.1, 0.9, period)
+	case kind == "two-peak":
+		return NewTwoPeakTrace(0.1, 0.5, 0.9, period)
+	case kind == "sweep":
+		return UniformSweep(period / 9), nil
+	case kind == "step":
+		return NewStepTrace(0.5, 0.8, period/2, period)
+	case kind == "flash":
+		return NewFlashCrowdTrace(0.2, 0.9, period/3, period/6, period)
+	case strings.HasPrefix(kind, "csv:"):
+		path := strings.TrimPrefix(kind, "csv:")
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return ParseCSVTrace(path, f)
+	default:
+		return nil, fmt.Errorf("unknown trace %q", kind)
+	}
 }

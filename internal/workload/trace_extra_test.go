@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -285,5 +287,38 @@ func TestTracesSatisfyInterface(t *testing.T) {
 		if tr.Duration() <= 0 {
 			t.Errorf("%v: non-positive duration", tr)
 		}
+	}
+}
+
+// TestNamedTrace builds every named trace kind, rejects unknown kinds and
+// missing CSV files, and replays a real CSV file.
+func TestNamedTrace(t *testing.T) {
+	for _, kind := range []string{"constant", "diurnal", "two-peak", "sweep", "step", "flash"} {
+		tr, err := NamedTrace(kind, 0.5, 4*time.Minute)
+		if err != nil {
+			t.Errorf("%s: %v", kind, err)
+			continue
+		}
+		if v := tr.LoadFraction(time.Minute); v < 0 || v > 1 {
+			t.Errorf("%s: load %v out of range", kind, v)
+		}
+	}
+	if _, err := NamedTrace("nope", 0.5, time.Minute); err == nil {
+		t.Error("expected error for unknown trace")
+	}
+	if _, err := NamedTrace("csv:/does/not/exist.csv", 0.5, time.Minute); err == nil {
+		t.Error("expected error for missing CSV file")
+	}
+	// A real CSV file round-trips.
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	if err := os.WriteFile(path, []byte("0,0.2\n60,0.8\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NamedTrace("csv:"+path, 0.5, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.LoadFraction(30 * time.Second); got < 0.45 || got > 0.55 {
+		t.Errorf("CSV midpoint = %v, want ≈0.5", got)
 	}
 }
