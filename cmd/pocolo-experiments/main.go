@@ -11,7 +11,7 @@
 //	                   [-budget W] [-budget-policy equal|demand] [-budget-tree spec|@file] [-budget-period 5s]
 //
 // With -trace the cluster runs of the selected experiments (see
-// experiments.Suite.Trace for which record) write their control-loop
+// experiments.Suite for which record) write their control-loop
 // decisions into shared per-host rings; the merged timeline is written as
 // JSONL (and as a Perfetto-loadable Chrome trace with -trace-chrome).
 // Every experiment keys its runs under a label of its own (fig14/,
@@ -24,7 +24,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"runtime"
@@ -161,32 +160,11 @@ func main() {
 	}
 	if suite.Trace != nil {
 		events := suite.Trace.Events()
-		if *tracePath != "" {
-			canonical := func(w io.Writer, ev []trace.Event) error { return trace.WriteJSONL(w, ev, false) }
-			if err := writeTraceFile(*tracePath, events, canonical); err != nil {
-				log.Fatalf("-trace: %v", err)
-			}
-		}
-		if *traceChrome != "" {
-			if err := writeTraceFile(*traceChrome, events, trace.WriteChromeTrace); err != nil {
-				log.Fatalf("-trace-chrome: %v", err)
-			}
+		if err := trace.WriteFiles(events, *tracePath, *traceChrome); err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("trace: %d events retained (%d dropped)\n", len(events), suite.Trace.Dropped())
 	}
-}
-
-// writeTraceFile streams events through the given exporter into path.
-func writeTraceFile(path string, events []trace.Event, write func(io.Writer, []trace.Event) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // tabler is any experiment result that renders as a table.

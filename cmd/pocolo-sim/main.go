@@ -270,16 +270,8 @@ func writeTraces(sys *pocolo.System, out io.Writer, tracePath, traceChrome strin
 		return nil
 	}
 	events := sys.Trace.Events()
-	if tracePath != "" {
-		canonical := func(w io.Writer, ev []trace.Event) error { return trace.WriteJSONL(w, ev, false) }
-		if err := writeTraceFile(tracePath, events, canonical); err != nil {
-			return err
-		}
-	}
-	if traceChrome != "" {
-		if err := writeTraceFile(traceChrome, events, trace.WriteChromeTrace); err != nil {
-			return err
-		}
+	if err := trace.WriteFiles(events, tracePath, traceChrome); err != nil {
+		return err
 	}
 	fmt.Fprintf(out, "\ntrace: %d events retained (%d dropped)\n", len(events), sys.Trace.Dropped())
 	return nil
@@ -317,17 +309,4 @@ func printHyperscale(out io.Writer, res pocolo.HyperscaleResult) {
 		}
 		fmt.Fprintf(out, "  %-10s %10.0f W\n", "total", sum)
 	}
-}
-
-// writeTraceFile streams events through the given exporter into path.
-func writeTraceFile(path string, events []trace.Event, write func(io.Writer, []trace.Event) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

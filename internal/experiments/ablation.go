@@ -106,7 +106,7 @@ type AblationSlackResult struct {
 // for latency safety.
 func (s *Suite) AblationSlack() (AblationSlackResult, error) {
 	var res AblationSlackResult
-	base := s.clusterConfig("ablation-slack")
+	base := s.ClusterConfig(s.label("ablation-slack"))
 	placement, _, err := cluster.Place(base)
 	if err != nil {
 		return res, err
@@ -180,15 +180,15 @@ func (s *Suite) AblationKnobOrder() (AblationKnobOrderResult, error) {
 		if err != nil {
 			return err
 		}
-		lc, err := s.spec("xapian")
+		lc, err := s.Catalog.ByName("xapian")
 		if err != nil {
 			return err
 		}
-		be, err := s.spec("graph")
+		be, err := s.Catalog.ByName("graph")
 		if err != nil {
 			return err
 		}
-		model, err := s.model("xapian")
+		model, err := s.Model("xapian")
 		if err != nil {
 			return err
 		}
@@ -262,7 +262,7 @@ func (s *Suite) AblationMyopic() (AblationMyopicResult, error) {
 		{"myopic (50% only)", "myopic50", []float64{0.5}},
 		{"myopic (10% only)", "myopic10", []float64{0.1}},
 	}
-	base := s.clusterConfig("ablation-myopic")
+	base := s.ClusterConfig(s.label("ablation-myopic"))
 	rows := make([]MyopicRow, len(variants))
 	err := parallel.ForEach(len(variants), s.Parallel, func(i int) error {
 		v := variants[i]
@@ -332,7 +332,7 @@ type AblationProfilingResult struct {
 // cost in a real deployment.
 func (s *Suite) AblationProfiling() (AblationProfilingResult, error) {
 	var res AblationProfilingResult
-	fullPlacement, _, err := cluster.Place(s.clusterConfig("ablation-profiling"))
+	fullPlacement, _, err := cluster.Place(s.ClusterConfig(s.label("ablation-profiling")))
 	if err != nil {
 		return res, err
 	}
@@ -424,19 +424,19 @@ type AblationSharingResult struct {
 // temporal sharing (RR time-slicing) over the same 60 simulated seconds.
 func (s *Suite) AblationSharing() (AblationSharingResult, error) {
 	const dur = 60 * time.Second
-	lc, err := s.spec("sphinx")
+	lc, err := s.Catalog.ByName("sphinx")
 	if err != nil {
 		return AblationSharingResult{}, err
 	}
-	lcModel, err := s.model("sphinx")
+	lcModel, err := s.Model("sphinx")
 	if err != nil {
 		return AblationSharingResult{}, err
 	}
-	graph, err := s.spec("graph")
+	graph, err := s.Catalog.ByName("graph")
 	if err != nil {
 		return AblationSharingResult{}, err
 	}
-	lstm, err := s.spec("lstm")
+	lstm, err := s.Catalog.ByName("lstm")
 	if err != nil {
 		return AblationSharingResult{}, err
 	}

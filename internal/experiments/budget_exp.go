@@ -37,7 +37,7 @@ func (s *Suite) AblationBudget() (AblationBudgetResult, error) {
 	loads := map[string]float64{"img-dnn": 0.8, "sphinx": 0.1, "xapian": 0.6, "tpcc": 0.3}
 
 	var res AblationBudgetResult
-	base := s.clusterConfig("ablation-budget")
+	base := s.ClusterConfig(s.label("ablation-budget"))
 	for _, policy := range []budget.Policy{budget.EqualSplit, budget.DemandProportional} {
 		cfg := base
 		cfg.TraceLabel = base.TraceLabel + policy.String() + "/"

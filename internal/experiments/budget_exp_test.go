@@ -42,7 +42,7 @@ func referenceAblationBudget(t *testing.T, s *Suite) AblationBudgetResult {
 			if err != nil {
 				t.Fatal(err)
 			}
-			be, err := s.spec(beOn[lc.Name])
+			be, err := s.Catalog.ByName(beOn[lc.Name])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,11 +130,7 @@ func TestAblationBudgetTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Suite{
-		Machine: base.Machine, Catalog: base.Catalog, Models: base.Models,
-		Seed: base.Seed, Dwell: base.Dwell,
-		Invariants: true, Trace: trace.NewSet(0),
-	}
+	s := tracedSuite(base)
 	for call := 1; call <= 2; call++ {
 		got, err := s.AblationBudget()
 		if err != nil {

@@ -26,11 +26,11 @@ type Fig5Result struct {
 // least-power allocation per load (the dotted line the server manager
 // walks).
 func (s *Suite) Fig5() (Fig5Result, error) {
-	model, err := s.model("sphinx")
+	model, err := s.Model("sphinx")
 	if err != nil {
 		return Fig5Result{}, err
 	}
-	spec, err := s.spec("sphinx")
+	spec, err := s.Catalog.ByName("sphinx")
 	if err != nil {
 		return Fig5Result{}, err
 	}
@@ -84,11 +84,11 @@ type Fig6Result struct {
 // Fig6 computes the Edgeworth-box geometry for sphinx across its load
 // range.
 func (s *Suite) Fig6() (Fig6Result, error) {
-	model, err := s.model("sphinx")
+	model, err := s.Model("sphinx")
 	if err != nil {
 		return Fig6Result{}, err
 	}
-	spec, err := s.spec("sphinx")
+	spec, err := s.Catalog.ByName("sphinx")
 	if err != nil {
 		return Fig6Result{}, err
 	}
@@ -143,7 +143,7 @@ type Fig8Result struct {
 func (s *Suite) Fig8() (Fig8Result, error) {
 	var res Fig8Result
 	for _, spec := range append(s.Catalog.LC(), s.Catalog.BE()...) {
-		m, err := s.model(spec.Name)
+		m, err := s.Model(spec.Name)
 		if err != nil {
 			return res, err
 		}
@@ -192,7 +192,7 @@ type Fig9to11Result struct {
 func (s *Suite) Fig9to11() (Fig9to11Result, error) {
 	var res Fig9to11Result
 	for _, spec := range append(s.Catalog.LC(), s.Catalog.BE()...) {
-		m, err := s.model(spec.Name)
+		m, err := s.Model(spec.Name)
 		if err != nil {
 			return res, err
 		}

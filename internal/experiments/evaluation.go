@@ -147,7 +147,7 @@ type Fig14Result struct {
 // Fig14 simulates all sixteen (LC, BE) pairings across the load sweep and
 // marks POColo's chosen placement.
 func (s *Suite) Fig14() (Fig14Result, error) {
-	cfg := s.clusterConfig("fig14")
+	cfg := s.ClusterConfig(s.label("fig14"))
 	placement, _, err := cluster.Place(cfg)
 	if err != nil {
 		return Fig14Result{}, err

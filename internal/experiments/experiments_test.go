@@ -379,10 +379,10 @@ func TestFig15TCOOrdering(t *testing.T) {
 
 func TestSuiteErrors(t *testing.T) {
 	s := sharedSuite(t)
-	if _, err := s.model("nope"); err == nil {
+	if _, err := s.Model("nope"); err == nil {
 		t.Error("expected error for unknown model")
 	}
-	if _, err := s.spec("nope"); err == nil {
+	if _, err := s.Catalog.ByName("nope"); err == nil {
 		t.Error("expected error for unknown spec")
 	}
 }

@@ -19,17 +19,17 @@ const uncappedW = 100000
 // empty) under the trace and management policy for the duration, returning
 // the host for series access and its metrics.
 func (s *Suite) runManagedHost(lcName, beName string, trace workload.Trace, capW float64, policy servermgr.LCPolicy, dur time.Duration, seed int64) (*sim.Host, sim.Metrics, error) {
-	lc, err := s.spec(lcName)
+	lc, err := s.Catalog.ByName(lcName)
 	if err != nil {
 		return nil, sim.Metrics{}, err
 	}
 	var be *workload.Spec
 	if beName != "" {
-		if be, err = s.spec(beName); err != nil {
+		if be, err = s.Catalog.ByName(beName); err != nil {
 			return nil, sim.Metrics{}, err
 		}
 	}
-	model, err := s.model(lcName)
+	model, err := s.Model(lcName)
 	if err != nil {
 		return nil, sim.Metrics{}, err
 	}
@@ -204,7 +204,7 @@ func (s *Suite) Fig1() (Fig1Result, error) {
 	if err != nil {
 		return Fig1Result{}, err
 	}
-	lc, err := s.spec("xapian")
+	lc, err := s.Catalog.ByName("xapian")
 	if err != nil {
 		return Fig1Result{}, err
 	}
@@ -274,7 +274,7 @@ type Fig2Result struct {
 // spare resources, power capping disabled, and reports the server draw
 // against the provisioned capacity.
 func (s *Suite) Fig2() (Fig2Result, error) {
-	lc, err := s.spec("xapian")
+	lc, err := s.Catalog.ByName("xapian")
 	if err != nil {
 		return Fig2Result{}, err
 	}

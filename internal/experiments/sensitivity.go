@@ -83,29 +83,18 @@ func (s *Suite) SeedSensitivity(seeds ...int64) (SeedSensitivityResult, error) {
 	return res, nil
 }
 
-// seedSuite profiles and fits one seed's sub-suite. It carries the
-// suite's settings, a dwell of at most 3 s, and traces its runs under
-// label + "seed<N>/", fixed before any fan-out so that host names do not
-// depend on scheduling.
+// seedSuite refits one seed's sub-suite on a copy of the suite's setup:
+// the same machine, catalog and run settings, the seed's own models and a
+// dwell of at most 3 s. It traces its runs under label + "seed<N>/", fixed
+// before any fan-out so that host names do not depend on scheduling.
 func (s *Suite) seedSuite(seed int64, label string) (*Suite, error) {
-	sub, err := NewSuite(seed)
-	if err != nil {
+	setup := s.Setup
+	setup.Seed = seed
+	setup.Dwell = min(s.Dwell, 3*time.Second)
+	if err := setup.fit(); err != nil {
 		return nil, err
 	}
-	sub.Dwell = minDuration(s.Dwell, 3*time.Second)
-	sub.Parallel = s.Parallel
-	sub.Invariants = s.Invariants
-	sub.Trace = s.Trace
-	sub.Budget = s.Budget
-	sub.traceLabel = fmt.Sprintf("%sseed%d/", label, seed)
-	return sub, nil
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
+	return &Suite{Setup: setup, traceLabel: fmt.Sprintf("%sseed%d/", label, seed)}, nil
 }
 
 // Table renders the result.

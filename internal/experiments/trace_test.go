@@ -5,10 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"pocolo/internal/budget"
 	"pocolo/internal/cluster"
-	"pocolo/internal/memo"
+	"pocolo/internal/machine"
 	"pocolo/internal/trace"
 )
 
@@ -29,15 +30,12 @@ var recordingExperiments = []struct {
 	{"sensitivity-seeds", func(s *Suite) (any, error) { return s.SeedSensitivity(42, 1042) }},
 }
 
-// tracedSuite returns a Suite over base's fitted models with policy runs
+// tracedSuite returns a Suite over a copy of base's setup with policy runs
 // of its own, checking invariants and tracing into a fresh set.
 func tracedSuite(base *Suite) *Suite {
-	return &Suite{
-		Machine: base.Machine, Catalog: base.Catalog, Models: base.Models,
-		Seed: base.Seed, Dwell: base.Dwell,
-		Invariants: true, Trace: trace.NewSet(0),
-		policyRuns: memo.New[cluster.Policy, *cluster.Result](3),
-	}
+	setup := base.Setup
+	setup.Invariants, setup.Trace = true, trace.NewSet(0)
+	return &Suite{Setup: setup}
 }
 
 // TestTracedExperimentsValidate: every recording experiment traced alone,
@@ -110,25 +108,47 @@ func TestSeedSensitivityTraced(t *testing.T) {
 	}
 }
 
-// TestSeedSuiteCarriesSettings: a sensitivity-seeds sub-suite runs its
-// clusters under the suite's invariants, trace and budget, keyed under
-// its seed's label.
+// TestSeedSuiteCarriesSettings: a sensitivity-seeds sub-suite runs on a
+// copy of the suite's setup. On an 8-core suite, every default seed's
+// sub-suite keeps the suite's machine, catalog, invariants, trace and
+// budget, refits the seed's models on that machine as NewSetup does, and
+// keys its runs under its seed's label.
 func TestSeedSuiteCarriesSettings(t *testing.T) {
-	s := tracedSuite(sharedSuite(t))
-	s.Budget = &cluster.BudgetConfig{TotalW: 500, Policy: budget.DemandProportional}
-	sub, err := s.seedSuite(7, "sensitivity-seeds/")
+	small := machine.XeonE52650()
+	small.Cores = 8
+	setup, err := NewSetup(small, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sub.clusterConfig("random")
-	if !cfg.Invariants || cfg.Trace != s.Trace || cfg.Budget != s.Budget {
-		t.Errorf("sub-suite config has Invariants=%t Trace=%p Budget=%p, want true, %p, %p",
-			cfg.Invariants, cfg.Trace, cfg.Budget, s.Trace, s.Budget)
-	}
-	if want := "sensitivity-seeds/seed7/random/"; cfg.TraceLabel != want {
-		t.Errorf("sub-suite trace label %q, want %q", cfg.TraceLabel, want)
-	}
-	if cfg.Seed != 7 {
-		t.Errorf("sub-suite seed %d, want 7", cfg.Seed)
+	setup.Invariants, setup.Trace = true, trace.NewSet(0)
+	setup.Budget = &cluster.BudgetConfig{TotalW: 500, Policy: budget.DemandProportional}
+	s := &Suite{Setup: setup}
+	for _, seed := range []int64{s.Seed, s.Seed + 1000, s.Seed + 2000} {
+		sub, err := s.seedSuite(seed, "sensitivity-seeds/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sub.ClusterConfig(sub.label("random"))
+		if cfg.Machine != small || sub.Catalog != s.Catalog {
+			t.Errorf("seed %d: sub-suite on %d cores with catalog %p, want %d cores and %p",
+				seed, cfg.Machine.Cores, sub.Catalog, small.Cores, s.Catalog)
+		}
+		if !cfg.Invariants || cfg.Trace != s.Trace || cfg.Budget != s.Budget {
+			t.Errorf("seed %d: sub-suite config has Invariants=%t Trace=%p Budget=%p, want true, %p, %p",
+				seed, cfg.Invariants, cfg.Trace, cfg.Budget, s.Trace, s.Budget)
+		}
+		if want := fmt.Sprintf("sensitivity-seeds/seed%d/random/", seed); cfg.TraceLabel != want {
+			t.Errorf("seed %d: sub-suite trace label %q, want %q", seed, cfg.TraceLabel, want)
+		}
+		if cfg.Seed != seed || cfg.Dwell != 3*time.Second {
+			t.Errorf("seed %d: sub-suite seed %d and dwell %v, want %d and 3s", seed, cfg.Seed, cfg.Dwell, seed)
+		}
+		fit, err := NewSetup(small, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cfg.Models, fit.Models) {
+			t.Errorf("seed %d: sub-suite models differ from an 8-core fit under the seed", seed)
+		}
 	}
 }

@@ -37,15 +37,15 @@ type AblationOnlineResult struct {
 // the wrong model wastes while keeping violations transient.
 func (s *Suite) AblationOnline() (AblationOnlineResult, error) {
 	const dur = 90 * time.Second
-	lc, err := s.spec("xapian")
+	lc, err := s.Catalog.ByName("xapian")
 	if err != nil {
 		return AblationOnlineResult{}, err
 	}
-	rightModel, err := s.model("xapian")
+	rightModel, err := s.Model("xapian")
 	if err != nil {
 		return AblationOnlineResult{}, err
 	}
-	wrongBase, err := s.model("img-dnn")
+	wrongBase, err := s.Model("img-dnn")
 	if err != nil {
 		return AblationOnlineResult{}, err
 	}
@@ -162,7 +162,7 @@ type ValidationDESResult struct {
 // is that both tails grow together and stay within a small factor through
 // the operating range the controller uses.
 func (s *Suite) ValidationDES() (ValidationDESResult, error) {
-	spec, err := s.spec("xapian")
+	spec, err := s.Catalog.ByName("xapian")
 	if err != nil {
 		return ValidationDESResult{}, err
 	}

@@ -14,7 +14,7 @@ import (
 
 // Cache is a bounded build-once map from K to V, safe for concurrent use.
 // Values are shared, not copied: a caller that hands out mutable values
-// copies them itself.
+// copies them itself. The zero value is an empty cache with no bound.
 type Cache[K comparable, V any] struct {
 	mu      sync.Mutex
 	limit   int
@@ -31,9 +31,9 @@ type entry[V any] struct {
 }
 
 // New returns an empty cache that clears itself wholesale when an insert
-// finds limit entries already held.
+// finds limit entries already held; a limit <= 0 never clears.
 func New[K comparable, V any](limit int) *Cache[K, V] {
-	return &Cache[K, V]{limit: limit, entries: make(map[K]*entry[V])}
+	return &Cache[K, V]{limit: limit}
 }
 
 // Get returns k's value. The first request for k counts a miss and calls
@@ -49,7 +49,7 @@ func (c *Cache[K, V]) Get(k K, build func() (V, error)) (v V, hit bool, err erro
 		e.built.Wait()
 		return e.v, true, e.err
 	}
-	if len(c.entries) >= c.limit {
+	if c.entries == nil || (c.limit > 0 && len(c.entries) >= c.limit) {
 		c.entries = make(map[K]*entry[V])
 	}
 	e := &entry[V]{}
@@ -82,7 +82,7 @@ func (c *Cache[K, V]) Lookup(k K) (V, bool) {
 // still serves the callers waiting on it, but its value is not kept.
 func (c *Cache[K, V]) Reset() {
 	c.mu.Lock()
-	c.entries = make(map[K]*entry[V])
+	c.entries = nil
 	c.hits, c.misses = 0, 0
 	c.mu.Unlock()
 }

@@ -180,3 +180,28 @@ func TestLookupSkipsInFlight(t *testing.T) {
 	}
 	wantStats(t, c, 1, 1, 1)
 }
+
+// TestZeroValueUnbounded: a zero Cache is empty and ready for use, and
+// neither it nor one with a limit <= 0 ever clears.
+func TestZeroValueUnbounded(t *testing.T) {
+	var zero Cache[string, int]
+	caches := map[string]*Cache[string, int]{"zero": &zero, "New(0)": New[string, int](0), "New(-1)": New[string, int](-1)}
+	for name, c := range caches {
+		if _, ok := c.Lookup("0"); ok {
+			t.Fatalf("%s: Lookup found a key in an empty cache", name)
+		}
+		wantStats(t, c, 0, 0, 0)
+		const keys = 100
+		for round := 0; round < 2; round++ {
+			for i := 0; i < keys; i++ {
+				v, hit, err := c.Get(strconv.Itoa(i), func() (int, error) { return i, nil })
+				if err != nil || v != i || hit != (round == 1) {
+					t.Fatalf("%s: round %d Get(%d) = (%d, %t, %v)", name, round, i, v, hit, err)
+				}
+			}
+		}
+		wantStats(t, c, keys, keys, keys)
+		c.Reset()
+		wantStats(t, c, 0, 0, 0)
+	}
+}

@@ -6,8 +6,38 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 )
+
+// WriteFiles writes a simulation's timeline to the files its -trace and
+// -trace-chrome flags name: the canonical JSONL form (see WriteJSONL) to
+// jsonlPath and the Chrome trace-event form to chromePath. An empty path
+// is skipped.
+func WriteFiles(events []Event, jsonlPath, chromePath string) error {
+	if jsonlPath != "" {
+		if err := writeFile(jsonlPath, func(w io.Writer) error { return WriteJSONL(w, events, false) }); err != nil {
+			return err
+		}
+	}
+	if chromePath != "" {
+		return writeFile(chromePath, func(w io.Writer) error { return WriteChromeTrace(w, events) })
+	}
+	return nil
+}
+
+// writeFile creates path and streams write's output into it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // WriteJSONL writes one event per line. includeWall selects the full
 // wire form; with includeWall=false the output is the canonical form

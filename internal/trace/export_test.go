@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -256,6 +258,45 @@ func TestChromeExportValidates(t *testing.T) {
 	}
 	if phases["M"] != 2 || phases["X"] != 2 || phases["i"] != len(events)-2 {
 		t.Fatalf("phase mix = %v", phases)
+	}
+}
+
+// TestWriteFiles: each named file holds what its exporter writes, the
+// JSONL in canonical form; an empty path writes nothing, and a file that
+// cannot be created is an error.
+func TestWriteFiles(t *testing.T) {
+	events := fullTrace()
+	var jsonl, chrome bytes.Buffer
+	if err := WriteJSONL(&jsonl, events, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteChromeTrace(&chrome, events); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jsonlPath, chromePath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "t.json")
+	if err := WriteFiles(events, jsonlPath, chromePath); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string][]byte{jsonlPath: jsonl.Bytes(), chromePath: chrome.Bytes()} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s holds\n%s\nwant\n%s", filepath.Base(path), got, want)
+		}
+	}
+
+	only := filepath.Join(dir, "only.json")
+	if err := WriteFiles(events, "", only); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 3 {
+		t.Errorf("%d files after a Chrome-only write, want 3", len(entries))
+	}
+	if err := WriteFiles(events, filepath.Join(dir, "missing", "t.jsonl"), ""); err == nil {
+		t.Error("writing into a missing directory succeeded")
 	}
 }
 

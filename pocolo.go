@@ -45,7 +45,6 @@ import (
 	"pocolo/internal/sim"
 	"pocolo/internal/tco"
 	"pocolo/internal/timeshare"
-	"pocolo/internal/trace"
 	"pocolo/internal/utility"
 	"pocolo/internal/workload"
 )
@@ -85,6 +84,9 @@ type (
 	ManagerConfig = servermgr.Config
 	// Manager is the per-server two-loop controller.
 	Manager = servermgr.Manager
+	// Setup is the simulation setup System and Suite share: platform,
+	// catalog, fitted models, seed and run settings.
+	Setup = experiments.Setup
 	// Suite regenerates the paper's tables and figures.
 	Suite = experiments.Suite
 	// TCOParams holds the Hamilton cost-model constants.
@@ -267,69 +269,26 @@ func LoadModels(r io.Reader) (map[string]*Model, error) {
 // instead of re-profiling. The models must cover all eight applications of
 // the catalog.
 func NewSystemFromModels(cfg MachineConfig, models map[string]*Model, seed int64) (*System, error) {
-	cat, err := workload.Defaults(cfg)
+	setup, err := experiments.SetupFromModels(cfg, models, seed)
 	if err != nil {
 		return nil, err
 	}
-	for _, spec := range append(cat.LC(), cat.BE()...) {
-		m, ok := models[spec.Name]
-		if !ok {
-			return nil, errors.New("pocolo: models missing " + spec.Name)
-		}
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return &System{
-		Machine: cfg,
-		Catalog: cat,
-		Models:  models,
-		Seed:    seed,
-		Dwell:   5 * time.Second,
-	}, nil
+	return &System{Setup: setup}, nil
 }
 
 // System bundles the full experimental setup: platform, calibrated
-// workloads, and fitted models for all eight applications.
+// workloads, fitted models for all eight applications, and the settings
+// every run takes (see Setup; Dwell defaults to 5 s).
+//
+// With Trace set, the kinds each call labels its timelines with are place
+// (Place), run (Run), placement (RunPlacement), replicated
+// (RunReplicated), pair (RunPair), hyperscale (RunHyperscale), server
+// (SimulateServer), batch (RunBatch), adaptive (SimulateAdaptiveServer)
+// and budgeted (SimulateBudgetedCluster): e.g. run/img-dnn, run/cluster.
+// RunReplicated implements no Budget and fails when one is set;
+// SimulateBudgetedCluster sizes its own flat budget and ignores Budget.
 type System struct {
-	Machine MachineConfig
-	Catalog *Catalog
-	Models  map[string]*Model
-	Seed    int64
-	// Dwell is the simulated time per load level in cluster runs
-	// (default 5s).
-	Dwell time.Duration
-	// Parallel bounds the worker pool cluster runs fan their independent
-	// hosts, trials, and load levels through (0 = GOMAXPROCS, 1 =
-	// sequential). Results are identical at every setting.
-	Parallel int
-	// Invariants runs every cluster simulation under the invariant harness
-	// (internal/invariant): cross-layer invariants are checked on every
-	// tick and any violation fails the run. Checking does not change
-	// results, only adds per-tick assertions.
-	Invariants bool
-	// Trace, when non-nil, collects decision-trace events (control
-	// decisions, capper actions, placements, solves, budget shifts,
-	// tick-phase spans) from every simulation the system runs; see
-	// internal/trace. Traced runs bypass the process-wide sweep memo so
-	// the timeline is always complete. Every call keys its timelines under
-	// a label unique to the call, Trace.Label(kind) — <kind>/ on the set's
-	// first call of that kind, then <kind>#2/, <kind>#3/, … — so repeated
-	// calls merge into one valid timeline. Under the label, each host
-	// records on its own name, a placement solve on "cluster" and the
-	// budget divider on "budget" (e.g. run/img-dnn, run/cluster). The
-	// kinds are place (Place), run (Run), placement (RunPlacement),
-	// replicated (RunReplicated), pair (RunPair), hyperscale
-	// (RunHyperscale), server (SimulateServer), batch (RunBatch), adaptive
-	// (SimulateAdaptiveServer) and budgeted (SimulateBudgetedCluster).
-	Trace *trace.Set
-	// Budget, when non-nil, puts every cluster run under a power budget —
-	// flat (TotalW + Policy) or hierarchical (a budget-tree spec whose
-	// leaves name the LC servers). Budgeted runs step all hosts on one
-	// shared engine and bypass the sweep memo. RunReplicated implements no
-	// budget and fails when one is set; SimulateBudgetedCluster sizes its
-	// own flat budget and ignores this one.
-	Budget *BudgetConfig
+	Setup
 }
 
 // NewSystem profiles and fits every application on the Table I platform.
@@ -339,39 +298,11 @@ func NewSystem(seed int64) (*System, error) {
 
 // NewSystemOn builds a System for an arbitrary platform configuration.
 func NewSystemOn(cfg MachineConfig, seed int64) (*System, error) {
-	cat, err := workload.Defaults(cfg)
+	setup, err := experiments.NewSetup(cfg, seed)
 	if err != nil {
 		return nil, err
 	}
-	models, err := profiler.FitAll(cfg, append(cat.LC(), cat.BE()...), seed)
-	if err != nil {
-		return nil, err
-	}
-	return &System{
-		Machine: cfg,
-		Catalog: cat,
-		Models:  models,
-		Seed:    seed,
-		Dwell:   5 * time.Second,
-	}, nil
-}
-
-// clusterConfig assembles one cluster run of the given kind, traced under
-// a label unique to the call.
-func (s *System) clusterConfig(kind string) cluster.Config {
-	return cluster.Config{
-		Machine:    s.Machine,
-		LC:         s.Catalog.LC(),
-		BE:         s.Catalog.BE(),
-		Models:     s.Models,
-		Dwell:      s.Dwell,
-		Seed:       s.Seed,
-		Parallel:   s.Parallel,
-		Invariants: s.Invariants,
-		Trace:      s.Trace,
-		TraceLabel: s.Trace.Label(kind),
-		Budget:     s.Budget,
-	}
+	return &System{Setup: setup}, nil
 }
 
 // Matrix builds the BE×LC performance matrix from the fitted models.
@@ -388,19 +319,19 @@ func (s *System) Matrix() (*Matrix, error) {
 // Place computes the POColo placement (LP solver over the performance
 // matrix), returning the BE→LC assignment and its predicted total value.
 func (s *System) Place() (map[string]string, float64, error) {
-	return cluster.Place(s.clusterConfig("place"))
+	return cluster.Place(s.ClusterConfig(s.Trace.Label("place")))
 }
 
 // Run evaluates the cluster under one of the paper's policies across the
 // uniform 10–90% load sweep.
 func (s *System) Run(policy cluster.Policy) (Result, error) {
-	return cluster.Run(s.clusterConfig("run"), policy)
+	return cluster.Run(s.ClusterConfig(s.Trace.Label("run")), policy)
 }
 
 // RunPlacement evaluates an explicit placement with the given server
 // management policy.
 func (s *System) RunPlacement(placement map[string]string, mgmt servermgr.LCPolicy) (Result, error) {
-	return cluster.RunPlacement(s.clusterConfig("placement"), placement, mgmt)
+	return cluster.RunPlacement(s.ClusterConfig(s.Trace.Label("placement")), placement, mgmt)
 }
 
 // RunHyperscale scales the system's catalog to a synthetic fleet of
@@ -409,7 +340,7 @@ func (s *System) RunPlacement(placement map[string]string, mgmt servermgr.LCPoli
 // Unset fleet fields default from the system: machine, catalog classes,
 // models, seed, and worker pool. With tracing enabled on the system the
 // run records per-pod solve summaries and rebalance migrations on the
-// hyperscale/cluster timeline (see System.Trace).
+// hyperscale/cluster timeline (see System).
 func (s *System) RunHyperscale(cfg HyperscaleConfig) (HyperscaleResult, error) {
 	if cfg.Fleet.Machine == (MachineConfig{}) {
 		cfg.Fleet.Machine = s.Machine
@@ -441,7 +372,7 @@ func (s *System) RunHyperscale(cfg HyperscaleConfig) (HyperscaleResult, error) {
 // whole fleet is simulated. Host names take the form "<lc>#<i>". A set
 // Budget is an error.
 func (s *System) RunReplicated(replicas int, mgmt LCPolicy) (Result, error) {
-	return cluster.RunReplicated(s.clusterConfig("replicated"), replicas, mgmt)
+	return cluster.RunReplicated(s.ClusterConfig(s.Trace.Label("replicated")), replicas, mgmt)
 }
 
 // RunPair evaluates a single (latency-critical, best-effort) pairing
@@ -456,7 +387,7 @@ func (s *System) RunPair(lcName, beName string) (PairResult, error) {
 	if err != nil {
 		return PairResult{}, err
 	}
-	return cluster.RunPair(s.clusterConfig("pair"), lc, be)
+	return cluster.RunPair(s.ClusterConfig(s.Trace.Label("pair")), lc, be)
 }
 
 // SimulateServer runs one managed server for dur: lcName as the primary
@@ -673,7 +604,7 @@ func (s *System) SimulateBudgetedCluster(loads map[string]float64, placement map
 	if budgetFrac <= 0 || budgetFrac > 1 {
 		return BudgetedResult{}, errors.New("pocolo: budget fraction outside (0, 1]")
 	}
-	cfg := s.clusterConfig("budgeted")
+	cfg := s.ClusterConfig(s.Trace.Label("budgeted"))
 	if placement == nil {
 		var err error
 		if placement, _, err = cluster.Place(cfg); err != nil {
@@ -701,25 +632,9 @@ func (s *System) SimulateBudgetedCluster(loads map[string]float64, placement map
 	return res, nil
 }
 
-// Model returns the fitted utility model for an application.
-func (s *System) Model(name string) (*Model, error) {
-	m, ok := s.Models[name]
-	if !ok {
-		return nil, errors.New("pocolo: no fitted model for " + name)
-	}
-	return m, nil
-}
-
 // Experiments returns a Suite that regenerates the paper's tables and
-// figures with this system's seed.
+// figures on a copy of this system's setup: its machine, catalog, models,
+// seed and run settings, budget included.
 func (s *System) Experiments() (*Suite, error) {
-	suite, err := experiments.NewSuite(s.Seed)
-	if err != nil {
-		return nil, err
-	}
-	suite.Dwell = s.Dwell
-	suite.Parallel = s.Parallel
-	suite.Invariants = s.Invariants
-	suite.Trace = s.Trace
-	return suite, nil
+	return &Suite{Setup: s.Setup}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pocolo/internal/cluster"
+	"pocolo/internal/experiments"
 	"pocolo/internal/trace"
 )
 
@@ -156,6 +157,77 @@ func TestPublicExperimentsSuite(t *testing.T) {
 	}
 	if len(r.Rows) != 8 {
 		t.Errorf("fig8 rows = %d", len(r.Rows))
+	}
+
+	// An 8-core system under a budget, and one built from saved models:
+	// each suite runs on its system's own setup.
+	small := XeonE52650()
+	small.Cores = 8
+	budgeted, err := NewSystemOn(small, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgeted.Budget = &BudgetConfig{TotalW: 400, Policy: DemandProportional}
+	budgeted.Invariants, budgeted.Trace = true, trace.NewSet(0)
+	restored, err := NewSystemFromModels(XeonE52650(), sys.Models, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*System{"8-core budgeted": budgeted, "from models": restored} {
+		suite, err := s.Experiments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if suite.Machine != s.Machine {
+			t.Errorf("%s: suite on %d cores, system on %d", name, suite.Machine.Cores, s.Machine.Cores)
+		}
+		if suite.Catalog != s.Catalog || reflect.ValueOf(suite.Models).Pointer() != reflect.ValueOf(s.Models).Pointer() {
+			t.Errorf("%s: suite catalog %p and models %p, system's %p and %p", name, suite.Catalog, suite.Models, s.Catalog, s.Models)
+		}
+		if suite.Seed != s.Seed || suite.Dwell != s.Dwell || suite.Budget != s.Budget ||
+			suite.Invariants != s.Invariants || suite.Trace != s.Trace {
+			t.Errorf("%s: suite seed %d, dwell %v, budget %p, invariants %t, trace %p; system's %d, %v, %p, %t, %p",
+				name, suite.Seed, suite.Dwell, suite.Budget, suite.Invariants, suite.Trace,
+				s.Seed, s.Dwell, s.Budget, s.Invariants, s.Trace)
+		}
+	}
+}
+
+// TestPublicExperimentsMatchSuite: the suite of a default system
+// regenerates the figures NewSuite does.
+func TestPublicExperimentsMatchSuite(t *testing.T) {
+	sys, err := NewSystem(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys.Experiments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.NewSuite(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	figures := []struct {
+		name string
+		run  func(*Suite) (any, error)
+	}{
+		{"fig12", func(s *Suite) (any, error) { return s.Fig12() }},
+		{"fig14", func(s *Suite) (any, error) { return s.Fig14() }},
+		{"ablation-budget", func(s *Suite) (any, error) { return s.AblationBudget() }},
+	}
+	for _, f := range figures {
+		g, err := f.run(got)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		w, err := f.run(want)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s from System.Experiments\n %+v\nfrom NewSuite\n %+v", f.name, g, w)
+		}
 	}
 }
 
