@@ -642,9 +642,10 @@ func benchClusterSolve(b *testing.B, hosts int) {
 
 // benchClusterResolve is the steady-state incremental path the from-scratch
 // bench is measured against: one host's power cap flips between two values
-// each iteration, Refresh recomputes only that column, and the owning pod
-// repairs its matching with a single dual-preserving augmentation while
-// every other pod is untouched.
+// each iteration and the host is marked, Refresh re-reads only its pod and
+// recomputes only that column, and the owning pod repairs its matching
+// with a single dual-preserving augmentation while every other pod is
+// untouched.
 func benchClusterResolve(b *testing.B, hosts int) {
 	cfg := benchShardedConfig(b, hosts, hosts*3/4)
 	epoch := time.Unix(0, 0).UTC()
@@ -655,12 +656,14 @@ func benchClusterResolve(b *testing.B, hosts int) {
 	if _, _, err := sh.Solve(nil, epoch); err != nil {
 		b.Fatal(err)
 	}
-	target := cfg.LC[len(cfg.LC)/2]
+	host := len(cfg.LC) / 2
+	target := cfg.LC[host]
 	basecap := target.ProvisionedPowerW
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		target.ProvisionedPowerW = basecap - float64(7+i%2)
+		sh.MarkHost(host)
 		if _, err := sh.Refresh(); err != nil {
 			b.Fatal(err)
 		}

@@ -205,10 +205,11 @@ func Place(cfg Config) (map[string]string, float64, error) {
 		if _, err := sh.Rebalance(tr, simEpoch()); err != nil {
 			return nil, 0, err
 		}
-		placement, total, err := sh.Solve(tr, simEpoch())
+		_, total, err := sh.Solve(tr, simEpoch())
 		if err != nil {
 			return nil, 0, err
 		}
+		placement := sh.Placement()
 		recordPlacement(tr, placement, "sharded solve")
 		return placement, total, nil
 	}

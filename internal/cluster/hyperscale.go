@@ -177,8 +177,9 @@ func (f *Fleet) Round() int { return f.round }
 // each BE class independently re-fits its model with probability churn
 // (a fresh *Model whose Alpha0 scales by a quantized drift factor, so
 // every job of the class re-fingerprints at once). It mutates the specs
-// and model map the sharded builders read; call Refresh on the Sharded
-// state to absorb the drift. Returns how many hosts and classes changed.
+// and model map the sharded builders read and marks what it changed;
+// call Refresh on the Sharded state to absorb the drift. Returns how many
+// hosts and classes changed.
 func (f *Fleet) Advance(churn float64) (hostsChanged, classesChanged int) {
 	f.round++
 	envelope := 1 + 0.05*math.Sin(2*math.Pi*float64(f.round)/diurnalPeriod)
@@ -188,6 +189,7 @@ func (f *Fleet) Advance(churn float64) (hostsChanged, classesChanged int) {
 		next := quantizeW(f.baseCap[i] * envelope * jitter)
 		if next != f.lc[i].ProvisionedPowerW {
 			f.lc[i].ProvisionedPowerW = next
+			f.sharded.MarkHost(i)
 			hostsChanged++
 		}
 	}
@@ -208,7 +210,10 @@ func (f *Fleet) Advance(churn float64) (hostsChanged, classesChanged int) {
 	}
 	if classesChanged > 0 {
 		for i, c := range f.beClass {
-			f.models[f.be[i].Name] = f.classModel[c]
+			if name := f.be[i].Name; f.models[name] != f.classModel[c] {
+				f.models[name] = f.classModel[c]
+				f.sharded.MarkJob(name)
+			}
 		}
 	}
 	return hostsChanged, classesChanged

@@ -65,10 +65,10 @@ func RunReplicated(cfg Config, replicas int, mgmt servermgr.LCPolicy) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	placement, _, err := sh.Solve(cfg.Trace.Tracer(cfg.TraceLabel+"cluster"), simEpoch())
-	if err != nil {
+	if _, _, err := sh.Solve(cfg.Trace.Tracer(cfg.TraceLabel+"cluster"), simEpoch()); err != nil {
 		return Result{}, err
 	}
+	placement := sh.Placement()
 	servers, err := cfg.sweepServers(lc, be, placement, mgmt)
 	if err != nil {
 		return Result{}, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"pocolo/internal/assign"
@@ -65,10 +66,20 @@ type sPod struct {
 	solver  *assign.Incremental
 	pending DeltaStats        // matrix work since the last Solve emit
 	batch   assign.BatchStats // batch re-solve work since the last Solve emit
+	// marked means an input of the pod changed since its last Refresh
+	// (MarkHost, MarkJob, SetHostDown); Refresh re-reads only marked pods.
+	marked bool
 	// touched marks that the matrix or matching changed since the last
-	// validated Solve; untouched pods skip re-validation, which is what
-	// keeps a steady-state single-host re-solve sublinear in pod count.
+	// validated Solve; only touched pods re-validate, recompute total and
+	// report their assignments, which is what keeps a steady-state
+	// single-host re-solve sublinear in pod count.
 	touched bool
+	// total is the pod's optimal value as of the last Solve that found
+	// it touched.
+	total float64
+	// stranded means a job sat on a down host when the pod was last
+	// refreshed or evacuated; Evacuate visits only stranded pods.
+	stranded bool
 	// obs carries the pod's solve-latency and batch-work handles
 	// (nil when the cluster runs without a metrics registry).
 	obs *obs.SolveObs
@@ -86,6 +97,12 @@ type sPod struct {
 // counters are traced); solver work — the expensive part — has no
 // shared state and fans through the parallel pool.
 //
+// A re-solve costs what its caller changed: callers mark the hosts and
+// jobs whose inputs they changed (MarkHost, MarkJob, SetHostDown),
+// Refresh re-reads only the marked pods, Evacuate visits only pods that
+// hold a job on a down host, and Solve re-validates and reports only the
+// pods whose matching changed.
+//
 // Sharded is not safe for concurrent use.
 type Sharded struct {
 	platform machine.Config
@@ -95,12 +112,24 @@ type Sharded struct {
 	set      ShardSettings
 	globalID uint32
 	pods     []*sPod
+	// jobPod maps each job to the pod that holds it.
+	jobPod map[string]int
+	// marked lists the marked pods in marking order.
+	marked []int
+	// placed is the list Solve returns, reused by the next Solve.
+	placed []Assignment
+}
+
+// Assignment is one job's host in the placement Solve reports.
+type Assignment struct {
+	Job, Host string
 }
 
 // NewSharded partitions the cluster into pods and builds every pod's
 // matrix and solver. cfg.LC and cfg.BE are the global host and job
-// lists; specs are shared (not copied) so later in-place cap mutations
-// are visible to Refresh.
+// lists. Specs and the model map are shared, not copied: a caller that
+// changes a host's spec or replaces a job's or host's model in place
+// marks it (MarkHost, MarkJob), and the next Refresh picks the change up.
 func NewSharded(cfg MatrixConfig, set ShardSettings) (*Sharded, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, err
@@ -122,6 +151,7 @@ func NewSharded(cfg MatrixConfig, set ShardSettings) (*Sharded, error) {
 		workers:  cfg.Parallel,
 		set:      set,
 		globalID: internFP(globalFP(cfg.Machine, loads)),
+		jobPod:   make(map[string]int, len(cfg.BE)),
 	}
 	podSize := set.podSize()
 	nPods := (len(cfg.LC) + podSize - 1) / podSize
@@ -142,6 +172,9 @@ func NewSharded(cfg MatrixConfig, set ShardSettings) (*Sharded, error) {
 		pcfg.BE = cfg.BE[jobAt : jobAt+counts[p]]
 		pcfg.Loads = s.loads
 		jobAt += counts[p]
+		for _, be := range pcfg.BE {
+			s.jobPod[be.Name] = p
+		}
 		b, err := NewMatrixBuilder(pcfg)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: pod %d: %w", p, err)
@@ -248,13 +281,49 @@ func (s *Sharded) PodDims(p int) (rows, cols int) {
 
 // SetHostDown takes global host index host (its position in the
 // MatrixConfig.LC the cluster was built from) out of service, or puts it
-// back. Like every input change it lands on the next Refresh, which
-// turns the host's column into sentinel cells below every real cell and
-// repairs only its pod. A job the repair still leaves on a down host
-// belongs to a pod with more jobs than live hosts; Evacuate moves it.
+// back, and marks its pod when that changes the host's state. Like every
+// input change it lands on the next Refresh, which turns the host's
+// column into sentinel cells below every real cell and repairs only its
+// pod. A job the repair still leaves on a down host belongs to a pod
+// with more jobs than live hosts; Evacuate moves it.
 func (s *Sharded) SetHostDown(host int, down bool) {
 	ps := s.set.podSize()
-	s.pods[host/ps].builder.down[host%ps] = down
+	if b := s.pods[host/ps].builder; b.down[host%ps] != down {
+		b.down[host%ps] = down
+		s.mark(host / ps)
+	}
+}
+
+// MarkHost marks global host index host as changed: its spec's peak load
+// or provisioned power, or its model entry, so the next Refresh re-reads
+// its pod.
+func (s *Sharded) MarkHost(host int) { s.mark(host / s.set.podSize()) }
+
+// MarkJob marks the job named name as changed (its model entry), so the
+// next Refresh re-reads the pod that holds it. A name that is not one of
+// the cluster's jobs marks nothing.
+func (s *Sharded) MarkJob(name string) {
+	if p, ok := s.jobPod[name]; ok {
+		s.mark(p)
+	}
+}
+
+// mark queues pod p for the next Refresh.
+func (s *Sharded) mark(p int) {
+	if pod := s.pods[p]; !pod.marked {
+		pod.marked = true
+		s.marked = append(s.marked, p)
+	}
+}
+
+// holdsDownJob reports whether a job of the pod sits on a down host.
+func (pod *sPod) holdsDownJob() bool {
+	for r := 0; r < pod.builder.Rows(); r++ {
+		if pod.builder.down[pod.solver.ColOf(r)] {
+			return true
+		}
+	}
+	return false
 }
 
 // Total returns the summed optimal assignment value across pods.
@@ -278,27 +347,37 @@ func (s *Sharded) Placement() map[string]string {
 	return out
 }
 
-// Refresh picks up host-cap and job-model drift: each pod's builder
-// re-fingerprints its inputs and recomputes only dirty cells, then each
-// pod's solver repairs the changed rows and columns in one ResolveBatch
-// call — the sequential per-line repair below the configured batch
-// threshold, the parallel auction re-solve at or above it. The repaired
-// assignment value is identical either way.
+// Refresh picks up the marked host and job drift, and nothing else: each
+// marked pod's builder re-fingerprints its inputs and recomputes only
+// dirty cells, then the pod's solver repairs the changed rows and columns
+// in one ResolveBatch call — the sequential per-line repair below the
+// configured batch threshold, the parallel auction re-solve at or above
+// it. The repaired assignment value is identical either way. Marked pods
+// refresh in pod order, whatever order they were marked in, so the
+// delta-cell counters do not depend on it.
 func (s *Sharded) Refresh() (DeltaStats, error) {
 	var agg DeltaStats
-	results := make([]RefreshResult, len(s.pods))
-	for p, pod := range s.pods {
+	slices.Sort(s.marked)
+	marked := s.marked
+	results := make([]RefreshResult, len(marked))
+	for k, p := range marked {
+		pod := s.pods[p]
 		res, err := pod.builder.Refresh()
 		if err != nil {
+			// The pods not yet refreshed stay marked.
+			s.marked = append(s.marked[:0], marked[k:]...)
 			return agg, fmt.Errorf("cluster: pod %d refresh: %w", p, err)
 		}
-		results[p] = res
+		pod.marked = false
+		results[k] = res
 		pod.pending.add(res.Stats)
 		agg.add(res.Stats)
 		if len(res.ChangedRows) > 0 || len(res.ChangedCols) > 0 {
 			pod.touched = true
 		}
 	}
+	// marked stays valid below: nothing marks a pod until Refresh returns.
+	s.marked = s.marked[:0]
 	// Pods fan out across the pool; the auction's inner bid phase only
 	// gets the pool when there is a single pod, so the two levels never
 	// oversubscribe.
@@ -306,9 +385,10 @@ func (s *Sharded) Refresh() (DeltaStats, error) {
 	if len(s.pods) == 1 {
 		innerWorkers = s.workers
 	}
-	err := parallel.ForEach(len(s.pods), s.workers, func(p int) error {
+	err := parallel.ForEach(len(marked), s.workers, func(m int) error {
+		p := marked[m]
 		pod := s.pods[p]
-		res := &results[p]
+		res := &results[m]
 		if len(res.ChangedRows) == 0 && len(res.ChangedCols) == 0 {
 			return nil
 		}
@@ -336,7 +416,13 @@ func (s *Sharded) Refresh() (DeltaStats, error) {
 		pod.batch.CleanupAugments += st.CleanupAugments
 		return nil
 	})
-	return agg, err
+	if err != nil {
+		return agg, err
+	}
+	for _, p := range marked {
+		s.pods[p].stranded = s.pods[p].holdsDownJob()
+	}
+	return agg, nil
 }
 
 // pairValue prices one (job, host) cell through the delta-cell memo —
@@ -355,11 +441,17 @@ func (s *Sharded) pairValue(be *workload.Spec, beM *utility.Model, lc *workload.
 // number of moves. After Refresh such a job exists only in a pod with
 // more jobs than live hosts (an optimal pod never leaves a free live
 // host for a down one), so while jobs do not outnumber live hosts
-// cluster-wide every job ends up on a live host. Moves are not traced:
-// the caller sees them in the placement Solve returns.
+// cluster-wide every job ends up on a live host. Only stranded pods are
+// visited: the ones Refresh left holding such a job, and the ones an
+// earlier Evacuate could not empty for want of a free host — a host
+// that frees anywhere lets their jobs move. Moves are not traced: the
+// caller sees them in the assignments Solve reports.
 func (s *Sharded) Evacuate() (int, error) {
 	moves := 0
 	for p, pod := range s.pods {
+		if !pod.stranded {
+			continue
+		}
 		for r := 0; r < pod.builder.Rows(); {
 			if !pod.builder.down[pod.solver.ColOf(r)] {
 				r++
@@ -377,6 +469,7 @@ func (s *Sharded) Evacuate() (int, error) {
 			// RemoveRow swapped the last job into slot r: re-examine it.
 			moves++
 		}
+		pod.stranded = false
 	}
 	return moves, nil
 }
@@ -466,45 +559,49 @@ func (s *Sharded) tryMigrate(p, r int, minGain float64, tr *trace.Tracer, now ti
 		return false, err
 	}
 	toHost := dst.builder.Matrix().LCNames[dst.solver.ColOf(i)]
+	s.jobPod[spec.Name] = bestPod
 	src.touched = true
 	dst.touched = true
 	tr.Migration(now, trace.Placement{BE: spec.Name, Node: toHost, From: fromHost, Reason: "rebalance"})
 	return true, nil
 }
 
-// Solve aggregates the per-pod optima into a cluster placement,
-// validating each pod's assignment, and emits one traced SolveSummary
-// per non-empty pod (tagged with the pod name and the delta-cell
-// counters accumulated since the last Solve) plus a cluster-level
-// "sharded" summary.
-func (s *Sharded) Solve(tr *trace.Tracer, now time.Time) (map[string]string, float64, error) {
+// Solve aggregates the per-pod optima into the cluster's total,
+// validating the assignment of each pod touched since the last Solve
+// (every pod, on the first), and reports those pods' assignments: a job
+// moves only within or between touched pods, so the report patches the
+// previous placement into the current one. The returned slice is reused
+// by the next Solve. Solve emits one traced SolveSummary per non-empty
+// pod (tagged with the pod name and the delta-cell counters accumulated
+// since the last Solve) plus a cluster-level "sharded" summary. An
+// untouched pod reports the total cached when it was last touched.
+func (s *Sharded) Solve(tr *trace.Tracer, now time.Time) ([]Assignment, float64, error) {
 	sp := tr.StartSpan("solve")
 	defer sp.End(now)
-	nRows := 0
-	for _, pod := range s.pods {
-		nRows += pod.builder.Rows()
-	}
-	placement := make(map[string]string, nRows)
+	s.placed = s.placed[:0]
 	total := 0.0
 	rows, cols := 0, 0
 	var agg DeltaStats
 	var aggBatch assign.BatchStats
 	for p, pod := range s.pods {
-		mx := pod.builder.Matrix()
-		idx := pod.solver.Assignment()
-		val := pod.solver.Total()
-		if pod.builder.Rows() > 0 {
-			// A pod untouched since its last validated Solve still holds
-			// the same matrix and matching, so re-validating it would only
-			// make the steady-state re-solve linear in cluster size.
-			if pod.touched {
-				if err := invariant.CheckAssignment(mx.Value, idx, val); err != nil {
+		n := pod.builder.Rows()
+		if pod.touched {
+			mx := pod.builder.Matrix()
+			pod.total = pod.solver.Total()
+			if n > 0 {
+				if err := invariant.CheckAssignment(mx.Value, pod.solver.Assignment(), pod.total); err != nil {
 					return nil, 0, fmt.Errorf("cluster: pod %d solver: %w", p, err)
 				}
 			}
+			for i := 0; i < n; i++ {
+				s.placed = append(s.placed, Assignment{Job: mx.BENames[i], Host: mx.LCNames[pod.solver.ColOf(i)]})
+			}
+			pod.touched = false
+		}
+		if n > 0 {
 			tr.SolveSummary(now, trace.SolveSummary{
-				Method: "incremental", Rows: pod.builder.Rows(), Cols: pod.builder.Cols(),
-				Total: val, Pod: pod.name,
+				Method: "incremental", Rows: n, Cols: pod.builder.Cols(),
+				Total: pod.total, Pod: pod.name,
 				CellsComputed: pod.pending.CellsComputed, CellsReused: pod.pending.CellsReused,
 				BatchDirty:    pod.batch.DirtyRows + pod.batch.DirtyCols,
 				BatchRounds:   pod.batch.AuctionRounds,
@@ -518,12 +615,8 @@ func (s *Sharded) Solve(tr *trace.Tracer, now time.Time) (map[string]string, flo
 		aggBatch.CleanupAugments += pod.batch.CleanupAugments
 		pod.pending = DeltaStats{}
 		pod.batch = assign.BatchStats{}
-		pod.touched = false
-		for i, j := range idx {
-			placement[mx.BENames[i]] = mx.LCNames[j]
-		}
-		total += val
-		rows += pod.builder.Rows()
+		total += pod.total
+		rows += n
 		cols += pod.builder.Cols()
 	}
 	if rows > 0 {
@@ -535,7 +628,7 @@ func (s *Sharded) Solve(tr *trace.Tracer, now time.Time) (map[string]string, flo
 			BatchAugments: aggBatch.CleanupAugments,
 		})
 	}
-	return placement, total, nil
+	return s.placed, total, nil
 }
 
 // SelfCheck verifies every pod solver's dual invariants and the

@@ -113,11 +113,11 @@ func TestShardedExactWhenPodsCoverClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placement, total, err := s.Solve(nil, time.Time{})
+	_, total, err := s.Solve(nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPlacement(t, cfg, placement)
+	checkPlacement(t, cfg, s.Placement())
 	if err := s.SelfCheck(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestShardedWithinToleranceOfUnsharded(t *testing.T) {
 	if _, err := s.Rebalance(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	placement, after, err := s.Solve(nil, time.Time{})
+	_, after, err := s.Solve(nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPlacement(t, cfg, placement)
+	checkPlacement(t, cfg, s.Placement())
 	if after < before-1e-9 || after > want*(1+1e-9) {
 		t.Errorf("rebalance moved total %v -> %v (optimum %v)", before, after, want)
 	}
@@ -189,6 +189,7 @@ func TestShardedRefreshMatchesRebuild(t *testing.T) {
 	// row of the owning pod), and the repaired solver state must match a
 	// from-scratch rebuild of the mutated inputs exactly.
 	cfg.LC[2].ProvisionedPowerW -= 30
+	s.MarkHost(2)
 	stats, err = s.Refresh()
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +213,7 @@ func TestShardedRefreshMatchesRebuild(t *testing.T) {
 	nudged := *cfg.Models[cfg.BE[1].Name]
 	nudged.Alpha0 *= 1.07
 	cfg.Models[cfg.BE[1].Name] = &nudged
+	s.MarkJob(cfg.BE[1].Name)
 	stats, err = s.Refresh()
 	if err != nil {
 		t.Fatal(err)
@@ -226,6 +228,72 @@ func TestShardedRefreshMatchesRebuild(t *testing.T) {
 	}
 	if got, want := s.Total(), fresh.Total(); math.Abs(got-want) > 1e-9*math.Abs(want) {
 		t.Errorf("refreshed total %v, rebuilt total %v", got, want)
+	}
+	if err := s.SelfCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardedRefreshReadsOnlyMarkedPods pins the marking contract: an
+// input changed without a mark is not read, a mark makes the next Refresh
+// read its pod alone, and after a job migrates MarkJob finds it in its
+// new pod.
+func TestShardedRefreshReadsOnlyMarkedPods(t *testing.T) {
+	cfg := shardFixture(t, 8, 6)
+	s, err := NewSharded(cfg, ShardSettings{PodSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Solve(nil, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	cfg.LC[5].ProvisionedPowerW -= 30
+	if stats, err := s.Refresh(); err != nil || stats != (DeltaStats{}) {
+		t.Fatalf("unmarked change refreshed %+v (%v), want no work", stats, err)
+	}
+	s.MarkHost(5)
+	stats, err := s.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows1, _ := s.PodDims(1)
+	if got := stats.CellsComputed + stats.CellsReused; got != rows1 {
+		t.Errorf("marked host refreshed %d cells, want %d (its column in pod 1)", got, rows1)
+	}
+	placed, _, err := s.Solve(nil, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range placed {
+		if s.jobPod[a.Job] != 1 {
+			t.Errorf("Solve reported %s of untouched pod %d", a.Job, s.jobPod[a.Job])
+		}
+	}
+
+	// Take pod 0 down whole: its jobs migrate to pod 1's free hosts.
+	for h := 0; h < 4; h++ {
+		s.SetHostDown(h, true)
+	}
+	if _, err := s.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if moves, err := s.Evacuate(); err != nil || moves == 0 {
+		t.Fatalf("evacuate moved %d (%v), want pod 0's jobs moved", moves, err)
+	}
+	job := cfg.BE[0].Name // apportioned to pod 0, evacuated to pod 1
+	if s.jobPod[job] != 1 {
+		t.Fatalf("%s in pod %d after the evacuation, want pod 1", job, s.jobPod[job])
+	}
+	nudged := *cfg.Models[job]
+	nudged.Alpha0 *= 1.07
+	cfg.Models[job] = &nudged
+	s.MarkJob(job)
+	stats, err = s.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, cols1 := s.PodDims(1); stats.CellsComputed+stats.CellsReused != cols1 {
+		t.Errorf("model nudge of %s refreshed %+v, want its row in pod 1 (%d cells)", job, stats, cols1)
 	}
 	if err := s.SelfCheck(); err != nil {
 		t.Fatal(err)
@@ -295,11 +363,10 @@ func TestShardedRebalanceMigrates(t *testing.T) {
 		t.Errorf("traced %d migrations, Rebalance reported %d", migrations, moves)
 	}
 	// The rebalanced placement must respect matching feasibility.
-	placement, _, err := s.Solve(tr, time.Unix(2, 0))
-	if err != nil {
+	if _, _, err := s.Solve(tr, time.Unix(2, 0)); err != nil {
 		t.Fatal(err)
 	}
-	checkPlacement(t, cfg, placement)
+	checkPlacement(t, cfg, s.Placement())
 	if err := trace.Validate(tr.Events()); err != nil {
 		t.Fatal(err)
 	}
@@ -399,11 +466,10 @@ func TestShardedDegenerate(t *testing.T) {
 	if s.Pods() != 4 {
 		t.Fatalf("pods = %d", s.Pods())
 	}
-	placement, _, err := s.Solve(nil, time.Time{})
-	if err != nil {
+	if _, _, err := s.Solve(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	checkPlacement(t, cfg, placement)
+	checkPlacement(t, cfg, s.Placement())
 	if err := s.SelfCheck(); err != nil {
 		t.Fatal(err)
 	}
@@ -420,11 +486,10 @@ func TestShardedDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placement, _, err = s.Solve(nil, time.Time{})
-	if err != nil {
+	if _, _, err = s.Solve(nil, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	checkPlacement(t, cfg, placement)
+	checkPlacement(t, cfg, s.Placement())
 	if err := s.SelfCheck(); err != nil {
 		t.Fatal(err)
 	}
@@ -461,11 +526,15 @@ func TestShardedRefreshBatchMatchesSequential(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i, lc := range cfg.LC {
 			lc.ProvisionedPowerW -= float64(3 + (i+round)%5)
+			seq.MarkHost(i)
+			auc.MarkHost(i)
 		}
 		for _, be := range cfg.BE {
 			nudged := *cfg.Models[be.Name]
 			nudged.Alpha0 *= 1.01 + 0.002*float64(round)
 			cfg.Models[be.Name] = &nudged
+			seq.MarkJob(be.Name)
+			auc.MarkJob(be.Name)
 		}
 		if _, err := seq.Refresh(); err != nil {
 			t.Fatal(err)
@@ -536,7 +605,11 @@ func TestShardedRefreshBatchMatchesSequential(t *testing.T) {
 // pod's value must equal a from-scratch Hungarian solve of its current
 // matrix bit for bit, no job may sit on a down host while any pod has a
 // free live one, and while jobs do not outnumber live hosts every job
-// must be placed on a live host.
+// must be placed on a live host. A twin over the same inputs marks every
+// host and job before each Refresh — the full scan — and must hold the
+// same placement and total after every step as the cluster that marks
+// only what the step changed, so a change the marks miss, or a stranded
+// job that Evacuate skips, fails the test.
 func TestShardedDownHostsProperty(t *testing.T) {
 	cases := []struct {
 		seed int64
@@ -560,11 +633,16 @@ func TestShardedDownHostsProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			full, err := NewSharded(cfg, tc.set)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ps := tc.set.PodSize
 			down := make([]bool, len(cfg.LC))
 			setDown := func(h int, d bool) {
 				down[h] = d
 				s.SetHostDown(h, d)
+				full.SetHostDown(h, d)
 			}
 			evacuated, overloaded := 0, 0
 			for step := 0; step < 60; step++ {
@@ -596,29 +674,47 @@ func TestShardedDownHostsProperty(t *testing.T) {
 						// cell of the column is 0, the lowest real value.
 						cfg.LC[h].ProvisionedPowerW = cfg.Machine.IdlePowerW + 3
 					}
+					s.MarkHost(h)
 				}
 				if rng.Intn(3) == 0 {
 					job := cfg.BE[rng.Intn(len(cfg.BE))]
 					nudged := *cfg.Models[job.Name]
 					nudged.Alpha0 *= 1 + 0.02*(rng.Float64()-0.5)
 					cfg.Models[job.Name] = &nudged
+					s.MarkJob(job.Name)
 				}
 				if rng.Intn(4) == 0 {
-					host := cfg.LC[rng.Intn(len(cfg.LC))]
+					h := rng.Intn(len(cfg.LC))
+					host := cfg.LC[h]
 					nudged := *cfg.Models[host.Name]
 					nudged.Alpha0 *= 1 + 0.02*(rng.Float64()-0.5)
 					cfg.Models[host.Name] = &nudged
+					s.MarkHost(h)
 				}
-				if _, err := s.Refresh(); err != nil {
-					t.Fatalf("step %d: refresh: %v", step, err)
+				for h := range cfg.LC {
+					full.MarkHost(h)
 				}
-				moves, err := s.Evacuate()
-				if err != nil {
-					t.Fatalf("step %d: evacuate: %v", step, err)
+				for _, job := range cfg.BE {
+					full.MarkJob(job.Name)
+				}
+				moves := 0
+				for _, sh := range []*Sharded{s, full} {
+					if _, err := sh.Refresh(); err != nil {
+						t.Fatalf("step %d: refresh: %v", step, err)
+					}
+					if moves, err = sh.Evacuate(); err != nil {
+						t.Fatalf("step %d: evacuate: %v", step, err)
+					}
+					if err := sh.SelfCheck(); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
 				}
 				evacuated += moves
-				if err := s.SelfCheck(); err != nil {
-					t.Fatalf("step %d: %v", step, err)
+				if got, want := s.Placement(), full.Placement(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: marked placement %v, full scan %v", step, got, want)
+				}
+				if got, want := s.Total(), full.Total(); got != want {
+					t.Fatalf("step %d: marked total %v, full scan %v", step, got, want)
 				}
 
 				live, freeLive, jobs := 0, 0, 0
@@ -660,10 +756,10 @@ func TestShardedDownHostsProperty(t *testing.T) {
 					overloaded++
 					continue
 				}
-				placement, _, err := s.Solve(nil, time.Time{})
-				if err != nil {
+				if _, _, err := s.Solve(nil, time.Time{}); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
+				placement := s.Placement()
 				checkPlacement(t, cfg, placement)
 				for job, host := range placement {
 					if down[hostIdx[host]] {

@@ -45,11 +45,11 @@ func TestSharded1kSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placement, total, err := sh.Solve(tr, epoch)
+	_, total, err := sh.Solve(tr, epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPlacement(t, cfg, placement)
+	checkPlacement(t, cfg, sh.Placement())
 	if err := sh.SelfCheck(); err != nil {
 		t.Fatal(err)
 	}

@@ -469,6 +469,28 @@ func benchmarkStreamChurnRound(b *testing.B, n, replicas int) {
 
 func BenchmarkControllerRoundStreamChurn1k(b *testing.B) { benchmarkStreamChurnRound(b, 1000, 500) }
 
+// benchmarkResolve times the re-solve alone: an unbudgeted stream
+// controller over n agents and n/2 best-effort replicas (resolveRig),
+// where each op takes one agent down or brings the last one back and
+// re-solves, under the controller lock as a round does. Victims stride
+// across the fleet and skip slot 0, the agent the rows' models come
+// from. Nothing is ingested or pushed, so a re-solve that visits the
+// whole fleet shows in ns/op and allocs/op at 4k against 1k.
+func benchmarkResolve(b *testing.B, n int) {
+	ctl := resolveRig(b, n)
+	victim := 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if crashOrRejoin(ctl, victim) {
+			victim = 1 + (victim+388)%(n-1)
+		}
+	}
+}
+
+func BenchmarkControllerResolve1k(b *testing.B) { benchmarkResolve(b, 1000) }
+func BenchmarkControllerResolve4k(b *testing.B) { benchmarkResolve(b, 4000) }
+
 // ingestRig is a warm stream controller over n agents and their
 // encoders: encode(iter) encodes one report per agent into frames, and
 // ack feeds a batch's acks back to the encoders, failing on any reject or

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -170,9 +171,15 @@ type agentState struct {
 	// applyProbesLocked installs.
 	probeCache *statsCache
 	// desiredBE is the BE app the current placement puts on this agent
-	// ("" = park). It is refreshed wherever the placement is replaced, so
+	// ("" = park). It is refreshed wherever the placement changes, so
 	// deriving the round's assign pushes is one comparison per agent.
 	desiredBE string
+
+	// slot is the agent's index in Controller.agents (its stream slot).
+	slot int
+	// queued reports that the agent is on Controller.changed; counted
+	// whether it was placeable when Controller.nPlaceable last counted it.
+	queued, counted bool
 }
 
 // placeable reports whether an agent can host best-effort work: alive,
@@ -227,16 +234,21 @@ type Controller struct {
 	cursors   map[string]uint64 // agent URL → /v1/trace since-cursor
 	collected []trace.Event     // agent events fetched by CollectTrace
 	placement map[string]string // BE → agent URL
-	lastGood  map[string]string
 	unplaced  []string
 	degraded  bool
 	lastSolve time.Time
 	engine    *placementEngine // warm sharded solver; nil until first needed
-	rounds    int
-	solves    int
-	deaths    int
-	rejoins   int
-	budget    *budgetState // nil when unbudgeted
+	// changed lists the agents whose placement inputs (liveness, name,
+	// platform, LC envelope or models) changed since the engine last read
+	// them; see queueLocked.
+	changed []*agentState
+	// nPlaceable counts the placeable agents as of the last re-solve.
+	nPlaceable int
+	rounds     int
+	solves     int
+	deaths     int
+	rejoins    int
+	budget     *budgetState // nil when unbudgeted
 	// pushes is the push list the next round fills, kept across rounds.
 	// A round takes it under mu and returns it once the pushes are
 	// recorded; a concurrent round finds none and allocates its own.
@@ -331,8 +343,8 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		cursors:   make(map[string]uint64, len(cfg.AgentURLs)),
 	}
 	c.byURL = make(map[string]*agentState, len(cfg.AgentURLs))
-	for _, u := range cfg.AgentURLs {
-		a := &agentState{url: u, name: u}
+	for i, u := range cfg.AgentURLs {
+		a := &agentState{url: u, name: u, slot: i}
 		var errStats, errCap, errAssign error
 		a.statsURL, errStats = parseAgentURL(u, RouteStats)
 		a.capURL, errCap = parseAgentURL(u, RouteCap)
@@ -507,10 +519,13 @@ func (a *agentState) missed() bool { return !a.alive || a.misses > 0 }
 
 // observeLocked folds one round's observation of one agent into its
 // liveness state, on either transport. A non-nil report, taken at heard,
-// discovers, rejoins or refreshes the agent. A nil report is a miss for
-// the reason miss, and an alive agent dies at its DeadAfter-th
-// consecutive miss. It reports whether membership changed.
-func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard time.Time, miss string) (membershipChanged bool) {
+// discovers, rejoins or refreshes the agent; refit says it may carry
+// placement inputs the agent's last report did not. A nil report is a
+// miss for the reason miss, and an alive agent dies at its DeadAfter-th
+// consecutive miss. An agent that dies, rejoins, is discovered or is
+// refit is queued for the placement engine. It reports whether
+// membership changed.
+func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard time.Time, miss string, refit bool) (membershipChanged bool) {
 	if report == nil {
 		a.lastErr = miss
 		a.misses++
@@ -519,6 +534,7 @@ func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard t
 		}
 		a.alive = false
 		c.deaths++
+		c.queueLocked(a)
 		c.logf("agent %s (%s) dead after %d missed heartbeats: %s", a.name, a.url, a.misses, miss)
 		return true
 	}
@@ -531,6 +547,9 @@ func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard t
 			c.logf("agent %s (%s) discovered, lc=%s", report.Agent, a.url, report.LC)
 		}
 	}
+	if membershipChanged || refit {
+		c.queueLocked(a)
+	}
 	a.alive = true
 	a.everSeen = true
 	a.misses = 0
@@ -542,6 +561,37 @@ func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard t
 	return membershipChanged
 }
 
+// queueLocked queues an agent whose placement inputs changed, once, for
+// the next re-solve: the engine reads only queued agents.
+func (c *Controller) queueLocked(a *agentState) {
+	if !a.queued {
+		a.queued = true
+		c.changed = append(c.changed, a)
+	}
+}
+
+// clearQueueLocked empties the queue once the engine has read it.
+func (c *Controller) clearQueueLocked() {
+	for _, a := range c.changed {
+		a.queued = false
+	}
+	clear(c.changed)
+	c.changed = c.changed[:0]
+}
+
+// refitLocked reports whether a poll probe's report r changes what the
+// placement engine reads of agent a: its name, platform, LC envelope or
+// fitted models. The probe decoder hands every report the values it
+// decoded from an unchanged section, so the LC model compares by pointer
+// and the best-effort model map by whether the decoder kept its
+// section's bytes (a report the decoder declined has a fresh LC model).
+func refitLocked(a *agentState, r *probeResult) bool {
+	prev, next := &a.last, &r.stats
+	return prev.Agent != next.Agent || prev.Machine != next.Machine ||
+		prev.PeakLoad != next.PeakLoad || prev.ProvisionedPowerW != next.ProvisionedPowerW ||
+		prev.LCModel != next.LCModel || !a.probeCache.sameSection(r.cache, secBEModels)
+}
+
 // applyProbesLocked is the poll transport's round head: it folds each
 // probe result into the agent's liveness (observeLocked), installs the
 // probe's decoder cache, and schedules a dead agent's next probe on a
@@ -551,7 +601,7 @@ func (c *Controller) applyProbesLocked(results []probeResult, now time.Time) (me
 		r := &results[i]
 		a := r.agent
 		if r.err != nil {
-			membershipChanged = c.observeLocked(a, nil, now, r.err.Error()) || membershipChanged
+			membershipChanged = c.observeLocked(a, nil, now, r.err.Error(), false) || membershipChanged
 			if !a.alive {
 				// Next probe in 1, 2, 4, … heartbeats, capped at MaxBackoff.
 				a.backoff = min(max(2*a.backoff, c.cfg.Heartbeat), c.cfg.MaxBackoff)
@@ -559,7 +609,7 @@ func (c *Controller) applyProbesLocked(results []probeResult, now time.Time) (me
 			}
 			continue
 		}
-		membershipChanged = c.observeLocked(a, &r.stats, now, "") || membershipChanged
+		membershipChanged = c.observeLocked(a, &r.stats, now, "", refitLocked(a, r)) || membershipChanged
 		a.backoff = 0
 		a.nextDue = now
 		a.probeCache = r.cache
@@ -700,102 +750,142 @@ func (c *Controller) liveCountLocked() int {
 
 // resolveLocked re-solves the placement against the live agents'
 // reported stats on the warm placement engine. On solver failure or when
-// a majority of agents are unreachable it degrades to the last-known-good
-// placement instead of churning assignments.
+// a majority of agents are unreachable it degrades: the placement it
+// holds stays installed instead of churning assignments.
 func (c *Controller) resolveLocked(now time.Time) {
-	nLive := 0
-	for _, a := range c.agents {
-		if a.placeable() {
-			nLive++
-		}
-	}
+	nLive := c.placeableLocked()
 	if nLive == 0 {
 		c.degradeLocked(now, "no live agents")
 		return
 	}
 	// Majority-unreachable guard: with most of the fleet dark the reports
 	// left are too thin to trust a re-solve; hold the last placement.
-	if c.lastGood != nil && 2*nLive < len(c.agents) {
+	if c.placement != nil && 2*nLive < len(c.agents) {
 		c.degradeLocked(now, fmt.Sprintf("only %d/%d agents reachable", nLive, len(c.agents)))
 		return
 	}
 	if len(c.cfg.BE) == 0 {
-		c.setPlacementLocked(map[string]string{})
-		c.lastGood = map[string]string{}
+		c.clearQueueLocked() // no engine to read it; a later one is built fresh
+		c.setPlacementLocked(now, map[string]string{})
 		c.unplaced = nil
 		c.degraded = false
 		c.lastSolve = now
 		return
 	}
 
-	placement, unplaced, err := c.solveEngineLocked(now, nLive)
+	moved, err := c.solveEngineLocked(now, nLive)
 	if err != nil {
 		c.degradeLocked(now, fmt.Sprintf("solve failed: %v", err))
 		return
 	}
-	prev := c.placement
-	c.setPlacementLocked(placement)
-	c.lastGood = clone(placement)
-	c.unplaced = unplaced
 	c.degraded = false
 	c.lastSolve = now
 	c.solves++
-	c.logf("placement solved over %d agents: %v (unplaced %v)", nLive, placement, unplaced)
-	c.tracePlacementLocked(now, prev, placement)
+	c.logf("placement solved over %d agents: %d moved, %d unplaced", nLive, moved, len(c.unplaced))
 }
 
-// tracePlacementLocked records one Placement event per newly placed
+// placeableLocked counts the placeable agents. Every agent whose
+// placeability can have flipped is queued, so it recounts only those.
+func (c *Controller) placeableLocked() int {
+	for _, a := range c.changed {
+		if p := a.placeable(); p != a.counted {
+			a.counted = p
+			if p {
+				c.nPlaceable++
+			} else {
+				c.nPlaceable--
+			}
+		}
+	}
+	return c.nPlaceable
+}
+
+// placementMove is one best-effort app changing agent: from "" places it.
+type placementMove struct {
+	be, from, to string
+}
+
+// setPlacementLocked installs a placement (BE → agent URL), refreshes
+// every agent's desired BE from it and traces the apps that moved. It and
+// patchPlacementLocked are the only writes to c.placement, which keeps
+// desiredBE in step with it. It returns how many apps moved.
+func (c *Controller) setPlacementLocked(now time.Time, p map[string]string) int {
+	prev := c.placement
+	c.placement = p
+	for _, a := range c.agents {
+		a.desiredBE = ""
+	}
+	var moves []placementMove
+	for be, url := range p {
+		if a := c.byURL[url]; a != nil {
+			a.desiredBE = be
+		}
+		if from := prev[be]; from != url {
+			moves = append(moves, placementMove{be: be, from: from, to: url})
+		}
+	}
+	c.traceMovesLocked(now, moves)
+	return len(moves)
+}
+
+// patchPlacementLocked installs the warm engine's re-solve in place.
+// placed holds the assignments of the pods the re-solve touched, and an
+// app moves only within or between those, so it updates only the apps it
+// lists that changed agent, and their agents' desired BE. It returns how
+// many apps moved.
+func (c *Controller) patchPlacementLocked(now time.Time, placed []cluster.Assignment) int {
+	var moves []placementMove
+	for _, p := range placed {
+		if from := c.placement[p.Job]; from != p.Host {
+			moves = append(moves, placementMove{be: p.Job, from: from, to: p.Host})
+		}
+	}
+	// Vacate every app's old agent before seating any: an app may take the
+	// agent another one just left.
+	for _, m := range moves {
+		if a := c.byURL[m.from]; a != nil && a.desiredBE == m.be {
+			a.desiredBE = ""
+		}
+	}
+	for _, m := range moves {
+		c.placement[m.be] = m.to
+		if a := c.byURL[m.to]; a != nil {
+			a.desiredBE = m.be
+		}
+	}
+	c.traceMovesLocked(now, moves)
+	return len(moves)
+}
+
+// traceMovesLocked records one Placement event per newly placed
 // best-effort app and one Migration event (plus a log line) per app that
 // moved between agents, in sorted BE order for a deterministic timeline.
-func (c *Controller) tracePlacementLocked(now time.Time, prev, next map[string]string) {
+func (c *Controller) traceMovesLocked(now time.Time, moves []placementMove) {
 	if c.tracer == nil {
 		return
 	}
-	names := make(map[string]string, len(c.agents))
-	for _, a := range c.agents {
-		names[a.url] = a.name
-	}
-	for _, be := range sortedKeys(next) {
-		url := next[be]
-		prevURL, had := prev[be]
-		switch {
-		case !had:
-			c.tracer.Placement(now, trace.Placement{BE: be, Node: names[url], Reason: "solve"})
-		case prevURL != url:
-			c.logf("migrated %s: %s -> %s", be, names[prevURL], names[url])
-			c.tracer.Migration(now, trace.Placement{BE: be, Node: names[url], From: names[prevURL], Reason: "re-solve"})
+	slices.SortFunc(moves, func(x, y placementMove) int { return strings.Compare(x.be, y.be) })
+	for _, m := range moves {
+		to := c.byURL[m.to].name
+		if m.from == "" {
+			c.tracer.Placement(now, trace.Placement{BE: m.be, Node: to, Reason: "solve"})
+			continue
 		}
+		from := c.byURL[m.from].name
+		c.logf("migrated %s: %s -> %s", m.be, from, to)
+		c.tracer.Migration(now, trace.Placement{BE: m.be, Node: to, From: from, Reason: "re-solve"})
 	}
 }
 
-// degradeLocked keeps the last-known-good placement, restricted to agents
-// that still exist, and flags degraded mode. The Degradation trace event
-// fires on the transition only, matching the log line, so repeated
-// degraded rounds do not flood the ring.
+// degradeLocked keeps the installed placement and flags degraded mode.
+// The Degradation trace event fires on the transition only, matching the
+// log line, so repeated degraded rounds do not flood the ring.
 func (c *Controller) degradeLocked(now time.Time, reason string) {
 	if !c.degraded {
 		c.logf("degraded: %s; holding last-known-good placement", reason)
 		c.tracer.Degradation(now, reason)
 	}
 	c.degraded = true
-	if c.lastGood != nil {
-		c.setPlacementLocked(clone(c.lastGood))
-	}
-}
-
-// setPlacementLocked installs a placement (BE → agent URL) and refreshes
-// every agent's desired BE from it. These are the only writes to
-// c.placement, which keeps desiredBE in step with it.
-func (c *Controller) setPlacementLocked(p map[string]string) {
-	c.placement = p
-	for _, a := range c.agents {
-		a.desiredBE = ""
-	}
-	for be, url := range p {
-		if a := c.byURL[url]; a != nil {
-			a.desiredBE = be
-		}
-	}
 }
 
 // pushKind discriminates the per-round agent RPCs.
@@ -1086,13 +1176,4 @@ func baseBE(name string) string {
 		return name[:i]
 	}
 	return name
-}
-
-// clone copies a placement map.
-func clone(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

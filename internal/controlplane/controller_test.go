@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"pocolo/internal/cluster"
 	"pocolo/internal/trace"
 )
 
@@ -415,17 +416,19 @@ func TestRecordPushesTouchesOnlyItsAgent(t *testing.T) {
 }
 
 // TestAssignPushesFollowPlacement checks that each agent's desired BE
-// tracks every placement install — a solve and a degrade to the
-// last-known-good placement — and that assign pushes go to exactly the
-// live agents whose reported assignment differs from it.
+// tracks every placement change — an install, a degrade that holds it,
+// and an in-place patch that swaps two apps and seats one on an agent
+// another just left — and that assign pushes go to exactly the live
+// agents whose reported assignment differs from it.
 func TestAssignPushesFollowPlacement(t *testing.T) {
 	ctl := bookkeepingController(t)
 	if got := ctl.assignPushesLocked(nil); got != nil {
 		t.Fatalf("pushes before any placement: %+v", got)
 	}
+	now := time.Unix(0, 0)
 	ctl.agents[1].last.AssignedBE = "graph"
 	ctl.agents[2].alive = false
-	ctl.setPlacementLocked(map[string]string{"graph": "http://a1", "lstm": "http://a2"})
+	ctl.setPlacementLocked(now, map[string]string{"graph": "http://a1", "lstm": "http://a2"})
 	assertPushes := func(want map[string]string) {
 		t.Helper()
 		got := map[string]string{}
@@ -447,9 +450,24 @@ func TestAssignPushesFollowPlacement(t *testing.T) {
 	// a0 parks; a1 already runs graph; a2 is dead, so lstm waits.
 	assertPushes(map[string]string{"http://a0": ""})
 
-	ctl.lastGood = map[string]string{"lstm": "http://a0"}
-	ctl.degradeLocked(time.Unix(0, 0), "test")
+	ctl.setPlacementLocked(now, map[string]string{"lstm": "http://a0"})
 	assertPushes(map[string]string{"http://a0": "lstm", "http://a1": ""})
+	ctl.degradeLocked(now, "test")
+	assertPushes(map[string]string{"http://a0": "lstm", "http://a1": ""})
+
+	// graph takes a1; then lstm moves to a1 as graph leaves it for a0,
+	// which lstm just left.
+	ctl.setPlacementLocked(now, map[string]string{"lstm": "http://a0", "graph": "http://a1"})
+	ctl.agents[0].last.AssignedBE = "lstm"
+	if moved := ctl.patchPlacementLocked(now, []cluster.Assignment{
+		{Job: "graph", Host: "http://a0"}, {Job: "lstm", Host: "http://a1"},
+	}); moved != 2 {
+		t.Fatalf("patch moved %d apps, want 2", moved)
+	}
+	if want := map[string]string{"graph": "http://a0", "lstm": "http://a1"}; !reflect.DeepEqual(ctl.placement, want) {
+		t.Fatalf("patched placement %v, want %v", ctl.placement, want)
+	}
+	assertPushes(map[string]string{"http://a0": "graph", "http://a1": "lstm"})
 }
 
 // scriptedProbes answers every request with one /v1/stats body, or fails

@@ -21,11 +21,14 @@ import (
 // solved exactly. Its rows are the best-effort apps in BE order: all of
 // them, or while they outnumber the placeable agents, the ones
 // selectRowsLocked keeps. Each later re-solve repairs the engine in
-// place. Every agent's column spec and model-map entry follow its last
-// report, a dead agent's column goes down, Refresh re-solves only the
-// pods whose cells changed, and Evacuate moves the jobs an outage
-// stranded in a pod with more jobs than live hosts. A crash or rejoin
-// therefore re-solves only its own pod.
+// place from the agents the controller queued since the last one
+// (queueLocked): each queued column's spec and model-map entry follow
+// its agent's last report and a dead agent's column goes down; the rows'
+// best-effort models are re-read only when a queued agent is one they
+// may come from. Refresh then re-solves only the marked pods, and
+// Evacuate moves the jobs an outage stranded in a pod with more jobs
+// than live hosts. A crash or rejoin therefore re-solves only its own
+// pod, and no step of a re-solve visits the whole fleet.
 //
 // The engine is rebuilt only when an agent reports for the first time,
 // is renamed (names order the columns), the platform the solve uses
@@ -43,44 +46,66 @@ type placementEngine struct {
 	// best-effort app's name in the shared model map.
 	specs  []*workload.Spec
 	models map[string]*utility.Model // shared with sh
-	// member[i] reports whether c.agents[i] is a column.
-	member []bool
+	// col[slot] is the column of c.agents[slot], or -1.
+	col []int
 	// rows are the best-effort apps the engine places, in BE order.
 	rows []string
+	// source is the last column a row's best-effort model was read from:
+	// a change to a later column cannot change any row's model, nor the
+	// first live column, whose platform the solve uses.
+	source int
+	// reread is set when a queued column is at or before source: the
+	// rows' models and the platform are read again before the solve.
+	reread bool
 }
 
 // solveEngineLocked re-solves the placement on the warm engine over the
-// nLive placeable agents, building the engine first when there is none
-// or it is stale. Apps that selectRowsLocked leaves out are returned
-// unplaced; every other app is placed.
-func (c *Controller) solveEngineLocked(now time.Time, nLive int) (placement map[string]string, unplaced []string, err error) {
+// nLive placeable agents and installs it, building the engine first
+// when there is none or a queued change needs a new one. Apps that
+// selectRowsLocked leaves out are unplaced; every other app is placed.
+// It returns how many apps changed agent.
+func (c *Controller) solveEngineLocked(now time.Time, nLive int) (moved int, err error) {
 	rows := c.cfg.BE
+	var unplaced []string
 	if len(rows) > nLive {
 		if rows, unplaced, err = c.selectRowsLocked(nLive); err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 	}
 	e := c.engine
-	if e == nil || e.stale(c.agents, rows) {
-		if e, err = c.buildEngineLocked(rows); err != nil {
-			c.engine = nil
-			return nil, nil, err
-		}
-		c.engine = e
+	build := e == nil || !e.sameRows(rows)
+	if !build {
+		build, err = e.update(c.changed)
 	}
-	err = e.repair()
+	if err == nil && build {
+		e, err = c.buildEngineLocked(rows)
+	}
+	var placed []cluster.Assignment
+	if err == nil {
+		err = e.repair()
+	}
 	if err == nil {
 		timer := c.obs.solveTimer()
-		placement, _, err = e.sh.Solve(c.tracer, now)
+		placed, _, err = e.sh.Solve(c.tracer, now)
 		timer.Stop()
 	}
 	if err != nil {
 		// A failed repair can leave the engine half-updated; the next
 		// re-solve starts over from a fresh build.
 		c.engine = nil
-		return nil, nil, err
+		return 0, err
 	}
-	return placement, unplaced, nil
+	c.engine = e
+	c.clearQueueLocked()
+	c.unplaced = unplaced
+	if build {
+		next := make(map[string]string, len(placed))
+		for _, p := range placed {
+			next[p.Job] = p.Host
+		}
+		return c.setPlacementLocked(now, next), nil
+	}
+	return c.patchPlacementLocked(now, placed), nil
 }
 
 // selectRowsLocked is the overflow rule, applied while best-effort apps
@@ -107,7 +132,7 @@ func (c *Controller) selectRowsLocked(nLive int) (rows, unplaced []string, err e
 	rowOf := make(map[*utility.Model]int)
 	appRow := make([]int, len(c.cfg.BE))
 	for k, name := range c.cfg.BE {
-		m, err := beModel(live, name)
+		m, _, err := beModel(live, name)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -152,15 +177,16 @@ func (c *Controller) selectRowsLocked(nLive int) (rows, unplaced []string, err e
 
 // buildEngineLocked builds the engine over every agent that has reported
 // an LC model, in name order, with rows as its rows and the best-effort
-// models and platform the from-scratch rule picks.
+// models and platform the from-scratch rule picks, and takes the
+// columns of agents that cannot host work down.
 func (c *Controller) buildEngineLocked(rows []string) (*placementEngine, error) {
 	timer := c.obs.buildTimer()
 	defer timer.Stop()
-	e := &placementEngine{member: make([]bool, len(c.agents)), rows: rows}
+	e := &placementEngine{col: make([]int, len(c.agents)), rows: rows}
 	for i, a := range c.agents {
+		e.col[i] = -1
 		if a.everSeen && a.last.LCModel != nil {
 			e.hosts = append(e.hosts, a)
-			e.member[i] = true
 		}
 	}
 	sort.Slice(e.hosts, func(i, j int) bool { return e.hosts[i].name < e.hosts[j].name })
@@ -171,6 +197,7 @@ func (c *Controller) buildEngineLocked(rows []string) (*placementEngine, error) 
 		if i > 0 && a.name == e.names[i-1] {
 			return nil, fmt.Errorf("duplicate agent name %q", a.name)
 		}
+		e.col[a.slot] = i
 		e.names[i] = a.name
 		e.specs[i] = lcSpec(a)
 		e.models[a.url] = a.last.LCModel
@@ -182,11 +209,12 @@ func (c *Controller) buildEngineLocked(rows []string) (*placementEngine, error) 
 	e.machine = first.last.Machine
 	be := make([]*workload.Spec, len(rows))
 	for k, name := range rows {
-		m, err := beModel(e.hosts, name)
+		m, col, err := beModel(e.hosts, name)
 		if err != nil {
 			return nil, err
 		}
 		e.models[name] = m
+		e.source = max(e.source, col)
 		be[k] = &workload.Spec{Name: name, Class: workload.BestEffort}
 	}
 	sh, err := cluster.NewSharded(cluster.MatrixConfig{
@@ -200,37 +228,43 @@ func (c *Controller) buildEngineLocked(rows []string) (*placementEngine, error) 
 		return nil, err
 	}
 	e.sh = sh
+	for i, a := range e.hosts {
+		if !a.placeable() {
+			sh.SetHostDown(i, true)
+		}
+	}
 	return e, nil
 }
 
-// stale reports whether the engine must be rebuilt: the row set is not
-// rows, an agent reported an LC model for the first time, a column's agent
-// was renamed, or the first live column reports a different platform.
-func (e *placementEngine) stale(agents []*agentState, rows []string) bool {
-	if !slices.Equal(e.rows, rows) {
-		return true
+// sameRows reports whether rows is the engine's row set: the same slice
+// (the whole BE list, as on every re-solve without overflow) or an equal
+// one.
+func (e *placementEngine) sameRows(rows []string) bool {
+	if len(rows) != len(e.rows) {
+		return false
 	}
-	for i, a := range agents {
-		if a.everSeen && a.last.LCModel != nil && !e.member[i] {
-			return true
-		}
-	}
-	for i, a := range e.hosts {
-		if a.name != e.names[i] {
-			return true
-		}
-	}
-	first := e.firstLive()
-	return first != nil && first.last.Machine != e.machine
+	return len(rows) == 0 || &rows[0] == &e.rows[0] || slices.Equal(rows, e.rows)
 }
 
-// repair folds the agents' last reports into the engine: O(n) in-place
-// updates (the builders notice a changed model by its pointer), then a
-// Refresh that repairs only the pods whose cells changed, and an
-// evacuation of jobs a pod-wide outage stranded. The caller reads the
-// placement with Solve.
-func (e *placementEngine) repair() error {
-	for i, a := range e.hosts {
+// update folds the queued agents' last reports into the engine and marks
+// what changed: each queued column's spec, model-map entry and liveness,
+// and, when a queued column is at or before source, the rows' best-effort
+// models. It reports rebuild when a queued change needs a new engine: an
+// agent reported an LC model for the first time, a column's agent was
+// renamed, or the first live column reports a different platform. The
+// engine is then left to be discarded.
+func (e *placementEngine) update(queue []*agentState) (rebuild bool, err error) {
+	for _, a := range queue {
+		i := e.col[a.slot]
+		if i < 0 {
+			if a.everSeen && a.last.LCModel != nil {
+				return true, nil
+			}
+			continue
+		}
+		if a.name != e.names[i] {
+			return true, nil
+		}
 		spec := e.specs[i]
 		spec.PeakLoad = a.last.PeakLoad
 		spec.ProvisionedPowerW = a.last.ProvisionedPowerW
@@ -238,14 +272,35 @@ func (e *placementEngine) repair() error {
 			e.models[spec.Name] = m
 		}
 		e.sh.SetHostDown(i, !a.placeable())
+		e.sh.MarkHost(i)
+		e.reread = e.reread || i <= e.source
 	}
+	if !e.reread {
+		return false, nil
+	}
+	e.reread = false
+	if first := e.firstLive(); first != nil && first.last.Machine != e.machine {
+		return true, nil
+	}
+	e.source = 0
 	for _, be := range e.rows {
-		m, err := beModel(e.hosts, be)
+		m, col, err := beModel(e.hosts, be)
 		if err != nil {
-			return err
+			return false, err
 		}
-		e.models[be] = m
+		e.source = max(e.source, col)
+		if e.models[be] != m {
+			e.models[be] = m
+			e.sh.MarkJob(be)
+		}
 	}
+	return false, nil
+}
+
+// repair re-solves the marked pods (Refresh) and evacuates the jobs an
+// outage stranded on down hosts. The caller reads the placement with
+// Solve.
+func (e *placementEngine) repair() error {
 	if _, err := e.sh.Refresh(); err != nil {
 		return err
 	}
@@ -278,18 +333,19 @@ func lcSpec(a *agentState) *workload.Spec {
 
 // beModel picks a best-effort app's model: the first placeable agent, in
 // the given (name) order, that reports the app's own model or its base
-// app's (replica instances such as "graph#3" share "graph"'s).
-func beModel(agents []*agentState, be string) (*utility.Model, error) {
-	for _, a := range agents {
+// app's (replica instances such as "graph#3" share "graph"'s). It also
+// returns that agent's index in agents.
+func beModel(agents []*agentState, be string) (*utility.Model, int, error) {
+	for i, a := range agents {
 		if !a.placeable() {
 			continue
 		}
 		if m, ok := a.last.BEModels[be]; ok && m != nil {
-			return m, nil
+			return m, i, nil
 		}
 		if m, ok := a.last.BEModels[baseBE(be)]; ok && m != nil {
-			return m, nil
+			return m, i, nil
 		}
 	}
-	return nil, fmt.Errorf("no live agent reports a model for best-effort app %q", be)
+	return nil, 0, fmt.Errorf("no live agent reports a model for best-effort app %q", be)
 }

@@ -50,6 +50,16 @@ type statsCache struct {
 	vals StatsResponse            // the sections and strings last decoded
 }
 
+// sameSection reports whether next reuses c's decoded section k: a
+// decode keeps the bytes of every section it did not decode anew.
+func (c *statsCache) sameSection(next *statsCache, k int) bool {
+	if c == nil || next == nil {
+		return false
+	}
+	a, b := c.raw[k], next.raw[k]
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
 // statsField is one top-level key of a /v1/stats body and the
 // StatsResponse field it decodes into; exactly one accessor is set. The
 // parser's methods dispatch on them rather than taking the parser through

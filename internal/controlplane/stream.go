@@ -43,8 +43,11 @@ type hbDecoder struct {
 	synced bool
 	seq    uint64
 	epoch  uint64
-	stats  StatsResponse
-	heard  time.Time // the ingest clock when the last frame applied
+	// fullSeq is the seq of the last full frame applied: only a full frame
+	// carries the agent's name, platform, LC envelope and models.
+	fullSeq uint64
+	stats   StatsResponse
+	heard   time.Time // the ingest clock when the last frame applied
 }
 
 // hbVerdict classifies one frame's fate.
@@ -76,6 +79,7 @@ func (d *hbDecoder) apply(hb *Heartbeat) hbVerdict {
 		}
 		d.stats = hb.Stats
 		d.seq = hb.Seq
+		d.fullSeq = hb.Seq
 		d.epoch = hb.Epoch
 		d.synced = true
 		return hbApplied
@@ -152,9 +156,9 @@ type streamState struct {
 	spare   *ingestBuf
 
 	// fresh marks, for the pod the round is folding, which agents'
-	// reports changed since the last round (round-owned, under
-	// Controller.mu).
-	fresh []bool
+	// reports changed since the last round, and refit which of those
+	// include a full frame (round-owned, under Controller.mu).
+	fresh, refit []bool
 
 	// Cumulative ingest counters (atomic: ingest is concurrent). The
 	// round loop snapshots them and traces the per-round delta.
@@ -168,6 +172,7 @@ func newStreamState(urls []string, podSize int) *streamState {
 		slots:   make(map[string]int, len(urls)),
 		names:   make(map[string]nameBinding, len(urls)),
 		fresh:   make([]bool, podSize),
+		refit:   make([]bool, podSize),
 	}
 	for i, u := range urls {
 		s.slots[u] = i
@@ -579,19 +584,22 @@ const maxHeartbeatFrame = maxHeartbeatBlob + maxHeartbeatName + maxHeartbeatURL 
 // into the agent's state, and releases the lock; the fold, which logs
 // discoveries and rejoins, runs after. No network, and no lock held
 // across a log line: the polling transport's probe fan-out collapses
-// into one copy per changed agent. An agent whose decoder has not
-// advanced since the last round has missed a heartbeat, exactly as a
-// failed poll probe would count it. Agents are visited by slot —
-// c.agents[i] is slot i — so the fold costs no lookups.
+// into one copy per changed agent. Deltas never carry placement inputs,
+// so an advanced report is a refit only when a full frame applied since
+// the last copy: one compare. An agent whose decoder has not advanced
+// since the last round has missed a heartbeat, exactly as a failed poll
+// probe would count it. Agents are visited by slot — c.agents[i] is slot
+// i — so the fold costs no lookups.
 func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool) {
 	s := c.stream
 	for p, sh := range s.shards {
 		agents := c.agents[sh.base : sh.base+len(sh.decs)]
-		fresh := s.fresh[:len(agents)]
+		fresh, refit := s.fresh[:len(agents)], s.refit[:len(agents)]
 		sh.mu.Lock()
 		for li := range sh.decs {
 			d, a := &sh.decs[li], agents[li]
 			if fresh[li] = d.seq > a.streamSeq; fresh[li] {
+				refit[li] = d.fullSeq > a.streamSeq
 				a.streamSeq, a.last, a.lastHeard = d.seq, d.stats, d.heard
 			}
 		}
@@ -602,11 +610,11 @@ func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool)
 		for li, a := range agents {
 			switch {
 			case fresh[li]:
-				membershipChanged = c.observeLocked(a, &a.last, a.lastHeard, "") || membershipChanged
+				membershipChanged = c.observeLocked(a, &a.last, a.lastHeard, "", refit[li]) || membershipChanged
 			case a.streamSeq == 0:
-				membershipChanged = c.observeLocked(a, nil, now, "no heartbeat received") || membershipChanged
+				membershipChanged = c.observeLocked(a, nil, now, "no heartbeat received", false) || membershipChanged
 			default:
-				membershipChanged = c.observeLocked(a, nil, now, fmt.Sprintf("no heartbeat since seq %d", a.streamSeq)) || membershipChanged
+				membershipChanged = c.observeLocked(a, nil, now, fmt.Sprintf("no heartbeat since seq %d", a.streamSeq), false) || membershipChanged
 			}
 			if c.obs != nil && a.everSeen {
 				stale := now.Sub(a.lastHeard)

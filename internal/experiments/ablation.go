@@ -38,9 +38,7 @@ type AblationSolversResult struct {
 // every solver, timing each. LP, Hungarian and exhaustive must agree on
 // the optimum; random is the baseline's expected quality.
 func (s *Suite) AblationSolvers() (AblationSolversResult, error) {
-	mx, err := cluster.BuildMatrix(cluster.MatrixConfig{
-		Machine: s.Machine, LC: s.Catalog.LC(), BE: s.Catalog.BE(), Models: s.Models,
-	})
+	mx, err := cluster.BuildMatrix(s.MatrixConfig())
 	if err != nil {
 		return AblationSolversResult{}, err
 	}
@@ -266,9 +264,9 @@ func (s *Suite) AblationMyopic() (AblationMyopicResult, error) {
 	rows := make([]MyopicRow, len(variants))
 	err := parallel.ForEach(len(variants), s.Parallel, func(i int) error {
 		v := variants[i]
-		mx, err := cluster.BuildMatrix(cluster.MatrixConfig{
-			Machine: s.Machine, LC: s.Catalog.LC(), BE: s.Catalog.BE(), Models: s.Models, Loads: v.loads,
-		})
+		mcfg := s.MatrixConfig()
+		mcfg.Loads = v.loads
+		mx, err := cluster.BuildMatrix(mcfg)
 		if err != nil {
 			return err
 		}
@@ -358,9 +356,9 @@ func (s *Suite) AblationProfiling() (AblationProfilingResult, error) {
 				worstPref = d
 			}
 		}
-		mx, err := cluster.BuildMatrix(cluster.MatrixConfig{
-			Machine: s.Machine, LC: s.Catalog.LC(), BE: s.Catalog.BE(), Models: mm,
-		})
+		mcfg := s.MatrixConfig()
+		mcfg.Models = mm
+		mx, err := cluster.BuildMatrix(mcfg)
 		if err != nil {
 			return res, err
 		}

@@ -31,9 +31,7 @@ type AblationScaleResult struct {
 // Section II-A) and measures the exact solvers' cost and the random
 // baseline's expected loss as the assignment grows from 4×4 to 32×32.
 func (s *Suite) AblationScale() (AblationScaleResult, error) {
-	base, err := cluster.BuildMatrix(cluster.MatrixConfig{
-		Machine: s.Machine, LC: s.Catalog.LC(), BE: s.Catalog.BE(), Models: s.Models,
-	})
+	base, err := cluster.BuildMatrix(s.MatrixConfig())
 	if err != nil {
 		return AblationScaleResult{}, err
 	}

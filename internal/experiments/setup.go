@@ -116,6 +116,18 @@ func (s *Setup) ClusterConfig(label string) cluster.Config {
 	}
 }
 
+// MatrixConfig maps the setup onto one performance-matrix build over the
+// catalog's LC and BE applications, with the setup's worker bound.
+func (s *Setup) MatrixConfig() cluster.MatrixConfig {
+	return cluster.MatrixConfig{
+		Machine:  s.Machine,
+		LC:       s.Catalog.LC(),
+		BE:       s.Catalog.BE(),
+		Models:   s.Models,
+		Parallel: s.Parallel,
+	}
+}
+
 // Model returns the fitted utility model for an application.
 func (s *Setup) Model(name string) (*utility.Model, error) {
 	m, ok := s.Models[name]

@@ -63,3 +63,21 @@ func TestSetupFromModels(t *testing.T) {
 		t.Error("an invalid xapian model accepted")
 	}
 }
+
+// TestSetupMatrixConfig: the setup's one matrix mapping carries its
+// platform, catalog, models and worker bound, so -parallel reaches every
+// matrix build.
+func TestSetupMatrixConfig(t *testing.T) {
+	s := sharedSuite(t).Setup
+	s.Parallel = 1
+	cfg := s.MatrixConfig()
+	if cfg.Parallel != 1 || cfg.Machine != s.Machine || len(cfg.LC) != len(s.Catalog.LC()) ||
+		len(cfg.BE) != len(s.Catalog.BE()) || reflect.ValueOf(cfg.Models).Pointer() != reflect.ValueOf(s.Models).Pointer() {
+		t.Errorf("matrix config %+v does not carry the setup (parallel %d)", cfg, s.Parallel)
+	}
+	for i, lc := range s.Catalog.LC() {
+		if cfg.LC[i] != lc {
+			t.Errorf("LC %d is %s, want %s", i, cfg.LC[i].Name, lc.Name)
+		}
+	}
+}

@@ -307,13 +307,7 @@ func NewSystemOn(cfg MachineConfig, seed int64) (*System, error) {
 
 // Matrix builds the BE×LC performance matrix from the fitted models.
 func (s *System) Matrix() (*Matrix, error) {
-	return cluster.BuildMatrix(cluster.MatrixConfig{
-		Machine:  s.Machine,
-		LC:       s.Catalog.LC(),
-		BE:       s.Catalog.BE(),
-		Models:   s.Models,
-		Parallel: s.Parallel,
-	})
+	return cluster.BuildMatrix(s.MatrixConfig())
 }
 
 // Place computes the POColo placement (LP solver over the performance
