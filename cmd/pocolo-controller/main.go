@@ -12,8 +12,7 @@
 //	pocolo-controller -agents http://127.0.0.1:7001,http://127.0.0.1:7002 \
 //	                  [-be graph,lstm] [-listen :7100] [-heartbeat 1s] \
 //	                  [-timeout 500ms] [-dead-after 3] [-retries 1] \
-//	                  [-max-backoff 16s] [-jitter 0.2] \
-//	                  [-resolve-every 30s] [-seed 42] \
+//	                  [-max-backoff 16s] [-jitter 0.2] [-seed 42] \
 //	                  [-budget-tree 'dc:600{agent-a,agent-b}'] \
 //	                  [-trace cluster.jsonl] [-trace-events 4096] \
 //	                  [-transport stream] [-pod-size 64]
@@ -71,7 +70,6 @@ func main() {
 	retries := flag.Int("retries", 1, "probe retries within one round")
 	maxBackoff := flag.Duration("max-backoff", 0, "probe backoff cap for dead agents (default 16x heartbeat)")
 	jitter := flag.Float64("jitter", 0.2, "relative heartbeat jitter in [0, 1)")
-	resolveEvery := flag.Duration("resolve-every", 30*time.Second, "periodic re-solve interval (0 to re-solve only on membership changes)")
 	seed := flag.Int64("seed", 42, "random seed for the heartbeat jitter")
 	budgetTree := flag.String("budget-tree", "", "hierarchical power-budget tree whose leaves name the agents (e.g. 'dc:600{agent-a,agent-b}') or @file; shares are pushed as caps every round")
 	transport := flag.String("transport", controlplane.TransportPoll, "state transport: poll (controller scrapes GET /v1/stats each round) or stream (agents push binary delta heartbeats to POST /v1/heartbeat; requires -listen)")
@@ -122,7 +120,6 @@ func main() {
 		Retries:       *retries,
 		MaxBackoff:    *maxBackoff,
 		Jitter:        *jitter,
-		ResolveEvery:  *resolveEvery,
 		Seed:          *seed,
 		Transport:     *transport,
 		PodSize:       *podSize,

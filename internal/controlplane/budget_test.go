@@ -174,18 +174,20 @@ func TestCampaignBrownoutEndToEnd(t *testing.T) {
 		// the same computed/reused cell counts.
 		cluster.ResetMemo()
 		camp, err := NewCampaign(CampaignConfig{
-			Agents:     campaignAgentConfigs(t, lcs, bes),
-			BE:         bes,
-			BudgetTree: treeSpec,
+			ControllerConfig: ControllerConfig{
+				BE:         bes,
+				BudgetTree: treeSpec,
+				Seed:       5,
+				Trace:      trace.New("controller", 4096),
+			},
+			Agents: campaignAgentConfigs(t, lcs, bes),
 			Faults: []FaultEvent{{
 				At:       8 * time.Second,
 				Kind:     FaultBrownout,
 				Level:    0.3,
 				Duration: 6 * time.Second,
 			}},
-			Duration:        20 * time.Second,
-			Seed:            5,
-			ControllerTrace: trace.New("controller", 4096),
+			Duration: 20 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -299,18 +301,20 @@ func TestCampaignBrownoutBelowFloors(t *testing.T) {
 	var logs []string
 	atFloors := 0
 	camp, err := NewCampaign(CampaignConfig{
-		Agents:     campaignAgentConfigs(t, lcs, nil),
-		BudgetTree: fmt.Sprintf("dc:%g{%s}", dc, strings.Join(names, ",")),
+		ControllerConfig: ControllerConfig{
+			BudgetTree: fmt.Sprintf("dc:%g{%s}", dc, strings.Join(names, ",")),
+			Seed:       5,
+			Logf: func(format string, args ...any) {
+				mu.Lock()
+				defer mu.Unlock()
+				logs = append(logs, fmt.Sprintf(format, args...))
+			},
+		},
+		Agents: campaignAgentConfigs(t, lcs, nil),
 		Faults: []FaultEvent{{
 			At: 6 * time.Second, Kind: FaultBrownout, Level: 0.7, Duration: 10 * time.Second,
 		}},
 		Duration: 20 * time.Second,
-		Seed:     5,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			defer mu.Unlock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-		},
 		OnRound: func(_ int, st Status) {
 			if st.Budget.NodeBudgets["dc"] >= 4*floor {
 				return

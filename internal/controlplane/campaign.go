@@ -1,20 +1,17 @@
 package controlplane
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"sync"
 	"time"
 
 	"pocolo/internal/invariant"
-	"pocolo/internal/obs"
-	"pocolo/internal/trace"
 	"pocolo/internal/workload"
 )
 
@@ -135,74 +132,43 @@ func RandomFaults(seed int64, agents, n int, campaign, heartbeat time.Duration) 
 
 // CampaignConfig assembles a deterministic fault campaign.
 type CampaignConfig struct {
+	// ControllerConfig configures the campaign's controller. NewCampaign
+	// supplies AgentURLs, Client and Now — the loopback fabric's agent
+	// addresses and transport, and the synthetic clock — and refuses them
+	// preset. It fills three zero fields with its own defaults:
+	//   - Heartbeat, the simulated time per round, 1 s: each round advances
+	//     every running agent by Heartbeat, then runs the controller's round.
+	//   - Timeout, the real-time RPC timeout, 250 ms. Only delayed responses
+	//     ever consume it; healthy loopback RPCs return immediately.
+	//   - MaxBackoff, 4×Heartbeat, so crashed agents rejoin within a short
+	//     recovery window. Transport-parity suites set it to Heartbeat, so
+	//     the polling controller probes dead agents every round, exactly as
+	//     the streaming controller notices their first healed frame.
+	// Under TransportStream each round every running agent encodes a delta
+	// heartbeat and pushes it over the loopback fabric before the
+	// controller's round runs; frames from crashed, dropped, partitioned,
+	// or beyond-timeout-delayed agents are deterministically lost, and the
+	// sender resyncs with a full frame when connectivity heals. With a
+	// BudgetTree, the tree-conservation invariant is registered on the
+	// campaign harness; FaultBrownout events require one. Trace, when set,
+	// records every migration and degradation the campaign provokes,
+	// stamped on the synthetic clock; per-agent tracing is configured on
+	// the AgentConfigs (TraceEvents).
+	ControllerConfig
 	// Agents configures the fleet. Traces are wrapped for load-spike
 	// injection; Invariants is overridden with the campaign's harness.
 	Agents []AgentConfig
-	// BE names the best-effort apps the controller keeps placed.
-	BE []string
 	// Faults is the schedule to replay (see RandomFaults).
 	Faults []FaultEvent
-	// BudgetTree, when non-empty, puts the controller in charge of a
-	// hierarchical power budget (see tree.Parse) whose leaves name the
-	// agents: each round it re-divides every node's budget over reported
-	// demand and pushes per-agent caps. The tree-conservation invariant
-	// is registered on the campaign harness. Required for FaultBrownout
-	// events.
-	BudgetTree string
 	// Duration is the total campaign length in simulated time; after the
 	// last fault expires the remainder is the recovery window.
 	Duration time.Duration
-	// Heartbeat is the simulated time per controller round (default 1 s):
-	// each round advances every running agent by Heartbeat, then polls.
-	Heartbeat time.Duration
-	// Timeout is the real-time probe timeout (default 250 ms). Only
-	// delayed responses ever consume it; healthy loopback probes return
-	// immediately.
-	Timeout time.Duration
-	// DeadAfter and Seed configure the controller as in
-	// ControllerConfig.
-	DeadAfter int
-	Seed      int64
-	// Transport selects the control-plane transport (TransportPoll or
-	// TransportStream; default poll). Under TransportStream each round
-	// the campaign has every running agent encode a delta heartbeat and
-	// push it over the loopback fabric before the controller's round
-	// runs; frames from crashed, dropped, partitioned, or
-	// beyond-timeout-delayed agents are deterministically lost, and the
-	// sender resyncs with a full frame when connectivity heals.
-	Transport string
-	// PodSize configures the controller's shard/pod size (default 64).
-	PodSize int
-	// MaxBackoff caps the controller's dead-agent probe backoff (default
-	// 4×Heartbeat, keeping crashed agents' rejoin within a short
-	// recovery window). Transport-parity suites set it to Heartbeat so
-	// the polling controller probes dead agents every round, exactly as
-	// the streaming controller notices their first healed frame.
-	MaxBackoff time.Duration
 	// OnRound, when set, observes the controller's status after every
 	// round — the decision capture hook transport-parity suites diff.
 	OnRound func(round int, st Status)
 	// Harness receives every invariant violation (default: a fresh
 	// harness with DefaultCheckers).
 	Harness *invariant.Harness
-	// Logf, when set, receives controller and campaign event logs.
-	Logf func(format string, args ...any)
-	// ControllerTrace, when non-nil, records the controller's decisions —
-	// every migration and degradation the campaign provokes lands in it,
-	// stamped on the campaign's synthetic clock. Per-agent tracing is
-	// configured on the AgentConfigs (TraceEvents).
-	ControllerTrace *trace.Tracer
-	// Obs, when non-nil, wires the controller's observability plane: round
-	// latency histograms, SLO burn gauges, per-pod solve and staleness
-	// series (see ControllerConfig.Obs).
-	Obs *obs.Registry
-	// RoundDeadline, Recorder, and InjectRoundLatency configure the
-	// flight-recorder path as in ControllerConfig: rounds measured past
-	// the deadline trigger a bundle capture, and InjectRoundLatency lets a
-	// deterministic campaign fabricate a slow round without sleeping.
-	RoundDeadline      time.Duration
-	Recorder           *obs.FlightRecorder
-	InjectRoundLatency func(round int) time.Duration
 }
 
 // CampaignReport summarizes a finished campaign.
@@ -265,11 +231,17 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	if len(cfg.Agents) == 0 {
 		return nil, errors.New("controlplane: campaign needs agents")
 	}
+	if len(cfg.AgentURLs) > 0 || cfg.Client != nil || cfg.Now != nil {
+		return nil, errors.New("controlplane: NewCampaign supplies the controller's AgentURLs, Client and Now; they must be unset")
+	}
 	if cfg.Heartbeat == 0 {
 		cfg.Heartbeat = time.Second
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 250 * time.Millisecond
+	}
+	if cfg.MaxBackoff == 0 {
+		cfg.MaxBackoff = 4 * cfg.Heartbeat
 	}
 	if cfg.Duration <= 0 {
 		return nil, errors.New("controlplane: campaign duration must be positive")
@@ -293,10 +265,6 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	if cfg.Harness == nil {
 		cfg.Harness = invariant.NewHarness()
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 
 	c := &Campaign{cfg: cfg, harness: cfg.Harness}
 	c.transport = newLoopbackTransport()
@@ -318,40 +286,19 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		c.spikes = append(c.spikes, spike)
 		urls[i] = "http://" + host
 	}
-	// The controller measures probe backoff and re-solve periods on the
-	// campaign's synthetic clock, which advances exactly one heartbeat per
-	// round: backoff windows become round counts, independent of how fast
-	// the rounds execute in wall time. MaxBackoff defaults to four
-	// heartbeats so crashed agents rejoin within a short recovery window.
+	// The controller measures probe backoff on the campaign's synthetic
+	// clock, which advances exactly one heartbeat per round: backoff
+	// windows become round counts, independent of how fast the rounds
+	// execute in wall time.
 	c.clock = time.Unix(1_700_000_000, 0)
-	maxBackoff := cfg.MaxBackoff
-	if maxBackoff == 0 {
-		maxBackoff = 4 * cfg.Heartbeat
+	c.cfg.AgentURLs = urls
+	c.cfg.Client = &http.Client{Transport: c.transport}
+	c.cfg.Now = func() time.Time {
+		c.clockMu.Lock()
+		defer c.clockMu.Unlock()
+		return c.clock
 	}
-	ctl, err := NewController(ControllerConfig{
-		AgentURLs:          urls,
-		BE:                 cfg.BE,
-		Heartbeat:          cfg.Heartbeat,
-		Timeout:            cfg.Timeout,
-		DeadAfter:          cfg.DeadAfter,
-		MaxBackoff:         maxBackoff,
-		Transport:          cfg.Transport,
-		PodSize:            cfg.PodSize,
-		BudgetTree:         cfg.BudgetTree,
-		Seed:               cfg.Seed,
-		Logf:               cfg.Logf,
-		Trace:              cfg.ControllerTrace,
-		Obs:                cfg.Obs,
-		RoundDeadline:      cfg.RoundDeadline,
-		Recorder:           cfg.Recorder,
-		InjectRoundLatency: cfg.InjectRoundLatency,
-		Client:             &http.Client{Transport: c.transport},
-		Now: func() time.Time {
-			c.clockMu.Lock()
-			defer c.clockMu.Unlock()
-			return c.clock
-		},
-	})
+	ctl, err := NewController(c.cfg.ControllerConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -484,7 +431,6 @@ const campaignControllerHost = "campaign-controller"
 // nothing: the process is dead, and its encoder state survives to
 // resume delta encoding on restart, exactly like a paused container.
 func (c *Campaign) emitHeartbeats(ctx context.Context, crashed, down, partitioned []bool, delay []time.Duration) error {
-	client := &http.Client{Transport: c.transport}
 	for i, a := range c.agents {
 		if crashed[i] {
 			continue
@@ -500,7 +446,7 @@ func (c *Campaign) emitHeartbeats(ctx context.Context, crashed, down, partitione
 			c.encoders[i].Resync()
 			continue
 		}
-		ack, err := PostHeartbeat(ctx, client, "http://"+campaignControllerHost, frame)
+		ack, err := PostHeartbeat(ctx, c.cfg.Client, "http://"+campaignControllerHost, frame)
 		if err != nil {
 			c.encoders[i].Resync()
 			continue
@@ -691,25 +637,9 @@ func (t *loopbackTransport) RoundTrip(req *http.Request) (*http.Response, error)
 		case <-time.After(delay):
 		}
 	}
-	rec := &responseRecorder{header: make(http.Header), status: http.StatusOK}
+	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	return &http.Response{
-		StatusCode:    rec.status,
-		Status:        http.StatusText(rec.status),
-		Header:        rec.header,
-		Body:          io.NopCloser(bytes.NewReader(rec.body.Bytes())),
-		ContentLength: int64(rec.body.Len()),
-		Request:       req,
-	}, nil
+	resp := rec.Result()
+	resp.Request = req
+	return resp, nil
 }
-
-// responseRecorder is a minimal in-memory http.ResponseWriter.
-type responseRecorder struct {
-	header http.Header
-	body   bytes.Buffer
-	status int
-}
-
-func (r *responseRecorder) Header() http.Header         { return r.header }
-func (r *responseRecorder) Write(p []byte) (int, error) { return r.body.Write(p) }
-func (r *responseRecorder) WriteHeader(status int)      { r.status = status }

@@ -3,6 +3,7 @@ package controlplane
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"reflect"
 	"slices"
 	"sort"
@@ -56,10 +57,12 @@ func TestCampaignQuiet(t *testing.T) {
 	lcs := []string{"img-dnn", "sphinx", "xapian"}
 	bes := []string{"graph", "lstm"}
 	camp, err := NewCampaign(CampaignConfig{
+		ControllerConfig: ControllerConfig{
+			BE:   bes,
+			Seed: 1,
+		},
 		Agents:   campaignAgentConfigs(t, lcs, bes),
-		BE:       bes,
 		Duration: 15 * time.Second,
-		Seed:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,16 +96,18 @@ func TestCampaignCrashAndPartition(t *testing.T) {
 	bes := []string{"graph", "lstm"}
 	hb := time.Second
 	camp, err := NewCampaign(CampaignConfig{
+		ControllerConfig: ControllerConfig{
+			BE:        bes,
+			Heartbeat: hb,
+			DeadAfter: 2,
+			Seed:      2,
+		},
 		Agents: campaignAgentConfigs(t, lcs, bes),
-		BE:     bes,
 		Faults: []FaultEvent{
 			{At: 5 * hb, Agent: 0, Kind: FaultCrash, Duration: 4 * hb},
 			{At: 10 * hb, Agent: 1, Kind: FaultDropHeartbeats, Duration: 3 * hb},
 		},
-		Duration:  30 * time.Second,
-		Heartbeat: hb,
-		DeadAfter: 2,
-		Seed:      2,
+		Duration: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,17 +139,19 @@ func TestCampaignDelayAndSpike(t *testing.T) {
 	bes := []string{"graph"}
 	hb := time.Second
 	camp, err := NewCampaign(CampaignConfig{
+		ControllerConfig: ControllerConfig{
+			BE:        bes,
+			Heartbeat: hb,
+			Timeout:   50 * time.Millisecond,
+			DeadAfter: 2,
+			Seed:      3,
+		},
 		Agents: campaignAgentConfigs(t, lcs, bes),
-		BE:     bes,
 		Faults: []FaultEvent{
 			{At: 4 * hb, Agent: 0, Kind: FaultDelayResponses, Duration: 3 * hb, Delay: time.Second},
 			{At: 9 * hb, Agent: 1, Kind: FaultLoadSpike, Duration: 5 * hb, Level: 0.95},
 		},
-		Duration:  25 * time.Second,
-		Heartbeat: hb,
-		Timeout:   50 * time.Millisecond,
-		DeadAfter: 2,
-		Seed:      3,
+		Duration: 25 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,16 +202,18 @@ func TestCampaignWholePodOutage(t *testing.T) {
 	outageRounds := 0
 	tracer := trace.New("controller", 1<<12)
 	camp, err := NewCampaign(CampaignConfig{
-		Agents:          agents,
-		BE:              bes,
-		Faults:          faults,
-		Duration:        16 * hb,
-		Heartbeat:       hb,
-		DeadAfter:       2,
-		Transport:       TransportStream,
-		PodSize:         podSize,
-		Seed:            13,
-		ControllerTrace: tracer,
+		ControllerConfig: ControllerConfig{
+			BE:        bes,
+			Heartbeat: hb,
+			DeadAfter: 2,
+			Transport: TransportStream,
+			PodSize:   podSize,
+			Seed:      13,
+			Trace:     tracer,
+		},
+		Agents:   agents,
+		Faults:   faults,
+		Duration: 16 * hb,
 		OnRound: func(round int, st Status) {
 			dead := 0
 			for _, a := range st.Agents {
@@ -290,19 +299,21 @@ func TestCampaignOverflow(t *testing.T) {
 	tracer := trace.New("controller", 1<<14)
 	picks := make(map[int]bool) // live-agent counts seen in overflow rounds
 	camp, err := NewCampaign(CampaignConfig{
+		ControllerConfig: ControllerConfig{
+			BE:        bes,
+			Heartbeat: hb,
+			DeadAfter: 2,
+			Transport: TransportStream,
+			PodSize:   podSize,
+			Seed:      17,
+			Trace:     tracer,
+		},
 		Agents: agents,
-		BE:     bes,
 		Faults: []FaultEvent{
 			{At: 4 * hb, Agent: 5, Kind: FaultCrash, Duration: 6 * hb},
 			{At: 7 * hb, Agent: 30, Kind: FaultCrash, Duration: 6 * hb},
 		},
-		Duration:        20 * hb,
-		Heartbeat:       hb,
-		DeadAfter:       2,
-		Transport:       TransportStream,
-		PodSize:         podSize,
-		Seed:            17,
-		ControllerTrace: tracer,
+		Duration: 20 * hb,
 		OnRound: func(round int, st Status) {
 			var live []int
 			for _, a := range st.Agents {
@@ -393,13 +404,15 @@ func TestCampaignSeededScheduleDeterministic(t *testing.T) {
 	}
 	run := func() *CampaignReport {
 		camp, err := NewCampaign(CampaignConfig{
-			Agents:    campaignAgentConfigs(t, lcs, bes),
-			BE:        bes,
-			Faults:    faults,
-			Duration:  40 * time.Second,
-			DeadAfter: 2,
-			Timeout:   50 * time.Millisecond,
-			Seed:      4,
+			ControllerConfig: ControllerConfig{
+				BE:        bes,
+				DeadAfter: 2,
+				Timeout:   50 * time.Millisecond,
+				Seed:      4,
+			},
+			Agents:   campaignAgentConfigs(t, lcs, bes),
+			Faults:   faults,
+			Duration: 40 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -428,9 +441,9 @@ func TestCampaignValidation(t *testing.T) {
 	bes := []string{"graph"}
 	base := func() CampaignConfig {
 		return CampaignConfig{
-			Agents:   campaignAgentConfigs(t, []string{"img-dnn"}, bes),
-			BE:       bes,
-			Duration: 5 * time.Second,
+			ControllerConfig: ControllerConfig{BE: bes},
+			Agents:           campaignAgentConfigs(t, []string{"img-dnn"}, bes),
+			Duration:         5 * time.Second,
 		}
 	}
 	if _, err := NewCampaign(CampaignConfig{Duration: time.Second}); err == nil {
@@ -456,6 +469,44 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := NewCampaign(cfg); err == nil {
 		t.Fatal("traceless agent accepted")
 	}
+	// The campaign owns its loopback fabric and its synthetic clock.
+	for name, preset := range map[string]func(*CampaignConfig){
+		"AgentURLs": func(cfg *CampaignConfig) { cfg.AgentURLs = []string{"http://a"} },
+		"Client":    func(cfg *CampaignConfig) { cfg.Client = &http.Client{} },
+		"Now":       func(cfg *CampaignConfig) { cfg.Now = time.Now },
+	} {
+		cfg = base()
+		preset(&cfg)
+		if _, err := NewCampaign(cfg); err == nil {
+			t.Errorf("preset %s accepted", name)
+		}
+	}
+}
+
+// TestLoopbackStatusLine holds the loopback fabric's replies to net/http's
+// status line: a request for a route the agent does not serve reads
+// "404 Not Found", as it does from a live agent, and so does the error
+// PostHeartbeat reports for it.
+func TestLoopbackStatusLine(t *testing.T) {
+	agent, err := NewAgent(campaignAgentConfigs(t, []string{"img-dnn"}, []string{"graph"})[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt := newLoopbackTransport()
+	lt.add("agent", agent.Handler())
+	client := &http.Client{Transport: lt}
+	resp, err := client.Get("http://agent/v1/unknown")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || resp.Status != "404 Not Found" {
+		t.Fatalf("status %d %q, want 404 \"404 Not Found\"", resp.StatusCode, resp.Status)
+	}
+	_, err = PostHeartbeat(context.Background(), client, "http://agent", []byte("frame"))
+	if want := "controller answered 404 Not Found: 404 page not found"; err == nil || err.Error() != want {
+		t.Fatalf("PostHeartbeat to an agent: %v, want %q", err, want)
+	}
 }
 
 // TestCampaignHarnessObserves proves the invariant harness actually rides
@@ -472,11 +523,13 @@ func TestCampaignHarnessObserves(t *testing.T) {
 		t.Fatal(err)
 	}
 	camp, err := NewCampaign(CampaignConfig{
+		ControllerConfig: ControllerConfig{
+			BE:   bes,
+			Seed: 6,
+		},
 		Agents:   campaignAgentConfigs(t, []string{"img-dnn", "sphinx"}, bes),
-		BE:       bes,
 		Duration: 5 * time.Second,
 		Harness:  h,
-		Seed:     6,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -20,6 +21,7 @@ import (
 	"pocolo/internal/obs"
 	"pocolo/internal/parallel"
 	"pocolo/internal/trace"
+	"pocolo/internal/utility"
 )
 
 // Transport values for ControllerConfig.Transport.
@@ -90,10 +92,6 @@ type ControllerConfig struct {
 	// and pushes the per-agent shares over POST /v1/cap; SetBudget
 	// mutates a node at runtime (brownout campaigns).
 	BudgetTree string
-	// ResolveEvery forces a periodic placement re-solve even without
-	// membership changes, picking up drifting model reports (default 0:
-	// re-solve only on membership changes).
-	ResolveEvery time.Duration
 	// Seed drives the heartbeat jitter.
 	Seed int64
 	// Logf, when set, receives controller event logs.
@@ -106,10 +104,10 @@ type ControllerConfig struct {
 	// is set rather than silently ignore it.
 	Client *http.Client
 	// Now overrides the clock used for liveness bookkeeping — dead-agent
-	// probe backoff and periodic re-solve scheduling (default time.Now).
-	// Deterministic drivers (the fault campaign) substitute a clock that
-	// advances one heartbeat per round so backoff windows are measured in
-	// rounds, not wall time.
+	// probe backoff and report staleness (default time.Now). Deterministic
+	// drivers (the fault campaign) substitute a clock that advances one
+	// heartbeat per round so backoff windows are measured in rounds, not
+	// wall time.
 	Now func() time.Time
 	// Trace, when non-nil, records the controller's own decisions —
 	// placements, migrations, degradations, and solve summaries — stamped
@@ -236,11 +234,11 @@ type Controller struct {
 	placement map[string]string // BE → agent URL
 	unplaced  []string
 	degraded  bool
-	lastSolve time.Time
 	engine    *placementEngine // warm sharded solver; nil until first needed
 	// changed lists the agents whose placement inputs (liveness, name,
 	// platform, LC envelope or models) changed since the engine last read
-	// them; see queueLocked.
+	// them; see queueLocked. A round re-solves exactly when it is
+	// non-empty: discovery queues every agent for the first solve.
 	changed []*agentState
 	// nPlaceable counts the placeable agents as of the last re-solve.
 	nPlaceable int
@@ -264,15 +262,8 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if len(cfg.AgentURLs) == 0 {
 		return nil, errors.New("controlplane: controller needs at least one agent URL")
 	}
-	seen := make(map[string]bool, len(cfg.AgentURLs))
-	for _, u := range cfg.AgentURLs {
-		if u == "" {
-			return nil, errors.New("controlplane: empty agent URL")
-		}
-		if seen[u] {
-			return nil, fmt.Errorf("controlplane: duplicate agent URL %s", u)
-		}
-		seen[u] = true
+	if err := cmp.Or(distinct("agent URL", cfg.AgentURLs), distinct("best-effort app", cfg.BE)); err != nil {
+		return nil, err
 	}
 	transport := http.DefaultTransport
 	if cl := cfg.Client; cl != nil {
@@ -375,6 +366,21 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	return c, nil
 }
 
+// distinct refuses an empty or repeated entry in list, a list of what.
+func distinct(what string, list []string) error {
+	seen := make(map[string]bool, len(list))
+	for _, s := range list {
+		if s == "" {
+			return fmt.Errorf("controlplane: empty %s", what)
+		}
+		if seen[s] {
+			return fmt.Errorf("controlplane: duplicate %s %s", what, s)
+		}
+		seen[s] = true
+	}
+	return nil
+}
+
 // parseAgentURL parses one agent route, base+route, as every RPC to it
 // sends it. The URL must name a scheme and a host, and it may not carry
 // user info: the controller's requests send no credentials.
@@ -413,22 +419,22 @@ func (c *Controller) jitteredHeartbeat() time.Duration {
 }
 
 // Round performs one heartbeat cycle: observe the fleet (poll probes or
-// streamed snapshots), update liveness, re-solve placement if membership
-// changed, compute the assignment and budget pushes under the lock, then
-// execute every push through the RPC fan-out with the lock released.
-// Only acknowledged pushes are recorded as agent state — a failed push
-// is re-derived and retried next round. Each RPC is bounded by the
-// request timeout. Every due agent's probe runs on its own worker, so
-// the probe phase costs one probe's attempts however many agents stall:
-// Retries+1 timeouts at worst. Pushes run on maxRPCWorkers workers plus
-// one for each push to an agent that missed its last report: S pushes
-// stalled on agents that reported cost ⌈S/maxRPCWorkers⌉ timeouts, any
-// number to agents that missed cost one (an agent gets at most two
-// pushes a round: its assignment and its cap). Under poll an agent that
-// stalls on every request has missed by the time its pushes go out, so
-// however many agents do that a poll round costs at most Retries+2
-// timeouts. Exposed for deterministic tests; Run calls it on the
-// jittered interval.
+// streamed snapshots), update liveness, re-solve placement if an agent's
+// placement inputs changed, compute the assignment and budget pushes
+// under the lock, then execute every push through the RPC fan-out with
+// the lock released. Only acknowledged pushes are recorded as agent state
+// — a failed push is re-derived and retried next round. Each RPC is
+// bounded by the request timeout. Every due agent's probe runs on its own
+// worker, so the probe phase costs one probe's attempts however many
+// agents stall: Retries+1 timeouts at worst. Pushes run on maxRPCWorkers
+// workers plus one for each push to an agent that missed its last report:
+// S pushes stalled on agents that reported cost ⌈S/maxRPCWorkers⌉
+// timeouts, any number to agents that missed cost one (an agent gets at
+// most two pushes a round: its assignment and its cap). Under poll an
+// agent that stalls on every request has missed by the time its pushes go
+// out, so however many agents do that a poll round costs at most
+// Retries+2 timeouts. Exposed for deterministic tests; Run calls it on
+// the jittered interval.
 func (c *Controller) Round(ctx context.Context) {
 	now := c.now()
 	// Round timing is measured, not derived from the controller clock:
@@ -439,24 +445,20 @@ func (c *Controller) Round(ctx context.Context) {
 		start = time.Now()
 	}
 
-	var membershipChanged bool
 	if c.stream != nil {
 		c.mu.Lock()
-		membershipChanged = c.streamObserveLocked(now)
+		c.streamObserveLocked(now)
 	} else {
 		results := c.pollProbe(ctx, now)
 		c.mu.Lock()
-		membershipChanged = c.applyProbesLocked(results, now)
+		c.applyProbesLocked(results, now)
 		clear(results)
 		c.probes = results[:0]
 	}
 	c.rounds++
 	round := c.rounds
 
-	needResolve := membershipChanged ||
-		(c.placement == nil && c.liveCountLocked() > 0) ||
-		(c.cfg.ResolveEvery > 0 && now.Sub(c.lastSolve) >= c.cfg.ResolveEvery)
-	if needResolve {
+	if len(c.changed) > 0 {
 		c.resolveLocked(now)
 	}
 	pushes := c.budgetPushesLocked(now, c.assignPushesLocked(c.pushes[:0]))
@@ -483,11 +485,13 @@ func (c *Controller) Round(ctx context.Context) {
 }
 
 // probeResult is one poll probe's outcome. cache is the agent's probe
-// cache as pollProbe found it, and after the probe the one to install.
+// cache as pollProbe found it, and after the probe the one to install;
+// fast reports that the decoder's fast path took the body (decodeStats).
 type probeResult struct {
 	agent *agentState
 	cache *statsCache
 	stats StatsResponse
+	fast  bool
 	err   error
 }
 
@@ -519,27 +523,26 @@ func (a *agentState) missed() bool { return !a.alive || a.misses > 0 }
 
 // observeLocked folds one round's observation of one agent into its
 // liveness state, on either transport. A non-nil report, taken at heard,
-// discovers, rejoins or refreshes the agent; refit says it may carry
+// discovers, rejoins or refreshes the agent; refit says it carries
 // placement inputs the agent's last report did not. A nil report is a
 // miss for the reason miss, and an alive agent dies at its DeadAfter-th
 // consecutive miss. An agent that dies, rejoins, is discovered or is
-// refit is queued for the placement engine. It reports whether
-// membership changed.
-func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard time.Time, miss string, refit bool) (membershipChanged bool) {
+// refit is queued for the placement engine, and the round re-solves.
+func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard time.Time, miss string, refit bool) {
 	if report == nil {
 		a.lastErr = miss
 		a.misses++
 		if !a.alive || a.misses < c.cfg.DeadAfter {
-			return false
+			return
 		}
 		a.alive = false
 		c.deaths++
 		c.queueLocked(a)
 		c.logf("agent %s (%s) dead after %d missed heartbeats: %s", a.name, a.url, a.misses, miss)
-		return true
+		return
 	}
 	if !a.alive || !a.everSeen {
-		membershipChanged = true
+		refit = true
 		if a.everSeen {
 			c.rejoins++
 			c.logf("agent %s (%s) rejoined", report.Agent, a.url)
@@ -547,7 +550,7 @@ func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard t
 			c.logf("agent %s (%s) discovered, lc=%s", report.Agent, a.url, report.LC)
 		}
 	}
-	if membershipChanged || refit {
+	if refit {
 		c.queueLocked(a)
 	}
 	a.alive = true
@@ -558,7 +561,6 @@ func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard t
 	a.name = report.Agent
 	a.lc = report.LC
 	a.last = *report
-	return membershipChanged
 }
 
 // queueLocked queues an agent whose placement inputs changed, once, for
@@ -581,27 +583,83 @@ func (c *Controller) clearQueueLocked() {
 
 // refitLocked reports whether a poll probe's report r changes what the
 // placement engine reads of agent a: its name, platform, LC envelope or
-// fitted models. The probe decoder hands every report the values it
-// decoded from an unchanged section, so the LC model compares by pointer
-// and the best-effort model map by whether the decoder kept its
-// section's bytes (a report the decoder declined has a fresh LC model).
+// fitted models. The fast path hands every report the values it decoded
+// from an unchanged section, so the LC model compares by pointer and the
+// best-effort model map by whether the decoder kept its section's bytes.
+// A body the fast path declined is decoded afresh and compared bit for
+// bit (sameInputs); when its inputs are the same it keeps a's models, as
+// the fast path would, and when not its fresh LC model makes the next
+// fast probe a refit too.
 func refitLocked(a *agentState, r *probeResult) bool {
 	prev, next := &a.last, &r.stats
+	if !r.fast {
+		if !sameInputs(prev, next) {
+			return true
+		}
+		next.LCModel, next.BEModels = prev.LCModel, prev.BEModels
+		return false
+	}
 	return prev.Agent != next.Agent || prev.Machine != next.Machine ||
 		prev.PeakLoad != next.PeakLoad || prev.ProvisionedPowerW != next.ProvisionedPowerW ||
 		prev.LCModel != next.LCModel || !a.probeCache.sameSection(r.cache, secBEModels)
 }
 
+// sameInputs reports whether next carries prev's placement inputs bit
+// for bit: the name, platform, peak load, provisioned power, and the LC
+// and best-effort models, the fields refitLocked compares. It allocates
+// nothing. A stream decoder applies it to every full frame (hbDecoder).
+func sameInputs(prev, next *StatsResponse) bool {
+	if prev.Agent != next.Agent || prev.Machine != next.Machine ||
+		!sameBits(prev.PeakLoad, next.PeakLoad) || !sameBits(prev.ProvisionedPowerW, next.ProvisionedPowerW) ||
+		!sameModel(prev.LCModel, next.LCModel) || len(prev.BEModels) != len(next.BEModels) {
+		return false
+	}
+	for be, m := range prev.BEModels {
+		if n, ok := next.BEModels[be]; !ok || !sameModel(m, n) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameModel reports whether two fitted models are equal bit for bit.
+func sameModel(a, b *utility.Model) bool {
+	if a == b {
+		return true
+	}
+	if a == nil || b == nil || a.App != b.App || a.N != b.N ||
+		!sameBits(a.Alpha0, b.Alpha0) || !sameBits(a.PStatic, b.PStatic) ||
+		!sameBits(a.PerfR2, b.PerfR2) || !sameBits(a.PowerR2, b.PowerR2) ||
+		!slices.Equal(a.Resources, b.Resources) || len(a.Alpha) != len(b.Alpha) || len(a.P) != len(b.P) {
+		return false
+	}
+	for j := range a.Alpha {
+		if !sameBits(a.Alpha[j], b.Alpha[j]) {
+			return false
+		}
+	}
+	for j := range a.P {
+		if !sameBits(a.P[j], b.P[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBits reports whether two floats have the same bits: unlike ==, a
+// NaN equals itself and 0 differs from -0.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // applyProbesLocked is the poll transport's round head: it folds each
 // probe result into the agent's liveness (observeLocked), installs the
 // probe's decoder cache, and schedules a dead agent's next probe on a
 // capped exponential backoff.
-func (c *Controller) applyProbesLocked(results []probeResult, now time.Time) (membershipChanged bool) {
+func (c *Controller) applyProbesLocked(results []probeResult, now time.Time) {
 	for i := range results {
 		r := &results[i]
 		a := r.agent
 		if r.err != nil {
-			membershipChanged = c.observeLocked(a, nil, now, r.err.Error(), false) || membershipChanged
+			c.observeLocked(a, nil, now, r.err.Error(), false)
 			if !a.alive {
 				// Next probe in 1, 2, 4, … heartbeats, capped at MaxBackoff.
 				a.backoff = min(max(2*a.backoff, c.cfg.Heartbeat), c.cfg.MaxBackoff)
@@ -609,12 +667,11 @@ func (c *Controller) applyProbesLocked(results []probeResult, now time.Time) (me
 			}
 			continue
 		}
-		membershipChanged = c.observeLocked(a, &r.stats, now, "", refitLocked(a, r)) || membershipChanged
+		c.observeLocked(a, &r.stats, now, "", refitLocked(a, r))
 		a.backoff = 0
 		a.nextDue = now
 		a.probeCache = r.cache
 	}
-	return membershipChanged
 }
 
 // probe fetches an agent's stats into r with the per-request timeout,
@@ -638,7 +695,7 @@ func (c *Controller) probe(ctx context.Context, r *probeResult) {
 		}
 		var next *statsCache
 		r.err = c.call(ctx, r.agent.statsURL, nil, func(body io.Reader) (err error) {
-			next, err = c.readStats(body, r.cache, &r.stats)
+			next, r.fast, err = c.readStats(body, r.cache, &r.stats)
 			return err
 		})
 		if r.err == nil {
@@ -652,19 +709,20 @@ func (c *Controller) probe(ctx context.Context, r *probeResult) {
 var statsBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readStats reads one /v1/stats body into a pooled buffer and decodes it
-// (decodeStats). The body is bounded like a stream snapshot, at
-// maxHeartbeatBlob, so one misbehaving agent cannot make the controller
-// buffer an arbitrarily large value. Nothing decoded refers to the
-// buffer: strings and raw section bytes are copied out of it.
-func (c *Controller) readStats(body io.Reader, cache *statsCache, out *StatsResponse) (*statsCache, error) {
+// (decodeStats), reporting whether the fast path took it. The body is
+// bounded like a stream snapshot, at maxHeartbeatBlob, so one misbehaving
+// agent cannot make the controller buffer an arbitrarily large value.
+// Nothing decoded refers to the buffer: strings and raw section bytes are
+// copied out of it.
+func (c *Controller) readStats(body io.Reader, cache *statsCache, out *StatsResponse) (*statsCache, bool, error) {
 	buf := statsBufs.Get().(*bytes.Buffer)
 	defer statsBufs.Put(buf)
 	buf.Reset()
 	if _, err := buf.ReadFrom(io.LimitReader(body, maxHeartbeatBlob+1)); err != nil {
-		return cache, err
+		return cache, false, err
 	}
 	if buf.Len() > maxHeartbeatBlob {
-		return cache, fmt.Errorf("stats body exceeds the %d-byte limit", maxHeartbeatBlob)
+		return cache, false, fmt.Errorf("stats body exceeds the %d-byte limit", maxHeartbeatBlob)
 	}
 	next, fast, err := decodeStats(buf.Bytes(), cache, out)
 	if c.obs != nil {
@@ -674,7 +732,7 @@ func (c *Controller) readStats(body io.Reader, cache *statsCache, out *StatsResp
 			c.obs.pollFallback.Inc()
 		}
 	}
-	return next, err
+	return next, fast, err
 }
 
 // getHeader is every GET's header and jsonHeader every POST's. Requests
@@ -737,17 +795,6 @@ func (c *Controller) call(ctx context.Context, u *url.URL, body []byte, read fun
 	return nil
 }
 
-// liveCountLocked counts agents currently believed alive.
-func (c *Controller) liveCountLocked() int {
-	n := 0
-	for _, a := range c.agents {
-		if a.alive {
-			n++
-		}
-	}
-	return n
-}
-
 // resolveLocked re-solves the placement against the live agents'
 // reported stats on the warm placement engine. On solver failure or when
 // a majority of agents are unreachable it degrades: the placement it
@@ -769,7 +816,6 @@ func (c *Controller) resolveLocked(now time.Time) {
 		c.setPlacementLocked(now, map[string]string{})
 		c.unplaced = nil
 		c.degraded = false
-		c.lastSolve = now
 		return
 	}
 
@@ -779,7 +825,6 @@ func (c *Controller) resolveLocked(now time.Time) {
 		return
 	}
 	c.degraded = false
-	c.lastSolve = now
 	c.solves++
 	c.logf("placement solved over %d agents: %d moved, %d unplaced", nLive, moved, len(c.unplaced))
 }

@@ -108,6 +108,8 @@ func TestNewControllerValidation(t *testing.T) {
 		{"no agents", ControllerConfig{}},
 		{"empty url", ControllerConfig{AgentURLs: []string{""}}},
 		{"duplicate url", ControllerConfig{AgentURLs: []string{"http://a", "http://a"}}},
+		{"empty best-effort app", ControllerConfig{AgentURLs: []string{"http://a"}, BE: []string{"graph", "", "lstm"}}},
+		{"duplicate best-effort app", ControllerConfig{AgentURLs: []string{"http://a"}, BE: []string{"graph", "graph", "lstm"}}},
 		{"negative heartbeat", ControllerConfig{AgentURLs: []string{"http://a"}, Heartbeat: -time.Second}},
 		{"negative dead-after", ControllerConfig{AgentURLs: []string{"http://a"}, DeadAfter: -1}},
 		{"negative retries", ControllerConfig{AgentURLs: []string{"http://a"}, Retries: -1}},

@@ -2,12 +2,14 @@ package controlplane
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"time"
 
+	"pocolo/internal/cluster"
 	"pocolo/internal/machine"
 	"pocolo/internal/obs"
 	"pocolo/internal/profiler"
@@ -26,7 +28,8 @@ type StreamDemoConfig struct {
 	Agents int
 	// Transport is TransportStream (default) or TransportPoll.
 	Transport string
-	// PodSize is the shard/pod size (default 64).
+	// PodSize is the shard/pod size and the budget tree's pod size
+	// (default cluster.DefaultPodSize).
 	PodSize int
 	// Rounds is how many controller rounds to run (default 12).
 	Rounds int
@@ -85,6 +88,12 @@ func NewStreamDemo(cfg StreamDemoConfig) (*Campaign, error) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
+	}
+	if cfg.PodSize == 0 {
+		cfg.PodSize = cluster.DefaultPodSize
+	}
+	if cfg.PodSize < 0 {
+		return nil, errors.New("controlplane: pod size must be at least 1")
 	}
 	out := cfg.Out
 	if out == nil {
@@ -164,30 +173,28 @@ func NewStreamDemo(cfg StreamDemoConfig) (*Campaign, error) {
 		}
 	}
 
-	camp, err := NewCampaign(CampaignConfig{
-		Agents:             agents,
-		BE:                 beNames,
-		BudgetTree:         demoBudgetTree(agents, cfg.PodSize, provisioned),
-		Duration:           time.Duration(cfg.Rounds) * time.Second,
-		Heartbeat:          time.Second,
-		DeadAfter:          2,
-		Transport:          cfg.Transport,
-		PodSize:            cfg.PodSize,
-		Seed:               cfg.Seed,
-		Logf:               cfg.Logf,
-		ControllerTrace:    ctlTrace,
-		Obs:                reg,
-		RoundDeadline:      deadline,
-		Recorder:           recorder,
-		InjectRoundLatency: inject,
+	return NewCampaign(CampaignConfig{
+		ControllerConfig: ControllerConfig{
+			BE:                 beNames,
+			BudgetTree:         demoBudgetTree(agents, cfg.PodSize, provisioned),
+			Heartbeat:          time.Second,
+			DeadAfter:          2,
+			Transport:          cfg.Transport,
+			PodSize:            cfg.PodSize,
+			Seed:               cfg.Seed,
+			Logf:               cfg.Logf,
+			Trace:              ctlTrace,
+			Obs:                reg,
+			RoundDeadline:      deadline,
+			Recorder:           recorder,
+			InjectRoundLatency: inject,
+		},
+		Agents:   agents,
+		Duration: time.Duration(cfg.Rounds) * time.Second,
 		OnRound: func(round int, st Status) {
 			writeDemoRound(out, round, st)
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return camp, nil
 }
 
 // demoBudgetTree builds a per-pod budget tree spec over the demo agents:
@@ -197,9 +204,6 @@ func NewStreamDemo(cfg StreamDemoConfig) (*Campaign, error) {
 // solve domains align the way racks align with pods in the paper's
 // setting.
 func demoBudgetTree(agents []AgentConfig, podSize int, provisionedW float64) string {
-	if podSize <= 0 {
-		podSize = 64
-	}
 	perAgent := provisionedW / float64(len(agents))
 	var b strings.Builder
 	fmt.Fprintf(&b, "dc:%.0f{", provisionedW*0.9)

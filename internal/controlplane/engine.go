@@ -68,13 +68,11 @@ func (c *Controller) solveEngineLocked(now time.Time, nLive int) (moved int, err
 	rows := c.cfg.BE
 	var unplaced []string
 	if len(rows) > nLive {
-		if rows, unplaced, err = c.selectRowsLocked(nLive); err != nil {
-			return 0, err
-		}
+		rows, unplaced, err = c.selectRowsLocked(nLive)
 	}
 	e := c.engine
 	build := e == nil || !e.sameRows(rows)
-	if !build {
+	if err == nil && !build {
 		build, err = e.update(c.changed)
 	}
 	if err == nil && build {
@@ -89,14 +87,15 @@ func (c *Controller) solveEngineLocked(now time.Time, nLive int) (moved int, err
 		placed, _, err = e.sh.Solve(c.tracer, now)
 		timer.Stop()
 	}
+	// A failure can leave the engine half-updated, so it drops the engine
+	// with the queue: the next re-solve, on the next queued change, starts
+	// over from a fresh build, which reads every agent.
+	c.clearQueueLocked()
 	if err != nil {
-		// A failed repair can leave the engine half-updated; the next
-		// re-solve starts over from a fresh build.
 		c.engine = nil
 		return 0, err
 	}
 	c.engine = e
-	c.clearQueueLocked()
 	c.unplaced = unplaced
 	if build {
 		next := make(map[string]string, len(placed))

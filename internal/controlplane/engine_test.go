@@ -11,6 +11,7 @@ import (
 
 	"pocolo/internal/assign"
 	"pocolo/internal/cluster"
+	"pocolo/internal/obs"
 	"pocolo/internal/utility"
 	"pocolo/internal/workload"
 )
@@ -212,22 +213,25 @@ func TestEngineCrashMovesOnlyItsApp(t *testing.T) {
 	}
 }
 
-// TestEngineRebuildsOnNewOrRenamedAgent checks the engine's lifetime: it
-// is kept across steady re-solves and rebuilt when an agent reports for
-// the first time or is renamed.
+// TestEngineRebuildsOnNewOrRenamedAgent checks the engine's lifetime: a
+// refit re-solves on the engine it has, and an agent that reports for the
+// first time or under a new name rebuilds it in the round its report
+// lands.
 func TestEngineRebuildsOnNewOrRenamedAgent(t *testing.T) {
-	f := newEngineFleet(t, 12, 4, replicas(6), func(cfg *ControllerConfig) {
-		cfg.ResolveEvery = time.Second // re-solve every round
-	})
+	f := newEngineFleet(t, 12, 4, replicas(6), nil)
 	f.down[0] = true // not discovered yet
 	f.round()
 	first := f.ctl.engine
 	if first == nil || len(first.hosts) != 11 {
 		t.Fatalf("engine %+v, want 11 columns", first)
 	}
-	f.round()
+	f.stats[3].ProvisionedPowerW -= 2 // a refit, resent as a full frame
+	f.encs[3].Resync()
+	if st := f.round(); st.Solves != 2 {
+		t.Fatalf("Solves = %d after a refit, want 2", st.Solves)
+	}
 	if f.ctl.engine != first {
-		t.Fatal("steady re-solve rebuilt the engine")
+		t.Fatal("refit rebuilt the engine")
 	}
 
 	f.down[0] = false
@@ -241,18 +245,45 @@ func TestEngineRebuildsOnNewOrRenamedAgent(t *testing.T) {
 	}
 
 	// Agent 5 comes back under a new name; its fresh encoder needs a
-	// round to adopt the receiver's sequence watermark.
+	// round to adopt the receiver's sequence watermark, so the renamed
+	// full frame lands in the second round.
 	f.stats[5] = streamTestStats(t, "agent-zz", "graph", "lstm")
 	f.encs[5] = NewHeartbeatEncoder("agent-zz", f.urls[5])
-	for r := 0; r < 3 && f.ctl.engine == discovered; r++ {
-		f.round()
+	for r := 1; st.Agents[5].Name != "agent-zz"; r++ {
+		if r > 3 {
+			t.Fatal("the renamed full frame never landed")
+		}
+		st = f.round()
+		renamed, rebuilt := st.Agents[5].Name == "agent-zz", f.ctl.engine != discovered
+		if renamed != rebuilt {
+			t.Fatalf("round %d of the rename: agent 5 reports as %s, engine rebuilt %t", r, st.Agents[5].Name, rebuilt)
+		}
 	}
 	renamed := f.ctl.engine
-	if renamed == discovered {
-		t.Fatal("renamed agent did not rebuild the engine")
-	}
 	if last := renamed.hosts[len(renamed.hosts)-1]; last.name != "agent-zz" || last.url != f.urls[5] {
 		t.Fatalf("last column %s (%s), want agent-zz at %s", last.name, last.url, f.urls[5])
+	}
+}
+
+// TestFailedSolveRetriesOnNextChange holds a failed solve to the queue:
+// while no agent reports a model for one of the best-effort apps, the
+// controller stays degraded and builds no engine after the failed first
+// build, and the refit that brings the model re-solves in its round.
+func TestFailedSolveRetriesOnNextChange(t *testing.T) {
+	f := newEngineFleet(t, 8, 4, []string{"graph", "lstm"}, func(cfg *ControllerConfig) { cfg.Obs = obs.NewRegistry() })
+	for i := range f.stats {
+		delete(f.stats[i].BEModels, "lstm")
+	}
+	builds := func() uint64 { return f.ctl.obs.buildMatrix.Snapshot().Count }
+	for r := 1; r <= 4; r++ {
+		if st := f.round(); !st.Degraded || st.Solves != 0 || builds() != 1 {
+			t.Fatalf("round %d: degraded %t, %d solves, %d engine builds; want degraded after one failed build", r, st.Degraded, st.Solves, builds())
+		}
+	}
+	f.stats[3].BEModels["lstm"] = fixtureModels(t)["lstm"]
+	f.encs[3].Resync()
+	if st := f.round(); st.Degraded || st.Solves != 1 || len(st.Placement) != 2 {
+		t.Fatalf("after the refit: degraded %t, %d solves, placement %v; want both apps placed", st.Degraded, st.Solves, st.Placement)
 	}
 }
 

@@ -280,15 +280,17 @@ func TestPodStalenessIsTheOldestReport(t *testing.T) {
 		t.Run(transport, func(t *testing.T) {
 			hb := time.Second
 			camp, err := NewCampaign(CampaignConfig{
+				ControllerConfig: ControllerConfig{
+					Heartbeat: hb,
+					DeadAfter: 2,
+					Transport: transport,
+				},
 				Agents: campaignAgentConfigs(t, []string{"img-dnn", "sphinx", "xapian", "tpcc"}, nil),
 				Faults: []FaultEvent{
 					{At: 2 * hb, Agent: 0, Kind: FaultCrash, Duration: time.Hour},
 					{At: 10 * hb, Agent: 1, Kind: FaultCrash, Duration: time.Hour},
 				},
-				Duration:  14 * hb,
-				Heartbeat: hb,
-				DeadAfter: 2,
-				Transport: transport,
+				Duration: 14 * hb,
 			})
 			if err != nil {
 				t.Fatal(err)

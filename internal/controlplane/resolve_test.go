@@ -29,8 +29,8 @@ type diffSide struct {
 // see the same reports every round. Before each reference round every
 // agent is queued and its engine told to re-read the rows, so the
 // reference re-reads every column, every row's model and the platform,
-// refreshes every pod and evacuates every stranded one: the full scan
-// the queue replaces.
+// refreshes every pod and evacuates every stranded one, and re-solves:
+// the full scan the queue replaces.
 type diffFleet struct {
 	t         *testing.T
 	transport string
@@ -40,6 +40,13 @@ type diffFleet struct {
 	sides     [2]*diffSide
 	tick      func()
 	seq       uint64
+
+	// What the O(changed) controller has been told: the placement inputs
+	// of each agent's last report that reached it, each agent's liveness
+	// in its last Status, and its solve count.
+	heard  []StatsResponse
+	alive  []bool
+	solves int
 }
 
 // newDiffFleet builds n agents, named in the reverse of their URL order,
@@ -49,7 +56,8 @@ type diffFleet struct {
 func newDiffFleet(t *testing.T, transport string, n, podSize int, bes []string) *diffFleet {
 	t.Helper()
 	f := &diffFleet{t: t, transport: transport,
-		urls: make([]string, n), stats: make([]StatsResponse, n), downFor: make([]int, n)}
+		urls: make([]string, n), stats: make([]StatsResponse, n), downFor: make([]int, n),
+		heard: make([]StatsResponse, n), alive: make([]bool, n)}
 	models := fixtureModels(t)
 	for i := range f.urls {
 		f.urls[i] = fmt.Sprintf("http://diff-agent-%d", i)
@@ -128,11 +136,15 @@ func (f *diffFleet) resync(i int) {
 
 // round delivers one round of reports from every running agent to both
 // sides, runs each side's round, and holds the two to the same decision.
+// It holds the O(changed) side to re-solving in exactly the rounds in
+// which a report with changed placement inputs reached it or an agent's
+// liveness flipped, unless the round left it degraded.
 func (f *diffFleet) round(step int) {
 	t := f.t
 	t.Helper()
 	f.tick()
 	f.seq++
+	delivered := make([]bool, len(f.stats))
 	for k, side := range f.sides {
 		switch f.transport {
 		case TransportStream:
@@ -154,6 +166,7 @@ func (f *diffFleet) round(step int) {
 					t.Fatalf("step %d: agent %d frame rejected", step, from[j])
 				}
 				side.encs[from[j]].Ack(ack)
+				delivered[from[j]] = !ack.Resync
 			}
 		default:
 			bodies := make(map[string][]byte, len(f.stats))
@@ -166,6 +179,7 @@ func (f *diffFleet) round(step int) {
 					t.Fatal(err)
 				}
 				bodies[f.urls[i]] = body
+				delivered[i] = true
 			}
 			side.et.stats = bodies
 		}
@@ -189,14 +203,50 @@ func (f *diffFleet) round(step int) {
 		}
 	}
 	f.compare(step)
+	f.checkSolves(step, delivered)
 }
 
-// decision is what the differential test holds the two sides to.
+// inputsOf keeps what of a report the placement reads: the agent's name,
+// platform, LC envelope and fitted models.
+func inputsOf(st StatsResponse) StatsResponse {
+	return StatsResponse{Agent: st.Agent, Machine: st.Machine, PeakLoad: st.PeakLoad,
+		ProvisionedPowerW: st.ProvisionedPowerW, LCModel: st.LCModel, BEModels: st.BEModels}
+}
+
+// checkSolves holds the O(changed) side's solve count to the round's
+// changes: delivered marks the agents whose report reached it.
+func (f *diffFleet) checkSolves(step int, delivered []bool) {
+	f.t.Helper()
+	var why []string
+	for i, ok := range delivered {
+		if in := inputsOf(f.stats[i]); ok && !reflect.DeepEqual(in, f.heard[i]) {
+			why = append(why, fmt.Sprintf("agent %d's inputs", i))
+			f.heard[i] = in
+		}
+	}
+	st := f.sides[0].ctl.Status()
+	for i, a := range st.Agents {
+		if a.Alive != f.alive[i] {
+			why = append(why, fmt.Sprintf("agent %d's liveness", i))
+			f.alive[i] = a.Alive
+		}
+	}
+	want := f.solves
+	if len(why) > 0 && !st.Degraded {
+		want++
+	}
+	if st.Solves != want {
+		f.t.Fatalf("step %d (%s): %d solves, want %d (changed: %v)", step, f.transport, st.Solves, want, why)
+	}
+	f.solves = st.Solves
+}
+
+// decision is what the differential test holds the two sides to. It
+// leaves out the solve count: the reference re-solves every round.
 type decision struct {
 	Placement map[string]string
 	Unplaced  []string
 	Degraded  bool
-	Solves    int
 	Total     float64
 	Built     bool
 	Desired   []string
@@ -206,7 +256,7 @@ func (f *diffFleet) decision(side *diffSide) decision {
 	c := side.ctl
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d := decision{Unplaced: c.unplaced, Degraded: c.degraded, Solves: c.solves, Placement: map[string]string{}}
+	d := decision{Unplaced: c.unplaced, Degraded: c.degraded, Placement: map[string]string{}}
 	for be, url := range c.placement {
 		d.Placement[be] = url
 	}
@@ -264,9 +314,11 @@ func (f *diffFleet) engineColumns() (cols []int, first int) {
 // the best-effort models come from, and whole-pod outages (with as many
 // apps as live agents after them, and with more: the overflow rebuild).
 // After every round the two must hold the same placement, unplaced apps,
-// engine total and desired BE per agent. A refit the queue misses (on
-// stream, a full frame not marked; on poll, a changed model not seen) or
-// rows not re-read when their source agent changes fails it.
+// engine total and desired BE per agent, and the O(changed) side must
+// have re-solved exactly if its round saw a change. A refit the queue
+// misses (on stream, a full frame not marked; on poll, a changed model
+// not seen), a re-solve without a change, or rows not re-read when their
+// source agent changes fails it.
 func TestResolveMatchesFullScan(t *testing.T) {
 	const n, podSize, rounds = 16, 4, 90
 	for _, transport := range []string{TransportStream, TransportPoll} {
@@ -350,8 +402,74 @@ func testResolveMatchesFullScan(t *testing.T, transport string, n, podSize, nBE,
 			t.Errorf("seed %d never drew a %s event: %v", seed, kind, events)
 		}
 	}
-	if d := f.decision(f.sides[0]); d.Solves < rounds/2 {
-		t.Errorf("only %d re-solves in %d rounds", d.Solves, rounds)
+	if f.solves < rounds/2 {
+		t.Errorf("only %d re-solves in %d rounds", f.solves, rounds)
+	}
+}
+
+// TestRefitResolvesNextRound holds the re-solve trigger to the queue on
+// both transports. A round in which every agent resends unchanged inputs
+// (on stream, each as a full frame) re-solves nothing, nor does a poll
+// body the decoder's fast path declines and decodes afresh. A changed LC
+// envelope, resent as a full frame on stream or as a changed /v1/stats
+// body on poll, re-solves in the next round on the engine the controller
+// has. A rename re-solves on a rebuilt engine in the round its report
+// lands.
+func TestRefitResolvesNextRound(t *testing.T) {
+	for _, transport := range []string{TransportStream, TransportPoll} {
+		t.Run(transport, func(t *testing.T) {
+			f := newDiffFleet(t, transport, 8, 4, replicas(6))
+			// json.Marshal escapes this name, so the poll decoder's fast
+			// path declines agent 7's body every round and decodes it anew.
+			f.stats[7].Agent = "agent<07>"
+			for _, side := range f.sides {
+				side.encs[7] = NewHeartbeatEncoder(f.stats[7].Agent, f.urls[7])
+			}
+			f.round(0)
+			f.round(0)
+			ctl := f.sides[0].ctl
+			engine := func() *placementEngine {
+				ctl.mu.Lock()
+				defer ctl.mu.Unlock()
+				return ctl.engine
+			}
+			solves, built := ctl.Status().Solves, engine()
+
+			for i := range f.stats {
+				f.resync(i)
+			}
+			if f.round(1); ctl.Status().Solves != solves {
+				t.Fatalf("a resync with unchanged inputs re-solved: %d solves, want %d", ctl.Status().Solves, solves)
+			}
+
+			for step, i := range []int{5, 7} { // agent 7's poll body is declined
+				f.stats[i].ProvisionedPowerW -= 3
+				f.resync(i)
+				if f.round(2 + step); ctl.Status().Solves != solves+1+step {
+					t.Fatalf("agent %d's refit left %d solves, want %d", i, ctl.Status().Solves, solves+1+step)
+				}
+				if engine() != built {
+					t.Fatalf("agent %d's refit rebuilt the engine", i)
+				}
+			}
+
+			f.stats[6].Agent = "agent-renamed"
+			for _, side := range f.sides {
+				side.encs[6] = NewHeartbeatEncoder("agent-renamed", f.urls[6])
+			}
+			for step := 4; ctl.Status().Agents[6].Name != "agent-renamed"; step++ {
+				if step > 6 {
+					t.Fatal("the renamed report never landed")
+				}
+				f.round(step)
+			}
+			if st := ctl.Status(); st.Solves != solves+3 {
+				t.Fatalf("a rename left %d solves, want %d", st.Solves, solves+3)
+			}
+			if engine() == built {
+				t.Fatal("a rename kept the engine")
+			}
+		})
 	}
 }
 

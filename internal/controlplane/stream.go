@@ -43,11 +43,12 @@ type hbDecoder struct {
 	synced bool
 	seq    uint64
 	epoch  uint64
-	// fullSeq is the seq of the last full frame applied: only a full frame
+	// refitSeq is the seq of the last full frame applied whose placement
+	// inputs differ from those it replaced (sameInputs): only a full frame
 	// carries the agent's name, platform, LC envelope and models.
-	fullSeq uint64
-	stats   StatsResponse
-	heard   time.Time // the ingest clock when the last frame applied
+	refitSeq uint64
+	stats    StatsResponse
+	heard    time.Time // the ingest clock when the last frame applied
 }
 
 // hbVerdict classifies one frame's fate.
@@ -63,7 +64,9 @@ const (
 // (re)establishes sync unless it is older than what already applied; a
 // delta applies only when its base is exactly the last applied seq, so
 // loss, reordering, and field-mask lies degrade to a resync demand, not
-// to corrupted state.
+// to corrupted state. A full frame that repeats the applied placement
+// inputs is no refit, and keeps the applied models, as the poll decoder
+// keeps an unchanged section.
 func (d *hbDecoder) apply(hb *Heartbeat) hbVerdict {
 	if hb.Full {
 		if d.synced && hb.Seq <= d.seq {
@@ -77,9 +80,13 @@ func (d *hbDecoder) apply(hb *Heartbeat) hbVerdict {
 			// restart converges in two heartbeats.
 			return hbResync
 		}
+		if d.synced && sameInputs(&d.stats, &hb.Stats) {
+			hb.Stats.LCModel, hb.Stats.BEModels = d.stats.LCModel, d.stats.BEModels
+		} else {
+			d.refitSeq = hb.Seq
+		}
 		d.stats = hb.Stats
 		d.seq = hb.Seq
-		d.fullSeq = hb.Seq
 		d.epoch = hb.Epoch
 		d.synced = true
 		return hbApplied
@@ -157,7 +164,8 @@ type streamState struct {
 
 	// fresh marks, for the pod the round is folding, which agents'
 	// reports changed since the last round, and refit which of those
-	// include a full frame (round-owned, under Controller.mu).
+	// include a full frame that changed the agent's placement inputs
+	// (round-owned, under Controller.mu).
 	fresh, refit []bool
 
 	// Cumulative ingest counters (atomic: ingest is concurrent). The
@@ -580,17 +588,17 @@ const maxHeartbeatFrame = maxHeartbeatBlob + maxHeartbeatName + maxHeartbeatURL 
 // streamObserveLocked is the streaming transport's round head: fold each
 // agent's latest applied frame into the controller's liveness state
 // (observeLocked). Per pod it takes the shard lock once, copies the
-// report of every agent whose decoder advanced since the last round
-// into the agent's state, and releases the lock; the fold, which logs
+// report of every agent whose decoder advanced since the last round into
+// the agent's state, and releases the lock; the fold, which logs
 // discoveries and rejoins, runs after. No network, and no lock held
-// across a log line: the polling transport's probe fan-out collapses
-// into one copy per changed agent. Deltas never carry placement inputs,
-// so an advanced report is a refit only when a full frame applied since
-// the last copy: one compare. An agent whose decoder has not advanced
-// since the last round has missed a heartbeat, exactly as a failed poll
-// probe would count it. Agents are visited by slot — c.agents[i] is slot
-// i — so the fold costs no lookups.
-func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool) {
+// across a log line: the polling transport's probe fan-out collapses into
+// one copy per changed agent. Deltas never carry placement inputs, so an
+// advanced report is a refit only when a full frame that changed them
+// applied since the last copy: one compare. An agent whose decoder has
+// not advanced since the last round has missed a heartbeat, exactly as a
+// failed poll probe would count it. Agents are visited by slot —
+// c.agents[i] is slot i — so the fold costs no lookups.
+func (c *Controller) streamObserveLocked(now time.Time) {
 	s := c.stream
 	for p, sh := range s.shards {
 		agents := c.agents[sh.base : sh.base+len(sh.decs)]
@@ -599,7 +607,7 @@ func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool)
 		for li := range sh.decs {
 			d, a := &sh.decs[li], agents[li]
 			if fresh[li] = d.seq > a.streamSeq; fresh[li] {
-				refit[li] = d.fullSeq > a.streamSeq
+				refit[li] = d.refitSeq > a.streamSeq
 				a.streamSeq, a.last, a.lastHeard = d.seq, d.stats, d.heard
 			}
 		}
@@ -610,11 +618,11 @@ func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool)
 		for li, a := range agents {
 			switch {
 			case fresh[li]:
-				membershipChanged = c.observeLocked(a, &a.last, a.lastHeard, "", refit[li]) || membershipChanged
+				c.observeLocked(a, &a.last, a.lastHeard, "", refit[li])
 			case a.streamSeq == 0:
-				membershipChanged = c.observeLocked(a, nil, now, "no heartbeat received", false) || membershipChanged
+				c.observeLocked(a, nil, now, "no heartbeat received", false)
 			default:
-				membershipChanged = c.observeLocked(a, nil, now, fmt.Sprintf("no heartbeat since seq %d", a.streamSeq), false) || membershipChanged
+				c.observeLocked(a, nil, now, fmt.Sprintf("no heartbeat since seq %d", a.streamSeq), false)
 			}
 			if c.obs != nil && a.everSeen {
 				stale := now.Sub(a.lastHeard)
@@ -629,5 +637,4 @@ func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool)
 	if d := s.summaryDelta(); d.Frames > 0 || d.Resyncs > 0 || d.Rejects > 0 {
 		c.tracer.Heartbeat(now, d)
 	}
-	return membershipChanged
 }

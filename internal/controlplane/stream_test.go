@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -189,6 +191,85 @@ func TestStreamIngestAndView(t *testing.T) {
 	}
 	if s.Bytes == 0 {
 		t.Fatal("no bytes accounted")
+	}
+}
+
+// cloneModel deep-copies a fitted model.
+func cloneModel(m *utility.Model) *utility.Model {
+	c := *m
+	c.Resources, c.Alpha, c.P = slices.Clone(m.Resources), slices.Clone(m.Alpha), slices.Clone(m.P)
+	return &c
+}
+
+// TestSameInputsBitForBit holds the refit comparison to every placement
+// input, bit for bit and without allocating: a deep copy with other
+// fields changed is the same, and a change to any one input field is a
+// refit. A decoder that applies the copy as a full frame counts no refit
+// and keeps the models it had; a changed full frame is a refit.
+func TestSameInputsBitForBit(t *testing.T) {
+	prev := streamTestStats(t, "agent-a", "graph", "lstm")
+	prev.PeakLoad = math.NaN() // a NaN equals itself bit for bit
+	next := func() StatsResponse {
+		st := prev
+		st.LCModel = cloneModel(prev.LCModel)
+		st.BEModels = make(map[string]*utility.Model, len(prev.BEModels))
+		for be, m := range prev.BEModels {
+			st.BEModels[be] = cloneModel(m)
+		}
+		st.PowerW, st.CapW, st.AssignedBE, st.SimSec = 99, 120, "graph", 42
+		return st
+	}
+	same := next()
+	if !sameInputs(&prev, &same) {
+		t.Fatal("a deep copy differs")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sameInputs(&prev, &same) }); allocs != 0 {
+		t.Fatalf("sameInputs allocates %v objects", allocs)
+	}
+	for name, change := range map[string]func(*StatsResponse){
+		"name":                  func(st *StatsResponse) { st.Agent = "agent-b" },
+		"platform":              func(st *StatsResponse) { st.Machine.IdlePowerW++ },
+		"peak load":             func(st *StatsResponse) { st.PeakLoad = 1 },
+		"provisioned power":     func(st *StatsResponse) { st.ProvisionedPowerW++ },
+		"no LC model":           func(st *StatsResponse) { st.LCModel = nil },
+		"LC model app":          func(st *StatsResponse) { st.LCModel.App = "sphinx" },
+		"LC model resources":    func(st *StatsResponse) { st.LCModel.Resources = st.LCModel.Resources[1:] },
+		"LC model alpha0":       func(st *StatsResponse) { st.LCModel.Alpha0 *= 1 + 1e-15 },
+		"LC model alpha":        func(st *StatsResponse) { st.LCModel.Alpha[0] *= 1 + 1e-15 },
+		"LC model static power": func(st *StatsResponse) { st.LCModel.PStatic++ },
+		"LC model power":        func(st *StatsResponse) { st.LCModel.P[len(st.LCModel.P)-1]++ },
+		"LC model fit":          func(st *StatsResponse) { st.LCModel.PerfR2, st.LCModel.PowerR2 = st.LCModel.PowerR2, st.LCModel.PerfR2 },
+		"LC model samples":      func(st *StatsResponse) { st.LCModel.N++ },
+		"BE model value":        func(st *StatsResponse) { st.BEModels["lstm"].P[0]++ },
+		"BE model dropped":      func(st *StatsResponse) { delete(st.BEModels, "lstm") },
+		"BE model renamed":      func(st *StatsResponse) { st.BEModels["graph#1"] = st.BEModels["graph"]; delete(st.BEModels, "graph") },
+	} {
+		st := next()
+		change(&st)
+		if sameInputs(&prev, &st) {
+			t.Errorf("%s: no refit", name)
+		}
+	}
+	zero, negZero := prev, same
+	zero.ProvisionedPowerW, negZero.ProvisionedPowerW = 0, math.Copysign(0, -1)
+	if sameInputs(&zero, &negZero) {
+		t.Error("0 W and -0 W provisioned: no refit")
+	}
+
+	var d hbDecoder
+	refit := next()
+	refit.ProvisionedPowerW++
+	for k, st := range []StatsResponse{prev, same, refit} {
+		hb := Heartbeat{Full: true, Seq: uint64(k + 1), Stats: st}
+		if v := d.apply(&hb); v != hbApplied {
+			t.Fatalf("frame %d: verdict %v", hb.Seq, v)
+		}
+		if want := []uint64{1, 1, 3}[k]; d.refitSeq != want {
+			t.Fatalf("frame %d: refit seq %d, want %d", hb.Seq, d.refitSeq, want)
+		}
+		if want := []*utility.Model{prev.LCModel, prev.LCModel, refit.LCModel}[k]; d.stats.LCModel != want || d.stats.PowerW != st.PowerW {
+			t.Fatalf("frame %d: applied LC model %p and power %v, want %p and %v", hb.Seq, d.stats.LCModel, d.stats.PowerW, want, st.PowerW)
+		}
 	}
 }
 

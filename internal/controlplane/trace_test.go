@@ -526,8 +526,15 @@ func TestCampaignTraceMatchesControllerLog(t *testing.T) {
 		}
 	}
 	camp, err := NewCampaign(CampaignConfig{
+		ControllerConfig: ControllerConfig{
+			BE:        bes,
+			Heartbeat: hb,
+			DeadAfter: 2,
+			Seed:      7,
+			Logf:      logf,
+			Trace:     tr,
+		},
 		Agents: campaignAgentConfigs(t, lcs, bes),
-		BE:     bes,
 		Faults: []FaultEvent{
 			// Solo crashes force a migration off whichever agents host BEs;
 			// the simultaneous pair leaves a minority alive, forcing a
@@ -538,12 +545,7 @@ func TestCampaignTraceMatchesControllerLog(t *testing.T) {
 			{At: 28 * hb, Agent: 0, Kind: FaultCrash, Duration: 3 * hb},
 			{At: 28 * hb, Agent: 1, Kind: FaultCrash, Duration: 3 * hb},
 		},
-		Duration:        40 * time.Second,
-		Heartbeat:       hb,
-		DeadAfter:       2,
-		Seed:            7,
-		Logf:            logf,
-		ControllerTrace: tr,
+		Duration: 40 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

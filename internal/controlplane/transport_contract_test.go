@@ -130,17 +130,19 @@ func runContractScenario(t *testing.T, sc contractScenario, transport string) (*
 	}
 	var buf bytes.Buffer
 	cfg := CampaignConfig{
-		Agents:     campaignAgentConfigs(t, sc.lcs, sc.bes),
-		BE:         sc.bes,
-		Faults:     faults,
-		Duration:   time.Duration(sc.rounds) * hb,
-		Heartbeat:  hb,
-		Timeout:    sc.timeout,
-		DeadAfter:  2,
-		MaxBackoff: hb,
-		Transport:  transport,
-		PodSize:    2,
-		Seed:       7,
+		ControllerConfig: ControllerConfig{
+			BE:         sc.bes,
+			Heartbeat:  hb,
+			Timeout:    sc.timeout,
+			DeadAfter:  2,
+			MaxBackoff: hb,
+			Transport:  transport,
+			PodSize:    2,
+			Seed:       7,
+		},
+		Agents:   campaignAgentConfigs(t, sc.lcs, sc.bes),
+		Faults:   faults,
+		Duration: time.Duration(sc.rounds) * hb,
 		OnRound: func(round int, st Status) {
 			writeDemoRound(&buf, round, st)
 		},
@@ -232,8 +234,17 @@ func TestPartitionAcceptance(t *testing.T) {
 		// the same computed/reused cell counts.
 		cluster.ResetMemo()
 		camp, err := NewCampaign(CampaignConfig{
+			ControllerConfig: ControllerConfig{
+				BE:         bes,
+				Heartbeat:  hb,
+				DeadAfter:  2,
+				MaxBackoff: hb,
+				Transport:  TransportStream,
+				PodSize:    2,
+				Seed:       11,
+				Trace:      trace.New("controller", 8192),
+			},
 			Agents: campaignAgentConfigs(t, lcs, bes),
-			BE:     bes,
 			// Two BEs over three agents means any two agents include a
 			// BE host, so staggered partitions of agents 0 and 1
 			// guarantee at least one migration.
@@ -241,14 +252,7 @@ func TestPartitionAcceptance(t *testing.T) {
 				{At: 4 * hb, Agent: 0, Kind: FaultPartition, Duration: 3 * hb},
 				{At: 9 * hb, Agent: 1, Kind: FaultPartition, Duration: 3 * hb},
 			},
-			Duration:        18 * time.Duration(hb),
-			Heartbeat:       hb,
-			DeadAfter:       2,
-			MaxBackoff:      hb,
-			Transport:       TransportStream,
-			PodSize:         2,
-			Seed:            11,
-			ControllerTrace: trace.New("controller", 8192),
+			Duration: 18 * time.Duration(hb),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -100,15 +100,17 @@ func TestTreeConservationDifferential(t *testing.T) {
 		// strict drops the grace and scopes the oracle; see above.
 		harness := invariant.NewHarness()
 		camp, err := NewCampaign(CampaignConfig{
-			Agents:     campaignAgentConfigs(t, lcs, []string{"graph", "lstm"}),
-			BE:         []string{"graph", "lstm"},
-			BudgetTree: treeSpec,
-			Harness:    harness,
+			ControllerConfig: ControllerConfig{
+				BE:         []string{"graph", "lstm"},
+				BudgetTree: treeSpec,
+				Seed:       5,
+			},
+			Agents:  campaignAgentConfigs(t, lcs, []string{"graph", "lstm"}),
+			Harness: harness,
 			Faults: []FaultEvent{{
 				At: 8 * time.Second, Kind: FaultBrownout, Level: 0.3, Duration: 6 * time.Second,
 			}},
 			Duration: 20 * time.Second,
-			Seed:     5,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -65,18 +65,20 @@ func TestFaultCampaignZeroViolations(t *testing.T) {
 	h := invariant.NewHarness()
 	hb := time.Second
 	camp, err := controlplane.NewCampaign(controlplane.CampaignConfig{
+		ControllerConfig: controlplane.ControllerConfig{
+			BE:        beNames,
+			Heartbeat: hb,
+			DeadAfter: 2,
+			Seed:      7,
+			Logf:      t.Logf,
+		},
 		Agents: agents,
-		BE:     beNames,
 		Faults: []controlplane.FaultEvent{
 			{At: 4 * hb, Agent: 0, Kind: controlplane.FaultCrash, Duration: 4 * hb},
 			{At: 11 * hb, Agent: 1, Kind: controlplane.FaultDropHeartbeats, Duration: 3 * hb},
 		},
-		Duration:  30 * time.Second,
-		Heartbeat: hb,
-		DeadAfter: 2,
-		Harness:   h,
-		Seed:      7,
-		Logf:      t.Logf,
+		Duration: 30 * time.Second,
+		Harness:  h,
 	})
 	if err != nil {
 		t.Fatal(err)
