@@ -224,10 +224,11 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	// json.Marshal escapes the name as writeJSON's encoder does, HTML
-	// characters included; a string always marshals.
-	name, _ := json.Marshal(cfg.Name)
-	a.capReply = append(append([]byte(`{"agent":`), name...), `,"cap_w":`...)
+	// The name is encoded as writeJSON encodes it; a string always
+	// encodes, and Encode ends it with a newline.
+	var name bytes.Buffer
+	_ = newJSONEncoder(&name).Encode(cfg.Name)
+	a.capReply = append(append([]byte(`{"agent":`), bytes.TrimSuffix(name.Bytes(), []byte("\n"))...), `,"cap_w":`...)
 	return a, nil
 }
 
@@ -556,22 +557,28 @@ func parseCanonicalCap(body []byte) (float64, bool) {
 
 // appendCapReply appends the POST /v1/cap ack for an enforced cap of w
 // watts: the bytes writeJSON(CapResponse{Agent: a.name, CapW: w}) writes.
-// The number follows encoding/json's float rule: 'f' format, or 'e'
-// outside [1e-6, 1e21) with a negative two-digit exponent shortened
-// (e-09 → e-9). The cap is finite: applyCap installed it or it is the
-// host's provisioned capacity.
+// The cap is finite: applyCap installed it or it is the host's
+// provisioned capacity.
 func (a *Agent) appendCapReply(b []byte, w float64) []byte {
 	b = append(b, a.capReply...)
+	return append(appendJSONFloat(b, w), "}\n"...)
+}
+
+// appendJSONFloat appends a finite float64 as encoding/json writes it:
+// 'f' format, or 'e' outside [1e-6, 1e21) with a negative two-digit
+// exponent shortened (e-09 → e-9). The agent's cap ack and the
+// controller's cap push both write their number with it.
+func appendJSONFloat(b []byte, v float64) []byte {
 	format := byte('f')
-	if abs := math.Abs(w); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	b = strconv.AppendFloat(b, w, format, -1, 64)
+	b = strconv.AppendFloat(b, v, format, -1, 64)
 	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 		b[n-2] = b[n-1]
 		b = b[:n-1]
 	}
-	return append(b, "}\n"...)
+	return b
 }
 
 // handleStats serves GET /v1/stats.

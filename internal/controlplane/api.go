@@ -20,6 +20,7 @@ package controlplane
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"pocolo/internal/machine"
@@ -165,7 +166,19 @@ type errorResponse struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_ = newJSONEncoder(w).Encode(v)
+}
+
+// newJSONEncoder returns the encoder every agent reply is written with.
+// It does not escape <, > and &: the replies are not embedded in HTML,
+// and the poll decoder's fast path (statsdecode.go) declines any escape
+// in a scalar string, so an escaped name or app would send every probe
+// of that agent down the encoding/json path. U+2028 and U+2029 stay
+// escaped.
+func newJSONEncoder(w io.Writer) *json.Encoder {
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	return enc
 }
 
 // writeError sends a JSON error body.

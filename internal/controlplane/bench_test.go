@@ -67,14 +67,18 @@ func benchFleet(b *testing.B, n int) ([]string, []StatsResponse) {
 // benchController stands up a controller over the fleet with a
 // deterministic clock. The returned tick advances it one heartbeat.
 // reg is the observability registry (nil = unobserved, the baseline);
-// budgetTree is the controller's budget-tree spec ("" = unbudgeted).
-func benchController(b *testing.B, urls []string, transport string, client *http.Client, reg *obs.Registry, budgetTree string) (*Controller, func()) {
+// budgetTree is the controller's budget-tree spec ("" = unbudgeted); be
+// lists the best-effort apps (nil = graph and lstm).
+func benchController(b *testing.B, urls []string, transport string, client *http.Client, reg *obs.Registry, budgetTree string, be []string) (*Controller, func()) {
 	b.Helper()
+	if be == nil {
+		be = []string{"graph", "lstm"}
+	}
 	clock := time.Unix(1_700_000_000, 0)
 	var mu sync.Mutex
 	ctl, err := NewController(ControllerConfig{
 		AgentURLs:  urls,
-		BE:         []string{"graph", "lstm"},
+		BE:         be,
 		Transport:  transport,
 		PodSize:    64,
 		DeadAfter:  2,
@@ -116,7 +120,7 @@ func (dt *delayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case <-t.C:
 	case <-req.Context().Done():
 		t.Stop()
-		return nil, req.Context().Err()
+		return nil, context.Cause(req.Context())
 	}
 	dt.held.Add(int64(time.Since(start)))
 	dt.served.Add(1)
@@ -143,7 +147,7 @@ func benchmarkPollRound(b *testing.B, n int, reg *obs.Registry, rtt time.Duratio
 	if rtt > 0 {
 		rt = dt
 	}
-	ctl, tick := benchController(b, urls, TransportPoll, &http.Client{Transport: rt}, reg, "")
+	ctl, tick := benchController(b, urls, TransportPoll, &http.Client{Transport: rt}, reg, "", nil)
 	ctx := context.Background()
 	ctl.Round(ctx) // discovery + solve + initial pushes, outside the timer
 	dt.held.Store(0)
@@ -166,7 +170,7 @@ func benchmarkPollRound(b *testing.B, n int, reg *obs.Registry, rtt time.Duratio
 // cost the transport actually charges per round.
 func benchmarkStreamRound(b *testing.B, n int, reg *obs.Registry) {
 	urls, stats := benchFleet(b, n)
-	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: &benchTransport{}}, reg, "")
+	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: &benchTransport{}}, reg, "", nil)
 	encs := make([]*HeartbeatEncoder, n)
 	frames := make([][]byte, n)
 	for i := range encs {
@@ -318,7 +322,7 @@ func benchBudgetTree(stats []StatsResponse, podSize int) string {
 func benchmarkStreamBudgetRound(b *testing.B, n int) {
 	urls, stats := benchFleet(b, n)
 	ct := &capTransport{caps: make(map[string]float64, n)}
-	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: ct}, nil, benchBudgetTree(stats, 64))
+	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: ct}, nil, benchBudgetTree(stats, 64), nil)
 	encs := make([]*HeartbeatEncoder, n)
 	for i := range encs {
 		encs[i] = NewHeartbeatEncoder(stats[i].Agent, urls[i])
@@ -382,12 +386,11 @@ func BenchmarkControllerRoundStreamBudget4k(b *testing.B) { benchmarkStreamBudge
 func benchmarkStreamChurnRound(b *testing.B, n, replicas int) {
 	urls, stats := benchFleet(b, n)
 	et := newEchoTransport()
-	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: et}, nil, benchBudgetTree(stats, 64))
 	bes := make([]string, replicas)
 	for i := range bes {
 		bes[i] = fmt.Sprintf("%s#%d", []string{"graph", "lstm"}[i%2], i/2)
 	}
-	ctl.cfg.BE = bes // read only when the controller solves
+	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: et}, nil, benchBudgetTree(stats, 64), bes)
 	encs := make([]*HeartbeatEncoder, n)
 	for i := range encs {
 		encs[i] = NewHeartbeatEncoder(stats[i].Agent, urls[i])
@@ -506,7 +509,7 @@ type ingestRig struct {
 // the next encode yields deltas that all apply.
 func newIngestRig(b *testing.B, n int) *ingestRig {
 	urls, stats := benchFleet(b, n)
-	ctl, _ := benchController(b, urls, TransportStream, &http.Client{Transport: &benchTransport{}}, nil, "")
+	ctl, _ := benchController(b, urls, TransportStream, &http.Client{Transport: &benchTransport{}}, nil, "", nil)
 	encs := make([]*HeartbeatEncoder, n)
 	for i := range encs {
 		encs[i] = NewHeartbeatEncoder(stats[i].Agent, urls[i])
@@ -630,7 +633,7 @@ func BenchmarkControllerMetrics1k(b *testing.B) {
 	const n = 1000
 	urls, stats := benchFleet(b, n)
 	ct := &capTransport{caps: make(map[string]float64, n)}
-	ctl, _ := benchController(b, urls, TransportStream, &http.Client{Transport: ct}, obs.NewRegistry(), benchBudgetTree(stats, 64))
+	ctl, _ := benchController(b, urls, TransportStream, &http.Client{Transport: ct}, obs.NewRegistry(), benchBudgetTree(stats, 64), nil)
 	frames := make([][]byte, n)
 	for i := range stats {
 		frame, err := NewHeartbeatEncoder(stats[i].Agent, urls[i]).Encode(stats[i], 1)

@@ -612,8 +612,12 @@ func (t *loopbackTransport) setPartition(host string, partitioned bool) {
 	t.mu.Unlock()
 }
 
-// RoundTrip implements http.RoundTripper.
+// RoundTrip implements http.RoundTripper. It closes the request body, as
+// the RoundTripper contract requires, so the controller's lane reuses it.
 func (t *loopbackTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		defer req.Body.Close()
+	}
 	host := req.URL.Host
 	t.mu.Lock()
 	h := t.handlers[host]
@@ -633,7 +637,7 @@ func (t *loopbackTransport) RoundTrip(req *http.Request) (*http.Response, error)
 	if delay > 0 {
 		select {
 		case <-req.Context().Done():
-			return nil, req.Context().Err()
+			return nil, context.Cause(req.Context())
 		case <-time.After(delay):
 		}
 	}

@@ -12,14 +12,16 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pocolo/internal/cluster"
 	"pocolo/internal/obs"
-	"pocolo/internal/parallel"
 	"pocolo/internal/trace"
 	"pocolo/internal/utility"
 )
@@ -225,6 +227,9 @@ type Controller struct {
 	// roundDeadline is the resolved RoundDeadline (never zero when obs or
 	// the recorder is wired).
 	roundDeadline time.Duration
+	// assignBodies maps each name a placement can push — every BE app, and
+	// "" to park — to its POST /v1/assign body, marshalled once. Read-only.
+	assignBodies map[string][]byte
 
 	mu        sync.Mutex
 	agents    []*agentState // in AgentURLs order: agents[i] is stream slot i
@@ -332,6 +337,10 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		now:       now,
 		tracer:    cfg.Trace,
 		cursors:   make(map[string]uint64, len(cfg.AgentURLs)),
+	}
+	c.assignBodies = make(map[string][]byte, len(cfg.BE)+1)
+	for _, be := range append([]string{""}, cfg.BE...) {
+		c.assignBodies[be], _ = json.Marshal(AssignRequest{BE: be}) // a string always marshals
 	}
 	c.byURL = make(map[string]*agentState, len(cfg.AgentURLs))
 	for i, u := range cfg.AgentURLs {
@@ -513,7 +522,7 @@ func (c *Controller) pollProbe(ctx context.Context, now time.Time) []probeResult
 	}
 	c.mu.Unlock()
 
-	fanOut(len(results), len(results), func(i int) { c.probe(ctx, &results[i]) })
+	c.fanOut(ctx, len(results), len(results), func(l *rpcLane, i int) { c.probe(l, &results[i]) })
 	return results
 }
 
@@ -674,11 +683,11 @@ func (c *Controller) applyProbesLocked(results []probeResult, now time.Time) {
 	}
 }
 
-// probe fetches an agent's stats into r with the per-request timeout,
-// retrying up to the configured budget with short exponential spacing.
-// r.cache is the agent's probe cache on entry and, after a success, the
-// one to install.
-func (c *Controller) probe(ctx context.Context, r *probeResult) {
+// probe fetches an agent's stats into r on lane l, each attempt bounded
+// by the request timeout, retrying up to the configured budget with short
+// exponential spacing. r.cache is the agent's probe cache on entry and,
+// after a success, the one to install.
+func (c *Controller) probe(l *rpcLane, r *probeResult) {
 	backoff := 10 * time.Millisecond
 	if max := c.cfg.Timeout / 8; max > 0 && backoff > max {
 		backoff = max
@@ -686,15 +695,15 @@ func (c *Controller) probe(ctx context.Context, r *probeResult) {
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			select {
-			case <-ctx.Done():
-				r.err = ctx.Err()
+			case <-l.parent.Done():
+				r.err = l.parent.Err()
 				return
 			case <-time.After(backoff):
 			}
 			backoff *= 2
 		}
 		var next *statsCache
-		r.err = c.call(ctx, r.agent.statsURL, nil, func(body io.Reader) (err error) {
+		r.err = l.call(r.agent.statsURL, nil, func(body io.Reader) (err error) {
 			next, r.fast, err = c.readStats(body, r.cache, &r.stats)
 			return err
 		})
@@ -748,43 +757,146 @@ var (
 // connection for.
 const maxReplyDrain = 4 << 10
 
-// call is the controller's one agent RPC: a GET of u, or with a body a
-// JSON POST of it, bounded by the request timeout. The request goes
-// straight to the configured RoundTripper, so a redirect is not
-// followed, and a transport error reads as http.Client would report it
-// (Get "<url>": <cause>). A 200 reply's body goes to read when read is
-// non-nil; any other status is an error that carries the start of the
-// agent's reply. Up to maxReplyDrain bytes of whatever read leaves of
-// the reply are drained before it is closed: a reply closed unread
-// makes the transport drop its connection instead of pooling it.
-func (c *Controller) call(ctx context.Context, u *url.URL, body []byte, read func(body io.Reader) error) error {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	req := &http.Request{
-		Method:     http.MethodGet,
-		URL:        u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     getHeader,
-		Host:       u.Host,
+// rpcLane is one RPC fan-out worker's request state. It lives for the
+// whole fan-out and owns what each RPC would otherwise build afresh: the
+// request context and the timer that bounds it, one *http.Request, the
+// POST body and its buffer, and the reply drain. So in steady state an
+// RPC allocates nothing on the controller. Only the lane's worker uses
+// it.
+type rpcLane struct {
+	c      *Controller
+	parent context.Context // the fan-out's
+	// ctx bounds the RPC in flight: timer cancels it with cause
+	// context.DeadlineExceeded Timeout after the RPC starts, and is stopped
+	// when the RPC ends. A timer that fired has cancelled ctx, so the next
+	// RPC takes a fresh context and timer. Both are nil until the first RPC.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	timer  *time.Timer
+	// req is bound to ctx. The RoundTripper contract releases a request
+	// once its reply body is closed, so the next RPC reuses it; a transport
+	// error leaves no reply to close, and the request is dropped.
+	req *http.Request
+	// body is the POST body in flight or last sent, and getBody is
+	// l.rewind, bound once.
+	body    *laneBody
+	getBody func() (io.ReadCloser, error)
+	// drain bounds what drainClose reads of a reply, into scratch.
+	drain   io.LimitedReader
+	scratch [64]byte
+}
+
+// laneBody is a lane's POST body. A transport may read and close it on
+// another goroutine, even after RoundTrip has returned, so the lane writes
+// its buffer again only once Close has been called and no second reader
+// over it was lent out (rewind).
+type laneBody struct {
+	r    bytes.Reader
+	buf  []byte
+	held atomic.Bool // handed to the transport and not closed since
+	lent atomic.Bool // a second reader over buf was handed out
+	arr  [64]byte    // buf's first backing array: a push body fits
+}
+
+func (b *laneBody) Read(p []byte) (int, error) { return b.r.Read(p) }
+
+// Close releases the body back to its lane.
+func (b *laneBody) Close() error {
+	b.held.Store(false)
+	return nil
+}
+
+// bodyBuf returns an empty buffer for the lane's next POST body to be
+// appended to: the last body's, once the transport has released it, else
+// a fresh one.
+func (l *rpcLane) bodyBuf() []byte {
+	if b := l.body; b != nil && !b.held.Load() && !b.lent.Load() {
+		return b.buf[:0]
 	}
+	b := new(laneBody)
+	b.buf = b.arr[:0]
+	l.body = b
+	return b.buf
+}
+
+// rewind is the lane's GetBody, which a transport calls within RoundTrip
+// to send the body again. It lends out a second reader over the buffer,
+// whose end the lane cannot see, so the lane stops reusing that buffer.
+func (l *rpcLane) rewind() (io.ReadCloser, error) {
+	b := l.body
+	b.lent.Store(true)
+	return io.NopCloser(bytes.NewReader(b.buf)), nil
+}
+
+// arm starts the deadline of the lane's next RPC, Timeout from now.
+func (l *rpcLane) arm() {
+	if l.ctx != nil {
+		l.timer.Reset(l.c.cfg.Timeout)
+		return
+	}
+	ctx, cancel := context.WithCancelCause(l.parent)
+	l.ctx, l.cancel, l.req = ctx, cancel, nil
+	l.timer = time.AfterFunc(l.c.cfg.Timeout, func() { cancel(context.DeadlineExceeded) })
+}
+
+// disarm stops the deadline when the RPC ends. If the timer already
+// fired, it has cancelled ctx, so the next RPC takes fresh ones.
+func (l *rpcLane) disarm() {
+	if !l.timer.Stop() {
+		l.ctx = nil
+	}
+}
+
+// close ends the lane with its fan-out: it stops the timer and cancels
+// the lane's context, so no child stays registered on the fan-out's.
+func (l *rpcLane) close() {
+	if l.ctx != nil {
+		l.timer.Stop()
+		l.cancel(nil)
+	}
+}
+
+// call is the controller's one agent RPC, made on lane l: a GET of u, or
+// with a body (appended to bodyBuf's buffer) a JSON POST of it, bounded by
+// the request timeout from its own start. The request goes straight to
+// the configured RoundTripper, so a redirect is not followed, and a
+// transport error reads as http.Client would report it (Get "<url>":
+// <cause>); a timeout's cause is context.DeadlineExceeded. A 200 reply's
+// body goes to read when read is non-nil; any other status is an error
+// that carries the start of the agent's reply. Up to maxReplyDrain bytes
+// of whatever read leaves of the reply are drained before it is closed: a
+// reply closed unread makes the transport drop its connection instead of
+// pooling it.
+func (l *rpcLane) call(u *url.URL, body []byte, read func(body io.Reader) error) error {
+	l.arm()
+	defer l.disarm()
+	req := l.req
+	if req == nil {
+		req = (&http.Request{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1}).WithContext(l.ctx)
+		l.req = req
+	}
+	req.URL, req.Host = u, u.Host
 	op := "Get"
-	if body != nil {
-		req.Method, op = http.MethodPost, "Post"
-		req.Header = jsonHeader
-		req.ContentLength = int64(len(body))
-		req.Body = io.NopCloser(bytes.NewReader(body))
-		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	if body == nil {
+		req.Method, req.Header = http.MethodGet, getHeader
+		req.Body, req.GetBody, req.ContentLength = nil, nil, 0
+	} else {
+		b := l.body
+		b.buf = body
+		b.r.Reset(body)
+		b.held.Store(true)
+		if l.getBody == nil {
+			l.getBody = l.rewind
+		}
+		req.Method, req.Header, op = http.MethodPost, jsonHeader, "Post"
+		req.Body, req.GetBody, req.ContentLength = b, l.getBody, int64(len(body))
 	}
-	resp, err := c.transport.RoundTrip(req.WithContext(ctx))
+	resp, err := l.c.transport.RoundTrip(req)
 	if err != nil {
+		l.req = nil
 		return &url.Error{Op: op, URL: u.String(), Err: err}
 	}
-	defer func() {
-		_, _ = io.CopyN(io.Discard, resp.Body, maxReplyDrain)
-		resp.Body.Close()
-	}()
+	defer l.drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("%s %s: %s: %s", req.Method, u, resp.Status, bytes.TrimSpace(msg))
@@ -793,6 +905,20 @@ func (c *Controller) call(ctx context.Context, u *url.URL, body []byte, read fun
 		return read(resp.Body)
 	}
 	return nil
+}
+
+// drainClose reads up to maxReplyDrain bytes of what is left of a reply,
+// then closes it. It reads into the lane's own scratch, where io.Discard
+// would take a buffer from a shared pool.
+func (l *rpcLane) drainClose(body io.ReadCloser) {
+	l.drain.R, l.drain.N = body, maxReplyDrain
+	for {
+		if _, err := l.drain.Read(l.scratch[:]); err != nil {
+			break
+		}
+	}
+	l.drain.R = nil
+	body.Close()
 }
 
 // resolveLocked re-solves the placement against the live agents'
@@ -981,14 +1107,39 @@ func (c *Controller) assignPushesLocked(pushes []pendingPush) []pendingPush {
 // would serialize every other agent's RPC behind its timeout.
 const maxRPCWorkers = 32
 
-// fanOut runs rpc(i) for every target i in [0, n) on at most workers
-// goroutines and returns when all are done. rpc must write its result
-// into index-disjoint storage.
-func fanOut(n, workers int, rpc func(i int)) {
-	_ = parallel.ForEach(n, workers, func(i int) error {
-		rpc(i)
-		return nil
-	})
+// fanOut runs rpc for every target i in [0, n) on at most workers
+// goroutines and returns when all are done. A worker that finds a target
+// makes its RPCs on its own lane, whose context derives from ctx and
+// which lives until the fan-out ends; a worker that finds none, as when
+// the first workers drain a wide probe fan-out, takes no lane. rpc must
+// write its result into index-disjoint storage.
+func (c *Controller) fanOut(ctx context.Context, n, workers int, rpc func(l *rpcLane, i int)) {
+	workers = min(workers, n)
+	if workers < 1 {
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		i := int(next.Add(1)) - 1
+		if i >= n {
+			return
+		}
+		l := &rpcLane{c: c, parent: ctx}
+		defer l.close()
+		for ; i < n; i = int(next.Add(1)) - 1 {
+			rpc(l, i)
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // pushAll executes the round's pushes through the RPC fan-out and reports
@@ -1002,21 +1153,9 @@ func fanOut(n, workers int, rpc func(i int)) {
 func (c *Controller) pushAll(ctx context.Context, pushes []pendingPush, missed int) []bool {
 	acked := make([]bool, len(pushes))
 	errs := make([]error, len(pushes))
-	fanOut(len(pushes), maxRPCWorkers+missed, func(i int) {
-		p := &pushes[i]
-		var req any
-		var u *url.URL
-		switch p.kind {
-		case pushAssign:
-			req, u = AssignRequest{BE: p.be}, p.agent.assignURL
-		case pushCap:
-			req, u = CapRequest{CapW: p.capW}, p.agent.capURL
-		}
-		body, err := json.Marshal(req)
-		if err == nil {
-			err = c.call(ctx, u, body, nil)
-		}
-		errs[i], acked[i] = err, err == nil
+	c.fanOut(ctx, len(pushes), maxRPCWorkers+missed, func(l *rpcLane, i int) {
+		errs[i] = l.push(&pushes[i])
+		acked[i] = errs[i] == nil
 	})
 	for i, p := range pushes {
 		switch p.kind {
@@ -1033,6 +1172,32 @@ func (c *Controller) pushAll(ctx context.Context, pushes []pendingPush, missed i
 		}
 	}
 	return acked
+}
+
+// push makes one push RPC on lane l. A cap body is appended to the lane's
+// buffer (appendCapRequest); an assign body, marshalled once per name by
+// NewController, is copied into it.
+func (l *rpcLane) push(p *pendingPush) error {
+	body := l.bodyBuf()
+	if p.kind == pushAssign {
+		return l.call(p.agent.assignURL, append(body, l.c.assignBodies[p.be]...), nil)
+	}
+	body, err := appendCapRequest(body, p.capW)
+	if err != nil {
+		return err
+	}
+	return l.call(p.agent.capURL, body, nil)
+}
+
+// appendCapRequest appends the POST /v1/cap body for a cap of w watts: the
+// bytes json.Marshal(CapRequest{CapW: w}) returns, its number written by
+// the float rule the agent's ack uses (appendJSONFloat). A non-finite cap
+// fails with json.Marshal's error, and nothing is sent.
+func appendCapRequest(b []byte, w float64) ([]byte, error) {
+	if math.IsNaN(w) || math.IsInf(w, 0) {
+		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(w), Str: strconv.FormatFloat(w, 'g', -1, 64)}
+	}
+	return append(appendJSONFloat(append(b, `{"cap_w":`...), w), '}'), nil
 }
 
 // recordPushesLocked folds acknowledged pushes back into the agents'
@@ -1155,13 +1320,13 @@ func (c *Controller) CollectTrace(ctx context.Context) []trace.Event {
 	}
 	c.mu.Unlock()
 
-	fanOut(len(targets), maxRPCWorkers+missed, func(i int) {
+	c.fanOut(ctx, len(targets), maxRPCWorkers+missed, func(l *rpcLane, i int) {
 		t := &targets[i]
 		for {
 			var page TraceResponse
 			u, err := url.Parse(fmt.Sprintf("%s%s?since=%d&limit=4096", t.url, RouteTrace, t.since))
 			if err == nil {
-				err = c.call(ctx, u, nil, func(body io.Reader) error { return json.NewDecoder(body).Decode(&page) })
+				err = l.call(u, nil, func(body io.Reader) error { return json.NewDecoder(body).Decode(&page) })
 			}
 			if err != nil {
 				t.err = err

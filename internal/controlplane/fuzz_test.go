@@ -99,12 +99,12 @@ func pooledDecodeFuzzSeeds(tb testing.TB) [][][]byte {
 
 // TestFuzzCorpusCommitted keeps the committed corpora in lockstep with
 // fuzzSeedFrames, statsFuzzSeeds, labelFuzzSeeds, capFuzzSeeds,
-// ingestFuzzSeeds and pooledDecodeFuzzSeeds: every seed must exist on
-// disk in Go corpus format so `go test -fuzz` and plain `go test` start
-// from the same population. Regenerate after changing the seeds with
-// POCOLO_WRITE_CORPUS=1.
+// ingestFuzzSeeds, pooledDecodeFuzzSeeds and capBodyFuzzSeeds: every
+// seed must exist on disk in Go corpus format so `go test -fuzz` and
+// plain `go test` start from the same population. Regenerate after
+// changing the seeds with POCOLO_WRITE_CORPUS=1.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	var frames, stats, labels, caps, ingest, pooled [][][]byte
+	var frames, stats, labels, caps, ingest, pooled, capBodies [][][]byte
 	for _, frame := range fuzzSeedFrames(t) {
 		frames = append(frames, [][]byte{frame})
 	}
@@ -123,12 +123,16 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 	for _, seq := range pooledDecodeFuzzSeeds(t) {
 		pooled = append(pooled, [][]byte{joinFrames(seq)})
 	}
+	for _, v := range capBodyFuzzSeeds {
+		capBodies = append(capBodies, [][]byte{capBits(v)})
+	}
 	checkCorpus(t, "FuzzDecodeHeartbeat", frames)
 	checkCorpus(t, "FuzzDecodeStats", stats)
 	checkCorpus(t, "FuzzExpositionLabels", labels)
 	checkCorpus(t, "FuzzDecodeCapRequest", caps)
 	checkCorpus(t, "FuzzIngestEntryPoints", ingest)
 	checkCorpus(t, "FuzzPooledHeartbeatDecode", pooled)
+	checkCorpus(t, "FuzzCapRequestBody", capBodies)
 }
 
 // checkCorpus compares (or, with POCOLO_WRITE_CORPUS set, writes) one

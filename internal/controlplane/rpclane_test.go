@@ -1,0 +1,399 @@
+package controlplane
+
+import (
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// laneRig builds a controller over n agents whose every RPC goes to tr,
+// each bounded by timeout, and one cap push per agent, each cap distinct.
+func laneRig(t testing.TB, n int, timeout time.Duration, tr http.RoundTripper) (*Controller, []pendingPush) {
+	t.Helper()
+	urls := make([]string, n)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://lane-agent-%d", i)
+	}
+	ctl, err := NewController(ControllerConfig{
+		AgentURLs: urls,
+		BE:        []string{"graph", "lstm#1", "a<b&c>"},
+		Timeout:   timeout,
+		Client:    &http.Client{Transport: tr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushes := make([]pendingPush, n)
+	for i, a := range ctl.agents {
+		pushes[i] = pendingPush{kind: pushCap, agent: a, url: a.url, name: a.name, capW: 100 + float64(i)*0.37}
+	}
+	return ctl, pushes
+}
+
+// emptyOK is the one reply barrierTransport gives every RPC. The
+// controller only reads a reply, and http.NoBody reads as empty from any
+// number of goroutines.
+var emptyOK = &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: http.NoBody}
+
+// barrierTransport acknowledges every RPC with emptyOK and allocates
+// nothing: it closes each request body unread. The first hold RPCs of a
+// fan-out wait until hold are in flight, so every lane makes an RPC
+// however its goroutine is scheduled.
+type barrierTransport struct {
+	hold    int64
+	started atomic.Int64
+}
+
+func (b *barrierTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	if b.started.Add(1) <= b.hold {
+		for b.started.Load() < b.hold {
+			runtime.Gosched()
+		}
+	}
+	return emptyOK, nil
+}
+
+// TestPushAllocsFlat: through a RoundTripper that allocates nothing, the
+// push fan-out allocates as many objects for 1,024 cap pushes as for 64.
+// Its lanes own each RPC's deadline, request, body and drain, so what it
+// allocates is per lane, and both sizes run maxRPCWorkers lanes.
+func TestPushAllocsFlat(t *testing.T) {
+	perPushAll := func(n int) float64 {
+		tr := &barrierTransport{hold: maxRPCWorkers}
+		ctl, pushes := laneRig(t, n, time.Minute, tr)
+		ctx := context.Background()
+		return testing.AllocsPerRun(20, func() {
+			tr.started.Store(0)
+			for i, ok := range ctl.pushAll(ctx, pushes, 0) {
+				if !ok {
+					t.Fatalf("push %d of %d not acknowledged", i, n)
+				}
+			}
+		})
+	}
+	small, large := perPushAll(64), perPushAll(1024)
+	t.Logf("pushAll allocs: %v for 64 cap pushes, %v for 1,024", small, large)
+	if large > small+2 {
+		t.Fatalf("pushAll allocs: %v for 64 cap pushes, %v for 1,024; want no term that grows with the pushes", small, large)
+	}
+}
+
+// stallHostTransport answers at once, except that a request to a host in
+// slow waits until its context ends and fails with the context's cause,
+// as net/http's Transport does. It signals entered as each stall starts.
+type stallHostTransport struct {
+	slow    map[string]bool
+	entered chan struct{}
+}
+
+func (s *stallHostTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	if s.slow[req.URL.Host] {
+		select {
+		case s.entered <- struct{}{}:
+		default:
+		}
+		<-req.Context().Done()
+		return nil, context.Cause(req.Context())
+	}
+	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: http.NoBody, Request: req}, nil
+}
+
+// runFanOut runs pushes on a fan-out of the given width and returns each
+// push's error and duration, failing the test if the fan-out does not
+// return within limit.
+func runFanOut(t *testing.T, ctx context.Context, ctl *Controller, pushes []pendingPush, width int, limit time.Duration) ([]error, []time.Duration) {
+	t.Helper()
+	errs := make([]error, len(pushes))
+	took := make([]time.Duration, len(pushes))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ctl.fanOut(ctx, len(pushes), width, func(l *rpcLane, i int) {
+			start := time.Now()
+			errs[i] = l.push(&pushes[i])
+			took[i] = time.Since(start)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		t.Fatalf("fan-out of %d pushes did not return within %v", len(pushes), limit)
+	}
+	return errs, took
+}
+
+// TestLaneDeadlinePerRPC: on a one-lane fan-out every RPC is bounded by
+// the request timeout from its own start. A push to an agent that stalls
+// until its context ends fails after about Timeout with a deadline error
+// that reads as one; the lane's next pushes succeed, which a lane that
+// kept its fired context would fail at once; and a later stall is again
+// bounded from its own start.
+func TestLaneDeadlinePerRPC(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	tr := &stallHostTransport{slow: map[string]bool{"lane-agent-0": true, "lane-agent-3": true}}
+	ctl, pushes := laneRig(t, 6, timeout, tr)
+	errs, took := runFanOut(t, context.Background(), ctl, pushes, 1, time.Minute)
+	for i, err := range errs {
+		if !tr.slow[pushes[i].agent.capURL.Host] {
+			if err != nil {
+				t.Errorf("push %d to a prompt agent after a timed-out one: %v", i, err)
+			}
+			continue
+		}
+		if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(fmt.Sprint(err), "context deadline exceeded") {
+			t.Errorf("push %d to a stalled agent: err %v, want a context deadline exceeded", i, err)
+		}
+		if took[i] < timeout || took[i] > timeout+2*time.Second {
+			t.Errorf("push %d to a stalled agent took %v, want about the %v timeout", i, took[i], timeout)
+		}
+	}
+}
+
+// TestLaneCancel: cancelling the round's context fails the RPCs in flight
+// and those still queued on the lanes with context.Canceled, not a
+// deadline, and the fan-out returns.
+func TestLaneCancel(t *testing.T) {
+	const n, width = 8, 2
+	tr := &stallHostTransport{slow: make(map[string]bool, n), entered: make(chan struct{}, n)}
+	for i := 0; i < n; i++ {
+		tr.slow[fmt.Sprintf("lane-agent-%d", i)] = true
+	}
+	ctl, pushes := laneRig(t, n, time.Minute, tr)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for i := 0; i < width; i++ {
+			<-tr.entered
+		}
+		cancel()
+	}()
+	errs, _ := runFanOut(t, ctx, ctl, pushes, width, 10*time.Second)
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("push %d after the round's cancellation: err %v, want context.Canceled", i, err)
+		}
+	}
+}
+
+// lateReaderTransport answers every request at once and reads and closes
+// its body later, on a goroutine of its own, as net/http's Transport may.
+// It records each body by host and path.
+type lateReaderTransport struct {
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	bodies map[string]string
+}
+
+func (lt *lateReaderTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	key, body := req.URL.Host+req.URL.Path, req.Body
+	lt.wg.Add(1)
+	go func() {
+		defer lt.wg.Done()
+		time.Sleep(2 * time.Millisecond)
+		b, err := io.ReadAll(body)
+		body.Close()
+		if err != nil {
+			b = []byte(err.Error())
+		}
+		lt.mu.Lock()
+		lt.bodies[key] = string(b)
+		lt.mu.Unlock()
+	}()
+	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: http.NoBody, Request: req}, nil
+}
+
+// TestLaneBodyHandover: a transport may read and close a request body
+// after RoundTrip has returned, so a lane must not write the buffer of a
+// body it has not been handed back. One lane sends cap and assign pushes
+// to 64 agents, each body read only after the lane has moved on; every
+// agent's recorded body must be its own, intact.
+func TestLaneBodyHandover(t *testing.T) {
+	const n = 64
+	lt := &lateReaderTransport{bodies: make(map[string]string, n)}
+	ctl, pushes := laneRig(t, n, time.Minute, lt)
+	want := make(map[string]string, n)
+	for i := range pushes {
+		p := &pushes[i]
+		var body []byte
+		var err error
+		if i%3 == 1 {
+			p.kind, p.be = pushAssign, ctl.cfg.BE[i%len(ctl.cfg.BE)]
+			body, err = json.Marshal(AssignRequest{BE: p.be})
+			want[p.agent.assignURL.Host+RouteAssign] = string(body)
+		} else {
+			body, err = json.Marshal(CapRequest{CapW: p.capW})
+			want[p.agent.capURL.Host+RouteCap] = string(body)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs, _ := runFanOut(t, context.Background(), ctl, pushes, 1, time.Minute)
+	lt.wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	for key, w := range want {
+		if got := lt.bodies[key]; got != w {
+			t.Errorf("%s received %q, want %q", key, got, w)
+		}
+	}
+}
+
+// TestLaneReusesRequestOverHTTP: a lane reuses its request, body and
+// drain from RPC to RPC over net/http's own Transport and a real
+// listener, alternating POSTs and GETs on one and on four lanes. Under the
+// race detector this checks that the transport has let go of all three
+// by the time the lane writes them again.
+func TestLaneReusesRequestOverHTTP(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			writeJSON(w, http.StatusOK, CapResponse{Agent: "lane-agent-0", CapW: 150})
+			return
+		}
+		writeJSON(w, http.StatusOK, TraceResponse{Agent: "lane-agent-0"})
+	}))
+	defer srv.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	ctl, err := NewController(ControllerConfig{AgentURLs: []string{srv.URL}, Timeout: 5 * time.Second, Client: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ctl.agents[0]
+	const n = 200
+	for _, width := range []int{1, 4} {
+		errs := make([]error, n)
+		ctl.fanOut(context.Background(), n, width, func(l *rpcLane, i int) {
+			if i%2 == 0 {
+				errs[i] = l.push(&pendingPush{kind: pushCap, agent: a, capW: 100 + float64(i)})
+			} else {
+				errs[i] = l.call(a.statsURL, nil, nil)
+			}
+		})
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%d lanes, RPC %d: %v", width, i, err)
+			}
+		}
+	}
+}
+
+// countingTransport acknowledges every request and records the last
+// request body it read.
+type countingTransport struct {
+	sent atomic.Int64
+	mu   sync.Mutex
+	last []byte
+}
+
+func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	ct.sent.Add(1)
+	b, err := io.ReadAll(req.Body)
+	req.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	ct.mu.Lock()
+	ct.last = b
+	ct.mu.Unlock()
+	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: http.NoBody, Request: req}, nil
+}
+
+// capBodyFuzzSeeds are the float64 bit patterns FuzzCapRequestBody
+// starts from: both sides of encoding/json's 'f'/'e' switch, the
+// extremes and the non-finite values. TestFuzzCorpusCommitted mirrors
+// them into testdata/fuzz/FuzzCapRequestBody.
+var capBodyFuzzSeeds = []float64{
+	0, math.Copysign(0, -1), 123.456, 1e-6, 1e-7, 9.99e20, 1e21, 5e-324,
+	math.MaxFloat64, -1e-9, math.NaN(), math.Inf(1), math.Inf(-1),
+}
+
+// capBits is the fuzz argument for v: its bits, little-endian.
+func capBits(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+
+// FuzzCapRequestBody holds the controller's cap push body to
+// json.Marshal for any float64 bit pattern, the first 8 bytes of the
+// input, zero-padded, little-endian. A finite cap's body equals
+// json.Marshal(CapRequest{CapW: v}) byte for byte, goes on the wire as
+// is, and reads back to the same bits on the agent's in-place path
+// (parseCanonicalCap). A non-finite cap fails its push with
+// json.Marshal's error, and nothing is sent.
+func FuzzCapRequestBody(f *testing.F) {
+	for _, v := range capBodyFuzzSeeds {
+		f.Add(capBits(v))
+	}
+	ct := &countingTransport{}
+	ctl, pushes := laneRig(f, 1, time.Minute, ct)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var bits [8]byte
+		copy(bits[:], in)
+		v := math.Float64frombits(binary.LittleEndian.Uint64(bits[:]))
+		want, wantErr := json.Marshal(CapRequest{CapW: v})
+		got, err := appendCapRequest(nil, v)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%v: appendCapRequest err %v, json.Marshal err %v", v, err, wantErr)
+		}
+		pushes[0].capW = v
+		before := ct.sent.Load()
+		var pushErr error
+		ctl.fanOut(context.Background(), 1, 1, func(l *rpcLane, _ int) { pushErr = l.push(&pushes[0]) })
+		sent := ct.sent.Load() - before
+		if wantErr != nil {
+			if sent != 0 || pushErr == nil || pushErr.Error() != wantErr.Error() {
+				t.Fatalf("%v: push sent %d requests, err %v; want none sent and %v", v, sent, pushErr, wantErr)
+			}
+			return
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%v (%#x): body %q, json.Marshal %q", v, math.Float64bits(v), got, want)
+		}
+		if sent != 1 || pushErr != nil || string(ct.last) != string(want) {
+			t.Fatalf("%v: push sent %d requests, err %v, last body %q; want one, %q", v, sent, pushErr, ct.last, want)
+		}
+		if w, ok := parseCanonicalCap(got); !ok || math.Float64bits(w) != math.Float64bits(v) {
+			t.Fatalf("%q: in-place path read %v (%#x, ok %v), want %#x", got, w, math.Float64bits(w), ok, math.Float64bits(v))
+		}
+	})
+}
+
+// TestStatsUnescapedFastPath: an agent whose name holds <, > and & serves
+// it unescaped, so the poll decoder's fast path takes its /v1/stats body
+// on every probe instead of handing it to encoding/json.
+func TestStatsUnescapedFastPath(t *testing.T) {
+	const name = "agent<07>&co"
+	a := newTestAgent(t, name, "xapian", "graph")
+	var cache *statsCache
+	for probe := 0; probe < 3; probe++ {
+		rec := httptest.NewRecorder()
+		a.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, RouteStats, nil))
+		var st StatsResponse
+		next, fast, err := decodeStats(rec.Body.Bytes(), cache, &st)
+		if err != nil || !fast {
+			t.Fatalf("probe %d of %q: fast %v, err %v; body starts %.80q", probe, name, fast, err, rec.Body.String())
+		}
+		if st.Agent != name {
+			t.Fatalf("probe %d decoded agent %q, want %q", probe, st.Agent, name)
+		}
+		cache = next
+	}
+}
