@@ -167,8 +167,8 @@ type agentState struct {
 	streamSeq uint64
 	// probeCache is the poll decoder's memory of this agent's last
 	// fast-path body (statsdecode.go); nil under the streaming transport.
-	// Immutable: a probe that sees a change returns a new one, which
-	// applyProbesLocked installs.
+	// Immutable: a probe that sees a cached section or string change
+	// returns a new one, which applyProbesLocked installs.
 	probeCache *statsCache
 	// desiredBE is the BE app the current placement puts on this agent
 	// ("" = park). It is refreshed wherever the placement changes, so
@@ -433,11 +433,13 @@ func (c *Controller) jitteredHeartbeat() time.Duration {
 // under the lock, then execute every push through the RPC fan-out with
 // the lock released. Only acknowledged pushes are recorded as agent state
 // — a failed push is re-derived and retried next round. Each RPC is
-// bounded by the request timeout. Every due agent's probe runs on its own
-// worker, so the probe phase costs one probe's attempts however many
-// agents stall: Retries+1 timeouts at worst. Pushes run on maxRPCWorkers
-// workers plus one for each push to an agent that missed its last report:
-// S pushes stalled on agents that reported cost ⌈S/maxRPCWorkers⌉
+// bounded by the request timeout. The probe fan-out is as wide as the due
+// set and grows past maxRPCWorkers workers only while probes block
+// (fanOut), so every stalled probe holds a worker of its own and the
+// probe phase costs one probe's attempts however many agents stall:
+// Retries+1 timeouts at worst. Pushes run on up to maxRPCWorkers workers
+// plus one for each push to an agent that missed its last report: S
+// pushes stalled on agents that reported cost ⌈S/maxRPCWorkers⌉
 // timeouts, any number to agents that missed cost one (an agent gets at
 // most two pushes a round: its assignment and its cap). Under poll an
 // agent that stalls on every request has missed by the time its pushes go
@@ -480,12 +482,11 @@ func (c *Controller) Round(ctx context.Context) {
 	}
 	c.mu.Unlock()
 
-	var acked []bool
 	if len(pushes) > 0 {
-		acked = c.pushAll(ctx, pushes, missed)
+		c.pushAll(ctx, pushes, missed)
 	}
 	c.mu.Lock()
-	c.recordPushesLocked(pushes, acked)
+	c.recordPushesLocked(pushes)
 	c.pushes = pushes[:0]
 	c.mu.Unlock()
 	if !start.IsZero() {
@@ -504,13 +505,14 @@ type probeResult struct {
 	err   error
 }
 
-// pollProbe probes every due agent, each on its own fan-out worker: a
-// probe waits out its round trips and retries without holding up
-// another's, where a bounded pool would queue ⌈n/width⌉ network round
-// trips on each lane. Runs lock-free: the due set and each agent's probe
-// cache are snapshotted under the lock, the probes are not. The results
-// live in the controller's kept buffer, which the caller returns after
-// the fold.
+// pollProbe probes every due agent on a fan-out as wide as the due set,
+// so a probe that blocks waits out its round trips and retries on a
+// worker of its own without holding up another's, where a bounded pool
+// would queue ⌈n/width⌉ network round trips on each lane; probes that
+// return at once share the fan-out's first maxRPCWorkers workers. Runs
+// lock-free: the due set and each agent's probe cache are snapshotted
+// under the lock, the probes are not. The results live in the
+// controller's kept buffer, which the caller returns after the fold.
 func (c *Controller) pollProbe(ctx context.Context, now time.Time) []probeResult {
 	c.mu.Lock()
 	results := c.probes[:0]
@@ -1078,6 +1080,7 @@ type pendingPush struct {
 	url, name string
 	be        string  // pushAssign
 	capW      float64 // pushCap
+	err       error   // the RPC's outcome, set by pushAll: nil if acknowledged
 }
 
 // assignPushesLocked appends to pushes the assignment pushes that drive
@@ -1096,82 +1099,109 @@ func (c *Controller) assignPushesLocked(pushes []pendingPush) []pendingPush {
 	return pushes
 }
 
-// maxRPCWorkers is the base width of the push and trace-page fan-outs,
-// which add one worker for each target that missed its last report —
-// the ones likeliest to hold a worker for a whole timeout. Fresh stalls
-// share the maxRPCWorkers lanes, so S of them cost ⌈S/maxRPCWorkers⌉
-// timeouts; targets that have missed never queue behind one another, so
-// however many are still stalled they cost one. The floor of one worker
-// per target (up to the cap) is deliberate: the pool must not
-// degenerate to a single lane on GOMAXPROCS=1, where one slow agent
-// would serialize every other agent's RPC behind its timeout.
+// maxRPCWorkers is how many workers every RPC fan-out starts up front,
+// and the width of the push and trace-page fan-outs, which grow by one
+// worker for each target that missed its last report — the ones likeliest
+// to hold a worker for a whole timeout. Fresh stalls share the
+// maxRPCWorkers lanes, so S of them cost ⌈S/maxRPCWorkers⌉ timeouts;
+// targets that have missed never queue behind one another, so however
+// many are still stalled they cost one. The floor of one worker per
+// target (up to the cap) is deliberate: the pool must not degenerate to
+// a single lane on GOMAXPROCS=1, where one slow agent would serialize
+// every other agent's RPC behind its timeout.
 const maxRPCWorkers = 32
 
-// fanOut runs rpc for every target i in [0, n) on at most workers
-// goroutines and returns when all are done. A worker that finds a target
-// makes its RPCs on its own lane, whose context derives from ctx and
-// which lives until the fan-out ends; a worker that finds none, as when
-// the first workers drain a wide probe fan-out, takes no lane. rpc must
-// write its result into index-disjoint storage.
-func (c *Controller) fanOut(ctx context.Context, n, workers int, rpc func(l *rpcLane, i int)) {
-	workers = min(workers, n)
-	if workers < 1 {
+// fanOut runs rpc for every target i in [0, n) on at most width
+// goroutines and returns when all are done. It starts min(width,
+// maxRPCWorkers) workers and grows past them only while RPCs block: a
+// worker that takes a target while targets remain, fewer than width
+// workers exist and every worker has taken one starts a spare, which
+// once it has taken a target may start the next. So at most one spare
+// waits to be scheduled at a time, a fan-out whose RPCs return at once
+// runs on about maxRPCWorkers goroutines however wide it is, and each
+// blocked RPC still gets a worker of its own, up to width. (A worker the
+// runtime parks, as in a GC assist, counts as blocked too.) A worker that
+// finds a target makes its RPCs on its own lane, whose context derives
+// from ctx and which lives until the fan-out ends; a worker that finds
+// none, as when the first workers drain a wide fan-out, takes no lane.
+// rpc must write its result into index-disjoint storage.
+func (c *Controller) fanOut(ctx context.Context, n, width int, rpc func(l *rpcLane, i int)) {
+	width = min(width, n)
+	if width < 1 {
 		return
 	}
-	var next atomic.Int64
+	upfront := int64(min(width, maxRPCWorkers))
+	// idle counts the workers started that have yet to take a target.
+	var next, workers, idle atomic.Int64
+	workers.Store(upfront)
+	idle.Store(upfront)
 	var wg sync.WaitGroup
-	work := func() {
+	var work func()
+	start := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work = func() {
 		i := int(next.Add(1)) - 1
+		idle.Add(-1)
 		if i >= n {
 			return
 		}
 		l := &rpcLane{c: c, parent: ctx}
 		defer l.close()
 		for ; i < n; i = int(next.Add(1)) - 1 {
+			// Load before the CAS, so that while a worker is idle or the
+			// fan-out is at its width, taking a target writes nothing.
+			if idle.Load() == 0 && workers.Load() < int64(width) && next.Load() < int64(n) &&
+				idle.CompareAndSwap(0, 1) {
+				// Until the spare takes a target, idle reads 1 and no other
+				// worker gets here, so workers cannot move under the check.
+				if workers.Load() < int64(width) {
+					workers.Add(1)
+					start()
+				} else {
+					idle.Store(0)
+				}
+			}
 			rpc(l, i)
 		}
 	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+	for w := int64(1); w < upfront; w++ {
+		start()
 	}
 	work()
 	wg.Wait()
 }
 
-// pushAll executes the round's pushes through the RPC fan-out and reports
-// which were acknowledged; missed counts the pushes whose agent missed its
-// last report. Each RPC is bounded by the request timeout, so S pushes
-// stalled on agents that reported last round delay the round by at most
-// ⌈S/maxRPCWorkers⌉ timeouts, and any number stalled on agents that
-// missed by one — not one timeout per slow agent, as a serial push loop
-// would. Log lines are emitted after the join, in push order, so
+// pushAll executes the round's pushes through the RPC fan-out and records
+// each one's outcome in its err; missed counts the pushes whose agent
+// missed its last report. Each RPC is bounded by the request timeout, so
+// S pushes stalled on agents that reported last round delay the round by
+// at most ⌈S/maxRPCWorkers⌉ timeouts, and any number stalled on agents
+// that missed by one — not one timeout per slow agent, as a serial push
+// loop would. Log lines are emitted after the join, in push order, so
 // interleaving stays deterministic for log-capturing tests.
-func (c *Controller) pushAll(ctx context.Context, pushes []pendingPush, missed int) []bool {
-	acked := make([]bool, len(pushes))
-	errs := make([]error, len(pushes))
+func (c *Controller) pushAll(ctx context.Context, pushes []pendingPush, missed int) {
 	c.fanOut(ctx, len(pushes), maxRPCWorkers+missed, func(l *rpcLane, i int) {
-		errs[i] = l.push(&pushes[i])
-		acked[i] = errs[i] == nil
+		pushes[i].err = l.push(&pushes[i])
 	})
-	for i, p := range pushes {
+	for _, p := range pushes {
 		switch p.kind {
 		case pushAssign:
-			if errs[i] != nil {
-				c.logf("assign %q to %s (%s) failed: %v", p.be, p.name, p.url, errs[i])
+			if p.err != nil {
+				c.logf("assign %q to %s (%s) failed: %v", p.be, p.name, p.url, p.err)
 			} else {
 				c.logf("assigned %q to %s (%s)", p.be, p.name, p.url)
 			}
 		case pushCap:
-			if errs[i] != nil {
-				c.logf("cap %.1fW to %s (%s) failed: %v", p.capW, p.name, p.url, errs[i])
+			if p.err != nil {
+				c.logf("cap %.1fW to %s (%s) failed: %v", p.capW, p.name, p.url, p.err)
 			}
 		}
 	}
-	return acked
 }
 
 // push makes one push RPC on lane l. A cap body is appended to the lane's
@@ -1207,10 +1237,10 @@ func appendCapRequest(b []byte, w float64) ([]byte, error) {
 // happened to report again, leaving the fleet out of step with the
 // controller's book. An agent declared dead between derivation and
 // record keeps its last report untouched.
-func (c *Controller) recordPushesLocked(pushes []pendingPush, acked []bool) {
-	for i, p := range pushes {
+func (c *Controller) recordPushesLocked(pushes []pendingPush) {
+	for _, p := range pushes {
 		a := p.agent
-		if !acked[i] || !a.alive {
+		if p.err != nil || !a.alive {
 			continue
 		}
 		switch p.kind {

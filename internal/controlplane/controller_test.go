@@ -402,8 +402,9 @@ func TestRecordPushesTouchesOnlyItsAgent(t *testing.T) {
 		{kind: pushAssign, agent: a1, url: a1.url, name: a1.name, be: "graph"},
 		{kind: pushCap, agent: a2, url: a2.url, name: a2.name, capW: 170},
 	}
+	pushes[1].err = errors.New("refused")
 	a2.alive = false // declared dead after the pushes were derived
-	ctl.recordPushesLocked(pushes, []bool{true, false, true, true})
+	ctl.recordPushesLocked(pushes)
 
 	type book struct {
 		capW float64
@@ -559,8 +560,10 @@ func TestPollBackoffSchedule(t *testing.T) {
 // TestRPCErrorText pins what a failed agent RPC reads like. A refused
 // probe's last_error and a failed push's log line carry the transport
 // error as http.Client reports it, Get "<url>": <cause> and
-// Post "<url>": <cause>; a reply other than 200 carries its status and
-// the start of its body; and a redirect is an error, not followed.
+// Post "<url>": <cause>; a probe that outlasts the request timeout reads
+// as a deadline, as over net/http; a reply other than 200 carries its
+// status and the start of its body; and a redirect is an error, not
+// followed.
 func TestRPCErrorText(t *testing.T) {
 	probes := &scriptedProbes{down: true}
 	ctl, err := NewController(ControllerConfig{
@@ -573,6 +576,21 @@ func TestRPCErrorText(t *testing.T) {
 	ctl.Round(context.Background())
 	if got, want := ctl.Status().Agents[0].LastError, `Get "http://agent-a:7001/v1/stats": connection refused`; got != want {
 		t.Errorf("refused probe: last_error %q, want %q", got, want)
+	}
+
+	stall := &probeStallTransport{slow: map[string]bool{"http://agent-a:7001": true}}
+	stall.stalled.Store(true)
+	ctl, err = NewController(ControllerConfig{
+		AgentURLs: []string{"http://agent-a:7001"},
+		Timeout:   10 * time.Millisecond,
+		Client:    &http.Client{Transport: stall},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Round(context.Background())
+	if got, want := ctl.Status().Agents[0].LastError, `Get "http://agent-a:7001/v1/stats": context deadline exceeded`; got != want {
+		t.Errorf("timed-out probe: last_error %q, want %q", got, want)
 	}
 
 	var logs []string
@@ -663,8 +681,9 @@ func TestRPCReusesConnections(t *testing.T) {
 	a.alive = true
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		if acked := ctl.pushAll(ctx, []pendingPush{{kind: pushCap, agent: a, url: a.url, name: a.name, capW: 150}}, 0); !acked[0] {
-			t.Fatalf("push %d not acknowledged", i)
+		pushes := []pendingPush{{kind: pushCap, agent: a, url: a.url, name: a.name, capW: 150}}
+		if ctl.pushAll(ctx, pushes, 0); pushes[0].err != nil {
+			t.Fatalf("push %d not acknowledged: %v", i, pushes[0].err)
 		}
 		ctl.CollectTrace(ctx)
 	}
@@ -698,8 +717,9 @@ func TestRPCBoundsOversizedReply(t *testing.T) {
 	}
 	tr.read.Store(0)
 	a := ctl.agents[0]
-	if acked := ctl.pushAll(ctx, []pendingPush{{kind: pushCap, agent: a, url: a.url, name: a.name, capW: 150}}, 0); !acked[0] {
-		t.Error("push answered 200 not acknowledged")
+	pushes := []pendingPush{{kind: pushCap, agent: a, url: a.url, name: a.name, capW: 150}}
+	if ctl.pushAll(ctx, pushes, 0); pushes[0].err != nil {
+		t.Errorf("push answered 200 not acknowledged: %v", pushes[0].err)
 	}
 	if got := tr.read.Load(); got > maxReplyDrain {
 		t.Errorf("push drained %d reply bytes, want at most %d", got, maxReplyDrain)
@@ -754,7 +774,7 @@ func (s *probeStallTransport) RoundTrip(req *http.Request) (*http.Response, erro
 	base := req.URL.Scheme + "://" + req.URL.Host
 	if s.stalled.Load() && s.slow[base] {
 		<-req.Context().Done()
-		return nil, req.Context().Err()
+		return nil, context.Cause(req.Context())
 	}
 	body := s.bodies[base]
 	if req.Method == http.MethodPost {

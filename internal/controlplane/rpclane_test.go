@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -79,9 +80,10 @@ func TestPushAllocsFlat(t *testing.T) {
 		ctx := context.Background()
 		return testing.AllocsPerRun(20, func() {
 			tr.started.Store(0)
-			for i, ok := range ctl.pushAll(ctx, pushes, 0) {
-				if !ok {
-					t.Fatalf("push %d of %d not acknowledged", i, n)
+			ctl.pushAll(ctx, pushes, 0)
+			for i, p := range pushes {
+				if p.err != nil {
+					t.Fatalf("push %d of %d not acknowledged: %v", i, n, p.err)
 				}
 			}
 		})
@@ -138,6 +140,126 @@ func runFanOut(t *testing.T, ctx context.Context, ctl *Controller, pushes []pend
 		t.Fatalf("fan-out of %d pushes did not return within %v", len(pushes), limit)
 	}
 	return errs, took
+}
+
+// raiseTo raises peak to n if n is higher.
+func raiseTo(peak *atomic.Int64, n int64) {
+	for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+	}
+}
+
+// statsOK is a 200 reply carrying a small stats body, which a probe
+// decodes on the fast path.
+func statsOK(req *http.Request) *http.Response {
+	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: io.NopCloser(strings.NewReader(`{"agent":"a"}`)), Request: req}
+}
+
+// peakGoroutinesTransport answers every request at once (statsOK) and
+// records the most goroutines it saw.
+type peakGoroutinesTransport struct{ peak atomic.Int64 }
+
+func (g *peakGoroutinesTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	raiseTo(&g.peak, int64(runtime.NumGoroutine()))
+	return statsOK(req), nil
+}
+
+// TestProbeFanOutStaysNarrow: a 1,000-agent probe fan-out whose RPCs
+// return at once runs on at most maxRPCWorkers+1 workers, the calling
+// goroutine among them: its workers never block, so it never needs a
+// second spare, where a worker per due agent would start 1,000. The
+// collector is held off during the fan-out: a GC assist parks an
+// allocating worker, which the fan-out cannot tell from a blocked RPC.
+func TestProbeFanOutStaysNarrow(t *testing.T) {
+	const n = 1000
+	tr := &peakGoroutinesTransport{}
+	ctl, _ := laneRig(t, n, time.Minute, tr)
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	base := int64(runtime.NumGoroutine())
+	results := ctl.pollProbe(context.Background(), time.Now())
+	if len(results) != n {
+		t.Fatalf("%d probes, want %d", len(results), n)
+	}
+	for i, r := range results {
+		if r.err != nil {
+			t.Fatalf("probe %d: %v", i, r.err)
+		}
+	}
+	if extra := tr.peak.Load() - base; extra > maxRPCWorkers {
+		t.Fatalf("probe fan-out of %d prompt RPCs ran %d goroutines besides the caller, want at most %d", n, extra, maxRPCWorkers)
+	}
+}
+
+// inFlightTransport answers every request with statsOK and records the
+// most RPCs it saw in flight. Each of the first hold RPCs waits until
+// hold have arrived, or fails at its own deadline; every later one waits
+// rest.
+type inFlightTransport struct {
+	hold     int64
+	rest     time.Duration
+	released chan struct{}
+	entered  atomic.Int64
+	in, peak atomic.Int64
+}
+
+func (f *inFlightTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	raiseTo(&f.peak, f.in.Add(1))
+	defer f.in.Add(-1)
+	if e := f.entered.Add(1); e <= f.hold {
+		if e == f.hold {
+			close(f.released)
+		}
+		select {
+		case <-f.released:
+		case <-req.Context().Done():
+			return nil, context.Cause(req.Context())
+		}
+	} else {
+		time.Sleep(f.rest)
+	}
+	return statsOK(req), nil
+}
+
+// TestProbeFanOutGrowsPastBlockedRPCs: a 200-wide probe fan-out whose
+// RPCs each wait until all 200 are in flight completes: each blocked
+// probe gets a worker of its own, so the probes wait together, not
+// ⌈200/maxRPCWorkers⌉ timeouts in turn.
+func TestProbeFanOutGrowsPastBlockedRPCs(t *testing.T) {
+	const n = 200
+	tr := &inFlightTransport{hold: n, released: make(chan struct{})}
+	ctl, _ := laneRig(t, n, 10*time.Second, tr)
+	start := time.Now()
+	results := ctl.pollProbe(context.Background(), time.Now())
+	for i, r := range results {
+		if r.err != nil {
+			t.Fatalf("probe %d of %d after %v: %v", i, n, time.Since(start), r.err)
+		}
+	}
+	if got := tr.peak.Load(); got != n {
+		t.Fatalf("%d probes in flight at most, want %d", got, n)
+	}
+}
+
+// TestPushFanOutWidth: a push fan-out with 5 targets that missed their
+// last report grows to maxRPCWorkers+5 workers while its RPCs block, and
+// never has more RPCs than that in flight.
+func TestPushFanOutWidth(t *testing.T) {
+	const n, missed = 120, 5
+	const width = maxRPCWorkers + missed
+	tr := &inFlightTransport{hold: width, rest: time.Millisecond, released: make(chan struct{})}
+	ctl, pushes := laneRig(t, n, 10*time.Second, tr)
+	ctl.pushAll(context.Background(), pushes, missed)
+	for i, p := range pushes {
+		if p.err != nil {
+			t.Fatalf("push %d of %d: %v", i, n, p.err)
+		}
+	}
+	if got := tr.peak.Load(); got != width {
+		t.Fatalf("%d pushes in flight at most, want %d", got, width)
+	}
 }
 
 // TestLaneDeadlinePerRPC: on a one-lane fan-out every RPC is bounded by

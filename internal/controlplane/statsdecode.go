@@ -14,7 +14,10 @@ import (
 // list and fitted models, which change only when an agent refits. The
 // fast path parses the live scalars straight from the body bytes and
 // reuses the agent's previously decoded sections whenever their bytes
-// are unchanged, so a steady-state probe decodes without allocating.
+// are unchanged, so a steady-state probe decodes without allocating. The
+// one section that moves in steady state, be_ops_by on an agent running
+// best-effort work, is parsed in place into a fresh map, and the agent's
+// cache is kept.
 //
 // encoding/json stays the reference. The fast path accepts only a strict
 // subset: one object of known, exact-case, unrepeated keys; scalar
@@ -38,13 +41,13 @@ const (
 // statsCache is what the fast path remembers of one agent's last accepted
 // body: the raw bytes of each section it decoded and, in vals, the decoded
 // sections and scalar strings. It is immutable once a decode returns it; a
-// later decode that sees a change builds a new one. The decoded maps,
-// slices and models are shared read-only with every StatsResponse built
-// from them, so successive reports of an agent (the controller's a.last)
-// hold the same *utility.Model pointers while the models are unchanged.
-// Nothing in the controller writes through them: it only reads reported
-// models and maps, as it already does for the stream transport's shared
-// snapshots.
+// later decode that sees a change, other than a moved be_ops_by (section),
+// builds a new one. The decoded maps, slices and models are shared
+// read-only with every StatsResponse built from them, so successive
+// reports of an agent (the controller's a.last) hold the same
+// *utility.Model pointers while the models are unchanged. Nothing in the
+// controller writes through them: it only reads reported models and
+// maps, as it already does for the stream transport's shared snapshots.
 type statsCache struct {
 	raw  [numStatsSections][]byte // each section's JSON value; nil until seen
 	vals StatsResponse            // the sections and strings last decoded
@@ -337,13 +340,26 @@ func (p *statsParser) str(field func(*StatsResponse) *string, s *StatsResponse) 
 // array or null (anything else fails json.Unmarshal into these types and
 // is never cached), and all three are self-delimiting, so a prefix match
 // is the whole value; the parser still requires a ',' or '}' after it.
-// Otherwise the value is skip-scanned with full validation, decoded, and
-// its bytes are copied into the cache.
+// Otherwise be_ops_by, which moves on every probe of an agent running
+// best-effort work, is parsed in place (opsBy) and kept out of the cache
+// unless this decode already copies it. Any other value is skip-scanned
+// with full validation, decoded, and its bytes are copied into the cache.
 func (p *statsParser) section(sec *statsSection, s *StatsResponse) bool {
 	if c := p.next; c != nil && c.raw[sec.k] != nil && bytes.HasPrefix(p.b[p.i:], c.raw[sec.k]) {
 		p.i += len(c.raw[sec.k])
 		sec.copy(s, &c.vals)
 		return true
+	}
+	if sec.k == secBEOpsBy {
+		start := p.i
+		if p.opsBy(&s.BEOpsBy) {
+			if c := p.next; c != p.prev {
+				c.raw[sec.k] = bytes.Clone(p.b[start:p.i])
+				sec.copy(&c.vals, s)
+			}
+			return true
+		}
+		s.BEOpsBy, p.i = nil, start
 	}
 	end, ok := skipValue(p.b, p.i)
 	if !ok || sec.decode(p.b[p.i:end], s) != nil {
@@ -354,6 +370,49 @@ func (p *statsParser) section(sec *statsSection, s *StatsResponse) bool {
 	sec.copy(&c.vals, s)
 	p.i = end
 	return true
+}
+
+// opsBy parses be_ops_by into a fresh map when it is null or an object of
+// plain-string keys and JSON numbers, as encoding/json decodes it into a
+// zero map: null leaves it nil, a repeated key keeps its last value. It
+// declines anything else, which section then hands to encoding/json.
+func (p *statsParser) opsBy(m *map[string]float64) bool {
+	if p.literal("null") {
+		return true
+	}
+	if !p.eat('{') {
+		return false
+	}
+	*m = map[string]float64{}
+	if p.ws(); p.eat('}') {
+		return true
+	}
+	for {
+		key, ok := p.plainString()
+		if !ok {
+			return false
+		}
+		if p.ws(); !p.eat(':') {
+			return false
+		}
+		p.ws()
+		num, ok := p.number()
+		if !ok {
+			return false
+		}
+		v, err := strconv.ParseFloat(string(num), 64)
+		if err != nil {
+			return false
+		}
+		(*m)[string(key)] = v
+		if p.ws(); p.eat('}') {
+			return true
+		}
+		if !p.eat(',') {
+			return false
+		}
+		p.ws()
+	}
 }
 
 // maxSkipDepth bounds the nesting skipValue follows; deeper values are

@@ -20,21 +20,36 @@ import (
 // simulated seconds, running best-effort app be unless it is "".
 func agentStatsBody(tb testing.TB, be string) []byte {
 	tb.Helper()
+	return agentStatsBodies(tb, be, 1)[0]
+}
+
+// agentStatsBodies is n consecutive GET /v1/stats replies of one real
+// agent, one simulated second apart from the fifth second on: what a
+// poll controller reads of it in n rounds.
+func agentStatsBodies(tb testing.TB, be string, n int) [][]byte {
+	tb.Helper()
 	a := newTestAgent(tb, "agent-a", "xapian", "graph", "lstm")
 	if be != "" {
 		if err := a.Assign(be); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	if err := a.Advance(5 * time.Second); err != nil {
+	if err := a.Advance(4 * time.Second); err != nil {
 		tb.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	a.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, RouteStats, nil))
-	if rec.Code != http.StatusOK {
-		tb.Fatalf("GET %s: %d %s", RouteStats, rec.Code, rec.Body)
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		if err := a.Advance(time.Second); err != nil {
+			tb.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		a.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, RouteStats, nil))
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("GET %s: %d %s", RouteStats, rec.Code, rec.Body)
+		}
+		bodies[i] = rec.Body.Bytes()
 	}
-	return rec.Body.Bytes()
+	return bodies
 }
 
 // statsSeed is one FuzzDecodeStats corpus entry: prev warms the agent's
@@ -73,6 +88,11 @@ func statsFuzzSeeds(tb testing.TB) []statsSeed {
 	if !bytes.Contains(busy, []byte(`"be_ops_by":{"graph":`)) {
 		tb.Fatalf("best-effort work not running: %s", busy)
 	}
+	// opsBy replaces busy's be_ops_by object with value.
+	opsByRE := regexp.MustCompile(`"be_ops_by":\{[^{}]*\}`)
+	opsBy := func(value string) []byte {
+		return opsByRE.ReplaceAllLiteral(busy, []byte(`"be_ops_by":`+value))
+	}
 	return []statsSeed{
 		{"cold", nil, idle, true},
 		{"warm", idle, idle, true},
@@ -93,6 +113,17 @@ func statsFuzzSeeds(tb testing.TB) []statsSeed {
 		{"trailing-bytes", idle, append(bytes.Clone(idle), "x"...), false},
 		{"truncated", idle, idle[:len(idle)/2], false},
 		{"empty", idle, []byte{}, false},
+		// be_ops_by is parsed in place when it is null or an object of
+		// plain keys and numbers; encoding/json decodes the rest.
+		{"be-ops-by-null", busy, opsBy(`null`), true},
+		{"be-ops-by-empty", busy, opsBy(`{}`), true},
+		{"be-ops-by-repeated-key", busy, opsBy(`{"graph":1,"lstm":2,"graph":3}`), true},
+		{"be-ops-by-escaped-key", busy, opsBy(`{"gr\u0061ph":1}`), true},
+		{"be-ops-by-null-value", busy, opsBy(`{"graph":null}`), true},
+		{"be-ops-by-string-value", busy, opsBy(`{"graph":"1"}`), false},
+		{"be-ops-by-out-of-range", busy, opsBy(`{"graph":1e999}`), false},
+		{"be-ops-by-nested", busy, opsBy(`{"graph":{"ops":1}}`), false},
+		{"be-ops-by-whitespace", busy, opsBy("{ \"graph\" :\t1.5e3 ,\n\"lstm\": -0 }"), true},
 	}
 }
 
@@ -197,6 +228,39 @@ func TestDecodeStatsReusesSections(t *testing.T) {
 	}
 	if !bytes.Equal(before, after) || !bytes.Equal(raw, rawAfter) {
 		t.Fatal("decoding a changed body wrote to the previous cache")
+	}
+}
+
+// TestDecodeStatsKeepsCacheWhileBusy: an agent running best-effort work
+// reports a new be_ops_by on every probe, and nothing else the cache
+// holds moves, so its consecutive bodies decode against one cache and
+// keep their models' pointers. Each decode equals encoding/json's.
+func TestDecodeStatsKeepsCacheWhileBusy(t *testing.T) {
+	bodies := agentStatsBodies(t, "graph", 4)
+	var first StatsResponse
+	cache, fast, err := decodeStats(bodies[0], nil, &first)
+	if err != nil || !fast {
+		t.Fatalf("cold decode: fast %v err %v", fast, err)
+	}
+	for i, body := range bodies[1:] {
+		var st StatsResponse
+		next, fast, err := decodeStats(body, cache, &st)
+		if err != nil || !fast {
+			t.Fatalf("body %d: fast %v err %v", i+1, fast, err)
+		}
+		if next != cache {
+			t.Fatalf("body %d built a new cache; only be_ops_by moved", i+1)
+		}
+		want, err := decodeStatsReference(body)
+		if err != nil || !reflect.DeepEqual(st, want) {
+			t.Fatalf("body %d: decoded %+v\nencoding/json %+v (%v)", i+1, st, want, err)
+		}
+		if reflect.DeepEqual(st.BEOpsBy, first.BEOpsBy) {
+			t.Fatalf("body %d: be_ops_by %v did not move", i+1, st.BEOpsBy)
+		}
+		if st.LCModel != first.LCModel || st.BEModels["graph"] != first.BEModels["graph"] {
+			t.Fatalf("body %d: unchanged models decoded to new pointers", i+1)
+		}
 	}
 }
 
@@ -390,6 +454,26 @@ func BenchmarkDecodeStatsWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cache, _, _ = decodeStats(body, cache, &st)
+	}
+}
+
+// BenchmarkDecodeStatsMoving decodes consecutive real replies of an
+// agent running best-effort work, each against the cache the previous
+// decode left: the poll probe of a busy agent, whose be_ops_by moves on
+// every probe.
+func BenchmarkDecodeStatsMoving(b *testing.B) {
+	bodies := agentStatsBodies(b, "graph", 17)
+	var st StatsResponse
+	cache, fast, err := decodeStats(bodies[0], nil, &st)
+	if err != nil || !fast {
+		b.Fatalf("fast %v err %v", fast, err)
+	}
+	ring := bodies[1:]
+	b.SetBytes(int64(len(ring[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache, _, _ = decodeStats(ring[i%len(ring)], cache, &st)
 	}
 }
 

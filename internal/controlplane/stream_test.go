@@ -566,7 +566,7 @@ type stallTransport struct {
 func (s *stallTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if s.slow[req.URL.Scheme+"://"+req.URL.Host] {
 		<-req.Context().Done() // hold the connection until the push timeout
-		return nil, req.Context().Err()
+		return nil, context.Cause(req.Context())
 	}
 	s.fast.Add(1)
 	body, _ := json.Marshal(AssignResponse{Agent: "x"})

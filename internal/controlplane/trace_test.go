@@ -423,7 +423,7 @@ func (s *traceStallTransport) RoundTrip(req *http.Request) (*http.Response, erro
 	tr := s.fast[req.URL.Scheme+"://"+req.URL.Host]
 	if tr == nil {
 		<-req.Context().Done()
-		return nil, req.Context().Err()
+		return nil, context.Cause(req.Context())
 	}
 	since, err := strconv.ParseUint(req.URL.Query().Get("since"), 10, 64)
 	if err != nil {
