@@ -3,7 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -151,15 +151,25 @@ type MatrixBuilder struct {
 	// the memo like any other dirty column.
 	down []bool
 
+	// Refresh's scratch, kept across refreshes: the dirty and changed
+	// marks per row and column, the cells to recompute and their old
+	// values, and the changed lines it returns.
+	rowDirty, colDirty       []bool
+	rowChanged, colChanged   []bool
+	refs                     []cellRef
+	old                      []float64
+	changedRows, changedCols []int
+
 	mx    *Matrix
 	stats DeltaStats
 }
 
 // RefreshResult reports which rows and columns of the matrix actually
-// changed value during a Refresh (sorted ascending), plus the work
-// counters. Delta granularity is rows and columns because those are the
-// fingerprint units: a changed job model dirties its row, a changed host
-// cap dirties its column.
+// changed value during a Refresh (sorted ascending, nil when none), plus
+// the work counters. Delta granularity is rows and columns because those
+// are the fingerprint units: a changed job model dirties its row, a
+// changed host cap dirties its column. The two slices belong to the
+// builder and hold until its next Refresh.
 type RefreshResult struct {
 	ChangedRows []int
 	ChangedCols []int
@@ -202,6 +212,16 @@ func NewMatrixBuilder(cfg MatrixConfig) (*MatrixBuilder, error) {
 		colPeak:  make([]float64, len(cfg.LC)),
 		colCap:   make([]float64, len(cfg.LC)),
 		down:     make([]bool, len(cfg.LC)),
+		// Refresh's scratch, sized for a dirty row and a dirty column, so
+		// that a pod's first re-solve allocates no more than its later ones.
+		rowDirty:    make([]bool, len(cfg.BE)),
+		rowChanged:  make([]bool, len(cfg.BE)),
+		colDirty:    make([]bool, len(cfg.LC)),
+		colChanged:  make([]bool, len(cfg.LC)),
+		refs:        make([]cellRef, 0, len(cfg.BE)+len(cfg.LC)),
+		old:         make([]float64, 0, len(cfg.BE)+len(cfg.LC)),
+		changedRows: make([]int, 0, len(cfg.BE)),
+		changedCols: make([]int, 0, len(cfg.LC)),
 		mx: &Matrix{
 			BENames: make([]string, len(cfg.BE)),
 			LCNames: make([]string, len(cfg.LC)),
@@ -271,8 +291,8 @@ func (b *MatrixBuilder) Stats() DeltaStats { return b.stats }
 // existing model in place is not detected anywhere in this package).
 func (b *MatrixBuilder) Refresh() (RefreshResult, error) {
 	var res RefreshResult
-	rowDirty := make([]bool, len(b.be))
-	colDirty := make([]bool, len(b.lc))
+	rowDirty := resetMarks(&b.rowDirty, len(b.be))
+	colDirty := resetMarks(&b.colDirty, len(b.lc))
 	for i, be := range b.be {
 		m, ok := b.models[be.Name]
 		if !ok {
@@ -316,7 +336,7 @@ func (b *MatrixBuilder) Refresh() (RefreshResult, error) {
 	// row claims its whole row, a dirty column claims only its cells in
 	// clean rows. The split is what lets the pod layer repair its solver
 	// with one SetRow/SetCol per dirty line instead of a full re-solve.
-	var refs []cellRef
+	refs := b.refs[:0]
 	for i := range b.be {
 		if rowDirty[i] {
 			for j := range b.lc {
@@ -335,10 +355,12 @@ func (b *MatrixBuilder) Refresh() (RefreshResult, error) {
 			}
 		}
 	}
+	b.refs = refs
 	if len(refs) == 0 {
 		return res, nil
 	}
-	old := make([]float64, len(refs))
+	old := slices.Grow(b.old[:0], len(refs))[:len(refs)]
+	b.old = old
 	for k, r := range refs {
 		old[k] = b.mx.Value[r.i][r.j]
 	}
@@ -347,8 +369,8 @@ func (b *MatrixBuilder) Refresh() (RefreshResult, error) {
 		return res, err
 	}
 	res.Stats = stats
-	rowChanged := make(map[int]bool)
-	colChanged := make(map[int]bool)
+	rowChanged := resetMarks(&b.rowChanged, len(b.be))
+	colChanged := resetMarks(&b.colChanged, len(b.lc))
 	for k, r := range refs {
 		if b.mx.Value[r.i][r.j] == old[k] {
 			continue
@@ -359,9 +381,33 @@ func (b *MatrixBuilder) Refresh() (RefreshResult, error) {
 			colChanged[r.j] = true
 		}
 	}
-	res.ChangedRows = sortedKeys(rowChanged)
-	res.ChangedCols = sortedKeys(colChanged)
+	b.changedRows = appendMarked(b.changedRows[:0], rowChanged)
+	b.changedCols = appendMarked(b.changedCols[:0], colChanged)
+	if len(b.changedRows) > 0 {
+		res.ChangedRows = b.changedRows
+	}
+	if len(b.changedCols) > 0 {
+		res.ChangedCols = b.changedCols
+	}
 	return res, nil
+}
+
+// resetMarks resizes *marks to n cleared marks, keeping its array.
+func resetMarks(marks *[]bool, n int) []bool {
+	m := slices.Grow((*marks)[:0], n)[:n]
+	clear(m)
+	*marks = m
+	return m
+}
+
+// appendMarked appends the indices of the set marks, in index order.
+func appendMarked(dst []int, marks []bool) []int {
+	for i, m := range marks {
+		if m {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 // AddRow appends a BE job to the matrix, computing its row through the
@@ -488,16 +534,4 @@ func (b *MatrixBuilder) computeCells(refs []cellRef) (DeltaStats, error) {
 	st := DeltaStats{CellsComputed: len(toCompute), CellsReused: len(refs) - len(toCompute) - down}
 	b.stats.add(st)
 	return st, nil
-}
-
-func sortedKeys(m map[int]bool) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

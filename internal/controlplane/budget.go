@@ -32,9 +32,13 @@ const shareTolerance = 1e-9
 type budgetState struct {
 	div    *tree.Divider
 	leaves []string // tree.Hosts(): the agent names the tree budgets
-	// bound is each leaf's agent. It is rebuilt only when a leaf's agent
-	// is undiscovered or has been renamed since it was bound.
-	bound []*agentState
+	// bound is each leaf's agent, rebuilt by name only when rebind is set:
+	// the liveness fold sets it when it discovers or renames an agent,
+	// the only events that change which agent a leaf names. unbound is the
+	// first leaf the last rebuild found no discovered agent for.
+	bound   []*agentState
+	rebind  bool
+	unbound string
 	// in is the division's input, one Leaf per bound agent.
 	in []tree.Leaf
 	// unboundWarned and shortWarned log an unbound leaf and a node short
@@ -58,38 +62,35 @@ func newBudgetState(spec string, tr *trace.Tracer) (*budgetState, error) {
 		div:    div,
 		leaves: leaves,
 		bound:  make([]*agentState, len(leaves)),
+		rebind: true,
 		in:     make([]tree.Leaf, len(leaves)),
 	}, nil
 }
 
-// bindLocked checks every leaf's agent binding and rebuilds it by name
-// when one is missing or stale. It returns the first leaf with no
-// discovered agent, or "" once every leaf is bound.
+// bindLocked rebuilds every leaf's agent binding by name if the fold has
+// discovered or renamed an agent since the last rebuild. It returns the
+// first leaf with no discovered agent, or "" once every leaf is bound.
 func (b *budgetState) bindLocked(agents []*agentState) string {
-	stale := false
-	for i, a := range b.bound {
-		if a == nil || !a.everSeen || a.name != b.leaves[i] {
-			stale = true
-			break
-		}
+	if !b.rebind {
+		return b.unbound
 	}
-	if !stale {
-		return ""
-	}
+	b.rebind = false
 	byName := make(map[string]*agentState, len(agents))
 	for _, a := range agents {
 		if a.everSeen {
 			byName[a.name] = a
 		}
 	}
+	b.unbound = ""
 	for i, name := range b.leaves {
 		a, ok := byName[name]
 		if !ok {
-			return name
+			b.unbound = name
+			break
 		}
 		b.bound[i] = a
 	}
-	return ""
+	return b.unbound
 }
 
 // shareMap renders the last division as agent name → share (empty

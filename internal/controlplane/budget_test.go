@@ -393,3 +393,62 @@ func TestBudgetUnboundLeafLogged(t *testing.T) {
 		t.Errorf("%d log lines name the unbound leaf, want 1:\n%s", named, strings.Join(logs, "\n"))
 	}
 }
+
+// TestBudgetLeafRebindsAfterRename: the controller rebuilds its budget
+// bindings only after the liveness fold discovers or renames an agent, so
+// a leaf that names no agent binds in the round after an agent restarts
+// under its name, and unbinds in the round after that agent takes another
+// name.
+func TestBudgetLeafRebindsAfterRename(t *testing.T) {
+	tr := newEchoTransport()
+	ctl, urls, tick := streamTestController(t, 3, 4, func(cfg *ControllerConfig) {
+		cfg.BudgetTree = "dc:900{agent-0,agent-1,agent-2}"
+		cfg.Client = &http.Client{Transport: tr}
+	})
+	encs := make([]*HeartbeatEncoder, len(urls))
+	rounds := 0
+	round := func(names ...string) *BudgetStatus {
+		t.Helper()
+		rounds++
+		for i, name := range names {
+			if encs[i] == nil || encs[i].agent != name {
+				encs[i] = NewHeartbeatEncoder(name, urls[i]) // a restart under name
+			}
+			// A restarted sender's first frame may be behind the agent's
+			// last; its resync ack carries the seq to continue from.
+			for attempt := 0; ; attempt++ {
+				frame, err := encs[i].Encode(streamTestStats(t, name), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ack := ctl.IngestHeartbeat(frame)
+				encs[i].Ack(ack)
+				if !ack.Reject && !ack.Resync {
+					break
+				}
+				if attempt > 0 {
+					t.Fatalf("round %d: %s's frame: %+v", rounds, name, ack)
+				}
+			}
+		}
+		tick()
+		ctl.Round(context.Background())
+		return ctl.Status().Budget
+	}
+	if b := round("agent-0", "agent-1", "agent-2-old"); b.Rebalances != 0 {
+		t.Fatalf("divided %d times with leaf agent-2 naming no agent", b.Rebalances)
+	}
+	b := round("agent-0", "agent-1", "agent-2")
+	if b.Rebalances != 1 {
+		t.Fatalf("%d divisions in the round after an agent was renamed agent-2, want 1", b.Rebalances)
+	}
+	tr.mu.Lock()
+	capW, pushed := tr.caps[urls[2]]
+	tr.mu.Unlock()
+	if share := b.Shares["agent-2"]; !pushed || capW != share {
+		t.Fatalf("renamed agent's cap %v (pushed %v), want its leaf's share %v", capW, pushed, share)
+	}
+	if b := round("agent-0", "agent-1", "agent-2-new"); b.Rebalances != 1 {
+		t.Fatalf("divided again (%d divisions) once agent-2 took another name", b.Rebalances)
+	}
+}

@@ -260,6 +260,12 @@ type Controller struct {
 	// round takes it with the due set and returns it, cleared, after the
 	// fold.
 	probes []probeResult
+
+	// laneMu guards lanes and fans, the RPC lanes and fan-out states no
+	// fan-out holds, kept for the next probe, push or trace-page fan-out.
+	laneMu sync.Mutex
+	lanes  []*rpcLane
+	fans   []*fanState
 }
 
 // NewController validates the configuration and builds a controller.
@@ -433,10 +439,12 @@ func (c *Controller) jitteredHeartbeat() time.Duration {
 // under the lock, then execute every push through the RPC fan-out with
 // the lock released. Only acknowledged pushes are recorded as agent state
 // — a failed push is re-derived and retried next round. Each RPC is
-// bounded by the request timeout. The probe fan-out is as wide as the due
-// set and grows past maxRPCWorkers workers only while probes block
-// (fanOut), so every stalled probe holds a worker of its own and the
-// probe phase costs one probe's attempts however many agents stall:
+// bounded by the request timeout from its own start. The probe fan-out is
+// as wide as the due set and grows past maxRPCWorkers workers only while
+// probes block (fanOut); a worker blocked in an RPC holds only that RPC,
+// since the others steal the rest of its run of targets, so every stalled
+// probe holds a worker of its own and the probe phase costs one probe's
+// attempts however many agents stall:
 // Retries+1 timeouts at worst. Pushes run on up to maxRPCWorkers workers
 // plus one for each push to an agent that missed its last report: S
 // pushes stalled on agents that reported cost ⌈S/maxRPCWorkers⌉
@@ -564,6 +572,9 @@ func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard t
 	if refit {
 		c.queueLocked(a)
 	}
+	if c.budget != nil && (!a.everSeen || a.name != report.Agent) {
+		c.budget.rebind = true // a leaf may name this agent now, or no longer
+	}
 	a.alive = true
 	a.everSeen = true
 	a.misses = 0
@@ -571,7 +582,9 @@ func (c *Controller) observeLocked(a *agentState, report *StatsResponse, heard t
 	a.lastHeard = heard
 	a.name = report.Agent
 	a.lc = report.LC
-	a.last = *report
+	if report != &a.last { // the stream fold copies the report in first
+		a.last = *report
+	}
 }
 
 // queueLocked queues an agent whose placement inputs changed, once, for
@@ -759,22 +772,24 @@ var (
 // connection for.
 const maxReplyDrain = 4 << 10
 
-// rpcLane is one RPC fan-out worker's request state. It lives for the
-// whole fan-out and owns what each RPC would otherwise build afresh: the
-// request context and the timer that bounds it, one *http.Request, the
-// POST body and its buffer, and the reply drain. So in steady state an
-// RPC allocates nothing on the controller. Only the lane's worker uses
-// it.
+// rpcLane is one RPC fan-out worker's request state. A worker takes a
+// lane when it finds its first target and returns it to the controller
+// when it finds no more, so lanes serve fan-out after fan-out. A lane owns
+// what each RPC would otherwise build afresh: the request context and the
+// deadline that bounds it, one *http.Request, the POST body and its
+// buffer, and the reply drain. So in steady state an RPC allocates nothing
+// on the controller. Only the worker holding the lane uses it.
 type rpcLane struct {
 	c      *Controller
-	parent context.Context // the fan-out's
-	// ctx bounds the RPC in flight: timer cancels it with cause
-	// context.DeadlineExceeded Timeout after the RPC starts, and is stopped
-	// when the RPC ends. A timer that fired has cancelled ctx, so the next
-	// RPC takes a fresh context and timer. Both are nil until the first RPC.
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-	timer  *time.Timer
+	parent context.Context // the fan-out's, which ctx derives from
+	// ctx bounds the lane's RPCs, each for Timeout from its own start
+	// (laneDeadline). A deadline that expired has cancelled ctx, so the
+	// next RPC derives a fresh context and deadline; so does a fan-out on
+	// a context other than parent. Both are nil until the first fan-out.
+	// Between fan-outs ctx stays registered on parent, which a fan-out on
+	// another context, or parent's end, releases.
+	ctx context.Context
+	dl  *laneDeadline
 	// req is bound to ctx. The RoundTripper contract releases a request
 	// once its reply body is closed, so the next RPC reuses it; a transport
 	// error leaves no reply to close, and the request is dropped.
@@ -830,31 +845,101 @@ func (l *rpcLane) rewind() (io.ReadCloser, error) {
 	return io.NopCloser(bytes.NewReader(b.buf)), nil
 }
 
-// arm starts the deadline of the lane's next RPC, Timeout from now.
-func (l *rpcLane) arm() {
-	if l.ctx != nil {
-		l.timer.Reset(l.c.cfg.Timeout)
+// laneDeadline bounds the RPCs on one lane context. Its timer is armed
+// once per fan-out, and each RPC stores its start in start, which the
+// timer reads: no RPC resets or stops the timer. When the timer fires it
+// cancels the context, with cause context.DeadlineExceeded, if the RPC
+// in flight has run for timeout, and otherwise re-arms for that RPC's
+// own deadline. Finding no RPC in flight, it parks the deadline instead
+// of re-arming, and the next RPC arms it again. So each RPC is cancelled
+// about timeout after its own start, and the timer fires about once a
+// timeout while its lane is busy. The other fields never change, so the
+// timer's callback shares only start with the lane.
+type laneDeadline struct {
+	timeout time.Duration
+	cancel  context.CancelCauseFunc
+	timer   *time.Timer
+	// start is the RPC in flight's start on laneClock, or laneIdle (no RPC
+	// in flight, the timer armed), laneParked (no RPC in flight, the timer
+	// stopped: the lane is between fan-outs or sat idle for a timeout) or
+	// laneExpired (the timer cancelled the context and will not fire
+	// again).
+	start atomic.Int64
+}
+
+// The laneDeadline.start values that are not a start time.
+const (
+	laneIdle = -1 - iota
+	laneParked
+	laneExpired
+)
+
+// laneEpoch is laneClock's origin.
+var laneEpoch = time.Now()
+
+// laneClock reads the monotonic clock, in nanoseconds since laneEpoch.
+func laneClock() int64 { return int64(time.Since(laneEpoch)) }
+
+// expire is the deadline timer's callback; see laneDeadline.
+func (d *laneDeadline) expire() {
+	for {
+		s := d.start.Load()
+		switch s {
+		case laneParked, laneExpired:
+			return
+		case laneIdle:
+			if d.start.CompareAndSwap(laneIdle, laneParked) {
+				return
+			}
+			continue // an RPC has started since the load
+		}
+		if left := d.timeout - time.Duration(laneClock()-s); left > 0 {
+			d.timer.Reset(left)
+			return
+		}
+		// The CAS fails if the RPC has ended since the load.
+		if d.start.CompareAndSwap(s, laneExpired) {
+			d.cancel(context.DeadlineExceeded)
+			return
+		}
+	}
+}
+
+// derive gives the lane a fresh context from parent, with an armed
+// deadline, and cancels the context it replaces, which releases it from
+// its parent. The request was bound to the old context, so it is dropped.
+func (l *rpcLane) derive(parent context.Context) {
+	if l.dl != nil {
+		l.dl.cancel(nil)
+	}
+	ctx, cancel := context.WithCancelCause(parent)
+	d := &laneDeadline{timeout: l.c.cfg.Timeout, cancel: cancel}
+	d.start.Store(laneIdle)
+	// Created unarmed and armed once d.timer is set, which the callback
+	// reads.
+	d.timer = time.AfterFunc(math.MaxInt64, d.expire)
+	d.timer.Reset(d.timeout)
+	l.parent, l.ctx, l.dl, l.req = parent, ctx, d, nil
+}
+
+// open readies the lane for a fan-out on ctx. It keeps the lane's context
+// and arms its deadline's timer, unless the lane has no context yet, its
+// last RPC expired it, or it derives from another: then it derives one.
+func (l *rpcLane) open(ctx context.Context) {
+	if l.dl == nil || l.parent != ctx || l.dl.start.Load() == laneExpired {
+		l.derive(ctx)
 		return
 	}
-	ctx, cancel := context.WithCancelCause(l.parent)
-	l.ctx, l.cancel, l.req = ctx, cancel, nil
-	l.timer = time.AfterFunc(l.c.cfg.Timeout, func() { cancel(context.DeadlineExceeded) })
+	l.dl.start.Store(laneIdle)
+	l.dl.timer.Reset(l.dl.timeout)
 }
 
-// disarm stops the deadline when the RPC ends. If the timer already
-// fired, it has cancelled ctx, so the next RPC takes fresh ones.
-func (l *rpcLane) disarm() {
-	if !l.timer.Stop() {
-		l.ctx = nil
-	}
-}
-
-// close ends the lane with its fan-out: it stops the timer and cancels
-// the lane's context, so no child stays registered on the fan-out's.
-func (l *rpcLane) close() {
-	if l.ctx != nil {
-		l.timer.Stop()
-		l.cancel(nil)
+// park takes the lane out of its fan-out: it stops the deadline's timer,
+// unless the timer has stopped itself, having parked or expired the
+// deadline. A timer that fires as it is stopped finds it parked.
+func (l *rpcLane) park() {
+	if l.dl.start.CompareAndSwap(laneIdle, laneParked) {
+		l.dl.timer.Stop()
 	}
 }
 
@@ -870,8 +955,15 @@ func (l *rpcLane) close() {
 // reply closed unread makes the transport drop its connection instead of
 // pooling it.
 func (l *rpcLane) call(u *url.URL, body []byte, read func(body io.Reader) error) error {
-	l.arm()
-	defer l.disarm()
+	if l.dl.start.Load() == laneExpired {
+		l.derive(l.parent)
+	}
+	start := laneClock()
+	if l.dl.start.Swap(start) == laneParked {
+		l.dl.timer.Reset(l.dl.timeout) // the lane sat idle for a timeout
+	}
+	// Fails, leaving laneExpired, if the deadline expired this RPC.
+	defer l.dl.start.CompareAndSwap(start, laneIdle)
 	req := l.req
 	if req == nil {
 		req = (&http.Request{Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1}).WithContext(l.ctx)
@@ -1113,67 +1205,224 @@ const maxRPCWorkers = 32
 
 // fanOut runs rpc for every target i in [0, n) on at most width
 // goroutines and returns when all are done. It starts min(width,
-// maxRPCWorkers) workers and grows past them only while RPCs block: a
+// maxRPCWorkers) workers, the calling goroutine among them, and splits
+// the targets into one contiguous run per worker. A worker takes the
+// bottom of its own run, with a CAS on a word alone on its cache line;
+// once its run is empty it steals the top half of the fullest run into
+// its own. So a fan-out whose RPCs return at once takes its targets with
+// no write another core reads, however many workers share it.
+//
+// The fan-out grows past its first workers only while RPCs block: a
 // worker that takes a target while targets remain, fewer than width
 // workers exist and every worker has taken one starts a spare, which
-// once it has taken a target may start the next. So at most one spare
+// once it has taken a target may start the next. A spare has no run and
+// steals one target at a time from the fullest. So at most one spare
 // waits to be scheduled at a time, a fan-out whose RPCs return at once
-// runs on about maxRPCWorkers goroutines however wide it is, and each
-// blocked RPC still gets a worker of its own, up to width. (A worker the
-// runtime parks, as in a GC assist, counts as blocked too.) A worker that
-// finds a target makes its RPCs on its own lane, whose context derives
-// from ctx and which lives until the fan-out ends; a worker that finds
-// none, as when the first workers drain a wide fan-out, takes no lane.
-// rpc must write its result into index-disjoint storage.
+// runs on about maxRPCWorkers goroutines however wide it is, a worker
+// blocked in an RPC holds only that RPC, and each blocked RPC still gets
+// a worker of its own, up to width. (A worker the runtime parks, as in a
+// GC assist, counts as blocked too.)
+//
+// A worker that finds a target makes its RPCs on a lane the controller
+// keeps across fan-outs (rpcLane), whose context derives from ctx, and
+// returns it when it finds no more; a worker that finds none, as when the
+// first workers drain a wide fan-out, takes no lane. rpc must write its
+// result into index-disjoint storage.
 func (c *Controller) fanOut(ctx context.Context, n, width int, rpc func(l *rpcLane, i int)) {
 	width = min(width, n)
 	if width < 1 {
 		return
 	}
-	upfront := int64(min(width, maxRPCWorkers))
-	// idle counts the workers started that have yet to take a target.
-	var next, workers, idle atomic.Int64
-	workers.Store(upfront)
-	idle.Store(upfront)
-	var wg sync.WaitGroup
-	var work func()
-	start := func() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+	upfront := min(width, maxRPCWorkers)
+	f := c.takeFan()
+	f.ctx, f.rpc, f.width = ctx, rpc, int64(width)
+	f.runs = f.runs[:upfront]
+	for w := range f.runs {
+		f.runs[w].span.Store(runSpan(w*n/upfront, (w+1)*n/upfront))
 	}
-	work = func() {
-		i := int(next.Add(1)) - 1
-		idle.Add(-1)
-		if i >= n {
-			return
-		}
-		l := &rpcLane{c: c, parent: ctx}
-		defer l.close()
-		for ; i < n; i = int(next.Add(1)) - 1 {
-			// Load before the CAS, so that while a worker is idle or the
-			// fan-out is at its width, taking a target writes nothing.
-			if idle.Load() == 0 && workers.Load() < int64(width) && next.Load() < int64(n) &&
-				idle.CompareAndSwap(0, 1) {
-				// Until the spare takes a target, idle reads 1 and no other
-				// worker gets here, so workers cannot move under the check.
-				if workers.Load() < int64(width) {
-					workers.Add(1)
-					start()
-				} else {
-					idle.Store(0)
-				}
+	f.workers.Store(int64(upfront))
+	f.idle.Store(int64(upfront))
+	for w := 1; w < upfront; w++ {
+		f.start(w)
+	}
+	f.work(0)
+	f.wg.Wait()
+	f.ctx, f.rpc = nil, nil
+	c.laneMu.Lock()
+	c.fans = append(c.fans, f)
+	c.laneMu.Unlock()
+}
+
+// fanState is one fan-out's shared state. The controller keeps it for the
+// next fan-out.
+type fanState struct {
+	c     *Controller
+	ctx   context.Context
+	rpc   func(l *rpcLane, i int)
+	width int64
+	runs  []targetRun // one per upfront worker; capacity maxRPCWorkers
+	// workers counts the workers started, and idle those yet to take a
+	// target: each changes only as a worker starts or takes its first.
+	workers, idle atomic.Int64
+	wg            sync.WaitGroup
+}
+
+// targetRun is an upfront worker's run of targets [lo, hi), packed into
+// one word (runSpan). The padding keeps each run's word on a cache line of
+// its own, so a worker taking from its own run writes no line another
+// worker reads.
+type targetRun struct {
+	span atomic.Uint64
+	_    [56]byte
+}
+
+// runSpan packs a run's bounds into its word, lo in the high half.
+func runSpan(lo, hi int) uint64 { return uint64(lo)<<32 | uint64(hi) }
+
+// spanBounds unpacks a run's word.
+func spanBounds(s uint64) (lo, hi int) { return int(s >> 32), int(uint32(s)) }
+
+// takeFan returns a kept fan-out state, or a new one.
+func (c *Controller) takeFan() *fanState {
+	c.laneMu.Lock()
+	f := pop(&c.fans)
+	c.laneMu.Unlock()
+	if f == nil {
+		f = &fanState{c: c, runs: make([]targetRun, 0, maxRPCWorkers)}
+	}
+	return f
+}
+
+// pop removes and returns the last of kept, or nil if it is empty.
+func pop[T any](kept *[]*T) *T {
+	k := len(*kept) - 1
+	if k < 0 {
+		return nil
+	}
+	v := (*kept)[k]
+	*kept = (*kept)[:k]
+	return v
+}
+
+// start starts the worker of runs[run], or with run -1 a spare.
+func (f *fanState) start(run int) {
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		f.work(run)
+	}()
+}
+
+// work is the worker of runs[run], or with run -1 a spare: it serves
+// targets on one lane until none is left.
+func (f *fanState) work(run int) {
+	i := f.take(run)
+	f.idle.Add(-1)
+	if i < 0 {
+		return
+	}
+	l := f.c.takeLane(f.ctx)
+	defer f.c.keepLane(l)
+	for ; i >= 0; i = f.take(run) {
+		// Load before the CAS, so that while a worker is idle or the
+		// fan-out is at its width, taking a target writes nothing shared.
+		if f.idle.Load() == 0 && f.workers.Load() < f.width && f.left() && f.idle.CompareAndSwap(0, 1) {
+			// Until the spare takes a target, idle reads 1 and no other
+			// worker gets here, so workers cannot move under the check.
+			if f.workers.Load() < f.width {
+				f.workers.Add(1)
+				f.start(-1)
+			} else {
+				f.idle.Store(0)
 			}
-			rpc(l, i)
+		}
+		f.rpc(l, i)
+	}
+}
+
+// take returns the next target for the worker of runs[run] (a spare's run
+// is -1): the bottom of its own run, else a stolen one. It returns -1 once
+// every run is empty.
+func (f *fanState) take(run int) int {
+	if run >= 0 {
+		r := &f.runs[run].span
+		for {
+			s := r.Load()
+			lo, hi := spanBounds(s)
+			if lo >= hi {
+				break
+			}
+			if r.CompareAndSwap(s, runSpan(lo+1, hi)) {
+				return lo
+			}
 		}
 	}
-	for w := int64(1); w < upfront; w++ {
-		start()
+	return f.steal(run)
+}
+
+// steal takes from the top of the fullest run: a spare one target, the
+// worker of runs[run] the top half, of which it returns the first and
+// makes the rest its own run. Only its worker fills a run, and only once
+// the run is empty, when no other worker writes its word. It returns -1
+// once every run is empty.
+func (f *fanState) steal(run int) int {
+	for {
+		var victim *atomic.Uint64
+		var s uint64
+		most := 0
+		for v := range f.runs {
+			w := f.runs[v].span.Load()
+			if lo, hi := spanBounds(w); hi-lo > most {
+				victim, s, most = &f.runs[v].span, w, hi-lo
+			}
+		}
+		if victim == nil {
+			return -1
+		}
+		k := 1
+		if run >= 0 {
+			k = (most + 1) / 2
+		}
+		lo, hi := spanBounds(s)
+		if !victim.CompareAndSwap(s, runSpan(lo, hi-k)) {
+			continue
+		}
+		if k > 1 {
+			f.runs[run].span.Store(runSpan(hi-k+1, hi))
+		}
+		return hi - k
 	}
-	work()
-	wg.Wait()
+}
+
+// left reports whether any run still holds a target.
+func (f *fanState) left() bool {
+	for v := range f.runs {
+		if lo, hi := spanBounds(f.runs[v].span.Load()); lo < hi {
+			return true
+		}
+	}
+	return false
+}
+
+// takeLane returns a kept lane, or a new one, opened for a fan-out on ctx.
+func (c *Controller) takeLane(ctx context.Context) *rpcLane {
+	c.laneMu.Lock()
+	l := pop(&c.lanes)
+	c.laneMu.Unlock()
+	if l == nil {
+		l = &rpcLane{c: c}
+	}
+	l.open(ctx)
+	return l
+}
+
+// keepLane parks a lane whose worker has finished and keeps it for the
+// next fan-out.
+func (c *Controller) keepLane(l *rpcLane) {
+	l.park()
+	c.laneMu.Lock()
+	c.lanes = append(c.lanes, l)
+	c.laneMu.Unlock()
 }
 
 // pushAll executes the round's pushes through the RPC fan-out and records

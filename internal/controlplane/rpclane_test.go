@@ -95,6 +95,51 @@ func TestPushAllocsFlat(t *testing.T) {
 	}
 }
 
+// keptLanes returns the set of lanes the controller keeps for its next
+// fan-out.
+func keptLanes(ctl *Controller) map[*rpcLane]bool {
+	ctl.laneMu.Lock()
+	defer ctl.laneMu.Unlock()
+	kept := make(map[*rpcLane]bool, len(ctl.lanes))
+	for _, l := range ctl.lanes {
+		kept[l] = true
+	}
+	return kept
+}
+
+// TestPushReusesLanes: the controller keeps its lanes across fan-outs. A
+// pushAll through barrierTransport, whose first maxRPCWorkers RPCs wait
+// for one another so that every worker makes one, builds maxRPCWorkers
+// lanes; a second pushAll runs on those and builds none.
+func TestPushReusesLanes(t *testing.T) {
+	tr := &barrierTransport{hold: maxRPCWorkers}
+	ctl, pushes := laneRig(t, 1024, time.Minute, tr)
+	ctx := context.Background()
+	var kept [2]map[*rpcLane]bool
+	for call := range kept {
+		tr.started.Store(0)
+		ctl.pushAll(ctx, pushes, 0)
+		for i, p := range pushes {
+			if p.err != nil {
+				t.Fatalf("pushAll %d: push %d not acknowledged: %v", call+1, i, p.err)
+			}
+		}
+		kept[call] = keptLanes(ctl)
+	}
+	if len(kept[0]) != maxRPCWorkers {
+		t.Fatalf("the first pushAll kept %d lanes, want %d", len(kept[0]), maxRPCWorkers)
+	}
+	built := 0
+	for l := range kept[1] {
+		if !kept[0][l] {
+			built++
+		}
+	}
+	if built > 0 || len(kept[1]) != len(kept[0]) {
+		t.Fatalf("the second pushAll built %d lanes and left %d kept, want none built and %d kept", built, len(kept[1]), len(kept[0]))
+	}
+}
+
 // stallHostTransport answers at once, except that a request to a host in
 // slow waits until its context ends and fails with the context's cause,
 // as net/http's Transport does. It signals entered as each stall starts.
@@ -286,6 +331,94 @@ func TestLaneDeadlinePerRPC(t *testing.T) {
 		if took[i] < timeout || took[i] > timeout+2*time.Second {
 			t.Errorf("push %d to a stalled agent took %v, want about the %v timeout", i, took[i], timeout)
 		}
+	}
+}
+
+// TestLaneDeadlineFromOwnStart: a lane arms its deadline's timer once per
+// fan-out, not per RPC, and still bounds each RPC from its own start. On
+// a lane kept from an earlier fan-out, an RPC that starts 0.9 × Timeout
+// after the lane's first RPC of the fan-out, and stalls, is cancelled
+// about Timeout after its own start, not at the first RPC's deadline. So
+// is one that stalls after the lane sat idle for longer than Timeout,
+// when the timer has found no RPC in flight and stopped.
+func TestLaneDeadlineFromOwnStart(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	tr := &stallHostTransport{slow: map[string]bool{"lane-agent-1": true, "lane-agent-3": true}}
+	ctl, pushes := laneRig(t, 4, timeout, tr)
+	ctx := context.Background()
+	var lanes [2]*rpcLane
+	ctl.fanOut(ctx, 1, 1, func(l *rpcLane, i int) {
+		lanes[0] = l
+		if err := l.push(&pushes[0]); err != nil {
+			t.Errorf("first fan-out's push: %v", err)
+		}
+	})
+	// One worker takes the targets in order: 0 and 2 answer at once, 1
+	// starts 0.9 × Timeout after 0, and 3 after an idle 1.5 × Timeout.
+	var first time.Time
+	var took [4]time.Duration
+	var errs [4]error
+	ctl.fanOut(ctx, 4, 1, func(l *rpcLane, i int) {
+		lanes[1] = l
+		switch i {
+		case 0:
+			first = time.Now()
+		case 1:
+			time.Sleep(time.Until(first.Add(timeout * 9 / 10)))
+		case 3:
+			time.Sleep(timeout * 3 / 2)
+		}
+		start := time.Now()
+		errs[i] = l.push(&pushes[i])
+		took[i] = time.Since(start)
+	})
+	if lanes[1] != lanes[0] {
+		t.Fatal("the second fan-out did not reuse the first one's lane")
+	}
+	for i, err := range errs {
+		if !tr.slow[pushes[i].agent.capURL.Host] {
+			if err != nil {
+				t.Errorf("push %d to a prompt agent: %v", i, err)
+			}
+			continue
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("push %d to a stalled agent: err %v, want a context deadline exceeded", i, err)
+		}
+		if took[i] < timeout || took[i] > timeout+timeout/2 {
+			t.Errorf("push %d to a stalled agent took %v; want about the %v timeout from its own start", i, took[i], timeout)
+		}
+	}
+}
+
+// TestFanOutStealsStalledRun: every target in the first worker's run
+// stalls until its deadline, on a fan-out of the push width and on one of
+// the probe width. The other workers steal the rest of that run while its
+// worker is blocked, so each stall holds a worker of its own and the
+// fan-out ends within one timeout, where a worker that kept its run to
+// itself would serve the stalls one after another.
+func TestFanOutStealsStalledRun(t *testing.T) {
+	const n, timeout = 10 * maxRPCWorkers, 200 * time.Millisecond
+	const run = n / maxRPCWorkers // the first worker's run is targets [0, run)
+	for _, width := range []int{maxRPCWorkers, n} {
+		t.Run(fmt.Sprintf("width-%d", width), func(t *testing.T) {
+			tr := &stallHostTransport{slow: make(map[string]bool, run)}
+			for i := 0; i < run; i++ {
+				tr.slow[fmt.Sprintf("lane-agent-%d", i)] = true
+			}
+			ctl, pushes := laneRig(t, n, timeout, tr)
+			start := time.Now()
+			errs, _ := runFanOut(t, context.Background(), ctl, pushes, width, time.Minute)
+			elapsed := time.Since(start)
+			for i, err := range errs {
+				if stalled := i < run; stalled != errors.Is(err, context.DeadlineExceeded) || !stalled && err != nil {
+					t.Errorf("push %d (stalled %v): %v", i, stalled, err)
+				}
+			}
+			if elapsed > timeout+timeout/2 {
+				t.Fatalf("fan-out with the first worker's %d targets stalled took %v, over one %v timeout", run, elapsed, timeout)
+			}
+		})
 	}
 }
 
