@@ -4,15 +4,17 @@
 // it repairs in place from their reported stats and models, and pushes
 // placements. Agents that miss K consecutive heartbeats are declared dead
 // and their best-effort work migrates to the survivors; recovered agents
-// rejoin automatically. While best-effort apps outnumber live agents, the
-// apps with the lowest best-case value wait unplaced.
+// rejoin automatically. Under polling each round probes an agent once,
+// and a probe that fails or outlasts -timeout is a missed heartbeat.
+// While best-effort apps outnumber live agents, the apps with the lowest
+// best-case value wait unplaced.
 //
 // Usage:
 //
 //	pocolo-controller -agents http://127.0.0.1:7001,http://127.0.0.1:7002 \
 //	                  [-be graph,lstm] [-listen :7100] [-heartbeat 1s] \
-//	                  [-timeout 500ms] [-dead-after 3] [-retries 1] \
-//	                  [-max-backoff 16s] [-jitter 0.2] [-seed 42] \
+//	                  [-timeout 500ms] [-dead-after 3] [-max-backoff 16s] \
+//	                  [-jitter 0.2] [-seed 42] \
 //	                  [-budget-tree 'dc:600{agent-a,agent-b}'] \
 //	                  [-trace cluster.jsonl] [-trace-events 4096] \
 //	                  [-transport stream] [-pod-size 64]
@@ -67,7 +69,6 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", time.Second, "agent poll interval")
 	timeout := flag.Duration("timeout", 0, "per-request timeout (default heartbeat/2)")
 	deadAfter := flag.Int("dead-after", 3, "consecutive missed heartbeats before an agent is declared dead")
-	retries := flag.Int("retries", 1, "probe retries within one round")
 	maxBackoff := flag.Duration("max-backoff", 0, "probe backoff cap for dead agents (default 16x heartbeat)")
 	jitter := flag.Float64("jitter", 0.2, "relative heartbeat jitter in [0, 1)")
 	seed := flag.Int64("seed", 42, "random seed for the heartbeat jitter")
@@ -117,7 +118,6 @@ func main() {
 		Heartbeat:     *heartbeat,
 		Timeout:       *timeout,
 		DeadAfter:     *deadAfter,
-		Retries:       *retries,
 		MaxBackoff:    *maxBackoff,
 		Jitter:        *jitter,
 		Seed:          *seed,

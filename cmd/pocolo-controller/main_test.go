@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"pocolo/internal/controlplane"
 )
@@ -21,6 +22,7 @@ func TestRunErrors(t *testing.T) {
 		{"no agents", "", "graph,lstm", badListen, controlplane.ControllerConfig{}, "-agents is required"},
 		{"stream without listen", agents, "graph,lstm", "", controlplane.ControllerConfig{Transport: controlplane.TransportStream}, "-transport stream needs -listen"},
 		{"empty best-effort app", agents, "graph,,lstm", badListen, controlplane.ControllerConfig{}, "empty best-effort app"},
+		{"negative timeout", agents, "graph,lstm", badListen, controlplane.ControllerConfig{Timeout: -time.Second}, "negative duration"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

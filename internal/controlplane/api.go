@@ -6,8 +6,8 @@
 // transports feed one liveness fold. From the reported stats the
 // controller keeps the BE×LC placement solved on a warm, pod-sharded
 // assignment engine (internal/cluster). It is failure-aware — per-request
-// timeouts, a retry budget, capped exponential probe backoff,
-// dead-after-K-misses detection — and migrates a dead server's best-effort
+// timeouts, capped exponential probe backoff, dead-after-K-misses
+// detection — and migrates a dead server's best-effort
 // work to the survivors, degrading to the last-known-good placement when
 // a solve fails or a majority of agents are unreachable.
 //

@@ -83,7 +83,6 @@ func benchController(b *testing.B, urls []string, transport string, client *http
 		PodSize:    64,
 		DeadAfter:  2,
 		Heartbeat:  time.Second,
-		Retries:    0,
 		Client:     client,
 		Obs:        reg,
 		BudgetTree: budgetTree,
@@ -103,14 +102,37 @@ func benchController(b *testing.B, urls []string, transport string, client *http
 	}
 }
 
-// delayTransport holds every RPC for rtt before benchTransport answers
-// it, standing in for a network round trip. The runtime's timers round
-// a short sleep up when no goroutine is runnable, so the benchmark
-// reports the mean hold it actually served as rtt_us.
+// delayTransport holds every RPC for rtt before next answers it,
+// standing in for a network round trip. The runtime's timers round a
+// short sleep up when no goroutine is runnable, so the benchmark reports
+// the mean hold it actually served as rtt_us (reportRTT).
 type delayTransport struct {
-	*benchTransport
+	next         http.RoundTripper
 	rtt          time.Duration
 	held, served atomic.Int64 // total hold (ns) and RPCs held
+}
+
+// withRTT returns next, or with a positive rtt next behind a
+// delayTransport, which it also returns.
+func withRTT(next http.RoundTripper, rtt time.Duration) (http.RoundTripper, *delayTransport) {
+	dt := &delayTransport{next: next, rtt: rtt}
+	if rtt <= 0 {
+		return next, dt
+	}
+	return dt, dt
+}
+
+// reset forgets the holds served so far, as of the benchmark's timer.
+func (dt *delayTransport) reset() {
+	dt.held.Store(0)
+	dt.served.Store(0)
+}
+
+// reportRTT reports the mean hold served since reset, if any.
+func (dt *delayTransport) reportRTT(b *testing.B) {
+	if n := dt.served.Load(); n > 0 {
+		b.ReportMetric(float64(dt.held.Load())/float64(n)/1e3, "rtt_us")
+	}
 }
 
 func (dt *delayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -124,7 +146,7 @@ func (dt *delayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	dt.held.Add(int64(time.Since(start)))
 	dt.served.Add(1)
-	return dt.benchTransport.RoundTrip(req)
+	return dt.next.RoundTrip(req)
 }
 
 // benchmarkPollRound measures one polling round at steady state: every
@@ -142,25 +164,18 @@ func benchmarkPollRound(b *testing.B, n int, reg *obs.Registry, rtt time.Duratio
 		}
 		bt.stats[urls[i]] = blob
 	}
-	var rt http.RoundTripper = bt
-	dt := &delayTransport{benchTransport: bt, rtt: rtt}
-	if rtt > 0 {
-		rt = dt
-	}
+	rt, dt := withRTT(bt, rtt)
 	ctl, tick := benchController(b, urls, TransportPoll, &http.Client{Transport: rt}, reg, "", nil)
 	ctx := context.Background()
 	ctl.Round(ctx) // discovery + solve + initial pushes, outside the timer
-	dt.held.Store(0)
-	dt.served.Store(0)
+	dt.reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick()
 		ctl.Round(ctx)
 	}
-	if n := dt.served.Load(); n > 0 {
-		b.ReportMetric(float64(dt.held.Load())/float64(n)/1e3, "rtt_us")
-	}
+	dt.reportRTT(b)
 }
 
 // benchmarkStreamRound measures one streaming round at steady state:
@@ -318,11 +333,12 @@ func benchBudgetTree(stats []StatsResponse, podSize int) string {
 // share each round, so the round divides the budget and pushes and
 // records one cap per agent. Each agent reports the cap it was last
 // pushed. This is the push path the unbudgeted stream round never
-// reaches.
-func benchmarkStreamBudgetRound(b *testing.B, n int) {
+// reaches. A positive rtt holds every push that long (delayTransport).
+func benchmarkStreamBudgetRound(b *testing.B, n int, rtt time.Duration) {
 	urls, stats := benchFleet(b, n)
 	ct := &capTransport{caps: make(map[string]float64, n)}
-	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: ct}, nil, benchBudgetTree(stats, 64), nil)
+	rt, dt := withRTT(ct, rtt)
+	ctl, tick := benchController(b, urls, TransportStream, &http.Client{Transport: rt}, nil, benchBudgetTree(stats, 64), nil)
 	encs := make([]*HeartbeatEncoder, n)
 	for i := range encs {
 		encs[i] = NewHeartbeatEncoder(stats[i].Agent, urls[i])
@@ -357,6 +373,7 @@ func benchmarkStreamBudgetRound(b *testing.B, n int) {
 		b.Fatalf("budget tree not dividing: %+v", st.Budget)
 	}
 	seq := uint64(1)
+	dt.reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for iter := 0; iter < b.N; iter++ {
@@ -370,10 +387,21 @@ func benchmarkStreamBudgetRound(b *testing.B, n int) {
 		ingest(seq)
 		ctl.Round(ctx)
 	}
+	dt.reportRTT(b)
 }
 
-func BenchmarkControllerRoundStreamBudget1k(b *testing.B) { benchmarkStreamBudgetRound(b, 1000) }
-func BenchmarkControllerRoundStreamBudget4k(b *testing.B) { benchmarkStreamBudgetRound(b, 4000) }
+func BenchmarkControllerRoundStreamBudget1k(b *testing.B) { benchmarkStreamBudgetRound(b, 1000, 0) }
+func BenchmarkControllerRoundStreamBudget4k(b *testing.B) { benchmarkStreamBudgetRound(b, 4000, 0) }
+
+// BenchmarkControllerRoundStreamBudgetRTT1k is the budgeted 1k stream
+// round with every push held for a network round trip: the in-memory
+// rows show the round's CPU, these show how much of each RTT the push
+// fan-out serializes.
+func BenchmarkControllerRoundStreamBudgetRTT1k(b *testing.B) {
+	for _, rtt := range []time.Duration{200 * time.Microsecond, time.Millisecond} {
+		b.Run(rtt.String(), func(b *testing.B) { benchmarkStreamBudgetRound(b, 1000, rtt) })
+	}
+}
 
 // benchmarkStreamChurnRound is the budgeted stream round with the churn
 // that makes the controller re-solve: replicas best-effort replicas, and

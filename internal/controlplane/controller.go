@@ -61,10 +61,6 @@ type ControllerConfig struct {
 	// DeadAfter is K: an alive agent missing K consecutive heartbeats is
 	// declared dead and its best-effort work is migrated (default 3).
 	DeadAfter int
-	// Retries is the per-probe retry budget within one round: a probe
-	// makes Retries+1 attempts. NewController applies no default, so 0
-	// means one attempt (pocolo-controller's -retries defaults to 1).
-	Retries int
 	// MaxBackoff caps the exponential probe backoff for dead agents
 	// (default 16×Heartbeat).
 	MaxBackoff time.Duration
@@ -291,6 +287,9 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.Heartbeat < 0 {
 		return nil, errors.New("controlplane: heartbeat must be positive")
 	}
+	if cfg.Timeout < 0 || cfg.MaxBackoff < 0 || cfg.RoundDeadline < 0 {
+		return nil, fmt.Errorf("controlplane: negative duration: timeout %v, max backoff %v, round deadline %v", cfg.Timeout, cfg.MaxBackoff, cfg.RoundDeadline)
+	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = cfg.Heartbeat / 2
 	}
@@ -299,9 +298,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	}
 	if cfg.DeadAfter < 1 {
 		return nil, errors.New("controlplane: dead-after must be at least 1")
-	}
-	if cfg.Retries < 0 {
-		return nil, errors.New("controlplane: retry budget must be non-negative")
 	}
 	if cfg.MaxBackoff == 0 {
 		cfg.MaxBackoff = 16 * cfg.Heartbeat
@@ -439,21 +435,11 @@ func (c *Controller) jitteredHeartbeat() time.Duration {
 // under the lock, then execute every push through the RPC fan-out with
 // the lock released. Only acknowledged pushes are recorded as agent state
 // — a failed push is re-derived and retried next round. Each RPC is
-// bounded by the request timeout from its own start. The probe fan-out is
-// as wide as the due set and grows past maxRPCWorkers workers only while
-// probes block (fanOut); a worker blocked in an RPC holds only that RPC,
-// since the others steal the rest of its run of targets, so every stalled
-// probe holds a worker of its own and the probe phase costs one probe's
-// attempts however many agents stall:
-// Retries+1 timeouts at worst. Pushes run on up to maxRPCWorkers workers
-// plus one for each push to an agent that missed its last report: S
-// pushes stalled on agents that reported cost ⌈S/maxRPCWorkers⌉
-// timeouts, any number to agents that missed cost one (an agent gets at
-// most two pushes a round: its assignment and its cap). Under poll an
-// agent that stalls on every request has missed by the time its pushes go
-// out, so however many agents do that a poll round costs at most
-// Retries+2 timeouts. Exposed for deterministic tests; Run calls it on
-// the jittered interval.
+// bounded by the request timeout from its own start, and every fan-out
+// gives each blocked RPC a worker of its own (fanOut), so a fan-out costs
+// at most one timeout however many agents stall: a poll round, which
+// probes and then pushes, at most two, and a stream round one. Exposed
+// for deterministic tests; Run calls it on the jittered interval.
 func (c *Controller) Round(ctx context.Context) {
 	now := c.now()
 	// Round timing is measured, not derived from the controller clock:
@@ -482,16 +468,10 @@ func (c *Controller) Round(ctx context.Context) {
 	}
 	pushes := c.budgetPushesLocked(now, c.assignPushesLocked(c.pushes[:0]))
 	c.pushes = nil
-	missed := 0
-	for _, p := range pushes {
-		if p.agent.missed() {
-			missed++
-		}
-	}
 	c.mu.Unlock()
 
 	if len(pushes) > 0 {
-		c.pushAll(ctx, pushes, missed)
+		c.pushAll(ctx, pushes)
 	}
 	c.mu.Lock()
 	c.recordPushesLocked(pushes)
@@ -503,8 +483,9 @@ func (c *Controller) Round(ctx context.Context) {
 }
 
 // probeResult is one poll probe's outcome. cache is the agent's probe
-// cache as pollProbe found it, and after the probe the one to install;
-// fast reports that the decoder's fast path took the body (decodeStats).
+// cache as pollProbe found it, and after a successful probe the one to
+// install; fast reports that the decoder's fast path took the body
+// (decodeStats).
 type probeResult struct {
 	agent *agentState
 	cache *statsCache
@@ -513,11 +494,8 @@ type probeResult struct {
 	err   error
 }
 
-// pollProbe probes every due agent on a fan-out as wide as the due set,
-// so a probe that blocks waits out its round trips and retries on a
-// worker of its own without holding up another's, where a bounded pool
-// would queue ⌈n/width⌉ network round trips on each lane; probes that
-// return at once share the fan-out's first maxRPCWorkers workers. Runs
+// pollProbe probes every due agent on one fan-out, one attempt each: a
+// failed probe is a miss, as a lost heartbeat is under stream. Runs
 // lock-free: the due set and each agent's probe cache are snapshotted
 // under the lock, the probes are not. The results live in the
 // controller's kept buffer, which the caller returns after the fold.
@@ -532,13 +510,9 @@ func (c *Controller) pollProbe(ctx context.Context, now time.Time) []probeResult
 	}
 	c.mu.Unlock()
 
-	c.fanOut(ctx, len(results), len(results), func(l *rpcLane, i int) { c.probe(l, &results[i]) })
+	c.fanOut(ctx, len(results), func(l *rpcLane, i int) { c.probe(l, &results[i]) })
 	return results
 }
-
-// missed reports whether the agent missed its last report: it is dead,
-// or alive with misses counting toward DeadAfter. Callers hold c.mu.
-func (a *agentState) missed() bool { return !a.alive || a.misses > 0 }
 
 // observeLocked folds one round's observation of one agent into its
 // liveness state, on either transport. A non-nil report, taken at heard,
@@ -698,35 +672,14 @@ func (c *Controller) applyProbesLocked(results []probeResult, now time.Time) {
 	}
 }
 
-// probe fetches an agent's stats into r on lane l, each attempt bounded
-// by the request timeout, retrying up to the configured budget with short
-// exponential spacing. r.cache is the agent's probe cache on entry and,
-// after a success, the one to install.
+// probe fetches an agent's stats into r on lane l, in one attempt
+// bounded by the request timeout. r.cache is the agent's probe cache on
+// entry and, after a success, the one to install.
 func (c *Controller) probe(l *rpcLane, r *probeResult) {
-	backoff := 10 * time.Millisecond
-	if max := c.cfg.Timeout / 8; max > 0 && backoff > max {
-		backoff = max
-	}
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-l.parent.Done():
-				r.err = l.parent.Err()
-				return
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-		}
-		var next *statsCache
-		r.err = l.call(r.agent.statsURL, nil, func(body io.Reader) (err error) {
-			next, r.fast, err = c.readStats(body, r.cache, &r.stats)
-			return err
-		})
-		if r.err == nil {
-			r.cache = next
-			return
-		}
-	}
+	r.err = l.call(r.agent.statsURL, nil, func(body io.Reader) (err error) {
+		r.cache, r.fast, err = c.readStats(body, r.cache, &r.stats)
+		return err
+	})
 }
 
 // statsBufs recycles the buffers probe bodies are read into.
@@ -1191,51 +1144,47 @@ func (c *Controller) assignPushesLocked(pushes []pendingPush) []pendingPush {
 	return pushes
 }
 
-// maxRPCWorkers is how many workers every RPC fan-out starts up front,
-// and the width of the push and trace-page fan-outs, which grow by one
-// worker for each target that missed its last report — the ones likeliest
-// to hold a worker for a whole timeout. Fresh stalls share the
-// maxRPCWorkers lanes, so S of them cost ⌈S/maxRPCWorkers⌉ timeouts;
-// targets that have missed never queue behind one another, so however
-// many are still stalled they cost one. The floor of one worker per
-// target (up to the cap) is deliberate: the pool must not degenerate to
-// a single lane on GOMAXPROCS=1, where one slow agent would serialize
-// every other agent's RPC behind its timeout.
+// maxRPCWorkers is how many workers every RPC fan-out (probes, pushes,
+// trace pages) starts up front, whatever GOMAXPROCS is: an RPC waits on
+// its agent, not on a core. A fan-out grows past them only while RPCs
+// block, up to one worker per target (fanOut), so no RPC queues behind a
+// stalled one and a fan-out costs at most one timeout however many
+// agents stall.
 const maxRPCWorkers = 32
 
-// fanOut runs rpc for every target i in [0, n) on at most width
-// goroutines and returns when all are done. It starts min(width,
-// maxRPCWorkers) workers, the calling goroutine among them, and splits
-// the targets into one contiguous run per worker. A worker takes the
-// bottom of its own run, with a CAS on a word alone on its cache line;
-// once its run is empty it steals the top half of the fullest run into
-// its own. So a fan-out whose RPCs return at once takes its targets with
-// no write another core reads, however many workers share it.
+// fanOut runs rpc for every target i in [0, n) and returns when all are
+// done. It starts min(n, maxRPCWorkers) workers, the calling goroutine
+// among them, and splits the targets into one contiguous run per worker.
+// A worker takes the bottom of its own run, with a CAS on a word alone on
+// its cache line; once its run is empty it steals the top half of the
+// fullest run into its own. So a fan-out whose RPCs return at once takes
+// its targets with no write another core reads, however many workers
+// share it.
 //
 // The fan-out grows past its first workers only while RPCs block: a
-// worker that takes a target while targets remain, fewer than width
-// workers exist and every worker has taken one starts a spare, which
-// once it has taken a target may start the next. A spare has no run and
-// steals one target at a time from the fullest. So at most one spare
-// waits to be scheduled at a time, a fan-out whose RPCs return at once
-// runs on about maxRPCWorkers goroutines however wide it is, a worker
-// blocked in an RPC holds only that RPC, and each blocked RPC still gets
-// a worker of its own, up to width. (A worker the runtime parks, as in a
-// GC assist, counts as blocked too.)
+// worker that takes a target while targets remain, fewer than n workers
+// exist and every worker has taken one starts a spare, which once it has
+// taken a target may start the next. A spare has no run and steals one
+// target at a time from the fullest. So at most one spare waits to be
+// scheduled at a time, a fan-out whose RPCs return at once runs on about
+// maxRPCWorkers goroutines however wide it is, a worker blocked in an RPC
+// holds only that RPC, and each blocked RPC still gets a worker of its
+// own: a fan-out costs at most one timeout however many of its RPCs
+// stall. (A worker the runtime parks, as in a GC assist, counts as
+// blocked too.)
 //
 // A worker that finds a target makes its RPCs on a lane the controller
 // keeps across fan-outs (rpcLane), whose context derives from ctx, and
 // returns it when it finds no more; a worker that finds none, as when the
 // first workers drain a wide fan-out, takes no lane. rpc must write its
 // result into index-disjoint storage.
-func (c *Controller) fanOut(ctx context.Context, n, width int, rpc func(l *rpcLane, i int)) {
-	width = min(width, n)
-	if width < 1 {
+func (c *Controller) fanOut(ctx context.Context, n int, rpc func(l *rpcLane, i int)) {
+	if n < 1 {
 		return
 	}
-	upfront := min(width, maxRPCWorkers)
+	upfront := min(n, maxRPCWorkers)
 	f := c.takeFan()
-	f.ctx, f.rpc, f.width = ctx, rpc, int64(width)
+	f.ctx, f.rpc, f.n = ctx, rpc, int64(n)
 	f.runs = f.runs[:upfront]
 	for w := range f.runs {
 		f.runs[w].span.Store(runSpan(w*n/upfront, (w+1)*n/upfront))
@@ -1256,11 +1205,11 @@ func (c *Controller) fanOut(ctx context.Context, n, width int, rpc func(l *rpcLa
 // fanState is one fan-out's shared state. The controller keeps it for the
 // next fan-out.
 type fanState struct {
-	c     *Controller
-	ctx   context.Context
-	rpc   func(l *rpcLane, i int)
-	width int64
-	runs  []targetRun // one per upfront worker; capacity maxRPCWorkers
+	c    *Controller
+	ctx  context.Context
+	rpc  func(l *rpcLane, i int)
+	n    int64       // targets, and the most workers
+	runs []targetRun // one per upfront worker; capacity maxRPCWorkers
 	// workers counts the workers started, and idle those yet to take a
 	// target: each changes only as a worker starts or takes its first.
 	workers, idle atomic.Int64
@@ -1325,11 +1274,12 @@ func (f *fanState) work(run int) {
 	defer f.c.keepLane(l)
 	for ; i >= 0; i = f.take(run) {
 		// Load before the CAS, so that while a worker is idle or the
-		// fan-out is at its width, taking a target writes nothing shared.
-		if f.idle.Load() == 0 && f.workers.Load() < f.width && f.left() && f.idle.CompareAndSwap(0, 1) {
+		// fan-out has a worker per target, taking a target writes nothing
+		// shared.
+		if f.idle.Load() == 0 && f.workers.Load() < f.n && f.left() && f.idle.CompareAndSwap(0, 1) {
 			// Until the spare takes a target, idle reads 1 and no other
 			// worker gets here, so workers cannot move under the check.
-			if f.workers.Load() < f.width {
+			if f.workers.Load() < f.n {
 				f.workers.Add(1)
 				f.start(-1)
 			} else {
@@ -1426,15 +1376,14 @@ func (c *Controller) keepLane(l *rpcLane) {
 }
 
 // pushAll executes the round's pushes through the RPC fan-out and records
-// each one's outcome in its err; missed counts the pushes whose agent
-// missed its last report. Each RPC is bounded by the request timeout, so
-// S pushes stalled on agents that reported last round delay the round by
-// at most ⌈S/maxRPCWorkers⌉ timeouts, and any number stalled on agents
-// that missed by one — not one timeout per slow agent, as a serial push
-// loop would. Log lines are emitted after the join, in push order, so
-// interleaving stays deterministic for log-capturing tests.
-func (c *Controller) pushAll(ctx context.Context, pushes []pendingPush, missed int) {
-	c.fanOut(ctx, len(pushes), maxRPCWorkers+missed, func(l *rpcLane, i int) {
+// each one's outcome in its err. Each RPC is bounded by the request
+// timeout and each blocked one holds a worker of its own, so pushes
+// stalled on any number of agents delay the round by one timeout at most
+// — not one timeout per slow agent, as a serial push loop would. Log
+// lines are emitted after the join, in push order, so interleaving stays
+// deterministic for log-capturing tests.
+func (c *Controller) pushAll(ctx context.Context, pushes []pendingPush) {
+	c.fanOut(ctx, len(pushes), func(l *rpcLane, i int) {
 		pushes[i].err = l.push(&pushes[i])
 	})
 	for _, p := range pushes {
@@ -1573,12 +1522,11 @@ func (c *Controller) Tracer() *trace.Tracer { return c.tracer }
 // fresh events — folds them into the controller's accumulated cluster
 // timeline, merges in the controller's own decision events, and returns
 // the combined timeline in canonical (time, host, seq) order. Agents are
-// paged concurrently on the pushes' fan-out width (maxRPCWorkers), so k
-// stalled agents cost the call ⌈k/maxRPCWorkers⌉ timeouts at most, not
-// k; unlike a worker per agent, the bound also caps the pages in flight.
-// Unreachable agents are skipped (their cursor does not advance past the
-// last page fetched, so nothing still in their ring is lost) and retried
-// on the next call.
+// paged on one fan-out, where each stalled agent holds a worker of its
+// own, so stalled agents, however many, add one timeout to the call, not
+// one each. Unreachable agents are skipped (their cursor does not
+// advance past the last page fetched, so nothing still in their ring is
+// lost) and retried on the next call.
 func (c *Controller) CollectTrace(ctx context.Context) []trace.Event {
 	type target struct {
 		url    string
@@ -1588,18 +1536,14 @@ func (c *Controller) CollectTrace(ctx context.Context) []trace.Event {
 	}
 	c.mu.Lock()
 	targets := make([]target, 0, len(c.agents))
-	missed := 0
 	for _, a := range c.agents {
 		if a.alive {
 			targets = append(targets, target{url: a.url, since: c.cursors[a.url]})
-			if a.missed() {
-				missed++
-			}
 		}
 	}
 	c.mu.Unlock()
 
-	c.fanOut(ctx, len(targets), maxRPCWorkers+missed, func(l *rpcLane, i int) {
+	c.fanOut(ctx, len(targets), func(l *rpcLane, i int) {
 		t := &targets[i]
 		for {
 			var page TraceResponse

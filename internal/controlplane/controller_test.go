@@ -77,7 +77,6 @@ func newTestCluster(t *testing.T, lcs []string, bes []string, mutate func(*Contr
 		Heartbeat: 10 * time.Millisecond,
 		Timeout:   2 * time.Second,
 		DeadAfter: 2,
-		Retries:   0,
 		Seed:      3,
 		Logf:      t.Logf,
 	}
@@ -112,7 +111,9 @@ func TestNewControllerValidation(t *testing.T) {
 		{"duplicate best-effort app", ControllerConfig{AgentURLs: []string{"http://a"}, BE: []string{"graph", "graph", "lstm"}}},
 		{"negative heartbeat", ControllerConfig{AgentURLs: []string{"http://a"}, Heartbeat: -time.Second}},
 		{"negative dead-after", ControllerConfig{AgentURLs: []string{"http://a"}, DeadAfter: -1}},
-		{"negative retries", ControllerConfig{AgentURLs: []string{"http://a"}, Retries: -1}},
+		{"negative timeout", ControllerConfig{AgentURLs: []string{"http://a"}, Timeout: -time.Second}},
+		{"negative max backoff", ControllerConfig{AgentURLs: []string{"http://a"}, MaxBackoff: -time.Second}},
+		{"negative round deadline", ControllerConfig{AgentURLs: []string{"http://a"}, RoundDeadline: -time.Second}},
 		{"bad jitter", ControllerConfig{AgentURLs: []string{"http://a"}, Jitter: 1.5}},
 		{"retired solver", ControllerConfig{AgentURLs: []string{"http://a"}, Solver: "lp"}},
 		{"malformed url", ControllerConfig{AgentURLs: []string{"http://a b:7001"}}},
@@ -601,7 +602,7 @@ func TestRPCErrorText(t *testing.T) {
 	ctl.pushAll(context.Background(), []pendingPush{
 		{kind: pushCap, agent: a0, url: a0.url, name: a0.name, capW: 150},
 		{kind: pushAssign, agent: a0, url: a0.url, name: a0.name, be: "lstm"},
-	}, 0)
+	})
 	want := []string{
 		`cap 150.0W to http://a0 (http://a0) failed: Post "http://a0/v1/cap": connection refused`,
 		`assign "lstm" to http://a0 (http://a0) failed: Post "http://a0/v1/assign": connection refused`,
@@ -682,7 +683,7 @@ func TestRPCReusesConnections(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		pushes := []pendingPush{{kind: pushCap, agent: a, url: a.url, name: a.name, capW: 150}}
-		if ctl.pushAll(ctx, pushes, 0); pushes[0].err != nil {
+		if ctl.pushAll(ctx, pushes); pushes[0].err != nil {
 			t.Fatalf("push %d not acknowledged: %v", i, pushes[0].err)
 		}
 		ctl.CollectTrace(ctx)
@@ -718,7 +719,7 @@ func TestRPCBoundsOversizedReply(t *testing.T) {
 	tr.read.Store(0)
 	a := ctl.agents[0]
 	pushes := []pendingPush{{kind: pushCap, agent: a, url: a.url, name: a.name, capW: 150}}
-	if ctl.pushAll(ctx, pushes, 0); pushes[0].err != nil {
+	if ctl.pushAll(ctx, pushes); pushes[0].err != nil {
 		t.Errorf("push answered 200 not acknowledged: %v", pushes[0].err)
 	}
 	if got := tr.read.Load(); got > maxReplyDrain {
@@ -787,29 +788,27 @@ func (s *probeStallTransport) RoundTrip(req *http.Request) (*http.Response, erro
 // TestManySlowProbesRoundBound is the poll twin of
 // TestManySlowAgentsRoundBound. After a healthy round, 66 of 70 agents
 // stall on every request until they die. Every probe runs on its own
-// worker, so each stalled round's probe phase costs one probe's
-// Retries+1 attempts; with a budget cut pending a cap push to every
-// agent, the pushes go to agents that have just missed, one worker each,
-// for one timeout more. Each round must end within that cost plus half
-// a timeout. A fan-out that queued the 66 stalls on maxRPCWorkers lanes
-// would take ⌈66/32⌉ = 3 timeouts per phase or attempt instead of one.
+// worker, so each stalled round's probe phase costs one timeout; with a
+// budget cut pending a cap push to every agent, the pushes go out on one
+// worker each, for one timeout more. Each round must end within that
+// cost plus half a timeout. A fan-out that queued the 66 stalls on
+// maxRPCWorkers lanes would take ⌈66/32⌉ = 3 timeouts per phase instead
+// of one.
 func TestManySlowProbesRoundBound(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		retries int
-		cut     bool // a budget cut leaves a cap push pending to each agent
+		name string
+		cut  bool // a budget cut leaves a cap push pending to each agent
 	}{
-		{"push-pending", 0, true},
-		{"push-pending-retry", 1, true},
-		{"no-push-retry", 1, false},
+		{"push-pending", true},
+		{"no-push", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkSlowProbesRoundBound(t, tc.retries, tc.cut)
+			checkSlowProbesRoundBound(t, tc.cut)
 		})
 	}
 }
 
-func checkSlowProbesRoundBound(t *testing.T, retries int, cut bool) {
+func checkSlowProbesRoundBound(t *testing.T, cut bool) {
 	const n, fast, deadAfter = 70, 4, 3
 	const timeout = 200 * time.Millisecond
 	names := make([]string, n)
@@ -821,7 +820,6 @@ func checkSlowProbesRoundBound(t *testing.T, retries int, cut bool) {
 		cfg.Transport = TransportPoll
 		cfg.DeadAfter = deadAfter
 		cfg.Timeout = timeout
-		cfg.Retries = retries
 		if cut {
 			cfg.BudgetTree = "dc:9000{" + strings.Join(names, ",") + "}"
 		}
@@ -851,7 +849,7 @@ func checkSlowProbesRoundBound(t *testing.T, retries int, cut bool) {
 	}
 	tr.stalled.Store(true)
 
-	timeouts := time.Duration(retries + 1)
+	timeouts := time.Duration(1)
 	if cut {
 		timeouts++
 	}
@@ -863,7 +861,7 @@ func checkSlowProbesRoundBound(t *testing.T, retries int, cut bool) {
 		ctl.Round(ctx)
 		elapsed := time.Since(start)
 		if elapsed > bound {
-			t.Fatalf("stalled round %d took %v with %d stalled agents (timeout %v, retries %d), over the %v bound", r, elapsed, len(tr.slow), timeout, retries, bound)
+			t.Fatalf("stalled round %d took %v with %d stalled agents (timeout %v), over the %v bound", r, elapsed, len(tr.slow), timeout, bound)
 		}
 		if r == 1 && tr.acked.Load()-before != wantPushes {
 			t.Fatalf("stalled round 1 acknowledged %d cap pushes, want %d", tr.acked.Load()-before, wantPushes)

@@ -45,7 +45,6 @@ func TestE2ELoopbackKillOneAgent(t *testing.T) {
 		Heartbeat: 25 * time.Millisecond,
 		Timeout:   2 * time.Second,
 		DeadAfter: deadAfter,
-		Retries:   0,
 		Seed:      5,
 		Logf:      t.Logf,
 	})

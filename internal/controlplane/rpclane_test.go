@@ -50,8 +50,8 @@ var emptyOK = &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: 
 
 // barrierTransport acknowledges every RPC with emptyOK and allocates
 // nothing: it closes each request body unread. The first hold RPCs of a
-// fan-out wait until hold are in flight, so every lane makes an RPC
-// however its goroutine is scheduled.
+// fan-out wait until hold are in flight, or fail at their deadline, so
+// every lane makes an RPC however its goroutine is scheduled.
 type barrierTransport struct {
 	hold    int64
 	started atomic.Int64
@@ -63,6 +63,9 @@ func (b *barrierTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 	}
 	if b.started.Add(1) <= b.hold {
 		for b.started.Load() < b.hold {
+			if err := context.Cause(req.Context()); err != nil {
+				return nil, err
+			}
 			runtime.Gosched()
 		}
 	}
@@ -72,7 +75,8 @@ func (b *barrierTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 // TestPushAllocsFlat: through a RoundTripper that allocates nothing, the
 // push fan-out allocates as many objects for 1,024 cap pushes as for 64.
 // Its lanes own each RPC's deadline, request, body and drain, so what it
-// allocates is per lane, and both sizes run maxRPCWorkers lanes.
+// allocates is per worker, and both sizes start maxRPCWorkers workers and
+// the one spare their barrier-held RPCs call for.
 func TestPushAllocsFlat(t *testing.T) {
 	perPushAll := func(n int) float64 {
 		tr := &barrierTransport{hold: maxRPCWorkers}
@@ -80,7 +84,7 @@ func TestPushAllocsFlat(t *testing.T) {
 		ctx := context.Background()
 		return testing.AllocsPerRun(20, func() {
 			tr.started.Store(0)
-			ctl.pushAll(ctx, pushes, 0)
+			ctl.pushAll(ctx, pushes)
 			for i, p := range pushes {
 				if p.err != nil {
 					t.Fatalf("push %d of %d not acknowledged: %v", i, n, p.err)
@@ -108,17 +112,18 @@ func keptLanes(ctl *Controller) map[*rpcLane]bool {
 }
 
 // TestPushReusesLanes: the controller keeps its lanes across fan-outs. A
-// pushAll through barrierTransport, whose first maxRPCWorkers RPCs wait
-// for one another so that every worker makes one, builds maxRPCWorkers
+// pushAll of 64 pushes through barrierTransport, whose 64 RPCs wait for
+// one another so that the fan-out grows a worker per push, builds 64
 // lanes; a second pushAll runs on those and builds none.
 func TestPushReusesLanes(t *testing.T) {
-	tr := &barrierTransport{hold: maxRPCWorkers}
-	ctl, pushes := laneRig(t, 1024, time.Minute, tr)
+	const n = 64
+	tr := &barrierTransport{hold: n}
+	ctl, pushes := laneRig(t, n, time.Minute, tr)
 	ctx := context.Background()
 	var kept [2]map[*rpcLane]bool
 	for call := range kept {
 		tr.started.Store(0)
-		ctl.pushAll(ctx, pushes, 0)
+		ctl.pushAll(ctx, pushes)
 		for i, p := range pushes {
 			if p.err != nil {
 				t.Fatalf("pushAll %d: push %d not acknowledged: %v", call+1, i, p.err)
@@ -126,8 +131,8 @@ func TestPushReusesLanes(t *testing.T) {
 		}
 		kept[call] = keptLanes(ctl)
 	}
-	if len(kept[0]) != maxRPCWorkers {
-		t.Fatalf("the first pushAll kept %d lanes, want %d", len(kept[0]), maxRPCWorkers)
+	if len(kept[0]) != n {
+		t.Fatalf("the first pushAll kept %d lanes, want %d", len(kept[0]), n)
 	}
 	built := 0
 	for l := range kept[1] {
@@ -163,20 +168,23 @@ func (s *stallHostTransport) RoundTrip(req *http.Request) (*http.Response, error
 	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: http.NoBody, Request: req}, nil
 }
 
-// runFanOut runs pushes on a fan-out of the given width and returns each
-// push's error and duration, failing the test if the fan-out does not
-// return within limit.
-func runFanOut(t *testing.T, ctx context.Context, ctl *Controller, pushes []pendingPush, width int, limit time.Duration) ([]error, []time.Duration) {
+// runFanOut runs pushes on a fan-out of the given number of targets,
+// target w making pushes w, w+targets, w+2·targets, … in turn on its
+// worker's lane, and returns each push's error and duration, failing the
+// test if the fan-out does not return within limit.
+func runFanOut(t *testing.T, ctx context.Context, ctl *Controller, pushes []pendingPush, targets int, limit time.Duration) ([]error, []time.Duration) {
 	t.Helper()
 	errs := make([]error, len(pushes))
 	took := make([]time.Duration, len(pushes))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ctl.fanOut(ctx, len(pushes), width, func(l *rpcLane, i int) {
-			start := time.Now()
-			errs[i] = l.push(&pushes[i])
-			took[i] = time.Since(start)
+		ctl.fanOut(ctx, targets, func(l *rpcLane, w int) {
+			for i := w; i < len(pushes); i += targets {
+				start := time.Now()
+				errs[i] = l.push(&pushes[i])
+				took[i] = time.Since(start)
+			}
 		})
 	}()
 	select {
@@ -204,44 +212,67 @@ func statsOK(req *http.Request) *http.Response {
 type peakGoroutinesTransport struct{ peak atomic.Int64 }
 
 func (g *peakGoroutinesTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
 	raiseTo(&g.peak, int64(runtime.NumGoroutine()))
 	return statsOK(req), nil
 }
 
-// TestProbeFanOutStaysNarrow: a 1,000-agent probe fan-out whose RPCs
-// return at once runs on at most maxRPCWorkers+1 workers, the calling
-// goroutine among them: its workers never block, so it never needs a
-// second spare, where a worker per due agent would start 1,000. The
+// probeOrPush runs one fan-out over ctl's agents, of kind "probe"
+// (pollProbe) or "push" (pushAll of pushes), and returns each RPC's
+// error.
+func probeOrPush(ctl *Controller, pushes []pendingPush, kind string) []error {
+	var errs []error
+	if kind == "push" {
+		ctl.pushAll(context.Background(), pushes)
+		for _, p := range pushes {
+			errs = append(errs, p.err)
+		}
+		return errs
+	}
+	for _, r := range ctl.pollProbe(context.Background(), time.Now()) {
+		errs = append(errs, r.err)
+	}
+	return errs
+}
+
+// TestProbeFanOutStaysNarrow: a 1,000-agent probe or push fan-out whose
+// RPCs return at once runs on at most maxRPCWorkers+1 workers, the
+// calling goroutine among them: its workers never block, so it never
+// needs a second spare, where a worker per target would start 1,000. The
 // collector is held off during the fan-out: a GC assist parks an
 // allocating worker, which the fan-out cannot tell from a blocked RPC.
 func TestProbeFanOutStaysNarrow(t *testing.T) {
 	const n = 1000
-	tr := &peakGoroutinesTransport{}
-	ctl, _ := laneRig(t, n, time.Minute, tr)
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	base := int64(runtime.NumGoroutine())
-	results := ctl.pollProbe(context.Background(), time.Now())
-	if len(results) != n {
-		t.Fatalf("%d probes, want %d", len(results), n)
-	}
-	for i, r := range results {
-		if r.err != nil {
-			t.Fatalf("probe %d: %v", i, r.err)
-		}
-	}
-	if extra := tr.peak.Load() - base; extra > maxRPCWorkers {
-		t.Fatalf("probe fan-out of %d prompt RPCs ran %d goroutines besides the caller, want at most %d", n, extra, maxRPCWorkers)
+	for _, kind := range []string{"probe", "push"} {
+		t.Run(kind, func(t *testing.T) {
+			tr := &peakGoroutinesTransport{}
+			ctl, pushes := laneRig(t, n, time.Minute, tr)
+			runtime.GC()
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			base := int64(runtime.NumGoroutine())
+			errs := probeOrPush(ctl, pushes, kind)
+			if len(errs) != n {
+				t.Fatalf("%d RPCs, want %d", len(errs), n)
+			}
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("%s %d: %v", kind, i, err)
+				}
+			}
+			if extra := tr.peak.Load() - base; extra > maxRPCWorkers {
+				t.Fatalf("%s fan-out of %d prompt RPCs ran %d goroutines besides the caller, want at most %d", kind, n, extra, maxRPCWorkers)
+			}
+		})
 	}
 }
 
 // inFlightTransport answers every request with statsOK and records the
-// most RPCs it saw in flight. Each of the first hold RPCs waits until
-// hold have arrived, or fails at its own deadline; every later one waits
-// rest.
+// most RPCs it saw in flight. Each RPC waits until hold have arrived, or
+// fails at its own deadline.
 type inFlightTransport struct {
 	hold     int64
-	rest     time.Duration
 	released chan struct{}
 	entered  atomic.Int64
 	in, peak atomic.Int64
@@ -253,66 +284,48 @@ func (f *inFlightTransport) RoundTrip(req *http.Request) (*http.Response, error)
 	}
 	raiseTo(&f.peak, f.in.Add(1))
 	defer f.in.Add(-1)
-	if e := f.entered.Add(1); e <= f.hold {
-		if e == f.hold {
-			close(f.released)
-		}
-		select {
-		case <-f.released:
-		case <-req.Context().Done():
-			return nil, context.Cause(req.Context())
-		}
-	} else {
-		time.Sleep(f.rest)
+	if f.entered.Add(1) == f.hold {
+		close(f.released)
+	}
+	select {
+	case <-f.released:
+	case <-req.Context().Done():
+		return nil, context.Cause(req.Context())
 	}
 	return statsOK(req), nil
 }
 
-// TestProbeFanOutGrowsPastBlockedRPCs: a 200-wide probe fan-out whose
-// RPCs each wait until all 200 are in flight completes: each blocked
-// probe gets a worker of its own, so the probes wait together, not
-// ⌈200/maxRPCWorkers⌉ timeouts in turn.
+// TestProbeFanOutGrowsPastBlockedRPCs: a fan-out of 200 probes, or of
+// 120 pushes, whose RPCs each wait until all are in flight completes:
+// each blocked RPC gets a worker of its own, so the RPCs wait together,
+// not ⌈n/maxRPCWorkers⌉ timeouts in turn.
 func TestProbeFanOutGrowsPastBlockedRPCs(t *testing.T) {
-	const n = 200
-	tr := &inFlightTransport{hold: n, released: make(chan struct{})}
-	ctl, _ := laneRig(t, n, 10*time.Second, tr)
-	start := time.Now()
-	results := ctl.pollProbe(context.Background(), time.Now())
-	for i, r := range results {
-		if r.err != nil {
-			t.Fatalf("probe %d of %d after %v: %v", i, n, time.Since(start), r.err)
-		}
-	}
-	if got := tr.peak.Load(); got != n {
-		t.Fatalf("%d probes in flight at most, want %d", got, n)
-	}
-}
-
-// TestPushFanOutWidth: a push fan-out with 5 targets that missed their
-// last report grows to maxRPCWorkers+5 workers while its RPCs block, and
-// never has more RPCs than that in flight.
-func TestPushFanOutWidth(t *testing.T) {
-	const n, missed = 120, 5
-	const width = maxRPCWorkers + missed
-	tr := &inFlightTransport{hold: width, rest: time.Millisecond, released: make(chan struct{})}
-	ctl, pushes := laneRig(t, n, 10*time.Second, tr)
-	ctl.pushAll(context.Background(), pushes, missed)
-	for i, p := range pushes {
-		if p.err != nil {
-			t.Fatalf("push %d of %d: %v", i, n, p.err)
-		}
-	}
-	if got := tr.peak.Load(); got != width {
-		t.Fatalf("%d pushes in flight at most, want %d", got, width)
+	for _, tc := range []struct {
+		kind string
+		n    int
+	}{{"probe", 200}, {"push", 120}} {
+		t.Run(tc.kind, func(t *testing.T) {
+			tr := &inFlightTransport{hold: int64(tc.n), released: make(chan struct{})}
+			ctl, pushes := laneRig(t, tc.n, 10*time.Second, tr)
+			start := time.Now()
+			for i, err := range probeOrPush(ctl, pushes, tc.kind) {
+				if err != nil {
+					t.Fatalf("%s %d of %d after %v: %v", tc.kind, i, tc.n, time.Since(start), err)
+				}
+			}
+			if got := tr.peak.Load(); got != int64(tc.n) {
+				t.Fatalf("%d %ss in flight at most, want %d", got, tc.kind, tc.n)
+			}
+		})
 	}
 }
 
-// TestLaneDeadlinePerRPC: on a one-lane fan-out every RPC is bounded by
-// the request timeout from its own start. A push to an agent that stalls
-// until its context ends fails after about Timeout with a deadline error
-// that reads as one; the lane's next pushes succeed, which a lane that
-// kept its fired context would fail at once; and a later stall is again
-// bounded from its own start.
+// TestLaneDeadlinePerRPC: on a one-target fan-out, which makes every push
+// on one lane, every RPC is bounded by the request timeout from its own
+// start. A push to an agent that stalls until its context ends fails
+// after about Timeout with a deadline error that reads as one; the lane's
+// next pushes succeed, which a lane that kept its fired context would
+// fail at once; and a later stall is again bounded from its own start.
 func TestLaneDeadlinePerRPC(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	tr := &stallHostTransport{slow: map[string]bool{"lane-agent-0": true, "lane-agent-3": true}}
@@ -347,30 +360,32 @@ func TestLaneDeadlineFromOwnStart(t *testing.T) {
 	ctl, pushes := laneRig(t, 4, timeout, tr)
 	ctx := context.Background()
 	var lanes [2]*rpcLane
-	ctl.fanOut(ctx, 1, 1, func(l *rpcLane, i int) {
+	ctl.fanOut(ctx, 1, func(l *rpcLane, _ int) {
 		lanes[0] = l
 		if err := l.push(&pushes[0]); err != nil {
 			t.Errorf("first fan-out's push: %v", err)
 		}
 	})
-	// One worker takes the targets in order: 0 and 2 answer at once, 1
+	// One target makes the pushes in order: 0 and 2 answer at once, 1
 	// starts 0.9 × Timeout after 0, and 3 after an idle 1.5 × Timeout.
 	var first time.Time
 	var took [4]time.Duration
 	var errs [4]error
-	ctl.fanOut(ctx, 4, 1, func(l *rpcLane, i int) {
+	ctl.fanOut(ctx, 1, func(l *rpcLane, _ int) {
 		lanes[1] = l
-		switch i {
-		case 0:
-			first = time.Now()
-		case 1:
-			time.Sleep(time.Until(first.Add(timeout * 9 / 10)))
-		case 3:
-			time.Sleep(timeout * 3 / 2)
+		for i := range pushes {
+			switch i {
+			case 0:
+				first = time.Now()
+			case 1:
+				time.Sleep(time.Until(first.Add(timeout * 9 / 10)))
+			case 3:
+				time.Sleep(timeout * 3 / 2)
+			}
+			start := time.Now()
+			errs[i] = l.push(&pushes[i])
+			took[i] = time.Since(start)
 		}
-		start := time.Now()
-		errs[i] = l.push(&pushes[i])
-		took[i] = time.Since(start)
 	})
 	if lanes[1] != lanes[0] {
 		t.Fatal("the second fan-out did not reuse the first one's lane")
@@ -392,41 +407,39 @@ func TestLaneDeadlineFromOwnStart(t *testing.T) {
 }
 
 // TestFanOutStealsStalledRun: every target in the first worker's run
-// stalls until its deadline, on a fan-out of the push width and on one of
-// the probe width. The other workers steal the rest of that run while its
-// worker is blocked, so each stall holds a worker of its own and the
-// fan-out ends within one timeout, where a worker that kept its run to
-// itself would serve the stalls one after another.
+// stalls until its deadline. The other workers steal the rest of that
+// run while its worker is blocked, so each stall holds a worker of its
+// own and the fan-out ends within one timeout, where a worker that kept
+// its run to itself would serve the stalls one after another. A fan-out's
+// width is its target count, n: it grows to at most one worker a target.
 func TestFanOutStealsStalledRun(t *testing.T) {
 	const n, timeout = 10 * maxRPCWorkers, 200 * time.Millisecond
 	const run = n / maxRPCWorkers // the first worker's run is targets [0, run)
-	for _, width := range []int{maxRPCWorkers, n} {
-		t.Run(fmt.Sprintf("width-%d", width), func(t *testing.T) {
-			tr := &stallHostTransport{slow: make(map[string]bool, run)}
-			for i := 0; i < run; i++ {
-				tr.slow[fmt.Sprintf("lane-agent-%d", i)] = true
+	t.Run(fmt.Sprintf("width-%d", n), func(t *testing.T) {
+		tr := &stallHostTransport{slow: make(map[string]bool, run)}
+		for i := 0; i < run; i++ {
+			tr.slow[fmt.Sprintf("lane-agent-%d", i)] = true
+		}
+		ctl, pushes := laneRig(t, n, timeout, tr)
+		start := time.Now()
+		errs, _ := runFanOut(t, context.Background(), ctl, pushes, n, time.Minute)
+		elapsed := time.Since(start)
+		for i, err := range errs {
+			if stalled := i < run; stalled != errors.Is(err, context.DeadlineExceeded) || !stalled && err != nil {
+				t.Errorf("push %d (stalled %v): %v", i, stalled, err)
 			}
-			ctl, pushes := laneRig(t, n, timeout, tr)
-			start := time.Now()
-			errs, _ := runFanOut(t, context.Background(), ctl, pushes, width, time.Minute)
-			elapsed := time.Since(start)
-			for i, err := range errs {
-				if stalled := i < run; stalled != errors.Is(err, context.DeadlineExceeded) || !stalled && err != nil {
-					t.Errorf("push %d (stalled %v): %v", i, stalled, err)
-				}
-			}
-			if elapsed > timeout+timeout/2 {
-				t.Fatalf("fan-out with the first worker's %d targets stalled took %v, over one %v timeout", run, elapsed, timeout)
-			}
-		})
-	}
+		}
+		if elapsed > timeout+timeout/2 {
+			t.Fatalf("fan-out with the first worker's %d targets stalled took %v, over one %v timeout", run, elapsed, timeout)
+		}
+	})
 }
 
 // TestLaneCancel: cancelling the round's context fails the RPCs in flight
 // and those still queued on the lanes with context.Canceled, not a
-// deadline, and the fan-out returns.
+// deadline, and the fan-out returns. Two targets make four pushes each.
 func TestLaneCancel(t *testing.T) {
-	const n, width = 8, 2
+	const n, targets = 8, 2
 	tr := &stallHostTransport{slow: make(map[string]bool, n), entered: make(chan struct{}, n)}
 	for i := 0; i < n; i++ {
 		tr.slow[fmt.Sprintf("lane-agent-%d", i)] = true
@@ -434,15 +447,58 @@ func TestLaneCancel(t *testing.T) {
 	ctl, pushes := laneRig(t, n, time.Minute, tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		for i := 0; i < width; i++ {
+		for i := 0; i < targets; i++ {
 			<-tr.entered
 		}
 		cancel()
 	}()
-	errs, _ := runFanOut(t, ctx, ctl, pushes, width, 10*time.Second)
+	errs, _ := runFanOut(t, ctx, ctl, pushes, targets, 10*time.Second)
 	for i, err := range errs {
 		if !errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("push %d after the round's cancellation: err %v, want context.Canceled", i, err)
+		}
+	}
+}
+
+// liveCtxTransport acknowledges every request whose context is live and
+// fails one whose context has ended, with the context's cause.
+type liveCtxTransport struct{}
+
+func (liveCtxTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	if err := context.Cause(req.Context()); err != nil {
+		return nil, err
+	}
+	return emptyOK, nil
+}
+
+// TestLaneContextAcrossFanOuts: a fan-out may run on a context that ends
+// after it, as a trace fan-out runs on an HTTP request's, and the next
+// fan-out, on the round's context, reuses its lanes. 256 pushes run on a
+// context that is then cancelled; every one of 256 more on
+// context.Background() must be acknowledged by a transport that fails a
+// request whose context has ended, so no kept lane may carry the ended
+// context into the second fan-out.
+func TestLaneContextAcrossFanOuts(t *testing.T) {
+	const n = 256
+	ctl, pushes := laneRig(t, n, time.Minute, liveCtxTransport{})
+	ctx, cancel := context.WithCancel(context.Background())
+	ctl.pushAll(ctx, pushes)
+	cancel()
+	for i, p := range pushes {
+		if p.err != nil {
+			t.Fatalf("push %d before the cancellation: %v", i, p.err)
+		}
+	}
+	if len(keptLanes(ctl)) == 0 {
+		t.Fatal("the first fan-out kept no lanes")
+	}
+	ctl.pushAll(context.Background(), pushes)
+	for i, p := range pushes {
+		if p.err != nil {
+			t.Fatalf("push %d on a fresh context after the first fan-out's ended: %v", i, p.err)
 		}
 	}
 }
@@ -476,9 +532,9 @@ func (lt *lateReaderTransport) RoundTrip(req *http.Request) (*http.Response, err
 
 // TestLaneBodyHandover: a transport may read and close a request body
 // after RoundTrip has returned, so a lane must not write the buffer of a
-// body it has not been handed back. One lane sends cap and assign pushes
-// to 64 agents, each body read only after the lane has moved on; every
-// agent's recorded body must be its own, intact.
+// body it has not been handed back. One target sends cap and assign
+// pushes to 64 agents on one lane, each body read only after the lane has
+// moved on; every agent's recorded body must be its own, intact.
 func TestLaneBodyHandover(t *testing.T) {
 	const n = 64
 	lt := &lateReaderTransport{bodies: make(map[string]string, n)}
@@ -516,9 +572,10 @@ func TestLaneBodyHandover(t *testing.T) {
 
 // TestLaneReusesRequestOverHTTP: a lane reuses its request, body and
 // drain from RPC to RPC over net/http's own Transport and a real
-// listener, alternating POSTs and GETs on one and on four lanes. Under the
-// race detector this checks that the transport has let go of all three
-// by the time the lane writes them again.
+// listener, alternating POSTs and GETs on one and on four targets, each
+// making its share of the RPCs on its worker's lane. Under the race
+// detector this checks that the transport has let go of all three by the
+// time the lane writes them again.
 func TestLaneReusesRequestOverHTTP(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
@@ -536,18 +593,20 @@ func TestLaneReusesRequestOverHTTP(t *testing.T) {
 	}
 	a := ctl.agents[0]
 	const n = 200
-	for _, width := range []int{1, 4} {
+	for _, targets := range []int{1, 4} {
 		errs := make([]error, n)
-		ctl.fanOut(context.Background(), n, width, func(l *rpcLane, i int) {
-			if i%2 == 0 {
-				errs[i] = l.push(&pendingPush{kind: pushCap, agent: a, capW: 100 + float64(i)})
-			} else {
-				errs[i] = l.call(a.statsURL, nil, nil)
+		ctl.fanOut(context.Background(), targets, func(l *rpcLane, w int) {
+			for i := w; i < n; i += targets {
+				if i%2 == 0 {
+					errs[i] = l.push(&pendingPush{kind: pushCap, agent: a, capW: 100 + float64(i)})
+				} else {
+					errs[i] = l.call(a.statsURL, nil, nil)
+				}
 			}
 		})
 		for i, err := range errs {
 			if err != nil {
-				t.Fatalf("%d lanes, RPC %d: %v", width, i, err)
+				t.Fatalf("%d targets, RPC %d: %v", targets, i, err)
 			}
 		}
 	}
@@ -611,7 +670,7 @@ func FuzzCapRequestBody(f *testing.F) {
 		pushes[0].capW = v
 		before := ct.sent.Load()
 		var pushErr error
-		ctl.fanOut(context.Background(), 1, 1, func(l *rpcLane, _ int) { pushErr = l.push(&pushes[0]) })
+		ctl.fanOut(context.Background(), 1, func(l *rpcLane, _ int) { pushErr = l.push(&pushes[0]) })
 		sent := ct.sent.Load() - before
 		if wantErr != nil {
 			if sent != 0 || pushErr == nil || pushErr.Error() != wantErr.Error() {

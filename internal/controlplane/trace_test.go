@@ -437,14 +437,21 @@ func (s *traceStallTransport) RoundTrip(req *http.Request) (*http.Response, erro
 	return &http.Response{StatusCode: http.StatusOK, Header: make(http.Header), Body: httpBody(body), Request: req}, nil
 }
 
-// TestCollectTraceStalledAgents: with 8 of 10 live agents holding their
-// trace requests open for the full timeout, CollectTrace pages every
-// agent at once, so it returns within two timeouts, not eight. The fast
+// TestCollectTraceStalledAgents: with every live agent but agents 3 and 7
+// holding its trace request open for the full timeout, 8 of 10 or 40 of
+// 42, CollectTrace pages every agent at once, each stall on a worker of
+// its own, so it returns within one and a half timeouts, where
+// maxRPCWorkers workers would need two for the 40 stalls. The fast
 // agents' events are merged and their cursors advance; each stalled
 // agent's failure is logged after the join, in agent order, and its
 // cursor stays where it was.
 func TestCollectTraceStalledAgents(t *testing.T) {
-	const n = 10
+	for _, n := range []int{10, 42} {
+		t.Run(fmt.Sprintf("%d-agents", n), func(t *testing.T) { checkCollectTraceStalled(t, n) })
+	}
+}
+
+func checkCollectTraceStalled(t *testing.T, n int) {
 	const timeout = 200 * time.Millisecond
 	tr := &traceStallTransport{fast: make(map[string]*trace.Tracer)}
 	urls := make([]string, n)
@@ -461,6 +468,7 @@ func TestCollectTraceStalledAgents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var want []string // the stalled agents, in agent order
 	for i, a := range ctl.agents {
 		a.alive, a.everSeen, a.name = true, true, fmt.Sprintf("agent-%d", i)
 		if i == 3 || i == 7 {
@@ -468,13 +476,15 @@ func TestCollectTraceStalledAgents(t *testing.T) {
 			agentTrace.Degradation(time.Unix(int64(i), 0), "first")
 			agentTrace.Degradation(time.Unix(int64(i), 1), "second")
 			tr.fast[a.url] = agentTrace
+		} else {
+			want = append(want, a.url)
 		}
 	}
 
 	start := time.Now()
 	events := ctl.CollectTrace(context.Background())
-	if elapsed := time.Since(start); elapsed > 2*timeout {
-		t.Fatalf("CollectTrace took %v with 8 stalled agents (timeout %v), over two timeouts", elapsed, timeout)
+	if elapsed, bound := time.Since(start), timeout+timeout/2; elapsed > bound {
+		t.Fatalf("CollectTrace took %v with %d stalled agents (timeout %v), over the %v bound", elapsed, len(want), timeout, bound)
 	}
 	byHost := make(map[string]int)
 	for _, ev := range events {
@@ -498,7 +508,6 @@ func TestCollectTraceStalledAgents(t *testing.T) {
 			failed = append(failed, u)
 		}
 	}
-	want := []string{urls[0], urls[1], urls[2], urls[4], urls[5], urls[6], urls[8], urls[9]}
 	if !reflect.DeepEqual(failed, want) {
 		t.Fatalf("logged trace fetch failures for %v, want %v (agent order)", failed, want)
 	}
