@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"pocolo"
+	"pocolo/internal/cluster"
 	"pocolo/internal/controlplane"
 	"pocolo/internal/trace"
 )
@@ -82,22 +83,26 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	policy, err := cluster.ParsePolicy(*policyName)
+	if err != nil {
+		return err
+	}
 
 	if *streamDemo > 0 {
-		return runStreamDemo(out, demoOptions{
-			agents:        *streamDemo,
-			transport:     *transport,
-			podSize:       *podSize,
-			rounds:        *streamRounds,
-			seed:          *seed,
-			slowRound:     *slowRound,
-			flightDir:     *flightDir,
-			roundDeadline: *roundDeadline,
+		return runStreamDemo(controlplane.StreamDemoConfig{
+			Agents:        *streamDemo,
+			Transport:     *transport,
+			PodSize:       *podSize,
+			Rounds:        *streamRounds,
+			Seed:          *seed,
+			Out:           out,
+			SlowRound:     *slowRound,
+			FlightDir:     *flightDir,
+			RoundDeadline: *roundDeadline,
 		})
 	}
 
 	var sys *pocolo.System
-	var err error
 	if *modelsPath != "" {
 		f, ferr := os.Open(*modelsPath)
 		if ferr != nil {
@@ -151,17 +156,7 @@ func run(args []string, out io.Writer) error {
 		return writeTraces(sys, out, *tracePath, *traceChrome)
 	}
 
-	var res pocolo.Result
-	switch *policyName {
-	case "random":
-		res, err = sys.Run(pocolo.Random)
-	case "pom":
-		res, err = sys.Run(pocolo.POM)
-	case "pocolo":
-		res, err = sys.Run(pocolo.POColo)
-	default:
-		return fmt.Errorf("unknown policy %q (want random, pom, or pocolo)", *policyName)
-	}
+	res, err := sys.Run(policy)
 	if err != nil {
 		return err
 	}
@@ -229,37 +224,19 @@ func run(args []string, out io.Writer) error {
 	return writeTraces(sys, out, *tracePath, *traceChrome)
 }
 
-// demoOptions carries the -stream-demo flag set into runStreamDemo.
-type demoOptions struct {
-	agents, podSize, rounds, slowRound int
-	transport, flightDir               string
-	seed                               int64
-	roundDeadline                      time.Duration
-}
-
 // runStreamDemo drives the in-process control-plane demo and prints each
 // round's decisions followed by a summary. The decision lines are
 // transport-neutral: a stream run and a poll run with the same seed print
 // identical decisions, which CI verifies by diffing the two outputs. With
 // -slow-round and -flight-dir, the injected breach of the round deadline
 // captures a flight bundle under the given directory.
-func runStreamDemo(out io.Writer, opts demoOptions) error {
-	report, err := controlplane.RunStreamDemo(context.Background(), controlplane.StreamDemoConfig{
-		Agents:        opts.agents,
-		Transport:     opts.transport,
-		PodSize:       opts.podSize,
-		Rounds:        opts.rounds,
-		Seed:          opts.seed,
-		Out:           out,
-		SlowRound:     opts.slowRound,
-		FlightDir:     opts.flightDir,
-		RoundDeadline: opts.roundDeadline,
-	})
+func runStreamDemo(cfg controlplane.StreamDemoConfig) error {
+	report, err := controlplane.RunStreamDemo(context.Background(), cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "demo: %d agents, %d rounds, %d placed, %d deaths, %d rejoins\n",
-		opts.agents, report.Rounds, len(report.Status.Placement), report.Deaths, report.Rejoins)
+	fmt.Fprintf(cfg.Out, "demo: %d agents, %d rounds, %d placed, %d deaths, %d rejoins\n",
+		cfg.Agents, report.Rounds, len(report.Status.Placement), report.Deaths, report.Rejoins)
 	return report.Err()
 }
 

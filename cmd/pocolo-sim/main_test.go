@@ -137,3 +137,23 @@ func TestHyperscaleCLI(t *testing.T) {
 		t.Error("no sharded solve summaries in the hyperscale trace")
 	}
 }
+
+// TestBadPolicyFailsEveryMode: -policy is parsed before anything runs, in
+// every mode, so an unknown policy fails the command at once even where
+// the mode does not use it (the hyperscale scenario and the stream demo).
+func TestBadPolicyFailsEveryMode(t *testing.T) {
+	const want = `cluster: unknown policy "bogus" (want random, pom, or pocolo)`
+	for _, args := range [][]string{
+		{"-policy", "bogus"},
+		{"-policy", "bogus", "-hyperscale", "64", "-hyperscale-rounds", "1"},
+		{"-policy", "bogus", "-stream-demo", "8", "-stream-rounds", "1"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil || err.Error() != want {
+			t.Errorf("run %q: err %v, want %s", args, err, want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run %q wrote output before failing:\n%s", args, out.String())
+		}
+	}
+}

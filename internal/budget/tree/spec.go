@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -360,16 +359,6 @@ func (t *Tree) HostIndex(host string) int {
 
 // Lookup returns the named node, or nil.
 func (t *Tree) Lookup(name string) *Node { return t.nodes[name] }
-
-// NodeNames returns every node name, sorted.
-func (t *Tree) NodeNames() []string {
-	names := make([]string, 0, len(t.nodes))
-	for name := range t.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // NodeBudgets snapshots every node's current budget by name. Host leaves
 // with no explicit budget are omitted.

@@ -40,10 +40,6 @@ func TestParseText(t *testing.T) {
 	if tr.Lookup("row") == nil || tr.Lookup("nope") != nil {
 		t.Error("Lookup broken")
 	}
-	names := tr.NodeNames()
-	if len(names) != 8 || names[0] != "dc" {
-		t.Errorf("NodeNames = %v", names)
-	}
 }
 
 func TestParseJSON(t *testing.T) {

@@ -169,9 +169,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 // Sharded exposes the fleet's solver state (Refresh, Rebalance, Solve).
 func (f *Fleet) Sharded() *Sharded { return f.sharded }
 
-// Round returns the number of Advance calls so far.
-func (f *Fleet) Round() int { return f.round }
-
 // Advance applies one churn round: a churn-fraction of hosts re-jitters
 // its provisioned cap on a diurnal envelope (quantized to watts), and
 // each BE class independently re-fits its model with probability churn

@@ -37,15 +37,13 @@ import (
 
 const (
 	hbMagic = 0xB8
-	// hbVersion is the version the encoder writes. v2 DEFLATE-compresses
-	// a full frame's snapshot blob (raw length, then compressed length
-	// and bytes) — at fleet scale the resync storm after a controller
-	// restart is full frames from every agent at once, and the JSON
-	// snapshot is the frame. The decoder still accepts v1 (raw blob)
-	// so an upgraded controller drains not-yet-upgraded agents.
-	hbVersion   = 2
-	hbVersionV1 = 1
-	hbFlagFull  = 0x01
+	// hbVersion is the one version the encoder writes and the decoder
+	// accepts. v2 DEFLATE-compresses a full frame's snapshot blob (raw
+	// length, then compressed length and bytes) — at fleet scale the
+	// resync storm after a controller restart is full frames from every
+	// agent at once, and the JSON snapshot is the frame.
+	hbVersion  = 2
+	hbFlagFull = 0x01
 
 	maxHeartbeatName = 256
 	maxHeartbeatURL  = 512
@@ -341,13 +339,8 @@ func inflateSnapshot(comp []byte, n uint64, dst *StatsResponse) error {
 	if z.br.Len() != 0 {
 		return fmt.Errorf("controlplane: heartbeat compressed snapshot has %d trailing bytes", z.br.Len())
 	}
-	return unmarshalSnapshot(z.raw.Bytes(), dst)
-}
-
-// unmarshalSnapshot decodes a full frame's snapshot JSON. encoding/json
-// copies what it keeps, so dst never aliases blob.
-func unmarshalSnapshot(blob []byte, dst *StatsResponse) error {
-	if err := json.Unmarshal(blob, dst); err != nil {
+	// encoding/json copies what it keeps, so dst never aliases z.raw.
+	if err := json.Unmarshal(z.raw.Bytes(), dst); err != nil {
 		return fmt.Errorf("controlplane: heartbeat snapshot: %w", err)
 	}
 	return nil
@@ -392,8 +385,8 @@ func decodeHeartbeatInto(frame []byte, hb *Heartbeat, inflate func(comp []byte, 
 	if err != nil {
 		return nil, err
 	}
-	if version != hbVersion && version != hbVersionV1 {
-		return nil, fmt.Errorf("controlplane: heartbeat version %d, want %d or %d", version, hbVersionV1, hbVersion)
+	if version != hbVersion {
+		return nil, fmt.Errorf("controlplane: heartbeat version %d, want %d", version, hbVersion)
 	}
 	flags, err := r.byte("flags")
 	if err != nil {
@@ -429,29 +422,19 @@ func decodeHeartbeatInto(frame []byte, hb *Heartbeat, inflate func(comp []byte, 
 		if n > maxHeartbeatBlob {
 			return nil, fmt.Errorf("controlplane: heartbeat snapshot %d bytes exceeds %d", n, maxHeartbeatBlob)
 		}
-		if version == hbVersionV1 {
-			blob, err := r.bytes(int(n), "snapshot")
-			if err != nil {
-				return nil, err
-			}
-			if err := unmarshalSnapshot(blob, &hb.Stats); err != nil {
-				return nil, err
-			}
-		} else {
-			cn, err := r.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("controlplane: heartbeat compressed length: %w", err)
-			}
-			if cn > maxHeartbeatBlob {
-				return nil, fmt.Errorf("controlplane: heartbeat compressed snapshot %d bytes exceeds %d", cn, maxHeartbeatBlob)
-			}
-			comp, err := r.bytes(int(cn), "compressed snapshot")
-			if err != nil {
-				return nil, err
-			}
-			if err := inflate(comp, n, &hb.Stats); err != nil {
-				return nil, err
-			}
+		cn, err := r.uvarint()
+		if err != nil {
+			return nil, fmt.Errorf("controlplane: heartbeat compressed length: %w", err)
+		}
+		if cn > maxHeartbeatBlob {
+			return nil, fmt.Errorf("controlplane: heartbeat compressed snapshot %d bytes exceeds %d", cn, maxHeartbeatBlob)
+		}
+		comp, err := r.bytes(int(cn), "compressed snapshot")
+		if err != nil {
+			return nil, err
+		}
+		if err := inflate(comp, n, &hb.Stats); err != nil {
+			return nil, err
 		}
 		if hb.Stats.Agent != string(name) {
 			return nil, fmt.Errorf("controlplane: heartbeat header names %q but snapshot names %q", name, hb.Stats.Agent)

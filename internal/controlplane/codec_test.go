@@ -495,15 +495,15 @@ func TestHeartbeatDeltaSize(t *testing.T) {
 }
 
 // encodeHeartbeatV1Full hand-builds a version-1 full frame (raw JSON
-// snapshot, no compression) — the shape a not-yet-upgraded agent still
-// sends and the v2 decoder must keep accepting.
+// snapshot, no compression), which the decoder rejects as an unknown
+// version.
 func encodeHeartbeatV1Full(tb testing.TB, hb *Heartbeat) []byte {
 	tb.Helper()
 	blob, err := json.Marshal(&hb.Stats)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b := []byte{hbMagic, hbVersionV1, hbFlagFull}
+	b := []byte{hbMagic, 1, hbFlagFull}
 	b = binary.AppendUvarint(b, uint64(len(hb.Agent)))
 	b = append(b, hb.Agent...)
 	b = binary.AppendUvarint(b, hb.Seq)
@@ -539,23 +539,6 @@ func TestHeartbeatCompressedFullRoundTrip(t *testing.T) {
 	}
 	if statsJSON(t, &got.Stats) != statsJSON(t, &hb.Stats) {
 		t.Fatal("snapshot not bit-identical through compressed round-trip")
-	}
-}
-
-func TestHeartbeatV1FullDowngrade(t *testing.T) {
-	hb := &Heartbeat{
-		Agent: "agent-a", URL: "http://agent-a:7001", Seq: 2, Epoch: 1,
-		Full: true, Stats: codecStats(),
-	}
-	got, err := DecodeHeartbeat(encodeHeartbeatV1Full(t, hb))
-	if err != nil {
-		t.Fatalf("v1 full frame rejected: %v", err)
-	}
-	if !got.Full || got.Agent != hb.Agent || got.URL != hb.URL {
-		t.Fatalf("v1 decode mangled header: %+v", got)
-	}
-	if statsJSON(t, &got.Stats) != statsJSON(t, &hb.Stats) {
-		t.Fatal("v1 snapshot not bit-identical")
 	}
 }
 

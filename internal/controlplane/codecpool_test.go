@@ -177,8 +177,9 @@ type namedFrame struct {
 }
 
 // resyncDecodeFrames covers each path through a full frame's snapshot
-// decode, built around hb: a valid v2 frame, a v1 frame, a delta, and
-// every way the strict inflate rejects a v2 frame.
+// decode, built around hb: a valid v2 frame, a v1 frame (rejected as an
+// unknown version), a delta, and every way the strict inflate rejects a
+// v2 frame.
 func resyncDecodeFrames(tb testing.TB, hb *Heartbeat) []namedFrame {
 	tb.Helper()
 	blob, err := json.Marshal(&hb.Stats)
@@ -201,7 +202,7 @@ func resyncDecodeFrames(tb testing.TB, hb *Heartbeat) []namedFrame {
 	}
 	return []namedFrame{
 		{name: "v2 full", frame: fullFrameV2(hb, n, comp)},
-		{name: "v1 full", frame: encodeHeartbeatV1Full(tb, hb)},
+		{name: "v1 full", frame: encodeHeartbeatV1Full(tb, hb), bad: true},
 		{name: "delta", frame: delta},
 		{name: "truncated deflate stream", frame: fullFrameV2(hb, n, comp[:len(comp)/2]), bad: true},
 		{name: "corrupt huffman header", frame: fullFrameV2(hb, n, huffman), bad: true},

@@ -579,8 +579,7 @@ func TestRPCErrorText(t *testing.T) {
 		t.Errorf("refused probe: last_error %q, want %q", got, want)
 	}
 
-	stall := &probeStallTransport{slow: map[string]bool{"http://agent-a:7001": true}}
-	stall.stalled.Store(true)
+	stall := &stallTransport{stall: agentSet{"http://agent-a:7001": true}.has, inner: &probeTransport{}}
 	ctl, err = NewController(ControllerConfig{
 		AgentURLs: []string{"http://agent-a:7001"},
 		Timeout:   10 * time.Millisecond,
@@ -760,24 +759,15 @@ func (b *oversizedBody) Read(p []byte) (int, error) {
 
 func (*oversizedBody) Close() error { return nil }
 
-// probeStallTransport serves each agent's /v1/stats body and acknowledges
-// every push, until stalled: from then on a request to a slow agent
-// (keyed by base URL) blocks until its context ends. It counts the pushes
-// it acknowledged.
-type probeStallTransport struct {
-	bodies  map[string][]byte
-	slow    map[string]bool
-	stalled atomic.Bool
-	acked   atomic.Int64
+// probeTransport serves each agent's /v1/stats body, keyed by base URL,
+// and acknowledges every push, counting them.
+type probeTransport struct {
+	bodies map[string][]byte
+	acked  atomic.Int64
 }
 
-func (s *probeStallTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	base := req.URL.Scheme + "://" + req.URL.Host
-	if s.stalled.Load() && s.slow[base] {
-		<-req.Context().Done()
-		return nil, context.Cause(req.Context())
-	}
-	body := s.bodies[base]
+func (s *probeTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	body := s.bodies[req.URL.Scheme+"://"+req.URL.Host]
 	if req.Method == http.MethodPost {
 		s.acked.Add(1)
 		body = []byte(`{}`)
@@ -815,7 +805,10 @@ func checkSlowProbesRoundBound(t *testing.T, cut bool) {
 	for i := range names {
 		names[i] = fmt.Sprintf("agent-%d", i)
 	}
-	tr := &probeStallTransport{bodies: make(map[string][]byte, n), slow: make(map[string]bool, n-fast)}
+	tr := &probeTransport{bodies: make(map[string][]byte, n)}
+	slow := make(agentSet, n-fast)
+	var stalled atomic.Bool // from then on the slow agents stall every request
+	stall := func(base string) bool { return stalled.Load() && slow[base] }
 	ctl, urls, tick := streamTestController(t, n, 16, func(cfg *ControllerConfig) {
 		cfg.Transport = TransportPoll
 		cfg.DeadAfter = deadAfter
@@ -823,7 +816,7 @@ func checkSlowProbesRoundBound(t *testing.T, cut bool) {
 		if cut {
 			cfg.BudgetTree = "dc:9000{" + strings.Join(names, ",") + "}"
 		}
-		cfg.Client = &http.Client{Transport: tr}
+		cfg.Client = &http.Client{Transport: &stallTransport{stall: stall, inner: tr}}
 	})
 	for i, u := range urls {
 		body, err := json.Marshal(streamTestStats(t, names[i]))
@@ -832,7 +825,7 @@ func checkSlowProbesRoundBound(t *testing.T, cut bool) {
 		}
 		tr.bodies[u] = body
 		if i%18 != 0 { // agents 0, 18, 36 and 54 answer at once
-			tr.slow[u] = true
+			slow[u] = true
 		}
 	}
 	ctx := context.Background()
@@ -847,7 +840,7 @@ func checkSlowProbesRoundBound(t *testing.T, cut bool) {
 		}
 		wantPushes = fast
 	}
-	tr.stalled.Store(true)
+	stalled.Store(true)
 
 	timeouts := time.Duration(1)
 	if cut {
@@ -861,14 +854,14 @@ func checkSlowProbesRoundBound(t *testing.T, cut bool) {
 		ctl.Round(ctx)
 		elapsed := time.Since(start)
 		if elapsed > bound {
-			t.Fatalf("stalled round %d took %v with %d stalled agents (timeout %v), over the %v bound", r, elapsed, len(tr.slow), timeout, bound)
+			t.Fatalf("stalled round %d took %v with %d stalled agents (timeout %v), over the %v bound", r, elapsed, len(slow), timeout, bound)
 		}
 		if r == 1 && tr.acked.Load()-before != wantPushes {
 			t.Fatalf("stalled round 1 acknowledged %d cap pushes, want %d", tr.acked.Load()-before, wantPushes)
 		}
 		st := ctl.Status()
 		for _, a := range st.Agents {
-			if want := !tr.slow[a.URL] || r < deadAfter; a.Alive != want {
+			if want := !slow[a.URL] || r < deadAfter; a.Alive != want {
 				t.Fatalf("after stalled round %d: %s alive %v, want %v", r, a.URL, a.Alive, want)
 			}
 		}

@@ -58,7 +58,7 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		full, // v2: snapshot blob compressed
 		delta,
 		allMask,
-		fullV1,               // v1 downgrade: raw snapshot blob
+		fullV1,               // v1, raw snapshot blob: rejected as version skew
 		full[:len(full)/2],   // truncated mid-snapshot
 		delta[:len(delta)-1], // truncated mid-field
 		corruptComp,

@@ -154,7 +154,7 @@ func TestIngestConcurrentWithRounds(t *testing.T) {
 			cfg.BE = []string{"graph", "lstm"}
 			cfg.BudgetTree = "dc:1e6{" + strings.Join(names, ",") + "}"
 			cfg.DeadAfter = 1 << 20 // a sender outpaced by rounds never dies
-			cfg.Client = &http.Client{Transport: &stallTransport{}}
+			cfg.Client = &http.Client{Transport: &ackTransport{}}
 		})
 		return ctl, urls
 	}
@@ -309,7 +309,7 @@ func (h *headerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	h.mu.Lock()
 	h.types[req.Header.Get("Content-Type")]++
 	h.mu.Unlock()
-	return (&stallTransport{}).RoundTrip(req)
+	return (&ackTransport{}).RoundTrip(req)
 }
 
 // TestPushesShareOneHeader runs a round of 96 cap pushes and 2

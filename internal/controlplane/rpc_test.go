@@ -145,27 +145,41 @@ func TestPushReusesLanes(t *testing.T) {
 	}
 }
 
-// stallHostTransport answers at once, except that a request to a host in
-// slow waits until its context ends and fails with the context's cause,
-// as net/http's Transport does. It signals entered as each stall starts.
-type stallHostTransport struct {
-	slow    map[string]bool
+// stallTransport is every stall test's RoundTripper. A request to an
+// agent that stall names, by its base URL (scheme://host), waits until
+// its context ends and fails with the context's cause, as net/http's
+// Transport does, and signals entered, when set, as the stall starts.
+// Every other request goes to inner, the test's own responder.
+type stallTransport struct {
+	stall   func(base string) bool
+	inner   http.RoundTripper
 	entered chan struct{}
 }
 
-func (s *stallHostTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (s *stallTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !s.stall(req.URL.Scheme + "://" + req.URL.Host) {
+		return s.inner.RoundTrip(req)
+	}
 	if req.Body != nil {
 		req.Body.Close()
 	}
-	if s.slow[req.URL.Host] {
-		select {
-		case s.entered <- struct{}{}:
-		default:
-		}
-		<-req.Context().Done()
-		return nil, context.Cause(req.Context())
+	select {
+	case s.entered <- struct{}{}: // a nil entered is never ready
+	default:
 	}
-	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: http.NoBody, Request: req}, nil
+	<-req.Context().Done()
+	return nil, context.Cause(req.Context())
+}
+
+// agentSet is a set of agents by base URL; its has is a stall predicate.
+type agentSet map[string]bool
+
+func (s agentSet) has(base string) bool { return s[base] }
+
+// laneStall stalls the lane agents slow names and acknowledges every
+// other request (liveCtxTransport).
+func laneStall(slow agentSet) *stallTransport {
+	return &stallTransport{stall: slow.has, inner: liveCtxTransport{}}
 }
 
 // runFanOut runs pushes on a fan-out of the given number of targets,
@@ -182,7 +196,7 @@ func runFanOut(t *testing.T, ctx context.Context, ctl *Controller, pushes []pend
 		ctl.fanOut(ctx, targets, func(l *rpcLane, w int) {
 			for i := w; i < len(pushes); i += targets {
 				start := time.Now()
-				errs[i] = l.push(&pushes[i])
+				errs[i] = ctl.push(l, &pushes[i])
 				took[i] = time.Since(start)
 			}
 		})
@@ -328,11 +342,11 @@ func TestProbeFanOutGrowsPastBlockedRPCs(t *testing.T) {
 // fail at once; and a later stall is again bounded from its own start.
 func TestLaneDeadlinePerRPC(t *testing.T) {
 	const timeout = 100 * time.Millisecond
-	tr := &stallHostTransport{slow: map[string]bool{"lane-agent-0": true, "lane-agent-3": true}}
-	ctl, pushes := laneRig(t, 6, timeout, tr)
+	slow := agentSet{"http://lane-agent-0": true, "http://lane-agent-3": true}
+	ctl, pushes := laneRig(t, 6, timeout, laneStall(slow))
 	errs, took := runFanOut(t, context.Background(), ctl, pushes, 1, time.Minute)
 	for i, err := range errs {
-		if !tr.slow[pushes[i].agent.capURL.Host] {
+		if !slow[pushes[i].url] {
 			if err != nil {
 				t.Errorf("push %d to a prompt agent after a timed-out one: %v", i, err)
 			}
@@ -356,13 +370,13 @@ func TestLaneDeadlinePerRPC(t *testing.T) {
 // when the timer has found no RPC in flight and stopped.
 func TestLaneDeadlineFromOwnStart(t *testing.T) {
 	const timeout = 200 * time.Millisecond
-	tr := &stallHostTransport{slow: map[string]bool{"lane-agent-1": true, "lane-agent-3": true}}
-	ctl, pushes := laneRig(t, 4, timeout, tr)
+	slow := agentSet{"http://lane-agent-1": true, "http://lane-agent-3": true}
+	ctl, pushes := laneRig(t, 4, timeout, laneStall(slow))
 	ctx := context.Background()
 	var lanes [2]*rpcLane
 	ctl.fanOut(ctx, 1, func(l *rpcLane, _ int) {
 		lanes[0] = l
-		if err := l.push(&pushes[0]); err != nil {
+		if err := ctl.push(l, &pushes[0]); err != nil {
 			t.Errorf("first fan-out's push: %v", err)
 		}
 	})
@@ -383,7 +397,7 @@ func TestLaneDeadlineFromOwnStart(t *testing.T) {
 				time.Sleep(timeout * 3 / 2)
 			}
 			start := time.Now()
-			errs[i] = l.push(&pushes[i])
+			errs[i] = ctl.push(l, &pushes[i])
 			took[i] = time.Since(start)
 		}
 	})
@@ -391,7 +405,7 @@ func TestLaneDeadlineFromOwnStart(t *testing.T) {
 		t.Fatal("the second fan-out did not reuse the first one's lane")
 	}
 	for i, err := range errs {
-		if !tr.slow[pushes[i].agent.capURL.Host] {
+		if !slow[pushes[i].url] {
 			if err != nil {
 				t.Errorf("push %d to a prompt agent: %v", i, err)
 			}
@@ -416,11 +430,11 @@ func TestFanOutStealsStalledRun(t *testing.T) {
 	const n, timeout = 10 * maxRPCWorkers, 200 * time.Millisecond
 	const run = n / maxRPCWorkers // the first worker's run is targets [0, run)
 	t.Run(fmt.Sprintf("width-%d", n), func(t *testing.T) {
-		tr := &stallHostTransport{slow: make(map[string]bool, run)}
+		slow := make(agentSet, run)
 		for i := 0; i < run; i++ {
-			tr.slow[fmt.Sprintf("lane-agent-%d", i)] = true
+			slow[fmt.Sprintf("http://lane-agent-%d", i)] = true
 		}
-		ctl, pushes := laneRig(t, n, timeout, tr)
+		ctl, pushes := laneRig(t, n, timeout, laneStall(slow))
 		start := time.Now()
 		errs, _ := runFanOut(t, context.Background(), ctl, pushes, n, time.Minute)
 		elapsed := time.Since(start)
@@ -440,10 +454,12 @@ func TestFanOutStealsStalledRun(t *testing.T) {
 // deadline, and the fan-out returns. Two targets make four pushes each.
 func TestLaneCancel(t *testing.T) {
 	const n, targets = 8, 2
-	tr := &stallHostTransport{slow: make(map[string]bool, n), entered: make(chan struct{}, n)}
+	slow := make(agentSet, n)
 	for i := 0; i < n; i++ {
-		tr.slow[fmt.Sprintf("lane-agent-%d", i)] = true
+		slow[fmt.Sprintf("http://lane-agent-%d", i)] = true
 	}
+	tr := laneStall(slow)
+	tr.entered = make(chan struct{}, n)
 	ctl, pushes := laneRig(t, n, time.Minute, tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -598,7 +614,7 @@ func TestLaneReusesRequestOverHTTP(t *testing.T) {
 		ctl.fanOut(context.Background(), targets, func(l *rpcLane, w int) {
 			for i := w; i < n; i += targets {
 				if i%2 == 0 {
-					errs[i] = l.push(&pendingPush{kind: pushCap, agent: a, capW: 100 + float64(i)})
+					errs[i] = ctl.push(l, &pendingPush{kind: pushCap, agent: a, capW: 100 + float64(i)})
 				} else {
 					errs[i] = l.call(a.statsURL, nil, nil)
 				}
@@ -670,7 +686,7 @@ func FuzzCapRequestBody(f *testing.F) {
 		pushes[0].capW = v
 		before := ct.sent.Load()
 		var pushErr error
-		ctl.fanOut(context.Background(), 1, func(l *rpcLane, _ int) { pushErr = l.push(&pushes[0]) })
+		ctl.fanOut(context.Background(), 1, func(l *rpcLane, _ int) { pushErr = ctl.push(l, &pushes[0]) })
 		sent := ct.sent.Load() - before
 		if wantErr != nil {
 			if sent != 0 || pushErr == nil || pushErr.Error() != wantErr.Error() {

@@ -3,7 +3,10 @@ package controlplane
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"strconv"
+	"sync"
 
 	"pocolo/internal/machine"
 	"pocolo/internal/utility"
@@ -130,6 +133,36 @@ var statsFieldIndex = func() map[string]int {
 	}
 	return m
 }()
+
+// statsBufs recycles the buffers probe bodies are read into.
+var statsBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readStats reads one /v1/stats body into a pooled buffer and decodes it
+// (decodeStats), reporting whether the fast path took it. The body is
+// bounded like a stream snapshot, at maxHeartbeatBlob, so one misbehaving
+// agent cannot make the controller buffer an arbitrarily large value.
+// Nothing decoded refers to the buffer: strings and raw section bytes are
+// copied out of it.
+func (c *Controller) readStats(body io.Reader, cache *statsCache, out *StatsResponse) (*statsCache, bool, error) {
+	buf := statsBufs.Get().(*bytes.Buffer)
+	defer statsBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(body, maxHeartbeatBlob+1)); err != nil {
+		return cache, false, err
+	}
+	if buf.Len() > maxHeartbeatBlob {
+		return cache, false, fmt.Errorf("stats body exceeds the %d-byte limit", maxHeartbeatBlob)
+	}
+	next, fast, err := decodeStats(buf.Bytes(), cache, out)
+	if c.obs != nil {
+		if fast {
+			c.obs.pollFast.Inc()
+		} else {
+			c.obs.pollFallback.Inc()
+		}
+	}
+	return next, fast, err
+}
 
 // decodeStats decodes one GET /v1/stats body into *out, replacing its
 // contents. prev is the agent's cache from its last fast-path decode (nil

@@ -104,7 +104,7 @@ func (s *streamState) viewAt(slot int) *hbDecoder {
 
 func TestStreamIngestAndView(t *testing.T) {
 	ctl, urls, tick := streamTestController(t, 3, 2, func(cfg *ControllerConfig) {
-		cfg.Client = &http.Client{Transport: &stallTransport{}} // acks the rounds' pushes
+		cfg.Client = &http.Client{Transport: &ackTransport{}} // acks the rounds' pushes
 	}) // 2 shards: {0,1}, {2}
 
 	encs := make([]*HeartbeatEncoder, len(urls))
@@ -555,19 +555,13 @@ func TestStreamRoundLiveness(t *testing.T) {
 	}
 }
 
-// stallTransport routes assign/cap pushes: requests to a slow agent
-// (keyed by base URL) block until the request context is cancelled; all
-// others ack instantly and are counted.
-type stallTransport struct {
-	slow map[string]bool
+// ackTransport acknowledges every assign or cap push at once and counts
+// them.
+type ackTransport struct {
 	fast atomic.Int64
 }
 
-func (s *stallTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if s.slow[req.URL.Scheme+"://"+req.URL.Host] {
-		<-req.Context().Done() // hold the connection until the push timeout
-		return nil, context.Cause(req.Context())
-	}
+func (s *ackTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	s.fast.Add(1)
 	body, _ := json.Marshal(AssignResponse{Agent: "x"})
 	return &http.Response{
@@ -592,13 +586,13 @@ func (b *bodyCloser) Close() error { return nil }
 // applied state.
 func TestSlowAgentCannotStallRound(t *testing.T) {
 	const n = 6
-	tr := &stallTransport{}
+	ack, slow := &ackTransport{}, agentSet{}
 	ctl, urls, tick := streamTestController(t, n, 2, func(cfg *ControllerConfig) {
 		cfg.Timeout = 150 * time.Millisecond
 		cfg.BE = []string{"graph#0", "graph#1", "graph#2", "lstm#0", "lstm#1", "lstm#2"}
-		cfg.Client = &http.Client{Transport: tr}
+		cfg.Client = &http.Client{Transport: &stallTransport{stall: slow.has, inner: ack}}
 	})
-	tr.slow = map[string]bool{urls[0]: true}
+	slow[urls[0]] = true
 
 	for i, u := range urls {
 		name := fmt.Sprintf("agent-%d", i)
@@ -623,7 +617,7 @@ func TestSlowAgentCannotStallRound(t *testing.T) {
 	if elapsed > 450*time.Millisecond {
 		t.Fatalf("round took %v with one slow agent (timeout 150ms); pushes are serialized", elapsed)
 	}
-	if got := tr.fast.Load(); got != n-1 {
+	if got := ack.fast.Load(); got != n-1 {
 		t.Fatalf("%d fast pushes delivered, want %d", got, n-1)
 	}
 	st := ctl.Status()
@@ -652,15 +646,15 @@ func TestManySlowAgentsRoundBound(t *testing.T) {
 	for i := range bes {
 		bes[i] = fmt.Sprintf("%s#%d", []string{"graph", "lstm"}[i%2], i/2)
 	}
-	tr := &stallTransport{slow: make(map[string]bool, n-fast)}
+	ack, slow := &ackTransport{}, make(agentSet, n-fast)
 	ctl, urls, tick := streamTestController(t, n, 16, func(cfg *ControllerConfig) {
 		cfg.Timeout = timeout
 		cfg.BE = bes
-		cfg.Client = &http.Client{Transport: tr}
+		cfg.Client = &http.Client{Transport: &stallTransport{stall: slow.has, inner: ack}}
 	})
 	for i, u := range urls {
 		if i%18 != 0 { // agents 0, 18, 36 and 54 answer at once
-			tr.slow[u] = true
+			slow[u] = true
 		}
 		name := fmt.Sprintf("agent-%d", i)
 		frame, err := NewHeartbeatEncoder(name, u).Encode(streamTestStats(t, name, "graph", "lstm"), 1)
@@ -682,14 +676,14 @@ func TestManySlowAgentsRoundBound(t *testing.T) {
 	if elapsed > bound {
 		t.Fatalf("round took %v with %d stalled agents (timeout %v), over the %v bound", elapsed, stalled, timeout, bound)
 	}
-	if got := tr.fast.Load(); got != fast {
+	if got := ack.fast.Load(); got != fast {
 		t.Fatalf("%d fast pushes delivered, want %d", got, fast)
 	}
 	for _, a := range ctl.Status().Agents {
-		if tr.slow[a.URL] && a.AssignedBE != "" {
+		if slow[a.URL] && a.AssignedBE != "" {
 			t.Fatalf("unacked push recorded on stalled agent: %+v", a)
 		}
-		if !tr.slow[a.URL] && a.AssignedBE == "" {
+		if !slow[a.URL] && a.AssignedBE == "" {
 			t.Fatalf("acked push not recorded on %s", a.URL)
 		}
 	}

@@ -412,19 +412,12 @@ func TestControllerCollectTrace(t *testing.T) {
 	}
 }
 
-// traceStallTransport serves each fast agent's decision trace over
-// /v1/trace, paged by the since cursor; a request to any other agent
-// blocks until its context ends.
-type traceStallTransport struct {
-	fast map[string]*trace.Tracer // base URL → the agent's ring
-}
+// traceTransport serves each agent's decision trace over /v1/trace from
+// its ring, keyed by base URL, paged by the since cursor.
+type traceTransport map[string]*trace.Tracer
 
-func (s *traceStallTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	tr := s.fast[req.URL.Scheme+"://"+req.URL.Host]
-	if tr == nil {
-		<-req.Context().Done()
-		return nil, context.Cause(req.Context())
-	}
+func (rings traceTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	tr := rings[req.URL.Scheme+"://"+req.URL.Host]
 	since, err := strconv.ParseUint(req.URL.Query().Get("since"), 10, 64)
 	if err != nil {
 		return nil, err
@@ -453,7 +446,8 @@ func TestCollectTraceStalledAgents(t *testing.T) {
 
 func checkCollectTraceStalled(t *testing.T, n int) {
 	const timeout = 200 * time.Millisecond
-	tr := &traceStallTransport{fast: make(map[string]*trace.Tracer)}
+	fast := make(traceTransport) // the agents that answer; the others stall
+	tr := &stallTransport{stall: func(base string) bool { return fast[base] == nil }, inner: fast}
 	urls := make([]string, n)
 	for i := range urls {
 		urls[i] = fmt.Sprintf("http://trace-agent-%d", i)
@@ -475,7 +469,7 @@ func checkCollectTraceStalled(t *testing.T, n int) {
 			agentTrace := trace.New(a.name, 0)
 			agentTrace.Degradation(time.Unix(int64(i), 0), "first")
 			agentTrace.Degradation(time.Unix(int64(i), 1), "second")
-			tr.fast[a.url] = agentTrace
+			fast[a.url] = agentTrace
 		} else {
 			want = append(want, a.url)
 		}
@@ -495,7 +489,7 @@ func checkCollectTraceStalled(t *testing.T, n int) {
 	}
 	for _, u := range urls {
 		want := uint64(0)
-		if tr.fast[u] != nil {
+		if fast[u] != nil {
 			want = 2
 		}
 		if ctl.cursors[u] != want {

@@ -67,7 +67,7 @@ func TestFormatHelpers(t *testing.T) {
 }
 
 func TestSteadyStateMean(t *testing.T) {
-	s := telemetry.NewSeries("x")
+	s := telemetry.NewSeries()
 	if got := steadyStateMean(s, time.Second); got != 0 {
 		t.Errorf("empty series = %v", got)
 	}

@@ -1,8 +1,8 @@
 // Package latency provides tail-latency instrumentation for the simulated
-// cluster: an HDR-style logarithmic-bucket histogram and a sliding-window
-// recorder. Pocolo's server manager consumes the p99 latency of the primary
-// latency-critical application from a one-second observation window
-// (Section IV-C of the paper); this package is that telemetry substrate.
+// cluster: an HDR-style logarithmic-bucket histogram. Pocolo's server
+// manager consumes the p99 latency of the primary latency-critical
+// application from a one-second observation window (Section IV-C of the
+// paper); this package is that telemetry substrate.
 package latency
 
 import (

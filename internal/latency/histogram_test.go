@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 )
 
 func TestNewHistogramValidation(t *testing.T) {
@@ -206,75 +205,5 @@ func TestHistogramSnapshot(t *testing.T) {
 	}
 	if s.P50 > s.P95 || s.P95 > s.P99 || s.P99 > s.Max {
 		t.Errorf("snapshot percentiles out of order: %+v", s)
-	}
-}
-
-func TestWindowValidation(t *testing.T) {
-	if _, err := NewWindow(0, time.Second, 0.01, 100); err == nil {
-		t.Error("expected error for zero slots")
-	}
-	if _, err := NewWindow(5, 0, 0.01, 100); err == nil {
-		t.Error("expected error for zero duration")
-	}
-	if _, err := NewWindow(5, time.Second, 0, 100); err == nil {
-		t.Error("expected error for bad histogram range")
-	}
-}
-
-func TestWindowSlidesOutOldData(t *testing.T) {
-	w, err := NewWindow(10, 100*time.Millisecond, 0.01, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Unix(0, 0)
-	// Record slow requests in the first 100ms.
-	for i := 0; i < 50; i++ {
-		if err := w.Record(start.Add(time.Duration(i)*time.Millisecond), 500); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap, err := w.Snapshot(start.Add(90 * time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Count != 50 {
-		t.Errorf("count = %d, want 50", snap.Count)
-	}
-	// After the full window passes, old data must be gone.
-	later := start.Add(2 * time.Second)
-	for i := 0; i < 10; i++ {
-		if err := w.Record(later.Add(time.Duration(i)*time.Millisecond), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap, err = w.Snapshot(later.Add(50 * time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Count != 10 {
-		t.Errorf("count after slide = %d, want 10", snap.Count)
-	}
-	if snap.Max > 2 {
-		t.Errorf("stale slow samples leaked into window: max = %v", snap.Max)
-	}
-}
-
-func TestWindowGradualSlide(t *testing.T) {
-	w, err := NewWindow(10, 100*time.Millisecond, 0.01, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Unix(100, 0)
-	// One observation per 100ms slot for 2 seconds: window spans 1s, so
-	// about 10 observations should remain at the end.
-	ts := start
-	for i := 0; i < 20; i++ {
-		if err := w.Record(ts, 10); err != nil {
-			t.Fatal(err)
-		}
-		ts = ts.Add(100 * time.Millisecond)
-	}
-	if c := w.Count(); c != 10 {
-		t.Errorf("window count = %d, want 10", c)
 	}
 }

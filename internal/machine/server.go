@@ -62,27 +62,6 @@ func (s *Server) AddTenant(name string) error {
 	return nil
 }
 
-// RemoveTenant releases all resources held by the tenant and forgets it.
-func (s *Server) RemoveTenant(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tenants[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownTenant, name)
-	}
-	for i, o := range s.coreOwner {
-		if o == name {
-			s.coreOwner[i] = ""
-		}
-	}
-	for i, o := range s.wayOwner {
-		if o == name {
-			s.wayOwner[i] = ""
-		}
-	}
-	delete(s.tenants, name)
-	return nil
-}
-
 // Tenants returns the registered tenant names in sorted order.
 func (s *Server) Tenants() []string {
 	s.mu.Lock()
@@ -156,36 +135,6 @@ func (s *Server) SetWays(name string, n int) error {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 	}
 	return setCount(s.wayOwner, name, n)
-}
-
-// SetFreq sets the DVFS operating point for all of the tenant's cores
-// (cpupowerutils analog). The value is clamped and snapped to the
-// platform's grid; the effective value is returned.
-func (s *Server) SetFreq(name string, ghz float64) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts, ok := s.tenants[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
-	}
-	ts.freqGHz = s.cfg.ClampFreq(ghz)
-	return ts.freqGHz, nil
-}
-
-// SetDuty sets the CPU-time duty cycle in (0, 1] for the tenant. The power
-// capper uses this as its coarse knob after frequency scaling bottoms out.
-func (s *Server) SetDuty(name string, duty float64) error {
-	if duty <= 0 || duty > 1 {
-		return fmt.Errorf("machine: duty cycle %v outside (0, 1]", duty)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts, ok := s.tenants[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownTenant, name)
-	}
-	ts.duty = duty
-	return nil
 }
 
 // SetAlloc applies a full allocation (cores, ways, frequency, duty) in one

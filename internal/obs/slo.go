@@ -76,11 +76,3 @@ func (s *SLO) Burn() float64 {
 	}
 	return s.burn.Value()
 }
-
-// Target returns the configured target (0 for a nil tracker).
-func (s *SLO) Target() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.target
-}

@@ -374,9 +374,6 @@ func (a *Adapter) RefitTick(time.Time) {
 	a.refits++
 }
 
-// Collector exposes the underlying observation store.
-func (a *Adapter) Collector() *Collector { return a.collector }
-
 // Stats reports the adapter's activity: ingested and rejected
 // observations, successful refits, and refit failures.
 func (a *Adapter) Stats() (observations, rejected, refits, refitErrs int) {

@@ -58,9 +58,6 @@ func NewMeter(src Source, period time.Duration, noiseRel float64, seed int64) (*
 	}, nil
 }
 
-// Period returns the sampling period.
-func (m *Meter) Period() time.Duration { return m.period }
-
 // Sample reads the source at the given simulated time and returns a noisy
 // reading. Samples requested faster than the meter period return the
 // previous reading, mimicking a hardware counter that updates at a fixed
@@ -141,9 +138,6 @@ func NewCapTracker(capW float64) (*CapTracker, error) {
 	}
 	return &CapTracker{capW: capW}, nil
 }
-
-// Cap returns the tracked capacity in watts.
-func (c *CapTracker) Cap() float64 { return c.capW }
 
 // Observe records the draw at the given time. Observations must be
 // time-ordered.

@@ -20,12 +20,8 @@ func TestNewMeterValidation(t *testing.T) {
 	if _, err := NewMeter(src, time.Second, 0.9, 1); err == nil {
 		t.Error("expected error for absurd noise")
 	}
-	m, err := NewMeter(src, 100*time.Millisecond, 0.01, 1)
-	if err != nil {
+	if _, err := NewMeter(src, 100*time.Millisecond, 0.01, 1); err != nil {
 		t.Fatal(err)
-	}
-	if m.Period() != 100*time.Millisecond {
-		t.Errorf("Period = %v", m.Period())
 	}
 }
 
@@ -124,12 +120,8 @@ func TestCapTrackerValidation(t *testing.T) {
 	if _, err := NewCapTracker(-10); err == nil {
 		t.Error("expected error for negative cap")
 	}
-	c, err := NewCapTracker(150)
-	if err != nil {
+	if _, err := NewCapTracker(150); err != nil {
 		t.Fatal(err)
-	}
-	if c.Cap() != 150 {
-		t.Errorf("Cap = %v", c.Cap())
 	}
 }
 

@@ -831,9 +831,6 @@ func (m *Manager) SetModel(model *utility.Model) error {
 // Model returns the manager's current utility model for the primary.
 func (m *Manager) Model() *utility.Model { return m.model }
 
-// Policy returns the manager's LC policy.
-func (m *Manager) Policy() LCPolicy { return m.policy }
-
 // ControlPeriod returns the LC allocation loop period.
 func (m *Manager) ControlPeriod() time.Duration { return controlPeriod }
 

@@ -165,9 +165,6 @@ func TestNewValidation(t *testing.T) {
 	if err := mgr.Attach(nil); err == nil {
 		t.Error("expected error attaching to nil engine")
 	}
-	if mgr.Policy() != PowerOptimized {
-		t.Error("Policy accessor broken")
-	}
 	if PowerUnaware.String() == "" || PowerOptimized.String() == "" || LCPolicy(7).String() == "" {
 		t.Error("LCPolicy strings should render")
 	}

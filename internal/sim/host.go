@@ -167,8 +167,8 @@ func NewHost(hc HostConfig) (*Host, error) {
 	if meterPeriod == 0 {
 		meterPeriod = 100 * time.Millisecond
 	}
-	newSeries := func(suffix string) *telemetry.Series {
-		s := telemetry.NewBoundedSeries(hc.Name+suffix, hc.SeriesCap)
+	newSeries := func() *telemetry.Series {
+		s := telemetry.NewBoundedSeries(hc.SeriesCap)
 		if hc.SeriesHint > 0 {
 			s.Reserve(hc.SeriesHint)
 		}
@@ -184,12 +184,12 @@ func NewHost(hc HostConfig) (*Host, error) {
 		capW:        capW,
 		capTrack:    capTrack,
 		rng:         rand.New(rand.NewSource(hc.Seed)),
-		powerSeries: newSeries("/power"),
-		p95Series:   newSeries("/p95"),
-		p99Series:   newSeries("/p99"),
-		loadSeries:  newSeries("/load"),
-		beThrSeries: newSeries("/be-throughput"),
-		slackSeries: newSeries("/slack"),
+		powerSeries: newSeries(),
+		p95Series:   newSeries(),
+		p99Series:   newSeries(),
+		loadSeries:  newSeries(),
+		beThrSeries: newSeries(),
+		slackSeries: newSeries(),
 		beOpsBy:     make(map[string]*telemetry.Counter, len(bes)),
 	}
 	for _, be := range bes {

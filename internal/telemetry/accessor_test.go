@@ -10,7 +10,7 @@ import (
 // it, At(i) must always return the i-th oldest retained point.
 func TestAtWraparound(t *testing.T) {
 	base := time.Unix(0, 0).UTC()
-	s := NewBoundedSeries("x", 4)
+	s := NewBoundedSeries(4)
 	appendN := func(from, to int) {
 		for i := from; i <= to; i++ {
 			if err := s.Append(base.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
@@ -57,7 +57,7 @@ func TestAtWraparound(t *testing.T) {
 
 func TestIterate(t *testing.T) {
 	base := time.Unix(0, 0).UTC()
-	s := NewBoundedSeries("x", 3)
+	s := NewBoundedSeries(3)
 	for i := 1; i <= 5; i++ {
 		if err := s.Append(base.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
 			t.Fatal(err)
@@ -82,7 +82,7 @@ func TestIterate(t *testing.T) {
 	}
 	// Unbounded series iterates in append order; empty series never
 	// calls fn.
-	u := NewSeries("u")
+	u := NewSeries()
 	u.Iterate(func(Point) bool {
 		t.Fatal("fn called on empty series")
 		return true

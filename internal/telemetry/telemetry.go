@@ -28,8 +28,6 @@ type Point struct {
 // use NewBoundedSeries instead, which retains only the most recent
 // observations in a fixed-size ring.
 type Series struct {
-	name string
-
 	mu sync.Mutex
 	// Unbounded mode (cap == 0): pts grows by append.
 	// Bounded mode (cap > 0): pts is a ring of size cap; head indexes the
@@ -40,23 +38,20 @@ type Series struct {
 	n    int
 }
 
-// NewSeries creates a named, unbounded series.
-func NewSeries(name string) *Series {
-	return &Series{name: name}
+// NewSeries creates an unbounded series.
+func NewSeries() *Series {
+	return &Series{}
 }
 
-// NewBoundedSeries creates a named series retaining only the most recent
+// NewBoundedSeries creates a series retaining only the most recent
 // capacity observations (a ring buffer). A capacity below one falls back
 // to an unbounded series.
-func NewBoundedSeries(name string, capacity int) *Series {
+func NewBoundedSeries(capacity int) *Series {
 	if capacity < 1 {
-		return NewSeries(name)
+		return NewSeries()
 	}
-	return &Series{name: name, cap: capacity}
+	return &Series{cap: capacity}
 }
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
 
 // Reserve grows an unbounded series' backing array so at least n points
 // can be appended without reallocating. Producers that know their run
@@ -73,9 +68,6 @@ func (s *Series) Reserve(n int) {
 	copy(pts, s.pts)
 	s.pts = pts
 }
-
-// Cap returns the retention capacity, or 0 for an unbounded series.
-func (s *Series) Cap() int { return s.cap }
 
 // size returns the number of retained points. Callers must hold s.mu.
 func (s *Series) size() int {

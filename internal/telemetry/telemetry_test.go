@@ -8,10 +8,7 @@ import (
 )
 
 func TestSeriesBasics(t *testing.T) {
-	s := NewSeries("power")
-	if s.Name() != "power" {
-		t.Errorf("Name = %q", s.Name())
-	}
+	s := NewSeries()
 	start := time.Unix(0, 0)
 	for i := 0; i < 5; i++ {
 		if err := s.Append(start.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
@@ -35,7 +32,7 @@ func TestSeriesBasics(t *testing.T) {
 }
 
 func TestSeriesOutOfOrderRejected(t *testing.T) {
-	s := NewSeries("x")
+	s := NewSeries()
 	start := time.Unix(100, 0)
 	if err := s.Append(start, 1); err != nil {
 		t.Fatal(err)
@@ -53,7 +50,7 @@ func TestSeriesOutOfOrderRejected(t *testing.T) {
 }
 
 func TestTimeWeightedMean(t *testing.T) {
-	s := NewSeries("w")
+	s := NewSeries()
 	if s.TimeWeightedMean() != 0 {
 		t.Error("empty series mean should be 0")
 	}
@@ -77,7 +74,7 @@ func TestTimeWeightedMean(t *testing.T) {
 }
 
 func TestTimeWeightedMeanDegenerateTimestamps(t *testing.T) {
-	s := NewSeries("deg")
+	s := NewSeries()
 	at := time.Unix(5, 0)
 	for _, v := range []float64{1, 2, 3} {
 		if err := s.Append(at, v); err != nil {
@@ -90,7 +87,7 @@ func TestTimeWeightedMeanDegenerateTimestamps(t *testing.T) {
 }
 
 func TestSeriesMaxEmptyAndNegative(t *testing.T) {
-	s := NewSeries("neg")
+	s := NewSeries()
 	if s.Max() != 0 {
 		t.Error("empty Max should be 0")
 	}
@@ -103,10 +100,7 @@ func TestSeriesMaxEmptyAndNegative(t *testing.T) {
 }
 
 func TestBoundedSeriesEvictsOldest(t *testing.T) {
-	s := NewBoundedSeries("ring", 3)
-	if s.Cap() != 3 {
-		t.Errorf("Cap = %d, want 3", s.Cap())
-	}
+	s := NewBoundedSeries(3)
 	start := time.Unix(0, 0)
 	for i := 0; i < 10; i++ {
 		if err := s.Append(start.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
@@ -137,7 +131,7 @@ func TestBoundedSeriesEvictsOldest(t *testing.T) {
 }
 
 func TestBoundedSeriesOutOfOrderAndAggregates(t *testing.T) {
-	s := NewBoundedSeries("ring", 2)
+	s := NewBoundedSeries(2)
 	start := time.Unix(0, 0)
 	if err := s.Append(start.Add(10*time.Second), 1); err != nil {
 		t.Fatal(err)
@@ -159,10 +153,7 @@ func TestBoundedSeriesOutOfOrderAndAggregates(t *testing.T) {
 }
 
 func TestBoundedSeriesInvalidCapacityFallsBack(t *testing.T) {
-	s := NewBoundedSeries("x", 0)
-	if s.Cap() != 0 {
-		t.Errorf("Cap = %d, want unbounded fallback", s.Cap())
-	}
+	s := NewBoundedSeries(0)
 	start := time.Unix(0, 0)
 	for i := 0; i < 100; i++ {
 		if err := s.Append(start.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
@@ -175,7 +166,7 @@ func TestBoundedSeriesInvalidCapacityFallsBack(t *testing.T) {
 }
 
 func TestSeriesLast(t *testing.T) {
-	s := NewSeries("last")
+	s := NewSeries()
 	if _, ok := s.Last(); ok {
 		t.Error("empty series should have no last point")
 	}
@@ -199,7 +190,7 @@ func TestCounter(t *testing.T) {
 }
 
 func TestConcurrentUse(t *testing.T) {
-	s := NewSeries("conc")
+	s := NewSeries()
 	var c Counter
 	var wg sync.WaitGroup
 	start := time.Unix(0, 0)

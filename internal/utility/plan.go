@@ -50,9 +50,8 @@ type GridPoint struct {
 // deep-copies the model parameters it needs, so callers may mutate or
 // discard the source Model afterwards.
 type Plan struct {
-	model Model // deep copy (identification + diagnostics)
-	caps  []int
-	k     int
+	caps []int
+	k    int
 
 	// Min-power frontier over the quantized target domain: cell i answers
 	// every target in (thresh[i-1], thresh[i]] with the allocation encoded
@@ -60,7 +59,6 @@ type Plan struct {
 	// achievable performance.
 	thresh []float64
 	walks  []int
-	powers []float64
 	// cellC/cellW decode walks for the 2-resource fast path.
 	cellC, cellW []int
 
@@ -69,12 +67,6 @@ type Plan struct {
 	// monotonicity flag deciding binary search vs the exact linear scan.
 	gridPerf  []float64
 	colSorted []bool
-
-	// Log-domain tables: lnAlpha0 + Σ αⱼ·ln(v) with ln cached over the
-	// integer grid, for Pow-free evaluation where bit-identity with
-	// Model.Perf is not required (see PerfLog).
-	lnAlpha0 float64
-	lns      [][]float64
 }
 
 // NewPlan precomputes the allocation planner tables for the model over the
@@ -106,25 +98,20 @@ func NewPlan(m *Model, caps []int) (*Plan, error) {
 	}
 
 	p := &Plan{
-		model: copyModel(m),
-		caps:  append([]int(nil), caps...),
-		k:     k,
+		caps: append([]int(nil), caps...),
+		k:    k,
 	}
 
 	// Per-axis tables: pows[j][v] = v^αⱼ and dyns[j][v] = v·pⱼ. Folding
 	// these left to right reproduces Model.Perf/DynamicPower bit for bit.
 	pows := make([][]float64, k)
 	dyns := make([][]float64, k)
-	p.lnAlpha0 = math.Log(m.Alpha0)
-	p.lns = make([][]float64, k)
 	for j := 0; j < k; j++ {
 		pows[j] = make([]float64, caps[j]+1)
 		dyns[j] = make([]float64, caps[j]+1)
-		p.lns[j] = make([]float64, caps[j]+1)
 		for v := 1; v <= caps[j]; v++ {
 			pows[j][v] = math.Pow(float64(v), m.Alpha[j])
 			dyns[j][v] = float64(v) * m.P[j]
-			p.lns[j][v] = m.Alpha[j] * math.Log(float64(v))
 		}
 	}
 
@@ -202,7 +189,6 @@ func (p *Plan) buildFrontier(perf, power []float64) {
 	// consecutive thresholds with the same answer merge into one cell.
 	var descThresh []float64
 	var descWalk []int
-	var descPower []float64
 	bestPower := math.Inf(1)
 	bestWalk := -1
 	for i := 0; i < len(order); {
@@ -218,7 +204,6 @@ func (p *Plan) buildFrontier(perf, power []float64) {
 		if n := len(descWalk); n == 0 || descWalk[n-1] != bestWalk {
 			descThresh = append(descThresh, pf)
 			descWalk = append(descWalk, bestWalk)
-			descPower = append(descPower, bestPower)
 		}
 		i = j
 	}
@@ -226,29 +211,11 @@ func (p *Plan) buildFrontier(perf, power []float64) {
 	n := len(descThresh)
 	p.thresh = make([]float64, n)
 	p.walks = make([]int, n)
-	p.powers = make([]float64, n)
 	for i := 0; i < n; i++ {
 		p.thresh[i] = descThresh[n-1-i]
 		p.walks[i] = descWalk[n-1-i]
-		p.powers[i] = descPower[n-1-i]
 	}
 }
-
-// copyModel deep-copies the fields a Plan retains.
-func copyModel(m *Model) Model {
-	out := *m
-	out.Resources = append([]string(nil), m.Resources...)
-	out.Alpha = append([]float64(nil), m.Alpha...)
-	out.P = append([]float64(nil), m.P...)
-	return out
-}
-
-// Model returns a copy of the model parameters the plan was built from.
-func (p *Plan) Model() Model { return copyModel(&p.model) }
-
-// Cells returns the number of quantization cells in the min-power
-// frontier — the number of distinct answers the plan can give.
-func (p *Plan) Cells() int { return len(p.thresh) }
 
 // decode expands a walk index into the allocation vector it encodes.
 func (p *Plan) decode(walk int, dst []int) []int {
@@ -297,47 +264,6 @@ func (p *Plan) MinPower2(target float64, lastCell int) (cores, ways, cell int, f
 		return 0, 0, -1, false
 	}
 	return p.cellC[i], p.cellW[i], i, true
-}
-
-// MinPowerW returns the fitted dynamic power of the plan's answer for the
-// target, mirroring MinPowerAlloc's feasibility.
-func (p *Plan) MinPowerW(targetPerf float64) (float64, error) {
-	if !(targetPerf > 0) {
-		return 0, errors.New("utility: target performance must be positive")
-	}
-	i := sort.SearchFloat64s(p.thresh, targetPerf)
-	if i == len(p.thresh) {
-		return 0, fmt.Errorf("utility: target %v unreachable within caps %v", targetPerf, p.caps)
-	}
-	return p.powers[i], nil
-}
-
-// PerfLog evaluates the Cobb-Douglas model at the integer point r through
-// the cached log-domain tables: exp(lnα₀ + Σ αⱼ·ln rⱼ), with one exp and
-// zero math.Pow calls. The result agrees with Model.Perf to floating-point
-// rounding but is NOT bit-identical (exp of a sum associates differently
-// from a product of powers), so equivalence-critical paths — the frontier
-// tables and everything feeding the control loop — use the pow-product
-// tables instead. Points outside the plan's grid fall back to Model.Perf.
-func (p *Plan) PerfLog(r []int) float64 {
-	if len(r) != p.k {
-		return math.NaN()
-	}
-	s := p.lnAlpha0
-	for j, v := range r {
-		if v <= 0 {
-			return 0
-		}
-		if v > p.caps[j] {
-			rf := make([]float64, p.k)
-			for i, u := range r {
-				rf[i] = float64(u)
-			}
-			return p.model.Perf(rf)
-		}
-		s += p.lns[j][v]
-	}
-	return math.Exp(s)
 }
 
 // AppendUnawareFrontier appends the power-unaware minimal feasible

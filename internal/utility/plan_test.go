@@ -58,17 +58,6 @@ func assertPlanMatchesDirect(t *testing.T, m *utility.Model, caps []int, targets
 		if wantErr == nil && !reflect.DeepEqual(want, got) {
 			t.Fatalf("target %v: direct alloc %v, plan alloc %v", target, want, got)
 		}
-		if wantErr == nil {
-			rf := make([]float64, len(want))
-			for i, v := range want {
-				rf[i] = float64(v)
-			}
-			wantW := m.DynamicPower(rf)
-			gotW, err := plan.MinPowerW(target)
-			if err != nil || gotW != wantW {
-				t.Fatalf("target %v: direct power %v, plan power %v (err %v)", target, wantW, gotW, err)
-			}
-		}
 		if len(caps) == 2 {
 			c, w, _, feasible := plan.MinPower2(target, -1)
 			if feasible != (wantErr == nil) {
@@ -212,35 +201,6 @@ func TestPlanWarmStart(t *testing.T) {
 	}
 	if warm == 0 {
 		t.Fatal("slow target sweep never reused a cell; warm start is not engaging")
-	}
-}
-
-// TestPlanLogDomain sanity-checks the auxiliary Pow-free evaluation path:
-// it must agree with Model.Perf to tight relative error on the grid, and
-// fall back to the model outside it.
-func TestPlanLogDomain(t *testing.T) {
-	m := testModel(t)
-	caps := []int{12, 20}
-	plan, err := utility.NewPlan(m, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 1; c <= caps[0]; c++ {
-		for w := 1; w <= caps[1]; w++ {
-			want := m.Perf([]float64{float64(c), float64(w)})
-			got := plan.PerfLog([]int{c, w})
-			if math.Abs(got-want) > 1e-9*math.Abs(want) {
-				t.Fatalf("PerfLog(%d,%d)=%v, Perf=%v", c, w, got, want)
-			}
-		}
-	}
-	if got, want := plan.PerfLog([]int{0, 5}), 0.0; got != want {
-		t.Fatalf("PerfLog at zero = %v, want 0", got)
-	}
-	outside := plan.PerfLog([]int{caps[0] + 3, 5})
-	direct := m.Perf([]float64{float64(caps[0] + 3), 5})
-	if outside != direct {
-		t.Fatalf("PerfLog outside grid = %v, want Perf fallback %v", outside, direct)
 	}
 }
 

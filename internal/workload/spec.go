@@ -104,9 +104,6 @@ type Spec struct {
 	alpha0 float64        // capacity scale, computed by calibrate
 }
 
-// Alpha0 returns the calibrated Cobb-Douglas scale constant.
-func (s *Spec) Alpha0() float64 { return s.alpha0 }
-
 // calibrate fixes alpha0 so that the full-machine operating point matches
 // PeakLoad: for LC apps the max SLO-compliant load on the full machine is
 // PeakLoad; for BE apps the saturated full-machine throughput is PeakLoad.
@@ -239,12 +236,6 @@ func (s *Spec) P95(a machine.Alloc, load float64) float64 {
 		return math.Inf(1)
 	}
 	return latencyCurve(s.SLO.P95Ms, load/cap)
-}
-
-// MeetsSLO reports whether the allocation sustains the load with at least
-// the given relative p99 slack (slack 0.1 = latency ≤ 90% of the SLO).
-func (s *Spec) MeetsSLO(a machine.Alloc, load, slack float64) bool {
-	return s.P99(a, load) <= s.SLO.P99Ms*(1-slack)
 }
 
 // Throughput returns the saturated throughput of a BE application on the

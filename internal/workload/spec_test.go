@@ -204,13 +204,6 @@ func TestLatencyModel(t *testing.T) {
 	if !math.IsInf(s.P99(machine.Alloc{}, 100), 1) {
 		t.Error("p99 with empty allocation should be +Inf")
 	}
-	// MeetsSLO: peak load has zero slack, so a 10% slack demand fails.
-	if s.MeetsSLO(full, peak, 0.10) {
-		t.Error("peak load should not meet SLO with 10% slack")
-	}
-	if !s.MeetsSLO(full, 0.5*peak, 0.10) {
-		t.Error("half load should meet SLO with 10% slack")
-	}
 }
 
 func TestXapianLowLoadSmallAllocation(t *testing.T) {
