@@ -106,7 +106,7 @@ func main() {
 	}
 	var recorder *obs.FlightRecorder
 	if *flightDir != "" {
-		recorder = obs.NewRecorder(obs.RecorderConfig{Dir: *flightDir})
+		recorder = obs.NewRecorder(*flightDir)
 	}
 
 	if err := run(*agents, *be, *listen, *tracePath, controlplane.ControllerConfig{

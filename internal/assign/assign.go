@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -252,19 +251,5 @@ func LP(value [][]float64) ([]int, float64, error) {
 		usedTask[bestJ] = true
 		assignment[i] = bestJ
 	}
-	return assignment, total(value, assignment), nil
-}
-
-// Random assigns each worker a uniformly random distinct task — the
-// paper's Random baseline placement policy.
-func Random(value [][]float64, seed int64) ([]int, float64, error) {
-	n, m, err := validateMatrix(value)
-	if err != nil {
-		return nil, 0, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(m)[:n]
-	assignment := make([]int, n)
-	copy(assignment, perm)
 	return assignment, total(value, assignment), nil
 }

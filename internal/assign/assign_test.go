@@ -172,48 +172,6 @@ func TestSolversAgreeOnRandomMatrices(t *testing.T) {
 	}
 }
 
-func TestRandomAssignment(t *testing.T) {
-	value := knownMatrix()
-	a, val, err := Random(value, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, j := range a {
-		if j < 0 || j >= 3 || seen[j] {
-			t.Fatalf("invalid random assignment %v", a)
-		}
-		seen[j] = true
-	}
-	if val <= 0 {
-		t.Errorf("value = %v", val)
-	}
-	// Deterministic per seed.
-	b, _, err := Random(value, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Error("same seed should give same assignment")
-		}
-	}
-	// Random is (almost surely) worse than optimal sometimes; over many
-	// seeds its mean must be below the optimum.
-	_, opt, _ := Exhaustive(value)
-	sum := 0.0
-	for s := int64(0); s < 50; s++ {
-		_, v, err := Random(value, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += v
-	}
-	if sum/50 >= opt {
-		t.Error("mean random value should be below the optimum")
-	}
-}
-
 func TestMatrixValidation(t *testing.T) {
 	for name, solve := range map[string]func([][]float64) ([]int, float64, error){
 		"hungarian":  Hungarian,
@@ -232,9 +190,6 @@ func TestMatrixValidation(t *testing.T) {
 		if _, _, err := solve([][]float64{{math.NaN()}}); err == nil {
 			t.Errorf("%s: expected error for NaN entry", name)
 		}
-	}
-	if _, _, err := Random(nil, 1); err == nil {
-		t.Error("random: expected error for empty matrix")
 	}
 	if _, _, err := Exhaustive(make([][]float64, 12)); err == nil {
 		t.Error("exhaustive: expected error for oversized problem")

@@ -1,7 +1,7 @@
 // Package assign provides the cluster manager's placement solvers: an
 // exact Hungarian method, a two-phase dense simplex LP (the paper places
-// applications with an LP solver, Section IV-B), an exhaustive search used
-// by the Fig. 14 comparison, and the Random baseline policy.
+// applications with an LP solver, Section IV-B), and an exhaustive search
+// used by the Fig. 14 comparison.
 package assign
 
 import (

@@ -57,17 +57,13 @@ func memoRun[V any](cache *memo.Cache[string, V], key string, copyOf func(V) V, 
 }
 
 // fingerprintConfig writes the cacheable identity of a cluster Config: the
-// machine, dwell, seed, slack guard, shard layout, and every involved
-// spec and fitted model by value. Parallel is deliberately excluded —
-// worker count must not change results. Invariants is included even
-// though it does not perturb results: a run requesting invariant checks
-// must not silently satisfy itself from a cache entry produced without
-// them.
+// machine, dwell, seed, slack guard, and every involved spec and fitted
+// model by value. Parallel is deliberately excluded — worker count must
+// not change results. Invariants is included even though it does not
+// perturb results: a run requesting invariant checks must not silently
+// satisfy itself from a cache entry produced without them.
 func fingerprintConfig(w *strings.Builder, cfg *Config) {
-	// Shard is included because the pod layout changes the POColo
-	// placement: a result computed under one layout must not satisfy a
-	// request made under another.
-	fmt.Fprintf(w, "m=%+v|dwell=%d|seed=%d|slack=%g|inv=%t|shard=%+v", cfg.Machine, cfg.Dwell, cfg.Seed, cfg.TargetSlack, cfg.Invariants, cfg.Shard)
+	fmt.Fprintf(w, "m=%+v|dwell=%d|seed=%d|slack=%g|inv=%t", cfg.Machine, cfg.Dwell, cfg.Seed, cfg.TargetSlack, cfg.Invariants)
 	writeSpecs := func(label string, specs []*workload.Spec) {
 		fmt.Fprintf(w, "|%s=", label)
 		for _, s := range specs {

@@ -111,11 +111,6 @@ type Config struct {
 	// flat or hierarchical (see BudgetConfig). Budgeted runs step every
 	// host on one shared engine and always bypass the sweep memo.
 	Budget *BudgetConfig
-	// Shard, when PodSize > 0, shards the POColo placement into
-	// independently solved pods with cross-pod rebalancing (see Sharded)
-	// instead of the full-matrix LP. The pod layout changes which
-	// placement Place returns, so Shard is part of the memo fingerprint.
-	Shard ShardSettings
 }
 
 func (c *Config) defaults() error {
@@ -181,9 +176,7 @@ func PlaceRandom(lc, be []*workload.Spec, seed int64) map[string]string {
 }
 
 // Place computes the POColo placement: build the performance matrix from
-// the fitted models and solve it with the LP solver — or, when
-// cfg.Shard.PodSize > 0, through the sharded incremental path with
-// cross-pod rebalancing.
+// the fitted models and solve it with the LP solver.
 func Place(cfg Config) (map[string]string, float64, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, 0, err
@@ -196,22 +189,6 @@ func Place(cfg Config) (map[string]string, float64, error) {
 		Models:   cfg.Models,
 		Parallel: cfg.Parallel,
 		Trace:    tr,
-	}
-	if cfg.Shard.PodSize > 0 {
-		sh, err := NewSharded(mcfg, cfg.Shard)
-		if err != nil {
-			return nil, 0, err
-		}
-		if _, err := sh.Rebalance(tr, simEpoch()); err != nil {
-			return nil, 0, err
-		}
-		_, total, err := sh.Solve(tr, simEpoch())
-		if err != nil {
-			return nil, 0, err
-		}
-		placement := sh.Placement()
-		recordPlacement(tr, placement, "sharded solve")
-		return placement, total, nil
 	}
 	mx, err := BuildMatrix(mcfg)
 	if err != nil {

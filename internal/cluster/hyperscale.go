@@ -34,11 +34,6 @@ type FleetConfig struct {
 	Hosts, Jobs int
 	// Seed drives cap jitter and churn selection.
 	Seed int64
-	// CapJitterFrac is the relative spread of per-host provisioned caps
-	// around the class cap (default 0.08). Jittered caps are quantized to
-	// whole watts so the distinct column-fingerprint count stays bounded
-	// and the delta-cell memo keeps collapsing instances.
-	CapJitterFrac float64
 	// Shard configures the pod decomposition (zero value = DefaultPodSize
 	// pods).
 	Shard ShardSettings
@@ -67,14 +62,17 @@ func (c *FleetConfig) validate() error {
 			return fmt.Errorf("cluster: no fitted model for class %s", s.Name)
 		}
 	}
-	if c.CapJitterFrac < 0 || c.CapJitterFrac >= 1 {
-		return fmt.Errorf("cluster: cap jitter %v outside [0, 1)", c.CapJitterFrac)
-	}
 	if c.BudgetFrac < 0 || c.BudgetFrac > 1 {
 		return fmt.Errorf("cluster: budget fraction %v outside [0, 1]", c.BudgetFrac)
 	}
 	return nil
 }
+
+// capJitterFrac is the relative spread of per-host provisioned caps
+// around the class cap. Jittered caps are quantized to whole watts so the
+// distinct column-fingerprint count stays bounded and the delta-cell memo
+// keeps collapsing instances.
+const capJitterFrac = 0.08
 
 // quantizeW rounds a wattage to the 1 W grid. Cap perturbations are
 // always quantized before they reach a spec: fingerprints are exact
@@ -116,9 +114,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CapJitterFrac == 0 {
-		cfg.CapJitterFrac = 0.08
-	}
 	f := &Fleet{
 		cfg:        cfg,
 		lc:         make([]*workload.Spec, cfg.Hosts),
@@ -142,7 +137,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		inst := *class
 		inst.Name = fmt.Sprintf("host-%d", i)
 		f.baseCap[i] = class.ProvisionedPowerW
-		inst.ProvisionedPowerW = quantizeW(class.ProvisionedPowerW * (1 + cfg.CapJitterFrac*(2*f.rng.Float64()-1)))
+		inst.ProvisionedPowerW = quantizeW(class.ProvisionedPowerW * (1 + capJitterFrac*(2*f.rng.Float64()-1)))
 		f.lc[i] = &inst
 		f.models[inst.Name] = cfg.Models[class.Name]
 	}
@@ -182,7 +177,7 @@ func (f *Fleet) Advance(churn float64) (hostsChanged, classesChanged int) {
 	envelope := 1 + 0.05*math.Sin(2*math.Pi*float64(f.round)/diurnalPeriod)
 	n := int(churn * float64(len(f.lc)))
 	for _, i := range f.rng.Perm(len(f.lc))[:n] {
-		jitter := 1 + f.cfg.CapJitterFrac*(2*f.rng.Float64()-1)
+		jitter := 1 + capJitterFrac*(2*f.rng.Float64()-1)
 		next := quantizeW(f.baseCap[i] * envelope * jitter)
 		if next != f.lc[i].ProvisionedPowerW {
 			f.lc[i].ProvisionedPowerW = next

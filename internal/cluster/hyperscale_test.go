@@ -28,12 +28,11 @@ func fleetFixture(t *testing.T, hosts, jobs int, set ShardSettings) FleetConfig 
 func TestFleetValidation(t *testing.T) {
 	good := fleetFixture(t, 8, 4, ShardSettings{PodSize: 4})
 	cases := map[string]func(*FleetConfig){
-		"no hosts":       func(c *FleetConfig) { c.Hosts = 0 },
-		"jobs > hosts":   func(c *FleetConfig) { c.Jobs = c.Hosts + 1 },
-		"no classes":     func(c *FleetConfig) { c.LCClasses = nil },
-		"missing model":  func(c *FleetConfig) { c.Models = nil },
-		"jitter too big": func(c *FleetConfig) { c.CapJitterFrac = 1 },
-		"bad budget":     func(c *FleetConfig) { c.BudgetFrac = 1.5 },
+		"no hosts":      func(c *FleetConfig) { c.Hosts = 0 },
+		"jobs > hosts":  func(c *FleetConfig) { c.Jobs = c.Hosts + 1 },
+		"no classes":    func(c *FleetConfig) { c.LCClasses = nil },
+		"missing model": func(c *FleetConfig) { c.Models = nil },
+		"bad budget":    func(c *FleetConfig) { c.BudgetFrac = 1.5 },
 	}
 	for name, mutate := range cases {
 		bad := good

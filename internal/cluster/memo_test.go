@@ -117,16 +117,6 @@ func TestFingerprintKeys(t *testing.T) {
 	if key(pooled) != base {
 		t.Error("worker-pool size leaked into the fingerprint; parallelism must not change results")
 	}
-	sharded := cfg
-	sharded.Shard = ShardSettings{PodSize: 2}
-	if key(sharded) == base {
-		t.Error("differing pod layouts share a fingerprint")
-	}
-	regapped := cfg
-	regapped.Shard = ShardSettings{PodSize: 2, RebalanceGap: 0.5}
-	if key(regapped) == key(sharded) {
-		t.Error("differing rebalance gaps share a fingerprint")
-	}
 	mgmt := placementKey(&cfg, placement, servermgr.PowerUnaware)
 	if mgmt == base {
 		t.Error("differing LC policies share a fingerprint")

@@ -29,12 +29,11 @@ const DefaultPodSize = 64
 const rebalanceRounds = 2
 
 // ShardSettings configures pod sharding of the assignment problem.
-// The zero value means unsharded (one pod spanning the whole cluster).
 type ShardSettings struct {
-	// PodSize is the number of LC hosts per pod (0 = DefaultPodSize when
-	// sharding is in use). Hosts are partitioned contiguously, so a
-	// budget tree whose leaf order matches the host order maps rack- or
-	// row-aligned subtrees onto pods.
+	// PodSize is the number of LC hosts per pod (0 = DefaultPodSize).
+	// Hosts are partitioned contiguously, so a budget tree whose leaf
+	// order matches the host order maps rack- or row-aligned subtrees
+	// onto pods.
 	PodSize int
 	// RebalanceGap is the minimum estimated cross-pod gain (in matrix
 	// value units) before a job migrates to another pod. Every migration

@@ -436,26 +436,6 @@ func TestShardedSolveTrace(t *testing.T) {
 	}
 }
 
-// Place with Shard.PodSize set routes the POColo placement through the
-// sharded path and stays feasible and no better than the LP optimum.
-func TestPlaceSharded(t *testing.T) {
-	cfg := fixture(t)
-	_, lpTotal, err := Place(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Shard = ShardSettings{PodSize: 2}
-	placement, total, err := Place(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcfg := MatrixConfig{Machine: cfg.Machine, LC: cfg.LC, BE: cfg.BE, Models: cfg.Models}
-	checkPlacement(t, mcfg, placement)
-	if total <= 0 || total > lpTotal*(1+1e-9) {
-		t.Errorf("sharded Place total %v (LP optimum %v)", total, lpTotal)
-	}
-}
-
 func TestShardedDegenerate(t *testing.T) {
 	// More pods than jobs: trailing pods are empty but still solve.
 	cfg := shardFixture(t, 8, 2)

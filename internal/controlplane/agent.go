@@ -48,8 +48,6 @@ type AgentConfig struct {
 	// SimTick, i.e. real time). Tests shrink it to run the simulation
 	// faster than real time.
 	RealTick time.Duration
-	// TargetSlack overrides the manager's latency slack guard.
-	TargetSlack float64
 	// SeriesCap bounds the host's telemetry series (default 4096 points;
 	// negative disables the bound).
 	SeriesCap int
@@ -174,14 +172,13 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	reg := obs.NewRegistry()
 	mgr, err := servermgr.New(servermgr.Config{
-		Host:        host,
-		Model:       cfg.LCModel,
-		Policy:      servermgr.PowerOptimized,
-		TargetSlack: cfg.TargetSlack,
-		BEModels:    cfg.BEModels,
-		Seed:        cfg.Seed,
-		Tracer:      tracer,
-		Obs:         reg,
+		Host:     host,
+		Model:    cfg.LCModel,
+		Policy:   servermgr.PowerOptimized,
+		BEModels: cfg.BEModels,
+		Seed:     cfg.Seed,
+		Tracer:   tracer,
+		Obs:      reg,
 	})
 	if err != nil {
 		return nil, err

@@ -39,8 +39,10 @@ const (
 	// requests fail but the agent keeps running.
 	FaultDropHeartbeats
 	// FaultDelayResponses delays every response from the agent by Delay.
-	// Pick Delay decisively above or below the controller's Timeout; near
-	// the boundary the outcome depends on scheduler timing.
+	// Nothing waits it out: a Delay at or past the controller's Timeout
+	// times out every RPC to the agent and loses its heartbeats, so it
+	// decides exactly as FaultDropHeartbeats does, and a shorter Delay is
+	// answered at once.
 	FaultDelayResponses
 	// FaultLoadSpike forces the agent's LC offered-load fraction to Level.
 	FaultLoadSpike
@@ -102,9 +104,17 @@ type FaultEvent struct {
 	Node string
 }
 
-// RandomFaults draws a seeded fault schedule: n events spread over the
-// campaign, uniform over agents and fault kinds. The schedule is a pure
-// function of its arguments — replaying the same seed replays the faults.
+// RandomFaults draws a seeded fault schedule: n events, uniform over
+// agents and the four kinds it draws (crash, drop, delay, load spike).
+// The campaign argument bounds the starts, not the faults: each fault
+// starts at a heartbeat in the first three quarters of campaign and lasts
+// 2 to 9 heartbeats, so the last can end up to 3/4·campaign + 9.5
+// heartbeats in, past campaign itself when campaign is under 38
+// heartbeats. A campaign that must end recovered (CampaignReport.Err)
+// needs a Duration past that horizon by DeadAfter heartbeats plus
+// MaxBackoff, the longest a polling controller waits to probe a dead
+// agent again. The schedule is a pure function of its arguments —
+// replaying the same seed replays the faults.
 func RandomFaults(seed int64, agents, n int, campaign, heartbeat time.Duration) []FaultEvent {
 	rng := rand.New(rand.NewSource(seed))
 	events := make([]FaultEvent, 0, n)
@@ -118,7 +128,7 @@ func RandomFaults(seed int64, agents, n int, campaign, heartbeat time.Duration) 
 			Duration: dur,
 		}
 		if ev.Kind == FaultDelayResponses {
-			// Decisively beyond any sane probe timeout.
+			// Past the campaign's default Timeout: the delay times out.
 			ev.Delay = time.Second
 		}
 		if ev.Kind == FaultLoadSpike {
@@ -138,16 +148,18 @@ type CampaignConfig struct {
 	// preset. It fills three zero fields with its own defaults:
 	//   - Heartbeat, the simulated time per round, 1 s: each round advances
 	//     every running agent by Heartbeat, then runs the controller's round.
-	//   - Timeout, the real-time RPC timeout, 250 ms. Only delayed responses
-	//     ever consume it; healthy loopback RPCs return immediately.
+	//   - Timeout, the RPC timeout, 250 ms. No campaign RPC waits for it:
+	//     it only splits FaultDelayResponses into delays that time out
+	//     (Delay >= Timeout), whose RPCs fail at once with
+	//     context.DeadlineExceeded, and delays answered at once.
 	//   - MaxBackoff, 4×Heartbeat, so crashed agents rejoin within a short
 	//     recovery window. Transport-parity suites set it to Heartbeat, so
 	//     the polling controller probes dead agents every round, exactly as
 	//     the streaming controller notices their first healed frame.
 	// Under TransportStream each round every running agent encodes a delta
 	// heartbeat and pushes it over the loopback fabric before the
-	// controller's round runs; frames from crashed, dropped, partitioned,
-	// or beyond-timeout-delayed agents are deterministically lost, and the
+	// controller's round runs; frames from agents whose link is not up
+	// this round (see linkState) are deterministically lost, and the
 	// sender resyncs with a full frame when connectivity heals. With a
 	// BudgetTree, the tree-conservation invariant is registered on the
 	// campaign harness; FaultBrownout events require one. Trace, when set,
@@ -354,35 +366,34 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignReport, error) {
 		}
 
 		crashed := make([]bool, len(c.agents))
-		down := make([]bool, len(c.agents))
-		partitioned := make([]bool, len(c.agents))
-		delay := make([]time.Duration, len(c.agents))
+		links := make([]linkState, len(c.agents))
 		level := make([]float64, len(c.agents))
 		spiked := make([]bool, len(c.agents))
 		for _, ev := range c.cfg.Faults {
 			if now < ev.At || now >= ev.At+ev.Duration {
 				continue
 			}
+			link := linkUp
 			switch ev.Kind {
 			case FaultCrash:
 				crashed[ev.Agent] = true
-				down[ev.Agent] = true
+				link = linkDown
 			case FaultDropHeartbeats:
-				down[ev.Agent] = true
-			case FaultPartition:
-				partitioned[ev.Agent] = true
+				link = linkDown
 			case FaultDelayResponses:
-				if ev.Delay > delay[ev.Agent] {
-					delay[ev.Agent] = ev.Delay
+				if ev.Delay >= c.cfg.Timeout {
+					link = linkTimedOut
 				}
+			case FaultPartition:
+				link = linkTelemetryCut
 			case FaultLoadSpike:
 				spiked[ev.Agent] = true
 				level[ev.Agent] = ev.Level
 			}
+			links[ev.Agent] = max(links[ev.Agent], link)
 		}
 		for i := range c.agents {
-			c.transport.set(fmt.Sprintf("campaign-agent-%d", i), down[i], delay[i])
-			c.transport.setPartition(fmt.Sprintf("campaign-agent-%d", i), partitioned[i])
+			c.transport.setLink(fmt.Sprintf("campaign-agent-%d", i), links[i])
 			c.spikes[i].set(spiked[i], level[i])
 		}
 
@@ -396,7 +407,7 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignReport, error) {
 		}
 
 		if c.encoders != nil {
-			if err := c.emitHeartbeats(ctx, crashed, down, partitioned, delay); err != nil {
+			if err := c.emitHeartbeats(ctx, crashed, links); err != nil {
 				return report, err
 			}
 		}
@@ -424,13 +435,13 @@ const campaignControllerHost = "campaign-controller"
 // emitHeartbeats runs the streaming transport's send step for one round:
 // every running agent encodes one heartbeat against its encoder state
 // and pushes it to the controller over the loopback fabric. Loss is
-// deterministic — a frame from a dropped, partitioned, or
-// beyond-timeout-delayed agent is encoded (the agent process doesn't
-// know it is cut off) and then discarded, and the sender resyncs so its
-// next delivered frame is a full snapshot. Crashed agents encode
-// nothing: the process is dead, and its encoder state survives to
-// resume delta encoding on restart, exactly like a paused container.
-func (c *Campaign) emitHeartbeats(ctx context.Context, crashed, down, partitioned []bool, delay []time.Duration) error {
+// deterministic — a frame from an agent whose link is not up is encoded
+// (the agent process doesn't know it is cut off) and then discarded, and
+// the sender resyncs so its next delivered frame is a full snapshot.
+// Crashed agents encode nothing: the process is dead, and its encoder
+// state survives to resume delta encoding on restart, exactly like a
+// paused container.
+func (c *Campaign) emitHeartbeats(ctx context.Context, crashed []bool, links []linkState) error {
 	for i, a := range c.agents {
 		if crashed[i] {
 			continue
@@ -440,7 +451,7 @@ func (c *Campaign) emitHeartbeats(ctx context.Context, crashed, down, partitione
 		if err != nil {
 			return fmt.Errorf("controlplane: encoding heartbeat for agent %d: %w", i, err)
 		}
-		if down[i] || partitioned[i] || delay[i] >= c.cfg.Timeout {
+		if links[i] != linkUp {
 			// Lost in flight: no ack ever comes back, so the sender cannot
 			// know whether the controller applied it — resync.
 			c.encoders[i].Resync()
@@ -570,23 +581,42 @@ func (t *spikeTrace) set(active bool, level float64) {
 	t.mu.Unlock()
 }
 
+// linkState is one agent's link to the controller for one round, which
+// the campaign decides from the schedule. One rule serves the loopback
+// fabric (RPCs from the controller) and the streaming send step
+// (heartbeats to it), which loses a frame whenever the link is not up.
+// When faults overlap, the worst link wins: the states are ordered.
+type linkState uint8
+
+const (
+	// linkUp answers every RPC at once, a FaultDelayResponses delay
+	// shorter than Timeout included.
+	linkUp linkState = iota
+	// linkTelemetryCut is a FaultPartition: GET /v1/stats and /v1/trace
+	// are refused while pushes (/v1/assign, /v1/cap) still land.
+	linkTelemetryCut
+	// linkTimedOut is a FaultDelayResponses delay at or past Timeout:
+	// every RPC fails at once with context.DeadlineExceeded, the cause
+	// the controller's own deadline would give it.
+	linkTimedOut
+	// linkDown is a FaultCrash or FaultDropHeartbeats: every request is
+	// refused.
+	linkDown
+)
+
 // loopbackTransport routes HTTP requests straight to registered handlers
-// in-process, with per-host fault switches. It implements
-// http.RoundTripper.
+// in-process, failing each as its host's link says. It implements
+// http.RoundTripper, and nothing in it waits.
 type loopbackTransport struct {
 	mu       sync.Mutex
 	handlers map[string]http.Handler
-	down     map[string]bool
-	partit   map[string]bool
-	delay    map[string]time.Duration
+	links    map[string]linkState
 }
 
 func newLoopbackTransport() *loopbackTransport {
 	return &loopbackTransport{
 		handlers: make(map[string]http.Handler),
-		down:     make(map[string]bool),
-		partit:   make(map[string]bool),
-		delay:    make(map[string]time.Duration),
+		links:    make(map[string]linkState),
 	}
 }
 
@@ -596,19 +626,9 @@ func (t *loopbackTransport) add(host string, h http.Handler) {
 	t.mu.Unlock()
 }
 
-func (t *loopbackTransport) set(host string, down bool, delay time.Duration) {
+func (t *loopbackTransport) setLink(host string, link linkState) {
 	t.mu.Lock()
-	t.down[host] = down
-	t.delay[host] = delay
-	t.mu.Unlock()
-}
-
-// setPartition cuts only the host's telemetry path: GET /v1/stats and
-// /v1/trace are refused while pushes (/v1/assign, /v1/cap) still flow —
-// the asymmetric half of FaultPartition that the polling transport sees.
-func (t *loopbackTransport) setPartition(host string, partitioned bool) {
-	t.mu.Lock()
-	t.partit[host] = partitioned
+	t.links[host] = link
 	t.mu.Unlock()
 }
 
@@ -621,24 +641,19 @@ func (t *loopbackTransport) RoundTrip(req *http.Request) (*http.Response, error)
 	host := req.URL.Host
 	t.mu.Lock()
 	h := t.handlers[host]
-	down := t.down[host]
-	partitioned := t.partit[host]
-	delay := t.delay[host]
+	link := t.links[host]
 	t.mu.Unlock()
 	if h == nil {
 		return nil, fmt.Errorf("loopback: no route to %s", host)
 	}
-	if down {
+	switch link {
+	case linkDown:
 		return nil, fmt.Errorf("loopback: connect %s: connection refused", host)
-	}
-	if partitioned && (req.URL.Path == RouteStats || req.URL.Path == RouteTrace) {
-		return nil, fmt.Errorf("loopback: connect %s: no route to host (partitioned)", host)
-	}
-	if delay > 0 {
-		select {
-		case <-req.Context().Done():
-			return nil, context.Cause(req.Context())
-		case <-time.After(delay):
+	case linkTimedOut:
+		return nil, context.DeadlineExceeded
+	case linkTelemetryCut:
+		if req.URL.Path == RouteStats || req.URL.Path == RouteTrace {
+			return nil, fmt.Errorf("loopback: connect %s: no route to host (partitioned)", host)
 		}
 	}
 	rec := httptest.NewRecorder()

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -142,7 +143,6 @@ func TestCampaignDelayAndSpike(t *testing.T) {
 		ControllerConfig: ControllerConfig{
 			BE:        bes,
 			Heartbeat: hb,
-			Timeout:   50 * time.Millisecond,
 			DeadAfter: 2,
 			Seed:      3,
 		},
@@ -168,6 +168,68 @@ func TestCampaignDelayAndSpike(t *testing.T) {
 	}
 	if report.Rejoins < 1 {
 		t.Fatalf("Rejoins = %d, want the delayed agent back", report.Rejoins)
+	}
+}
+
+// TestCampaignDelayDecidesAsDrop holds the fabric's timeout rule on both
+// transports: a delay at or past Timeout decides exactly as a drop of the
+// same agent over the same rounds, and nothing waits the delay out, so
+// each campaign finishes well within one Timeout of wall time.
+func TestCampaignDelayDecidesAsDrop(t *testing.T) {
+	const timeout = 10 * time.Second
+	lcs := []string{"img-dnn", "sphinx", "xapian"}
+	bes := []string{"graph", "lstm"}
+	hb := time.Second
+	for _, transport := range []string{TransportPoll, TransportStream} {
+		t.Run(transport, func(t *testing.T) {
+			run := func(fault FaultEvent) (*CampaignReport, string) {
+				var buf bytes.Buffer
+				camp, err := NewCampaign(CampaignConfig{
+					ControllerConfig: ControllerConfig{
+						BE:         bes,
+						Heartbeat:  hb,
+						Timeout:    timeout,
+						DeadAfter:  2,
+						MaxBackoff: hb,
+						Transport:  transport,
+						PodSize:    2,
+						Seed:       7,
+					},
+					Agents:   campaignAgentConfigs(t, lcs, bes),
+					Faults:   []FaultEvent{fault},
+					Duration: 14 * hb,
+					OnRound: func(round int, st Status) {
+						writeDemoRound(&buf, round, st)
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := time.Now()
+				report, err := camp.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if took := time.Since(start); took >= timeout {
+					t.Errorf("%v campaign took %v, at least one %v timeout", fault.Kind, took, timeout)
+				}
+				if err := report.Err(); err != nil {
+					t.Errorf("%v campaign not graceful: %v", fault.Kind, err)
+				}
+				return report, buf.String()
+			}
+			drop, dropOut := run(FaultEvent{At: 4 * hb, Agent: 0, Kind: FaultDropHeartbeats, Duration: 3 * hb})
+			delay, delayOut := run(FaultEvent{At: 4 * hb, Agent: 0, Kind: FaultDelayResponses, Duration: 3 * hb, Delay: 2 * timeout})
+			if drop.Deaths < 1 || drop.Rejoins < 1 {
+				t.Errorf("drop: deaths %d, rejoins %d; want the agent declared dead and back", drop.Deaths, drop.Rejoins)
+			}
+			if delay.Deaths != drop.Deaths || delay.Rejoins != drop.Rejoins {
+				t.Errorf("delay: deaths %d, rejoins %d; the drop gave %d and %d", delay.Deaths, delay.Rejoins, drop.Deaths, drop.Rejoins)
+			}
+			if delayOut != dropOut {
+				t.Errorf("decision logs diverged at %s", firstDiff(dropOut, delayOut))
+			}
+		})
 	}
 }
 
@@ -407,7 +469,6 @@ func TestCampaignSeededScheduleDeterministic(t *testing.T) {
 			ControllerConfig: ControllerConfig{
 				BE:        bes,
 				DeadAfter: 2,
-				Timeout:   50 * time.Millisecond,
 				Seed:      4,
 			},
 			Agents:   campaignAgentConfigs(t, lcs, bes),

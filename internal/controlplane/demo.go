@@ -40,8 +40,6 @@ type StreamDemoConfig struct {
 	// deterministic format, so diffing a stream run against a poll run
 	// proves the transports decide identically.
 	Out io.Writer
-	// Logf, when set, receives controller event logs.
-	Logf func(format string, args ...any)
 	// Obs, when non-nil, wires the demo controller's observability plane.
 	// NewStreamDemo creates one implicitly when FlightDir is set, so
 	// bundle captures always carry a metrics snapshot.
@@ -160,7 +158,7 @@ func NewStreamDemo(cfg StreamDemoConfig) (*Campaign, error) {
 		}
 	}
 	if cfg.FlightDir != "" {
-		recorder = obs.NewRecorder(obs.RecorderConfig{Dir: cfg.FlightDir})
+		recorder = obs.NewRecorder(cfg.FlightDir)
 		ctlTrace = trace.New("controller", 4096)
 	}
 	if cfg.SlowRound > 0 {
@@ -182,7 +180,6 @@ func NewStreamDemo(cfg StreamDemoConfig) (*Campaign, error) {
 			Transport:          cfg.Transport,
 			PodSize:            cfg.PodSize,
 			Seed:               cfg.Seed,
-			Logf:               cfg.Logf,
 			Trace:              ctlTrace,
 			Obs:                reg,
 			RoundDeadline:      deadline,

@@ -47,10 +47,6 @@ type ctlObs struct {
 	pollFast, pollFallback *obs.Counter // pocolo_obs_poll_decode_total
 }
 
-// sloBudget is the breach fraction the round and staleness objectives
-// tolerate.
-const sloBudget = 0.01
-
 func newCtlObs(reg *obs.Registry, poll bool, nPods int, roundDeadline, staleLimit time.Duration) *ctlObs {
 	if reg == nil {
 		return nil
@@ -58,8 +54,8 @@ func newCtlObs(reg *obs.Registry, poll bool, nPods int, roundDeadline, staleLimi
 	o := &ctlObs{
 		reg:      reg,
 		round:    reg.Histogram("pocolo_obs_round_seconds", "Wall-clock duration of controller heartbeat rounds."),
-		roundSLO: obs.NewSLO(reg, obs.Objective{Name: "round", Target: roundDeadline, Budget: sloBudget}),
-		staleSLO: obs.NewSLO(reg, obs.Objective{Name: "staleness", Target: staleLimit, Budget: sloBudget}),
+		roundSLO: obs.NewSLO(reg, obs.Objective{Name: "round", Target: roundDeadline}),
+		staleSLO: obs.NewSLO(reg, obs.Objective{Name: "staleness", Target: staleLimit}),
 		decode:   reg.Histogram("pocolo_obs_heartbeat_decode_seconds", "Wall-clock duration of heartbeat frame decodes."),
 		budgetLat: reg.Histogram("pocolo_obs_budget_rebalance_seconds",
 			"Wall-clock duration of the controller's budget-tree divisions."),

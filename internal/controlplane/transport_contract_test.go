@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +23,6 @@ type contractScenario struct {
 	faults     func(hb time.Duration) []FaultEvent
 	rounds     int
 	budget     bool // enforce a two-rack budget tree over the fleet
-	timeout    time.Duration
 	minDeaths  int
 	minRejoins int
 }
@@ -50,7 +51,6 @@ func contractScenarios() []contractScenario {
 		},
 		{
 			name: "delay", lcs: threeLC, bes: twoBE, rounds: 14,
-			timeout: 50 * time.Millisecond,
 			faults: func(hb time.Duration) []FaultEvent {
 				return []FaultEvent{{At: 4 * hb, Agent: 0, Kind: FaultDelayResponses, Duration: 3 * hb, Delay: time.Second}}
 			},
@@ -133,7 +133,6 @@ func runContractScenario(t *testing.T, sc contractScenario, transport string) (*
 		ControllerConfig: ControllerConfig{
 			BE:         sc.bes,
 			Heartbeat:  hb,
-			Timeout:    sc.timeout,
 			DeadAfter:  2,
 			MaxBackoff: hb,
 			Transport:  transport,
@@ -211,6 +210,89 @@ func TestTransportContract(t *testing.T) {
 			}
 			if pollReport.Rounds != streamReport.Rounds {
 				t.Errorf("rounds diverged: poll %d vs stream %d", pollReport.Rounds, streamReport.Rounds)
+			}
+			if pollOut != streamOut {
+				t.Errorf("decision logs diverged at %s", firstDiff(pollOut, streamOut))
+			}
+		})
+	}
+}
+
+// TestTransportContractRandomFaults runs the contract at fleet scale: 64
+// agents in pods of 16 under a seeded mix of crashes, drops, delays and
+// load spikes. Both transports must decide byte-identically, and each
+// campaign must end recovered with no invariant violation. The default
+// suite runs seed 1; POCOLO_FAULT_SEEDS=n runs seeds 1 to n (CI runs
+// eight as a dedicated step).
+func TestTransportContractRandomFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 64-agent campaigns per seed in -short mode")
+	}
+	seeds := 1
+	if v := os.Getenv("POCOLO_FAULT_SEEDS"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			t.Fatalf("POCOLO_FAULT_SEEDS=%q: want a positive seed count", v)
+		}
+		seeds = n
+	}
+	const agents, podSize, faults, rounds = 64, 16, 12, 45
+	hb := time.Second
+	cycle := []string{"img-dnn", "sphinx", "xapian", "tpcc"}
+	lcs := make([]string, agents)
+	for i := range lcs {
+		lcs[i] = cycle[i%len(cycle)]
+	}
+	// One replica per two agents, as in the stream demo: at most twelve
+	// agents are down at once, so every replica keeps a host.
+	bes := make([]string, agents/2)
+	for i := range bes {
+		bes[i] = fmt.Sprintf("%s#%d", []string{"graph", "lstm"}[i%2], i/2)
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			schedule := RandomFaults(seed, agents, faults, 30*hb, hb)
+			run := func(transport string) (*CampaignReport, string) {
+				cfgs := campaignAgentConfigs(t, lcs, []string{"graph", "lstm"})
+				for i := range cfgs {
+					cfgs[i].Name = fmt.Sprintf("agent-%02d", i)
+				}
+				var buf bytes.Buffer
+				camp, err := NewCampaign(CampaignConfig{
+					ControllerConfig: ControllerConfig{
+						BE:         bes,
+						Heartbeat:  hb,
+						DeadAfter:  2,
+						MaxBackoff: hb,
+						Transport:  transport,
+						PodSize:    podSize,
+						Seed:       7,
+					},
+					Agents:   cfgs,
+					Faults:   schedule,
+					Duration: rounds * hb,
+					OnRound: func(round int, st Status) {
+						writeDemoRound(&buf, round, st)
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				report, err := camp.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return report, buf.String()
+			}
+			pollReport, pollOut := run(TransportPoll)
+			streamReport, streamOut := run(TransportStream)
+			for transport, report := range map[string]*CampaignReport{TransportPoll: pollReport, TransportStream: streamReport} {
+				if err := report.Err(); err != nil {
+					t.Errorf("%s: campaign not graceful: %v", transport, err)
+				}
+				if len(report.Violations) != 0 {
+					t.Errorf("%s: %d invariant violations", transport, len(report.Violations))
+				}
 			}
 			if pollOut != streamOut {
 				t.Errorf("decision logs diverged at %s", firstDiff(pollOut, streamOut))

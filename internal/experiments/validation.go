@@ -72,7 +72,7 @@ func (s *Suite) AblationOnline() (AblationOnlineResult, error) {
 		}
 		var adapter *online.Adapter
 		if adapt {
-			adapter, err = online.NewAdapter(online.AdapterConfig{Host: host, Manager: mgr})
+			adapter, err = online.NewAdapter(host, mgr)
 			if err != nil {
 				return OnlineRow{}, err
 			}

@@ -103,26 +103,6 @@ func (h *Histogram) Record(ms float64) error {
 	return nil
 }
 
-// RecordN adds n identical observations.
-func (h *Histogram) RecordN(ms float64, n uint64) error {
-	if math.IsNaN(ms) || ms < 0 {
-		return fmt.Errorf("latency: cannot record %v", ms)
-	}
-	if n == 0 {
-		return nil
-	}
-	h.counts[h.bucketIndex(ms)] += n
-	h.total += n
-	h.sum += ms * float64(n)
-	if ms > h.maxSeen {
-		h.maxSeen = ms
-	}
-	if ms < h.minSeen {
-		h.minSeen = ms
-	}
-	return nil
-}
-
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.total }
 
@@ -195,31 +175,6 @@ func (h *Histogram) Reset() {
 	h.sum = 0
 	h.maxSeen = math.Inf(-1)
 	h.minSeen = math.Inf(1)
-}
-
-// Merge adds all observations from other into h. Both histograms must have
-// identical configuration.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil {
-		return nil
-	}
-	if h.minTrackable != other.minTrackable || h.maxTrackable != other.maxTrackable || h.growth != other.growth {
-		return errors.New("latency: cannot merge histograms with different configurations")
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	if other.total > 0 {
-		if other.maxSeen > h.maxSeen {
-			h.maxSeen = other.maxSeen
-		}
-		if other.minSeen < h.minSeen {
-			h.minSeen = other.minSeen
-		}
-	}
-	return nil
 }
 
 // Snapshot summarizes the histogram.

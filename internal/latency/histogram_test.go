@@ -60,9 +60,6 @@ func TestHistogramRejectsBadValues(t *testing.T) {
 	if err := h.Record(math.NaN()); err == nil {
 		t.Error("expected error for NaN")
 	}
-	if err := h.RecordN(math.NaN(), 3); err == nil {
-		t.Error("expected error for NaN in RecordN")
-	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
@@ -135,60 +132,21 @@ func TestHistogramClampsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestHistogramRecordN(t *testing.T) {
+func TestHistogramReset(t *testing.T) {
 	h := MustNewHistogram(0.01, 1000, 0.01)
-	if err := h.RecordN(10, 0); err != nil {
-		t.Fatal(err)
-	}
-	if h.Count() != 0 {
-		t.Error("RecordN with 0 should be a no-op")
-	}
-	if err := h.RecordN(10, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if h.Count() != 1000 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if got := h.Percentile(50); math.Abs(got-10)/10 > 0.02 {
-		t.Errorf("p50 = %v, want ≈10", got)
-	}
-}
-
-func TestHistogramResetAndMerge(t *testing.T) {
-	a := MustNewHistogram(0.01, 1000, 0.01)
-	b := MustNewHistogram(0.01, 1000, 0.01)
 	for i := 0; i < 100; i++ {
-		if err := a.Record(1); err != nil {
-			t.Fatal(err)
+		for _, ms := range []float64{1, 100} {
+			if err := h.Record(ms); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := b.Record(100); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
+	if h.Count() != 200 || math.Abs(h.Mean()-50.5) > 1e-9 || h.Max() != 100 || h.Min() != 1 {
+		t.Errorf("before reset: count %d, mean %v, extremes %v/%v", h.Count(), h.Mean(), h.Min(), h.Max())
 	}
-	if a.Count() != 200 {
-		t.Errorf("merged count = %d", a.Count())
-	}
-	if got := a.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("merged mean = %v, want 50.5", got)
-	}
-	if a.Max() != 100 || a.Min() != 1 {
-		t.Errorf("merged extremes = %v/%v", a.Min(), a.Max())
-	}
-	a.Reset()
-	if a.Count() != 0 || a.Mean() != 0 {
+	h.Reset()
+	if h.Count() != 0 || h.Mean() != 0 {
 		t.Error("reset should clear the histogram")
-	}
-	// Merging nil is a no-op.
-	if err := a.Merge(nil); err != nil {
-		t.Fatal(err)
-	}
-	// Mismatched configuration must error.
-	c := MustNewHistogram(0.1, 1000, 0.01)
-	if err := a.Merge(c); err == nil {
-		t.Error("expected config mismatch error")
 	}
 }
 

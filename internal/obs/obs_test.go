@@ -352,8 +352,8 @@ func TestValueHistogramConcurrent(t *testing.T) {
 
 func TestSLOBurn(t *testing.T) {
 	reg := NewRegistry()
-	s := NewSLO(reg, Objective{Name: "round", Target: 10 * time.Millisecond, Budget: 0.1})
-	for i := 0; i < 9; i++ {
+	s := NewSLO(reg, Objective{Name: "round", Target: 10 * time.Millisecond})
+	for i := 0; i < 99; i++ {
 		if s.Observe(time.Millisecond) {
 			t.Fatalf("fast observation breached")
 		}
@@ -361,7 +361,7 @@ func TestSLOBurn(t *testing.T) {
 	if !s.Observe(time.Second) {
 		t.Fatalf("slow observation did not breach")
 	}
-	// 1 breach / 10 observations / 0.1 budget = burn 1.0.
+	// 1 breach / 100 observations / 0.01 budget = burn 1.0.
 	if burn := s.Burn(); math.Abs(burn-1.0) > 1e-9 {
 		t.Fatalf("burn = %g, want 1.0", burn)
 	}
@@ -377,7 +377,7 @@ func bundleEvents() []trace.Event {
 
 func TestRecorderRateLimitAndBundle(t *testing.T) {
 	dir := t.TempDir()
-	rec := NewRecorder(RecorderConfig{Dir: dir, MinInterval: time.Minute, MaxBundles: 4})
+	rec := NewRecorder(dir)
 	now := time.Unix(1_700_000_000, 0)
 	b := Bundle{
 		Reason: "round-deadline",
@@ -395,18 +395,18 @@ func TestRecorderRateLimitAndBundle(t *testing.T) {
 			t.Fatalf("bundle missing %s: %v", f, err)
 		}
 	}
-	// Within MinInterval: suppressed.
+	// Within a minute: suppressed.
 	b.Now = now.Add(30 * time.Second)
 	if _, taken, _ := rec.Trigger(b); taken {
-		t.Fatalf("trigger inside MinInterval was not suppressed")
+		t.Fatalf("trigger inside a minute was not suppressed")
 	}
 	if rec.Throttled() != 1 {
 		t.Fatalf("throttled = %d, want 1", rec.Throttled())
 	}
-	// Past MinInterval: taken again.
+	// Past a minute: taken again.
 	b.Now = now.Add(2 * time.Minute)
 	if _, taken, _ := rec.Trigger(b); !taken {
-		t.Fatalf("trigger past MinInterval was suppressed")
+		t.Fatalf("trigger past a minute was suppressed")
 	}
 	if rec.Taken() != 2 {
 		t.Fatalf("taken = %d, want 2", rec.Taken())
@@ -432,13 +432,18 @@ func TestRecorderRateLimitAndBundle(t *testing.T) {
 }
 
 func TestRecorderMaxBundles(t *testing.T) {
-	rec := NewRecorder(RecorderConfig{Dir: t.TempDir(), MinInterval: time.Second, MaxBundles: 1})
+	rec := NewRecorder(t.TempDir())
 	now := time.Unix(1_700_000_000, 0)
-	if _, taken, err := rec.Trigger(Bundle{Reason: "x", Now: now}); !taken || err != nil {
-		t.Fatalf("first trigger failed: %v", err)
+	for i := 0; i < maxBundles; i++ {
+		if _, taken, err := rec.Trigger(Bundle{Reason: "x", Now: now.Add(time.Duration(i) * time.Hour)}); !taken || err != nil {
+			t.Fatalf("trigger %d failed: %v", i, err)
+		}
 	}
-	if _, taken, _ := rec.Trigger(Bundle{Reason: "x", Now: now.Add(time.Hour)}); taken {
-		t.Fatalf("MaxBundles not enforced")
+	if _, taken, _ := rec.Trigger(Bundle{Reason: "x", Now: now.Add(maxBundles * time.Hour)}); taken {
+		t.Fatalf("maxBundles not enforced")
+	}
+	if rec.Taken() != maxBundles || rec.Throttled() != 1 {
+		t.Fatalf("taken = %d, throttled = %d, want %d and 1", rec.Taken(), rec.Throttled(), maxBundles)
 	}
 }
 

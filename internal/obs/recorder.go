@@ -19,11 +19,9 @@ import (
 // byte-identical event logs), an obs snapshot, per-pod counters, and
 // goroutine + heap profiles. Triggers are rate-limited on the caller's
 // clock (simulated time in deterministic runs) so a sustained breach
-// produces one bundle per interval, not one per round.
+// produces one bundle a minute, not one per round.
 type FlightRecorder struct {
-	dir         string
-	minInterval time.Duration
-	maxBundles  int
+	dir string
 
 	mu       sync.Mutex
 	last     time.Time
@@ -32,30 +30,21 @@ type FlightRecorder struct {
 	throttle int
 }
 
-// RecorderConfig configures a FlightRecorder.
-type RecorderConfig struct {
-	// Dir is the directory bundles are written under (created on demand).
-	Dir string
-	// MinInterval is the minimum caller-clock time between bundles;
-	// <= 0 defaults to one minute.
-	MinInterval time.Duration
-	// MaxBundles caps bundles per recorder lifetime; <= 0 defaults to 16.
-	MaxBundles int
-}
+// The recorder's limits: at most one bundle per minute of caller clock,
+// and at most 16 bundles per recorder lifetime.
+const (
+	bundleInterval = time.Minute
+	maxBundles     = 16
+)
 
-// NewRecorder builds a flight recorder. An empty Dir yields nil — the
-// no-op recorder — so callers wire it unconditionally.
-func NewRecorder(cfg RecorderConfig) *FlightRecorder {
-	if cfg.Dir == "" {
+// NewRecorder builds a flight recorder that writes bundles under dir,
+// created on demand. An empty dir yields nil — the no-op recorder — so
+// callers wire it unconditionally.
+func NewRecorder(dir string) *FlightRecorder {
+	if dir == "" {
 		return nil
 	}
-	if cfg.MinInterval <= 0 {
-		cfg.MinInterval = time.Minute
-	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = 16
-	}
-	return &FlightRecorder{dir: cfg.Dir, minInterval: cfg.MinInterval, maxBundles: cfg.MaxBundles}
+	return &FlightRecorder{dir: dir}
 }
 
 // Bundle is the diagnostics payload of one trigger.
@@ -98,7 +87,7 @@ func (r *FlightRecorder) Trigger(b Bundle) (dir string, taken bool, err error) {
 		return "", false, nil
 	}
 	r.mu.Lock()
-	if r.taken >= r.maxBundles || (r.hasLast && b.Now.Sub(r.last) < r.minInterval) {
+	if r.taken >= maxBundles || (r.hasLast && b.Now.Sub(r.last) < bundleInterval) {
 		r.throttle++
 		r.mu.Unlock()
 		return "", false, nil

@@ -3,25 +3,26 @@ package obs
 import "time"
 
 // An Objective is one service-level objective over an observed duration:
-// values at or under Target are good, values over it breach. Budget is
-// the tolerated breach fraction (0.01 = 99% of observations must meet
-// the target); the burn rate gauge reports observed breach fraction
-// divided by budget, so burn > 1 means the error budget is being spent
-// faster than allowed — the standard SLO alerting signal.
+// values at or under Target are good, values over it breach. Every
+// objective tolerates a breach fraction of sloBudget (99% of
+// observations must meet the target); the burn rate gauge reports
+// observed breach fraction divided by that budget, so burn > 1 means the
+// error budget is being spent faster than allowed — the standard SLO
+// alerting signal.
 type Objective struct {
 	// Name labels the objective's metric series ("round", "staleness").
 	Name string
 	// Target is the deadline or threshold observations are held to.
 	Target time.Duration
-	// Budget is the tolerated breach fraction; <= 0 defaults to 0.01.
-	Budget float64
 }
+
+// sloBudget is the breach fraction every objective tolerates.
+const sloBudget = 0.01
 
 // SLO tracks one objective: good/breach counters plus a burn-rate gauge,
 // all registered under pocolo_obs_slo_*. A nil SLO is a no-op tracker.
 type SLO struct {
 	target time.Duration
-	budget float64
 	good   *Counter
 	breach *Counter
 	burn   *Gauge
@@ -33,13 +34,9 @@ func NewSLO(reg *Registry, o Objective) *SLO {
 	if reg == nil {
 		return nil
 	}
-	if o.Budget <= 0 {
-		o.Budget = 0.01
-	}
 	l := Label{Key: "slo", Value: o.Name}
 	s := &SLO{
 		target: o.Target,
-		budget: o.Budget,
 		good:   reg.Counter("pocolo_obs_slo_good_total", "Observations meeting their SLO target.", l),
 		breach: reg.Counter("pocolo_obs_slo_breach_total", "Observations exceeding their SLO target.", l),
 		burn:   reg.Gauge("pocolo_obs_slo_burn", "Error-budget burn rate: breach fraction over budget; >1 means the budget is being overspent.", l),
@@ -64,7 +61,7 @@ func (s *SLO) Observe(d time.Duration) (breached bool) {
 	}
 	g, b := s.good.Value(), s.breach.Value()
 	if total := g + b; total > 0 {
-		s.burn.Set(float64(b) / float64(total) / s.budget)
+		s.burn.Set(float64(b) / float64(total) / sloBudget)
 	}
 	return breached
 }

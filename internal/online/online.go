@@ -10,9 +10,11 @@
 // The performance observation for a latency-critical application is
 // recovered from live telemetry by inverting the tail-latency law: given
 // the offered load and the observed p99, the utilization, capacity, and
-// hence the max load at the slack guard follow in closed form — the same
-// metric the offline profiler measures. Power observations come from the
-// per-application power meter.
+// hence the max load at the profiler's SlackGuard follow in closed form —
+// the same metric the offline profiler measures. Power observations come
+// from the per-application power meter. The loop's timing is fixed: one
+// observation per 1 s control period, a refit attempt every 10 s, over
+// the last 240 observations.
 package online
 
 import (
@@ -21,6 +23,7 @@ import (
 	"math"
 	"time"
 
+	"pocolo/internal/profiler"
 	"pocolo/internal/servermgr"
 	"pocolo/internal/sim"
 	"pocolo/internal/utility"
@@ -173,33 +176,20 @@ func EstimateLCPerf(load, p99, sloP99, slackGuard float64) (float64, bool) {
 	return rhoGuard * capacity, true
 }
 
-// AdapterConfig assembles an online adaptation loop for one host.
-type AdapterConfig struct {
-	// Host is the managed server; required.
-	Host *sim.Host
-	// Manager is the host's server manager whose model gets refreshed;
-	// required.
-	Manager *servermgr.Manager
-	// ObservePeriod is how often a telemetry observation is ingested
-	// (default 1 s, the control period).
-	ObservePeriod time.Duration
-	// RefitPeriod is how often a refit is attempted (default 10 s).
-	RefitPeriod time.Duration
-	// Window bounds the observation ring (default 240).
-	Window int
-	// SlackGuard mirrors the manager's slack target (default 0.10) so the
-	// recovered performance metric matches the profiler's.
-	SlackGuard float64
-}
+// The adaptation loop's timing: one observation per control period, a
+// refit attempt every ten, and a ring holding the last four minutes of
+// observations.
+const (
+	observePeriod     = time.Second
+	refitPeriod       = 10 * time.Second
+	observationWindow = 240
+)
 
 // Adapter wires a Collector to a host's telemetry and its manager.
 type Adapter struct {
-	host       *sim.Host
-	mgr        *servermgr.Manager
-	collector  *Collector
-	obsPeriod  time.Duration
-	refit      time.Duration
-	slackGuard float64
+	host      *sim.Host
+	mgr       *servermgr.Manager
+	collector *Collector
 
 	observations int
 	rejected     int
@@ -207,44 +197,20 @@ type Adapter struct {
 	refitErrs    int
 }
 
-// NewAdapter validates the configuration and builds the adapter.
-func NewAdapter(cfg AdapterConfig) (*Adapter, error) {
-	if cfg.Host == nil {
+// NewAdapter builds the online adaptation loop for one host and the
+// server manager whose model it refreshes; both are required.
+func NewAdapter(host *sim.Host, mgr *servermgr.Manager) (*Adapter, error) {
+	if host == nil {
 		return nil, errors.New("online: nil host")
 	}
-	if cfg.Manager == nil {
+	if mgr == nil {
 		return nil, errors.New("online: nil manager")
 	}
-	if cfg.ObservePeriod == 0 {
-		cfg.ObservePeriod = time.Second
-	}
-	if cfg.RefitPeriod == 0 {
-		cfg.RefitPeriod = 10 * time.Second
-	}
-	if cfg.ObservePeriod <= 0 || cfg.RefitPeriod <= 0 {
-		return nil, errors.New("online: periods must be positive")
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 240
-	}
-	if cfg.SlackGuard == 0 {
-		cfg.SlackGuard = 0.10
-	}
-	if cfg.SlackGuard < 0 || cfg.SlackGuard >= 0.7 {
-		return nil, fmt.Errorf("online: slack guard %v outside [0, 0.7)", cfg.SlackGuard)
-	}
-	collector, err := NewCollector(cfg.Host.LC().Name, []string{"cores", "llc-ways"}, cfg.Window)
+	collector, err := NewCollector(host.LC().Name, []string{"cores", "llc-ways"}, observationWindow)
 	if err != nil {
 		return nil, err
 	}
-	return &Adapter{
-		host:       cfg.Host,
-		mgr:        cfg.Manager,
-		collector:  collector,
-		obsPeriod:  cfg.ObservePeriod,
-		refit:      cfg.RefitPeriod,
-		slackGuard: cfg.SlackGuard,
-	}, nil
+	return &Adapter{host: host, mgr: mgr, collector: collector}, nil
 }
 
 // Attach registers the observation and refit loops on the engine.
@@ -252,10 +218,10 @@ func (a *Adapter) Attach(e *sim.Engine) error {
 	if e == nil {
 		return errors.New("online: nil engine")
 	}
-	if err := e.Every(a.obsPeriod, a.ObserveTick); err != nil {
+	if err := e.Every(observePeriod, a.ObserveTick); err != nil {
 		return err
 	}
-	return e.Every(a.refit, a.RefitTick)
+	return e.Every(refitPeriod, a.RefitTick)
 }
 
 // ObserveTick ingests one telemetry observation.
@@ -266,7 +232,7 @@ func (a *Adapter) ObserveTick(time.Time) {
 		a.rejected++
 		return
 	}
-	perf, ok := EstimateLCPerf(a.host.OfferedLoad(), a.host.ObservedP99(), lc.SLO.P99Ms, a.slackGuard)
+	perf, ok := EstimateLCPerf(a.host.OfferedLoad(), a.host.ObservedP99(), lc.SLO.P99Ms, profiler.SlackGuard)
 	if !ok {
 		a.rejected++
 		return

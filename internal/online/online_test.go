@@ -183,7 +183,7 @@ func rigAdapter(t *testing.T, adapt bool) (*sim.Host, *servermgr.Manager, *Adapt
 	}
 	var adapter *Adapter
 	if adapt {
-		adapter, err = NewAdapter(AdapterConfig{Host: host, Manager: mgr})
+		adapter, err = NewAdapter(host, mgr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,19 +205,13 @@ func mustBy(t *testing.T, cat *workload.Catalog, name string) *workload.Spec {
 
 func TestAdapterValidation(t *testing.T) {
 	host, mgr, _, _ := rigAdapter(t, false)
-	if _, err := NewAdapter(AdapterConfig{Manager: mgr}); err == nil {
+	if _, err := NewAdapter(nil, mgr); err == nil {
 		t.Error("expected error for nil host")
 	}
-	if _, err := NewAdapter(AdapterConfig{Host: host}); err == nil {
+	if _, err := NewAdapter(host, nil); err == nil {
 		t.Error("expected error for nil manager")
 	}
-	if _, err := NewAdapter(AdapterConfig{Host: host, Manager: mgr, ObservePeriod: -time.Second}); err == nil {
-		t.Error("expected error for negative period")
-	}
-	if _, err := NewAdapter(AdapterConfig{Host: host, Manager: mgr, SlackGuard: 0.9}); err == nil {
-		t.Error("expected error for absurd slack")
-	}
-	a, err := NewAdapter(AdapterConfig{Host: host, Manager: mgr})
+	a, err := NewAdapter(host, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,11 +75,3 @@ func ForEach(n, workers int, fn func(i int) error) error {
 	wg.Wait()
 	return firstErr
 }
-
-// Workers resolves a parallelism setting: non-positive means GOMAXPROCS.
-func Workers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}

@@ -3,7 +3,6 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,17 +98,5 @@ func TestForEachCancelsPromptly(t *testing.T) {
 	}
 	if got := started.Load(); got > workers {
 		t.Fatalf("%d units started after first error, want <= %d", got, workers)
-	}
-}
-
-func TestWorkers(t *testing.T) {
-	if got := Workers(3); got != 3 {
-		t.Fatalf("Workers(3) = %d", got)
-	}
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0) = %d, want GOMAXPROCS", got)
-	}
-	if got := Workers(-1); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(-1) = %d, want GOMAXPROCS", got)
 	}
 }

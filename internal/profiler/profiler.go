@@ -4,7 +4,7 @@
 //
 // For latency-critical applications the performance metric is the maximum
 // achievable load within the target latency, and only samples taken with at
-// least the configured tail-latency slack are kept ("as an initial guard
+// least SlackGuard tail-latency slack are kept ("as an initial guard
 // against model inaccuracies, we use samples where the tail latency of the
 // primary application has at least 10% slack with respect to its SLO").
 // For best-effort applications the metric is saturated throughput.
@@ -36,12 +36,14 @@ type Config struct {
 	// allocation). Coarser strides model cheaper profiling.
 	CoreStep int
 	WayStep  int
-	// Slack is the minimum relative p99 slack an LC sample must have to be
-	// kept (default 0.10). Ignored for BE apps.
-	Slack float64
 	// Seed makes the sweep reproducible.
 	Seed int64
 }
+
+// SlackGuard is the minimum relative p99 slack an LC sample must have to
+// be kept: the paper's 10% guard against model inaccuracies. The online
+// adapter recovers its performance observations at the same guard.
+const SlackGuard = 0.10
 
 // The sweep's relative measurement noise: application counters and the
 // per-application power meter.
@@ -80,13 +82,6 @@ func Run(cfg Config) (*Profile, error) {
 	if coreStep < 1 || wayStep < 1 {
 		return nil, fmt.Errorf("profiler: invalid grid strides %d/%d", coreStep, wayStep)
 	}
-	slack := cfg.Slack
-	if slack == 0 {
-		slack = 0.10
-	}
-	if slack < 0 || slack >= 0.7 {
-		return nil, fmt.Errorf("profiler: slack %v outside [0, 0.7)", slack)
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	p := &Profile{App: cfg.Spec.Name, Resources: append([]string(nil), ResourceNames...)}
@@ -99,7 +94,7 @@ func Run(cfg Config) (*Profile, error) {
 			case workload.LatencyCritical:
 				// Load the app to the highest level that preserves the
 				// slack guard, and measure there.
-				load := cfg.Spec.MaxLoadWithSlack(alloc, slack)
+				load := cfg.Spec.MaxLoadWithSlack(alloc, SlackGuard)
 				if load <= 0 {
 					continue
 				}

@@ -146,10 +146,10 @@ type Manager struct {
 	// Scratch buffers reused across ticks: the grid scans in feasibleAlloc
 	// and bestPairSplit run every control period on every host and must not
 	// allocate per candidate.
-	vecA, vecB [2]float64
-	frontier   []utility.GridPoint
-	splitA     splitTables
-	splitB     splitTables
+	vecA     [2]float64
+	frontier []utility.GridPoint
+	splitA   splitTables
+	splitB   splitTables
 
 	// tracer records decisions and tick-phase spans (nil = disabled);
 	// lastPath remembers which search path served the latest

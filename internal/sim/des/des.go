@@ -1,18 +1,13 @@
 // Package des is a request-level discrete-event simulator: Poisson
-// arrivals into a FIFO queue served by k parallel servers with
-// configurable service-time distributions (exponential, deterministic, or
-// lognormal — M/M/k, M/D/k, M/G/k). It exists to validate the fluid
-// latency law used by internal/sim — the analytic p99 curve must behave
-// like a real queue (monotone in load, explosive near saturation, tail far
-// above the mean) — and powers the examples that want per-request
-// latencies rather than analytic ones.
+// arrivals into a FIFO queue served by k parallel servers with exponential
+// service times (M/M/k). It exists to validate the fluid latency law used
+// by internal/sim — the analytic p99 curve must behave like a real queue
+// (monotone in load, explosive near saturation, tail far above the mean).
 package des
 
 import (
 	"container/heap"
 	"errors"
-	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -20,34 +15,6 @@ import (
 	"pocolo/internal/machine"
 	"pocolo/internal/workload"
 )
-
-// ServiceDist selects the service-time distribution of an M/G/k run.
-type ServiceDist int
-
-const (
-	// Exponential service times (M/M/k), coefficient of variation 1.
-	Exponential ServiceDist = iota
-	// Deterministic service times (M/D/k), coefficient of variation 0 —
-	// the lightest possible tail for a given mean.
-	Deterministic
-	// LogNormal service times with coefficient of variation 2 — the
-	// heavy-ish tails realistic request mixes show.
-	LogNormal
-)
-
-// String implements fmt.Stringer.
-func (d ServiceDist) String() string {
-	switch d {
-	case Exponential:
-		return "exponential"
-	case Deterministic:
-		return "deterministic"
-	case LogNormal:
-		return "lognormal"
-	default:
-		return fmt.Sprintf("ServiceDist(%d)", int(d))
-	}
-}
 
 // Config parameterizes one queueing run.
 type Config struct {
@@ -58,13 +25,8 @@ type Config struct {
 	// ServiceRate is the aggregate service capacity in requests/s; each of
 	// the k servers completes work at ServiceRate/k.
 	ServiceRate float64
-	// Service selects the service-time distribution (default Exponential).
-	Service ServiceDist
 	// Duration is the simulated time span.
 	Duration time.Duration
-	// WarmupFrac discards latencies observed during the first fraction of
-	// the run (default 0.1) so the measured tail reflects steady state.
-	WarmupFrac float64
 	// Seed makes the run reproducible.
 	Seed int64
 }
@@ -90,6 +52,10 @@ func FromAlloc(spec *workload.Spec, a machine.Alloc, load float64, d time.Durati
 		Seed:        seed,
 	}
 }
+
+// warmupFrac is the leading fraction of the run whose latencies are
+// discarded, so the measured tail reflects steady state.
+const warmupFrac = 0.1
 
 type eventKind int
 
@@ -134,38 +100,15 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Duration <= 0 {
 		return Result{}, errors.New("des: duration must be positive")
 	}
-	warmup := cfg.WarmupFrac
-	if warmup == 0 {
-		warmup = 0.1
-	}
-	if warmup < 0 || warmup >= 1 {
-		return Result{}, errors.New("des: warmup fraction outside [0, 1)")
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	horizon := cfg.Duration.Seconds()
-	warmupEnd := horizon * warmup
+	warmupEnd := horizon * warmupFrac
 	perServerRate := cfg.ServiceRate / float64(cfg.Servers)
 	meanSvc := 1 / perServerRate
 
-	// service draws one service time per the configured distribution, all
-	// sharing the same mean so utilization comparisons stay apples-to-apples.
-	var service func() float64
-	switch cfg.Service {
-	case Deterministic:
-		service = func() float64 { return meanSvc }
-	case LogNormal:
-		// Parameterize for a coefficient of variation of 2:
-		// cv² = e^(σ²) − 1 → σ² = ln(5); mean = e^(μ+σ²/2).
-		sigma2 := math.Log(5.0)
-		mu := math.Log(meanSvc) - sigma2/2
-		sigma := math.Sqrt(sigma2)
-		service = func() float64 { return math.Exp(mu + sigma*rng.NormFloat64()) }
-	case Exponential:
-		service = func() float64 { return rng.ExpFloat64() * meanSvc }
-	default:
-		return Result{}, fmt.Errorf("des: unknown service distribution %v", cfg.Service)
-	}
+	// service draws one exponential service time.
+	service := func() float64 { return rng.ExpFloat64() * meanSvc }
 
 	hist, err := latency.NewHistogram(0.001, 1e7, 0.01)
 	if err != nil {

@@ -16,8 +16,6 @@ func TestRunValidation(t *testing.T) {
 		func(c *Config) { c.Servers = 0 },
 		func(c *Config) { c.ServiceRate = 0 },
 		func(c *Config) { c.Duration = 0 },
-		func(c *Config) { c.WarmupFrac = 1.5 },
-		func(c *Config) { c.WarmupFrac = -0.1 },
 	}
 	for i, m := range mutations {
 		c := valid
@@ -145,39 +143,5 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a.Completed != b.Completed || a.Hist.Percentile(99) != b.Hist.Percentile(99) {
 		t.Error("same seed produced different results")
-	}
-}
-
-func TestServiceDistributions(t *testing.T) {
-	base := Config{ArrivalRate: 100, Servers: 4, ServiceRate: 200, Duration: 5 * time.Minute, Seed: 3}
-	p99 := map[ServiceDist]float64{}
-	means := map[ServiceDist]float64{}
-	for _, dist := range []ServiceDist{Deterministic, Exponential, LogNormal} {
-		cfg := base
-		cfg.Service = dist
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", dist, err)
-		}
-		p99[dist] = res.Hist.Percentile(99)
-		means[dist] = res.Hist.Mean()
-	}
-	// Same mean service time: means stay within a moderate band...
-	if means[Deterministic] > means[LogNormal] {
-		t.Errorf("deterministic mean %v should not exceed lognormal %v", means[Deterministic], means[LogNormal])
-	}
-	// ...but the tails order strictly by service-time variability
-	// (Pollaczek–Khinchine: waiting grows with cv²).
-	if !(p99[Deterministic] < p99[Exponential] && p99[Exponential] < p99[LogNormal]) {
-		t.Errorf("p99 ordering broken: D=%v M=%v LN=%v", p99[Deterministic], p99[Exponential], p99[LogNormal])
-	}
-	if Deterministic.String() != "deterministic" || LogNormal.String() != "lognormal" ||
-		Exponential.String() != "exponential" || ServiceDist(9).String() == "" {
-		t.Error("ServiceDist strings broken")
-	}
-	bad := base
-	bad.Service = ServiceDist(9)
-	if _, err := Run(bad); err == nil {
-		t.Error("expected error for unknown distribution")
 	}
 }

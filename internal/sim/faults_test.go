@@ -63,44 +63,6 @@ func TestHostSurvivesPathologicalTraces(t *testing.T) {
 	}
 }
 
-func TestHostWithStaleMeter(t *testing.T) {
-	// A meter that updates once a minute (a stalled telemetry pipeline):
-	// the host must keep running and the reading must simply be stale, not
-	// corrupt.
-	cat, cfg := testCatalog(t)
-	lc := mustSpec(t, cat, "xapian")
-	be := mustSpec(t, cat, "graph")
-	h, err := NewHost(HostConfig{
-		Name: "stale", Machine: cfg, LC: lc, BE: be,
-		Trace: constTrace(t, 0.5), MeterPeriod: time.Minute, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(100 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddHost(h); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	first := h.MeterReading()
-	if err := e.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	second := h.MeterReading()
-	if first.Time != second.Time || first.Watts != second.Watts {
-		t.Error("a one-minute meter should hold its reading across 20 s")
-	}
-	// Ground-truth accounting (energy, cap stats) is meter-independent.
-	if h.Metrics().EnergyKWh <= 0 {
-		t.Error("energy accounting should not depend on the meter period")
-	}
-}
-
 func TestAppPowerMeter(t *testing.T) {
 	cat, cfg := testCatalog(t)
 	lc := mustSpec(t, cat, "xapian")

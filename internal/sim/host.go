@@ -42,9 +42,6 @@ type HostConfig struct {
 	// CapW is the provisioned power capacity; defaults to the LC app's
 	// ProvisionedPowerW when zero.
 	CapW float64
-	// MeterPeriod is the power-meter sampling period (default 100 ms, the
-	// paper's setting).
-	MeterPeriod time.Duration
 	// Seed makes the host's noise streams reproducible.
 	Seed int64
 	// SeriesCap bounds each telemetry series to the most recent SeriesCap
@@ -58,6 +55,10 @@ type HostConfig struct {
 	// bounds the series.
 	SeriesHint int
 }
+
+// meterPeriod is the power meter's sampling period, the paper's 100 ms
+// RAPL setting.
+const meterPeriod = 100 * time.Millisecond
 
 // The host's observation noise, relative to the true value.
 const (
@@ -162,10 +163,6 @@ func NewHost(hc HostConfig) (*Host, error) {
 	capTrack, err := power.NewCapTracker(capW)
 	if err != nil {
 		return nil, err
-	}
-	meterPeriod := hc.MeterPeriod
-	if meterPeriod == 0 {
-		meterPeriod = 100 * time.Millisecond
 	}
 	newSeries := func() *telemetry.Series {
 		s := telemetry.NewBoundedSeries(hc.SeriesCap)

@@ -26,16 +26,6 @@ func (r Regression) Intercept() float64 { return r.Coef[0] }
 // intercept).
 func (r Regression) Slope(j int) float64 { return r.Coef[j+1] }
 
-// Predict evaluates the fitted linear model at x (length = number of
-// predictors).
-func (r Regression) Predict(x []float64) float64 {
-	y := r.Coef[0]
-	for j, xj := range x {
-		y += r.Coef[j+1] * xj
-	}
-	return y
-}
-
 // OLS fits y ≈ β₀ + Σ βⱼ·xⱼ by ordinary least squares using the normal
 // equations. xs[i] is the predictor vector for sample i; all rows must have
 // the same length. It requires at least len(xs[0])+1 samples.
@@ -67,46 +57,6 @@ func OLS(xs [][]float64, ys []float64) (Regression, error) {
 	coef, err := SolveLinear(xtx, xty)
 	if err != nil {
 		return Regression{}, fmt.Errorf("stats: OLS normal equations: %w", err)
-	}
-	reg := Regression{Coef: coef, N: n}
-	reg.RSquared = rSquared(design, ys, coef)
-	return reg, nil
-}
-
-// OLSNoIntercept fits y ≈ Σ βⱼ·xⱼ (regression through the origin). The
-// returned Regression still stores a Coef[0] intercept slot, fixed at 0, so
-// Predict and Slope behave uniformly.
-func OLSNoIntercept(xs [][]float64, ys []float64) (Regression, error) {
-	n := len(xs)
-	if n == 0 {
-		return Regression{}, ErrEmpty
-	}
-	if len(ys) != n {
-		return Regression{}, errors.New("stats: xs and ys length mismatch")
-	}
-	k := len(xs[0])
-	if n < k {
-		return Regression{}, fmt.Errorf("stats: need at least %d samples for %d predictors, got %d", k, k, n)
-	}
-	for _, row := range xs {
-		if len(row) != k {
-			return Regression{}, errors.New("stats: ragged predictor rows")
-		}
-	}
-	xtx := MatTMat(xs)
-	xty := MatTVec(xs, ys)
-	slopes, err := SolveLinear(xtx, xty)
-	if err != nil {
-		return Regression{}, fmt.Errorf("stats: OLS normal equations: %w", err)
-	}
-	coef := make([]float64, k+1)
-	copy(coef[1:], slopes)
-	design := make([][]float64, n)
-	for i, row := range xs {
-		d := make([]float64, k+1)
-		d[0] = 1 // multiplied by the zero intercept; harmless
-		copy(d[1:], row)
-		design[i] = d
 	}
 	reg := Regression{Coef: coef, N: n}
 	reg.RSquared = rSquared(design, ys, coef)

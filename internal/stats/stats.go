@@ -1,7 +1,7 @@
 // Package stats provides the small numerical substrate Pocolo depends on:
-// descriptive statistics, percentile extraction, and ordinary least squares
-// multiple regression (used to fit the Cobb-Douglas indirect utility model
-// after the log transformation described in Section IV-A of the paper).
+// descriptive statistics and ordinary least squares multiple regression
+// (used to fit the Cobb-Douglas indirect utility model after the log
+// transformation described in Section IV-A of the paper).
 //
 // Everything is implemented from scratch on top of the standard library so
 // the module builds offline.
@@ -10,7 +10,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by functions that require at least one sample.
@@ -26,26 +25,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs (division by n, not n-1).
-// It returns 0 for slices with fewer than two elements.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
 }
 
 // Min returns the smallest element of xs, or +Inf for an empty slice.
@@ -68,81 +47,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. The input slice is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range [0,100]")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Summary holds descriptive statistics for a sample set.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	P50    float64
-	P95    float64
-	P99    float64
-}
-
-// Summarize computes a Summary for xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	p50, _ := Percentile(xs, 50)
-	p95, _ := Percentile(xs, 95)
-	p99, _ := Percentile(xs, 99)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		P50:    p50,
-		P95:    p95,
-		P99:    p99,
-	}, nil
-}
-
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

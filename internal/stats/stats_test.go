@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -28,20 +27,7 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if got := Variance([]float64{3}); got != 0 {
-		t.Errorf("Variance of singleton = %v, want 0", got)
-	}
-}
-
-func TestMinMaxSum(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if got := Min(xs); got != -1 {
 		t.Errorf("Min = %v", got)
@@ -49,105 +35,8 @@ func TestMinMaxSum(t *testing.T) {
 	if got := Max(xs); got != 7 {
 		t.Errorf("Max = %v", got)
 	}
-	if got := Sum(xs); got != 11 {
-		t.Errorf("Sum = %v", got)
-	}
 	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
 		t.Error("Min/Max of empty slice should be ±Inf")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	for _, c := range []struct {
-		p    float64
-		want float64
-	}{
-		{0, 15},
-		{100, 50},
-		{50, 35},
-		{25, 20},
-	} {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatalf("Percentile(%v): %v", c.p, err)
-		}
-		if !almostEqual(got, c.want, 1e-9) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("expected error for empty input")
-	}
-	if _, err := Percentile(xs, 120); err == nil {
-		t.Error("expected error for out-of-range percentile")
-	}
-	// Percentile must not mutate its input.
-	orig := []float64{9, 1, 5}
-	if _, err := Percentile(orig, 50); err != nil {
-		t.Fatal(err)
-	}
-	if orig[0] != 9 || orig[1] != 1 || orig[2] != 5 {
-		t.Errorf("Percentile mutated input: %v", orig)
-	}
-}
-
-func TestPercentileMonotonic(t *testing.T) {
-	// Property: percentile is monotonically non-decreasing in p.
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 7 {
-			v, err := Percentile(xs, p)
-			if err != nil || v < prev-1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 10 || !almostEqual(s.Mean, 5.5, 1e-12) || s.Min != 1 || s.Max != 10 {
-		t.Errorf("unexpected summary %+v", s)
-	}
-	if s.P50 < s.Min || s.P99 > s.Max || s.P50 > s.P95 || s.P95 > s.P99 {
-		t.Errorf("percentiles out of order: %+v", s)
-	}
-	if _, err := Summarize(nil); err == nil {
-		t.Error("expected error for empty input")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 3); got != 3 {
-		t.Errorf("Clamp high = %v", got)
-	}
-	if got := Clamp(-2, 0, 3); got != 0 {
-		t.Errorf("Clamp low = %v", got)
-	}
-	if got := Clamp(1.5, 0, 3); got != 1.5 {
-		t.Errorf("Clamp mid = %v", got)
 	}
 }
 
@@ -290,47 +179,6 @@ func TestOLSErrors(t *testing.T) {
 	}
 	if _, err := OLS([][]float64{{1, 2}, {1}, {3, 4}}, []float64{1, 2, 3}); err == nil {
 		t.Error("expected ragged rows error")
-	}
-}
-
-func TestOLSNoInterceptRecoversModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 60; i++ {
-		x1 := 1 + rng.Float64()*10
-		x2 := 1 + rng.Float64()*10
-		xs = append(xs, []float64{x1, x2})
-		ys = append(ys, 7*x1+1.5*x2)
-	}
-	reg, err := OLSNoIntercept(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Intercept() != 0 {
-		t.Errorf("intercept = %v, want 0", reg.Intercept())
-	}
-	if !almostEqual(reg.Slope(0), 7, 1e-8) || !almostEqual(reg.Slope(1), 1.5, 1e-8) {
-		t.Errorf("slopes = %v, %v; want 7, 1.5", reg.Slope(0), reg.Slope(1))
-	}
-}
-
-func TestOLSNoInterceptErrors(t *testing.T) {
-	if _, err := OLSNoIntercept(nil, nil); err == nil {
-		t.Error("expected error for empty input")
-	}
-	if _, err := OLSNoIntercept([][]float64{{1, 2}}, []float64{1, 2}); err == nil {
-		t.Error("expected length mismatch error")
-	}
-	if _, err := OLSNoIntercept([][]float64{{1, 2}, {2}}, []float64{1, 2}); err == nil {
-		t.Error("expected ragged rows error")
-	}
-}
-
-func TestRegressionPredict(t *testing.T) {
-	reg := Regression{Coef: []float64{1, 2, 3}}
-	if got := reg.Predict([]float64{10, 100}); got != 1+20+300 {
-		t.Errorf("Predict = %v", got)
 	}
 }
 

@@ -54,54 +54,3 @@ func TestAtWraparound(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", s.Len())
 	}
 }
-
-func TestIterate(t *testing.T) {
-	base := time.Unix(0, 0).UTC()
-	s := NewBoundedSeries(3)
-	for i := 1; i <= 5; i++ {
-		if err := s.Append(base.Add(time.Duration(i)*time.Second), float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []float64
-	s.Iterate(func(p Point) bool {
-		got = append(got, p.Value)
-		return true
-	})
-	if len(got) != 3 || got[0] != 3 || got[1] != 4 || got[2] != 5 {
-		t.Fatalf("Iterate saw %v, want [3 4 5]", got)
-	}
-	// Early stop.
-	var count int
-	s.Iterate(func(Point) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("early-stop Iterate ran %d times", count)
-	}
-	// Unbounded series iterates in append order; empty series never
-	// calls fn.
-	u := NewSeries()
-	u.Iterate(func(Point) bool {
-		t.Fatal("fn called on empty series")
-		return true
-	})
-	for i := 1; i <= 3; i++ {
-		_ = u.Append(base.Add(time.Duration(i)*time.Second), float64(i))
-	}
-	var sum float64
-	u.Iterate(func(p Point) bool {
-		sum += p.Value
-		return true
-	})
-	if sum != 6 {
-		t.Fatalf("unbounded Iterate sum = %g", sum)
-	}
-	// At agrees with Last on the newest point.
-	lastAt, ok1 := u.At(u.Len() - 1)
-	last, ok2 := u.Last()
-	if !ok1 || !ok2 || lastAt != last {
-		t.Fatalf("At(n-1) = %v,%v but Last = %v,%v", lastAt, ok1, last, ok2)
-	}
-}

@@ -130,31 +130,6 @@ func (s *Series) At(i int) (Point, bool) {
 	return s.at(i), true
 }
 
-// Iterate calls fn on each retained point, oldest first, stopping early
-// when fn returns false. Unlike Points it allocates nothing. The series
-// lock is held for the whole iteration, so fn must not call back into
-// the series.
-func (s *Series) Iterate(fn func(Point) bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := 0; i < s.size(); i++ {
-		if !fn(s.at(i)) {
-			return
-		}
-	}
-}
-
-// Last returns the most recent observation, if any.
-func (s *Series) Last() (Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.size()
-	if n == 0 {
-		return Point{}, false
-	}
-	return s.at(n - 1), true
-}
-
 // Points returns a copy of the retained observations, oldest first.
 func (s *Series) Points() []Point {
 	s.mu.Lock()
@@ -208,19 +183,6 @@ func (s *Series) TimeWeightedMean() float64 {
 		return sum / float64(n)
 	}
 	return weighted / total
-}
-
-// Max returns the largest retained value, or 0 for an empty series.
-func (s *Series) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := 0.0
-	for i := 0; i < s.size(); i++ {
-		if v := s.at(i).Value; i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Counter is a monotonically increasing accumulator (e.g. completed

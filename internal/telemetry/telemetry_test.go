@@ -26,9 +26,6 @@ func TestSeriesBasics(t *testing.T) {
 	if len(vals) != 5 || vals[2] != 2 {
 		t.Errorf("Values = %v", vals)
 	}
-	if got := s.Max(); got != 4 {
-		t.Errorf("Max = %v", got)
-	}
 }
 
 func TestSeriesOutOfOrderRejected(t *testing.T) {
@@ -86,19 +83,6 @@ func TestTimeWeightedMeanDegenerateTimestamps(t *testing.T) {
 	}
 }
 
-func TestSeriesMaxEmptyAndNegative(t *testing.T) {
-	s := NewSeries()
-	if s.Max() != 0 {
-		t.Error("empty Max should be 0")
-	}
-	if err := s.Append(time.Unix(0, 0), -5); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Max(); got != -5 {
-		t.Errorf("Max of all-negative series = %v, want -5", got)
-	}
-}
-
 func TestBoundedSeriesEvictsOldest(t *testing.T) {
 	s := NewBoundedSeries(3)
 	start := time.Unix(0, 0)
@@ -121,12 +105,6 @@ func TestBoundedSeriesEvictsOldest(t *testing.T) {
 	pts := s.Points()
 	if len(pts) != 3 || !pts[0].Time.Equal(start.Add(7*time.Second)) {
 		t.Errorf("Points = %v", pts)
-	}
-	if got := s.Max(); got != 9 {
-		t.Errorf("Max = %v, want 9", got)
-	}
-	if last, ok := s.Last(); !ok || last.Value != 9 {
-		t.Errorf("Last = %v, %v", last, ok)
 	}
 }
 
@@ -162,20 +140,6 @@ func TestBoundedSeriesInvalidCapacityFallsBack(t *testing.T) {
 	}
 	if s.Len() != 100 {
 		t.Errorf("Len = %d, want 100 (unbounded)", s.Len())
-	}
-}
-
-func TestSeriesLast(t *testing.T) {
-	s := NewSeries()
-	if _, ok := s.Last(); ok {
-		t.Error("empty series should have no last point")
-	}
-	at := time.Unix(3, 0)
-	if err := s.Append(at, 42); err != nil {
-		t.Fatal(err)
-	}
-	if last, ok := s.Last(); !ok || last.Value != 42 || !last.Time.Equal(at) {
-		t.Errorf("Last = %v, %v", last, ok)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // The paper's applications "either provide their fitted parameters using
@@ -69,14 +68,4 @@ func LoadModels(r io.Reader) (map[string]*Model, error) {
 		}
 	}
 	return file.Models, nil
-}
-
-// ModelNames returns the sorted application names of a model set.
-func ModelNames(models map[string]*Model) []string {
-	names := make([]string, 0, len(models))
-	for n := range models {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -100,11 +100,3 @@ func TestLoadModelsFillsAppName(t *testing.T) {
 		t.Errorf("App = %q, want filled from the key", out["synth"].App)
 	}
 }
-
-func TestModelNames(t *testing.T) {
-	m := fitSynth(t)
-	names := ModelNames(map[string]*Model{"b": m, "a": m, "c": m})
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Errorf("names = %v", names)
-	}
-}

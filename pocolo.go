@@ -551,7 +551,7 @@ func (s *System) SimulateAdaptiveServer(lcName, borrowedFrom string, trace Trace
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
-	adapter, err := online.NewAdapter(online.AdapterConfig{Host: host, Manager: mgr})
+	adapter, err := online.NewAdapter(host, mgr)
 	if err != nil {
 		return AdaptiveResult{}, err
 	}
